@@ -38,18 +38,29 @@ pub struct Entry {
 /// Digits are packed **most-significant first** (high nibble first), so
 /// comparing packed bytes lexicographically equals comparing ids
 /// numerically — the same order as `NodeId::Ord` for the equal-length ids
-/// of one space. Both the dedup index and the reverse-neighbor arena lean
-/// on that equivalence.
+/// of one space. [`cmp_ids`](Self::cmp_ids) leans on that equivalence.
+///
+/// Dedup goes through an open-addressing hash index over the packed bytes
+/// (linear probing, power-of-two capacity, at most 7/8 full: four bytes a
+/// slot, and most tables hold a few dozen ids in one or two cache lines of
+/// index, so memory is worth more here than short probe runs). The hash is
+/// a fixed function of the bytes, so index layout — like everything else
+/// in a table — is identical from run to run.
 #[derive(Debug, Clone)]
 struct IdArena {
     /// Packed digit storage, `stride` bytes per interned id.
     bytes: Vec<u8>,
-    /// Interned indices sorted by packed-byte (= numeric) order.
-    sorted: Vec<u32>,
+    /// Hash index: [`EMPTY`] or an interned index, probed linearly from
+    /// the key's hash.
+    index: Vec<u32>,
     stride: usize,
     nibble: bool,
     digits: usize,
 }
+
+/// Initial hash-index capacity (a power of two). A table that has just
+/// been created holds its owner only.
+const INDEX_MIN: usize = 8;
 
 impl IdArena {
     fn new(space: IdSpace) -> Self {
@@ -57,7 +68,7 @@ impl IdArena {
         let nibble = space.base() <= 16;
         IdArena {
             bytes: Vec::new(),
-            sorted: Vec::new(),
+            index: vec![EMPTY; INDEX_MIN],
             stride: if nibble { digits.div_ceil(2) } else { digits },
             nibble,
             digits,
@@ -91,6 +102,12 @@ impl IdArena {
         &self.bytes[start..start + self.stride]
     }
 
+    /// Number of interned ids.
+    #[inline]
+    fn len(&self) -> usize {
+        self.bytes.len() / self.stride
+    }
+
     fn resolve(&self, idx: u32) -> NodeId {
         let b = self.packed(idx);
         let mut lsd = [0u8; 64];
@@ -113,18 +130,69 @@ impl IdArena {
         NodeId::from_digits_lsd(&lsd[..self.digits])
     }
 
+    /// Where `key` starts probing in an index of `capacity` slots: FNV-1a
+    /// over the packed bytes, one more multiply to spread the last byte
+    /// into the high bits, then the top `log2(capacity)` bits.
+    #[inline]
+    fn home(key: &[u8], capacity: usize) -> usize {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in key {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h = (h ^ (h >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (h >> (64 - capacity.trailing_zeros())) as usize
+    }
+
+    /// Probes for `key`: `Ok(idx)` if interned, else `Err(pos)` with the
+    /// empty index position where it belongs.
+    #[inline]
+    fn probe(&self, key: &[u8]) -> Result<u32, usize> {
+        let mask = self.index.len() - 1;
+        let mut pos = Self::home(key, self.index.len());
+        loop {
+            let idx = self.index[pos];
+            if idx == EMPTY {
+                return Err(pos);
+            }
+            // An explicit loop: `stride` is 4 bytes in the common shape,
+            // far below where a `memcmp` call pays for itself.
+            if self.packed(idx).iter().zip(key).all(|(a, b)| a == b) {
+                return Ok(idx);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Doubles the hash index and re-seats every interned id.
+    fn grow(&mut self) {
+        let capacity = self.index.len() * 2;
+        let mut index = vec![EMPTY; capacity];
+        for idx in 0..self.len() as u32 {
+            let mut pos = Self::home(self.packed(idx), capacity);
+            while index[pos] != EMPTY {
+                pos = (pos + 1) & (capacity - 1);
+            }
+            index[pos] = idx;
+        }
+        self.index = index;
+    }
+
     /// Interns `id`, returning its stable dense index.
     fn intern(&mut self, id: &NodeId) -> u32 {
         let mut buf = [0u8; 64];
         let n = self.pack(id, &mut buf);
         let key = &buf[..n];
-        match self.sorted.binary_search_by(|&i| self.packed(i).cmp(key)) {
-            Ok(pos) => self.sorted[pos],
-            Err(pos) => {
-                let idx = (self.bytes.len() / self.stride) as u32;
-                debug_assert!(idx < IDX_MASK, "id arena full");
+        match self.probe(key) {
+            Ok(idx) => idx,
+            Err(mut pos) => {
+                let idx = self.len() as u32;
+                assert!(idx < IDX_MASK, "id arena full");
+                if (idx as usize + 1) * 8 > self.index.len() * 7 {
+                    self.grow();
+                    pos = self.probe(key).expect_err("key absent before growth");
+                }
                 self.bytes.extend_from_slice(key);
-                self.sorted.insert(pos, idx);
+                self.index[pos] = idx;
                 idx
             }
         }
@@ -134,11 +202,7 @@ impl IdArena {
     fn lookup(&self, id: &NodeId) -> Option<u32> {
         let mut buf = [0u8; 64];
         let n = self.pack(id, &mut buf);
-        let key = &buf[..n];
-        self.sorted
-            .binary_search_by(|&i| self.packed(i).cmp(key))
-            .ok()
-            .map(|pos| self.sorted[pos])
+        self.probe(&buf[..n]).ok()
     }
 
     /// Numeric order of two interned ids.
@@ -169,14 +233,82 @@ const S_BIT: u32 = 1 << 31;
 /// Low bits of an encoded entry: the arena index of its node.
 const IDX_MASK: u32 = S_BIT - 1;
 
-/// One reverse-neighbor membership: `node ∈ R_x(slot)`. The full reverse
-/// structure is a single flat arena sorted by `(slot, numeric id)` —
-/// per-slot sets are contiguous runs found by binary search, replacing the
-/// per-slot `BTreeSet<NodeId>` allocations of the old layout.
-#[derive(Debug, Clone, Copy)]
-struct RevEntry {
-    slot: u16,
-    idx: u32,
+/// One reverse-neighbor membership `node ∈ R_x(slot)` as a single word:
+/// the slot in the high half, the node's arena index in the low half.
+#[inline]
+fn rev_key(slot: usize, idx: u32) -> u64 {
+    (slot as u64) << 32 | idx as u64
+}
+
+/// An ordered set of `u64` words kept as sorted chunks of at most
+/// [`CHUNK`] words each, chunk after chunk in ascending order. An insert
+/// shifts words inside one chunk only, so its cost does not grow with the
+/// size of the set beyond the binary search for the chunk; a set that fits
+/// one chunk is a plain sorted `Vec`.
+#[derive(Debug, Clone, Default)]
+struct WordSet {
+    chunks: Vec<Vec<u64>>,
+}
+
+/// Most words one [`WordSet`] chunk holds (4 KiB).
+const CHUNK: usize = 512;
+
+impl WordSet {
+    fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    /// Index of the chunk `word` belongs to: the first whose last word is
+    /// not below it, else the last chunk.
+    #[inline]
+    fn chunk_of(&self, word: u64) -> usize {
+        self.chunks
+            .partition_point(|c| c.last().is_some_and(|&w| w < word))
+            .min(self.chunks.len().saturating_sub(1))
+    }
+
+    fn insert(&mut self, word: u64) {
+        if self.chunks.is_empty() {
+            // Most sets never outgrow one chunk: reserve the one handle.
+            self.chunks = vec![Vec::new()];
+        }
+        let c = self.chunk_of(word);
+        let chunk = &mut self.chunks[c];
+        if let Err(pos) = chunk.binary_search(&word) {
+            chunk.insert(pos, word);
+            if chunk.len() > CHUNK {
+                let upper = chunk.split_off(CHUNK / 2);
+                self.chunks.insert(c + 1, upper);
+            }
+        }
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
+        for chunk in &mut self.chunks {
+            chunk.retain(|&w| keep(w));
+        }
+        self.chunks.retain(|c| !c.is_empty());
+    }
+
+    /// All words, ascending.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.chunks.iter().flatten().copied()
+    }
+
+    /// The words in `lo..hi`, ascending.
+    fn range(&self, lo: u64, hi: u64) -> impl Iterator<Item = u64> + '_ {
+        let first = if self.chunks.is_empty() {
+            0
+        } else {
+            self.chunk_of(lo)
+        };
+        self.chunks[first..]
+            .iter()
+            .flatten()
+            .copied()
+            .skip_while(move |&w| w < lo)
+            .take_while(move |&w| w < hi)
+    }
 }
 
 /// A node's neighbor table: `d` levels × `b` entries.
@@ -188,10 +320,11 @@ struct RevEntry {
 ///
 /// Internally the table is a struct-of-arrays over an id-interning arena:
 /// a dense `u32` slab holds one `arena index | state bit` word per
-/// `(level, digit)` slot, and reverse neighbors live in one flat sorted
-/// arena of `(slot, id)` pairs instead of a `BTreeSet` per slot. At `d = 8`,
-/// `b = 16` this is roughly 1 KiB per table where the boxed layout took
-/// over 10 KiB — the difference between 4k-node and 100k-node simulations.
+/// `(level, digit)` slot, and reverse neighbors live in one ordered set of
+/// `(slot, arena index)` words for the whole table instead of a set of
+/// 65-byte `NodeId`s per slot. At `d = 8`, `b = 16` this is roughly 1 KiB
+/// per table where the boxed layout took over 10 KiB — the difference
+/// between 4k-node and 100k-node simulations.
 ///
 /// # Examples
 ///
@@ -221,8 +354,10 @@ pub struct NeighborTable {
     /// One encoded entry per `(level, digit)` slot: [`EMPTY`], or
     /// `arena index | S_BIT`.
     slots: Box<[u32]>,
-    /// Reverse-neighbor memberships, sorted by `(slot, numeric id)`.
-    rev: Vec<RevEntry>,
+    /// Reverse-neighbor memberships as [`rev_key`] words: ordered by slot,
+    /// then by arena index (insertion order, not id order — `reverse_of`
+    /// sorts a slot's run on read).
+    rev: WordSet,
     /// Entry-version stamp from [`VERSION_CLOCK`]: refreshed on every
     /// entry mutation, copied verbatim by `clone`. Reverse-neighbor edits
     /// do not touch it — they are invisible to Definition 3.8.
@@ -265,7 +400,7 @@ impl NeighborTable {
             owner_idx,
             arena,
             slots: vec![EMPTY; slots].into_boxed_slice(),
-            rev: Vec::new(),
+            rev: WordSet::default(),
             version: next_version(),
             snap: Mutex::new(None),
         }
@@ -285,14 +420,6 @@ impl NeighborTable {
                 NodeState::T
             },
         })
-    }
-
-    /// The contiguous run of `rev` belonging to `slot`.
-    #[inline]
-    fn rev_range(&self, s: u16) -> std::ops::Range<usize> {
-        let lo = self.rev.partition_point(|r| r.slot < s);
-        let hi = lo + self.rev[lo..].partition_point(|r| r.slot <= s);
-        lo..hi
     }
 
     /// Drops the memoized snapshot and refreshes the version stamp after
@@ -419,7 +546,7 @@ impl NeighborTable {
     }
 
     /// Whether any entry of this table stores `node`. One interner lookup
-    /// (binary search over the ids this table ever referenced) prunes the
+    /// (a hash probe over the ids this table ever referenced) prunes the
     /// common miss; a hit costs a `d · b` word scan. The incremental
     /// checker uses this to find the storers of a joined/departed node
     /// without resolving any `NodeId`s.
@@ -449,15 +576,9 @@ impl NeighborTable {
 
     /// Adds `node` to the reverse-neighbor set `R_x(level, digit)`.
     pub fn add_reverse(&mut self, level: usize, digit: u8, node: NodeId) {
-        let s = self.slot(level, digit) as u16;
+        let s = self.slot(level, digit);
         let idx = self.arena.intern(&node);
-        let arena = &self.arena;
-        if let Err(pos) = self
-            .rev
-            .binary_search_by(|r| r.slot.cmp(&s).then_with(|| arena.cmp_ids(r.idx, idx)))
-        {
-            self.rev.insert(pos, RevEntry { slot: s, idx });
-        }
+        self.rev.insert(rev_key(s, idx));
     }
 
     /// Removes `node` from every reverse-neighbor set (the node is
@@ -467,7 +588,7 @@ impl NeighborTable {
             return 0;
         };
         let before = self.rev.len();
-        self.rev.retain(|r| r.idx != idx);
+        self.rev.retain(|k| k as u32 != idx);
         before - self.rev.len()
     }
 
@@ -485,13 +606,22 @@ impl NeighborTable {
 
     /// All reverse neighbors across all entries, deduplicated.
     pub fn reverse_neighbors(&self) -> BTreeSet<NodeId> {
-        self.rev.iter().map(|r| self.arena.resolve(r.idx)).collect()
+        self.rev
+            .iter()
+            .map(|k| self.arena.resolve(k as u32))
+            .collect()
     }
 
     /// Reverse neighbors of one entry, in ascending id order.
     pub fn reverse_of(&self, level: usize, digit: u8) -> impl Iterator<Item = NodeId> + '_ {
-        let range = self.rev_range(self.slot(level, digit) as u16);
-        self.rev[range].iter().map(|r| self.arena.resolve(r.idx))
+        let s = self.slot(level, digit);
+        let mut run: Vec<u32> = self
+            .rev
+            .range(rev_key(s, 0), rev_key(s + 1, 0))
+            .map(|k| k as u32)
+            .collect();
+        run.sort_unstable_by(|&a, &b| self.arena.cmp_ids(a, b));
+        run.into_iter().map(|idx| self.arena.resolve(idx))
     }
 
     /// Takes an immutable snapshot of all non-empty entries, for inclusion
@@ -865,6 +995,36 @@ mod tests {
         assert_eq!(got.len(), 4);
         assert_eq!(got[0], id("01033"));
         assert_eq!(got[3], id("31033"));
+    }
+
+    #[test]
+    fn word_set_matches_btree_across_chunk_splits() {
+        let mut set = WordSet::default();
+        let mut model = BTreeSet::new();
+        assert_eq!(set.range(0, u64::MAX).count(), 0);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..(5 * CHUNK) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Few distinct high halves, so ranges span chunk boundaries.
+            let word = rev_key((x % 7) as usize, (x >> 40) as u32 % 4096);
+            set.insert(word);
+            model.insert(word);
+        }
+        assert!(set.chunks.len() > 2);
+        assert!(set.chunks.iter().all(|c| !c.is_empty() && c.len() <= CHUNK));
+        assert_eq!(set.len(), model.len());
+        assert!(set.iter().eq(model.iter().copied()));
+        for slot in 0..8 {
+            let (lo, hi) = (rev_key(slot, 0), rev_key(slot + 1, 0));
+            assert!(set.range(lo, hi).eq(model.range(lo..hi).copied()));
+        }
+        set.retain(|w| w as u32 % 3 != 0);
+        model.retain(|&w| w as u32 % 3 != 0);
+        assert!(set.iter().eq(model.iter().copied()));
+        set.retain(|_| false);
+        assert!(set.chunks.is_empty());
     }
 
     #[test]
