@@ -648,47 +648,43 @@ impl NeighborTable {
     /// Panics if `lo > hi` or `hi` exceeds the level count.
     pub fn snapshot_levels(&self, lo: usize, hi: usize) -> TableSnapshot {
         assert!(lo <= hi && hi <= self.space.digit_count());
-        // `filter` hides the length from `collect`; pre-size to the slot
-        // count so building a snapshot never reallocates.
-        let mut rows: Vec<SnapshotRow> = Vec::with_capacity((hi - lo) * self.space.base() as usize);
-        rows.extend(
-            self.iter()
-                .filter(|&(i, _, _)| i >= lo && i < hi)
-                .map(|(i, j, e)| SnapshotRow {
-                    level: i as u8,
-                    digit: j,
-                    entry: e,
-                }),
-        );
-        TableSnapshot {
-            owner: self.owner,
-            rows: Arc::new(rows),
-        }
+        let b = self.space.base() as usize;
+        self.snapshot_where(lo * b..hi * b, |_| true)
     }
 
     /// Snapshot filtered by the §6.2 bit-vector rule: for levels below
     /// `noti_level`, include only entries whose slot is *not* marked filled
     /// in `filled_bits`; from `noti_level` up, include everything.
     pub fn snapshot_bitvec(&self, noti_level: usize, filled_bits: &[u64]) -> TableSnapshot {
+        let low = noti_level * self.space.base() as usize;
+        self.snapshot_where(0..self.slots.len(), |slot| {
+            slot >= low
+                || filled_bits
+                    .get(slot / 64)
+                    .is_none_or(|w| w & (1u64 << (slot % 64)) == 0)
+        })
+    }
+
+    /// Snapshot of the non-empty slots of `range` that `keep` admits. The
+    /// rows are counted first and reserved exactly: a table keeps its last
+    /// full snapshot memoized, and `d · b` rows of 68 bytes for the ~60 a
+    /// table fills is several KiB per node.
+    fn snapshot_where(
+        &self,
+        range: std::ops::Range<usize>,
+        keep: impl Fn(usize) -> bool,
+    ) -> TableSnapshot {
         let b = self.space.base() as usize;
-        let mut rows: Vec<SnapshotRow> = Vec::with_capacity(self.slots.len());
-        rows.extend(
-            self.iter()
-                .filter(|&(i, j, _)| {
-                    if i >= noti_level {
-                        return true;
-                    }
-                    let slot = i * b + j as usize;
-                    filled_bits
-                        .get(slot / 64)
-                        .is_none_or(|w| w & (1u64 << (slot % 64)) == 0)
-                })
-                .map(|(i, j, e)| SnapshotRow {
-                    level: i as u8,
-                    digit: j,
-                    entry: e,
-                }),
-        );
+        let wanted = |s: &usize| self.slots[*s] != EMPTY && keep(*s);
+        let mut rows: Vec<SnapshotRow> =
+            Vec::with_capacity(range.clone().filter(wanted).count());
+        rows.extend(range.filter(wanted).filter_map(|s| {
+            self.decode(self.slots[s]).map(|entry| SnapshotRow {
+                level: (s / b) as u8,
+                digit: (s % b) as u8,
+                entry,
+            })
+        }));
         TableSnapshot {
             owner: self.owner,
             rows: Arc::new(rows),
