@@ -21,6 +21,8 @@ pub(crate) enum Payload<M, T> {
 
 /// A scheduled delivery. Ordering (and equality) consider only the
 /// `(at, seq)` key, never the payload, so message types need no `Ord`.
+/// The simulator queues `Event<Box<Payload<..>>>`: heap sifts move whole
+/// events, and the key is what they should move.
 #[derive(Debug, Clone)]
 pub(crate) struct Event<M> {
     pub at: Time,
@@ -75,6 +77,38 @@ mod tests {
         }
         let order: Vec<(Time, u64)> =
             std::iter::from_fn(|| heap.pop().map(|e| (e.at, e.seq))).collect();
+        assert_eq!(order, vec![(1, 3), (3, 1), (3, 4), (5, 0), (5, 2)]);
+    }
+
+    #[test]
+    fn boxed_payload_heap_pops_in_the_same_order_and_keeps_payloads() {
+        // The shape the simulator queues: a 40-byte key in the heap, a
+        // protocol-message-sized payload behind the box.
+        type Queued = Event<Box<Payload<[u8; 224], u8>>>;
+        assert_eq!(std::mem::size_of::<Queued>(), 40);
+        let mut heap: BinaryHeap<Queued> = BinaryHeap::new();
+        for (at, seq) in [(5u64, 0u64), (3, 1), (5, 2), (1, 3), (3, 4)] {
+            let msg = if seq % 2 == 0 {
+                Payload::Msg([seq as u8; 224])
+            } else {
+                Payload::Timer(seq as u8, at)
+            };
+            heap.push(Event {
+                at,
+                seq,
+                from: 0,
+                to: 0,
+                msg: Box::new(msg),
+            });
+        }
+        let mut order = Vec::new();
+        while let Some(e) = heap.pop() {
+            match *e.msg {
+                Payload::Msg(bytes) => assert_eq!(bytes, [e.seq as u8; 224]),
+                Payload::Timer(t, gen) => assert_eq!((t as u64, gen), (e.seq, e.at)),
+            }
+            order.push((e.at, e.seq));
+        }
         assert_eq!(order, vec![(1, 3), (3, 1), (3, 4), (5, 0), (5, 2)]);
     }
 }

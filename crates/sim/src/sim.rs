@@ -180,6 +180,11 @@ impl PartialOrd for ReplayKey {
     }
 }
 
+/// A queued delivery. The heap orders and moves `Event`s, so the payload —
+/// a protocol message can be a few hundred bytes — sits behind a `Box` and
+/// a sift moves the 40-byte key only.
+type QueuedEvent<A> = Event<Box<Payload<<A as Actor>::Msg, <A as Actor>::Timer>>>;
+
 /// One partition of the actor population with its own event queue and
 /// armed-timer table. Actor `i` lives in shard `i % nshards` at local
 /// index `i / nshards`.
@@ -187,7 +192,7 @@ struct Shard<A: Actor> {
     id: usize,
     nshards: usize,
     actors: Vec<A>,
-    queue: BinaryHeap<Event<Payload<A::Msg, A::Timer>>>,
+    queue: BinaryHeap<QueuedEvent<A>>,
     /// Armed timers: `(actor, timer) → generation` of the live arming. A
     /// popped timer event fires only if its generation is still the armed
     /// one; otherwise it was canceled or superseded and is skipped
@@ -198,7 +203,7 @@ struct Shard<A: Actor> {
     /// generations are globally unique without cross-shard coordination.
     next_gen: u64,
     /// In-window events being processed by the current batch.
-    batch: BinaryHeap<Event<Payload<A::Msg, A::Timer>>>,
+    batch: BinaryHeap<QueuedEvent<A>>,
     /// Deliveries performed by the current batch, in shard-local order.
     records: Vec<Record<A::Msg, A::Timer>>,
     /// Arming generation → record index, for timers that armed *and*
@@ -241,7 +246,7 @@ impl<A: Actor> Shard<A> {
     /// changes nothing observable.
     fn discard_stale_heads(&mut self) {
         while let Some(ev) = self.queue.peek() {
-            let stale = match &ev.msg {
+            let stale = match &*ev.msg {
                 Payload::Timer(timer, gen) => self.armed.get(&(ev.to, timer.clone())) != Some(gen),
                 Payload::Msg(_) => false,
             };
@@ -291,7 +296,7 @@ impl<A: Actor> Shard<A> {
             debug_assert_eq!(me % self.nshards, self.id, "event routed to wrong shard");
             let local = me / self.nshards;
             debug_assert!(self.ops_scratch.is_empty());
-            let (kind, virt_gen) = match ev.msg {
+            let (kind, virt_gen) = match *ev.msg {
                 Payload::Msg(msg) => {
                     let mut ctx = Context {
                         now: ev.at,
@@ -333,7 +338,7 @@ impl<A: Actor> Shard<A> {
                                 seq: vseq,
                                 from: me,
                                 to: me,
-                                msg: Payload::Timer(timer.clone(), gen),
+                                msg: Box::new(Payload::Timer(timer.clone(), gen)),
                             });
                         }
                         rec_ops.push(BatchOp::SetTimer {
@@ -569,7 +574,7 @@ where
             seq: self.seq,
             from,
             to,
-            msg,
+            msg: Box::new(msg),
         });
         self.seq += 1;
     }
@@ -631,7 +636,7 @@ where
             let me = ev.to;
             let local = me / self.shards.len();
             debug_assert!(self.ops.is_empty());
-            match ev.msg {
+            match *ev.msg {
                 Payload::Msg(msg) => {
                     self.now = ev.at;
                     self.delivered += 1;
