@@ -32,7 +32,8 @@ pub const MAX_DIGITS: usize = 64;
 pub struct NodeId {
     /// Number of digits (`d`).
     len: u8,
-    /// `digits[i]` is the i-th digit from the right.
+    /// `digits[i]` is the i-th digit from the right; zero from `len` up
+    /// (`from_digits_lsd` is the only constructor), which `eq` relies on.
     digits: [u8; MAX_DIGITS],
 }
 
@@ -144,8 +145,12 @@ impl NodeId {
 }
 
 impl PartialEq for NodeId {
+    /// Compares the whole fixed-size arrays — the padding is zero on both
+    /// sides — which the compiler inlines as a few wide compares, where
+    /// two `len`-long slices would go through a `memcmp` call.
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.digits_lsd() == other.digits_lsd()
+        self.len == other.len && self.digits == other.digits
     }
 }
 
@@ -291,5 +296,8 @@ mod tests {
         set.insert(id(&[1, 2, 3]));
         assert!(set.contains(&id(&[1, 2, 3])));
         assert!(!set.contains(&id(&[1, 2, 4])));
+        // Same leading digits, different length: not equal.
+        assert_ne!(id(&[0, 1, 2, 3]), id(&[1, 2, 3]));
+        assert_ne!(id(&[1, 2, 3, 0]), id(&[1, 2, 3]));
     }
 }
