@@ -8,6 +8,8 @@
 //! fold the *same* bytes — the latter interleaves digesting with the
 //! Definition-3.8 check and reads each table's arena exactly once.
 
+use hyperring_id::{NodeId, MAX_DIGITS};
+
 use crate::table::{Entry, NeighborTable, NodeState};
 
 /// Incremental FNV-1a over canonical table renderings. Spelled out here
@@ -23,12 +25,39 @@ impl Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    /// Folds a string's bytes into the running digest.
-    pub(crate) fn eat(&mut self, s: &str) {
+    /// Folds a string's bytes into the running digest. Eating a string
+    /// piece by piece equals eating it whole, which is what lets the
+    /// canonical rendering be fed from stack buffers instead of `format!`.
+    fn eat(&mut self, s: &str) {
         for b in s.bytes() {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+
+    /// Folds `n` as `{n}` prints it.
+    fn eat_decimal(&mut self, mut n: usize) {
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.eat(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+    }
+
+    /// Folds `{tag}{level}.{digit}.{node}`.
+    fn eat_slot(&mut self, tag: &str, level: usize, digit: u8, node: &NodeId) {
+        self.eat(tag);
+        self.eat_decimal(level);
+        self.eat(".");
+        self.eat_decimal(digit as usize);
+        self.eat(".");
+        self.eat(node.write_ascii(&mut [0u8; MAX_DIGITS]));
     }
 
     /// The digest so far.
@@ -40,18 +69,16 @@ impl Fnv {
 /// Digests a table's owner line (`T{owner}`) — the start of its canonical
 /// rendering.
 pub(crate) fn digest_table_prefix(h: &mut Fnv, t: &NeighborTable) {
-    h.eat(&format!("T{}", t.owner()));
+    h.eat("T");
+    h.eat(t.owner().write_ascii(&mut [0u8; MAX_DIGITS]));
 }
 
 /// Digests one non-empty entry (`E{level}.{digit}.{node}.{S|T}`). Must be
 /// fed every non-empty entry in slot order (level-major, digit ascending)
 /// to reproduce [`tables_digest`].
 pub(crate) fn digest_entry(h: &mut Fnv, level: usize, digit: u8, e: &Entry) {
-    h.eat(&format!(
-        "E{level}.{digit}.{}.{}",
-        e.node,
-        if e.state == NodeState::S { 'S' } else { 'T' }
-    ));
+    h.eat_slot("E", level, digit, &e.node);
+    h.eat(if e.state == NodeState::S { ".S" } else { ".T" });
 }
 
 /// Digests a table's reverse-neighbor sets (`R{level}.{digit}.{r}` in
@@ -60,7 +87,7 @@ pub(crate) fn digest_reverse_sets(h: &mut Fnv, t: &NeighborTable) {
     for level in 0..t.space().digit_count() {
         for digit in 0..t.space().base() as u8 {
             for r in t.reverse_of(level, digit) {
-                h.eat(&format!("R{level}.{digit}.{r}"));
+                h.eat_slot("R", level, digit, &r);
             }
         }
     }
@@ -116,6 +143,58 @@ mod tests {
             },
         );
         assert_ne!(d1, tables_digest(&[ta, tb]));
+    }
+
+    /// The canonical rendering, spelled with `format!` as the definition
+    /// in the doc comments reads.
+    fn rendered(tables: &[NeighborTable]) -> String {
+        let mut s = String::new();
+        for t in tables {
+            s += &format!("T{}", t.owner());
+            for (level, digit, e) in t.iter() {
+                let state = if e.state == NodeState::S { 'S' } else { 'T' };
+                s += &format!("E{level}.{digit}.{}.{state}", e.node);
+            }
+            for level in 0..t.space().digit_count() {
+                for digit in 0..t.space().base() as u8 {
+                    for r in t.reverse_of(level, digit) {
+                        s += &format!("R{level}.{digit}.{r}");
+                    }
+                }
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn digest_is_fnv_of_the_documented_rendering() {
+        // Base 32 and 12 levels: letter digits, two-figure digit and
+        // level numbers.
+        let space = IdSpace::new(32, 12).unwrap();
+        let a = space.parse_id("0123456789av").unwrap();
+        let b = space.parse_id("vvvvvvvvvvvv").unwrap();
+        let c = space.parse_id("00000000000v").unwrap();
+        let mut ta = NeighborTable::new(space, a);
+        ta.set_self_entries(NodeState::S);
+        ta.set(
+            1,
+            31,
+            Entry {
+                node: b,
+                state: NodeState::T,
+            },
+        );
+        ta.add_reverse(1, 10, b);
+        ta.add_reverse(1, 10, c);
+        let mut tb = NeighborTable::new(space, b);
+        tb.set_self_entries(NodeState::T);
+        tb.add_reverse(11, 31, b);
+        let tables = [ta, tb];
+        let text = rendered(&tables);
+        assert!(text.contains("E11.0.0123456789av.S") && text.contains("R11.31.vvvvvvvvvvvv"));
+        let mut h = Fnv::new();
+        h.eat(&text);
+        assert_eq!(tables_digest(&tables), h.finish());
     }
 
     #[test]

@@ -130,6 +130,22 @@ impl NodeId {
         k <= self.len as usize && self.digits[..k] == *suffix.digits_lsd()
     }
 
+    /// Writes the identifier as `Display` prints it — most-significant
+    /// digit first, digits as `0-9a-z` — into `buf`, and returns the
+    /// written prefix. For callers that hash or compare the rendering and
+    /// cannot afford a `String` per identifier.
+    pub fn write_ascii<'a>(&self, buf: &'a mut [u8; MAX_DIGITS]) -> &'a str {
+        let n = self.len as usize;
+        for (out, &d) in buf.iter_mut().zip(self.digits[..n].iter().rev()) {
+            *out = match d {
+                0..=9 => b'0' + d,
+                10..=35 => b'a' + (d - 10),
+                _ => b'?',
+            };
+        }
+        std::str::from_utf8(&buf[..n]).expect("ASCII digits")
+    }
+
     /// Numeric value of the identifier for base `base`, if it fits in `u128`.
     ///
     /// Useful in tests and for small identifier spaces; returns `None` when
@@ -183,21 +199,10 @@ impl Ord for NodeId {
     }
 }
 
-fn digit_char(d: u8) -> char {
-    match d {
-        0..=9 => (b'0' + d) as char,
-        10..=35 => (b'a' + (d - 10)) as char,
-        _ => '?',
-    }
-}
-
 impl fmt::Display for NodeId {
     /// Prints digits most-significant first, e.g. `21233`, using `0-9a-z`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in (0..self.len as usize).rev() {
-            write!(f, "{}", digit_char(self.digits[i]))?;
-        }
-        Ok(())
+        f.write_str(self.write_ascii(&mut [0u8; MAX_DIGITS]))
     }
 }
 
@@ -264,6 +269,8 @@ mod tests {
         assert_eq!(id(&[0, 0, 2, 6, 1]).to_string(), "00261");
         let hex = id(&[15, 0, 10]);
         assert_eq!(hex.to_string(), "f0a");
+        assert_eq!(hex.write_ascii(&mut [0u8; MAX_DIGITS]), "f0a");
+        assert_eq!(id(&[35, 36, 0]).to_string(), "z?0");
     }
 
     #[test]
