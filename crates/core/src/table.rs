@@ -274,13 +274,24 @@ impl WordSet {
         }
         let c = self.chunk_of(word);
         let chunk = &mut self.chunks[c];
-        if let Err(pos) = chunk.binary_search(&word) {
+        let Err(pos) = chunk.binary_search(&word) else {
+            return;
+        };
+        if chunk.len() < CHUNK {
             chunk.insert(pos, word);
-            if chunk.len() > CHUNK {
-                let upper = chunk.split_off(CHUNK / 2);
-                self.chunks.insert(c + 1, upper);
-            }
+            return;
         }
+        // Full. Split where the word goes when that is past the middle: a
+        // slot's run only ever grows at its end (arena indices ascend), and
+        // this leaves full chunks behind it instead of half-full ones.
+        let at = pos.max(CHUNK / 2);
+        let mut upper = chunk.split_off(at);
+        if pos < at {
+            chunk.insert(pos, word);
+        } else {
+            upper.insert(0, word);
+        }
+        self.chunks.insert(c + 1, upper);
     }
 
     fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
@@ -1021,6 +1032,22 @@ mod tests {
         assert!(set.iter().eq(model.iter().copied()));
         set.retain(|_| false);
         assert!(set.chunks.is_empty());
+    }
+
+    #[test]
+    fn word_set_growing_at_a_run_end_leaves_full_chunks() {
+        // One slot's run growing at its end, with a later slot's few words
+        // after it: what a much-referenced node's reverse set looks like.
+        let mut set = WordSet::default();
+        for idx in 0..10 {
+            set.insert(rev_key(3, idx));
+        }
+        for idx in 10..(8 * CHUNK as u32) {
+            set.insert(rev_key(2, idx));
+        }
+        assert_eq!(set.len(), 8 * CHUNK);
+        assert!(set.chunks.len() <= 9, "{} chunks", set.chunks.len());
+        assert!(set.iter().is_sorted());
     }
 
     #[test]

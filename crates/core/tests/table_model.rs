@@ -1,0 +1,259 @@
+//! `NeighborTable` against a plain model: entries in a `BTreeMap` by slot,
+//! reverse neighbors in a `BTreeSet<(slot, NodeId)>`. The table interns ids
+//! behind a hash index and keeps reverse memberships as integer words in
+//! insertion order; none of that may show through the public API, whose
+//! contract — `reverse_of` ascending by id above all — the golden digests
+//! depend on.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::time::{Duration, Instant};
+
+use hyperring_core::{Entry, NeighborTable, NodeState};
+use hyperring_id::{IdSpace, NodeId};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The id-space shapes the packed arena distinguishes: nibble-packed with
+/// an odd and an even digit count, nibble-packed at SHA-1 length, and
+/// byte-packed (base over 16).
+const SHAPES: [(u16, usize); 4] = [(4, 5), (16, 8), (16, 40), (32, 3)];
+
+#[derive(Clone)]
+struct Model {
+    base: usize,
+    entries: BTreeMap<usize, Entry>,
+    rev: BTreeSet<(usize, NodeId)>,
+}
+
+impl Model {
+    fn slot(&self, level: usize, digit: u8) -> usize {
+        level * self.base + digit as usize
+    }
+
+    fn reverse_of(&self, level: usize, digit: u8) -> Vec<NodeId> {
+        let s = self.slot(level, digit);
+        self.rev
+            .iter()
+            .filter(|(slot, _)| *slot == s)
+            .map(|&(_, n)| n)
+            .collect()
+    }
+
+    fn stores(&self, node: &NodeId) -> bool {
+        self.entries.values().any(|e| e.node == *node)
+    }
+}
+
+/// An id that fits entry `(level, digit)` of `owner`'s table: the owner's
+/// rightmost `level` digits, then `digit`, then `filler`'s digits.
+fn fitting(space: IdSpace, owner: NodeId, level: usize, digit: u8, filler: NodeId) -> NodeId {
+    let digits: Vec<u8> = (0..space.digit_count())
+        .map(|i| match i.cmp(&level) {
+            std::cmp::Ordering::Less => owner.digit(i),
+            std::cmp::Ordering::Equal => digit,
+            std::cmp::Ordering::Greater => filler.digit(i),
+        })
+        .collect();
+    space.id_from_digits(&digits).expect("digits within base")
+}
+
+/// Full comparison of every public read against the model.
+fn assert_same(space: IdSpace, t: &NeighborTable, m: &Model, pool: &[NodeId]) {
+    for level in 0..space.digit_count() {
+        for digit in 0..space.base() as u8 {
+            assert_eq!(t.get(level, digit), m.entries.get(&m.slot(level, digit)).copied());
+            let got: Vec<NodeId> = t.reverse_of(level, digit).collect();
+            assert!(got.is_sorted(), "reverse_of({level}, {digit}) not ascending");
+            assert_eq!(got, m.reverse_of(level, digit));
+        }
+    }
+    assert_eq!(t.filled(), m.entries.len());
+    let all: BTreeSet<NodeId> = m.rev.iter().map(|&(_, n)| n).collect();
+    assert_eq!(t.reverse_neighbors(), all);
+    for node in pool {
+        assert_eq!(t.stores(node), m.stores(node), "stores({node})");
+    }
+}
+
+/// Drives `ops` random operations over a pool of `pool_size` ids, checking
+/// the touched slot after each and everything at the end.
+fn run_case(base: u16, d: usize, seed: u64, ops: usize, pool_size: usize) {
+    let space = IdSpace::new(base, d).expect("valid space");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let owner = space.random_id(&mut rng);
+    let pool: Vec<NodeId> = std::iter::once(owner)
+        .chain((1..pool_size).map(|_| space.random_id(&mut rng)))
+        .collect();
+    let mut t = NeighborTable::new(space, owner);
+    let mut m = Model {
+        base: base as usize,
+        entries: BTreeMap::new(),
+        rev: BTreeSet::new(),
+    };
+    // A fork taken mid-run must stay what it was, whatever happens to the
+    // table it was cloned from.
+    let mut fork: Option<(NeighborTable, Model)> = None;
+
+    for step in 0..ops {
+        let level = rng.gen_range(0..d);
+        let digit = rng.gen_range(0..base) as u8;
+        let node = pool[rng.gen_range(0..pool.len())];
+        let state = if rng.gen_bool(0.5) {
+            NodeState::S
+        } else {
+            NodeState::T
+        };
+        let slot = m.slot(level, digit);
+        match rng.gen_range(0..100) {
+            0..=44 => {
+                t.add_reverse(level, digit, node);
+                m.rev.insert((slot, node));
+            }
+            45..=54 => {
+                let before = m.rev.len();
+                m.rev.retain(|&(_, n)| n != node);
+                assert_eq!(t.remove_reverse(&node), before - m.rev.len());
+            }
+            55..=74 => {
+                let entry = Entry {
+                    node: fitting(space, owner, level, digit, node),
+                    state,
+                };
+                t.set(level, digit, entry);
+                m.entries.insert(slot, entry);
+            }
+            75..=79 => {
+                t.clear(level, digit);
+                m.entries.remove(&slot);
+            }
+            80..=94 => {
+                // Half the time aim at the node the slot really stores.
+                let target = match m.entries.get(&slot) {
+                    Some(e) if rng.gen_bool(0.5) => e.node,
+                    _ => node,
+                };
+                let hit = m.entries.get(&slot).is_some_and(|e| e.node == target);
+                assert_eq!(t.set_state_if(level, digit, &target, state), hit);
+                if hit {
+                    m.entries.insert(slot, Entry { node: target, state });
+                }
+            }
+            _ => {
+                if step % 2 == 0 || fork.is_some() {
+                    t = t.clone();
+                } else {
+                    fork = Some((t.clone(), m.clone()));
+                }
+            }
+        }
+        assert_eq!(t.get(level, digit), m.entries.get(&slot).copied());
+        assert_eq!(
+            t.reverse_of(level, digit).collect::<Vec<_>>(),
+            m.reverse_of(level, digit)
+        );
+    }
+    assert_same(space, &t, &m, &pool);
+    if let Some((ft, fm)) = fork {
+        assert_same(space, &ft, &fm, &pool);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Small pools: the same ids come back through every operation, so
+    /// dedup, removal and re-insertion of an already interned id all run.
+    #[test]
+    fn table_agrees_with_model(
+        seed in 0u64..1_000_000,
+        shape in 0usize..SHAPES.len(),
+        ops in 50usize..400,
+        pool_size in 2usize..60,
+    ) {
+        let (base, d) = SHAPES[shape];
+        run_case(base, d, seed, ops, pool_size);
+    }
+}
+
+/// Many ids, few slots: the hash index doubles a dozen times on its way
+/// past 10 000 interned ids, and single slots' runs spread over several
+/// chunks of the reverse set.
+#[test]
+fn table_agrees_with_model_past_ten_thousand_ids() {
+    for (base, d) in [(16, 8), (16, 40), (32, 3)] {
+        let space = IdSpace::new(base, d).expect("valid space");
+        let mut rng = StdRng::seed_from_u64(0x5eed ^ d as u64);
+        let owner = space.random_id(&mut rng);
+        let mut t = NeighborTable::new(space, owner);
+        let mut m = Model {
+            base: base as usize,
+            entries: BTreeMap::new(),
+            rev: BTreeSet::new(),
+        };
+        let mut ids = BTreeSet::new();
+        while ids.len() < 12_000 {
+            let node = space.random_id(&mut rng);
+            ids.insert(node);
+            // Three slots share the load; some ids land in two of them.
+            for _ in 0..rng.gen_range(1..3) {
+                let (level, digit) = (rng.gen_range(0..2), rng.gen_range(0..2) as u8 * 3);
+                t.add_reverse(level, digit, node);
+                m.rev.insert((m.slot(level, digit), node));
+            }
+        }
+        let pool: Vec<NodeId> = ids.iter().copied().step_by(97).collect();
+        assert_same(space, &t, &m, &pool);
+        for node in &pool {
+            let before = m.rev.len();
+            m.rev.retain(|&(_, n)| n != *node);
+            assert_eq!(t.remove_reverse(node), before - m.rev.len());
+        }
+        assert_same(space, &t.clone(), &m, &pool);
+    }
+}
+
+/// Best of three timings of `n` distinct reverse neighbors going into one
+/// slot of a fresh b=16, d=8 table.
+fn insert_time(n: u32) -> Duration {
+    let space = IdSpace::new(16, 8).expect("valid space");
+    let owner = space.parse_id("00000000").expect("valid id");
+    // Scatter the ids: consecutive integers would arrive in id order.
+    let ids: Vec<NodeId> = (0..n)
+        .map(|i| {
+            let x = i.wrapping_mul(0x9e37_79b1) & 0x00ff_ffff;
+            let digits: Vec<u8> = std::iter::once(7)
+                .chain((0..7).map(|k| ((x >> (4 * k)) & 0xf) as u8))
+                .collect();
+            space.id_from_digits(&digits).expect("digits within base")
+        })
+        .collect();
+    (0..3)
+        .map(|_| {
+            let mut t = NeighborTable::new(space, owner);
+            let start = Instant::now();
+            for &id in &ids {
+                t.add_reverse(0, 7, id);
+            }
+            let took = start.elapsed();
+            assert_eq!(t.reverse_of(0, 7).count(), n as usize);
+            took
+        })
+        .min()
+        .expect("three timings")
+}
+
+/// The much-referenced nodes of a network hold reverse sets of size Θ(n),
+/// so an insert that shifts the set makes a bootstrap quadratic. Eight
+/// times the inserts may cost up to sixteen times the time (a sorted
+/// vector costs about sixty-four); a ratio, so the host's speed cancels.
+#[test]
+fn reverse_set_inserts_scale_near_linearly() {
+    let small = insert_time(1 << 14);
+    let large = insert_time(1 << 17);
+    assert!(
+        large <= small * 16,
+        "2^17 inserts took {large:?}, 2^14 took {small:?}: ratio {:.1}",
+        large.as_secs_f64() / small.as_secs_f64()
+    );
+}
