@@ -62,9 +62,15 @@ fn fitting(space: IdSpace, owner: NodeId, level: usize, digit: u8, filler: NodeI
 fn assert_same(space: IdSpace, t: &NeighborTable, m: &Model, pool: &[NodeId]) {
     for level in 0..space.digit_count() {
         for digit in 0..space.base() as u8 {
-            assert_eq!(t.get(level, digit), m.entries.get(&m.slot(level, digit)).copied());
+            assert_eq!(
+                t.get(level, digit),
+                m.entries.get(&m.slot(level, digit)).copied()
+            );
             let got: Vec<NodeId> = t.reverse_of(level, digit).collect();
-            assert!(got.is_sorted(), "reverse_of({level}, {digit}) not ascending");
+            assert!(
+                got.is_sorted(),
+                "reverse_of({level}, {digit}) not ascending"
+            );
             assert_eq!(got, m.reverse_of(level, digit));
         }
     }
@@ -136,7 +142,13 @@ fn run_case(base: u16, d: usize, seed: u64, ops: usize, pool_size: usize) {
                 let hit = m.entries.get(&slot).is_some_and(|e| e.node == target);
                 assert_eq!(t.set_state_if(level, digit, &target, state), hit);
                 if hit {
-                    m.entries.insert(slot, Entry { node: target, state });
+                    m.entries.insert(
+                        slot,
+                        Entry {
+                            node: target,
+                            state,
+                        },
+                    );
                 }
             }
             _ => {
