@@ -25,11 +25,11 @@ impl Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    /// Folds a string's bytes into the running digest. Eating a string
-    /// piece by piece equals eating it whole, which is what lets the
-    /// canonical rendering be fed from stack buffers instead of `format!`.
-    fn eat(&mut self, s: &str) {
-        for b in s.bytes() {
+    /// Folds bytes into the running digest. Eating a string piece by piece
+    /// equals eating it whole, which is what lets the canonical rendering
+    /// be fed from stack buffers instead of `format!`.
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -47,17 +47,22 @@ impl Fnv {
                 break;
             }
         }
-        self.eat(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+        self.eat(&buf[at..]);
     }
 
     /// Folds `{tag}{level}.{digit}.{node}`.
-    fn eat_slot(&mut self, tag: &str, level: usize, digit: u8, node: &NodeId) {
-        self.eat(tag);
+    fn eat_slot(&mut self, tag: u8, level: usize, digit: u8, node: &NodeId) {
+        self.eat(&[tag]);
         self.eat_decimal(level);
-        self.eat(".");
+        self.eat(b".");
         self.eat_decimal(digit as usize);
-        self.eat(".");
-        self.eat(node.write_ascii(&mut [0u8; MAX_DIGITS]));
+        self.eat(b".");
+        self.eat_id(node);
+    }
+
+    /// Folds `node` as `{node}` prints it.
+    fn eat_id(&mut self, node: &NodeId) {
+        self.eat(node.write_ascii(&mut [0u8; MAX_DIGITS]).as_bytes());
     }
 
     /// The digest so far.
@@ -69,16 +74,20 @@ impl Fnv {
 /// Digests a table's owner line (`T{owner}`) — the start of its canonical
 /// rendering.
 pub(crate) fn digest_table_prefix(h: &mut Fnv, t: &NeighborTable) {
-    h.eat("T");
-    h.eat(t.owner().write_ascii(&mut [0u8; MAX_DIGITS]));
+    h.eat(b"T");
+    h.eat_id(&t.owner());
 }
 
 /// Digests one non-empty entry (`E{level}.{digit}.{node}.{S|T}`). Must be
 /// fed every non-empty entry in slot order (level-major, digit ascending)
 /// to reproduce [`tables_digest`].
 pub(crate) fn digest_entry(h: &mut Fnv, level: usize, digit: u8, e: &Entry) {
-    h.eat_slot("E", level, digit, &e.node);
-    h.eat(if e.state == NodeState::S { ".S" } else { ".T" });
+    h.eat_slot(b'E', level, digit, &e.node);
+    h.eat(if e.state == NodeState::S {
+        b".S"
+    } else {
+        b".T"
+    });
 }
 
 /// Digests a table's reverse-neighbor sets (`R{level}.{digit}.{r}` in
@@ -87,7 +96,7 @@ pub(crate) fn digest_reverse_sets(h: &mut Fnv, t: &NeighborTable) {
     for level in 0..t.space().digit_count() {
         for digit in 0..t.space().base() as u8 {
             for r in t.reverse_of(level, digit) {
-                h.eat_slot("R", level, digit, &r);
+                h.eat_slot(b'R', level, digit, &r);
             }
         }
     }
@@ -193,7 +202,7 @@ mod tests {
         let text = rendered(&tables);
         assert!(text.contains("E11.0.0123456789av.S") && text.contains("R11.31.vvvvvvvvvvvv"));
         let mut h = Fnv::new();
-        h.eat(&text);
+        h.eat(text.as_bytes());
         assert_eq!(tables_digest(&tables), h.finish());
     }
 
