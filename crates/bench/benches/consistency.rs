@@ -1,8 +1,6 @@
-//! Cost of the Definition-3.8 consistency checker — the streaming
-//! compact-index pass versus the materializing suffix-indexed checker
-//! versus the naive O(n²·d·b) scan — plus the quadratic reachability
-//! verifier and a phase-attributed peak-RSS comparison of the two
-//! realistic pipelines at large n.
+//! Cost of the Definition-3.8 consistency checker versus the naive
+//! O(n²·d·b) scan, plus the quadratic reachability verifier and the
+//! checker's phase-attributed peak RSS at large n.
 //!
 //! Runs with a hand-rolled `main` (instead of `criterion_main!`) so the
 //! measurements, the speedups, and the peak-RSS rows can be exported to
@@ -10,8 +8,8 @@
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use hyperring_core::{
-    build_consistent_tables, check_consistency, check_consistency_naive,
-    check_consistency_streaming, check_reachability, NeighborTable,
+    build_consistent_tables, check_consistency, check_consistency_naive, check_reachability,
+    NeighborTable,
 };
 use hyperring_harness::distinct_ids;
 use hyperring_harness::metrics::{current_rss_bytes, peak_rss_bytes, reset_peak_rss};
@@ -20,13 +18,11 @@ use std::hint::black_box;
 
 const SIZES: [usize; 3] = [256, 1024, 4096];
 
-/// Large-n tier: streaming and indexed are timed here too (the naive scan
-/// would take ~40 min at this size and is covered by its trajectory at
-/// [`SIZES`]); this is also the size the ≥5x check-phase RSS claim is
-/// quoted at.
+/// Large-n tier: the checker is timed here too (the naive scan would take
+/// ~40 min at this size and is covered by its trajectory at [`SIZES`]).
 const BIG_N: usize = 65536;
 
-/// Sizes of the peak-RSS comparison rows.
+/// Sizes of the check-phase peak-RSS rows.
 const RSS_SIZES: [usize; 2] = [16384, BIG_N];
 
 fn bench_consistency(c: &mut Criterion) {
@@ -40,13 +36,6 @@ fn bench_consistency(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("check_definition_3_8", n), &n, |b, _| {
             b.iter(|| {
                 let r = check_consistency(space, black_box(&tables));
-                assert!(r.is_consistent());
-                black_box(r.entries_checked())
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("check_streaming", n), &n, |b, _| {
-            b.iter(|| {
-                let r = check_consistency_streaming(space, black_box(&tables).iter());
                 assert!(r.is_consistent());
                 black_box(r.entries_checked())
             })
@@ -86,13 +75,6 @@ fn bench_big(c: &mut Criterion, tables: &[NeighborTable]) {
             black_box(r.entries_checked())
         })
     });
-    g.bench_with_input(BenchmarkId::new("check_streaming", n), &n, |b, _| {
-        b.iter(|| {
-            let r = check_consistency_streaming(space, black_box(tables).iter());
-            assert!(r.is_consistent());
-            black_box(r.entries_checked())
-        })
-    });
     g.finish();
 }
 
@@ -108,46 +90,6 @@ fn rss_delta(f: impl FnOnce()) -> Option<u64> {
     Some(peak_rss_bytes()?.saturating_sub(before))
 }
 
-struct RssRow {
-    n: usize,
-    materialized: u64,
-    streaming: u64,
-}
-
-/// Materialized-over-streaming RSS ratio. The streaming delta is floored
-/// at 1 MiB before dividing: its true delta is routinely zero pages (the
-/// compact index fits in memory the allocator already holds), which would
-/// make the honest quotient infinite — the floored ratio is a
-/// conservative lower bound on the saving.
-fn rss_ratio(r: &RssRow) -> f64 {
-    r.materialized as f64 / r.streaming.max(1 << 20) as f64
-}
-
-/// Measures the check-phase peak RSS of the streaming pass against the
-/// old materializing pipeline over the same tables. Streaming runs first
-/// so allocator retention from the clone cannot inflate its baseline.
-fn measure_check_rss(space: IdSpace, n: usize, tables: &[NeighborTable]) -> Option<RssRow> {
-    let streaming = rss_delta(|| {
-        let r = check_consistency_streaming(space, tables.iter());
-        assert!(r.is_consistent());
-        black_box(r.entries_checked());
-    })?;
-    let materialized = rss_delta(|| {
-        // Emulates the pre-streaming harness path: the `net.tables()` full
-        // clone followed by the `SuffixIndex` checker with its per-entry
-        // `NodeId`/suffix materialization.
-        let cloned: Vec<NeighborTable> = tables.to_vec();
-        let r = check_consistency(space, black_box(&cloned));
-        assert!(r.is_consistent());
-        black_box(r.entries_checked());
-    })?;
-    Some(RssRow {
-        n,
-        materialized,
-        streaming,
-    })
-}
-
 fn mean_ns(c: &Criterion, id: &str) -> f64 {
     c.results()
         .iter()
@@ -161,25 +103,29 @@ fn main() {
     let mut c = Criterion::default();
     bench_consistency(&mut c);
 
-    // One table build per RSS size, shared between the BIG_N timing rows
-    // and the RSS comparison.
-    let mut rss_rows = Vec::new();
+    // One table build per RSS size, shared between the BIG_N timing row
+    // and the RSS measurement.
+    let mut rss_json = Vec::new();
     for n in RSS_SIZES {
-        println!("building {n} oracle tables for the RSS comparison …");
+        println!("building {n} oracle tables for the RSS measurement …");
         let ids = distinct_ids(space, n, 13);
         let tables = build_consistent_tables(space, &ids);
         if n == BIG_N {
             bench_big(&mut c, &tables);
         }
-        match measure_check_rss(space, n, &tables) {
-            Some(row) => {
-                let ratio = rss_ratio(&row);
+        // The check phase alone: the index plus one reference per node.
+        let check_rss = rss_delta(|| {
+            let r = check_consistency(space, black_box(&tables));
+            assert!(r.is_consistent());
+            black_box(r.entries_checked());
+        });
+        match check_rss {
+            Some(bytes) => {
                 println!(
-                    "check-phase peak RSS, n={n}: materialized {:.1} MiB, streaming {:.1} MiB ({ratio:.1}x)",
-                    row.materialized as f64 / (1024.0 * 1024.0),
-                    row.streaming as f64 / (1024.0 * 1024.0),
+                    "check-phase peak RSS, n={n}: {:.1} MiB",
+                    bytes as f64 / (1024.0 * 1024.0)
                 );
-                rss_rows.push(row);
+                rss_json.push(format!("  {{\"n\": {n}, \"check_bytes\": {bytes}}}"));
             }
             None => println!("check-phase peak RSS, n={n}: /proc clear_refs unavailable, skipped"),
         }
@@ -189,41 +135,17 @@ fn main() {
         .iter()
         .map(|n| {
             let naive = mean_ns(&c, &format!("consistency/naive_scan/{n}"));
-            let indexed = mean_ns(&c, &format!("consistency/check_definition_3_8/{n}"));
-            let s = naive / indexed;
-            println!("speedup indexed vs naive, n={n}: {s:.1}x");
+            let checker = mean_ns(&c, &format!("consistency/check_definition_3_8/{n}"));
+            let s = naive / checker;
+            println!("speedup checker vs naive, n={n}: {s:.1}x");
             format!("  {{\"n\": {n}, \"speedup\": {s:.3}}}")
         })
         .collect();
 
-    let streaming_rows: Vec<String> = SIZES
-        .iter()
-        .chain(std::iter::once(&BIG_N))
-        .map(|n| {
-            let indexed = mean_ns(&c, &format!("consistency/check_definition_3_8/{n}"));
-            let streaming = mean_ns(&c, &format!("consistency/check_streaming/{n}"));
-            let s = indexed / streaming;
-            println!("streaming vs indexed, n={n}: {s:.2}x");
-            format!("  {{\"n\": {n}, \"indexed_ns\": {indexed:.1}, \"streaming_ns\": {streaming:.1}, \"speedup\": {s:.3}}}")
-        })
-        .collect();
-
-    let rss_json: Vec<String> = rss_rows
-        .iter()
-        .map(|r| {
-            let ratio = rss_ratio(r);
-            format!(
-                "  {{\"n\": {}, \"materialized_bytes\": {}, \"streaming_bytes\": {}, \"ratio_floor_1mib\": {ratio:.3}}}",
-                r.n, r.materialized, r.streaming
-            )
-        })
-        .collect();
-
     let json = format!(
-        "{{\n\"benches\": {},\n\"indexed_vs_naive_speedup\": [\n{}\n],\n\"streaming_vs_indexed\": [\n{}\n],\n\"check_peak_rss\": [\n{}\n]\n}}\n",
+        "{{\n\"benches\": {},\n\"checker_vs_naive_speedup\": [\n{}\n],\n\"check_peak_rss\": [\n{}\n]\n}}\n",
         c.results_json().trim_end(),
         speedups.join(",\n"),
-        streaming_rows.join(",\n"),
         rss_json.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_consistency.json");

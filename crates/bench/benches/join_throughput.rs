@@ -1,18 +1,15 @@
 //! Join-protocol throughput trajectory: concurrent-join waves at several
-//! network sizes, and §6.1 sequential bootstrap via the incremental
-//! single-simulator path versus the original rebuild-per-join baseline.
+//! network sizes, and §6.1 sequential bootstrap on the incremental
+//! single-simulator path.
 //!
 //! Runs with a hand-rolled `main` (like the consistency bench) so the
-//! measurements and the incremental-vs-rebuild speedups can be exported
-//! to `BENCH_join.json` at the workspace root. Set `BENCH_SMOKE=1` to run
+//! measurements and the before/after trajectory can be exported to
+//! `BENCH_join.json` at the workspace root. Set `BENCH_SMOKE=1` to run
 //! one short iteration of each shape without touching the JSON (the CI
 //! smoke step).
 
 use criterion::{BenchmarkId, Criterion, Throughput};
-use hyperring_core::{
-    bootstrap_batched, bootstrap_sequential, bootstrap_sequential_rebuild, ProtocolOptions,
-    SimNetworkBuilder,
-};
+use hyperring_core::{bootstrap_batched, bootstrap_sequential, ProtocolOptions, SimNetworkBuilder};
 use hyperring_harness::distinct_ids;
 use hyperring_harness::metrics::{cores, peak_rss_bytes};
 use hyperring_id::IdSpace;
@@ -39,11 +36,11 @@ const SCALE_SHARDS: [usize; 2] = [1, 4];
 /// landed (snapshot memoization, shared directory snapshots, oracle
 /// suffix-row lookups, incremental bootstrap). Concurrent numbers are
 /// medians of interleaved before/after runs in one session on one
-/// machine, so load drift cancels out. Bootstrap numbers are the
-/// rebuild-per-join path timed in the same session — a conservative
-/// "before", since the retained [`bootstrap_sequential_rebuild`] also
-/// benefits from the per-join engine speedups. Machine-specific; refresh
-/// by re-running the interleaved comparison if ever re-measured.
+/// machine, so load drift cancels out. Bootstrap numbers are a
+/// rebuild-per-join bootstrap (a fresh simulator built from all tables so
+/// far before every join) timed in the same session on the refactored
+/// engine — a conservative "before", since it also benefits from the
+/// per-join engine speedups. Machine-specific.
 const SEED_CONCURRENT_NS: [(usize, f64); 3] =
     [(64, 898_000.0), (256, 6_131_000.0), (1024, 40_943_000.0)];
 const SEED_BOOTSTRAP_NS: [(usize, f64); 2] = [(256, 117_204_000.0), (1024, 2_610_774_000.0)];
@@ -94,26 +91,6 @@ fn bench_bootstrap(c: &mut Criterion, sizes: &[usize]) {
     g.finish();
 }
 
-/// In-binary baseline: the original rebuild-per-join bootstrap, measured
-/// live at n=256 so the speedup over it does not depend on the recorded
-/// seed numbers. (n=1024 rebuild takes ~5 s/iter; its trajectory is
-/// covered by `SEED_BOOTSTRAP_NS`.)
-fn bench_bootstrap_rebuild(c: &mut Criterion, n: usize) {
-    let space = IdSpace::new(16, 8).unwrap();
-    let ids = distinct_ids(space, n, 11);
-    let mut g = c.benchmark_group("join_throughput");
-    g.sample_size(2);
-    g.throughput(Throughput::Elements(n as u64));
-    g.bench_with_input(BenchmarkId::new("bootstrap_rebuild", n), &n, |b, _| {
-        b.iter(|| {
-            let tables = bootstrap_sequential_rebuild(space, ProtocolOptions::new(), &ids);
-            assert_eq!(tables.len(), n);
-            black_box(tables.len())
-        })
-    });
-    g.finish();
-}
-
 /// Batched concurrent bootstrap at `n` on each shard count — the sharded
 /// scheduler produces bit-identical tables for every count (digest-pinned
 /// in the golden tests), so this isolates pure scheduling cost. Shard
@@ -151,7 +128,6 @@ fn main() {
     if smoke {
         bench_concurrent_joins(&mut c, &[64]);
         bench_bootstrap(&mut c, &[64]);
-        bench_bootstrap_rebuild(&mut c, 64);
         // The scaling comparison keeps its full n even in smoke mode — the
         // point of the CI step is exercising the sharded scheduler at the
         // size the acceptance numbers are quoted at.
@@ -161,20 +137,7 @@ fn main() {
     }
     bench_concurrent_joins(&mut c, &JOIN_SIZES);
     bench_bootstrap(&mut c, &BOOTSTRAP_SIZES);
-    bench_bootstrap_rebuild(&mut c, 256);
     bench_scale(&mut c, SCALE_N, SCALE_BATCH, &SCALE_SHARDS);
-
-    let live_ratio = match (
-        mean_ns(&c, "join_throughput/bootstrap_rebuild/256"),
-        mean_ns(&c, "join_throughput/bootstrap_sequential/256"),
-    ) {
-        (Some(rebuild), Some(incremental)) if incremental > 0.0 => {
-            let r = rebuild / incremental;
-            println!("live rebuild vs incremental, n=256: {r:.1}x");
-            r
-        }
-        _ => 0.0,
-    };
 
     let mut trajectory = Vec::new();
     for (shape, seeds) in [
@@ -232,7 +195,7 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n\"benches\": {},\n\"before_after\": [\n{}\n],\n\"live_rebuild_vs_incremental_n256\": {live_ratio:.3},\n\"scale\": [\n{}\n],\n\"sharded_speedup_n{SCALE_N}\": {sharded_speedup:.3},\n\"cores\": {ncores}\n}}\n",
+        "{{\n\"benches\": {},\n\"before_after\": [\n{}\n],\n\"scale\": [\n{}\n],\n\"sharded_speedup_n{SCALE_N}\": {sharded_speedup:.3},\n\"cores\": {ncores}\n}}\n",
         c.results_json().trim_end(),
         trajectory.join(",\n"),
         scale_rows.join(",\n")

@@ -11,21 +11,23 @@
 //! By Lemma 3.1, (a) is equivalent to every node being reachable from every
 //! other node; [`check_reachability`] verifies that equivalence directly.
 //!
-//! Three entry points, one semantics:
+//! One checker, one oracle:
 //!
-//! * [`check_consistency`] — builds a [`SuffixIndex`] over the table
-//!   owners and checks every entry against it, fanning the per-node loop
-//!   across cores. `O(n · d · b)` after an `O(n · d)` index build.
-//! * [`check_consistency_with_index`] — same check against a
-//!   caller-maintained index; churn experiments update one incrementally
-//!   instead of re-indexing per wave.
+//! * [`check_consistency`] — interns the table owners in a
+//!   [`CompactSuffixIndex`] and walks every borrowed table against it by
+//!   range descent, fanning the per-node loop across cores: `O(n · d · b ·
+//!   log n)` after the index build, with no table cloned and
+//!   `≈ (d + 12) · n` bytes of check-phase memory.
+//!   [`digest_and_check_streaming`] folds the canonical table digest out of
+//!   the same walk, and [`IncrementalChecker`](crate::IncrementalChecker)
+//!   re-runs it over the dirty tables only.
 //! * [`check_consistency_naive`] — the specification transcribed
-//!   literally, scanning all of `V` per entry (`O(n² · d · b)`). Kept as
-//!   the reference implementation the fast paths are tested (and
-//!   benchmarked) against.
+//!   literally, scanning all of `V` per entry (`O(n² · d · b)`): the
+//!   reference implementation the checker is tested and benchmarked
+//!   against. It shares no logic with it.
 //!
-//! All three report identical [`Violation`] lists: witnesses are always
-//! the *smallest* live node carrying the desired suffix.
+//! Both report identical [`Violation`] lists: witnesses are always the
+//! *smallest* live node carrying the desired suffix.
 
 use std::fmt;
 
@@ -37,7 +39,6 @@ use rayon::prelude::*;
 use crate::digest::{digest_entry, digest_reverse_sets, digest_table_prefix, Fnv};
 use crate::routing::route;
 use crate::suffix_compact::CompactSuffixIndex;
-use crate::suffix_index::SuffixIndex;
 use crate::table::{Entry, NeighborTable, NodeState};
 
 /// One consistency violation found by [`check_consistency`].
@@ -144,17 +145,13 @@ pub struct ConsistencyReport {
 }
 
 impl ConsistencyReport {
-    /// Assembles a report (crate-internal: the incremental checker merges
-    /// cached and re-verified per-node results into one).
-    pub(crate) fn assemble(
-        violations: Vec<Violation>,
-        nodes: usize,
-        entries_checked: usize,
-    ) -> Self {
+    /// Assembles the report of a pass over `nodes` tables of `space`
+    /// (`d · b` entries each) from the violations found, in table order.
+    pub(crate) fn assemble(space: IdSpace, nodes: usize, violations: Vec<Violation>) -> Self {
         ConsistencyReport {
             violations,
             nodes,
-            entries_checked,
+            entries_checked: nodes * space.digit_count() * space.base() as usize,
         }
     }
 
@@ -205,114 +202,6 @@ impl fmt::Display for ConsistencyReport {
     }
 }
 
-/// Checks one node's table against the index. Returns the violations in
-/// entry order; the entry count is `d · b`, the same for every node.
-fn check_table(space: IdSpace, t: &NeighborTable, index: &SuffixIndex) -> Vec<Violation> {
-    let x = t.owner();
-    let mut violations = Vec::new();
-    for i in 0..space.digit_count() {
-        for j in 0..space.base() as u8 {
-            let desired = t.desired_suffix(i, j);
-            let witness = index.witness(&desired);
-            match (t.get(i, j), witness) {
-                (None, Some(w)) => violations.push(Violation::FalseNegative {
-                    node: x,
-                    level: i,
-                    digit: j,
-                    witness: w,
-                }),
-                (Some(e), w) => {
-                    if !index.contains(&e.node) {
-                        violations.push(Violation::UnknownNeighbor {
-                            node: x,
-                            level: i,
-                            digit: j,
-                            stored: e.node,
-                        });
-                    } else if w.is_none() || !e.node.has_suffix(&desired) {
-                        violations.push(Violation::FalsePositive {
-                            node: x,
-                            level: i,
-                            digit: j,
-                            stored: e.node,
-                        });
-                    } else if e.state == NodeState::T {
-                        violations.push(Violation::StaleState {
-                            node: x,
-                            level: i,
-                            digit: j,
-                            stored: e.node,
-                        });
-                    }
-                }
-                (None, None) => {}
-            }
-        }
-    }
-    violations
-}
-
-/// Checks Definition 3.8 over a closed set of tables (one per live node),
-/// and additionally flags entries still recorded as `T` — after all joins
-/// have completed, every neighbor must be known to be an S-node.
-///
-/// Builds a [`SuffixIndex`] over the table owners, then checks every
-/// node's table against it in parallel. The result is deterministic:
-/// violations come back in table order regardless of thread count, and
-/// the reported witness for a missing entry is always the smallest
-/// carrier of the desired suffix.
-///
-/// # Examples
-///
-/// ```
-/// use hyperring_core::{build_consistent_tables, check_consistency};
-/// use hyperring_id::IdSpace;
-///
-/// let space = IdSpace::new(4, 3)?;
-/// let ids: Vec<_> = ["012", "230", "111"]
-///     .iter().map(|s| space.parse_id(s).unwrap()).collect();
-/// let mut tables = build_consistent_tables(space, &ids);
-/// assert!(check_consistency(space, &tables).is_consistent());
-/// // Blanking a required entry is detected as a false negative.
-/// tables[0].clear(0, 1);
-/// let report = check_consistency(space, &tables);
-/// assert!(!report.is_consistent());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-///
-/// # Panics
-///
-/// Panics if `tables` is empty or contains duplicate owners.
-pub fn check_consistency(space: IdSpace, tables: &[NeighborTable]) -> ConsistencyReport {
-    assert!(!tables.is_empty(), "no tables to check");
-    let index = SuffixIndex::build(space, tables.iter().map(|t| t.owner()));
-    assert_eq!(index.len(), tables.len(), "duplicate table owners");
-    check_consistency_with_index(space, tables, &index)
-}
-
-/// [`check_consistency`] against a caller-maintained [`SuffixIndex`].
-///
-/// The index defines the live membership: witnesses and the
-/// [`Violation::UnknownNeighbor`] test both come from it, so it must
-/// reflect exactly the owners of `tables`. Churn experiments keep one
-/// index across waves, applying each join/departure incrementally instead
-/// of re-indexing `O(n · d)` state per wave.
-pub fn check_consistency_with_index(
-    space: IdSpace,
-    tables: &[NeighborTable],
-    index: &SuffixIndex,
-) -> ConsistencyReport {
-    let per_node: Vec<Vec<Violation>> = tables
-        .par_iter()
-        .map(|t| check_table(space, t, index))
-        .collect();
-    ConsistencyReport {
-        violations: per_node.into_iter().flatten().collect(),
-        nodes: tables.len(),
-        entries_checked: tables.len() * space.digit_count() * space.base() as usize,
-    }
-}
-
 /// Checks one node's table against a **sealed** [`CompactSuffixIndex`] by
 /// range descent, without constructing a single `Suffix` or `NodeId`
 /// witness on the happy path.
@@ -327,13 +216,14 @@ pub fn check_consistency_with_index(
 /// node, and the integer `fits` predicate — which equals
 /// `has_suffix(desired_suffix(i, j))` by definition. A witness `NodeId`
 /// is only materialized on the (rare) false-negative path, via the
-/// index's numeric-minimum query — the same "smallest carrier" the
-/// [`SuffixIndex`] checkers report.
+/// index's numeric-minimum query — the same "smallest carrier"
+/// [`check_consistency_naive`] and
+/// [`build_consistent_tables`](crate::build_consistent_tables) choose.
 ///
 /// `on_entry` is invoked for every **non-empty** entry in slot order
 /// (level-major, digit ascending) — the hook the combined digest+check
 /// pass uses to fold the digest out of the same traversal.
-pub(crate) fn check_table_compact(
+pub(crate) fn check_table(
     space: IdSpace,
     t: &NeighborTable,
     index: &CompactSuffixIndex,
@@ -400,46 +290,16 @@ pub(crate) fn check_table_compact(
     violations
 }
 
-/// Fans [`check_table_compact`] over borrowed tables in parallel; the
-/// shared tail of the streaming entry points. Deterministic: compat-rayon
-/// hands each worker a contiguous chunk and reassembles results in input
-/// order, so violations come back in table order for any thread count.
-pub(crate) fn check_refs_with_compact(
-    space: IdSpace,
-    tables: &[&NeighborTable],
-    index: &CompactSuffixIndex,
-) -> ConsistencyReport {
-    let per_node: Vec<Vec<Violation>> = tables
-        .par_iter()
-        .map(|t| check_table_compact(space, t, index, |_, _, _| {}))
-        .collect();
-    ConsistencyReport {
-        violations: per_node.into_iter().flatten().collect(),
-        nodes: tables.len(),
-        entries_checked: tables.len() * space.digit_count() * space.base() as usize,
-    }
-}
-
-/// [`check_consistency`] over **borrowed** tables: walks each engine's
-/// arena-backed table in place — no `Vec<NeighborTable>` clone, no
-/// snapshot — against a [`CompactSuffixIndex`] of `u32` arena ids instead
-/// of the `NodeId`-keyed [`SuffixIndex`]. Reports the identical
-/// [`Violation`] list (same order, same witnesses) at a small fraction of
-/// the memory: the check-phase overhead is the index (`≈ (d + 12) · n`
-/// bytes plus one `&NeighborTable` per node) rather than a full table-set
-/// clone plus `O(n · d)` hash/BTree nodes.
-///
-/// Feed it anything that yields `&NeighborTable` — typically
-/// [`SimNetwork::tables_iter`](crate::SimNetwork::tables_iter) or
-/// `tables.iter()` over an owned slice.
+/// Collects the borrowed tables and interns their owners in a sealed
+/// [`CompactSuffixIndex`] — the membership every entry is judged against.
 ///
 /// # Panics
 ///
 /// Panics if `tables` is empty or contains duplicate owners.
-pub fn check_consistency_streaming<'a, I>(space: IdSpace, tables: I) -> ConsistencyReport
-where
-    I: IntoIterator<Item = &'a NeighborTable>,
-{
+fn index_owners<'a>(
+    space: IdSpace,
+    tables: impl IntoIterator<Item = &'a NeighborTable>,
+) -> (Vec<&'a NeighborTable>, CompactSuffixIndex) {
     let refs: Vec<&NeighborTable> = tables.into_iter().collect();
     assert!(!refs.is_empty(), "no tables to check");
     let mut index = CompactSuffixIndex::new(space);
@@ -448,44 +308,70 @@ where
     }
     assert_eq!(index.len(), refs.len(), "duplicate table owners");
     index.seal();
-    check_refs_with_compact(space, &refs, &index)
+    (refs, index)
 }
 
-/// [`check_consistency_streaming`] against a caller-maintained
-/// [`CompactSuffixIndex`] — the borrowed-table analog of
-/// [`check_consistency_with_index`]. The index defines the live
-/// membership (witnesses and the [`Violation::UnknownNeighbor`] test both
-/// come from it), so it must reflect exactly the owners of `tables`;
-/// churn loops apply joins/departures incrementally with
-/// [`CompactSuffixIndex::insert`] / [`CompactSuffixIndex::remove`]
-/// instead of re-indexing per wave. Takes `&mut` only to
-/// [`seal`](CompactSuffixIndex::seal) the witness structure; the check
-/// itself is read-only and parallel.
-pub fn check_consistency_with_compact<'a, I>(
-    space: IdSpace,
-    tables: I,
-    index: &mut CompactSuffixIndex,
-) -> ConsistencyReport
+/// Checks Definition 3.8 over a closed set of tables (one per live node),
+/// and additionally flags entries still recorded as `T` — after all joins
+/// have completed, every neighbor must be known to be an S-node.
+///
+/// Takes anything that yields `&NeighborTable` — `&tables` over an owned
+/// `Vec` or slice, or
+/// [`SimNetwork::tables_iter`](crate::SimNetwork::tables_iter) over the
+/// engines' arena-backed tables — and walks each table in place against a
+/// [`CompactSuffixIndex`] of the owners, in parallel. Nothing is cloned:
+/// the check-phase overhead is the index (`≈ (d + 12) · n` bytes) plus one
+/// reference per node. The result is deterministic: compat-rayon hands
+/// each worker a contiguous chunk and reassembles results in input order,
+/// so violations come back in table order for any thread count, and the
+/// reported witness for a missing entry is always the smallest carrier of
+/// the desired suffix.
+///
+/// # Examples
+///
+/// ```
+/// use hyperring_core::{build_consistent_tables, check_consistency};
+/// use hyperring_id::IdSpace;
+///
+/// let space = IdSpace::new(4, 3)?;
+/// let ids: Vec<_> = ["012", "230", "111"]
+///     .iter().map(|s| space.parse_id(s).unwrap()).collect();
+/// let mut tables = build_consistent_tables(space, &ids);
+/// assert!(check_consistency(space, &tables).is_consistent());
+/// // Blanking a required entry is detected as a false negative.
+/// tables[0].clear(0, 1);
+/// let report = check_consistency(space, &tables);
+/// assert!(!report.is_consistent());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// # Panics
+///
+/// Panics if `tables` is empty or contains duplicate owners.
+pub fn check_consistency<'a, I>(space: IdSpace, tables: I) -> ConsistencyReport
 where
     I: IntoIterator<Item = &'a NeighborTable>,
 {
-    let refs: Vec<&NeighborTable> = tables.into_iter().collect();
-    index.seal();
-    check_refs_with_compact(space, &refs, index)
+    let (refs, index) = index_owners(space, tables);
+    let per_node: Vec<Vec<Violation>> = refs
+        .par_iter()
+        .map(|t| check_table(space, t, &index, |_, _, _| {}))
+        .collect();
+    ConsistencyReport::assemble(space, refs.len(), per_node.into_iter().flatten().collect())
 }
 
 /// One pass, two answers: the canonical
-/// [`tables_digest`](crate::tables_digest) **and** the streaming
-/// Definition-3.8 report, folding the digest out of the checker's own
-/// slot walk so each table's arena is read once instead of twice. The
-/// digest is byte-identical to `tables_digest` over the same sequence
-/// (the golden values must never move); the report is identical to
-/// [`check_consistency_streaming`].
+/// [`tables_digest`](crate::tables_digest) **and** the Definition-3.8
+/// report, folding the digest out of the checker's own slot walk so each
+/// table's arena is read once instead of twice. The digest is
+/// byte-identical to `tables_digest` over the same sequence (the golden
+/// values must never move); the report is identical to
+/// [`check_consistency`].
 ///
 /// The digest threads sequentially across tables by construction, so this
 /// pass checks sequentially too; prefer it when the digest is wanted
-/// anyway (the scale harness), and the parallel
-/// [`check_consistency_streaming`] when it is not.
+/// anyway (the scale harness), and the parallel [`check_consistency`]
+/// when it is not.
 ///
 /// # Panics
 ///
@@ -494,29 +380,17 @@ pub fn digest_and_check_streaming<'a, I>(space: IdSpace, tables: I) -> (u64, Con
 where
     I: IntoIterator<Item = &'a NeighborTable>,
 {
-    let refs: Vec<&NeighborTable> = tables.into_iter().collect();
-    assert!(!refs.is_empty(), "no tables to check");
-    let mut index = CompactSuffixIndex::new(space);
-    for t in &refs {
-        index.insert(t.owner());
-    }
-    assert_eq!(index.len(), refs.len(), "duplicate table owners");
-    index.seal();
-
+    let (refs, index) = index_owners(space, tables);
     let mut h = Fnv::new();
     let mut violations = Vec::new();
     for t in &refs {
         digest_table_prefix(&mut h, t);
-        violations.extend(check_table_compact(space, t, &index, |level, digit, e| {
+        violations.extend(check_table(space, t, &index, |level, digit, e| {
             digest_entry(&mut h, level, digit, e);
         }));
         digest_reverse_sets(&mut h, t);
     }
-    let report = ConsistencyReport {
-        violations,
-        nodes: refs.len(),
-        entries_checked: refs.len() * space.digit_count() * space.base() as usize,
-    };
+    let report = ConsistencyReport::assemble(space, refs.len(), violations);
     (h.finish(), report)
 }
 
@@ -807,21 +681,5 @@ mod tests {
         let naive = check_consistency_naive(space, &tables);
         assert_eq!(fast.violations(), naive.violations());
         assert!(!fast.is_consistent());
-    }
-
-    #[test]
-    fn incremental_index_matches_fresh_build_after_departure() {
-        let space = IdSpace::new(4, 4).unwrap();
-        let v = ids(space, &["0123", "3210", "1111", "2222", "0001", "1001"]);
-        let mut index = SuffixIndex::build(space, v.iter().copied());
-        // 1001 departs; tables rebuilt over the survivors.
-        let survivors: Vec<NodeId> = v[..5].to_vec();
-        index.remove(&v[5]);
-        let tables = build_consistent_tables(space, &survivors);
-        let report = check_consistency_with_index(space, &tables, &index);
-        assert!(report.is_consistent(), "{report}");
-        // And the incremental index agrees with a from-scratch check.
-        let fresh = check_consistency(space, &tables);
-        assert_eq!(report.violations(), fresh.violations());
     }
 }

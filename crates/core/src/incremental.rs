@@ -1,7 +1,7 @@
 //! Dirty-set incremental Definition-3.8 checking for churn loops.
 //!
 //! A churn wave touches a small fraction of the network, but
-//! [`check_consistency_streaming`](crate::check_consistency_streaming)
+//! [`check_consistency`](crate::check_consistency)
 //! re-verifies every entry of every table each time it runs. The
 //! [`IncrementalChecker`] caches per-table results between calls and
 //! re-verifies only the tables whose result *could* have changed:
@@ -23,7 +23,7 @@
 //! suffixes, so re-checking it would reproduce the cached result — and
 //! [`with_full_every`](IncrementalChecker::with_full_every) schedules a
 //! periodic full pass as a belt-and-braces cross-check. Reports are
-//! bit-identical to a from-scratch streaming check (the equivalence is
+//! bit-identical to a from-scratch check (the equivalence is
 //! pinned by the `streaming` integration tests across crash/repair waves).
 
 use std::collections::{HashMap, HashSet};
@@ -31,7 +31,7 @@ use std::collections::{HashMap, HashSet};
 use hyperring_id::IdSpace;
 use rayon::prelude::*;
 
-use crate::consistency::{check_table_compact, ConsistencyReport, Violation};
+use crate::consistency::{check_table, ConsistencyReport, Violation};
 use crate::suffix_compact::CompactSuffixIndex;
 use crate::table::NeighborTable;
 
@@ -117,7 +117,7 @@ impl IncrementalChecker {
 
     /// Checks the current table set, re-verifying only tables whose result
     /// could have changed since the previous call. The report is identical
-    /// to [`check_consistency_streaming`](crate::check_consistency_streaming)
+    /// to [`check_consistency`](crate::check_consistency)
     /// over the same tables.
     ///
     /// # Panics
@@ -237,13 +237,7 @@ impl IncrementalChecker {
         let space = self.space;
         let fresh: Vec<(u32, u64, Vec<Violation>)> = todo
             .par_iter()
-            .map(|&(idx, t)| {
-                (
-                    idx,
-                    t.version(),
-                    check_table_compact(space, t, index, |_, _, _| {}),
-                )
-            })
+            .map(|&(idx, t)| (idx, t.version(), check_table(space, t, index, |_, _, _| {})))
             .collect();
         for (idx, version, violations) in fresh {
             self.last_version.insert(idx, version);
@@ -265,18 +259,14 @@ impl IncrementalChecker {
         self.last_reverified = todo.len();
         self.checks += 1;
         self.prev = Some(self.index.clone());
-        ConsistencyReport::assemble(
-            violations,
-            refs.len(),
-            refs.len() * d * self.space.base() as usize,
-        )
+        ConsistencyReport::assemble(self.space, refs.len(), violations)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consistency::check_consistency_streaming;
+    use crate::consistency::check_consistency;
     use crate::oracle::build_consistent_tables;
     use crate::table::{Entry, NodeState};
     use hyperring_id::NodeId;
@@ -313,7 +303,7 @@ mod tests {
         tables[0].clear(0, 1);
         let report = checker.check(tables.iter());
         assert!(!report.is_consistent());
-        let fresh = check_consistency_streaming(space, tables.iter());
+        let fresh = check_consistency(space, tables.iter());
         assert_eq!(report.violations(), fresh.violations());
         assert_eq!(checker.last_reverified(), 1, "only the mutated table");
 
@@ -337,7 +327,7 @@ mod tests {
             .cloned()
             .collect();
         let report = checker.check(survivors.iter());
-        let fresh = check_consistency_streaming(space, survivors.iter());
+        let fresh = check_consistency(space, survivors.iter());
         assert_eq!(report.violations(), fresh.violations());
         assert!(!report.is_consistent(), "dangling references must surface");
 
@@ -348,6 +338,25 @@ mod tests {
         );
         let report = checker.check(rebuilt.iter());
         assert!(report.is_consistent(), "{report}");
+    }
+
+    #[test]
+    fn incremental_index_matches_fresh_build_after_departure() {
+        let space = IdSpace::new(4, 4).unwrap();
+        let v = ids(space, &["0123", "3210", "1111", "2222", "0001", "1001"]);
+        let mut checker = IncrementalChecker::new(space);
+        assert!(checker
+            .check(&build_consistent_tables(space, &v))
+            .is_consistent());
+        // 1001 departs; tables rebuilt over the survivors.
+        let tables = build_consistent_tables(space, &v[..5]);
+        let report = checker.check(&tables);
+        assert!(report.is_consistent(), "{report}");
+        assert_eq!(checker.index().len(), 5);
+        assert!(!checker.index().contains(&v[5]));
+        // And the incremental index agrees with a from-scratch check.
+        let fresh = check_consistency(space, &tables);
+        assert_eq!(report.violations(), fresh.violations());
     }
 
     #[test]
@@ -372,7 +381,7 @@ mod tests {
         let mut mixed: Vec<NeighborTable> = tables.clone();
         mixed.push(lonely);
         let report = checker.check(mixed.iter());
-        let fresh = check_consistency_streaming(space, mixed.iter());
+        let fresh = check_consistency(space, mixed.iter());
         assert_eq!(report.violations(), fresh.violations());
         assert!(!report.is_consistent());
     }
@@ -418,7 +427,7 @@ mod tests {
             },
         );
         let report = checker.check(tables.iter());
-        let fresh = check_consistency_streaming(space, tables.iter());
+        let fresh = check_consistency(space, tables.iter());
         assert_eq!(report.violations(), fresh.violations());
         assert_eq!(report.violations().len(), 2);
     }

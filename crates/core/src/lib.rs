@@ -79,7 +79,6 @@ mod routing;
 mod simnet;
 mod stats;
 mod suffix_compact;
-mod suffix_index;
 mod table;
 mod trace;
 
@@ -87,11 +86,12 @@ pub use adaptive::{
     build_proximate_tables, build_proximate_tables_sampled, promote_secondaries, DemandProfile,
     PromotionReport,
 };
+/// Alias of [`check_consistency`] — the name the `benchmark/` probes
+/// import. Two names, one function.
+pub use consistency::check_consistency as check_consistency_streaming;
 pub use consistency::{
-    check_consistency, check_consistency_naive, check_consistency_streaming,
-    check_consistency_with_compact, check_consistency_with_index, check_reachability,
-    check_reachability_refs, check_reachability_sampled, digest_and_check_streaming,
-    ConsistencyReport, Violation,
+    check_consistency, check_consistency_naive, check_reachability, check_reachability_refs,
+    check_reachability_sampled, digest_and_check_streaming, ConsistencyReport, Violation,
 };
 pub use digest::{tables_digest, tables_digest_iter};
 pub use dispatch::{dispatch_effects, EffectHandler};
@@ -105,12 +105,11 @@ pub use options::{FailureDetector, NeighborSelection, PayloadMode, ProtocolOptio
 pub use oracle::build_consistent_tables;
 pub use routing::{next_hop, route, RouteOutcome};
 pub use simnet::{
-    bootstrap_batched, bootstrap_batched_net, bootstrap_sequential, bootstrap_sequential_rebuild,
-    Directory, SimMsg, SimNetwork, SimNetworkBuilder, SimNode,
+    bootstrap_batched, bootstrap_batched_net, bootstrap_sequential, Directory, SimMsg, SimNetwork,
+    SimNetworkBuilder, SimNode,
 };
 pub use stats::MessageStats;
 pub use suffix_compact::CompactSuffixIndex;
-pub use suffix_index::SuffixIndex;
 pub use table::{Entry, NeighborTable, NodeState, SnapshotRow, TableSnapshot};
 pub use trace::{
     DigestTrace, JsonlTrace, NullTrace, ProtocolEvent, RingTrace, SharedSink, TraceRecord,

@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::{Actor, Context, DelayModel, RunReport, Simulator, Time};
 
-use crate::consistency::{check_consistency_streaming, ConsistencyReport};
+use crate::consistency::{check_consistency, ConsistencyReport};
 use crate::dispatch::EffectHandler;
 use crate::driver::{EngineDriver, NodeInput, RuntimeDriver};
 use crate::effect::TimerId;
@@ -552,7 +552,7 @@ impl<D: DelayModel> SimNetwork<D> {
     /// the engines' arena-backed tables in place
     /// ([`tables_iter`](Self::tables_iter)); no table is cloned.
     pub fn check_consistency(&self) -> ConsistencyReport {
-        check_consistency_streaming(self.space, self.tables_iter())
+        check_consistency(self.space, self.tables_iter())
     }
 
     /// Borrows the tables of live (neither departed nor crashed) nodes in
@@ -736,13 +736,14 @@ impl<D: DelayModel> SimNetwork<D> {
 /// The network is grown *incrementally*: one simulator lives for the whole
 /// bootstrap and each joiner is injected into it through
 /// [`SimNetwork::add_joiner_live`], so per join the work is O(one join)
-/// instead of O(rebuild everything). The result is identical to the
-/// original rebuild-per-join path, kept as
-/// [`bootstrap_sequential_rebuild`] and equivalence-tested against this
-/// one: a completed joiner's engine differs from a freshly constructed
-/// member only in history bookkeeping (`Q_n`, `Q_sn`, `noti_level`,
-/// statistics) that no *in_system*-status code path reads, and in a
-/// sequential bootstrap no join traffic crosses a quiescence boundary.
+/// instead of O(rebuild everything). The result is identical to
+/// rebuilding a fresh network from the tables so far before every join: a
+/// completed joiner's engine differs from a freshly constructed member
+/// only in history bookkeeping (`Q_n`, `Q_sn`, `noti_level`, statistics)
+/// that no *in_system*-status code path reads, and in a sequential
+/// bootstrap no join traffic crosses a quiescence boundary. The
+/// `golden_sequential_bootstrap` digest pins the output, entries and
+/// reverse sets.
 ///
 /// # Panics
 ///
@@ -829,39 +830,6 @@ pub fn bootstrap_batched_net(
         assert!(net.all_in_system(), "join wave failed to terminate");
     }
     net
-}
-
-/// The original rebuild-per-join implementation of
-/// [`bootstrap_sequential`]: after every join the simulator is torn down
-/// and a new network is built from clones of all tables so far — O(n²)
-/// table clones over a full bootstrap. Kept as the behavioral baseline
-/// that the incremental path is equivalence-tested and benchmarked
-/// against; prefer [`bootstrap_sequential`] everywhere else.
-///
-/// # Panics
-///
-/// Panics if `ids` is empty or contains duplicates.
-pub fn bootstrap_sequential_rebuild(
-    space: IdSpace,
-    opts: ProtocolOptions,
-    ids: &[NodeId],
-) -> Vec<NeighborTable> {
-    assert!(!ids.is_empty());
-    let seed_node = ids[0];
-    let mut tables = {
-        let e = JoinEngine::new_seed(space, opts, seed_node);
-        vec![e.table().clone()]
-    };
-    for id in &ids[1..] {
-        let mut b = SimNetworkBuilder::new(space);
-        b.options(opts).with_member_tables(tables);
-        b.add_joiner(*id, seed_node, 0);
-        let mut net = b.build(hyperring_sim::ConstantDelay(1), 0);
-        net.run();
-        assert!(net.all_in_system(), "sequential join failed to terminate");
-        tables = net.tables();
-    }
-    tables
 }
 
 #[cfg(test)]
@@ -975,38 +943,6 @@ mod tests {
         assert_eq!(tables.len(), 12);
         let report = check_consistency(sp, &tables);
         assert!(report.is_consistent(), "{report}");
-    }
-
-    #[test]
-    fn incremental_bootstrap_matches_rebuild_baseline() {
-        // The zero-copy core's incremental bootstrap must be
-        // behavior-identical to the original rebuild-per-join path:
-        // same owners in the same order, same entries, same recorded
-        // states, same reverse-neighbor sets.
-        let sp = IdSpace::new(4, 5).unwrap();
-        let ids = distinct_ids(sp, 18, 23);
-        let fast = bootstrap_sequential(sp, ProtocolOptions::new(), &ids);
-        let slow = bootstrap_sequential_rebuild(sp, ProtocolOptions::new(), &ids);
-        assert_eq!(fast.len(), slow.len());
-        for (a, b) in fast.iter().zip(&slow) {
-            assert_eq!(a.owner(), b.owner());
-            assert_eq!(
-                a.iter().collect::<Vec<_>>(),
-                b.iter().collect::<Vec<_>>(),
-                "entries of {} differ",
-                a.owner()
-            );
-            for level in 0..sp.digit_count() {
-                for digit in 0..sp.base() as u8 {
-                    assert_eq!(
-                        a.reverse_of(level, digit).collect::<Vec<_>>(),
-                        b.reverse_of(level, digit).collect::<Vec<_>>(),
-                        "reverse sets of {} at ({level}, {digit}) differ",
-                        a.owner()
-                    );
-                }
-            }
-        }
     }
 
     #[test]

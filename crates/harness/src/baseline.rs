@@ -31,11 +31,7 @@ use hyperring_core::{Entry, NeighborTable, NodeState, TableSnapshot};
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::{Actor, Context, Simulator, Time, UniformDelay};
 
-use crate::scenario::{RunReport, Scenario};
 use crate::workload::JoinWorkload;
-
-#[allow(deprecated)]
-pub use crate::scenario::BaselineResult;
 
 /// Messages of the optimistic protocol.
 #[derive(Debug, Clone)]
@@ -213,8 +209,9 @@ impl Actor for OptNode {
 }
 
 /// Runs the optimistic baseline to quiescence and returns the final
-/// tables. This is the backend behind [`Scenario::optimistic`]; use the
-/// builder unless you need the raw tables.
+/// tables. This is the backend behind
+/// [`Scenario::optimistic`](crate::Scenario::optimistic); use the builder
+/// unless you need the raw tables.
 ///
 /// Joins start `gap_us` apart (0 = all concurrent at t = 0; a large gap
 /// approximates sequential joins, since a join completes within a handful
@@ -265,32 +262,10 @@ pub(crate) fn run_optimistic_tables(
     sim.actors().map(|a| a.table.clone()).collect()
 }
 
-/// Runs the optimistic baseline: joins start `gap_us` apart (0 = all
-/// concurrent at t = 0; a large gap approximates sequential joins, since
-/// a join completes within a handful of 100 ms round trips).
-#[deprecated(note = "use `Scenario::new(space).workload(w).optimistic().run_sim()`")]
-pub fn run_optimistic(workload: &JoinWorkload, seed: u64, gap_us: Time) -> RunReport {
-    Scenario::new(workload.space)
-        .workload(workload.clone())
-        .seed(seed)
-        .join_gap_us(gap_us)
-        .optimistic()
-        .run_sim()
-}
-
-/// Runs the same workload under the paper's protocol, producing the same
-/// metrics (expected: zero violations, always).
-#[deprecated(note = "use `Scenario::new(space).workload(w).run_sim()`")]
-pub fn run_paper_protocol(workload: &JoinWorkload, seed: u64) -> RunReport {
-    Scenario::new(workload.space)
-        .workload(workload.clone())
-        .seed(seed)
-        .run_sim()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{RunReport, Scenario};
     use hyperring_id::IdSpace;
 
     /// Large-gap starts: joins are effectively sequential (a join finishes
@@ -356,16 +331,5 @@ mod tests {
             "concurrent {concurrent} < sequential {sequential}"
         );
         assert!(concurrent > 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_run() {
-        let space = IdSpace::new(8, 4).unwrap();
-        let w = JoinWorkload::generate(space, 10, 4, 1);
-        let r: BaselineResult = run_paper_protocol(&w, 1);
-        assert!(r.consistent());
-        let r = run_optimistic(&w, 1, SEQ_GAP);
-        assert_eq!(r.joiners, 4);
     }
 }

@@ -3,7 +3,7 @@
 //! streaming Definition-3.8 verification, sampled reachability, and
 //! sequential-vs-sharded digest parity.
 //!
-//! Usage: `cargo run --release -p hyperring-harness --bin scale [n[,n…]] [--batch B] [--shards "1,4"] [--smoke] [--parity] [--audit] [--sample-pairs K] [--rss-budget-mib M]`
+//! Usage: `cargo run --release -p hyperring-harness --bin scale [n[,n…]] [--batch B] [--shards "1,4"] [--smoke] [--parity] [--sample-pairs K] [--rss-budget-mib M]`
 //!
 //! * `n` — total nodes to bootstrap, optionally a comma-separated sweep
 //!   (default 4096; `--smoke` forces 512);
@@ -12,16 +12,14 @@
 //!   (default `1,4`);
 //! * `--parity` — after each sharded row, re-run on one shard and check
 //!   the table digests match (the determinism audit; doubles runtime);
-//! * `--audit` — additionally run the old materialized pipeline (table
-//!   clone + `SuffixIndex` checker) and require digest + violation parity
-//!   with the streaming pass (costs the memory the streaming path saves);
 //! * `--sample-pairs K` — seeded random routing pairs for the sampled
 //!   Lemma-3.1 reachability check (default 256; 0 disables);
 //! * `--rss-budget-mib M` — fail if any row's bootstrap-phase peak RSS
 //!   exceeds `M` MiB (the CI regression guard);
 //! * `--check-rss-budget-mib M` — fail if any row's *check-phase* peak-RSS
-//!   delta exceeds `M` MiB; the streaming checker's delta is near zero, so
-//!   a tight pin here catches any return of the materializing pipeline;
+//!   delta exceeds `M` MiB; the checker borrows the tables in place and
+//!   its delta is near zero, so a tight pin here catches any check that
+//!   materializes a copy of them;
 //! * `--smoke` — small fast configuration for CI.
 //!
 //! Shard speedups are bounded by the core count, which is printed with
@@ -48,7 +46,6 @@ fn main() {
     let batch: usize = opts.named("--batch", if smoke { 64 } else { 256 });
     let shards_arg: String = opts.named("--shards", "1,4".to_string());
     let parity = opts.has_flag("--parity");
-    let audit = opts.has_flag("--audit");
     let sample_pairs: usize = opts.named("--sample-pairs", 256);
     let rss_budget_mib: u64 = opts.named("--rss-budget-mib", 0);
     let check_rss_budget_mib: u64 = opts.named("--check-rss-budget-mib", 0);
@@ -71,7 +68,6 @@ fn main() {
         "digest",
         "consistent",
         "parity",
-        "audit",
     ]);
     for &n in &sizes {
         let mut digests = Vec::new();
@@ -79,7 +75,6 @@ fn main() {
             eprintln!("bootstrapping {n} nodes on {shards} shard(s), waves of {batch} …");
             let mut cfg = ScaleConfig::new(n, batch, shards);
             cfg.parity = parity;
-            cfg.materialized_audit = audit;
             cfg.sample_pairs = sample_pairs;
             let r = run_scale(&cfg);
             assert!(r.consistent, "{shards}-shard bootstrap inconsistent");
@@ -89,9 +84,6 @@ fn main() {
             );
             if let Some(ok) = r.parity_ok {
                 assert!(ok, "{shards}-shard digest diverged from 1-shard");
-            }
-            if let Some(ok) = r.audit_ok {
-                assert!(ok, "streaming pass diverged from materialized pipeline");
             }
             if rss_budget_mib > 0 {
                 let peak_mib = r.peak_rss_bytes / (1024 * 1024);
@@ -127,7 +119,6 @@ fn main() {
                 format!("0x{:016x}", r.digest),
                 r.consistent.to_string(),
                 r.parity_ok.map_or("-".to_string(), |ok| ok.to_string()),
-                r.audit_ok.map_or("-".to_string(), |ok| ok.to_string()),
             ]);
         }
         assert!(

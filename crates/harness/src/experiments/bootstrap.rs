@@ -4,8 +4,7 @@
 use std::path::Path;
 
 use hyperring_core::{
-    bootstrap_sequential, check_consistency_streaming, JsonlTrace, ProtocolOptions,
-    SimNetworkBuilder,
+    bootstrap_sequential, check_consistency, JsonlTrace, ProtocolOptions, SimNetworkBuilder,
 };
 use hyperring_id::IdSpace;
 use hyperring_sim::UniformDelay;
@@ -78,10 +77,9 @@ pub fn run_bootstrap_traced(
     let ids = distinct_ids(space, n, seed);
     match mode {
         BootstrapConfig::Sequential => {
-            // One live simulator grown join-by-join (O(n) incremental
-            // work); behavior-identical to the old rebuild-per-join path.
+            // One live simulator grown join-by-join (O(n) incremental work).
             let tables = bootstrap_sequential(space, ProtocolOptions::new(), &ids);
-            let consistent = check_consistency_streaming(space, tables.iter()).is_consistent();
+            let consistent = check_consistency(space, &tables).is_consistent();
             BootstrapResult {
                 nodes: n,
                 consistent,

@@ -1,15 +1,14 @@
 //! Large-`n` scaling of the sharded, arena-backed simulation core: batched
 //! concurrent bootstrap throughput, peak memory, sequential-vs-sharded
-//! digest parity — and, since the streaming checker landed, a
-//! Definition-3.8 verification phase that borrows the engines' tables in
-//! place instead of cloning them out, with its own wall-clock and
-//! peak-RSS attribution.
+//! digest parity, and a Definition-3.8 verification phase that borrows the
+//! engines' tables in place, with its own wall-clock and peak-RSS
+//! attribution.
 
 use std::time::Instant;
 
 use hyperring_core::{
-    bootstrap_batched_net, check_consistency, check_reachability_sampled,
-    digest_and_check_streaming, tables_digest, tables_digest_iter, NeighborTable, ProtocolOptions,
+    bootstrap_batched_net, check_reachability_sampled, digest_and_check_streaming,
+    tables_digest_iter, NeighborTable, ProtocolOptions,
 };
 use hyperring_id::IdSpace;
 
@@ -40,12 +39,6 @@ pub struct ScaleConfig {
     /// check (0 disables; the all-pairs check is quadratic and unusable
     /// past a few thousand nodes).
     pub sample_pairs: usize,
-    /// Whether to additionally run the *materialized* pipeline (table
-    /// clone + `SuffixIndex` checker + slice digest) and compare digest
-    /// and violations against the streaming pass — the
-    /// streaming-vs-materialized parity audit. Costs the very memory the
-    /// streaming path avoids; keep to moderate `n`.
-    pub materialized_audit: bool,
 }
 
 impl ScaleConfig {
@@ -61,7 +54,6 @@ impl ScaleConfig {
             parity: false,
             check: true,
             sample_pairs: 256,
-            materialized_audit: false,
         }
     }
 }
@@ -91,7 +83,7 @@ pub struct ScaleResult {
     pub check_wall_secs: f64,
     /// Cores available to the process (shard speedup is bounded by this).
     pub cores: usize,
-    /// FNV-1a digest of the final tables ([`tables_digest`]).
+    /// FNV-1a digest of the final tables ([`tables_digest_iter`]).
     pub digest: u64,
     /// Whether the consistency checker passed (`true` when skipped).
     pub consistent: bool,
@@ -102,10 +94,6 @@ pub struct ScaleResult {
     pub unreachable_sampled: usize,
     /// Digest parity versus a 1-shard re-run (`None` when not requested).
     pub parity_ok: Option<bool>,
-    /// Streaming-vs-materialized parity (`None` when not requested):
-    /// identical digest and identical violation list from the old
-    /// clone-based pipeline.
-    pub audit_ok: Option<bool>,
 }
 
 /// Bootstraps `cfg.n` nodes in concurrent waves on the sharded core,
@@ -136,11 +124,11 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
     let reset_ok = reset_peak_rss();
     let rss_before = current_rss_bytes().unwrap_or(0);
     let check_start = Instant::now();
-    let (digest, streaming_report) = if cfg.check {
+    let (digest, consistent) = if cfg.check {
         let (digest, report) = digest_and_check_streaming(space, net.tables_iter());
-        (digest, Some(report))
+        (digest, report.is_consistent())
     } else {
-        (tables_digest_iter(net.tables_iter()), None)
+        (tables_digest_iter(net.tables_iter()), true)
     };
     let check_wall_secs = check_start.elapsed().as_secs_f64();
     let check_rss_delta_bytes = if reset_ok {
@@ -148,7 +136,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
     } else {
         0
     };
-    let consistent = streaming_report.as_ref().is_none_or(|r| r.is_consistent());
 
     let (sampled_pairs, unreachable_sampled) = if cfg.sample_pairs > 0 {
         let refs: Vec<&NeighborTable> = net.tables_iter().collect();
@@ -158,19 +145,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
         (0, 0)
     };
 
-    // The audit deliberately pays for the old pipeline: full table clone,
-    // NodeId-keyed SuffixIndex, separate digest pass.
-    let audit_ok = cfg.materialized_audit.then(|| {
-        let tables = net.tables();
-        let digest_parity = tables_digest(&tables) == digest;
-        let check_parity = match &streaming_report {
-            Some(streaming) => {
-                check_consistency(space, &tables).violations() == streaming.violations()
-            }
-            None => true,
-        };
-        digest_parity && check_parity
-    });
     drop(net);
 
     let parity_ok = cfg.parity.then(|| {
@@ -192,7 +166,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
         sampled_pairs,
         unreachable_sampled,
         parity_ok,
-        audit_ok,
     }
 }
 
@@ -242,15 +215,12 @@ mod tests {
     }
 
     #[test]
-    fn materialized_audit_matches_streaming_pass() {
+    fn skipped_check_digests_the_same_tables_and_reports_consistent() {
         let mut cfg = ScaleConfig::new(40, 8, 2);
-        cfg.materialized_audit = true;
-        let r = run_scale(&cfg);
-        assert_eq!(r.audit_ok, Some(true));
-        // And with checking disabled the audit still compares digests.
+        let checked = run_scale(&cfg);
         cfg.check = false;
-        let r = run_scale(&cfg);
-        assert_eq!(r.audit_ok, Some(true));
-        assert!(r.consistent, "skipped check reports consistent");
+        let skipped = run_scale(&cfg);
+        assert_eq!(skipped.digest, checked.digest);
+        assert!(skipped.consistent, "skipped check reports consistent");
     }
 }

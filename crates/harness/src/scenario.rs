@@ -1,11 +1,9 @@
 //! The unified scenario runner: one builder for every way this repo runs
 //! a network.
 //!
-//! Before this module, each entry point grew its own shape —
-//! `baseline::run_optimistic` and `baseline::run_paper_protocol` took a
-//! [`JoinWorkload`] plus loose arguments and returned a `BaselineResult`,
-//! while `hyperring_net::ThreadedNetwork::run_joins` took raw tables and
-//! returned raw tables. A [`Scenario`] folds them into one builder:
+//! A [`Scenario`] describes the population, the workload and the
+//! protocol options once, and every backend returns the same
+//! [`RunReport`]:
 //!
 //! ```
 //! use hyperring_harness::{RunReport, Scenario};
@@ -29,8 +27,8 @@
 use std::time::Duration;
 
 use hyperring_core::{
-    build_consistent_tables, check_consistency_streaming, check_reachability_refs,
-    ConsistencyReport, NeighborTable, ProtocolOptions, SimNetworkBuilder, TraceSink, Violation,
+    build_consistent_tables, check_consistency, check_reachability_refs, ConsistencyReport,
+    NeighborTable, ProtocolOptions, SimNetworkBuilder, TraceSink, Violation,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_net::{NetError, ThreadedNetwork};
@@ -43,9 +41,8 @@ use hyperring_object::ObjectStore;
 
 /// Outcome metrics of one scenario run, whatever the backend.
 ///
-/// This is the former `BaselineResult` (kept as a deprecated alias),
-/// extended with crash-churn population counts so one report type covers
-/// the baseline comparison, the paper protocol, and churn runs.
+/// One report type covers the baseline comparison, the paper protocol,
+/// and crash-churn runs (hence the population counts).
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Number of joiners in the run.
@@ -80,11 +77,6 @@ impl RunReport {
     }
 }
 
-/// The former name of [`RunReport`], from when only the optimistic
-/// baseline produced one.
-#[deprecated(note = "renamed to `RunReport`; use `Scenario` to produce it")]
-pub type BaselineResult = RunReport;
-
 /// Summarizes a set of final tables into a [`RunReport`] — the shared
 /// tail of every backend. Takes borrowed tables so simulator runs feed it
 /// straight from [`SimNetwork::tables_iter`](hyperring_core::SimNetwork::tables_iter)
@@ -96,7 +88,7 @@ pub(crate) fn summarize(
     crashed: usize,
     finished_at: u64,
 ) -> RunReport {
-    let report = check_consistency_streaming(space, tables.iter().copied());
+    let report = check_consistency(space, tables.iter().copied());
     let false_negatives = report
         .violations()
         .iter()

@@ -183,60 +183,6 @@ pub struct LookupHit {
     pub hops: usize,
 }
 
-/// The store's view of the network: borrowed per-node table references
-/// (the normal, zero-clone case) or owned tables (the deprecated shims).
-#[derive(Debug)]
-enum Tables<'a> {
-    Borrowed(HashMap<NodeId, &'a NeighborTable>),
-    Owned(HashMap<NodeId, NeighborTable>),
-}
-
-impl Tables<'_> {
-    fn get(&self, id: &NodeId) -> Option<&NeighborTable> {
-        match self {
-            Tables::Borrowed(m) => m.get(id).copied(),
-            Tables::Owned(m) => m.get(id),
-        }
-    }
-
-    fn contains(&self, id: &NodeId) -> bool {
-        match self {
-            Tables::Borrowed(m) => m.contains_key(id),
-            Tables::Owned(m) => m.contains_key(id),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Tables::Borrowed(m) => m.len(),
-            Tables::Owned(m) => m.len(),
-        }
-    }
-
-    fn keys(&self) -> impl Iterator<Item = NodeId> + '_ {
-        match self {
-            Tables::Borrowed(m) => Keys::Borrowed(m.keys()),
-            Tables::Owned(m) => Keys::Owned(m.keys()),
-        }
-    }
-}
-
-/// Either-map key iterator backing [`Tables::keys`].
-enum Keys<'s, 'a> {
-    Borrowed(std::collections::hash_map::Keys<'s, NodeId, &'a NeighborTable>),
-    Owned(std::collections::hash_map::Keys<'s, NodeId, NeighborTable>),
-}
-
-impl Iterator for Keys<'_, '_> {
-    type Item = NodeId;
-    fn next(&mut self) -> Option<NodeId> {
-        match self {
-            Keys::Borrowed(it) => it.next().copied(),
-            Keys::Owned(it) => it.next().copied(),
-        }
-    }
-}
-
 /// A directory service over a set of (consistent) neighbor tables:
 /// per-root object directories plus publish/lookup via surrogate routing.
 ///
@@ -252,7 +198,8 @@ impl Iterator for Keys<'_, '_> {
 #[derive(Debug)]
 pub struct ObjectStore<'a> {
     space: IdSpace,
-    tables: Tables<'a>,
+    /// Borrowed per-node tables, keyed by owner.
+    tables: HashMap<NodeId, &'a NeighborTable>,
     /// Directory rows: root -> object id -> homes.
     directories: HashMap<NodeId, BTreeMap<NodeId, Vec<NodeId>>>,
 }
@@ -265,23 +212,12 @@ impl<'a> ObjectStore<'a> {
     ///
     /// Panics if `tables` is empty.
     pub fn over(space: IdSpace, tables: impl IntoIterator<Item = &'a NeighborTable>) -> Self {
-        let map: HashMap<NodeId, &'a NeighborTable> =
+        let tables: HashMap<NodeId, &'a NeighborTable> =
             tables.into_iter().map(|t| (t.owner(), t)).collect();
-        assert!(!map.is_empty(), "store needs at least one node");
-        ObjectStore {
-            space,
-            tables: Tables::Borrowed(map),
-            directories: HashMap::new(),
-        }
-    }
-
-    /// Creates a store owning a snapshot of the given tables.
-    #[deprecated(note = "use `ObjectStore::over` with borrowed tables — it clones nothing")]
-    pub fn new(space: IdSpace, tables: Vec<NeighborTable>) -> ObjectStore<'static> {
         assert!(!tables.is_empty(), "store needs at least one node");
         ObjectStore {
             space,
-            tables: Tables::Owned(tables.into_iter().map(|t| (t.owner(), t)).collect()),
+            tables,
             directories: HashMap::new(),
         }
     }
@@ -293,7 +229,7 @@ impl<'a> ObjectStore<'a> {
 
     /// Live nodes.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.tables.keys()
+        self.tables.keys().copied()
     }
 
     /// Number of live nodes.
@@ -304,7 +240,7 @@ impl<'a> ObjectStore<'a> {
     /// Whether the store has no nodes (never true: construction requires
     /// at least one).
     pub fn is_empty(&self) -> bool {
-        self.tables.len() == 0
+        self.tables.is_empty()
     }
 
     /// Hashes an object name into the node ID space (SHA-1, as the paper
@@ -335,12 +271,12 @@ impl<'a> ObjectStore<'a> {
         object_id: &NodeId,
         on_hop: impl FnMut(Hop),
     ) -> (NodeId, usize) {
-        assert!(self.tables.contains(&start), "unknown start {start}");
+        assert!(self.tables.contains_key(&start), "unknown start {start}");
         surrogate_root_with(
             self.space,
             start,
             object_id,
-            |id| self.tables.get(id),
+            |id| self.tables.get(id).copied(),
             on_hop,
         )
     }
@@ -408,15 +344,6 @@ impl<'a> ObjectStore<'a> {
         self.unbind().bind(tables)
     }
 
-    /// Replaces the tables with an owned snapshot and republishes every
-    /// directory row. Returns the number of objects whose root changed.
-    #[deprecated(note = "use `ObjectStore::retarget` (or `unbind` + `bind`) with borrowed tables")]
-    pub fn update_tables(&mut self, tables: Vec<NeighborTable>) -> usize {
-        self.tables = Tables::Owned(tables.into_iter().map(|t| (t.owner(), t)).collect());
-        let old = std::mem::take(&mut self.directories);
-        republish(self, old)
-    }
-
     /// Total directory rows currently stored, per node — the paper's P3
     /// (load balance) measured directly.
     pub fn directory_load(&self) -> BTreeMap<NodeId, usize> {
@@ -465,7 +392,7 @@ fn republish(
             // Homes that left the network drop their copies.
             let live_homes: Vec<NodeId> = homes
                 .into_iter()
-                .filter(|h| store.tables.contains(h))
+                .filter(|h| store.tables.contains_key(h))
                 .collect();
             if live_homes.is_empty() {
                 continue;
@@ -609,26 +536,6 @@ mod tests {
         assert!(store.lookup(ids[1], "lonely").is_none(), "home departed");
         let hit = store.lookup(ids[1], "shared").unwrap();
         assert_eq!(hit.homes, vec![ids[1], ids[2]]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let (space, ids, tables) = make_network(16, 6, 24, 11);
-        let mut store = ObjectStore::new(space, tables);
-        for (i, name) in ["a", "b", "c", "d"].iter().enumerate() {
-            store.publish(ids[i], name);
-        }
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut all: std::collections::BTreeSet<NodeId> = ids.iter().copied().collect();
-        while all.len() < 48 {
-            all.insert(space.random_id(&mut rng));
-        }
-        let all: Vec<NodeId> = all.into_iter().collect();
-        store.update_tables(build_consistent_tables(space, &all));
-        for name in ["a", "b", "c", "d"] {
-            assert!(store.lookup(all[0], name).is_some());
-        }
     }
 
     #[test]

@@ -46,33 +46,6 @@ proptest! {
             prop_assert_eq!(roots.len(), 1, "object {} resolved to {:?}", oid, roots);
         }
     }
-
-    /// The borrowed-view store routes identically to the deprecated
-    /// owned-snapshot store: same roots, same hop counts, on random
-    /// consistent tables.
-    #[test]
-    #[allow(deprecated)]
-    fn borrowed_store_routes_like_the_owned_one(
-        b in 2u16..=16,
-        d in 3usize..=8,
-        n in 2usize..=40,
-        seed in 0u64..5_000,
-    ) {
-        let space = IdSpace::new(b, d).unwrap();
-        let cap = space.capacity().unwrap_or(u128::MAX);
-        prop_assume!(cap >= n as u128 * 4);
-        let ids = distinct_ids(space, n, seed);
-        let tables = hyperring::core::build_consistent_tables(space, &ids);
-        let old = ObjectStore::new(space, tables.clone());
-        let new = ObjectStore::over(space, &tables);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x0b9e);
-        use rand::SeedableRng;
-        for i in 0..20 {
-            let oid = space.random_id(&mut rng);
-            let start = ids[i % ids.len()];
-            prop_assert_eq!(old.root_from(start, &oid), new.root_from(start, &oid));
-        }
-    }
 }
 
 #[test]
