@@ -23,13 +23,10 @@ const JOIN_SIZES: [usize; 3] = [64, 256, 1024];
 /// Population of a sequential-bootstrap run (seed node + n-1 joins).
 const BOOTSTRAP_SIZES: [usize; 2] = [256, 1024];
 
-/// Population of the sharded-vs-sequential scaling comparison (batched
-/// concurrent bootstrap on the sharded event-queue core).
+/// Population of the scaling row (batched concurrent bootstrap).
 const SCALE_N: usize = 4096;
-/// Joiners per concurrent wave of the scaling comparison.
+/// Joiners per concurrent wave of the scaling row.
 const SCALE_BATCH: usize = 256;
-/// Shard counts compared at [`SCALE_N`]; `1` is the sequential queue.
-const SCALE_SHARDS: [usize; 2] = [1, 4];
 
 /// Pre-refactor measurements (ns/iter) of the same shapes, taken from a
 /// build of the commit immediately before the zero-copy simulation core
@@ -91,30 +88,20 @@ fn bench_bootstrap(c: &mut Criterion, sizes: &[usize]) {
     g.finish();
 }
 
-/// Batched concurrent bootstrap at `n` on each shard count — the sharded
-/// scheduler produces bit-identical tables for every count (digest-pinned
-/// in the golden tests), so this isolates pure scheduling cost. Shard
-/// speedups are bounded by the core count, exported alongside the rows.
-fn bench_scale(c: &mut Criterion, n: usize, batch: usize, shard_counts: &[usize]) {
+/// Batched concurrent bootstrap of `n` nodes in waves of `batch`.
+fn bench_scale(c: &mut Criterion, n: usize, batch: usize) {
     let space = IdSpace::new(16, 8).unwrap();
     let ids = distinct_ids(space, n, 13);
     let mut g = c.benchmark_group("join_throughput");
     g.sample_size(2);
-    for &shards in shard_counts {
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(
-            BenchmarkId::new(format!("scale_shards{shards}"), n),
-            &n,
-            |b, _| {
-                b.iter(|| {
-                    let tables =
-                        bootstrap_batched(space, ProtocolOptions::new(), &ids, batch, shards);
-                    assert_eq!(tables.len(), n);
-                    black_box(tables.len())
-                })
-            },
-        );
-    }
+    g.throughput(Throughput::Elements(n as u64));
+    g.bench_with_input(BenchmarkId::new("scale", n), &n, |b, _| {
+        b.iter(|| {
+            let tables = bootstrap_batched(space, ProtocolOptions::new(), &ids, batch);
+            assert_eq!(tables.len(), n);
+            black_box(tables.len())
+        })
+    });
     g.finish();
 }
 
@@ -128,16 +115,15 @@ fn main() {
     if smoke {
         bench_concurrent_joins(&mut c, &[64]);
         bench_bootstrap(&mut c, &[64]);
-        // The scaling comparison keeps its full n even in smoke mode — the
-        // point of the CI step is exercising the sharded scheduler at the
-        // size the acceptance numbers are quoted at.
-        bench_scale(&mut c, SCALE_N, SCALE_BATCH, &SCALE_SHARDS);
+        // The scaling row keeps its full n even in smoke mode: it is the
+        // size the committed numbers are quoted at.
+        bench_scale(&mut c, SCALE_N, SCALE_BATCH);
         println!("smoke run complete; BENCH_join.json left untouched");
         return;
     }
     bench_concurrent_joins(&mut c, &JOIN_SIZES);
     bench_bootstrap(&mut c, &BOOTSTRAP_SIZES);
-    bench_scale(&mut c, SCALE_N, SCALE_BATCH, &SCALE_SHARDS);
+    bench_scale(&mut c, SCALE_N, SCALE_BATCH);
 
     let mut trajectory = Vec::new();
     for (shape, seeds) in [
@@ -157,45 +143,23 @@ fn main() {
         }
     }
 
-    // Scaling rows: nodes/sec and peak RSS per shard count at SCALE_N,
-    // plus the sharded-vs-sequential wall-clock ratio. Peak RSS is the
-    // process high-water mark (so an upper bound shared by all rows);
-    // `cores` qualifies the ratio — on a single-core host the sharded
-    // scheduler degrades to ordered sequential delivery and ≈1x is the
-    // honest expectation.
+    // Scaling row: nodes/sec at SCALE_N. Peak RSS is the process
+    // high-water mark, so an upper bound over every shape above.
     let rss = peak_rss_bytes().unwrap_or(0);
     let ncores = cores();
     let mut scale_rows = Vec::new();
-    let mut scale_ns = Vec::new();
-    for &shards in &SCALE_SHARDS {
-        if let Some(ns) = mean_ns(
-            &c,
-            &format!("join_throughput/scale_shards{shards}/{SCALE_N}"),
-        ) {
-            let nodes_per_sec = SCALE_N as f64 / (ns / 1e9);
-            println!(
-                "scale n={SCALE_N} shards={shards}: {ns:.0} ns/iter, {nodes_per_sec:.0} nodes/sec, peak RSS {rss} B, {ncores} core(s)"
-            );
-            scale_rows.push(format!(
-                "  {{\"shape\": \"scale_shards{shards}\", \"n\": {SCALE_N}, \"shards\": {shards}, \"mean_ns\": {ns:.1}, \"nodes_per_sec\": {nodes_per_sec:.1}, \"peak_rss_bytes\": {rss}, \"cores\": {ncores}}}"
-            ));
-            scale_ns.push((shards, ns));
-        }
+    if let Some(ns) = mean_ns(&c, &format!("join_throughput/scale/{SCALE_N}")) {
+        let nodes_per_sec = SCALE_N as f64 / (ns / 1e9);
+        println!(
+            "scale n={SCALE_N}: {ns:.0} ns/iter, {nodes_per_sec:.0} nodes/sec, peak RSS {rss} B, {ncores} core(s)"
+        );
+        scale_rows.push(format!(
+            "  {{\"shape\": \"scale\", \"n\": {SCALE_N}, \"mean_ns\": {ns:.1}, \"nodes_per_sec\": {nodes_per_sec:.1}, \"peak_rss_bytes\": {rss}, \"cores\": {ncores}}}"
+        ));
     }
-    let sharded_speedup = match (
-        scale_ns.iter().find(|&&(s, _)| s == 1),
-        scale_ns.iter().find(|&&(s, _)| s > 1),
-    ) {
-        (Some(&(_, seq)), Some(&(_, sharded))) if sharded > 0.0 => {
-            let r = seq / sharded;
-            println!("sharded vs sequential queue, n={SCALE_N}: {r:.2}x on {ncores} core(s)");
-            r
-        }
-        _ => 0.0,
-    };
 
     let json = format!(
-        "{{\n\"benches\": {},\n\"before_after\": [\n{}\n],\n\"scale\": [\n{}\n],\n\"sharded_speedup_n{SCALE_N}\": {sharded_speedup:.3},\n\"cores\": {ncores}\n}}\n",
+        "{{\n\"benches\": {},\n\"before_after\": [\n{}\n],\n\"scale\": [\n{}\n],\n\"cores\": {ncores}\n}}\n",
         c.results_json().trim_end(),
         trajectory.join(",\n"),
         scale_rows.join(",\n")

@@ -1,5 +1,5 @@
 //! Canonical table fingerprinting, shared by the golden determinism
-//! tests, the scale harness, and CI's sharded-determinism smoke check.
+//! tests and the scale harness.
 //!
 //! The byte stream is factored into per-table pieces ([`Fnv`],
 //! [`digest_table_prefix`], [`digest_entry`], [`digest_reverse_sets`]) so
@@ -14,8 +14,7 @@ use crate::table::{Entry, NeighborTable, NodeState};
 
 /// Incremental FNV-1a over canonical table renderings. Spelled out here
 /// (instead of `DefaultHasher`) so the digest is stable across Rust
-/// releases; two runs — e.g. a sequential and a sharded one — produced
-/// identical tables iff their digests match.
+/// releases; two runs produced identical tables iff their digests match.
 #[derive(Debug, Clone)]
 pub(crate) struct Fnv(u64);
 

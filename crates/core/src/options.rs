@@ -96,7 +96,7 @@ impl RetryPolicy {
             let amp = d.saturating_mul(u64::from(self.jitter_pct)) / 100;
             if amp > 0 {
                 // SplitMix64 over (salt, attempt): cheap, stateless, and
-                // identical on every rerun and shard count.
+                // identical on every rerun.
                 let mut z = salt ^ (u64::from(attempt)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
                 z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

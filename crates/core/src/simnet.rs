@@ -312,7 +312,6 @@ pub struct SimNetworkBuilder {
     member_tables: Option<Vec<NeighborTable>>,
     joiners: Vec<(NodeId, NodeId, Time)>,
     trace: Option<Arc<Mutex<TraceStream>>>,
-    shards: usize,
 }
 
 impl SimNetworkBuilder {
@@ -325,19 +324,13 @@ impl SimNetworkBuilder {
             member_tables: None,
             joiners: Vec::new(),
             trace: None,
-            shards: 1,
         }
     }
 
-    /// Partitions the simulator's event queue into `n` shards
-    /// ([`Simulator::set_shards`]). Results are bit-identical for every
-    /// shard count; more shards let batch delivery run on more cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics at [`build`](Self::build) time if `n` is zero.
-    pub fn shards(&mut self, n: usize) -> &mut Self {
-        self.shards = n;
+    // Accepted and ignored: the frozen `benchmark/` bootstrap calls this.
+    // Goes when `benchmark/` is next touched (ROADMAP item 4, Leftovers).
+    #[doc(hidden)]
+    pub fn shards(&mut self, _n: usize) -> &mut Self {
         self
     }
 
@@ -432,9 +425,6 @@ impl SimNetworkBuilder {
         }
 
         let mut sim = Simulator::new(actors, delay, seed);
-        // Repartitioning requires an idle simulator, so shard before any
-        // build-time injections land in the queues.
-        sim.set_shards(self.shards);
         if opts.failure_detector().is_some() {
             // Initial members are already in_system, so nothing would ever
             // arm their detectors; kick them off at time 0.
@@ -648,11 +638,6 @@ impl<D: DelayModel> SimNetwork<D> {
         self.sim.now()
     }
 
-    /// Number of event-queue shards driving this network.
-    pub fn shards(&self) -> usize {
-        self.sim.shards()
-    }
-
     /// Injects a fresh joiner into the *live* network: registers it in
     /// the shared [`Directory`], appends an actor to the running
     /// simulator, and schedules its `Start` through `gateway` at the
@@ -771,14 +756,9 @@ pub fn bootstrap_sequential(
 /// joiners in concurrent **waves** of up to `batch` nodes: every joiner
 /// of a wave starts at the same virtual instant (through the seed-node
 /// gateway, assumption (ii) of §3.1) and the wave runs to quiescence
-/// before the next begins. This is the scaling path for large `n`:
-///
-/// - one simulator lives for the whole bootstrap (no rebuilds), so peak
-///   queue memory is bounded by one wave's traffic rather than by `n`;
-/// - with `shards > 1` each wave's deliveries are processed by the
-///   sharded batch scheduler — results are bit-identical for every shard
-///   count, so a sharded bootstrap can be digest-checked against a
-///   sequential one.
+/// before the next begins. This is the scaling path for large `n`: one
+/// simulator lives for the whole bootstrap (no rebuilds), so peak queue
+/// memory is bounded by one wave's traffic rather than by `n`.
 ///
 /// Concurrent joins make the resulting tables differ from (while staying
 /// just as consistent as) the sequential bootstrap's: within a wave,
@@ -786,16 +766,15 @@ pub fn bootstrap_sequential(
 ///
 /// # Panics
 ///
-/// Panics if `ids` is empty or contains duplicates, `batch` or `shards`
-/// is zero, or a wave fails to reach quiescence with all nodes in system.
+/// Panics if `ids` is empty or contains duplicates, `batch` is zero, or
+/// a wave fails to reach quiescence with all nodes in system.
 pub fn bootstrap_batched(
     space: IdSpace,
     opts: ProtocolOptions,
     ids: &[NodeId],
     batch: usize,
-    shards: usize,
 ) -> Vec<NeighborTable> {
-    bootstrap_batched_net(space, opts, ids, batch, shards).tables()
+    bootstrap_batched_net(space, opts, ids, batch).tables()
 }
 
 /// [`bootstrap_batched`], returning the live network instead of cloning
@@ -813,16 +792,13 @@ pub fn bootstrap_batched_net(
     opts: ProtocolOptions,
     ids: &[NodeId],
     batch: usize,
-    shards: usize,
 ) -> SimNetwork<hyperring_sim::ConstantDelay> {
     assert!(!ids.is_empty());
     assert!(batch > 0, "batch size must be positive");
     let seed_node = ids[0];
     let mut b = SimNetworkBuilder::new(space);
     let seed_table = JoinEngine::new_seed(space, opts, seed_node).table().clone();
-    b.options(opts)
-        .with_member_tables(vec![seed_table])
-        .shards(shards);
+    b.options(opts).with_member_tables(vec![seed_table]);
     let mut net = b.build(hyperring_sim::ConstantDelay(1), 0);
     for wave in ids[1..].chunks(batch) {
         net.add_joiners_live(wave, seed_node);

@@ -158,108 +158,48 @@ fn golden_sequential_bootstrap() {
     );
 }
 
-/// Runs the forty-node concurrent-join scenario on `shards` event-queue
-/// shards and fingerprints the result.
-fn forty_node_digest(shards: usize) -> (u64, u64, bool, u64) {
-    let space = IdSpace::new(4, 6).unwrap();
-    let ids = distinct(space, 40, 5);
-    let (v, w) = ids.split_at(25);
-    let mut b = SimNetworkBuilder::new(space);
-    for id in v {
-        b.add_member(*id);
-    }
-    for id in w {
-        b.add_joiner(*id, v[0], 0);
-    }
-    b.shards(shards);
-    let mut net = b.build(UniformDelay::new(100, 200_000), 99);
-    let report = net.run();
-    (
-        report.delivered,
-        report.finished_at,
-        net.check_consistency().is_consistent(),
-        tables_digest(&net.tables()),
-    )
-}
-
-/// Sharded execution is bit-identical to sequential: the forty-node
-/// scenario on 2, 4, and 8 shards reproduces the recorded sequential
-/// golden exactly (deliveries, finish time, and table digest).
-#[test]
-fn golden_forty_node_shard_parity() {
-    for shards in [2, 4, 8] {
-        let observed = forty_node_digest(shards);
-        assert_eq!(
-            observed,
-            (358, 1_495_051, true, 0x8b04_5360_ccdc_6dc7),
-            "{shards}-shard run drifted from the sequential golden"
-        );
-    }
-}
-
-/// Batched concurrent bootstrap at n=256: every shard count produces the
-/// same tables, pinned by digest against the 1-shard run.
-#[test]
-fn golden_batched_bootstrap_shard_parity_n256() {
+/// Fingerprints a batched concurrent bootstrap (b=16, d=8) of `n` nodes
+/// in waves of `batch`.
+fn batched_bootstrap_digest(name: &str, n: usize, seed: u64, batch: usize, golden: u64) {
     let space = IdSpace::new(16, 8).unwrap();
-    let ids = distinct(space, 256, 7);
-    let base = tables_digest(&bootstrap_batched(
-        space,
-        ProtocolOptions::new(),
-        &ids,
-        32,
-        1,
-    ));
-    if std::env::var("GOLDEN_PRINT").is_ok() {
-        println!("batched_bootstrap_n256: 0x{base:016x}");
-    }
-    for shards in [2, 4, 8] {
-        let d = tables_digest(&bootstrap_batched(
-            space,
-            ProtocolOptions::new(),
-            &ids,
-            32,
-            shards,
-        ));
-        assert_eq!(d, base, "{shards}-shard bootstrap diverged from 1-shard");
-    }
+    let ids = distinct(space, n, seed);
+    let tables = bootstrap_batched(space, ProtocolOptions::new(), &ids, batch);
+    let observed = (
+        tables.len() as u64,
+        0,
+        check_consistency(space, &tables).is_consistent(),
+        tables_digest(&tables),
+    );
+    check(name, observed, (n as u64, 0, true, golden));
 }
 
-/// Same parity at n=1024 — large enough that windowed batch scheduling
-/// spans many waves. Ignored by default (seconds of debug-mode work);
-/// exercised in CI's release-mode determinism step.
+/// Batched concurrent bootstrap at n=256 (seed 7, waves of 32).
+#[test]
+fn golden_batched_bootstrap_n256() {
+    batched_bootstrap_digest("batched_bootstrap_n256", 256, 7, 32, 0xca26_c1c7_6a53_5e86);
+}
+
+/// Same at n=1024, many waves deep. Ignored by default (seconds of
+/// debug-mode work); exercised in CI's release-mode scale step.
 #[test]
 #[ignore = "slow in debug builds; run with --ignored --release"]
-fn golden_batched_bootstrap_shard_parity_n1024() {
-    let space = IdSpace::new(16, 8).unwrap();
-    let ids = distinct(space, 1024, 11);
-    let base = tables_digest(&bootstrap_batched(
-        space,
-        ProtocolOptions::new(),
-        &ids,
+fn golden_batched_bootstrap_n1024() {
+    batched_bootstrap_digest(
+        "batched_bootstrap_n1024",
+        1024,
+        11,
         128,
-        1,
-    ));
-    for shards in [2, 4, 8] {
-        let d = tables_digest(&bootstrap_batched(
-            space,
-            ProtocolOptions::new(),
-            &ids,
-            128,
-            shards,
-        ));
-        assert_eq!(d, base, "{shards}-shard bootstrap diverged from 1-shard");
-    }
+        0xa6c7_e573_3108_65d7,
+    );
 }
 
 /// 100k-scale smoke test: a 65 536-node batched concurrent bootstrap
-/// completes on the sharded core. Release-only (`--ignored`); the
-/// acceptance gate for the arena/sharding work.
+/// completes. Release-only (`--ignored`).
 #[test]
 #[ignore = "large-n smoke test; run with --ignored --release"]
 fn batched_bootstrap_n65536_completes() {
     let space = IdSpace::new(16, 8).unwrap();
     let ids = distinct(space, 65_536, 13);
-    let tables = bootstrap_batched(space, ProtocolOptions::new(), &ids, 2048, 4);
+    let tables = bootstrap_batched(space, ProtocolOptions::new(), &ids, 2048);
     assert_eq!(tables.len(), 65_536);
 }

@@ -1,17 +1,12 @@
-//! Large-n scaling of the sharded, arena-backed simulation core: batched
+//! Large-n scaling of the arena-backed simulation core: batched
 //! concurrent bootstrap throughput (nodes/sec), phase-attributed peak RSS,
-//! streaming Definition-3.8 verification, sampled reachability, and
-//! sequential-vs-sharded digest parity.
+//! streaming Definition-3.8 verification and sampled reachability.
 //!
-//! Usage: `cargo run --release -p hyperring-harness --bin scale [n[,n…]] [--batch B] [--shards "1,4"] [--smoke] [--parity] [--sample-pairs K] [--rss-budget-mib M]`
+//! Usage: `cargo run --release -p hyperring-harness --bin scale [n[,n…]] [--batch B] [--smoke] [--sample-pairs K] [--rss-budget-mib M] [--check-rss-budget-mib M]`
 //!
 //! * `n` — total nodes to bootstrap, optionally a comma-separated sweep
 //!   (default 4096; `--smoke` forces 512);
 //! * `--batch B` — joiners per concurrent wave (default 256);
-//! * `--shards LIST` — comma-separated shard counts, one row each
-//!   (default `1,4`);
-//! * `--parity` — after each sharded row, re-run on one shard and check
-//!   the table digests match (the determinism audit; doubles runtime);
 //! * `--sample-pairs K` — seeded random routing pairs for the sampled
 //!   Lemma-3.1 reachability check (default 256; 0 disables);
 //! * `--rss-budget-mib M` — fail if any row's bootstrap-phase peak RSS
@@ -21,10 +16,6 @@
 //!   its delta is near zero, so a tight pin here catches any check that
 //!   materializes a copy of them;
 //! * `--smoke` — small fast configuration for CI.
-//!
-//! Shard speedups are bounded by the core count, which is printed with
-//! every row: on a single-core host the sharded scheduler degrades to
-//! ordered sequential delivery and the honest ratio is ≈1×.
 
 use std::path::Path;
 
@@ -44,18 +35,11 @@ fn main() {
         .map(|s| s.trim().parse().expect("n takes integers"))
         .collect();
     let batch: usize = opts.named("--batch", if smoke { 64 } else { 256 });
-    let shards_arg: String = opts.named("--shards", "1,4".to_string());
-    let parity = opts.has_flag("--parity");
     let sample_pairs: usize = opts.named("--sample-pairs", 256);
     let rss_budget_mib: u64 = opts.named("--rss-budget-mib", 0);
     let check_rss_budget_mib: u64 = opts.named("--check-rss-budget-mib", 0);
-    let shard_counts: Vec<usize> = shards_arg
-        .split(',')
-        .map(|s| s.trim().parse().expect("--shards takes integers"))
-        .collect();
 
     let mut t = Table::new([
-        "shards",
         "nodes",
         "batch",
         "wall (s)",
@@ -67,67 +51,52 @@ fn main() {
         "cores",
         "digest",
         "consistent",
-        "parity",
     ]);
     for &n in &sizes {
-        let mut digests = Vec::new();
-        for &shards in &shard_counts {
-            eprintln!("bootstrapping {n} nodes on {shards} shard(s), waves of {batch} …");
-            let mut cfg = ScaleConfig::new(n, batch, shards);
-            cfg.parity = parity;
-            cfg.sample_pairs = sample_pairs;
-            let r = run_scale(&cfg);
-            assert!(r.consistent, "{shards}-shard bootstrap inconsistent");
-            assert_eq!(
-                r.unreachable_sampled, 0,
-                "{shards}-shard bootstrap failed sampled reachability"
-            );
-            if let Some(ok) = r.parity_ok {
-                assert!(ok, "{shards}-shard digest diverged from 1-shard");
-            }
-            if rss_budget_mib > 0 {
-                let peak_mib = r.peak_rss_bytes / (1024 * 1024);
-                assert!(
-                    peak_mib <= rss_budget_mib,
-                    "peak RSS {peak_mib} MiB exceeds budget {rss_budget_mib} MiB at n={n}"
-                );
-            }
-            if check_rss_budget_mib > 0 {
-                let delta_mib = r.check_rss_delta_bytes / (1024 * 1024);
-                assert!(
-                    delta_mib <= check_rss_budget_mib,
-                    "check-phase RSS delta {delta_mib} MiB exceeds budget \
-                     {check_rss_budget_mib} MiB at n={n}"
-                );
-            }
-            digests.push(r.digest);
-            t.row([
-                shards.to_string(),
-                r.nodes.to_string(),
-                batch.to_string(),
-                format!("{:.2}", r.wall_secs),
-                format!("{:.0}", r.nodes_per_sec),
-                format!("{:.1}", r.peak_rss_bytes as f64 / (1024.0 * 1024.0)),
-                format!("{:.2}", r.check_wall_secs),
-                format!("{:.2}", r.check_rss_delta_bytes as f64 / (1024.0 * 1024.0)),
-                if r.sampled_pairs == 0 {
-                    "-".to_string()
-                } else {
-                    format!("{}/{}", r.unreachable_sampled, r.sampled_pairs)
-                },
-                r.cores.to_string(),
-                format!("0x{:016x}", r.digest),
-                r.consistent.to_string(),
-                r.parity_ok.map_or("-".to_string(), |ok| ok.to_string()),
-            ]);
-        }
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "shard counts disagree on the final tables at n={n}"
+        eprintln!("bootstrapping {n} nodes, waves of {batch} …");
+        let mut cfg = ScaleConfig::new(n, batch);
+        cfg.sample_pairs = sample_pairs;
+        let r = run_scale(&cfg);
+        assert!(r.consistent, "bootstrap inconsistent at n={n}");
+        assert_eq!(
+            r.unreachable_sampled, 0,
+            "bootstrap failed sampled reachability at n={n}"
         );
+        if rss_budget_mib > 0 {
+            let peak_mib = r.peak_rss_bytes / (1024 * 1024);
+            assert!(
+                peak_mib <= rss_budget_mib,
+                "peak RSS {peak_mib} MiB exceeds budget {rss_budget_mib} MiB at n={n}"
+            );
+        }
+        if check_rss_budget_mib > 0 {
+            let delta_mib = r.check_rss_delta_bytes / (1024 * 1024);
+            assert!(
+                delta_mib <= check_rss_budget_mib,
+                "check-phase RSS delta {delta_mib} MiB exceeds budget \
+                 {check_rss_budget_mib} MiB at n={n}"
+            );
+        }
+        t.row([
+            r.nodes.to_string(),
+            batch.to_string(),
+            format!("{:.2}", r.wall_secs),
+            format!("{:.0}", r.nodes_per_sec),
+            format!("{:.1}", r.peak_rss_bytes as f64 / (1024.0 * 1024.0)),
+            format!("{:.2}", r.check_wall_secs),
+            format!("{:.2}", r.check_rss_delta_bytes as f64 / (1024.0 * 1024.0)),
+            if r.sampled_pairs == 0 {
+                "-".to_string()
+            } else {
+                format!("{}/{}", r.unreachable_sampled, r.sampled_pairs)
+            },
+            r.cores.to_string(),
+            format!("0x{:016x}", r.digest),
+            r.consistent.to_string(),
+        ]);
     }
 
-    println!("\nsharded-simulator scaling: batched concurrent bootstrap (b=16, d=8)");
+    println!("\nscaling: batched concurrent bootstrap (b=16, d=8)");
     println!("{}", t.render());
     report::write_csv_or_warn(&t, Path::new("results/scale.csv"));
 }

@@ -1,8 +1,7 @@
-//! Large-`n` scaling of the sharded, arena-backed simulation core: batched
-//! concurrent bootstrap throughput, peak memory, sequential-vs-sharded
-//! digest parity, and a Definition-3.8 verification phase that borrows the
-//! engines' tables in place, with its own wall-clock and peak-RSS
-//! attribution.
+//! Large-`n` scaling of the arena-backed simulation core: batched
+//! concurrent bootstrap throughput, peak memory, and a Definition-3.8
+//! verification phase that borrows the engines' tables in place, with its
+//! own wall-clock and peak-RSS attribution.
 
 use std::time::Instant;
 
@@ -26,13 +25,8 @@ pub struct ScaleConfig {
     pub n: usize,
     /// Joiners injected per concurrent wave.
     pub batch: usize,
-    /// Event-queue shards driving the simulator.
-    pub shards: usize,
     /// Workload seed for the id draw.
     pub seed: u64,
-    /// Whether to re-run on one shard and compare table digests
-    /// (doubles the runtime; the determinism audit).
-    pub parity: bool,
     /// Whether to run the streaming consistency checker on the result.
     pub check: bool,
     /// Seeded random routing pairs for the sampled Lemma-3.1 reachability
@@ -42,16 +36,14 @@ pub struct ScaleConfig {
 }
 
 impl ScaleConfig {
-    /// A b=16, d=8 run of `n` nodes on `shards` shards, waves of `batch`.
-    pub fn new(n: usize, batch: usize, shards: usize) -> Self {
+    /// A b=16, d=8 run of `n` nodes in waves of `batch`.
+    pub fn new(n: usize, batch: usize) -> Self {
         ScaleConfig {
             b: 16,
             d: 8,
             n,
             batch,
-            shards,
             seed: 13,
-            parity: false,
             check: true,
             sample_pairs: 256,
         }
@@ -63,8 +55,6 @@ impl ScaleConfig {
 pub struct ScaleResult {
     /// Nodes bootstrapped.
     pub nodes: usize,
-    /// Shards used.
-    pub shards: usize,
     /// Wall-clock duration of the bootstrap (seconds).
     pub wall_secs: f64,
     /// Bootstrap throughput in nodes per wall-clock second.
@@ -81,7 +71,7 @@ pub struct ScaleResult {
     pub check_rss_delta_bytes: u64,
     /// Wall-clock duration of the digest+check phase (seconds).
     pub check_wall_secs: f64,
-    /// Cores available to the process (shard speedup is bounded by this).
+    /// Cores available to the process.
     pub cores: usize,
     /// FNV-1a digest of the final tables ([`tables_digest_iter`]).
     pub digest: u64,
@@ -92,16 +82,13 @@ pub struct ScaleResult {
     /// Sampled source→target routes that failed (Lemma 3.1 says 0 for a
     /// consistent network).
     pub unreachable_sampled: usize,
-    /// Digest parity versus a 1-shard re-run (`None` when not requested).
-    pub parity_ok: Option<bool>,
 }
 
-/// Bootstraps `cfg.n` nodes in concurrent waves on the sharded core,
-/// then digests and Definition-3.8-checks the result **in place** over
-/// the engines' arena-backed tables (one combined traversal, no
-/// `Vec<NeighborTable>` clone), spot-checks Lemma-3.1 reachability on
-/// seeded sampled pairs, and measures throughput plus phase-attributed
-/// peak memory.
+/// Bootstraps `cfg.n` nodes in concurrent waves, then digests and
+/// Definition-3.8-checks the result **in place** over the engines'
+/// arena-backed tables (one combined traversal, no `Vec<NeighborTable>`
+/// clone), spot-checks Lemma-3.1 reachability on seeded sampled pairs,
+/// and measures throughput plus phase-attributed peak memory.
 ///
 /// # Panics
 ///
@@ -115,7 +102,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
     // Scope the bootstrap peak to this run, not the process lifetime.
     reset_peak_rss();
     let start = Instant::now();
-    let net = bootstrap_batched_net(space, opts, &ids, cfg.batch, cfg.shards);
+    let net = bootstrap_batched_net(space, opts, &ids, cfg.batch);
     let wall_secs = start.elapsed().as_secs_f64();
     let boot_peak = peak_rss_bytes().unwrap_or(0);
 
@@ -145,16 +132,8 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
         (0, 0)
     };
 
-    drop(net);
-
-    let parity_ok = cfg.parity.then(|| {
-        let seq = bootstrap_batched_net(space, opts, &ids, cfg.batch, 1);
-        tables_digest_iter(seq.tables_iter()) == digest
-    });
-
     ScaleResult {
         nodes: cfg.n,
-        shards: cfg.shards,
         wall_secs,
         nodes_per_sec: cfg.n as f64 / wall_secs.max(f64::MIN_POSITIVE),
         peak_rss_bytes: boot_peak,
@@ -165,7 +144,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
         consistent,
         sampled_pairs,
         unreachable_sampled,
-        parity_ok,
     }
 }
 
@@ -174,29 +152,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_scale_run_is_consistent_and_shard_stable() {
-        let mut cfg = ScaleConfig::new(48, 16, 4);
-        cfg.parity = true;
+    fn small_scale_run_is_consistent_and_stable() {
+        let cfg = ScaleConfig::new(48, 16);
         let r = run_scale(&cfg);
         assert_eq!(r.nodes, 48);
         assert!(r.consistent);
-        assert_eq!(r.parity_ok, Some(true));
+        assert_eq!(run_scale(&cfg).digest, r.digest);
         assert!(r.nodes_per_sec > 0.0);
         assert_eq!(r.sampled_pairs, 256);
         assert_eq!(r.unreachable_sampled, 0, "consistent ⇒ reachable");
     }
 
     #[test]
-    fn shard_counts_agree_on_digest() {
-        let d1 = run_scale(&ScaleConfig::new(32, 8, 1));
-        let d4 = run_scale(&ScaleConfig::new(32, 8, 4));
-        assert_eq!(d1.digest, d4.digest);
-    }
-
-    #[test]
     #[ignore = "minutes-scale run; the ≥262144 row of the EXPERIMENTS.md scaling sweep"]
     fn scale_n262144_streaming_check_completes() {
-        let mut cfg = ScaleConfig::new(262_144, 4096, 1);
+        let mut cfg = ScaleConfig::new(262_144, 4096);
         cfg.sample_pairs = 64;
         let r = run_scale(&cfg);
         assert!(r.consistent);
@@ -207,7 +177,7 @@ mod tests {
     #[test]
     #[ignore = "hour-scale run; the million-node smoke the streaming checker exists for"]
     fn scale_n1048576_smoke() {
-        let mut cfg = ScaleConfig::new(1_048_576, 8192, 1);
+        let mut cfg = ScaleConfig::new(1_048_576, 8192);
         cfg.sample_pairs = 32;
         let r = run_scale(&cfg);
         assert!(r.consistent);
@@ -216,7 +186,7 @@ mod tests {
 
     #[test]
     fn skipped_check_digests_the_same_tables_and_reports_consistent() {
-        let mut cfg = ScaleConfig::new(40, 8, 2);
+        let mut cfg = ScaleConfig::new(40, 8);
         let checked = run_scale(&cfg);
         cfg.check = false;
         let skipped = run_scale(&cfg);

@@ -55,10 +55,8 @@ pub fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
-/// Number of cores available to this process — recorded next to any
-/// sharded-vs-sequential comparison, since shard speedups are bounded by
-/// it (on a single-core host the sharded scheduler degrades to ordered
-/// sequential delivery and the honest ratio is ≈1×).
+/// Number of cores available to this process — recorded next to every
+/// timing as part of the host stamp.
 pub fn cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -1,6 +1,6 @@
 //! The event-timeline scenario DSL: one seeded, deterministic schedule of
 //! joins, crashes, leaves, lookup storms, and consistency checkpoints,
-//! compiled ahead of the run and driven through the sharded simulator.
+//! compiled ahead of the run and driven through the simulator.
 //!
 //! A [`Timeline`] is a builder over virtual time:
 //!

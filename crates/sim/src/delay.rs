@@ -36,19 +36,6 @@ pub trait DelayModel {
     fn fate(&mut self, from: usize, to: usize, rng: &mut StdRng) -> Fate {
         Fate::Deliver(self.delay(from, to, rng))
     }
-
-    /// A lower bound on every latency this model can produce, in
-    /// microseconds.
-    ///
-    /// The sharded simulator uses this as its conservative lookahead: all
-    /// events within a `min_delay`-wide time window are causally
-    /// independent across actors, so the window can be delivered in
-    /// parallel. The default of `0` is always safe (it degrades the window
-    /// to a single timestamp); models with a known positive floor should
-    /// override it, since a wider window means more parallelism.
-    fn min_delay(&self) -> Time {
-        0
-    }
 }
 
 /// Fixed latency for every message.
@@ -60,10 +47,6 @@ pub struct ConstantDelay(
 
 impl DelayModel for ConstantDelay {
     fn delay(&mut self, _from: usize, _to: usize, _rng: &mut StdRng) -> Time {
-        self.0
-    }
-
-    fn min_delay(&self) -> Time {
         self.0
     }
 }
@@ -96,10 +79,6 @@ impl DelayModel for UniformDelay {
     fn delay(&mut self, _from: usize, _to: usize, rng: &mut StdRng) -> Time {
         rng.gen_range(self.lo..=self.hi)
     }
-
-    fn min_delay(&self) -> Time {
-        self.lo
-    }
 }
 
 /// A fully materialized `n × n` latency matrix behind an [`Arc`]:
@@ -113,7 +92,6 @@ impl DelayModel for UniformDelay {
 pub struct MatrixDelay {
     n: usize,
     matrix: Arc<Vec<Time>>,
-    min: Time,
 }
 
 impl MatrixDelay {
@@ -124,8 +102,7 @@ impl MatrixDelay {
     /// Panics if `matrix.len() != n * n`.
     pub fn new(n: usize, matrix: Arc<Vec<Time>>) -> Self {
         assert_eq!(matrix.len(), n * n, "matrix must be n × n");
-        let min = matrix.iter().copied().min().unwrap_or(0);
-        MatrixDelay { n, matrix, min }
+        MatrixDelay { n, matrix }
     }
 
     /// Materializes a matrix from a latency function.
@@ -136,11 +113,9 @@ impl MatrixDelay {
                 matrix.push(latency(from, to));
             }
         }
-        let min = matrix.iter().copied().min().unwrap_or(0);
         MatrixDelay {
             n,
             matrix: Arc::new(matrix),
-            min,
         }
     }
 
@@ -168,10 +143,6 @@ impl MatrixDelay {
 impl DelayModel for MatrixDelay {
     fn delay(&mut self, from: usize, to: usize, _rng: &mut StdRng) -> Time {
         self.matrix[from * self.n + to]
-    }
-
-    fn min_delay(&self) -> Time {
-        self.min
     }
 }
 
@@ -269,12 +240,6 @@ impl<D: DelayModel> DelayModel for FaultyDelay<D> {
         } else {
             Fate::Deliver(first)
         }
-    }
-
-    fn min_delay(&self) -> Time {
-        // Drops create no events and duplicates draw both latencies from
-        // the inner model, so its floor is ours.
-        self.inner.min_delay()
     }
 }
 

@@ -7,9 +7,7 @@ pub type Time = u64;
 /// and are validated against the simulator's armed-timer table at pop
 /// time; a canceled or superseded timer's generation no longer matches,
 /// so the event is skipped without touching virtual time or any counter —
-/// arming-then-canceling perturbs nothing observable. Generations (rather
-/// than global event seqs) make staleness locally decidable inside one
-/// shard of the sharded scheduler.
+/// arming-then-canceling perturbs nothing observable.
 #[derive(Debug, Clone)]
 pub(crate) enum Payload<M, T> {
     /// A message from one actor to another.

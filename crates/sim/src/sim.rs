@@ -3,7 +3,6 @@ use std::hash::Hash;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::delay::{DelayModel, Fate};
 use crate::event::{Event, Payload, Time};
@@ -110,280 +109,28 @@ pub struct RunReport {
     pub traced: u64,
 }
 
-/// Seq values at or above this base are *virtual*: assigned provisionally
-/// by one shard to a timer that both arms and fires inside the current
-/// window. Virtual seqs order strictly after every real seq in the window
-/// (mirroring the sequential scheduler, where an event created during the
-/// window always outranks everything already queued) and are replaced by
-/// true global seqs during the replay phase.
-const VSEQ_BASE: u64 = 1 << 63;
-
-/// What fired for one record of the parallel phase.
-#[derive(Clone, Copy)]
-enum RecordKind {
-    Msg,
-    Timer,
-}
-
-/// An operation captured during the parallel phase, replayed sequentially
-/// to assign global seqs and draw the shared RNG in deterministic order.
-/// Timer cancellations consume neither, so they are applied eagerly in the
-/// parallel phase and never recorded.
-enum BatchOp<M, T> {
-    Send(usize, M),
-    SetTimer { timer: T, deadline: Time, gen: u64 },
-}
-
-/// One delivery performed by a shard during the parallel phase: enough to
-/// replay its global side effects (seq assignment, RNG draws, queue
-/// pushes, counters) in exact sequential order.
-struct Record<M, T> {
-    at: Time,
-    /// Real event seq for events extracted from the shard queue; a virtual
-    /// seq (`>= VSEQ_BASE`) for timers that armed and fired in-window.
-    seq: u64,
-    actor: usize,
-    kind: RecordKind,
-    ops: Vec<BatchOp<M, T>>,
-}
-
-/// Key ordering the replay phase: pops lowest `(at, seq)` first. `shard`
-/// and `idx` locate the record; they never participate in the ordering
-/// because seqs are globally unique.
-struct ReplayKey {
-    at: Time,
-    seq: u64,
-    shard: u32,
-    idx: u32,
-}
-
-impl PartialEq for ReplayKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for ReplayKey {}
-
-impl Ord for ReplayKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for ReplayKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// A queued delivery. The heap orders and moves `Event`s, so the payload —
 /// a protocol message can be a few hundred bytes — sits behind a `Box` and
 /// a sift moves the 40-byte key only.
 type QueuedEvent<A> = Event<Box<Payload<<A as Actor>::Msg, <A as Actor>::Timer>>>;
 
-/// One partition of the actor population with its own event queue and
-/// armed-timer table. Actor `i` lives in shard `i % nshards` at local
-/// index `i / nshards`.
-struct Shard<A: Actor> {
-    id: usize,
-    nshards: usize,
+/// Deterministic discrete-event simulator over a set of actors.
+///
+/// One queue: a binary heap of events popped lowest `(time, seq)` first,
+/// where `seq` counts every event ever scheduled, so ties at equal times
+/// break by scheduling order. Given the same actors, delay model and
+/// seed, two runs deliver the same events in the same order.
+///
+/// See the [crate docs](crate) for an example.
+pub struct Simulator<A: Actor, D> {
     actors: Vec<A>,
     queue: BinaryHeap<QueuedEvent<A>>,
     /// Armed timers: `(actor, timer) → generation` of the live arming. A
     /// popped timer event fires only if its generation is still the armed
     /// one; otherwise it was canceled or superseded and is skipped
-    /// silently. Generations are decided locally (shard-tagged), which is
-    /// what lets staleness be resolved inside the parallel phase.
+    /// silently.
     armed: HashMap<(usize, A::Timer), u64>,
-    /// Next arming generation: starts at `id`, strides by `nshards`, so
-    /// generations are globally unique without cross-shard coordination.
     next_gen: u64,
-    /// In-window events being processed by the current batch.
-    batch: BinaryHeap<QueuedEvent<A>>,
-    /// Deliveries performed by the current batch, in shard-local order.
-    records: Vec<Record<A::Msg, A::Timer>>,
-    /// Arming generation → record index, for timers that armed *and*
-    /// fired inside the current window; the replay phase stitches these
-    /// into the global order when it reaches the arming op.
-    fired: HashMap<u64, usize>,
-    /// Scratch buffer actors write their ops into during a delivery.
-    ops_scratch: Vec<Op<A::Msg, A::Timer>>,
-    /// Recycled per-record op buffers: drained during replay, returned
-    /// here, reused by the next batch instead of reallocating.
-    ops_pool: Vec<Vec<BatchOp<A::Msg, A::Timer>>>,
-}
-
-impl<A: Actor> Shard<A> {
-    fn new(id: usize, nshards: usize) -> Self {
-        Shard {
-            id,
-            nshards,
-            actors: Vec::new(),
-            queue: BinaryHeap::new(),
-            armed: HashMap::new(),
-            next_gen: id as u64,
-            batch: BinaryHeap::new(),
-            records: Vec::new(),
-            fired: HashMap::new(),
-            ops_scratch: Vec::new(),
-            ops_pool: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn take_gen(&mut self) -> u64 {
-        let g = self.next_gen;
-        self.next_gen += self.nshards as u64;
-        g
-    }
-
-    /// Pops stale timer entries sitting at the head of the queue. They
-    /// would never fire, so discarding them (even past a run horizon)
-    /// changes nothing observable.
-    fn discard_stale_heads(&mut self) {
-        while let Some(ev) = self.queue.peek() {
-            let stale = match &*ev.msg {
-                Payload::Timer(timer, gen) => self.armed.get(&(ev.to, timer.clone())) != Some(gen),
-                Payload::Msg(_) => false,
-            };
-            if !stale {
-                break;
-            }
-            self.queue.pop();
-        }
-    }
-
-    /// Moves every queued event scheduled before `t1` into the batch heap;
-    /// returns how many were moved.
-    fn extract_window(&mut self, t1: Time) -> usize {
-        let mut n = 0;
-        while self.queue.peek().is_some_and(|ev| ev.at < t1) {
-            let ev = self.queue.pop().expect("peeked event vanished");
-            self.batch.push(ev);
-            n += 1;
-        }
-        n
-    }
-
-    /// Returns extracted-but-unprocessed events to the queue (used when
-    /// the caller decides to fall back to single-stepping).
-    fn unextract(&mut self) {
-        for ev in self.batch.drain() {
-            self.queue.push(ev);
-        }
-    }
-
-    /// Parallel phase: delivers every event in the batch heap to this
-    /// shard's actors in `(at, seq)` order, recording the ops each
-    /// delivery produced. Global effects (seq assignment, RNG draws,
-    /// cross-shard pushes, counters) are deferred to the replay phase.
-    ///
-    /// With `defer` set (delay models without a positive latency floor),
-    /// timers arming inside the window are *not* fired here; their queue
-    /// entries are created during replay and picked up by the next batch,
-    /// which is exactly when the sequential scheduler would reach them
-    /// since all extracted events then share one timestamp. Without
-    /// `defer`, in-window timers join the batch heap under a virtual seq.
-    fn phase_a(&mut self, t1: Time, defer: bool) {
-        debug_assert!(self.records.is_empty() && self.fired.is_empty());
-        let mut vseq = VSEQ_BASE;
-        while let Some(ev) = self.batch.pop() {
-            let me = ev.to;
-            debug_assert_eq!(me % self.nshards, self.id, "event routed to wrong shard");
-            let local = me / self.nshards;
-            debug_assert!(self.ops_scratch.is_empty());
-            let (kind, virt_gen) = match *ev.msg {
-                Payload::Msg(msg) => {
-                    let mut ctx = Context {
-                        now: ev.at,
-                        me,
-                        out: &mut self.ops_scratch,
-                    };
-                    self.actors[local].on_message(&mut ctx, ev.from, msg);
-                    (RecordKind::Msg, None)
-                }
-                Payload::Timer(timer, gen) => {
-                    if self.armed.get(&(me, timer.clone())) != Some(&gen) {
-                        continue; // stale: canceled or re-armed since
-                    }
-                    self.armed.remove(&(me, timer.clone()));
-                    let mut ctx = Context {
-                        now: ev.at,
-                        me,
-                        out: &mut self.ops_scratch,
-                    };
-                    self.actors[local].on_timer(&mut ctx, timer);
-                    // Only in-window armings need gen → record linkage;
-                    // extracted timer events already hold a real seq.
-                    (RecordKind::Timer, (ev.seq >= VSEQ_BASE).then_some(gen))
-                }
-            };
-            let mut ops = std::mem::take(&mut self.ops_scratch);
-            let mut rec_ops = self.ops_pool.pop().unwrap_or_default();
-            for op in ops.drain(..) {
-                match op {
-                    Op::Send(to, msg) => rec_ops.push(BatchOp::Send(to, msg)),
-                    Op::SetTimer(timer, delay) => {
-                        let gen = self.take_gen();
-                        let deadline = ev.at + delay;
-                        self.armed.insert((me, timer.clone()), gen);
-                        if !defer && deadline < t1 {
-                            vseq += 1;
-                            self.batch.push(Event {
-                                at: deadline,
-                                seq: vseq,
-                                from: me,
-                                to: me,
-                                msg: Box::new(Payload::Timer(timer.clone(), gen)),
-                            });
-                        }
-                        rec_ops.push(BatchOp::SetTimer {
-                            timer,
-                            deadline,
-                            gen,
-                        });
-                    }
-                    Op::CancelTimer(timer) => {
-                        self.armed.remove(&(me, timer));
-                    }
-                }
-            }
-            self.ops_scratch = ops;
-            let idx = self.records.len();
-            if let Some(g) = virt_gen {
-                self.fired.insert(g, idx);
-            }
-            self.records.push(Record {
-                at: ev.at,
-                seq: ev.seq,
-                actor: me,
-                kind,
-                ops: rec_ops,
-            });
-        }
-    }
-}
-
-/// Deterministic discrete-event simulator over a set of actors.
-///
-/// The actor population is partitioned into shards (see
-/// [`set_shards`](Self::set_shards)); with more than one shard, runs
-/// proceed in conservative time windows of width `min_delay` whose
-/// deliveries are fanned across shards in parallel, then *replayed*
-/// sequentially in global `(time, seq)` order to assign event seqs and
-/// draw the shared RNG exactly as the sequential scheduler would. Sharded
-/// runs are therefore bit-identical to single-shard runs — same actor
-/// states, same RNG stream, same report — regardless of shard or core
-/// count.
-///
-/// See the [crate docs](crate) for an example.
-pub struct Simulator<A: Actor, D> {
-    shards: Vec<Shard<A>>,
-    n_actors: usize,
     delay: D,
     rng: StdRng,
     now: Time,
@@ -392,22 +139,18 @@ pub struct Simulator<A: Actor, D> {
     timers_fired: u64,
     dropped: u64,
     duplicated: u64,
+    /// Scratch buffer actors write their ops into during a delivery.
     ops: Vec<Op<A::Msg, A::Timer>>,
-    replay: BinaryHeap<ReplayKey>,
 }
 
 impl<A: Actor, D> std::fmt::Debug for Simulator<A, D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
-            .field("actors", &self.n_actors)
-            .field("shards", &self.shards.len())
+            .field("actors", &self.actors.len())
             .field("now", &self.now)
             .field("seq", &self.seq)
             .field("delivered", &self.delivered)
-            .field(
-                "pending",
-                &self.shards.iter().map(|s| s.queue.len()).sum::<usize>(),
-            )
+            .field("pending", &self.queue.len())
             .finish_non_exhaustive()
     }
 }
@@ -417,15 +160,13 @@ where
     A::Msg: Clone,
 {
     /// Creates a simulator over `actors` with the given delay model and RNG
-    /// seed. Starts with a single shard (pure sequential scheduling); see
-    /// [`set_shards`](Self::set_shards).
+    /// seed.
     pub fn new(actors: Vec<A>, delay: D, seed: u64) -> Self {
-        let n_actors = actors.len();
-        let mut shard = Shard::new(0, 1);
-        shard.actors = actors;
         Simulator {
-            shards: vec![shard],
-            n_actors,
+            actors,
+            queue: BinaryHeap::new(),
+            armed: HashMap::new(),
+            next_gen: 0,
             delay,
             rng: StdRng::seed_from_u64(seed),
             now: 0,
@@ -435,49 +176,13 @@ where
             dropped: 0,
             duplicated: 0,
             ops: Vec::new(),
-            replay: BinaryHeap::new(),
         }
     }
 
-    /// Repartitions the actor population into `n` shards.
-    ///
-    /// Must be called while the simulator is idle — before any event has
-    /// been scheduled, or after a run fully drained the queue with no
-    /// timer left armed. The partition is round-robin (`actor % n`), so
-    /// actors added later with [`add_actor`](Self::add_actor) keep landing
-    /// in the right shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or if events are queued or timers armed.
-    pub fn set_shards(&mut self, n: usize) {
-        assert!(n >= 1, "need at least one shard");
-        assert!(
-            self.shards
-                .iter()
-                .all(|s| s.queue.is_empty() && s.armed.is_empty()),
-            "set_shards requires an idle simulator (empty queues, no armed timers)"
-        );
-        let old = std::mem::take(&mut self.shards);
-        let old_n = old.len();
-        let mut slots: Vec<Option<A>> = (0..self.n_actors).map(|_| None).collect();
-        for (s, sh) in old.into_iter().enumerate() {
-            for (j, a) in sh.actors.into_iter().enumerate() {
-                slots[j * old_n + s] = Some(a);
-            }
-        }
-        self.shards = (0..n).map(|s| Shard::new(s, n)).collect();
-        for (i, a) in slots.into_iter().enumerate() {
-            let a = a.expect("actor slot filled exactly once");
-            self.shards[i % n].actors.push(a);
-        }
-    }
-
-    /// Number of shards the actor population is partitioned into.
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
+    // Accepted and ignored: the frozen `benchmark/` probes call this.
+    // Goes when `benchmark/` is next touched (ROADMAP item 4, Leftovers).
+    #[doc(hidden)]
+    pub fn set_shards(&mut self, _n: usize) {}
 
     /// Current virtual time (µs).
     #[inline]
@@ -488,13 +193,13 @@ where
     /// Number of actors.
     #[inline]
     pub fn len(&self) -> usize {
-        self.n_actors
+        self.actors.len()
     }
 
     /// Whether the simulator has no actors.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.n_actors == 0
+        self.actors.is_empty()
     }
 
     /// Shared access to an actor's state.
@@ -503,9 +208,7 @@ where
     ///
     /// Panics if `i` is out of range.
     pub fn actor(&self, i: usize) -> &A {
-        assert!(i < self.n_actors, "actor index {i} out of range");
-        let ns = self.shards.len();
-        &self.shards[i % ns].actors[i / ns]
+        &self.actors[i]
     }
 
     /// Exclusive access to an actor's state (for test instrumentation; the
@@ -515,14 +218,12 @@ where
     ///
     /// Panics if `i` is out of range.
     pub fn actor_mut(&mut self, i: usize) -> &mut A {
-        assert!(i < self.n_actors, "actor index {i} out of range");
-        let ns = self.shards.len();
-        &mut self.shards[i % ns].actors[i / ns]
+        &mut self.actors[i]
     }
 
     /// Iterates over all actors in index order.
     pub fn actors(&self) -> impl Iterator<Item = &A> {
-        (0..self.n_actors).map(move |i| self.actor(i))
+        self.actors.iter()
     }
 
     /// Appends a fresh actor and returns its index.
@@ -533,12 +234,8 @@ where
     /// new actor can immediately receive injections. This is the growth
     /// path incremental network construction builds on.
     pub fn add_actor(&mut self, actor: A) -> usize {
-        let i = self.n_actors;
-        let ns = self.shards.len();
-        self.shards[i % ns].actors.push(actor);
-        debug_assert_eq!(self.shards[i % ns].actors.len(), i / ns + 1);
-        self.n_actors += 1;
-        i
+        self.actors.push(actor);
+        self.actors.len() - 1
     }
 
     /// Schedules delivery of `msg` to `to` at the current time plus the
@@ -551,7 +248,7 @@ where
     ///
     /// Panics if `to` or `from` is out of range.
     pub fn inject(&mut self, from: usize, to: usize, msg: A::Msg) {
-        assert!(from < self.n_actors && to < self.n_actors);
+        assert!(from < self.len() && to < self.len());
         let d = self.delay.delay(from, to, &mut self.rng);
         self.push_event(self.now + d, from, to, Payload::Msg(msg));
     }
@@ -562,14 +259,13 @@ where
     ///
     /// Panics if `at < self.now()` or an index is out of range.
     pub fn inject_at(&mut self, at: Time, from: usize, to: usize, msg: A::Msg) {
-        assert!(from < self.n_actors && to < self.n_actors);
+        assert!(from < self.len() && to < self.len());
         assert!(at >= self.now, "cannot schedule in the past");
         self.push_event(at, from, to, Payload::Msg(msg));
     }
 
     fn push_event(&mut self, at: Time, from: usize, to: usize, msg: Payload<A::Msg, A::Timer>) {
-        let s = to % self.shards.len();
-        self.shards[s].queue.push(Event {
+        self.queue.push(Event {
             at,
             seq: self.seq,
             from,
@@ -581,12 +277,11 @@ where
 
     /// Applies the operations `me` buffered during one delivery.
     fn apply_ops(&mut self, me: usize) {
-        let ns = self.shards.len();
         let mut ops = std::mem::take(&mut self.ops);
         for op in ops.drain(..) {
             match op {
                 Op::Send(to, msg) => {
-                    assert!(to < self.n_actors, "send to unknown actor {to}");
+                    assert!(to < self.len(), "send to unknown actor {to}");
                     match self.delay.fate(me, to, &mut self.rng) {
                         Fate::Deliver(d) => {
                             self.push_event(self.now + d, me, to, Payload::Msg(msg))
@@ -600,72 +295,76 @@ where
                     }
                 }
                 Op::SetTimer(timer, delay) => {
-                    let gen = self.shards[me % ns].take_gen();
+                    let gen = self.next_gen;
+                    self.next_gen += 1;
                     self.push_event(self.now + delay, me, me, Payload::Timer(timer.clone(), gen));
                     // Overwrites any prior arming: the superseded queue
                     // entry's generation no longer matches and dies at pop.
-                    self.shards[me % ns].armed.insert((me, timer), gen);
+                    self.armed.insert((me, timer), gen);
                 }
                 Op::CancelTimer(timer) => {
                     // The queue entry (if any) becomes stale and is skipped.
-                    self.shards[me % ns].armed.remove(&(me, timer));
+                    self.armed.remove(&(me, timer));
                 }
             }
         }
         self.ops = ops;
     }
 
+    /// Time of the next event that will actually be delivered, if any.
+    /// Canceled or superseded timer entries at the head of the queue are
+    /// popped on the way: they would never fire, so discarding them (even
+    /// past a run horizon) changes nothing observable.
+    fn next_live_at(&mut self) -> Option<Time> {
+        while let Some(ev) = self.queue.peek() {
+            let stale = match &*ev.msg {
+                Payload::Timer(timer, gen) => self.armed.get(&(ev.to, timer.clone())) != Some(gen),
+                Payload::Msg(_) => false,
+            };
+            if !stale {
+                return Some(ev.at);
+            }
+            self.queue.pop();
+        }
+        None
+    }
+
     /// Delivers a single event (message or live timer); returns `false`
     /// when the queue is empty. Canceled or superseded timer events are
     /// discarded without advancing virtual time or any counter.
     pub fn step(&mut self) -> bool {
-        loop {
-            let mut best: Option<(Time, u64, usize)> = None;
-            for (s, sh) in self.shards.iter().enumerate() {
-                if let Some(ev) = sh.queue.peek() {
-                    if best.is_none_or(|(a, q, _)| (ev.at, ev.seq) < (a, q)) {
-                        best = Some((ev.at, ev.seq, s));
-                    }
-                }
-            }
-            let Some((_, _, s)) = best else {
-                return false;
-            };
-            let ev = self.shards[s].queue.pop().expect("peeked event vanished");
-            debug_assert!(ev.at >= self.now, "time went backwards");
-            let me = ev.to;
-            let local = me / self.shards.len();
-            debug_assert!(self.ops.is_empty());
-            match *ev.msg {
-                Payload::Msg(msg) => {
-                    self.now = ev.at;
-                    self.delivered += 1;
-                    let mut ctx = Context {
-                        now: ev.at,
-                        me,
-                        out: &mut self.ops,
-                    };
-                    self.shards[s].actors[local].on_message(&mut ctx, ev.from, msg);
-                }
-                Payload::Timer(timer, gen) => {
-                    let sh = &mut self.shards[s];
-                    if sh.armed.get(&(me, timer.clone())) != Some(&gen) {
-                        continue; // stale: canceled or re-armed since
-                    }
-                    sh.armed.remove(&(me, timer.clone()));
-                    self.now = ev.at;
-                    self.timers_fired += 1;
-                    let mut ctx = Context {
-                        now: ev.at,
-                        me,
-                        out: &mut self.ops,
-                    };
-                    self.shards[s].actors[local].on_timer(&mut ctx, timer);
-                }
-            }
-            self.apply_ops(me);
-            return true;
+        if self.next_live_at().is_none() {
+            return false;
         }
+        self.deliver_head();
+        true
+    }
+
+    /// Delivers the head of the queue, which `next_live_at` has just found
+    /// live.
+    fn deliver_head(&mut self) {
+        let ev = self.queue.pop().expect("peeked event vanished");
+        debug_assert!(ev.at >= self.now, "time went backwards");
+        debug_assert!(self.ops.is_empty());
+        self.now = ev.at;
+        let me = ev.to;
+        let mut ctx = Context {
+            now: ev.at,
+            me,
+            out: &mut self.ops,
+        };
+        match *ev.msg {
+            Payload::Msg(msg) => {
+                self.delivered += 1;
+                self.actors[me].on_message(&mut ctx, ev.from, msg);
+            }
+            Payload::Timer(timer, _gen) => {
+                self.armed.remove(&(me, timer.clone()));
+                self.timers_fired += 1;
+                self.actors[me].on_timer(&mut ctx, timer);
+            }
+        }
+        self.apply_ops(me);
     }
 
     fn report(&self, truncated: bool) -> RunReport {
@@ -680,14 +379,6 @@ where
         }
     }
 
-    /// Earliest scheduled event time across all shards, stale or not.
-    fn min_head_time(&self) -> Option<Time> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.queue.peek().map(|ev| ev.at))
-            .min()
-    }
-
     /// Total messages delivered so far.
     #[inline]
     pub fn delivered(&self) -> u64 {
@@ -698,16 +389,9 @@ where
     /// entries awaiting discard).
     #[inline]
     pub fn pending(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
+        self.queue.len()
     }
-}
 
-impl<A, D: DelayModel> Simulator<A, D>
-where
-    A: Actor + Send,
-    A::Msg: Clone + Send,
-    A::Timer: Send,
-{
     /// Runs until the event queue drains. Equivalent to
     /// [`run_limited`](Self::run_limited) with `u64::MAX`.
     pub fn run(&mut self) -> RunReport {
@@ -718,47 +402,17 @@ where
     /// been handled, whichever comes first.
     ///
     /// The limit is a safety net for liveness tests: the join protocol is
-    /// proven to terminate, so hitting the limit indicates a bug. With a
-    /// single shard the limit is exact; with multiple shards a time
-    /// window is committed atomically, so timers arming *inside* the
-    /// final window may push the count slightly past the limit.
+    /// proven to terminate, so hitting the limit indicates a bug. The
+    /// report's `truncated` flag is set only when a deliverable event is
+    /// left; stale timer entries do not count.
     pub fn run_limited(&mut self, max_deliveries: u64) -> RunReport {
-        if self.shards.len() == 1 {
-            let mut n = 0u64;
-            while n < max_deliveries {
-                if !self.step() {
-                    return self.report(false);
-                }
-                n += 1;
-            }
-            return self.report(self.pending() > 0);
-        }
-        let defer = self.delay.min_delay() == 0;
-        let mut n = 0u64;
-        while n < max_deliveries {
-            let Some(t0) = self.min_head_time() else {
+        for _ in 0..max_deliveries {
+            if !self.step() {
                 return self.report(false);
-            };
-            let t1 = t0.saturating_add(self.delay.min_delay().max(1));
-            let mut extracted = 0u64;
-            for sh in &mut self.shards {
-                extracted += sh.extract_window(t1) as u64;
             }
-            if extracted > max_deliveries - n {
-                // Too close to the cap to commit a whole window: return
-                // the events and finish with exact single steps.
-                for sh in &mut self.shards {
-                    sh.unextract();
-                }
-                if !self.step() {
-                    return self.report(false);
-                }
-                n += 1;
-                continue;
-            }
-            n += self.process_batch(t1, defer);
         }
-        self.report(self.pending() > 0)
+        let truncated = self.next_live_at().is_some();
+        self.report(truncated)
     }
 
     /// Runs until the queue drains or the next live event lies past
@@ -770,141 +424,13 @@ where
     /// [`run`](Self::run) would not terminate. The report's `truncated`
     /// flag is set when undelivered events remain past the horizon.
     pub fn run_until(&mut self, until: Time) -> RunReport {
-        let sharded = self.shards.len() > 1;
-        let defer = self.delay.min_delay() == 0;
         loop {
-            for sh in &mut self.shards {
-                // Canceled or superseded timers: discard without
-                // delivering, even past the horizon (they would never
-                // fire anyway).
-                sh.discard_stale_heads();
-            }
-            let Some(t0) = self.min_head_time() else {
-                return self.report(false);
-            };
-            if t0 > until {
-                return self.report(true);
-            }
-            if !sharded {
-                self.step();
-                continue;
-            }
-            let t1 = t0
-                .saturating_add(self.delay.min_delay().max(1))
-                .min(until.saturating_add(1));
-            for sh in &mut self.shards {
-                sh.extract_window(t1);
-            }
-            self.process_batch(t1, defer);
-        }
-    }
-
-    /// Processes one extracted time window: parallel per-shard delivery,
-    /// then sequential replay. Returns the number of deliveries made.
-    fn process_batch(&mut self, t1: Time, defer: bool) -> u64 {
-        let shards = std::mem::take(&mut self.shards);
-        self.shards = shards
-            .into_par_iter()
-            .map(|mut sh| {
-                sh.phase_a(t1, defer);
-                sh
-            })
-            .collect();
-        self.replay_batch(t1, defer)
-    }
-
-    /// Sequential replay: walks the window's deliveries in global
-    /// `(at, seq)` order, assigning true seqs and drawing the shared RNG
-    /// exactly as the sequential scheduler would have. This is what makes
-    /// sharded runs bit-identical to single-shard runs.
-    fn replay_batch(&mut self, t1: Time, defer: bool) -> u64 {
-        debug_assert!(self.replay.is_empty());
-        let mut heap = std::mem::take(&mut self.replay);
-        for (s, sh) in self.shards.iter().enumerate() {
-            for (i, rec) in sh.records.iter().enumerate() {
-                if rec.seq < VSEQ_BASE {
-                    heap.push(ReplayKey {
-                        at: rec.at,
-                        seq: rec.seq,
-                        shard: s as u32,
-                        idx: i as u32,
-                    });
-                }
+            match self.next_live_at() {
+                None => return self.report(false),
+                Some(at) if at > until => return self.report(true),
+                Some(_) => self.deliver_head(),
             }
         }
-        let ns = self.shards.len();
-        let mut done = 0u64;
-        while let Some(key) = heap.pop() {
-            let s = key.shard as usize;
-            let (at, actor, kind, mut ops) = {
-                let rec = &mut self.shards[s].records[key.idx as usize];
-                (rec.at, rec.actor, rec.kind, std::mem::take(&mut rec.ops))
-            };
-            debug_assert!(at >= self.now, "replay time went backwards");
-            self.now = at;
-            match kind {
-                RecordKind::Msg => self.delivered += 1,
-                RecordKind::Timer => self.timers_fired += 1,
-            }
-            done += 1;
-            for op in ops.drain(..) {
-                match op {
-                    BatchOp::Send(to, msg) => {
-                        assert!(to < self.n_actors, "send to unknown actor {to}");
-                        match self.delay.fate(actor, to, &mut self.rng) {
-                            Fate::Deliver(d) => {
-                                debug_assert!(
-                                    defer || at + d >= t1,
-                                    "delay model latency below its min_delay floor"
-                                );
-                                self.push_event(at + d, actor, to, Payload::Msg(msg));
-                            }
-                            Fate::Drop => self.dropped += 1,
-                            Fate::Duplicate(d1, d2) => {
-                                self.duplicated += 1;
-                                self.push_event(at + d1, actor, to, Payload::Msg(msg.clone()));
-                                self.push_event(at + d2, actor, to, Payload::Msg(msg));
-                            }
-                        }
-                    }
-                    BatchOp::SetTimer {
-                        timer,
-                        deadline,
-                        gen,
-                    } => {
-                        if defer || deadline >= t1 {
-                            // Future (or deferred same-timestamp) timer:
-                            // a real queue entry, like the sequential
-                            // scheduler would push.
-                            self.push_event(deadline, actor, actor, Payload::Timer(timer, gen));
-                        } else {
-                            // In-window timer: it consumed its seq here
-                            // but was handled (or superseded) inside the
-                            // window; if it fired, stitch its record into
-                            // the replay at its true global position.
-                            let seq = self.seq;
-                            self.seq += 1;
-                            if let Some(idx) = self.shards[actor % ns].fired.remove(&gen) {
-                                heap.push(ReplayKey {
-                                    at: deadline,
-                                    seq,
-                                    shard: (actor % ns) as u32,
-                                    idx: idx as u32,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            // Recycle the drained op buffer for the next batch.
-            self.shards[s].ops_pool.push(ops);
-        }
-        for sh in &mut self.shards {
-            sh.records.clear();
-            sh.fired.clear();
-        }
-        self.replay = heap;
-        done
     }
 }
 
@@ -1186,6 +712,19 @@ mod tests {
     }
 
     #[test]
+    fn run_limited_at_the_exact_cap_ignores_stale_timers() {
+        // Probe, probe, ack: the cap is reached exactly and only the
+        // canceled resend timer is left in the queue.
+        let mut sim = Simulator::new(probers(), ConstantDelay(10), 3);
+        sim.inject(0, 0, ProbeMsg::Probe);
+        let r = sim.run_limited(3);
+        assert_eq!(r.delivered, 3);
+        assert!(sim.actor(0).acked);
+        assert!(!r.truncated, "a stale timer entry is not pending work");
+        assert!(!sim.step());
+    }
+
+    #[test]
     fn timer_fires_and_retries_recover_from_drops() {
         // Drop every message whose fate roll says so; retries must still
         // land an ack eventually (drop_p well below 1).
@@ -1244,109 +783,20 @@ mod tests {
         assert!(sim.actor(1).received >= 2);
     }
 
-    /// Sharded scheduling must be bit-identical to sequential: same
-    /// reports, same actor states, same finish times, for every shard
-    /// count and every delay model shape (constant, jittered, faulty,
-    /// zero-floor).
-    mod shard_parity {
-        use super::*;
-
-        fn ring_outcome(shards: usize, seed: u64) -> (RunReport, Time, Vec<u32>) {
-            let mut sim = Simulator::new(ring(9), UniformDelay::new(1, 1_000), seed);
-            sim.set_shards(shards);
-            sim.inject(0, 3, 40);
-            sim.inject(0, 5, 40);
-            let r = sim.run();
-            let st = sim.actors().map(|a| a.received).collect();
-            (r, sim.now(), st)
-        }
-
-        #[test]
-        fn ring_runs_match_sequential_for_all_shard_counts() {
-            let base = ring_outcome(1, 42);
-            for shards in [2, 3, 4, 8] {
-                assert_eq!(ring_outcome(shards, 42), base, "shards = {shards}");
+    #[test]
+    fn run_accepts_a_non_send_actor() {
+        struct Local(std::rc::Rc<std::cell::Cell<u32>>);
+        impl Actor for Local {
+            type Msg = u32;
+            type Timer = ();
+            fn on_message(&mut self, _ctx: &mut Context<'_, u32>, _f: usize, m: u32) {
+                self.0.set(self.0.get() + m);
             }
         }
-
-        fn prober_outcome(shards: usize) -> (RunReport, Time, u32, bool) {
-            let faulty = FaultyDelay::new(ConstantDelay(10), 0.5, 0.1);
-            let mut sim = Simulator::new(probers(), faulty, 12);
-            sim.set_shards(shards);
-            sim.inject(0, 0, ProbeMsg::Probe);
-            let r = sim.run_limited(10_000);
-            (r, sim.now(), sim.actor(0).sent, sim.actor(0).acked)
-        }
-
-        #[test]
-        fn faulty_timer_retries_match_sequential() {
-            // Timers, cancellations, drops, and duplicates all cross the
-            // window machinery here (constant floor ⇒ in-window timers).
-            let base = prober_outcome(1);
-            assert!(base.3, "baseline must converge");
-            for shards in [2, 4] {
-                assert_eq!(prober_outcome(shards), base, "shards = {shards}");
-            }
-        }
-
-        fn heartbeat_outcome(shards: usize) -> (RunReport, u32, u32) {
-            // Zero-floor delay model: exercises the defer path where every
-            // window is a single timestamp.
-            let mut sim = Simulator::new(
-                vec![Heartbeat { ticks: 0 }, Heartbeat { ticks: 0 }],
-                ConstantDelay(0),
-                0,
-            );
-            sim.set_shards(shards);
-            sim.inject_at(0, 0, 0, 0);
-            sim.inject_at(40, 1, 1, 0);
-            let r = sim.run_until(1_000);
-            (r, sim.actor(0).ticks, sim.actor(1).ticks)
-        }
-
-        #[test]
-        fn zero_floor_run_until_matches_sequential() {
-            let base = heartbeat_outcome(1);
-            assert_eq!(base.1, 10);
-            for shards in [2, 3] {
-                assert_eq!(heartbeat_outcome(shards), base, "shards = {shards}");
-            }
-        }
-
-        #[test]
-        fn rearm_and_supersede_match_sequential_when_sharded() {
-            let run = |shards: usize| {
-                let mut sim = Simulator::new(ring(2), ConstantDelay(5), 0);
-                sim.set_shards(shards);
-                sim.inject(0, 0, 6);
-                let r = sim.run();
-                (r, sim.now())
-            };
-            assert_eq!(run(1), run(2));
-        }
-
-        #[test]
-        fn set_shards_rejects_a_busy_simulator() {
-            let mut sim = Simulator::new(ring(3), ConstantDelay(1), 0);
-            sim.inject(0, 0, 1);
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sim.set_shards(2);
-            }));
-            assert!(err.is_err(), "set_shards must reject queued events");
-        }
-
-        #[test]
-        fn add_actor_lands_in_the_round_robin_shard() {
-            let mut sim = Simulator::new(ring(4), ConstantDelay(7), 0);
-            sim.set_shards(3);
-            let i = sim.add_actor(Ring { n: 5, received: 0 });
-            assert_eq!(i, 4);
-            // Round-trips through the shard layout.
-            assert_eq!(sim.actor(i).received, 0);
-            sim.inject(0, i, 1);
-            let r = sim.run();
-            assert_eq!(r.delivered, 2);
-            assert_eq!(sim.actor(i).received, 1);
-        }
+        let seen = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut sim = Simulator::new(vec![Local(seen.clone())], ConstantDelay(1), 0);
+        sim.inject(0, 0, 7);
+        sim.run();
+        assert_eq!(seen.get(), 7);
     }
 }
