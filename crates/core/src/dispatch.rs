@@ -1,7 +1,7 @@
 //! The one shared path from an [`Effects`] buffer into a runtime.
 //!
 //! Every runtime — the zero-copy [`SimNetwork`](crate::SimNetwork), the
-//! actor-based simulator adapters, and the threaded network — implements
+//! actor-based simulator adapters, and the socket runtimes — implements
 //! [`EffectHandler`] for its transport/timer facilities and calls
 //! [`dispatch_effects`] after each engine event. Trace effects are stamped
 //! and routed here too, so tracing behaves identically everywhere.

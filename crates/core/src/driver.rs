@@ -1,18 +1,16 @@
 //! The shared runtime driver: one code path from runtime inputs to engine
 //! effects, used identically by every runtime.
 //!
-//! Before this module each runtime (the zero-copy simulator nodes, the
-//! threaded channel network, the socket runtime) carried its own copy of
-//! the input-matching + effect-draining glue around
-//! [`dispatch_effects`](crate::dispatch_effects). Those copies are now one:
-//! a runtime wraps each engine in an [`EngineDriver`], implements
-//! [`RuntimeDriver`] (that is, [`EffectHandler`] plus a clock) for its
-//! transport, and feeds [`NodeInput`]s through
-//! [`EngineDriver::drive`]. Since the drive path is shared, engine behavior
-//! is provably identical across simulated and socket transports — the same
-//! inputs in the same order produce the same effect stream and the same
-//! [`DigestTrace`](crate::DigestTrace), which the lossless-socket parity
-//! test pins.
+//! No runtime (the zero-copy simulator nodes, the socket runtimes)
+//! carries its own copy of the input-matching + effect-draining glue
+//! around [`dispatch_effects`](crate::dispatch_effects): a runtime wraps
+//! each engine in an [`EngineDriver`], implements [`RuntimeDriver`] (that
+//! is, [`EffectHandler`] plus a clock) for its transport, and feeds
+//! [`NodeInput`]s through [`EngineDriver::drive`]. Since the drive path is
+//! shared, engine behavior is provably identical across simulated and
+//! socket transports — the same inputs in the same order produce the same
+//! effect stream and the same [`DigestTrace`](crate::DigestTrace), which
+//! the lossless-socket parity test pins.
 
 use hyperring_id::NodeId;
 

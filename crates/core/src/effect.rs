@@ -4,7 +4,7 @@
 //! clocks, sockets, or files. Everything it wants done is expressed as an
 //! [`Effect`] pushed into an [`Effects`] buffer, and everything that can
 //! happen to it arrives as an [`Event`]. A runtime (the deterministic
-//! simulator, the threaded runtime, tests) drains the buffer through one
+//! simulator, the socket runtimes, tests) drains the buffer through one
 //! shared dispatch path ([`dispatch_effects`](crate::dispatch_effects)).
 
 use hyperring_id::NodeId;

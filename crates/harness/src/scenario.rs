@@ -17,7 +17,7 @@
 //! ```
 //!
 //! The same scenario runs on the deterministic simulator
-//! ([`run_sim`](Scenario::run_sim)), on real threads
+//! ([`run_sim`](Scenario::run_sim)), over real loopback sockets
 //! ([`run_net`](Scenario::run_net)), or under the optimistic
 //! Pastry-style baseline ([`optimistic`](Scenario::optimistic)), and —
 //! with a [`FailureDetector`](hyperring_core::FailureDetector) configured
@@ -31,7 +31,7 @@ use hyperring_core::{
     NeighborTable, ProtocolOptions, SimNetworkBuilder, TraceSink, Violation,
 };
 use hyperring_id::{IdSpace, NodeId};
-use hyperring_net::{NetError, ThreadedNetwork};
+use hyperring_net::{NetError, UdpNetwork};
 use hyperring_sim::{Time, UniformDelay};
 
 use crate::baseline::run_optimistic_tables;
@@ -61,7 +61,7 @@ pub struct RunReport {
     /// Total ordered pairs checked.
     pub total_pairs: usize,
     /// Virtual (sim) or wall-clock (net) microseconds at the end of the
-    /// run, when the backend reports one (0 for the threaded backend).
+    /// run.
     pub finished_at: u64,
     /// Keyed lookup-storm statistics over the final tables, when the
     /// scenario asked for one via [`Scenario::lookup_storm`] (`None`
@@ -296,7 +296,7 @@ impl Scenario {
 
     /// Attaches a [`TraceSink`] receiving every node's protocol events
     /// (simulator: virtual-time stamped and deterministic per seed;
-    /// threads: wall-clock stamped). Implies trace emission.
+    /// sockets: wall-clock stamped). Implies trace emission.
     pub fn trace(mut self, sink: Box<dyn TraceSink + Send>) -> Self {
         self.trace = Some(sink);
         self
@@ -384,16 +384,16 @@ impl Scenario {
         r
     }
 
-    /// Runs the scenario on real threads ([`ThreadedNetwork`]) and
+    /// Runs the scenario over real loopback sockets ([`UdpNetwork`]) and
     /// summarizes the final (survivor) tables. With a crash schedule, the
-    /// victims' threads are killed after the joins quiesce and survivors
-    /// get a grace period scaled from the configured probe interval;
+    /// victims are killed after the joins quiesce and survivors get a
+    /// grace period scaled from the configured probe interval;
     /// `crash_at`/`horizon` are virtual-time knobs and are ignored here.
     ///
     /// # Errors
     ///
-    /// Whatever [`ThreadedNetwork::run_joins`] /
-    /// [`ThreadedNetwork::run_crash_scenario`] report.
+    /// Whatever [`UdpNetwork::run_joins`] /
+    /// [`UdpNetwork::run_crash_scenario`] report.
     ///
     /// # Panics
     ///
@@ -406,11 +406,11 @@ impl Scenario {
         );
         let w = self.take_workload();
         let members = build_consistent_tables(w.space, &w.members);
-        let mut net = ThreadedNetwork::new(w.space, self.opts, members);
+        let mut net = UdpNetwork::new(w.space, self.opts, members);
         if let Some(sink) = self.trace.take() {
             net = net.with_trace(sink);
         }
-        let tables = if self.crashes > 0 {
+        let (tables, stats) = if self.crashes > 0 {
             let fd = self
                 .opts
                 .failure_detector()
@@ -427,7 +427,8 @@ impl Scenario {
             net.run_joins(&w.joiners)?
         };
         let refs: Vec<&NeighborTable> = tables.iter().collect();
-        let mut r = summarize(w.space, &refs, w.joiners.len(), self.crashes, 0);
+        let wall_us = stats.wall.as_micros() as u64;
+        let mut r = summarize(w.space, &refs, w.joiners.len(), self.crashes, wall_us);
         r.lookup = self
             .storm
             .map(|cfg| storm_over(w.space, &refs, cfg, self.seed));
@@ -462,7 +463,7 @@ mod tests {
             .joiners(5)
             .seed(3)
             .run_net()
-            .expect("threaded run quiesces");
+            .expect("socket run quiesces");
         assert!(net.consistent(), "{}", net.report);
         assert_eq!(net.survivors, 15);
     }
@@ -485,25 +486,46 @@ mod tests {
         assert!(broke > 0, "optimistic joins survived heavy concurrency");
     }
 
-    #[test]
-    fn crash_scenario_repairs_survivors_on_the_simulator() {
-        let fd = FailureDetector {
-            probe_interval_us: 100_000,
+    fn repairing_detector(probe_interval_us: u64) -> ProtocolOptions {
+        ProtocolOptions::new().with_failure_detector(FailureDetector {
+            probe_interval_us,
             suspicion_threshold: 3,
             repair: true,
             ..FailureDetector::default()
-        };
+        })
+    }
+
+    #[test]
+    fn crash_scenario_repairs_survivors_on_the_simulator() {
         let r = Scenario::new(space())
             .nodes(14)
             .joiners(0)
             .seed(5)
-            .options(ProtocolOptions::new().with_failure_detector(fd))
+            .options(repairing_detector(100_000))
             .delay_bounds(500, 2_000)
             .crashes(3, 50_000, 3_000_000)
             .run_sim();
         assert_eq!(r.crashed, 3);
         assert_eq!(r.survivors, 11);
         assert!(r.consistent(), "{}", r.report);
+    }
+
+    #[test]
+    fn crash_scenario_repairs_survivors_over_sockets() {
+        // `crash_at`/`horizon` are virtual-time knobs; the socket backend
+        // scales its grace period from the probe interval instead.
+        let r = Scenario::new(space())
+            .nodes(14)
+            .joiners(0)
+            .seed(5)
+            .options(repairing_detector(50_000))
+            .crashes(3, 0, 0)
+            .run_net()
+            .expect("socket run quiesces");
+        assert_eq!(r.crashed, 3);
+        assert_eq!(r.survivors, 11);
+        assert!(r.consistent(), "{}", r.report);
+        assert!(r.finished_at > 0, "the run's wall time is reported");
     }
 
     #[test]

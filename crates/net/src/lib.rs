@@ -4,20 +4,19 @@
 //! The deterministic simulator (`hyperring-sim`) is the primary
 //! evaluation substrate, but the protocol engine is sans-io and runs
 //! unchanged on real concurrency and real sockets. This crate hosts it on
-//! three runtimes, all driven through the same
+//! two runtimes, both driven through the same
 //! [`EngineDriver`](hyperring_core::EngineDriver) /
 //! [`RuntimeDriver`](hyperring_core::RuntimeDriver) glue, so engine
 //! behavior is identical by construction:
 //!
 //! | runtime | transport | threads | clock | delivery |
 //! |---|---|---|---|---|
-//! | [`ThreadedNetwork`] | crossbeam channels | one per node | wall | reliable, racy |
 //! | [`UdpNetwork`] | loopback UDP | few event loops | wall | lossy (injected + backpressure) |
 //! | [`LockstepNet`] | loopback UDP | one | virtual | reliable, deterministic |
 //!
-//! Messages on the UDP runtimes travel as `hyperring-wire` frames (see
-//! the [`transport`] module for the datagram layout); timers on every
-//! runtime are served by a hierarchical [`TimerWheel`], so a
+//! Messages travel as `hyperring-wire` frames (see the [`transport`]
+//! module for the datagram layout); [`UdpNetwork`]'s timers are served by
+//! a hierarchical [`TimerWheel`], so a
 //! [`RetryPolicy`](hyperring_core::RetryPolicy) works against the wall
 //! clock too. [`LockstepNet`] reproduces the simulator's event ordering
 //! exactly and yields byte-identical trace digests for lossless runs —
@@ -28,7 +27,7 @@
 //! ```
 //! use hyperring_core::{build_consistent_tables, check_consistency, ProtocolOptions};
 //! use hyperring_id::IdSpace;
-//! use hyperring_net::ThreadedNetwork;
+//! use hyperring_net::UdpNetwork;
 //! use rand::SeedableRng;
 //!
 //! let space = IdSpace::new(4, 4)?;
@@ -41,9 +40,10 @@
 //! let members = build_consistent_tables(space, &ids[..8]);
 //!
 //! let joiners: Vec<_> = ids[8..].iter().map(|&id| (id, ids[0])).collect();
-//! let net = ThreadedNetwork::new(space, ProtocolOptions::new(), members);
-//! let tables = net.run_joins(&joiners)?;
+//! let net = UdpNetwork::new(space, ProtocolOptions::new(), members);
+//! let (tables, stats) = net.run_joins(&joiners)?;
 //! assert!(check_consistency(space, &tables).is_consistent());
+//! assert!(stats.datagrams_sent > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -55,5 +55,5 @@ pub mod transport;
 
 mod runtime;
 
-pub use runtime::{LockstepNet, NetError, ThreadedNetwork, UdpConfig, UdpNetwork, UdpRunStats};
+pub use runtime::{LockstepNet, NetError, UdpConfig, UdpNetwork, UdpRunStats};
 pub use timer::TimerWheel;

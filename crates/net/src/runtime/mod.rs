@@ -1,29 +1,25 @@
-//! The runtimes: real-concurrency hosts for the sans-io protocol engine.
+//! The runtimes: real-socket hosts for the sans-io protocol engine.
 //!
-//! Three live here, all built on the same
+//! Two live here, both built on the same
 //! [`EngineDriver`](hyperring_core::EngineDriver) /
 //! [`RuntimeDriver`](hyperring_core::RuntimeDriver) pair, so engine
 //! behavior is identical by construction:
 //!
-//! * [`ThreadedNetwork`] — one OS thread per node, crossbeam channels as
-//!   the transport (reliable, real races);
 //! * [`UdpNetwork`] — a few event-loop threads driving many engines each
-//!   over non-blocking loopback UDP sockets, with injected packet loss
-//!   and per-engine outbound backpressure;
+//!   over non-blocking loopback UDP sockets, with injected packet loss,
+//!   per-engine outbound backpressure, and a kill-then-repair crash
+//!   scenario on wall-clock timers;
 //! * [`LockstepNet`] — single-threaded UDP under a virtual clock that
 //!   reproduces the deterministic simulator's event ordering exactly
 //!   (same `DigestTrace` for lossless runs).
 
 mod lockstep;
-mod threaded;
 mod udp;
 
 pub use lockstep::LockstepNet;
-pub use threaded::ThreadedNetwork;
 pub use udp::{UdpConfig, UdpNetwork, UdpRunStats};
 
 use std::fmt;
-use std::sync::atomic::AtomicI64;
 
 use hyperring_id::NodeId;
 
@@ -41,12 +37,15 @@ pub enum NetError {
     UnknownDestination(NodeId),
     /// The network failed to quiesce within the deadline.
     QuiesceTimeout {
-        /// Messages still in flight when the deadline passed.
+        /// What the runtime knew was undelivered when the deadline passed:
+        /// for [`UdpNetwork`], the datagrams queued but not yet written to
+        /// a socket (those the kernel still buffers are invisible to it);
+        /// for [`LockstepNet`], the events still in its queue.
         in_flight: i64,
         /// Joiners still not `in_system` when the deadline passed.
         joining: i64,
     },
-    /// A node thread panicked (its engine state is lost).
+    /// A loop thread panicked (the state of its engines is lost).
     NodePanicked,
     /// The socket layer failed (bind, send, or receive).
     Socket(String),
@@ -64,7 +63,7 @@ impl fmt::Display for NetError {
                 f,
                 "network failed to quiesce: {in_flight} in flight, {joining} joining"
             ),
-            NetError::NodePanicked => write!(f, "a node thread panicked"),
+            NetError::NodePanicked => write!(f, "a loop thread panicked"),
             NetError::Socket(what) => write!(f, "socket failure: {what}"),
         }
     }
@@ -76,15 +75,4 @@ impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {
         NetError::Socket(e.to_string())
     }
-}
-
-/// Shared state for quiescence detection (the termination-detection trick
-/// for diffusing computations: count sends before receipt processing
-/// completes).
-#[derive(Debug, Default)]
-pub(crate) struct Flight {
-    /// Protocol messages sent but not yet fully processed.
-    pub(crate) in_flight: AtomicI64,
-    /// Joins that have not reached `in_system` yet.
-    pub(crate) joining: AtomicI64,
 }

@@ -9,14 +9,15 @@
 //! backpressure) and the protocol's [`RetryPolicy`](hyperring_core::RetryPolicy)
 //! absorbs it exactly as it absorbs injected packet loss.
 //!
-//! Unlike [`ThreadedNetwork`](super::ThreadedNetwork), delivery here is
-//! genuinely unreliable — datagrams can be dropped by the injector, by
-//! backpressure, or (under extreme load) by the kernel — so runs with loss
-//! must configure a retry policy. Quiescence is detected by a supervisor
-//! watching an activity counter: the run ends once every joiner is
-//! `in_system`, nothing has happened for a settle window, all outbound
-//! queues are flushed, and (absent a failure detector, whose probe timers
-//! never stop) no retry timer remains armed.
+//! Delivery here is genuinely unreliable — datagrams can be dropped by
+//! the injector, by backpressure, or (under extreme load) by the kernel —
+//! so runs with loss must configure a retry policy. Quiescence is detected
+//! by a supervisor watching an activity counter: the run ends once every
+//! joiner is `in_system`, nothing but failure-detector heartbeat (probe
+//! ticks, `Ping`, `Pong`) has happened for a settle window, all outbound
+//! queues are flushed, and no timer remains armed — except under a
+//! failure detector, whose probe tick re-arms forever, so there the armed
+//! count is not consulted.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -26,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use hyperring_core::{
     EffectHandler, EngineDriver, JoinEngine, Message, NeighborTable, NodeInput, ProtocolOptions,
-    RuntimeDriver, TimerId, TraceSink, TraceStream,
+    RuntimeDriver, Status, TimerId, TraceSink, TraceStream,
 };
 use hyperring_id::{IdSpace, NodeId};
 use std::net::SocketAddr;
@@ -120,12 +121,22 @@ struct Slot {
 struct Shared {
     /// Joins not yet `in_system`.
     joining: AtomicI64,
-    /// Bumped on every delivery, timer fire, and send; the supervisor
+    /// Bumped on every delivery, timer fire, and send that is not
+    /// failure-detector heartbeat (see [`is_heartbeat`]); the supervisor
     /// detects quiescence as "unchanged for the settle window".
     activity: AtomicU64,
+    /// Raised by the supervisor once the joins have quiesced: every loop
+    /// thread crash-fails its victims.
+    kill: AtomicBool,
     /// Set by the supervisor (or by a thread hitting a fatal socket
     /// error); loop threads drain and exit.
     shutdown: AtomicBool,
+}
+
+/// A detector's `Ping`/`Pong` exchange never stops, so it must not count
+/// as progress; the repair traffic it triggers still does.
+fn is_heartbeat(msg: &Message) -> bool {
+    matches!(msg, Message::Ping | Message::Pong)
 }
 
 /// Per-thread gauges the supervisor reads.
@@ -150,6 +161,7 @@ struct LoopHandler<'a> {
     wheel: &'a mut TimerWheel<(usize, TimerId)>,
     stats: &'a mut UdpRunStats,
     error: &'a mut Option<NetError>,
+    activity: &'a AtomicU64,
 }
 
 impl EffectHandler for LoopHandler<'_> {
@@ -158,6 +170,9 @@ impl EffectHandler for LoopHandler<'_> {
             self.error.get_or_insert(NetError::UnknownDestination(to));
             return;
         };
+        if !is_heartbeat(&msg) {
+            self.activity.fetch_add(1, Ordering::SeqCst);
+        }
         if self.outbound.len() >= self.capacity {
             // Backpressure: drop rather than block the loop or grow
             // without bound; the retry policy treats it as loss.
@@ -248,6 +263,28 @@ impl UdpNetwork {
         self,
         joiners: &[(NodeId, NodeId)],
     ) -> Result<(Vec<NeighborTable>, UdpRunStats), NetError> {
+        self.run_crash_scenario(joiners, &[], Duration::ZERO)
+    }
+
+    /// Runs all joins to quiescence, then **kills** the `kills` nodes —
+    /// their engines crash in place with no goodbye traffic and whatever
+    /// they had queued is discarded — and lets the survivors run for
+    /// `grace` wall-clock time so their failure detectors (configure one
+    /// via [`ProtocolOptions::with_failure_detector`]) can evict the dead
+    /// and repair their tables. Returns the survivors' final tables in
+    /// roster order (crash-churn extension).
+    ///
+    /// # Errors
+    ///
+    /// Everything [`run_joins`](Self::run_joins) reports, plus
+    /// [`NetError::UnknownDestination`] when a kill target is neither a
+    /// member nor a joiner (reported before any socket is bound).
+    pub fn run_crash_scenario(
+        self,
+        joiners: &[(NodeId, NodeId)],
+        kills: &[NodeId],
+        grace: Duration,
+    ) -> Result<(Vec<NeighborTable>, UdpRunStats), NetError> {
         let n_nodes = self.members.len() + joiners.len();
         let n_threads = self.config.loop_threads.clamp(1, n_nodes);
 
@@ -262,6 +299,11 @@ impl UdpNetwork {
         for (_, gateway) in joiners {
             if !known.contains_key(gateway) {
                 return Err(NetError::UnknownGateway(*gateway));
+            }
+        }
+        for id in kills {
+            if !known.contains_key(id) {
+                return Err(NetError::UnknownDestination(*id));
             }
         }
 
@@ -290,6 +332,7 @@ impl UdpNetwork {
         let shared = Arc::new(Shared {
             joining: AtomicI64::new(joiners.len() as i64),
             activity: AtomicU64::new(0),
+            kill: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
         });
         let gauges: Arc<Vec<Gauges>> = Arc::new(
@@ -311,7 +354,11 @@ impl UdpNetwork {
             // Materialize this thread's engines in partition order.
             let mut slots = Vec::with_capacity(roster.len());
             let mut starts = Vec::new();
+            let mut victims = Vec::new();
             for (s, (id, gw)) in roster.iter().enumerate() {
+                if kills.contains(id) {
+                    victims.push(s);
+                }
                 let engine = match gw {
                     None => {
                         let table = member_tables.remove(id).expect("member table");
@@ -336,8 +383,8 @@ impl UdpNetwork {
                 let config = self.config.clone();
                 move || {
                     run_loop(
-                        space, endpoint, slots, starts, routes, shared, gauges, t, trace, config,
-                        epoch,
+                        space, endpoint, slots, starts, victims, routes, shared, gauges, t, trace,
+                        config, epoch,
                     )
                 }
             }));
@@ -347,6 +394,7 @@ impl UdpNetwork {
         let deadline = epoch + self.config.quiesce_timeout;
         let mut last_activity = u64::MAX;
         let mut quiet_since = Instant::now();
+        // Breaks with the unsent datagram count if the deadline passed.
         let timed_out = loop {
             thread::sleep(Duration::from_millis(2));
             let act = shared.activity.load(Ordering::SeqCst);
@@ -355,7 +403,7 @@ impl UdpNetwork {
                 quiet_since = Instant::now();
             }
             if shared.shutdown.load(Ordering::SeqCst) {
-                break false; // a thread hit a fatal error and rang the bell
+                break None; // a thread hit a fatal error and rang the bell
             }
             let joining = shared.joining.load(Ordering::SeqCst);
             let armed: u64 = gauges.iter().map(|g| g.armed.load(Ordering::SeqCst)).sum();
@@ -368,10 +416,17 @@ impl UdpNetwork {
                 && quiet_since.elapsed() >= self.config.settle
                 && (fd_configured || armed == 0)
             {
-                break false;
+                // Crash phase, bounded by time rather than by quiescence:
+                // the victims fall silent and the survivors get `grace` to
+                // detect, evict and repair.
+                if !kills.is_empty() {
+                    shared.kill.store(true, Ordering::SeqCst);
+                    thread::sleep(grace);
+                }
+                break None;
             }
             if Instant::now() >= deadline {
-                break true;
+                break Some(pending);
             }
         };
         shared.shutdown.store(true, Ordering::SeqCst);
@@ -404,29 +459,28 @@ impl UdpNetwork {
         if let Some(e) = first_error {
             return Err(e);
         }
-        if timed_out {
+        if let Some(unsent) = timed_out {
             return Err(NetError::QuiesceTimeout {
-                in_flight: 0,
+                in_flight: unsent as i64,
                 joining: shared.joining.load(Ordering::SeqCst),
             });
         }
 
-        let tables = member_ids
-            .iter()
-            .chain(joiners.iter().map(|(id, _)| id))
-            .map(|id| {
-                engines
-                    .get(id)
-                    .map(|e| e.table().clone())
-                    .ok_or(NetError::NodePanicked)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut tables = Vec::with_capacity(n_nodes);
+        for id in member_ids.iter().chain(joiners.iter().map(|(id, _)| id)) {
+            let engine = engines.get(id).ok_or(NetError::NodePanicked)?;
+            if engine.status() != Status::Crashed {
+                tables.push(engine.table().clone());
+            }
+        }
         Ok((tables, stats))
     }
 }
 
 /// Feeds one input through a slot's driver with split borrows on the
-/// thread state; returns whether the node just entered the system.
+/// thread state, and keeps the supervisor's counters: one join fewer when
+/// the node enters the system, one more activity unless the input was
+/// failure-detector heartbeat.
 #[allow(clippy::too_many_arguments)]
 fn drive_slot(
     space: IdSpace,
@@ -440,7 +494,14 @@ fn drive_slot(
     stats: &mut UdpRunStats,
     error: &mut Option<NetError>,
     trace: &Option<Arc<Mutex<TraceStream>>>,
-) -> bool {
+    shared: &Shared,
+) {
+    let progress = match &input {
+        NodeInput::Deliver { msg, .. } => !is_heartbeat(msg),
+        NodeInput::TimerFired(id) => !matches!(id, TimerId::FdProbe { .. }),
+        NodeInput::StartFailureDetector => false,
+        NodeInput::StartJoin { .. } | NodeInput::BeginLeave => true,
+    };
     let Slot { driver, outbound } = &mut slots[s];
     let mut handler = LoopHandler {
         space,
@@ -453,12 +514,18 @@ fn drive_slot(
         wheel,
         stats,
         error,
+        activity: &shared.activity,
     };
     let report = match trace.as_ref().map(|t| t.lock()) {
         Some(Ok(mut stream)) => driver.drive(input, &mut handler, Some(&mut stream)),
         _ => driver.drive(input, &mut handler, None),
     };
-    report.entered_system
+    if report.entered_system {
+        shared.joining.fetch_sub(1, Ordering::SeqCst);
+    }
+    if progress {
+        shared.activity.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 /// The event loop one thread runs: timers, receives, flushes, poll(2).
@@ -468,6 +535,7 @@ fn run_loop(
     endpoint: UdpEndpoint,
     mut slots: Vec<Slot>,
     starts: Vec<(usize, NodeId)>,
+    mut victims: Vec<usize>,
     routes: Arc<HashMap<NodeId, SocketAddr>>,
     shared: Arc<Shared>,
     gauges: Arc<Vec<Gauges>>,
@@ -509,11 +577,12 @@ fn run_loop(
             &mut stats,
             &mut error,
             &trace,
+            &shared,
         );
     }
     for (s, gateway) in starts {
         let now = epoch.elapsed().as_micros() as u64;
-        let entered = drive_slot(
+        drive_slot(
             space,
             &mut slots,
             s,
@@ -525,20 +594,27 @@ fn run_loop(
             &mut stats,
             &mut error,
             &trace,
+            &shared,
         );
-        if entered {
-            shared.joining.fetch_sub(1, Ordering::SeqCst);
-        }
-        shared.activity.fetch_add(1, Ordering::SeqCst);
     }
 
     'main: loop {
+        // 0. Crash-fail this thread's victims once the supervisor says
+        // so: a crashed engine drops every later input, and what it had
+        // queued dies with it.
+        if !victims.is_empty() && shared.kill.load(Ordering::SeqCst) {
+            for s in victims.drain(..) {
+                slots[s].driver.crash();
+                slots[s].outbound.clear();
+            }
+        }
+
         // 1. Fire due timers.
         let now = epoch.elapsed().as_micros() as u64;
         for key in wheel.advance(now) {
             let (s, id) = key;
             stats.timers_fired += 1;
-            let entered = drive_slot(
+            drive_slot(
                 space,
                 &mut slots,
                 s,
@@ -550,11 +626,8 @@ fn run_loop(
                 &mut stats,
                 &mut error,
                 &trace,
+                &shared,
             );
-            if entered {
-                shared.joining.fetch_sub(1, Ordering::SeqCst);
-            }
-            shared.activity.fetch_add(1, Ordering::SeqCst);
         }
 
         // 2. Drain arrivals.
@@ -574,7 +647,7 @@ fn run_loop(
                         continue; // misrouted; not ours
                     };
                     let now = epoch.elapsed().as_micros() as u64;
-                    let entered = drive_slot(
+                    drive_slot(
                         space,
                         &mut slots,
                         s,
@@ -586,11 +659,8 @@ fn run_loop(
                         &mut stats,
                         &mut error,
                         &trace,
+                        &shared,
                     );
-                    if entered {
-                        shared.joining.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    shared.activity.fetch_add(1, Ordering::SeqCst);
                 }
                 Ok(None) => break,
                 Err(e) => {
@@ -613,7 +683,6 @@ fn run_loop(
                     Ok(true) => {
                         stats.datagrams_sent += 1;
                         stats.bytes_sent += dgram.len() as u64;
-                        shared.activity.fetch_add(1, Ordering::SeqCst);
                         slot.outbound.pop_front();
                     }
                     Ok(false) => {

@@ -1,8 +1,7 @@
 //! A hierarchical timer wheel shared by every engine on a runtime thread.
 //!
-//! The threaded runtime used to keep one `BinaryHeap` of deadlines per
-//! node; the socket runtime hosts many engines per OS thread, so timers
-//! live in one wheel keyed by `(engine, timer)` instead. The wheel is the
+//! The socket runtime hosts many engines per OS thread, so their timers
+//! live in one wheel keyed by `(engine, timer)`. The wheel is the
 //! classic hashed-and-hierarchical design: [`LEVELS`] levels of [`SLOTS`]
 //! slots each, level `l` spanning `SLOTS^(l+1)` ticks, deadlines cascading
 //! down a level as their window approaches, and an overflow list for

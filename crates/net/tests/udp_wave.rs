@@ -5,10 +5,18 @@
 //! with 5% loss (`cargo test -p hyperring-net --release -- --ignored`).
 //! Both assert full Definition-3.8 consistency: the retry policy must
 //! absorb every drop.
+//!
+//! The rest of the file covers what only a wall-clock runtime can: roster
+//! validation before any socket is bound, retransmission and tracing on
+//! real timers, quiescence with a failure detector armed, and kill →
+//! detect → repair over real sockets.
 
-use hyperring_core::{build_consistent_tables, check_consistency, ProtocolOptions, RetryPolicy};
+use hyperring_core::{
+    build_consistent_tables, check_consistency, FailureDetector, ProtocolOptions, RetryPolicy,
+    RingTrace, SharedSink,
+};
 use hyperring_id::{IdSpace, NodeId};
-use hyperring_net::{UdpConfig, UdpNetwork};
+use hyperring_net::{NetError, UdpConfig, UdpNetwork};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -105,4 +113,154 @@ fn lossless_wave_reports_clean_stats() {
 #[ignore = "paper-scale; run with --ignored (release profile recommended)"]
 fn loopback_wave_1000_nodes_under_loss() {
     lossy_wave(250, 750, 50, IdSpace::new(16, 4).unwrap());
+}
+
+/// An identifier of `space` that is not in `taken`.
+fn ghost(space: IdSpace, taken: &[NodeId]) -> NodeId {
+    (0..space.capacity().unwrap())
+        .map(|v| space.id_from_value(v).unwrap())
+        .find(|id| !taken.contains(id))
+        .expect("space has spare ids")
+}
+
+#[test]
+fn no_joiners_is_a_noop() {
+    let space = IdSpace::new(4, 3).unwrap();
+    let ids = distinct(space, 5, 7);
+    let members = build_consistent_tables(space, &ids);
+    let (tables, stats) = UdpNetwork::new(space, ProtocolOptions::new(), members.clone())
+        .run_joins(&[])
+        .expect("empty run quiesces");
+    assert_eq!(tables.len(), members.len());
+    assert!(check_consistency(space, &tables).is_consistent());
+    assert_eq!(stats.datagrams_sent, 0);
+}
+
+#[test]
+fn unknown_gateway_is_an_error() {
+    let space = IdSpace::new(4, 3).unwrap();
+    let ids = distinct(space, 4, 9);
+    let members = build_consistent_tables(space, &ids[..3]);
+    let ghost = ghost(space, &ids);
+    let err = UdpNetwork::new(space, ProtocolOptions::new(), members)
+        .run_joins(&[(ids[3], ghost)])
+        .unwrap_err();
+    assert_eq!(err, NetError::UnknownGateway(ghost));
+    assert!(err.to_string().contains("unknown gateway"));
+}
+
+#[test]
+fn duplicate_joiner_is_an_error() {
+    let space = IdSpace::new(4, 3).unwrap();
+    let ids = distinct(space, 4, 13);
+    let members = build_consistent_tables(space, &ids[..3]);
+    let err = UdpNetwork::new(space, ProtocolOptions::new(), members)
+        .run_joins(&[(ids[0], ids[1])])
+        .unwrap_err();
+    assert_eq!(err, NetError::DuplicateNode(ids[0]));
+}
+
+#[test]
+fn unknown_kill_target_is_an_error() {
+    let space = IdSpace::new(4, 3).unwrap();
+    let ids = distinct(space, 4, 17);
+    let members = build_consistent_tables(space, &ids[..3]);
+    let ghost = ghost(space, &ids);
+    let err = UdpNetwork::new(space, ProtocolOptions::new(), members)
+        .run_crash_scenario(&[], &[ghost], Duration::from_millis(10))
+        .unwrap_err();
+    assert_eq!(err, NetError::UnknownDestination(ghost));
+}
+
+#[test]
+fn retry_policy_and_trace_run_over_udp() {
+    // A timeout far below the loopback round trip forces real
+    // retransmissions, hence duplicates; the engine's duplicate-reply
+    // guards must keep the result consistent, and the shared trace stream
+    // must observe every joiner reach in_system.
+    let space = IdSpace::new(4, 4).unwrap();
+    let ids = distinct(space, 16, 21);
+    let members = build_consistent_tables(space, &ids[..10]);
+    let joiners: Vec<(NodeId, NodeId)> = ids[10..].iter().map(|&id| (id, ids[0])).collect();
+    // The retry budget (timeout x max_retries = 200 ms) is what a loop
+    // thread may be descheduled for on a busy host without stranding a
+    // joiner.
+    let opts = ProtocolOptions::new().with_retry(RetryPolicy {
+        timeout_us: 500,
+        max_retries: 400,
+        noti_repeats: 2,
+        ..RetryPolicy::default()
+    });
+    let sink = SharedSink::new(RingTrace::new(1 << 16));
+    let (tables, stats) = UdpNetwork::new(space, opts, members)
+        .with_trace(Box::new(sink.clone()))
+        .run_joins(&joiners)
+        .expect("run quiesces under retransmission");
+    assert!(check_consistency(space, &tables).is_consistent());
+    assert!(stats.timers_fired > 0, "no retry timer ever fired");
+    let ring = sink.lock();
+    let in_system = ring
+        .records()
+        .filter(|r| r.to_jsonl().contains("\"to\":\"in_system\""))
+        .count();
+    assert_eq!(in_system, joiners.len(), "every joiner traced in_system");
+}
+
+/// 10 members + 4 joiners through one gateway, every node probing its
+/// neighbors every 20 ms.
+fn detector_net() -> (IdSpace, Vec<NodeId>, Vec<(NodeId, NodeId)>, UdpNetwork) {
+    let space = IdSpace::new(4, 4).unwrap();
+    let ids = distinct(space, 14, 31);
+    let joiners = ids[10..].iter().map(|&id| (id, ids[0])).collect();
+    let opts = ProtocolOptions::new().with_failure_detector(FailureDetector {
+        probe_interval_us: 20_000,
+        suspicion_threshold: 3,
+        repair: true,
+        ..FailureDetector::default()
+    });
+    let net = UdpNetwork::new(space, opts, build_consistent_tables(space, &ids[..10]));
+    (space, ids, joiners, net)
+}
+
+#[test]
+fn run_joins_quiesces_with_a_failure_detector_armed() {
+    // The probe interval is below the settle window, so heartbeat that
+    // counted as progress would keep the supervisor waiting until its
+    // deadline.
+    let (space, _, joiners, net) = detector_net();
+    let config = UdpConfig {
+        quiesce_timeout: Duration::from_secs(5),
+        ..UdpConfig::default()
+    };
+    assert!(config.settle > Duration::from_millis(20));
+    let (tables, _) = net
+        .with_config(config)
+        .run_joins(&joiners)
+        .expect("heartbeat is not progress");
+    assert_eq!(tables.len(), 14);
+    assert!(check_consistency(space, &tables).is_consistent());
+}
+
+#[test]
+fn killed_nodes_are_detected_and_survivor_tables_repaired_over_udp() {
+    let (space, ids, joiners, net) = detector_net();
+    // Kill two members after all joins quiesce; give the survivors
+    // plenty of detection cycles (wall-clock timing is best-effort, so
+    // the grace period is generous relative to the probe interval).
+    let kills = [ids[1], ids[2]];
+    let (tables, _) = net
+        .run_crash_scenario(&joiners, &kills, Duration::from_millis(2_000))
+        .expect("crash scenario quiesces");
+    assert_eq!(tables.len(), 12, "both victims excluded from the result");
+    for t in &tables {
+        for dead in &kills {
+            assert!(
+                !t.iter().any(|(_, _, e)| e.node == *dead),
+                "{} still stores killed {dead}",
+                t.owner()
+            );
+        }
+    }
+    let report = check_consistency(space, &tables);
+    assert!(report.is_consistent(), "{report}");
 }

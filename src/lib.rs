@@ -20,7 +20,7 @@
 //! | [`analysis`] | `hyperring-analysis` | Theorems 3–5 in closed form |
 //! | [`sim`] | `hyperring-sim` | deterministic discrete-event simulator |
 //! | [`topology`] | `hyperring-topology` | transit-stub router topologies, latency models |
-//! | [`net`] | `hyperring-net` | threaded runtime (real concurrency) |
+//! | [`net`] | `hyperring-net` | socket runtimes (loopback UDP: racing event loops, lockstep twin of the simulator) |
 //! | [`object`] | `hyperring-object` | object location (publish/lookup, surrogate routing) |
 //! | [`harness`] | `hyperring-harness` | experiment drivers for every table/figure |
 //!

@@ -1,4 +1,4 @@
-//! The same engine drives the deterministic simulator and the threaded
+//! The same engine drives the deterministic simulator and the UDP socket
 //! runtime; both must uphold Theorem 1, and simulator runs must be exactly
 //! reproducible under a seed.
 
@@ -8,11 +8,11 @@ use hyperring::core::{
 };
 use hyperring::harness::distinct_ids;
 use hyperring::id::IdSpace;
-use hyperring::net::ThreadedNetwork;
+use hyperring::net::UdpNetwork;
 use hyperring::sim::UniformDelay;
 
 #[test]
-fn threaded_and_simulated_runs_both_consistent_and_reachable() {
+fn udp_and_simulated_runs_both_consistent_and_reachable() {
     let space = IdSpace::new(8, 5).unwrap();
     let ids = distinct_ids(space, 36, 55);
     let (v, w) = ids.split_at(24);
@@ -36,13 +36,13 @@ fn threaded_and_simulated_runs_both_consistent_and_reachable() {
     assert!(check_consistency(space, &sim_tables).is_consistent());
     assert!(check_reachability(&sim_tables).is_empty());
 
-    // Threaded run of the same workload.
+    // The same workload over real loopback sockets.
     let members = build_consistent_tables(space, v);
-    let threaded_tables = ThreadedNetwork::new(space, ProtocolOptions::new(), members)
+    let (udp_tables, _) = UdpNetwork::new(space, ProtocolOptions::new(), members)
         .run_joins(&joiners)
-        .expect("threaded run quiesces");
-    assert!(check_consistency(space, &threaded_tables).is_consistent());
-    assert!(check_reachability(&threaded_tables).is_empty());
+        .expect("socket run quiesces");
+    assert!(check_consistency(space, &udp_tables).is_consistent());
+    assert!(check_reachability(&udp_tables).is_empty());
 }
 
 #[test]
