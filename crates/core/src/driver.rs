@@ -12,6 +12,8 @@
 //! effect stream and the same [`DigestTrace`](crate::DigestTrace), which
 //! the lossless-socket parity test pins.
 
+use std::cell::Cell;
+
 use hyperring_id::NodeId;
 
 use crate::dispatch::{dispatch_effects, EffectHandler};
@@ -66,13 +68,21 @@ pub trait RuntimeDriver: EffectHandler {
     fn now_us(&self) -> u64;
 }
 
-/// One protocol engine plus its effect buffer and in-system bookkeeping —
-/// the per-node state every runtime carries, drained exclusively through
-/// [`drive`](Self::drive).
+thread_local! {
+    /// The effect buffer of whichever [`EngineDriver::drive`] call is
+    /// running on this thread. Effects never outlive the call that produced
+    /// them, so the buffer is scratch, not node state: one per thread keeps
+    /// the capacity of the largest burst once instead of once per node.
+    static SCRATCH: Cell<Effects> = const { Cell::new(Effects::new()) };
+}
+
+/// One protocol engine plus its in-system bookkeeping — the per-node state
+/// every runtime carries, driven exclusively through
+/// [`drive`](Self::drive). The effect buffer a drive fills and drains is
+/// per-thread scratch, not part of the node.
 #[derive(Debug)]
 pub struct EngineDriver {
     engine: JoinEngine,
-    effects: Effects,
     was_in_system: bool,
 }
 
@@ -82,7 +92,6 @@ impl EngineDriver {
         let was_in_system = engine.is_in_system();
         EngineDriver {
             engine,
-            effects: Effects::new(),
             was_in_system,
         }
     }
@@ -113,21 +122,24 @@ impl EngineDriver {
         rt: &mut R,
         trace: Option<&mut TraceStream>,
     ) -> StepReport {
+        // Taking the buffer leaves an empty one behind, so a handler that
+        // drives another node from inside `rt`, or a panic below, finds the
+        // slot valid; such a nested or unwound drive merely allocates.
+        let mut effects = SCRATCH.take();
         match input {
-            NodeInput::Deliver { from, msg } => self.engine.handle(from, msg, &mut self.effects),
-            NodeInput::TimerFired(id) => self
-                .engine
-                .on_event(Event::TimerFired { id }, &mut self.effects),
-            NodeInput::StartJoin { gateway } => self.engine.start_join(gateway, &mut self.effects),
-            NodeInput::BeginLeave => self.engine.begin_leave(&mut self.effects),
-            NodeInput::StartFailureDetector => {
-                self.engine.start_failure_detector(&mut self.effects)
+            NodeInput::Deliver { from, msg } => self.engine.handle(from, msg, &mut effects),
+            NodeInput::TimerFired(id) => {
+                self.engine.on_event(Event::TimerFired { id }, &mut effects)
             }
+            NodeInput::StartJoin { gateway } => self.engine.start_join(gateway, &mut effects),
+            NodeInput::BeginLeave => self.engine.begin_leave(&mut effects),
+            NodeInput::StartFailureDetector => self.engine.start_failure_detector(&mut effects),
         }
-        if !self.effects.is_empty() {
+        if !effects.is_empty() {
             let me = self.engine.id();
-            dispatch_effects(me, rt.now_us(), &mut self.effects, rt, trace);
+            dispatch_effects(me, rt.now_us(), &mut effects, rt, trace);
         }
+        SCRATCH.set(effects);
         let entered_system = !self.was_in_system && self.engine.status() == Status::InSystem;
         if entered_system {
             self.was_in_system = true;

@@ -170,8 +170,8 @@ pub struct Effects {
 
 impl Effects {
     /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Effects { items: Vec::new() }
     }
 
     pub(crate) fn push(&mut self, e: Effect) {

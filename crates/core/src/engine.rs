@@ -231,7 +231,7 @@ impl JoinEngine {
 
     /// Hashes the node's complete *protocol-relevant* state — status,
     /// notification level, table entries and recorded states, reverse
-    /// neighbors, all five queues, the copy cursor, and the live retry
+    /// neighbors, all six queues, the copy cursor, and the live retry
     /// timers — into `h`.
     ///
     /// Two engines with equal digests behave identically on any future
@@ -1462,6 +1462,14 @@ impl JoinEngine {
             return;
         }
         self.set_status(Status::InSystem, out);
+        // The join queues exist only while waiting/notifying (§4): `Q_r` and
+        // `Q_sr` are empty here, and `Q_n`/`Q_sn` are read only under those
+        // statuses, which an S-node never re-enters. Assigning (not
+        // `clear`ing) frees the tree nodes.
+        self.qr = BTreeSet::new();
+        self.qn = BTreeSet::new();
+        self.qsr = BTreeSet::new();
+        self.qsn = BTreeSet::new();
         let me = self.id;
         for i in 0..self.space.digit_count() {
             self.flip_state(i, me.digit(i), me, NodeState::S, out);

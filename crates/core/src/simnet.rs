@@ -75,31 +75,27 @@ pub enum SimMsg {
 /// every actor of one simulation.
 ///
 /// Actors address each other with the dense `usize` indices the simulator
-/// uses, so overlay-level `NodeId` destinations must be resolved once per
-/// send. The directory supports *growth* — a joiner can be injected into a
-/// live network ([`SimNetwork::add_joiner_live`]) without rebuilding every
-/// actor's view — which is what turns §6.1 sequential bootstrap from
-/// O(n²) rebuild work into O(n) incremental work. Indices are stable:
+/// uses, so overlay-level `NodeId` destinations are resolved once per
+/// send (replies skip even that: the simulator hands over the sender's
+/// index). The directory supports *growth* — a joiner can be injected into
+/// a live network ([`SimNetwork::add_joiner_live`]) by one map insert,
+/// without touching any actor — which is what keeps §6.1 sequential
+/// bootstrap at O(n) incremental work and O(n) memory. Indices are stable:
 /// entries are only ever appended, never moved or removed.
 ///
-/// The mapping is published as a shared [`Arc<HashMap>`] snapshot
-/// ([`snapshot`](Directory::snapshot)) that actors keep and probe
-/// lock-free on the send hot path; the (private) insert path swaps in a
-/// copy-on-write successor, and an actor re-snapshots only when a lookup
-/// misses (which can only happen after growth). Inserts are rare — once
-/// per [`SimNetwork::add_joiner_live`] — so paying a map clone there keeps
-/// every per-message lookup as cheap as an unsynchronized `HashMap` hit.
+/// There is one map, behind one lock that is never contended: the
+/// simulator is sequential, and the lock exists so that a `SimNetwork`
+/// stays `Send`.
 #[derive(Debug, Default)]
 pub struct Directory {
-    map: RwLock<Arc<HashMap<NodeId, usize>>>,
+    map: RwLock<HashMap<NodeId, usize>>,
 }
 
 impl Directory {
-    /// Wraps an already-built mapping (the builder's bulk path — no
-    /// per-entry copy-on-write).
+    /// Wraps an already-built mapping (the builder's bulk path).
     fn new(map: HashMap<NodeId, usize>) -> Self {
         Directory {
-            map: RwLock::new(Arc::new(map)),
+            map: RwLock::new(map),
         }
     }
 
@@ -108,48 +104,15 @@ impl Directory {
         self.map.read().unwrap().get(id).copied()
     }
 
-    /// The current mapping as a shared snapshot. Stale snapshots stay
-    /// valid (indices never move); they merely miss nodes added later.
-    pub fn snapshot(&self) -> Arc<HashMap<NodeId, usize>> {
-        Arc::clone(&self.map.read().unwrap())
-    }
-
-    /// Registers `id → idx` via copy-on-write; returns `false` when `id`
-    /// was already present (the mapping is left unchanged in that case).
+    /// Registers `id → idx`; returns `false` when `id` was already present
+    /// (the mapping is left unchanged in that case).
     fn insert(&self, id: NodeId, idx: usize) -> bool {
-        let mut guard = self.map.write().unwrap();
-        if guard.contains_key(&id) {
+        let mut map = self.map.write().unwrap();
+        if map.contains_key(&id) {
             return false;
         }
-        let mut next = HashMap::clone(&guard);
-        next.insert(id, idx);
-        *guard = Arc::new(next);
+        map.insert(id, idx);
         true
-    }
-
-    /// Registers a batch of consecutive ids (`base`, `base + 1`, …) in ONE
-    /// copy-on-write step. Actors hold on to whichever snapshot they last
-    /// resolved against, so every distinct map version can stay live at
-    /// once; inserting a join wave per-id would publish `wave` versions of
-    /// an O(n) map where one suffices — the difference between O(n²) and
-    /// O(n · waves) peak memory over a large bootstrap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id is already present (the batch is applied
-    /// all-or-nothing only in the sense that the panic fires before the
-    /// new map is published).
-    fn insert_batch(&self, ids: &[NodeId], base: usize) {
-        let mut guard = self.map.write().unwrap();
-        let mut next = HashMap::clone(&guard);
-        next.reserve(ids.len());
-        for (off, &id) in ids.iter().enumerate() {
-            assert!(
-                next.insert(id, base + off).is_none(),
-                "duplicate node identifier"
-            );
-        }
-        *guard = Arc::new(next);
     }
 
     /// Number of registered nodes.
@@ -163,16 +126,12 @@ impl Directory {
     }
 }
 
-/// One simulated overlay node: a driven engine plus the shared address
-/// directory.
+/// One simulated overlay node: a driven engine plus a handle on the
+/// network's one shared address directory.
 #[derive(Debug)]
 pub struct SimNode {
     node: EngineDriver,
     dir: Arc<Directory>,
-    /// The directory snapshot this node resolves against, probed
-    /// lock-free on every send and refreshed only when a lookup misses
-    /// (i.e. after the network grew).
-    dir_map: Arc<HashMap<NodeId, usize>>,
     /// The run-global trace stream, shared by every node of a traced
     /// network; locked only while a node drives an input.
     trace: Option<Arc<Mutex<TraceStream>>>,
@@ -187,7 +146,6 @@ impl SimNode {
         SimNode {
             node: EngineDriver::new(engine),
             dir: Arc::clone(dir),
-            dir_map: dir.snapshot(),
             trace,
         }
     }
@@ -213,7 +171,6 @@ impl SimNode {
             reply_to,
             from_idx,
             dir: &self.dir,
-            dir_map: &mut self.dir_map,
         };
         match &self.trace {
             Some(stream) => {
@@ -237,7 +194,6 @@ struct SimHandler<'a, 'c> {
     reply_to: Option<NodeId>,
     from_idx: usize,
     dir: &'a Directory,
-    dir_map: &'a mut Arc<HashMap<NodeId, usize>>,
 }
 
 impl RuntimeDriver for SimHandler<'_, '_> {
@@ -253,15 +209,9 @@ impl EffectHandler for SimHandler<'_, '_> {
         // skip the directory lookup entirely.
         let idx = if self.reply_to == Some(to) {
             self.from_idx
-        } else if let Some(&i) = self.dir_map.get(&to) {
-            i
         } else {
-            // Fall back to one re-snapshot of the shared directory (the
-            // destination may have joined after our snapshot was taken).
-            *self.dir_map = self.dir.snapshot();
-            self.dir_map
-                .get(&to)
-                .copied()
+            self.dir
+                .resolve(&to)
                 .unwrap_or_else(|| panic!("message addressed to unknown node {to}"))
         };
         self.ctx.send(idx, SimMsg::Proto { from: self.me, msg });
@@ -643,9 +593,11 @@ impl<D: DelayModel> SimNetwork<D> {
     /// simulator, and schedules its `Start` through `gateway` at the
     /// current virtual time. Returns the new actor's dense index.
     ///
-    /// Existing actors, queued events, and tables are untouched — this is
-    /// the O(1)-per-join path that [`bootstrap_sequential`] uses instead
-    /// of rebuilding the whole network for every join.
+    /// Existing actors, queued events, and tables are untouched: a join
+    /// costs one insert into the shared directory map and one actor
+    /// appended, amortized O(1) in time and memory, which is what lets
+    /// [`bootstrap_sequential`] grow one network instead of rebuilding it
+    /// for every join.
     ///
     /// # Panics
     ///
@@ -672,40 +624,18 @@ impl<D: DelayModel> SimNetwork<D> {
         idx
     }
 
-    /// Injects a whole wave of joiners at once, all starting through
-    /// `gateway` at the current virtual time. Equivalent to calling
-    /// [`add_joiner_live`](Self::add_joiner_live) for each id in order
-    /// (same actor indices, same event order, bit-identical runs), but the
-    /// shared [`Directory`] is grown in ONE copy-on-write step instead of
-    /// one per joiner — per-id inserts leave every intermediate map
-    /// version alive in some actor's snapshot, which is O(n²) peak memory
-    /// over a large bootstrap. Returns the first new actor index.
+    /// Injects a whole wave of joiners, all starting through `gateway` at
+    /// the current virtual time: [`add_joiner_live`](Self::add_joiner_live)
+    /// for each id in order. Returns the first new actor index.
     ///
     /// # Panics
     ///
-    /// As [`add_joiner_live`](Self::add_joiner_live).
+    /// As [`add_joiner_live`](Self::add_joiner_live), for any id of the
+    /// wave (ids before the offending one have been added by then).
     pub fn add_joiners_live(&mut self, ids: &[NodeId], gateway: NodeId) -> usize {
-        assert!(
-            self.dir.resolve(&gateway).is_some(),
-            "gateway {gateway} unknown"
-        );
         let base = self.sim.len();
-        for id in ids {
-            assert_ne!(*id, gateway, "node cannot join via itself");
-        }
-        self.dir.insert_batch(ids, base);
-        self.ids.extend_from_slice(ids);
-        self.joiner_count += ids.len();
-        let now = self.sim.now();
-        for (off, &id) in ids.iter().enumerate() {
-            let added = self.sim.add_actor(SimNode::new(
-                JoinEngine::new_joiner(self.space, self.opts, id),
-                &self.dir,
-                self.trace.clone(),
-            ));
-            debug_assert_eq!(added, base + off);
-            self.sim
-                .inject_at(now, base + off, base + off, SimMsg::Start { gateway });
+        for &id in ids {
+            self.add_joiner_live(id, gateway);
         }
         base
     }
@@ -724,8 +654,8 @@ impl<D: DelayModel> SimNetwork<D> {
 /// instead of O(rebuild everything). The result is identical to
 /// rebuilding a fresh network from the tables so far before every join: a
 /// completed joiner's engine differs from a freshly constructed member
-/// only in history bookkeeping (`Q_n`, `Q_sn`, `noti_level`, statistics)
-/// that no *in_system*-status code path reads, and in a sequential
+/// only in history bookkeeping (`noti_level`, statistics) that no
+/// *in_system*-status code path reads, and in a sequential
 /// bootstrap no join traffic crosses a quiescence boundary. The
 /// `golden_sequential_bootstrap` digest pins the output, entries and
 /// reverse sets.
@@ -747,7 +677,12 @@ pub fn bootstrap_sequential(
     for id in &ids[1..] {
         net.add_joiner_live(*id, seed_node);
         net.run();
-        assert!(net.all_in_system(), "sequential join failed to terminate");
+        // Earlier joiners were asserted on their own turn and `in_system`
+        // is absorbing here, so only the newcomer needs looking at.
+        assert!(
+            net.engine(id).is_in_system(),
+            "sequential join failed to terminate"
+        );
     }
     net.tables()
 }
@@ -812,6 +747,7 @@ pub fn bootstrap_batched_net(
 mod tests {
     use super::*;
     use crate::consistency::check_consistency;
+    use crate::digest::tables_digest;
     use hyperring_sim::{ConstantDelay, UniformDelay};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1132,6 +1068,52 @@ mod tests {
         let mut net = b.build(ConstantDelay(1), 0);
         net.run();
         net.add_joiner_live(v[2], v[0]);
+    }
+
+    #[test]
+    fn a_wave_equals_its_joins_one_by_one() {
+        let sp = IdSpace::new(4, 6).unwrap();
+        let ids = distinct_ids(sp, 30, 21);
+        let (v, w) = ids.split_at(10);
+        let grow = |wave: bool| {
+            let mut b = SimNetworkBuilder::new(sp);
+            for id in v {
+                b.add_member(*id);
+            }
+            let mut net = b.build(UniformDelay::new(100, 200_000), 4);
+            let returned: Vec<usize> = if wave {
+                let base = net.add_joiners_live(w, v[0]);
+                (base..base + w.len()).collect()
+            } else {
+                w.iter().map(|id| net.add_joiner_live(*id, v[0])).collect()
+            };
+            let report = net.run();
+            assert!(net.all_in_system());
+            let actors: Vec<usize> = w.iter().map(|id| net.dir.resolve(id).unwrap()).collect();
+            assert_eq!(returned, actors);
+            (actors, report.delivered, tables_digest(&net.tables()))
+        };
+        assert_eq!(grow(true), grow(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate node identifier")]
+    fn add_joiners_live_rejects_an_id_already_in_the_network() {
+        let mut b = SimNetworkBuilder::new(space());
+        let v = paper_members(&mut b);
+        let mut net = b.build(ConstantDelay(1), 0);
+        let fresh = space().parse_id("10261").unwrap();
+        net.add_joiners_live(&[fresh, v[2]], v[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate node identifier")]
+    fn add_joiners_live_rejects_an_id_repeated_in_the_wave() {
+        let mut b = SimNetworkBuilder::new(space());
+        let v = paper_members(&mut b);
+        let mut net = b.build(ConstantDelay(1), 0);
+        let fresh = space().parse_id("10261").unwrap();
+        net.add_joiners_live(&[fresh, fresh], v[0]);
     }
 
     #[test]

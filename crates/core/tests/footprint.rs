@@ -1,0 +1,197 @@
+//! Heap footprint of a grown network, counted exactly.
+//!
+//! A node's durable state is its table plus reverse-neighbor sets; effect
+//! buffers, join queues and directory versions are scratch and must not
+//! accumulate per node or per join. These tests pin that with a counting
+//! allocator instead of RSS, so the numbers repeat to the byte on any
+//! host. Counters are per thread: each test measures only the allocations
+//! of its own (single-threaded) simulation, whatever else the harness runs
+//! beside it.
+//!
+//! `cargo test -p hyperring-core --test footprint -- --nocapture` prints
+//! live bytes, the peak, and the live blocks by allocation size.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::RefCell;
+
+use hyperring_core::{
+    bootstrap_batched_net, bootstrap_sequential, check_consistency, ProtocolOptions,
+};
+use hyperring_id::{IdSpace, NodeId};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Distinct allocation sizes the histogram can hold; further sizes are
+/// left out of it (the byte totals stay exact).
+const SLOTS: usize = 1024;
+
+/// One thread's heap: bytes live, their high-water mark, and live blocks
+/// by requested size (open addressing, size 0 marks a free slot).
+struct Heap {
+    live: isize,
+    peak: isize,
+    blocks: [(usize, isize); SLOTS],
+}
+
+impl Heap {
+    /// Books one block of `size` bytes allocated (`sign` = 1) or freed
+    /// (`sign` = -1). Must not allocate.
+    fn book(&mut self, size: usize, sign: isize) {
+        self.live += sign * size as isize;
+        self.peak = self.peak.max(self.live);
+        let mut i = size % SLOTS;
+        for _ in 0..SLOTS {
+            let slot = &mut self.blocks[i];
+            if slot.0 == size || slot.0 == 0 {
+                *slot = (size, slot.1 + sign);
+                return;
+            }
+            i = (i + 1) % SLOTS;
+        }
+    }
+}
+
+thread_local! {
+    // Const-initialized and without a destructor, so touching it from
+    // inside the allocator neither allocates nor outlives the thread.
+    static HEAP: RefCell<Heap> = const {
+        RefCell::new(Heap { live: 0, peak: 0, blocks: [(0, 0); SLOTS] })
+    };
+}
+
+fn book(size: usize, sign: isize) {
+    let _ = HEAP.try_with(|h| h.borrow_mut().book(size, sign));
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the bookkeeping around it touches only a
+// thread-local and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's obligations are passed on as they are.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            book(layout.size(), 1);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        book(layout.size(), -1);
+        // SAFETY: `p` came from `System` with this `layout`, as above.
+        unsafe { System.dealloc(p, layout) }
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `p` came from `System` with this `layout`, as above.
+        let q = unsafe { System.realloc(p, layout, new_size) };
+        if !q.is_null() {
+            book(layout.size(), -1);
+            book(new_size, 1);
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// A measurement window on this thread's heap, opened by [`Window::open`].
+struct Window {
+    base: isize,
+}
+
+impl Window {
+    /// Starts a window: live bytes and the peak count from here.
+    fn open() -> Self {
+        HEAP.with(|h| {
+            let mut h = h.borrow_mut();
+            h.peak = h.live;
+            Window { base: h.live }
+        })
+    }
+
+    /// Bytes allocated since `open` and still live.
+    fn live(&self) -> usize {
+        HEAP.with(|h| (h.borrow().live - self.base).max(0) as usize)
+    }
+
+    /// The most bytes that were live at once since `open`.
+    fn peak(&self) -> usize {
+        HEAP.with(|h| (h.borrow().peak - self.base).max(0) as usize)
+    }
+
+    /// Prints the totals and the twelve sizes holding the most live bytes
+    /// on this thread (visible under `--nocapture`).
+    fn print(&self, what: &str, nodes: usize) {
+        let mut rows: Vec<(usize, isize)> = HEAP.with(|h| {
+            let blocks = h.borrow().blocks;
+            blocks.into_iter().filter(|&(_, n)| n > 0).collect()
+        });
+        rows.sort_by_key(|&(size, n)| std::cmp::Reverse(size as isize * n));
+        println!(
+            "{what}: live {} B ({} B/node), peak {} B",
+            self.live(),
+            self.live() / nodes,
+            self.peak()
+        );
+        println!("{:>10} {:>8} {:>12}", "size B", "blocks", "bytes");
+        for (size, n) in rows.into_iter().take(12) {
+            println!("{size:>10} {n:>8} {:>12}", size as isize * n);
+        }
+    }
+}
+
+fn space() -> IdSpace {
+    IdSpace::new(16, 8).unwrap()
+}
+
+fn distinct(space: IdSpace, n: usize, seed: u64) -> Vec<NodeId> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut seen = std::collections::HashSet::with_capacity(n);
+    let mut ids = Vec::with_capacity(n);
+    while ids.len() < n {
+        let id = space.random_id(&mut rng);
+        if seen.insert(id) {
+            ids.push(id);
+        }
+    }
+    ids
+}
+
+/// A network grown in concurrent waves keeps, at quiescence, its tables
+/// and little else: at most 5 KiB of heap per node for a 128-slot table.
+#[test]
+fn quiescent_network_holds_under_5_kib_per_node() {
+    const N: usize = 2048;
+    let ids = distinct(space(), N, 7);
+    let heap = Window::open();
+    let net = bootstrap_batched_net(space(), ProtocolOptions::new(), &ids, 256);
+    let per_node = heap.live() / N;
+    heap.print("batched bootstrap, n=2048, waves of 256", N);
+    assert!(
+        per_node <= 5 * 1024,
+        "{per_node} B of live heap per node at quiescence"
+    );
+    let report = net.check_consistency();
+    assert!(report.is_consistent(), "{report}");
+}
+
+/// §6.1 growth, one join at a time: memory follows the network, not the
+/// number of joins performed — no per-join copy of anything O(n) survives.
+#[test]
+fn sequential_bootstrap_peaks_under_8_mib() {
+    const N: usize = 1024;
+    let ids = distinct(space(), N, 11);
+    let heap = Window::open();
+    let tables = bootstrap_sequential(space(), ProtocolOptions::new(), &ids);
+    let peak = heap.peak();
+    heap.print("sequential bootstrap, n=1024", N);
+    assert!(
+        peak <= 8 << 20,
+        "{peak} B of heap live at once during a sequential bootstrap"
+    );
+    assert!(check_consistency(space(), &tables).is_consistent());
+}

@@ -22,6 +22,10 @@ use std::path::Path;
 use hyperring_harness::experiments::{run_scale, ScaleConfig};
 use hyperring_harness::{report, Table, TrialOpts};
 
+fn mib(bytes: u64) -> f64 {
+    bytes as f64 / (1024.0 * 1024.0)
+}
+
 fn main() {
     let opts = TrialOpts::from_env();
     let smoke = opts.has_flag("--smoke");
@@ -63,18 +67,18 @@ fn main() {
             "bootstrap failed sampled reachability at n={n}"
         );
         if rss_budget_mib > 0 {
-            let peak_mib = r.peak_rss_bytes / (1024 * 1024);
             assert!(
-                peak_mib <= rss_budget_mib,
-                "peak RSS {peak_mib} MiB exceeds budget {rss_budget_mib} MiB at n={n}"
+                r.peak_rss_bytes <= rss_budget_mib.saturating_mul(1 << 20),
+                "peak RSS {:.1} MiB exceeds budget {rss_budget_mib} MiB at n={n}",
+                mib(r.peak_rss_bytes)
             );
         }
         if check_rss_budget_mib > 0 {
-            let delta_mib = r.check_rss_delta_bytes / (1024 * 1024);
             assert!(
-                delta_mib <= check_rss_budget_mib,
-                "check-phase RSS delta {delta_mib} MiB exceeds budget \
-                 {check_rss_budget_mib} MiB at n={n}"
+                r.check_rss_delta_bytes <= check_rss_budget_mib.saturating_mul(1 << 20),
+                "check-phase RSS delta {:.2} MiB exceeds budget \
+                 {check_rss_budget_mib} MiB at n={n}",
+                mib(r.check_rss_delta_bytes)
             );
         }
         t.row([
@@ -82,9 +86,9 @@ fn main() {
             batch.to_string(),
             format!("{:.2}", r.wall_secs),
             format!("{:.0}", r.nodes_per_sec),
-            format!("{:.1}", r.peak_rss_bytes as f64 / (1024.0 * 1024.0)),
+            format!("{:.1}", mib(r.peak_rss_bytes)),
             format!("{:.2}", r.check_wall_secs),
-            format!("{:.2}", r.check_rss_delta_bytes as f64 / (1024.0 * 1024.0)),
+            format!("{:.2}", mib(r.check_rss_delta_bytes)),
             if r.sampled_pairs == 0 {
                 "-".to_string()
             } else {
