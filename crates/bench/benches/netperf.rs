@@ -53,7 +53,6 @@ fn run_wave(space: IdSpace, n: usize, seed: u64) -> Row {
     let opts = ProtocolOptions::new().with_retry(RetryPolicy {
         timeout_us: 100_000,
         max_retries: 20,
-        noti_repeats: 6,
         ..RetryPolicy::default()
     });
     let config = UdpConfig {

@@ -39,14 +39,14 @@ pub enum TimerId {
         /// The node the special notification is about.
         subject: NodeId,
     },
-    /// Bounded blind retransmit of a `RvNghNotiMsg` to `peer` (the reply
-    /// is conditional, so delivery cannot be confirmed).
+    /// A `RvNghNotiMsg` to `peer` awaits its `RvNghNotiRlyMsg` (sent
+    /// unconditionally under a retry policy).
     RvNgh {
         /// The stored neighbor.
         peer: NodeId,
     },
-    /// Bounded blind retransmit of an `InSysNotiMsg` to `peer` (never
-    /// acknowledged).
+    /// An `InSysNotiMsg` to `peer` awaits the `PongMsg` that
+    /// acknowledges it.
     InSys {
         /// The reverse neighbor.
         peer: NodeId,

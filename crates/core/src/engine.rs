@@ -229,6 +229,13 @@ impl JoinEngine {
         &self.stats
     }
 
+    /// The retry timers currently guarding an unanswered request. Empty
+    /// without a [`RetryPolicy`](crate::RetryPolicy), and empty again once
+    /// every request was answered or gave up.
+    pub fn live_timers(&self) -> impl Iterator<Item = TimerId> + '_ {
+        self.retries.keys().copied()
+    }
+
     /// Hashes the node's complete *protocol-relevant* state — status,
     /// notification level, table entries and recorded states, reverse
     /// neighbors, all six queues, the copy cursor, and the live retry
@@ -336,8 +343,22 @@ impl JoinEngine {
             Message::RvNghForget => {
                 self.table.remove_reverse(&from);
             }
-            Message::Ping => self.post(out, from, Message::Pong),
-            Message::Pong => self.fd.pong(from),
+            Message::Ping => {
+                if self.opts.retry.is_some() {
+                    // `Pong` also acknowledges `InSysNoti`, so it must never
+                    // be sent while `from` is still recorded `T` here. Only
+                    // S-nodes probe: a `Ping` is as good as the
+                    // notification, and answering it as one keeps every
+                    // `Pong` a sound acknowledgement.
+                    self.on_insysnoti(from, out);
+                } else {
+                    self.post(out, from, Message::Pong);
+                }
+            }
+            Message::Pong => {
+                self.fd.pong(from);
+                self.disarm(out, TimerId::InSys { peer: from });
+            }
             Message::RepairQry {
                 origin,
                 target,
@@ -744,13 +765,7 @@ impl JoinEngine {
         to: NodeState,
         out: &mut Effects,
     ) {
-        let prior = self
-            .table
-            .get(level, digit)
-            .filter(|e| e.node == node)
-            .map(|e| e.state);
-        self.table.set_state_if(level, digit, &node, to);
-        if prior.is_some() && prior != Some(to) {
+        if self.table.set_state_if(level, digit, &node, to) {
             self.trace(
                 out,
                 ProtocolEvent::StateFlipped {
@@ -848,7 +863,7 @@ impl JoinEngine {
             }
             TimerId::JoinWait { peer } | TimerId::JoinNoti { peer } => self.qr.contains(&peer),
             TimerId::SpeNoti { subject } => self.qsr.contains(&subject),
-            TimerId::RvNgh { peer } => self.table.iter().any(|(_, _, e)| e.node == peer),
+            TimerId::RvNgh { peer } => self.table.stores(&peer),
             TimerId::InSys { .. } => self.status == Status::InSystem,
             TimerId::FdProbe { .. } => unreachable!("dispatched before the retry gate"),
         };
@@ -856,11 +871,7 @@ impl JoinEngine {
             self.retries.remove(&id);
             return;
         }
-        let limit = match id {
-            TimerId::RvNgh { .. } | TimerId::InSys { .. } => rp.noti_repeats,
-            _ => rp.max_retries,
-        };
-        if attempt >= limit {
+        if attempt >= rp.max_retries {
             self.retries.remove(&id);
             self.trace(out, ProtocolEvent::RetriesExhausted { timer: id });
             if rp.join_fallback {
@@ -913,14 +924,8 @@ impl JoinEngine {
             TimerId::FdProbe { .. } => unreachable!("dispatched before the retry gate"),
         }
         self.retries.insert(id, attempt + 1);
-        // Reply-awaiting requests back off (a silent peer will not answer
-        // a faster drumbeat); blind notification repeats keep their fixed
-        // spacing so a lossless run's schedule never depends on the
-        // backoff knobs.
-        let delay_hint = match id {
-            TimerId::RvNgh { .. } | TimerId::InSys { .. } => rp.timeout_us,
-            _ => rp.retry_delay(self.timer_salt(id), attempt + 1),
-        };
+        // A silent peer will not answer a faster drumbeat: back off.
+        let delay_hint = rp.retry_delay(self.timer_salt(id), attempt + 1);
         out.push(Effect::SetTimer { id, delay_hint });
         self.trace(
             out,
@@ -1022,7 +1027,7 @@ impl JoinEngine {
         };
         // Forget every reply we were waiting on and cancel the timers
         // guarding them; `qn` is kept so already-notified nodes are not
-        // re-notified, and RvNgh/InSys repeats for entries already
+        // re-notified, and RvNgh/InSys retransmissions for entries already
         // installed stay valid.
         let stale: Vec<TimerId> = self
             .retries
@@ -1537,6 +1542,10 @@ impl JoinEngine {
     fn on_insysnoti(&mut self, from: NodeId, out: &mut Effects) {
         let k = self.id.csuf_len(&from);
         self.flip_state(k, from.digit(k), from, NodeState::S, out);
+        if self.opts.retry.is_some() {
+            // The acknowledgement that cancels the sender's `InSys` timer.
+            self.post(out, from, Message::Pong);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1549,12 +1558,33 @@ impl JoinEngine {
         // neighbor of us.
         let k = self.id.csuf_len(&from);
         self.table.add_reverse(k, self.id.digit(k), from);
-        let actual = if self.status == Status::InSystem {
+        let in_system = self.status == Status::InSystem;
+        let actual = if in_system {
             NodeState::S
         } else {
             NodeState::T
         };
-        if actual != recorded {
+        // Crash-churn extension: a node that stores us and fits a slot we
+        // hold empty fills it — `check_ngh_table`'s rule for third-party
+        // snapshots, applied to the sender. After an eviction this is how
+        // a joiner admitted around the dead node becomes known to the
+        // survivors it stores (ROADMAP item 1, defect (ii)). The `T` is
+        // corrected by the `RvNghNoti` round `install` starts.
+        if in_system
+            && self.opts.failure_detector.is_some()
+            && self.table.get(k, from.digit(k)).is_none()
+            && !self.repair.is_condemned(&from)
+        {
+            let entry = Entry {
+                node: from,
+                state: NodeState::T,
+            };
+            self.install(k, from.digit(k), entry, true, out);
+        }
+        // The paper replies only on a mismatch; under a retry policy the
+        // reply doubles as the acknowledgement that cancels the sender's
+        // `RvNgh` timer, so it is unconditional.
+        if actual != recorded || self.opts.retry.is_some() {
             self.post(out, from, Message::RvNghNotiRly { actual });
         }
     }
@@ -1565,7 +1595,8 @@ impl JoinEngine {
         if self.opts.retry.is_some() && actual != NodeState::S {
             // Under retransmission a stale duplicate could otherwise
             // permanently downgrade S back to T; the S-ward direction is
-            // re-driven by InSysNoti repeats, the T-ward one is not.
+            // re-driven by InSysNoti until acknowledged, the T-ward one is
+            // not.
             return;
         }
         self.flip_state(k, from.digit(k), from, actual, out);
@@ -1801,7 +1832,6 @@ mod tests {
         let opts = ProtocolOptions::new().with_retry(crate::options::RetryPolicy {
             timeout_us: 777,
             max_retries: 3,
-            noti_repeats: 2,
             ..Default::default()
         });
         let mut e = JoinEngine::new_joiner(space, opts, b);
@@ -1823,7 +1853,6 @@ mod tests {
             .with_retry(crate::options::RetryPolicy {
                 timeout_us: 100,
                 max_retries: 2,
-                noti_repeats: 1,
                 ..Default::default()
             })
             .with_trace();

@@ -19,26 +19,29 @@ pub enum PayloadMode {
 /// transport (the paper assumes reliable delivery; this is the engineering
 /// extension that makes the assumption hold in practice).
 ///
-/// With a policy installed, the engine guards every request awaiting a
-/// reply (`CpRstMsg`, `JoinWaitMsg`, `JoinNotiMsg`, `SpeNotiMsg`) with a
-/// timer and retransmits up to [`max_retries`](RetryPolicy::max_retries)
-/// times, and blindly repeats the unacknowledged state notifications
-/// (`RvNghNotiMsg`, `InSysNotiMsg`)
-/// [`noti_repeats`](RetryPolicy::noti_repeats) times.
+/// With a policy installed, the engine guards every request (`CpRstMsg`,
+/// `JoinWaitMsg`, `JoinNotiMsg`, `SpeNotiMsg` and the state notifications
+/// `RvNghNotiMsg`, `InSysNotiMsg`) with a timer and retransmits up to
+/// [`max_retries`](RetryPolicy::max_retries) times until the reply
+/// arrives. The paper answers a `RvNghNotiMsg` only on a state mismatch
+/// and an `InSysNotiMsg` never; under a policy the receiver always
+/// acknowledges them (`RvNghNotiRlyMsg`, `PongMsg`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Microseconds to wait for a reply before retransmitting.
     pub timeout_us: u64,
-    /// Maximum retransmissions of a reply-awaiting request.
+    /// Maximum retransmissions of a request.
     pub max_retries: u32,
-    /// Bounded blind repeats of the unacknowledged notifications.
+    // Read nowhere (notifications are acknowledged like every other
+    // request): the frozen `benchmark/` sets it in a struct literal.
+    // Goes with the thaw (ROADMAP item 5).
+    #[doc(hidden)]
     pub noti_repeats: u32,
-    /// Per-retransmission growth of the reply-awaiting timeout, in
-    /// percent: 100 (the default) keeps the classic fixed spacing, 200
-    /// doubles the wait after every unanswered retransmission. Blind
-    /// notification repeats keep their fixed [`timeout_us`](Self::timeout_us) spacing —
-    /// they are pacing, not a congestion response — so a lossless run is
-    /// bit-identical whatever this is set to.
+    /// Per-retransmission growth of the timeout, in percent: 100 (the
+    /// default) keeps the classic fixed spacing, 200 doubles the wait
+    /// after every unanswered retransmission. A lossless run whose
+    /// replies beat the first timeout is bit-identical whatever this is
+    /// set to.
     pub backoff_pct: u32,
     /// Upper bound on a backed-off timeout (ignored at the default
     /// `backoff_pct = 100`).
@@ -73,8 +76,8 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The delay before retransmission `attempt` of a reply-awaiting
-    /// request fires (`attempt` 0 is the initial arm). With the default
+    /// The delay before retransmission `attempt` of a request fires
+    /// (`attempt` 0 is the initial arm). With the default
     /// `backoff_pct = 100` this is always [`timeout_us`](Self::timeout_us);
     /// otherwise the delay grows `backoff_pct`% per attempt, saturating
     /// at [`max_timeout_us`](Self::max_timeout_us), and is then shifted

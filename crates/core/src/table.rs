@@ -501,7 +501,9 @@ impl NeighborTable {
     }
 
     /// Updates the recorded state of the `(level, digit)` entry if it
-    /// currently stores `node`. Returns whether an update happened.
+    /// currently stores `node`. Returns whether the state changed: asking
+    /// for the state the slot already records costs one slot read, looks
+    /// no identifier up and leaves the snapshot and the version alone.
     pub fn set_state_if(
         &mut self,
         level: usize,
@@ -511,13 +513,13 @@ impl NeighborTable {
     ) -> bool {
         let s = self.slot(level, digit);
         let raw = self.slots[s];
-        if raw != EMPTY && self.arena.lookup(node) == Some(raw & IDX_MASK) {
-            self.slots[s] = (raw & IDX_MASK) | if state == NodeState::S { S_BIT } else { 0 };
-            self.invalidate_snapshot();
-            true
-        } else {
-            false
+        let new = (raw & IDX_MASK) | if state == NodeState::S { S_BIT } else { 0 };
+        if raw == EMPTY || new == raw || self.arena.lookup(node) != Some(raw & IDX_MASK) {
+            return false;
         }
+        self.slots[s] = new;
+        self.invalidate_snapshot();
+        true
     }
 
     /// Whether `node` may legally occupy entry `(level, digit)`: it shares
@@ -1124,6 +1126,12 @@ mod tests {
         assert_eq!(t.version(), v2);
         assert!(t.set_state_if(1, 3, &id("21233"), NodeState::T));
         assert_ne!(t.version(), v2);
+        // Asking for the state the entry already has is not a change:
+        // the memoized snapshot survives too.
+        let (v3, snap) = (t.version(), t.snapshot());
+        assert!(!t.set_state_if(1, 3, &id("21233"), NodeState::T));
+        assert_eq!(t.version(), v3);
+        assert_eq!(t.snapshot().rows().as_ptr(), snap.rows().as_ptr());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the timeout/retransmission layer restores that assumption on top of a
 //! lossy substrate.
 
-use hyperring_core::{ProtocolOptions, RetryPolicy, SimNetworkBuilder};
+use hyperring_core::{NodeState, ProtocolOptions, RetryPolicy, SimNetworkBuilder};
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::{FaultyDelay, UniformDelay};
 use proptest::prelude::*;
@@ -45,7 +45,6 @@ fn sixty_four_nodes_join_through_ten_percent_drop() {
     b.options(ProtocolOptions::new().with_retry(RetryPolicy {
         timeout_us: 300_000,
         max_retries: 30,
-        noti_repeats: 6,
         ..RetryPolicy::default()
     }));
     let delay = FaultyDelay::new(UniformDelay::new(1_000, 50_000), 0.10, 0.02);
@@ -66,6 +65,56 @@ fn sixty_four_nodes_join_through_ten_percent_drop() {
     );
     let rep = net.check_consistency();
     assert!(rep.is_consistent(), "{rep}");
+}
+
+/// 20% loss and 5% duplication: every notification is acknowledged or
+/// gives up, so at quiescence no engine still guards a request, the
+/// tables satisfy Definition 3.8, and — `InSysNoti` being retransmitted
+/// until its `Pong` arrives — every storer records every node as `S`.
+#[test]
+fn heavy_loss_leaves_no_live_timer_and_no_t_state_behind() {
+    let space = IdSpace::new(4, 6).unwrap();
+    let ids = distinct(space, 40, 7);
+    let (v, w) = ids.split_at(10);
+    for seed in 0..4 {
+        let mut b = SimNetworkBuilder::new(space);
+        for id in v {
+            b.add_member(*id);
+        }
+        for id in w {
+            b.add_joiner(*id, v[0], 0);
+        }
+        b.options(ProtocolOptions::new().with_retry(RetryPolicy {
+            timeout_us: 300_000,
+            max_retries: 40,
+            ..RetryPolicy::default()
+        }));
+        let delay = FaultyDelay::new(UniformDelay::new(1_000, 50_000), 0.20, 0.05);
+        let mut net = b.build(delay, seed);
+        let report = net.run();
+        assert!(!report.truncated, "seed {seed}: run failed to quiesce");
+        assert!(report.dropped > 0 && report.duplicated > 0);
+        assert!(net.all_in_system(), "seed {seed}: a joiner stalled");
+        for e in net.engines() {
+            let live: Vec<_> = e.live_timers().collect();
+            assert!(
+                live.is_empty(),
+                "seed {seed}: {} still guards {live:?}",
+                e.id()
+            );
+            for (level, digit, entry) in e.table().iter() {
+                assert_eq!(
+                    entry.state,
+                    NodeState::S,
+                    "seed {seed}: {} records {} as T at ({level}, {digit})",
+                    e.id(),
+                    entry.node
+                );
+            }
+        }
+        let rep = net.check_consistency();
+        assert!(rep.is_consistent(), "seed {seed}: {rep}");
+    }
 }
 
 /// Without a retry policy the same lossy network strands joiners: the
@@ -124,7 +173,6 @@ proptest! {
         b.options(ProtocolOptions::new().with_retry(RetryPolicy {
             timeout_us: 200_000,
             max_retries: 40,
-            noti_repeats: 8,
             ..RetryPolicy::default()
         }));
         let delay = FaultyDelay::new(

@@ -12,8 +12,8 @@
 use std::sync::{Arc, Mutex};
 
 use hyperring_core::{
-    FailureDetector, ProtocolEvent, ProtocolOptions, RetryPolicy, SimNetworkBuilder, Status,
-    TraceRecord, TraceSink,
+    check_consistency, FailureDetector, ProtocolEvent, ProtocolOptions, RetryPolicy,
+    SimNetworkBuilder, Status, TraceRecord, TraceSink,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::{ConstantDelay, UniformDelay};
@@ -187,4 +187,85 @@ fn gateway_crash_mid_join_reroutes_with_fallback() {
         "only {rescued}/12 seeds were rescued by the fallback — the crash no longer lands \
          mid-join; retune the schedule so this regression keeps teeth"
     );
+}
+
+/// ROADMAP item 1's schedule S1 (`churn` trial seed 25 shrunk to four
+/// nodes) under `run_poisson_churn`'s options: 122032 joins through
+/// 311301 while 113032 — the only `…032` node the gateway shows it —
+/// dies. Returns whether the three survivors end Definition-3.8
+/// consistent.
+fn s1(sim_seed: u64) -> Result<(), String> {
+    let space = IdSpace::new(4, 6).unwrap();
+    let id = |s: &str| space.parse_id(s).unwrap();
+    let fd = FailureDetector {
+        probe_interval_us: 200_000,
+        suspicion_threshold: 3,
+        repair: true,
+        max_repairs_in_flight: 4,
+        repair_backoff: true,
+    };
+    let retry = RetryPolicy {
+        timeout_us: 300_000,
+        max_retries: 2,
+        backoff_pct: 200,
+        jitter_pct: 10,
+        join_fallback: true,
+        ..RetryPolicy::default()
+    };
+    let mut b = SimNetworkBuilder::new(space);
+    b.options(
+        ProtocolOptions::new()
+            .with_failure_detector(fd)
+            .with_retry(retry),
+    );
+    for m in ["311301", "123032", "113032"] {
+        b.add_member(id(m));
+    }
+    b.add_joiner(id("122032"), id("311301"), 8_222_035);
+    let mut net = b.build(UniformDelay::new(1_000, 50_000), sim_seed);
+    net.crash_at(&id("113032"), 8_353_717);
+    net.run_until(30_000_000);
+    assert_eq!(net.engine(&id("122032")).status(), Status::InSystem);
+    let survivors: Vec<_> = net
+        .tables_iter()
+        .filter(|t| t.owner() != id("113032"))
+        .cloned()
+        .collect();
+    let report = check_consistency(space, &survivors);
+    if report.is_consistent() {
+        Ok(())
+    } else {
+        Err(report.to_string())
+    }
+}
+
+/// S1 as ROADMAP reads it off the trace: the joiner's retries on the dead
+/// node run out, the join is rerouted through 311301, whose slot (0, 2)
+/// the eviction just emptied, and the joiner is admitted at level 0
+/// having never heard of 123032. Its own repair of (3, 3) then installs
+/// 123032 and says so with a `RvNghNoti`; 123032 holds (3, 2) empty, the
+/// sender fits it, and the fill rule of `on_rvnghnoti` installs it.
+/// Without the rule 123032 lacks the entry for good. The message counts
+/// of the retry path decide which of the schedule's endings a simulator
+/// seed reaches; these five reach this one.
+#[test]
+fn s1_survivor_learns_the_joiner_admitted_around_the_dead_node() {
+    for sim_seed in [8, 36, 82, 83, 160] {
+        if let Err(report) = s1(sim_seed) {
+            panic!("seed {sim_seed}: {report}");
+        }
+    }
+}
+
+/// The trial's own simulator seed takes the schedule's other ending: every
+/// slot the joiner had copied the dead node into is one of its own self
+/// slots, so after the reroute it has no slot to repair, sends no
+/// `RvNghNoti`, and the two `…032` nodes never hear of each other — a
+/// positive `JoinWaitRly` out of a slot that is empty only because its
+/// occupant was just evicted (ROADMAP item 1, defect (i)), which the fill
+/// rule cannot see.
+#[test]
+#[ignore = "ROADMAP item 1 defect (i) is open: fails until on_joinwait refuses an evicted slot"]
+fn s1_at_the_trial_seed_needs_defect_i_closed() {
+    s1(25).unwrap();
 }

@@ -4,8 +4,8 @@
 //! prescribes.
 
 use hyperring_core::{
-    build_consistent_tables, Effects, Entry, JoinEngine, Message, NeighborTable, NodeState,
-    ProtocolOptions, Status,
+    build_consistent_tables, Effect, Effects, Entry, Event, FailureDetector, JoinEngine, Message,
+    NeighborTable, NodeState, ProtocolOptions, RetryPolicy, Status, TimerId,
 };
 use hyperring_id::{IdSpace, NodeId};
 
@@ -664,4 +664,275 @@ fn rvnghnotirly_updates_recorded_state() {
     );
     assert_eq!(x.table().get(0, 1).unwrap().state, NodeState::S);
     let _ = snapshot_of(&x);
+}
+
+// ---------------------------------------------------------------------
+// Acknowledged retransmission of RvNghNoti / InSysNoti (lossy-transport
+// extension) and the crash-churn fill rule
+// ---------------------------------------------------------------------
+
+fn retrying() -> ProtocolOptions {
+    ProtocolOptions::new().with_retry(RetryPolicy::default())
+}
+
+/// A one-node network `who` under `opts`.
+fn seed_with(who: &str, opts: ProtocolOptions) -> JoinEngine {
+    JoinEngine::new_seed(space(), opts, id(who))
+}
+
+/// A joiner 3213 under a retry policy that has copied level 0 from 0000
+/// — installing 0001 at (0, 1) — and now waits on 0000.
+fn joiner_storing_0001() -> JoinEngine {
+    let mut x = JoinEngine::new_joiner(space(), retrying(), id("3213"));
+    let mut gt = NeighborTable::new(space(), id("0000"));
+    gt.set_self_entries(NodeState::S);
+    gt.set(
+        0,
+        1,
+        Entry {
+            node: id("0001"),
+            state: NodeState::S,
+        },
+    );
+    x.start_join(id("0000"), &mut Effects::new());
+    let table = gt.snapshot();
+    x.handle(
+        id("0000"),
+        Message::CpRly { level: 0, table },
+        &mut Effects::new(),
+    );
+    assert_eq!(x.status(), Status::Waiting);
+    x
+}
+
+fn rv_ngh(peer: &str) -> TimerId {
+    TimerId::RvNgh { peer: id(peer) }
+}
+
+#[test]
+fn lost_rvnghnoti_is_retransmitted_acknowledged_and_its_timer_cancelled() {
+    let mut x = joiner_storing_0001();
+    let mut y = seed_with("0001", retrying());
+    // The first RvNghNoti to 0001 is lost; only its timer is left.
+    assert!(x.live_timers().any(|t| t == rv_ngh("0001")));
+    let mut out = Effects::new();
+    x.on_event(Event::TimerFired { id: rv_ngh("0001") }, &mut out);
+    let fx: Vec<Effect> = out.drain().collect();
+    assert!(
+        fx.iter()
+            .any(|f| matches!(f, Effect::SetTimer { id, .. } if *id == rv_ngh("0001"))),
+        "the retransmission re-arms its timer"
+    );
+    let resent: Vec<_> = fx
+        .into_iter()
+        .filter_map(|f| match f {
+            Effect::Send { to, msg } => Some((to, msg)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(resent.len(), 1);
+    assert_eq!(resent[0].0, id("0001"));
+    assert!(matches!(
+        resent[0].1,
+        Message::RvNghNoti {
+            recorded: NodeState::S
+        }
+    ));
+    // 0001 records the reverse neighbor and acknowledges although the
+    // recorded state is right.
+    let mut out = Effects::new();
+    y.handle(id("3213"), resent[0].1.clone(), &mut out);
+    assert!(y.table().reverse_neighbors().contains(&id("3213")));
+    let (to, ack) = sent(&mut out).pop().expect("an acknowledgement");
+    assert_eq!(to, id("3213"));
+    assert!(matches!(
+        ack,
+        Message::RvNghNotiRly {
+            actual: NodeState::S
+        }
+    ));
+    // The acknowledgement cancels the timer; a stale fire sends nothing.
+    let mut out = Effects::new();
+    x.handle(id("0001"), ack, &mut out);
+    assert!(out
+        .drain()
+        .any(|f| matches!(f, Effect::CancelTimer { id } if id == rv_ngh("0001"))));
+    assert!(!x.live_timers().any(|t| t == rv_ngh("0001")));
+    let mut out = Effects::new();
+    x.on_event(Event::TimerFired { id: rv_ngh("0001") }, &mut out);
+    assert!(out.is_empty());
+}
+
+#[test]
+fn duplicate_rvnghnoti_after_a_lost_ack_is_idempotent() {
+    // Detector on, so the first delivery also exercises the fill rule: the
+    // duplicate must not install twice.
+    let mut y = seed_with(
+        "0000",
+        retrying().with_failure_detector(FailureDetector::default()),
+    );
+    let noti = Message::RvNghNoti {
+        recorded: NodeState::S,
+    };
+    let mut out = Effects::new();
+    y.handle(id("3213"), noti.clone(), &mut out);
+    let first = sent(&mut out);
+    let reverse = y.table().reverse_neighbors();
+    let filled = y.table().filled();
+    // The ack is lost, 3213 retransmits.
+    let mut out = Effects::new();
+    y.handle(id("3213"), noti, &mut out);
+    let second = sent(&mut out);
+    assert_eq!(y.table().reverse_neighbors(), reverse);
+    assert_eq!(y.table().filled(), filled);
+    assert_eq!(second.len(), 1, "one more ack and nothing else");
+    assert!(matches!(second[0].1, Message::RvNghNotiRly { .. }));
+    assert!(
+        first.len() > second.len(),
+        "only the first delivery installs"
+    );
+}
+
+#[test]
+fn lost_insysnoti_is_retransmitted_and_acknowledged_with_a_pong() {
+    // 0000 stores joiner 3213 as T; 3213 joins through it and the
+    // InSysNoti announcing the switch is lost.
+    let mut y = seed_with("0000", retrying());
+    let mut x = JoinEngine::new_joiner(space(), retrying(), id("3213"));
+    let mut out = Effects::new();
+    x.start_join(id("0000"), &mut out);
+    let mut queue: Vec<(NodeId, NodeId, Message)> = out
+        .drain_sends()
+        .map(|(to, m)| (id("3213"), to, m))
+        .collect();
+    let mut lost = 0;
+    while let Some((from, to, msg)) = queue.pop() {
+        if matches!(msg, Message::InSysNoti) {
+            lost += 1;
+            continue;
+        }
+        let node = if to == id("0000") { &mut y } else { &mut x };
+        let mut out = Effects::new();
+        node.handle(from, msg, &mut out);
+        queue.extend(out.drain_sends().map(|(t, m)| (to, t, m)));
+    }
+    assert_eq!(lost, 1);
+    assert_eq!(x.status(), Status::InSystem);
+    assert_eq!(y.table().get(0, 3).unwrap().state, NodeState::T);
+    let in_sys = TimerId::InSys { peer: id("0000") };
+    assert_eq!(x.live_timers().collect::<Vec<_>>(), [in_sys]);
+
+    let mut out = Effects::new();
+    x.on_event(Event::TimerFired { id: in_sys }, &mut out);
+    let (to, again) = sent(&mut out).pop().expect("a retransmission");
+    assert_eq!(to, id("0000"));
+    assert!(matches!(again, Message::InSysNoti));
+    let mut out = Effects::new();
+    y.handle(id("3213"), again, &mut out);
+    assert_eq!(y.table().get(0, 3).unwrap().state, NodeState::S);
+    let (to, ack) = sent(&mut out).pop().expect("an acknowledgement");
+    assert_eq!(to, id("3213"));
+    assert!(matches!(ack, Message::Pong));
+    let mut out = Effects::new();
+    x.handle(id("0000"), ack, &mut out);
+    assert!(out
+        .drain()
+        .any(|f| matches!(f, Effect::CancelTimer { id } if id == in_sys)));
+    assert_eq!(x.live_timers().count(), 0);
+}
+
+#[test]
+fn a_ping_counts_as_the_insysnoti_so_every_pong_is_a_sound_ack() {
+    // Only S-nodes probe. Were a Ping answered without the flip, the Pong
+    // would cancel the prober's InSys timer while the InSysNoti it guards
+    // is still lost.
+    let mut y = seed_with("0000", retrying());
+    y.handle(id("3213"), Message::JoinWait, &mut Effects::new());
+    assert_eq!(y.table().get(0, 3).unwrap().state, NodeState::T);
+    let mut out = Effects::new();
+    y.handle(id("3213"), Message::Ping, &mut out);
+    assert_eq!(y.table().get(0, 3).unwrap().state, NodeState::S);
+    let msgs = sent(&mut out);
+    assert_eq!(msgs.len(), 1);
+    assert!(matches!(msgs[0].1, Message::Pong));
+    // Without a retry policy nothing waits on a Pong: the paper's table
+    // stays as it was.
+    let mut y = member(&["0000"], "0000");
+    y.handle(id("3213"), Message::JoinWait, &mut Effects::new());
+    y.handle(id("3213"), Message::Ping, &mut Effects::new());
+    assert_eq!(y.table().get(0, 3).unwrap().state, NodeState::T);
+}
+
+#[test]
+fn stale_rvnghnotirly_t_never_downgrades_s() {
+    let mut x = joiner_storing_0001();
+    assert_eq!(x.table().get(0, 1).unwrap().state, NodeState::S);
+    // A duplicate of an acknowledgement 0001 sent while it was a T-node.
+    let mut out = Effects::new();
+    x.handle(
+        id("0001"),
+        Message::RvNghNotiRly {
+            actual: NodeState::T,
+        },
+        &mut out,
+    );
+    assert_eq!(x.table().get(0, 1).unwrap().state, NodeState::S);
+    // It still acknowledges delivery.
+    assert!(!x.live_timers().any(|t| t == rv_ngh("0001")));
+}
+
+#[test]
+fn fill_rule_installs_the_sender_into_an_empty_slot_only_with_a_detector() {
+    let noti = Message::RvNghNoti {
+        recorded: NodeState::S,
+    };
+    // Detector on: 0000 holds (0, 3) empty and 3213 fits it.
+    let mut y = seed_with(
+        "0000",
+        ProtocolOptions::new().with_failure_detector(FailureDetector::default()),
+    );
+    let mut out = Effects::new();
+    y.handle(id("3213"), noti.clone(), &mut out);
+    let e = y.table().get(0, 3).expect("the sender was installed");
+    assert_eq!(e.node, id("3213"));
+    assert_eq!(e.state, NodeState::T);
+    let msgs = sent(&mut out);
+    assert_eq!(msgs.len(), 1, "{msgs:?}");
+    assert_eq!(msgs[0].0, id("3213"));
+    assert!(matches!(
+        msgs[0].1,
+        Message::RvNghNoti {
+            recorded: NodeState::T
+        }
+    ));
+    // The ordinary round corrects the recorded state.
+    y.handle(
+        id("3213"),
+        Message::RvNghNotiRly {
+            actual: NodeState::S,
+        },
+        &mut Effects::new(),
+    );
+    assert_eq!(y.table().get(0, 3).unwrap().state, NodeState::S);
+    // An occupied slot is left alone.
+    let mut out = Effects::new();
+    y.handle(id("1113"), noti.clone(), &mut out);
+    assert_eq!(y.table().get(0, 3).unwrap().node, id("3213"));
+    assert!(out.is_empty());
+    // A T-node does not fill: its join is still constructing the table.
+    let mut t = JoinEngine::new_joiner(
+        space(),
+        ProtocolOptions::new().with_failure_detector(FailureDetector::default()),
+        id("2221"),
+    );
+    t.handle(id("3213"), noti.clone(), &mut Effects::new());
+    assert!(t.table().get(0, 3).is_none());
+
+    // Detector off: the paper's handler, effect for effect.
+    let mut y = member(&["0000"], "0000");
+    let mut out = Effects::new();
+    y.handle(id("3213"), noti, &mut out);
+    assert!(out.is_empty());
+    assert!(y.table().get(0, 3).is_none());
+    assert!(y.table().reverse_neighbors().contains(&id("3213")));
 }

@@ -140,7 +140,8 @@ fn run_case(base: u16, d: usize, seed: u64, ops: usize, pool_size: usize) {
                     _ => node,
                 };
                 let hit = m.entries.get(&slot).is_some_and(|e| e.node == target);
-                assert_eq!(t.set_state_if(level, digit, &target, state), hit);
+                let changed = m.entries.get(&slot).is_some_and(|e| e.state != state);
+                assert_eq!(t.set_state_if(level, digit, &target, state), hit && changed);
                 if hit {
                     m.entries.insert(
                         slot,

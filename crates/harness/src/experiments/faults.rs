@@ -46,7 +46,6 @@ impl Default for FaultsConfig {
             retry: RetryPolicy {
                 timeout_us: 300_000,
                 max_retries: 30,
-                noti_repeats: 6,
                 ..RetryPolicy::default()
             },
         }

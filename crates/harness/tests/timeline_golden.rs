@@ -75,7 +75,7 @@ fn canonical_timeline_matches_golden() {
         );
         return;
     }
-    let golden = (5, 1, 21, true, 0, 414, 0xe189_60b9_c0f7_372c);
+    let golden = (5, 1, 21, true, 0, 274, 0x36a1_1282_e445_7b89);
     assert_eq!(
         observed, golden,
         "canonical timeline drifted from the recorded golden run"

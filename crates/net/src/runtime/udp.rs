@@ -12,12 +12,15 @@
 //! Delivery here is genuinely unreliable — datagrams can be dropped by
 //! the injector, by backpressure, or (under extreme load) by the kernel —
 //! so runs with loss must configure a retry policy. Quiescence is detected
-//! by a supervisor watching an activity counter: the run ends once every
-//! joiner is `in_system`, nothing but failure-detector heartbeat (probe
-//! ticks, `Ping`, `Pong`) has happened for a settle window, all outbound
+//! by a supervisor that samples an activity counter once per settle
+//! window: the run ends at the first sample at which every joiner is
+//! `in_system`, nothing but failure-detector heartbeat (probe ticks,
+//! `Ping`, `Pong`) has happened since the sample before, all outbound
 //! queues are flushed, and no timer remains armed — except under a
 //! failure detector, whose probe tick re-arms forever, so there the armed
-//! count is not consulted.
+//! count is not consulted. A run's wall is therefore a whole number of
+//! settle windows (plus thread teardown), one to two of them after the
+//! last activity.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -52,9 +55,10 @@ pub struct UdpConfig {
     /// Hard deadline for the whole run.
     pub quiesce_timeout: Duration,
     /// How long the network must stay silent before the run is declared
-    /// quiescent. Must comfortably exceed the retry timeout when loss is
-    /// injected, or the supervisor can declare victory between a drop and
-    /// its retransmission.
+    /// quiescent, and how often the supervisor looks: the run ends on a
+    /// multiple of this. Must comfortably exceed the retry timeout when
+    /// loss is injected, or the supervisor can declare victory between a
+    /// drop and its retransmission.
     pub settle: Duration,
     /// Per-engine outbound queue bound; sends beyond it are dropped and
     /// counted as backpressure.
@@ -390,18 +394,21 @@ impl UdpNetwork {
             }));
         }
 
-        // Supervise: watch for quiescence or the deadline.
+        // Supervise: one look per settle window; quiescent at the first
+        // look that finds no progress since the look before. The run so
+        // ends on a window boundary, one to two windows after its last
+        // activity: its wall says which window the burst ended in, not how
+        // many milliseconds of CPU a shared host gave it, and no third
+        // thread wakes beside the loops while they are busy.
         let deadline = epoch + self.config.quiesce_timeout;
-        let mut last_activity = u64::MAX;
-        let mut quiet_since = Instant::now();
+        let window = self.config.settle.max(Duration::from_millis(1));
+        let mut last_activity = 0;
         // Breaks with the unsent datagram count if the deadline passed.
         let timed_out = loop {
-            thread::sleep(Duration::from_millis(2));
+            thread::sleep(window);
             let act = shared.activity.load(Ordering::SeqCst);
-            if act != last_activity {
-                last_activity = act;
-                quiet_since = Instant::now();
-            }
+            let quiet = act == last_activity;
+            last_activity = act;
             if shared.shutdown.load(Ordering::SeqCst) {
                 break None; // a thread hit a fatal error and rang the bell
             }
@@ -411,11 +418,7 @@ impl UdpNetwork {
                 .iter()
                 .map(|g| g.pending_out.load(Ordering::SeqCst))
                 .sum();
-            if joining <= 0
-                && pending == 0
-                && quiet_since.elapsed() >= self.config.settle
-                && (fd_configured || armed == 0)
-            {
+            if joining <= 0 && pending == 0 && quiet && (fd_configured || armed == 0) {
                 // Crash phase, bounded by time rather than by quiescence:
                 // the victims fall silent and the survivors get `grace` to
                 // detect, evict and repair.
