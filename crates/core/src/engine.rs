@@ -621,7 +621,7 @@ impl JoinEngine {
         };
         if e.node == self.id
             || self.repair.is_condemned(&e.node)
-            || self.table.get(level, digit).is_some()
+            || self.table.is_filled(level, digit)
             || !self.table.fits(level, digit, &e.node)
         {
             return;
@@ -803,7 +803,7 @@ impl JoinEngine {
     /// RvNghNotiMsg"). `notify` is false on the paths where an immediate
     /// protocol reply to the stored node carries the same information.
     fn install(&mut self, level: usize, digit: u8, entry: Entry, notify: bool, out: &mut Effects) {
-        debug_assert!(self.table.get(level, digit).is_none());
+        debug_assert!(!self.table.is_filled(level, digit));
         self.table.set(level, digit, entry);
         self.trace(
             out,
@@ -1093,7 +1093,7 @@ impl JoinEngine {
         // restart (the aborted first attempt already planted us in other
         // tables); they are skipped, not copied.
         for row in table.rows().iter().filter(|r| r.level as usize == i) {
-            if self.table.get(i, row.digit).is_none()
+            if !self.table.is_filled(i, row.digit)
                 && row.entry.node != self.id
                 && !self.repair.is_condemned(&row.entry.node)
             {
@@ -1255,7 +1255,7 @@ impl JoinEngine {
                 continue;
             }
             let k = self.id.csuf_len(&u);
-            if self.table.get(k, u.digit(k)).is_none() {
+            if !self.table.is_filled(k, u.digit(k)) {
                 self.install(
                     k,
                     u.digit(k),
@@ -1322,7 +1322,7 @@ impl JoinEngine {
         out: &mut Effects,
     ) {
         let k = self.id.csuf_len(&from);
-        if self.table.get(k, from.digit(k)).is_none() {
+        if !self.table.is_filled(k, from.digit(k)) {
             // The (positive) reply informs `from`; no RvNghNoti needed.
             self.install(
                 k,
@@ -1413,7 +1413,7 @@ impl JoinEngine {
             return;
         }
         let k = self.id.csuf_len(&subject);
-        if self.table.get(k, subject.digit(k)).is_none() {
+        if !self.table.is_filled(k, subject.digit(k)) {
             self.install(
                 k,
                 subject.digit(k),
@@ -1572,7 +1572,7 @@ impl JoinEngine {
         // corrected by the `RvNghNoti` round `install` starts.
         if in_system
             && self.opts.failure_detector.is_some()
-            && self.table.get(k, from.digit(k)).is_none()
+            && !self.table.is_filled(k, from.digit(k))
             && !self.repair.is_condemned(&from)
         {
             let entry = Entry {

@@ -117,7 +117,7 @@ impl RepairState {
         let slots: Vec<(usize, u8)> = self.pending.keys().copied().collect();
         let mut issued = 0u32;
         for (level, digit) in slots {
-            if table.get(level, digit).is_some() {
+            if table.is_filled(level, digit) {
                 self.pending.remove(&(level, digit));
                 continue;
             }

@@ -467,6 +467,17 @@ impl NeighborTable {
         self.decode(self.slots[self.slot(level, digit)])
     }
 
+    /// Whether the `(level, digit)` entry is filled: `get(..).is_some()`
+    /// for one slot read, without resolving the neighbor's identifier.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `level` or `digit` are out of range.
+    #[inline]
+    pub fn is_filled(&self, level: usize, digit: u8) -> bool {
+        self.slots[self.slot(level, digit)] != EMPTY
+    }
+
     /// Sets the `(level, digit)` entry.
     ///
     /// # Panics

@@ -62,10 +62,9 @@ fn fitting(space: IdSpace, owner: NodeId, level: usize, digit: u8, filler: NodeI
 fn assert_same(space: IdSpace, t: &NeighborTable, m: &Model, pool: &[NodeId]) {
     for level in 0..space.digit_count() {
         for digit in 0..space.base() as u8 {
-            assert_eq!(
-                t.get(level, digit),
-                m.entries.get(&m.slot(level, digit)).copied()
-            );
+            let want = m.entries.get(&m.slot(level, digit)).copied();
+            assert_eq!(t.get(level, digit), want);
+            assert_eq!(t.is_filled(level, digit), want.is_some());
             let got: Vec<NodeId> = t.reverse_of(level, digit).collect();
             assert!(
                 got.is_sorted(),

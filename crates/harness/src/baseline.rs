@@ -80,7 +80,7 @@ impl OptNode {
             return;
         }
         let k = self.id.csuf_len(&node);
-        if self.table.get(k, node.digit(k)).is_none() {
+        if !self.table.is_filled(k, node.digit(k)) {
             self.table.set(
                 k,
                 node.digit(k),
@@ -135,7 +135,7 @@ impl Actor for OptNode {
                 }
                 let i = self.copy_level;
                 for row in table.rows().iter().filter(|r| r.level as usize == i) {
-                    if self.table.get(i, row.digit).is_none() && row.entry.node != self.id {
+                    if !self.table.is_filled(i, row.digit) && row.entry.node != self.id {
                         self.table.set(i, row.digit, row.entry);
                     }
                 }

@@ -392,6 +392,43 @@ mod tests {
         );
     }
 
+    /// Recorded before `ObjectStore` routed over node indices: what a
+    /// storm reports does not depend on how the store walks its tables.
+    #[test]
+    fn stats_of_a_fixed_schedule_are_pinned() {
+        let (space, ids, tables) = network(48, 17);
+        let keys = storm_keys(space, "pin", 24);
+        let schedule = StormSchedule::compile(ids, keys, 2_000, 0.9, 5);
+        let store = ObjectStore::over(space, &tables);
+        // Distance on the line: symmetric, zero on the diagonal only.
+        let lat = |a: &NodeId, b: &NodeId| -> u64 {
+            let at = |id: &NodeId| id.to_value(16).expect("five digits") as u64;
+            at(a).abs_diff(at(b))
+        };
+        let stats = run_schedule(&store, &schedule, Some(&lat), None);
+        assert_eq!((stats.mean_hops, stats.max_hops), (1.724, 3));
+        assert_eq!(stats.hop_histogram, [43, 857, 709, 391, 0, 0]);
+        assert_eq!(
+            stats.load,
+            LoadStats {
+                max: 449,
+                mean: 71.83333333333333,
+                imbalance: 6.250580046403713,
+                loaded_nodes: 24,
+            }
+        );
+        assert_eq!(
+            stats.stretch,
+            Some(StretchSummary {
+                samples: 1957,
+                mean: 11.364936854606126,
+                median: 1.0,
+                p95: 33.22890835950846,
+                p99: 245.3911146370488,
+            })
+        );
+    }
+
     #[test]
     fn storms_do_not_perturb_the_tables() {
         let (space, ids, tables) = network(24, 11);

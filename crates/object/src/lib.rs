@@ -16,9 +16,13 @@
 //! applications, and the property tests here verify it on live tables
 //! produced by join-protocol runs.
 //!
-//! The store *borrows* its tables ([`ObjectStore::over`]): routing a
-//! lookup clones nothing, so a storm of millions of lookups allocates
-//! only when a directory row is touched. After membership changes,
+//! The store *borrows* its tables ([`ObjectStore::over`]) and reads them
+//! once, into rows of node indices: routing a lookup hashes its start and
+//! then resolves no identifier, so a storm of millions of lookups
+//! allocates only when a directory row is touched. The free functions
+//! ([`surrogate_root_with`] and its wrappers) walk any `NodeId -> table`
+//! lookup directly and are what the store's walk is tested against.
+//! After membership changes,
 //! [`ObjectStore::retarget`] (or the [`unbind`](ObjectStore::unbind) /
 //! [`bind`](UnboundStore::bind) pair, when the new tables are built while
 //! the store is set aside) rebinds the directory state to fresh tables
@@ -52,6 +56,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::marker::PhantomData;
 
 use hyperring_core::NeighborTable;
 use hyperring_id::{IdSpace, NodeId};
@@ -183,6 +188,12 @@ pub struct LookupHit {
     pub hops: usize,
 }
 
+/// Plane word of an empty slot.
+const EMPTY: u32 = u32::MAX;
+
+/// A directory row set: object id -> homes, in publication order.
+type Directory = BTreeMap<NodeId, Vec<NodeId>>;
+
 /// A directory service over a set of (consistent) neighbor tables:
 /// per-root object directories plus publish/lookup via surrogate routing.
 ///
@@ -195,30 +206,92 @@ pub struct LookupHit {
 /// the network mutates) and republished objects move to their new roots
 /// (PRR's dynamic root-maintenance machinery is out of the paper's — and
 /// this crate's — scope).
+///
+/// # The routing plane
+///
+/// `over` reads every table once and keeps what routing needs as node
+/// *indices*: node `i` is the `i`-th table of the caller's iteration, and
+/// each of its levels is one row of `b` words — the index of the entry's
+/// node, or `EMPTY`. A walk hashes its start once, then moves over
+/// indices only. Two things keep it equal, hop for hop and panic for
+/// panic, to [`surrogate_root_with`] over the same tables:
+///
+/// - an entry naming a node that has no table here (a *dangling* entry:
+///   the tables of a network after crashes) gets an index past the last
+///   table; it has no rows, so a walk that steps on it and still has a
+///   level to go panics with `no table for …`;
+/// - a node's rows stop after the last level that holds anything but its
+///   self entry alone: from there up every cyclic fallover lands on the
+///   node itself and the walk cannot move.
+///
+/// The plane is a snapshot of the tables at `over`; the borrow the store
+/// keeps is what makes that sound — nobody can mutate a table under it.
 #[derive(Debug)]
 pub struct ObjectStore<'a> {
     space: IdSpace,
-    /// Borrowed per-node tables, keyed by owner.
-    tables: HashMap<NodeId, &'a NeighborTable>,
-    /// Directory rows: root -> object id -> homes.
-    directories: HashMap<NodeId, BTreeMap<NodeId, Vec<NodeId>>>,
+    /// Node index -> identifier: the owners in the caller's order, then
+    /// the dangling nodes in order of first mention.
+    ids: Vec<NodeId>,
+    /// Identifier -> node index, consulted for a walk's start only.
+    index: HashMap<NodeId, u32>,
+    /// Node `i`'s rows are `row_start[i]..row_start[i + 1]`, level 0
+    /// first; one entry past the last table, none for dangling nodes.
+    row_start: Vec<u32>,
+    /// `b` words a row.
+    rows: Vec<u32>,
+    /// Directory rows by root index.
+    directories: Vec<Directory>,
+    /// The plane copies nothing but stays valid only while the tables
+    /// cannot change.
+    tables: PhantomData<&'a NeighborTable>,
 }
 
 impl<'a> ObjectStore<'a> {
     /// Creates a store borrowing the given tables — the primary
-    /// constructor; nothing is cloned.
+    /// constructor; every table is read once and none is cloned.
     ///
     /// # Panics
     ///
     /// Panics if `tables` is empty.
     pub fn over(space: IdSpace, tables: impl IntoIterator<Item = &'a NeighborTable>) -> Self {
-        let tables: HashMap<NodeId, &'a NeighborTable> =
-            tables.into_iter().map(|t| (t.owner(), t)).collect();
+        let tables: Vec<&NeighborTable> = tables.into_iter().collect();
         assert!(!tables.is_empty(), "store needs at least one node");
+        let (b, d) = (space.base() as usize, space.digit_count());
+        // Bounds every row, word and node index below.
+        assert!(tables.len() * d * b < EMPTY as usize, "too many tables");
+        let mut ids: Vec<NodeId> = tables.iter().map(|t| t.owner()).collect();
+        let mut index: HashMap<NodeId, u32> =
+            (ids.iter().zip(0..)).map(|(&id, i)| (id, i)).collect();
+        let mut row_start = Vec::with_capacity(tables.len() + 1);
+        let mut rows: Vec<u32> = Vec::new();
+        for (table, me) in tables.iter().zip(0u32..) {
+            let first = rows.len();
+            row_start.push((first / b) as u32);
+            rows.resize(first + d * b, EMPTY);
+            for (level, digit, entry) in table.iter() {
+                rows[first + level * b + digit as usize] =
+                    *index.entry(entry.node).or_insert_with(|| {
+                        ids.push(entry.node);
+                        (ids.len() - 1) as u32
+                    });
+            }
+            // A level whose filled words all name `me` cannot move a walk.
+            let depth = rows[first..]
+                .chunks(b)
+                .rposition(|row| !row.contains(&me) || row.iter().any(|&w| w != me && w != EMPTY))
+                .map_or(0, |level| level + 1);
+            rows.truncate(first + depth * b);
+        }
+        row_start.push((rows.len() / b) as u32);
+        rows.shrink_to_fit();
         ObjectStore {
             space,
-            tables,
-            directories: HashMap::new(),
+            directories: vec![Directory::new(); ids.len()],
+            ids,
+            index,
+            row_start,
+            rows,
+            tables: PhantomData,
         }
     }
 
@@ -227,26 +300,76 @@ impl<'a> ObjectStore<'a> {
         self.space
     }
 
-    /// Live nodes.
+    /// Live nodes, in the order their tables were given to
+    /// [`over`](Self::over).
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.tables.keys().copied()
+        self.ids[..self.len()].iter().copied()
     }
 
     /// Number of live nodes.
     pub fn len(&self) -> usize {
-        self.tables.len()
+        self.row_start.len() - 1
     }
 
     /// Whether the store has no nodes (never true: construction requires
     /// at least one).
     pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
+        self.len() == 0
     }
 
     /// Hashes an object name into the node ID space (SHA-1, as the paper
     /// suggests for IDs).
     pub fn object_id(&self, name: &str) -> NodeId {
         self.space.id_from_hash(name.as_bytes())
+    }
+
+    /// The index of a live node.
+    fn index_of(&self, id: &NodeId) -> Option<u32> {
+        let i = *self.index.get(id)?;
+        ((i as usize) < self.len()).then_some(i)
+    }
+
+    /// The index a walk from `start` begins at.
+    fn start(&self, start: &NodeId) -> u32 {
+        self.index_of(start)
+            .unwrap_or_else(|| panic!("unknown start {start}"))
+    }
+
+    /// [`surrogate_root_with`] over the plane: the root's index and the
+    /// number of overlay hops from node `start`.
+    fn walk(&self, start: u32, object_id: &NodeId, mut on_hop: impl FnMut(Hop)) -> (u32, usize) {
+        let b = self.space.base() as usize;
+        let mut at = start as usize;
+        let mut hops = 0;
+        for level in 0..self.space.digit_count() {
+            let Some(&end) = self.row_start.get(at + 1) else {
+                panic!("no table for {}", self.ids[at]);
+            };
+            let row = self.row_start[at] as usize + level;
+            if row >= end as usize {
+                break;
+            }
+            let row = &self.rows[row * b..][..b];
+            let want = object_id.digit(level) as usize;
+            let digit = (want..b)
+                .chain(0..want)
+                .find(|&j| row[j] != EMPTY)
+                .unwrap_or_else(|| {
+                    panic!("level {level} of {} has no populated entry", self.ids[at])
+                });
+            let next = row[digit] as usize;
+            if next != at {
+                on_hop(Hop {
+                    from: self.ids[at],
+                    level,
+                    digit: digit as u8,
+                    to: self.ids[next],
+                });
+                at = next;
+                hops += 1;
+            }
+        }
+        (at as u32, hops)
     }
 
     /// The surrogate root for an object id, resolved from `start`.
@@ -271,14 +394,8 @@ impl<'a> ObjectStore<'a> {
         object_id: &NodeId,
         on_hop: impl FnMut(Hop),
     ) -> (NodeId, usize) {
-        assert!(self.tables.contains_key(&start), "unknown start {start}");
-        surrogate_root_with(
-            self.space,
-            start,
-            object_id,
-            |id| self.tables.get(id).copied(),
-            on_hop,
-        )
+        let (root, hops) = self.walk(self.start(&start), object_id, on_hop);
+        (self.ids[root as usize], hops)
     }
 
     /// Publishes `name` from `home`: the object pointer is stored in the
@@ -289,11 +406,8 @@ impl<'a> ObjectStore<'a> {
     /// Panics if `home` is not a live node.
     pub fn publish(&mut self, home: NodeId, name: &str) -> PublishReceipt {
         let object_id = self.object_id(name);
-        let (root, hops) = self.root_from(home, &object_id);
-        let homes = self
-            .directories
-            .entry(root)
-            .or_default()
+        let (root, hops) = self.walk(self.start(&home), &object_id, |_| {});
+        let homes = self.directories[root as usize]
             .entry(object_id)
             .or_default();
         if !homes.contains(&home) {
@@ -301,7 +415,7 @@ impl<'a> ObjectStore<'a> {
         }
         PublishReceipt {
             object_id,
-            root,
+            root: self.ids[root as usize],
             hops,
         }
     }
@@ -313,11 +427,11 @@ impl<'a> ObjectStore<'a> {
     /// Panics if `from` is not a live node.
     pub fn lookup(&self, from: NodeId, name: &str) -> Option<LookupHit> {
         let object_id = self.object_id(name);
-        let (root, hops) = self.root_from(from, &object_id);
-        let homes = self.directories.get(&root)?.get(&object_id)?;
+        let (root, hops) = self.walk(self.start(&from), &object_id, |_| {});
+        let homes = self.directories[root as usize].get(&object_id)?;
         Some(LookupHit {
             object_id,
-            root,
+            root: self.ids[root as usize],
             homes: homes.clone(),
             hops,
         })
@@ -329,7 +443,9 @@ impl<'a> ObjectStore<'a> {
     pub fn unbind(self) -> UnboundStore {
         UnboundStore {
             space: self.space,
-            directories: self.directories,
+            directories: (self.ids.into_iter().zip(self.directories))
+                .filter(|(_, dir)| !dir.is_empty())
+                .collect(),
         }
     }
 
@@ -347,8 +463,8 @@ impl<'a> ObjectStore<'a> {
     /// Total directory rows currently stored, per node — the paper's P3
     /// (load balance) measured directly.
     pub fn directory_load(&self) -> BTreeMap<NodeId, usize> {
-        self.directories
-            .iter()
+        (self.ids.iter().zip(&self.directories))
+            .filter(|(_, dir)| !dir.is_empty())
             .map(|(root, dir)| (*root, dir.len()))
             .collect()
     }
@@ -359,7 +475,8 @@ impl<'a> ObjectStore<'a> {
 #[derive(Debug)]
 pub struct UnboundStore {
     space: IdSpace,
-    directories: HashMap<NodeId, BTreeMap<NodeId, Vec<NodeId>>>,
+    /// The non-empty directories, by root.
+    directories: Vec<(NodeId, Directory)>,
 }
 
 impl UnboundStore {
@@ -382,30 +499,23 @@ impl UnboundStore {
 }
 
 /// Re-homes every directory row of `old` onto `store`'s current tables.
-fn republish(
-    store: &mut ObjectStore<'_>,
-    old: HashMap<NodeId, BTreeMap<NodeId, Vec<NodeId>>>,
-) -> usize {
+fn republish(store: &mut ObjectStore<'_>, old: Vec<(NodeId, Directory)>) -> usize {
     let mut moved = 0;
     for (old_root, dir) in old {
         for (oid, homes) in dir {
             // Homes that left the network drop their copies.
             let live_homes: Vec<NodeId> = homes
                 .into_iter()
-                .filter(|h| store.tables.contains_key(h))
+                .filter(|h| store.index_of(h).is_some())
                 .collect();
-            if live_homes.is_empty() {
+            let Some(first) = live_homes.first() else {
                 continue;
-            }
-            let (root, _) = store.root_from(live_homes[0], &oid);
-            if root != old_root {
+            };
+            let (root, _) = store.walk(store.start(first), &oid, |_| {});
+            if store.ids[root as usize] != old_root {
                 moved += 1;
             }
-            store
-                .directories
-                .entry(root)
-                .or_default()
-                .insert(oid, live_homes);
+            store.directories[root as usize].insert(oid, live_homes);
         }
     }
     moved

@@ -106,6 +106,7 @@ fn lookups_survive_graceful_leaves() {
     }
     assert!(net.check_consistency().is_consistent());
     let (store, _moved) = unbound.bind(net.tables_iter());
+    assert!(store.nodes().eq(net.tables_iter().map(|t| t.owner())));
 
     // The surviving copy is still found from every live node.
     for from in store.nodes().collect::<Vec<_>>() {
