@@ -1,13 +1,19 @@
 //! Benchmarks of the extension layers: graceful leave, nearest-neighbor
-//! table optimization, and surrogate-routing object lookups.
+//! table optimization, surrogate-routing object lookups, and the failure
+//! detector's tick and `Pong`. Set `BENCH_SMOKE=1` for one small shape of
+//! each detector bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hyperring_core::{build_consistent_tables, optimize_tables, SimNetworkBuilder};
+use hyperring_core::{
+    build_consistent_tables, optimize_tables, Effects, Event, FailureDetector, JoinEngine, Message,
+    NeighborTable, NodeState, ProtocolOptions, SimNetworkBuilder, TimerId,
+};
 use hyperring_harness::distinct_ids;
-use hyperring_id::IdSpace;
+use hyperring_id::{IdSpace, NodeId};
 use hyperring_object::ObjectStore;
 use hyperring_sim::UniformDelay;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn bench_leave(c: &mut Criterion) {
     let space = IdSpace::new(16, 8).unwrap();
@@ -87,5 +93,80 @@ fn bench_object_lookup(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_leave, bench_optimize, bench_object_lookup);
+/// A level-0 hub: an *in_system* node whose table holds `n` reverse
+/// neighbors and nothing else, its detector armed. Nobody is ever
+/// declared dead (the threshold is out of reach), so every tick after the
+/// first is the steady state: same peers, one `Ping` each.
+fn hub(n: usize) -> (JoinEngine, Vec<NodeId>) {
+    let space = IdSpace::new(16, 8).unwrap();
+    let ids = distinct_ids(space, n + 1, 11);
+    let mut table = NeighborTable::new(space, ids[0]);
+    table.set_self_entries(NodeState::S);
+    for peer in &ids[1..] {
+        table.add_reverse(0, ids[0].digit(0), *peer);
+    }
+    let fd = FailureDetector {
+        suspicion_threshold: u32::MAX,
+        repair: false,
+        ..FailureDetector::default()
+    };
+    let opts = ProtocolOptions::new().with_failure_detector(fd);
+    let mut hub = JoinEngine::new_member(space, opts, table);
+    let mut out = Effects::new();
+    hub.start_failure_detector(&mut out);
+    let id = TimerId::FdProbe { owner: ids[0] };
+    hub.on_event(Event::TimerFired { id }, &mut out);
+    (hub, ids[1..].to_vec())
+}
+
+fn bench_failure_detector(c: &mut Criterion) {
+    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let sizes: &[usize] = if smoke { &[16] } else { &[16, 256, 4096] };
+    let mut g = c.benchmark_group("fd_tick");
+    g.sample_size(if smoke { 2 } else { 20 });
+    for &n in sizes {
+        let (mut hub, _) = hub(n);
+        let id = TimerId::FdProbe { owner: hub.id() };
+        let mut out = Effects::new();
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                hub.on_event(Event::TimerFired { id }, &mut out);
+                black_box(out.drain().count())
+            })
+        });
+    }
+    g.finish();
+
+    // A `Pong` from a peer with a probe outstanding. Each peer has one per
+    // tick, so the ticks in between are left out of the timing by hand
+    // (the stub has no per-iteration set-up).
+    let (mut hub, peers) = hub(256);
+    let id = TimerId::FdProbe { owner: hub.id() };
+    let mut out = Effects::new();
+    let rounds = if smoke { 8 } else { 2048 };
+    let mut spent = Duration::ZERO;
+    for _ in 0..rounds {
+        hub.on_event(Event::TimerFired { id }, &mut out);
+        out.drain().for_each(drop);
+        let start = Instant::now();
+        for peer in &peers {
+            hub.handle(*peer, Message::Pong, &mut out);
+        }
+        spent += start.elapsed();
+        black_box(out.len());
+    }
+    let pongs = rounds * peers.len();
+    let name = "fd_pong";
+    let mean = spent.as_nanos() / pongs as u128;
+    println!("bench {name:<60} mean {mean:>9} ns ({pongs} pongs)");
+}
+
+criterion_group!(
+    benches,
+    bench_leave,
+    bench_optimize,
+    bench_object_lookup,
+    bench_failure_detector
+);
 criterion_main!(benches);

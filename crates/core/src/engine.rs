@@ -258,7 +258,7 @@ impl JoinEngine {
             e.node.hash(h);
             (e.state == NodeState::S).hash(h);
         }
-        self.table.reverse_neighbors().hash(h);
+        self.table.reverse_sorted().hash(h);
         for q in [&self.qr, &self.qn, &self.qj, &self.qsr, &self.qsn, &self.ql] {
             q.hash(h);
             0xfeu8.hash(h);
@@ -356,7 +356,7 @@ impl JoinEngine {
                 }
             }
             Message::Pong => {
-                self.fd.pong(from);
+                self.fd.pong(&self.table, &from);
                 self.disarm(out, TimerId::InSys { peer: from });
             }
             Message::RepairQry {
@@ -547,20 +547,12 @@ impl JoinEngine {
             );
             return;
         }
-        // Best known candidate: longest common suffix with the target,
-        // breaking ties toward table entries (whose recorded state we
-        // know). Only strict progress (csuf > ours) qualifies.
+        // Best known candidate: longest common suffix with the target.
+        // Only strict progress (csuf > ours) qualifies. Ties go to table
+        // entries (whose recorded state we know), the first in slot order,
+        // before reverse neighbors, the smallest id among those.
         let mut best: Option<(usize, Entry)> = None;
-        let candidates = self.table.iter().map(|(_, _, e)| e).chain(
-            self.table
-                .reverse_neighbors()
-                .into_iter()
-                .map(|node| Entry {
-                    node,
-                    state: NodeState::S,
-                }),
-        );
-        for e in candidates {
+        for (_, _, e) in self.table.iter() {
             if e.node == self.id || e.node == origin {
                 continue;
             }
@@ -568,6 +560,11 @@ impl JoinEngine {
             if c > k && best.is_none_or(|(b, _)| c > b) {
                 best = Some((c, e));
             }
+        }
+        let above = best.map_or(k, |(b, _)| b);
+        if let Some((c, node)) = self.table.closest_reverse(&target, &origin, above) {
+            let state = NodeState::S;
+            best = Some((c, Entry { node, state }));
         }
         match best {
             Some((c, e)) if c > level as usize => {
@@ -688,7 +685,7 @@ impl JoinEngine {
             }
         }
         // Offer replacements to reverse neighbors.
-        for v in self.table.reverse_neighbors() {
+        for v in self.table.reverse_sorted() {
             if v == me {
                 continue;
             }
@@ -1479,7 +1476,7 @@ impl JoinEngine {
         for i in 0..self.space.digit_count() {
             self.flip_state(i, me.digit(i), me, NodeState::S, out);
         }
-        for v in self.table.reverse_neighbors() {
+        for v in self.table.reverse_sorted() {
             if v != me {
                 self.post(out, v, Message::InSysNoti);
                 self.arm(out, TimerId::InSys { peer: v });

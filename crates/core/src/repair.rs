@@ -150,16 +150,10 @@ impl RepairState {
     /// the same desired suffix), or — when eviction left no such sharer —
     /// every distinct live entry node of the whole table.
     pub(crate) fn recipients(&self, table: &NeighborTable, level: usize) -> Vec<NodeId> {
-        let me = table.owner();
         let pick = |lo: usize| -> Vec<NodeId> {
-            let mut seen = BTreeSet::new();
-            table
-                .iter()
-                .filter(|&(l, _, e)| {
-                    l >= lo && e.node != me && !self.is_condemned(&e.node) && seen.insert(e.node)
-                })
-                .map(|(_, _, e)| e.node)
-                .collect()
+            let mut nodes = table.distinct_entries_from(lo);
+            nodes.retain(|node| !self.is_condemned(node));
+            nodes
         };
         let sharers = pick(level);
         if sharers.is_empty() {

@@ -278,7 +278,7 @@ impl SimNetworkBuilder {
     }
 
     // Accepted and ignored: the frozen `benchmark/` bootstrap calls this.
-    // Goes when `benchmark/` is next touched (ROADMAP item 4, Leftovers).
+    // Goes when `benchmark/` is next touched (ROADMAP item 5, the thaw).
     #[doc(hidden)]
     pub fn shards(&mut self, _n: usize) -> &mut Self {
         self

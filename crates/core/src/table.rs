@@ -210,6 +210,29 @@ impl IdArena {
     fn cmp_ids(&self, a: u32, b: u32) -> Ordering {
         self.packed(a).cmp(self.packed(b))
     }
+
+    /// Digit `i` (least significant first) of a packed id.
+    #[inline]
+    fn digit_of(&self, packed: &[u8], i: usize) -> u8 {
+        let pos = self.digits - 1 - i;
+        if !self.nibble {
+            packed[pos]
+        } else if pos & 1 == 0 {
+            packed[pos / 2] >> 4
+        } else {
+            packed[pos / 2] & 0x0f
+        }
+    }
+
+    /// Length of the common suffix of interned id `idx` and the packed id
+    /// `key`: `NodeId::csuf_len` without resolving either side.
+    #[inline]
+    fn csuf_len(&self, idx: u32, key: &[u8]) -> usize {
+        let packed = self.packed(idx);
+        (0..self.digits)
+            .take_while(|&i| self.digit_of(packed, i) == self.digit_of(key, i))
+            .count()
+    }
 }
 
 /// Process-wide entry-version clock. Every table mutation draws a fresh
@@ -267,7 +290,8 @@ impl WordSet {
             .min(self.chunks.len().saturating_sub(1))
     }
 
-    fn insert(&mut self, word: u64) {
+    /// Inserts `word`; returns whether it was absent.
+    fn insert(&mut self, word: u64) -> bool {
         if self.chunks.is_empty() {
             // Most sets never outgrow one chunk: reserve the one handle.
             self.chunks = vec![Vec::new()];
@@ -275,11 +299,11 @@ impl WordSet {
         let c = self.chunk_of(word);
         let chunk = &mut self.chunks[c];
         let Err(pos) = chunk.binary_search(&word) else {
-            return;
+            return false;
         };
         if chunk.len() < CHUNK {
             chunk.insert(pos, word);
-            return;
+            return true;
         }
         // Full. Split where the word goes when that is past the middle: a
         // slot's run only ever grows at its end (arena indices ascend), and
@@ -292,6 +316,7 @@ impl WordSet {
             upper.insert(0, word);
         }
         self.chunks.insert(c + 1, upper);
+        true
     }
 
     fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
@@ -370,6 +395,15 @@ pub struct NeighborTable {
     /// entry mutation, copied verbatim by `clone`. Reverse-neighbor edits
     /// do not touch it — they are invisible to Definition 3.8.
     version: u64,
+    /// Membership epoch of the [peer view](Self::peer_indices): a plain
+    /// per-table counter, stepped whenever the set of nodes the table
+    /// references can have changed — a `set` to another node, a `clear`
+    /// of a filled slot, an `add_reverse` that inserted, a
+    /// `remove_reverse` that removed. Equal epochs of one table imply
+    /// equal peer views; state flips leave it alone. Deterministic, unlike
+    /// `version`, and not an atomic: `add_reverse` is most of a join
+    /// wave's inputs.
+    peer_epoch: u64,
     /// Memoized full-table snapshot; rebuilt lazily after any entry
     /// mutation so repeated big-message sends between mutations share one
     /// row allocation instead of re-collecting `d×b` slots each time.
@@ -386,6 +420,7 @@ impl Clone for NeighborTable {
             slots: self.slots.clone(),
             rev: self.rev.clone(),
             version: self.version,
+            peer_epoch: self.peer_epoch,
             snap: Mutex::new(self.snap.lock().unwrap().clone()),
         }
     }
@@ -410,6 +445,7 @@ impl NeighborTable {
             slots: vec![EMPTY; slots].into_boxed_slice(),
             rev: WordSet::default(),
             version: next_version(),
+            peer_epoch: 0,
             snap: Mutex::new(None),
         }
     }
@@ -493,6 +529,8 @@ impl NeighborTable {
         );
         let s = self.slot(level, digit);
         let idx = self.arena.intern(&entry.node);
+        // `EMPTY & IDX_MASK` is no arena index, so an empty slot differs.
+        self.peer_epoch += u64::from(self.slots[s] & IDX_MASK != idx);
         self.slots[s] = idx
             | if entry.state == NodeState::S {
                 S_BIT
@@ -507,6 +545,7 @@ impl NeighborTable {
     /// detector's eviction pass, tests, and tooling.
     pub fn clear(&mut self, level: usize, digit: u8) {
         let s = self.slot(level, digit);
+        self.peer_epoch += u64::from(self.slots[s] != EMPTY);
         self.slots[s] = EMPTY;
         self.invalidate_snapshot();
     }
@@ -599,7 +638,7 @@ impl NeighborTable {
     pub fn add_reverse(&mut self, level: usize, digit: u8, node: NodeId) {
         let s = self.slot(level, digit);
         let idx = self.arena.intern(&node);
-        self.rev.insert(rev_key(s, idx));
+        self.peer_epoch += u64::from(self.rev.insert(rev_key(s, idx)));
     }
 
     /// Removes `node` from every reverse-neighbor set (the node is
@@ -610,7 +649,9 @@ impl NeighborTable {
         };
         let before = self.rev.len();
         self.rev.retain(|k| k as u32 != idx);
-        before - self.rev.len()
+        let removed = before - self.rev.len();
+        self.peer_epoch += u64::from(removed > 0);
+        removed
     }
 
     /// A replacement candidate sharing at least `min_csuf` digits with the
@@ -627,10 +668,111 @@ impl NeighborTable {
 
     /// All reverse neighbors across all entries, deduplicated.
     pub fn reverse_neighbors(&self) -> BTreeSet<NodeId> {
-        self.rev
-            .iter()
-            .map(|k| self.arena.resolve(k as u32))
-            .collect()
+        self.reverse_sorted().into_iter().collect()
+    }
+
+    /// All reverse neighbors across all entries, deduplicated, in
+    /// ascending id order (the owner included if a set holds it).
+    pub(crate) fn reverse_sorted(&self) -> Vec<NodeId> {
+        let distinct = self.distinct_by_id(self.rev.iter().map(|k| k as u32).collect());
+        distinct.into_iter().map(|i| self.peer_id(i)).collect()
+    }
+
+    /// Deduplicates arena indices and orders them by the ids they stand
+    /// for: an integer sort, then one packed-byte sort of the distinct.
+    fn distinct_by_id(&self, mut indices: Vec<u32>) -> Vec<u32> {
+        indices.sort_unstable();
+        indices.dedup();
+        indices.sort_unstable_by(|&a, &b| self.arena.cmp_ids(a, b));
+        indices
+    }
+
+    /// The peer view: the arena index of every distinct node the table
+    /// references — through an entry or a reverse set — other than its
+    /// owner, in ascending id order. This is what the failure detector
+    /// monitors; it caches the view against [`peer_epoch`](Self::peer_epoch).
+    pub(crate) fn peer_indices(&self) -> Vec<u32> {
+        let entries = self.slots.iter().filter(|&&raw| raw != EMPTY);
+        self.distinct_by_id(
+            entries
+                .map(|&raw| raw & IDX_MASK)
+                .chain(self.rev.iter().map(|k| k as u32))
+                .filter(|&idx| idx != self.owner_idx)
+                .collect(),
+        )
+    }
+
+    /// See the `peer_epoch` field.
+    #[inline]
+    pub(crate) fn peer_epoch(&self) -> u64 {
+        self.peer_epoch
+    }
+
+    /// The arena index of `node` if this table ever referenced it (one
+    /// FNV probe). Indices are never reused, so an index names the same
+    /// node for the table's whole life.
+    #[inline]
+    pub(crate) fn peer_index(&self, node: &NodeId) -> Option<u32> {
+        self.arena.lookup(node)
+    }
+
+    /// The node behind an arena index.
+    #[inline]
+    pub(crate) fn peer_id(&self, idx: u32) -> NodeId {
+        self.arena.resolve(idx)
+    }
+
+    /// The peer view resolved, with its epoch: test access for
+    /// `tests/table_model.rs`, which lives outside the crate.
+    #[doc(hidden)]
+    pub fn peer_view(&self) -> (u64, Vec<NodeId>) {
+        let ids = self.peer_indices().into_iter().map(|i| self.peer_id(i));
+        (self.peer_epoch, ids.collect())
+    }
+
+    /// The reverse neighbor sharing the longest suffix with `target`,
+    /// provided that is more than `above` digits; the smallest id among
+    /// equals. The owner and `skip` never qualify. Scans the membership
+    /// words in place: ids are compared packed, none is resolved but the
+    /// winner's.
+    pub(crate) fn closest_reverse(
+        &self,
+        target: &NodeId,
+        skip: &NodeId,
+        above: usize,
+    ) -> Option<(usize, NodeId)> {
+        let mut buf = [0u8; 64];
+        let n = self.arena.pack(target, &mut buf);
+        let key = &buf[..n];
+        let skip = self.arena.lookup(skip);
+        let mut best: Option<(usize, u32)> = None;
+        for idx in self.rev.iter().map(|k| k as u32) {
+            if idx == self.owner_idx || Some(idx) == skip {
+                continue;
+            }
+            let c = self.arena.csuf_len(idx, key);
+            let better = match best {
+                None => c > above,
+                Some((b, at)) => c > b || (c == b && self.arena.cmp_ids(idx, at).is_lt()),
+            };
+            if better {
+                best = Some((c, idx));
+            }
+        }
+        best.map(|(c, idx)| (c, self.peer_id(idx)))
+    }
+
+    /// The distinct non-owner nodes stored at levels `lo` and up, in slot
+    /// order of first appearance.
+    pub(crate) fn distinct_entries_from(&self, lo: usize) -> Vec<NodeId> {
+        let mut seen: Vec<u32> = Vec::new();
+        for &raw in &self.slots[lo * self.space.base() as usize..] {
+            let idx = raw & IDX_MASK;
+            if raw != EMPTY && idx != self.owner_idx && !seen.contains(&idx) {
+                seen.push(idx);
+            }
+        }
+        seen.into_iter().map(|i| self.peer_id(i)).collect()
     }
 
     /// Reverse neighbors of one entry, in ascending id order.

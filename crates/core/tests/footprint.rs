@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 
 use hyperring_core::{
-    bootstrap_batched_net, bootstrap_sequential, check_consistency, ProtocolOptions,
+    bootstrap_batched_net, bootstrap_sequential, check_consistency, JoinEngine, ProtocolOptions,
 };
 use hyperring_id::{IdSpace, NodeId};
 use rand::rngs::StdRng;
@@ -194,4 +194,13 @@ fn sequential_bootstrap_peaks_under_8_mib() {
         "{peak} B of heap live at once during a sequential bootstrap"
     );
     assert!(check_consistency(space(), &tables).is_consistent());
+}
+
+/// Every actor holds its engine inline, so a field added here is paid by
+/// every node of every workload. Extension state that most nodes never use
+/// (the failure detector's peer list) goes behind a pointer instead.
+#[test]
+fn engine_is_at_most_1128_bytes_inline() {
+    let size = std::mem::size_of::<JoinEngine>();
+    assert!(size <= 1128, "JoinEngine is {size} B inline");
 }

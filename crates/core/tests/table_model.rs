@@ -3,7 +3,9 @@
 //! behind a hash index and keeps reverse memberships as integer words in
 //! insertion order; none of that may show through the public API, whose
 //! contract — `reverse_of` ascending by id above all — the golden digests
-//! depend on.
+//! depend on. Nor may it show through the peer view the failure detector
+//! reads: every referenced node once, ascending by id, under an epoch
+//! that moves whenever the view does.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -42,6 +44,13 @@ impl Model {
 
     fn stores(&self, node: &NodeId) -> bool {
         self.entries.values().any(|e| e.node == *node)
+    }
+
+    /// `entries ∪ reverse − {owner}`, ascending by id.
+    fn peers(&self, owner: NodeId) -> Vec<NodeId> {
+        let entries = self.entries.values().map(|e| e.node);
+        let all: BTreeSet<NodeId> = entries.chain(self.rev.iter().map(|&(_, n)| n)).collect();
+        all.into_iter().filter(|n| *n != owner).collect()
     }
 }
 
@@ -99,6 +108,7 @@ fn run_case(base: u16, d: usize, seed: u64, ops: usize, pool_size: usize) {
     // A fork taken mid-run must stay what it was, whatever happens to the
     // table it was cloned from.
     let mut fork: Option<(NeighborTable, Model)> = None;
+    let mut last_view = t.peer_view();
 
     for step in 0..ops {
         let level = rng.gen_range(0..d);
@@ -164,6 +174,16 @@ fn run_case(base: u16, d: usize, seed: u64, ops: usize, pool_size: usize) {
             t.reverse_of(level, digit).collect::<Vec<_>>(),
             m.reverse_of(level, digit)
         );
+        // A node held in a slot and in several reverse sets appears once
+        // (`peers` is a set read in order), and a view that differs from
+        // the last one comes under another epoch.
+        let view = t.peer_view();
+        assert_eq!(view.1, m.peers(owner), "peer view after step {step}");
+        assert!(
+            view.0 != last_view.0 || view.1 == last_view.1,
+            "step {step}"
+        );
+        last_view = view;
     }
     assert_same(space, &t, &m, &pool);
     if let Some((ft, fm)) = fork {

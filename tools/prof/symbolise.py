@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Turns a shim.c dump into tables: symbolise.py PROF_OUT BINARY [--top N] [--under S] [--callers S]
+"""Turns a shim.c dump into tables: symbolise.py PROF_OUT BINARY [--top N] [--under S] [--callers S [--lines]]
 
 Self = samples whose innermost frame is the symbol; inclusive = samples with
 the symbol anywhere on the stack. --under keeps only the samples taken below
 a symbol whose name contains S, and only the frames from it down; --callers prints
-who called the symbols whose name contains S, by sample. Addresses outside
-BINARY (libc, the vdso) are grouped by mapping.
+who called the symbols whose name contains S, by sample, and with --lines the
+call sites too, as `addr2line -i` names them (needs a binary built with debug
+info). Addresses outside BINARY (libc, the vdso) are grouped by mapping.
 """
-import argparse, bisect, collections, functools, os, subprocess
+import argparse, bisect, collections, functools, os, subprocess, sys
 
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("dump")
@@ -15,7 +16,15 @@ parser.add_argument("binary")
 parser.add_argument("--top", type=int, default=25)
 parser.add_argument("--under")
 parser.add_argument("--callers")
+parser.add_argument("--lines", action="store_true", help="with --callers: file:line of each call site, inlined frames included")
 args = parser.parse_args()
+if args.lines and not args.callers:
+    parser.error("--lines needs --callers")
+# A rebuilt binary has other addresses: an old dump then symbolises without
+# complaint and wrongly (`--callers` of a hot function answers "0 samples").
+if os.path.getmtime(args.binary) > os.path.getmtime(args.dump):
+    print(f"warning: {args.binary} is newer than {args.dump}: if it was rebuilt since the "
+          "dump was taken, every name below is wrong", file=sys.stderr)
 
 lines = open(args.dump).read().splitlines()
 split = lines.index("maps")
@@ -50,18 +59,21 @@ def first(stack, text):
     """Index of the innermost frame whose name contains `text`, or None."""
     return next((i for i, name in enumerate(stack) if text in name), None)
 
-named = [[name_of(a) for a in stack] for stack in stacks]
+samples = [(raw, [name_of(a) for a in raw]) for raw in stacks]  # addresses beside their names
 if args.under:
-    named = [stack[: first(stack, args.under) + 1] for stack in named if first(stack, args.under) is not None]
-total = len(named)
-self_, inclusive, callers = collections.Counter(), collections.Counter(), collections.Counter()
-for stack in named:
+    samples = [(raw[: cut + 1], stack[: cut + 1]) for raw, stack in samples
+               if (cut := first(stack, args.under)) is not None]
+total = len(samples)
+self_, inclusive, callers, sites = (collections.Counter() for _ in range(4))
+for raw, stack in samples:
     self_[stack[0]] += 1
     inclusive.update(set(stack))
     if args.callers:
         hit = first(stack, args.callers)
         if hit is not None:
             callers[stack[hit + 1] if hit + 1 < len(stack) else "[top of stack]"] += 1
+            if hit + 1 < len(stack) and not stack[hit + 1].startswith("["):
+                sites[raw[hit + 1]] += 1  # a return address inside BINARY
 
 def table(title, counts, of):
     print(f"\n{title} ({of} samples)")
@@ -72,3 +84,11 @@ table("self", self_, total)
 table("inclusive", inclusive, total)
 if args.callers:
     table(f"callers of *{args.callers}*", callers, sum(callers.values()))
+if args.lines:
+    # The frame above a symbol holds the return address, one past the call:
+    # step back into the call instruction before asking for its line.
+    print(f"\ncall sites of *{args.callers}* ({sum(sites.values())} samples)")
+    for address, n in sites.most_common(args.top):
+        where = subprocess.run(["addr2line", "-i", "-e", binary, hex(address - base - 1)],
+                               capture_output=True, text=True, check=True).stdout.split()
+        print(f"{n:8d}  {name_of(address)}\n" + "\n".join(f"{'':10}{line}" for line in where))
