@@ -1,7 +1,9 @@
 //! Benchmarks of the extension layers: graceful leave, nearest-neighbor
-//! table optimization, surrogate-routing object lookups, and the failure
-//! detector's tick and `Pong`. Set `BENCH_SMOKE=1` for one small shape of
-//! each detector bench.
+//! table optimization, surrogate-routing object lookups, the failure
+//! detector's tick and `Pong`, and the simulator's event queue under the
+//! traffic those extensions make (a steady depth of messages; timers armed,
+//! re-armed and canceled). Set `BENCH_SMOKE=1` for one small shape of each
+//! detector and queue bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyperring_core::{
@@ -11,7 +13,7 @@ use hyperring_core::{
 use hyperring_harness::distinct_ids;
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_object::ObjectStore;
-use hyperring_sim::UniformDelay;
+use hyperring_sim::{Actor, Context, Simulator, UniformDelay};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -162,11 +164,75 @@ fn bench_failure_detector(c: &mut Criterion) {
     println!("bench {name:<60} mean {mean:>9} ns ({pongs} pongs)");
 }
 
+/// A protocol-message-sized payload (`Effect` is 224 B).
+type Payload = [u64; 28];
+
+/// Forwards every message to the next actor, unchanged; with `timers`,
+/// also arms a timer, re-arms it and cancels it, leaving three stale keys
+/// in the queue per delivery, as a request answered before its retry does.
+struct Relay {
+    n: usize,
+    timers: bool,
+}
+
+impl Actor for Relay {
+    type Msg = Payload;
+    type Timer = u8;
+
+    fn on_message(&mut self, ctx: &mut Context<'_, Payload, u8>, _from: usize, msg: Payload) {
+        ctx.send((ctx.me() + 1) % self.n, msg);
+        if self.timers {
+            ctx.set_timer(0, 400);
+            ctx.set_timer(0, 800);
+            ctx.cancel_timer(0);
+        }
+    }
+}
+
+/// `depth` messages circulating among 64 relays, `UniformDelay(1 µs,
+/// 1 ms)`, run for one lap so that the heap and the payload store are at
+/// their steady size before timing starts.
+fn relay(depth: usize, timers: bool) -> Simulator<Relay, UniformDelay> {
+    let n = 64;
+    let relays = (0..n).map(|_| Relay { n, timers }).collect();
+    let mut sim = Simulator::new(relays, UniformDelay::new(1, 1_000), 5);
+    for i in 0..depth {
+        sim.inject(i % n, (i * 7) % n, [i as u64; 28]);
+    }
+    sim.run_limited(depth as u64);
+    sim
+}
+
+fn bench_sim_queue(c: &mut Criterion) {
+    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let depths: &[usize] = if smoke { &[1024] } else { &[1024, 8192, 65536] };
+    let mut g = c.benchmark_group("sim_queue");
+    g.sample_size(if smoke { 2 } else { 20 });
+    g.throughput(Throughput::Elements(1));
+    for &depth in depths {
+        let mut sim = relay(depth, false);
+        g.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
+            b.iter(|| sim.step())
+        });
+    }
+    g.finish();
+
+    let depth = if smoke { 1024 } else { 8192 };
+    let mut sim = relay(depth, true);
+    let mut g = c.benchmark_group("sim_timer_rearm");
+    g.sample_size(if smoke { 2 } else { 20 });
+    g.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
+        b.iter(|| sim.step())
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_leave,
     bench_optimize,
     bench_object_lookup,
-    bench_failure_detector
+    bench_failure_detector,
+    bench_sim_queue
 );
 criterion_main!(benches);

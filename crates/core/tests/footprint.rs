@@ -15,11 +15,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 
 use hyperring_core::{
-    bootstrap_batched_net, bootstrap_sequential, check_consistency, JoinEngine, ProtocolOptions,
+    bootstrap_batched_net, bootstrap_sequential, build_consistent_tables, check_consistency,
+    JoinEngine, ProtocolOptions, SimNetworkBuilder,
 };
 use hyperring_id::{IdSpace, NodeId};
+use hyperring_sim::UniformDelay;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Distinct allocation sizes the histogram can hold; further sizes are
 /// left out of it (the byte totals stay exact).
@@ -194,6 +196,40 @@ fn sequential_bootstrap_peaks_under_8_mib() {
         "{peak} B of heap live at once during a sequential bootstrap"
     );
     assert!(check_consistency(space(), &tables).is_consistent());
+}
+
+/// One concurrent wave in the shape of the `join_wave` benchmark, a
+/// quarter its size: the peak over `run()` is what the wave adds to the
+/// built network at its busiest, the event queue's traffic included. A
+/// slab that grows by doubling, or holds its high-water mark until the
+/// queue drains, shows here first.
+///
+/// Peak: 14 416 824 B at the parent of the slab-backed queue (a box per
+/// event), 14 479 436 B with it. The bound is the parent's + 3 %. A slab
+/// that kept every page until the drain read 15 741 740 B (+9.2 %).
+#[test]
+fn join_wave_peak_heap_is_pinned() {
+    const MEMBERS: usize = 3072;
+    const JOINERS: usize = 1024;
+    let ids = distinct(space(), MEMBERS + JOINERS, 13);
+    let (members, joiners) = ids.split_at(MEMBERS);
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut b = SimNetworkBuilder::new(space());
+    b.with_member_tables(build_consistent_tables(space(), members));
+    for joiner in joiners {
+        b.add_joiner(*joiner, members[rng.gen_range(0..MEMBERS)], 0);
+    }
+    let mut net = b.build(UniformDelay::new(1_000, 60_000), 13);
+    let heap = Window::open();
+    let report = net.run();
+    let peak = heap.peak();
+    heap.print("join wave, 3072 members + 1024 joiners", MEMBERS + JOINERS);
+    assert!(!report.truncated && net.all_in_system());
+    assert!(
+        peak <= 14_416_824 * 103 / 100,
+        "{peak} B of heap live at once"
+    );
+    assert!(net.check_consistency().is_consistent());
 }
 
 /// Every actor holds its engine inline, so a field added here is paid by

@@ -12,10 +12,12 @@
 //!
 //! Cancellation and re-arming are O(1): the wheel never removes slot
 //! entries eagerly, it stamps every arming with a generation and lets
-//! stale entries die when their slot drains — the same trick the
-//! simulator's armed-generation map uses, so timer semantics match across
-//! runtimes (re-arming supersedes, canceling a non-armed timer is a
-//! no-op).
+//! stale entries die when their slot drains. The simulator does the same
+//! without the stamp: its armed map names the payload slot of the live
+//! arming, canceling or re-arming empties the old slot in place, and the
+//! old key dies when it reaches the head of the queue. Timer semantics
+//! therefore match across runtimes (re-arming supersedes, canceling a
+//! non-armed timer is a no-op).
 //!
 //! Time is an absolute microsecond clock supplied by the caller (wall or
 //! virtual); the wheel only requires that `advance` never run backwards.

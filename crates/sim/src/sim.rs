@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::delay::{DelayModel, Fate};
-use crate::event::{Event, Payload, Time};
+use crate::event::{Key, Slab, Slot, Time, TIMER};
 
 /// A simulated protocol participant.
 ///
@@ -36,20 +36,29 @@ pub trait Actor {
 }
 
 /// One operation an actor issued during a delivery, buffered until the
-/// simulator applies it.
+/// simulator applies it. A send's message is already in its slab slot.
 #[derive(Debug)]
-pub(crate) enum Op<M, T> {
-    Send(usize, M),
+pub(crate) enum Op<T> {
+    Send(usize, u32),
     SetTimer(T, Time),
     CancelTimer(T),
 }
 
 /// Handle an actor uses to interact with the simulation during a delivery.
-#[derive(Debug)]
 pub struct Context<'a, M, T = ()> {
     now: Time,
     me: usize,
-    out: &'a mut Vec<Op<M, T>>,
+    out: &'a mut Vec<Op<T>>,
+    slab: &'a mut Slab<M, T>,
+}
+
+impl<M, T> std::fmt::Debug for Context<'_, M, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Context")
+            .field("now", &self.now)
+            .field("me", &self.me)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<'a, M, T> Context<'a, M, T> {
@@ -69,7 +78,8 @@ impl<'a, M, T> Context<'a, M, T> {
     /// delay model's [`Fate`].
     #[inline]
     pub fn send(&mut self, to: usize, msg: M) {
-        self.out.push(Op::Send(to, msg));
+        let slot = self.slab.insert(Slot::Msg(self.me as u32, msg));
+        self.out.push(Op::Send(to, slot));
     }
 
     /// Arms (or re-arms) timer `timer` to fire on this actor after `delay`
@@ -109,28 +119,28 @@ pub struct RunReport {
     pub traced: u64,
 }
 
-/// A queued delivery. The heap orders and moves `Event`s, so the payload —
-/// a protocol message can be a few hundred bytes — sits behind a `Box` and
-/// a sift moves the 40-byte key only.
-type QueuedEvent<A> = Event<Box<Payload<<A as Actor>::Msg, <A as Actor>::Timer>>>;
-
 /// Deterministic discrete-event simulator over a set of actors.
 ///
-/// One queue: a binary heap of events popped lowest `(time, seq)` first,
-/// where `seq` counts every event ever scheduled, so ties at equal times
-/// break by scheduling order. Given the same actors, delay model and
+/// One queue: a binary heap of 24-byte keys popped lowest `(time, seq)`
+/// first, where `seq` counts every event ever scheduled, so ties at equal
+/// times break by scheduling order. Given the same actors, delay model and
 /// seed, two runs deliver the same events in the same order.
+///
+/// A key names the slot of a paged slab where its payload waits: a
+/// message is written there once, when the actor sends it, and read once,
+/// when it is delivered; the heap never moves it, and a steady run
+/// allocates nothing per event. When the queue drains, the heap, the slab
+/// and the timer index are dropped.
 ///
 /// See the [crate docs](crate) for an example.
 pub struct Simulator<A: Actor, D> {
     actors: Vec<A>,
-    queue: BinaryHeap<QueuedEvent<A>>,
-    /// Armed timers: `(actor, timer) → generation` of the live arming. A
-    /// popped timer event fires only if its generation is still the armed
-    /// one; otherwise it was canceled or superseded and is skipped
-    /// silently.
-    armed: HashMap<(usize, A::Timer), u64>,
-    next_gen: u64,
+    queue: BinaryHeap<Key>,
+    slab: Slab<A::Msg, A::Timer>,
+    /// Armed timers: `(actor, timer) → slot` of the live arming. Canceling
+    /// or re-arming marks the old slot [`Slot::Canceled`], and its key is
+    /// discarded when it reaches the head of the queue.
+    armed: HashMap<(usize, A::Timer), u32>,
     delay: D,
     rng: StdRng,
     now: Time,
@@ -140,7 +150,7 @@ pub struct Simulator<A: Actor, D> {
     dropped: u64,
     duplicated: u64,
     /// Scratch buffer actors write their ops into during a delivery.
-    ops: Vec<Op<A::Msg, A::Timer>>,
+    ops: Vec<Op<A::Timer>>,
 }
 
 impl<A: Actor, D> std::fmt::Debug for Simulator<A, D> {
@@ -161,12 +171,17 @@ where
 {
     /// Creates a simulator over `actors` with the given delay model and RNG
     /// seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics with 2^31 actors or more.
     pub fn new(actors: Vec<A>, delay: D, seed: u64) -> Self {
+        assert!(actors.len() <= TIMER as usize, "too many actors");
         Simulator {
             actors,
             queue: BinaryHeap::new(),
+            slab: Slab::new(),
             armed: HashMap::new(),
-            next_gen: 0,
             delay,
             rng: StdRng::seed_from_u64(seed),
             now: 0,
@@ -233,7 +248,12 @@ where
     /// events, virtual time, and the RNG stream are untouched, and the
     /// new actor can immediately receive injections. This is the growth
     /// path incremental network construction builds on.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the population would reach 2^31 actors.
     pub fn add_actor(&mut self, actor: A) -> usize {
+        assert!(self.actors.len() < TIMER as usize, "too many actors");
         self.actors.push(actor);
         self.actors.len() - 1
     }
@@ -250,7 +270,8 @@ where
     pub fn inject(&mut self, from: usize, to: usize, msg: A::Msg) {
         assert!(from < self.len() && to < self.len());
         let d = self.delay.delay(from, to, &mut self.rng);
-        self.push_event(self.now + d, from, to, Payload::Msg(msg));
+        let slot = self.slab.insert(Slot::Msg(from as u32, msg));
+        self.push_key(self.now + d, to as u32, slot);
     }
 
     /// Schedules delivery of `msg` at absolute virtual time `at`.
@@ -261,16 +282,18 @@ where
     pub fn inject_at(&mut self, at: Time, from: usize, to: usize, msg: A::Msg) {
         assert!(from < self.len() && to < self.len());
         assert!(at >= self.now, "cannot schedule in the past");
-        self.push_event(at, from, to, Payload::Msg(msg));
+        let slot = self.slab.insert(Slot::Msg(from as u32, msg));
+        self.push_key(at, to as u32, slot);
     }
 
-    fn push_event(&mut self, at: Time, from: usize, to: usize, msg: Payload<A::Msg, A::Timer>) {
-        self.queue.push(Event {
+    /// Queues the payload in `slot` for delivery to `to` (a timer key has
+    /// [`TIMER`] set) at `at`, behind every event already scheduled then.
+    fn push_key(&mut self, at: Time, to: u32, slot: u32) {
+        self.queue.push(Key {
             at,
             seq: self.seq,
-            from,
             to,
-            msg: Box::new(msg),
+            slot,
         });
         self.seq += 1;
     }
@@ -280,31 +303,34 @@ where
         let mut ops = std::mem::take(&mut self.ops);
         for op in ops.drain(..) {
             match op {
-                Op::Send(to, msg) => {
+                Op::Send(to, slot) => {
                     assert!(to < self.len(), "send to unknown actor {to}");
                     match self.delay.fate(me, to, &mut self.rng) {
-                        Fate::Deliver(d) => {
-                            self.push_event(self.now + d, me, to, Payload::Msg(msg))
+                        Fate::Deliver(d) => self.push_key(self.now + d, to as u32, slot),
+                        Fate::Drop => {
+                            self.dropped += 1;
+                            self.slab.take(slot);
                         }
-                        Fate::Drop => self.dropped += 1,
                         Fate::Duplicate(d1, d2) => {
                             self.duplicated += 1;
-                            self.push_event(self.now + d1, me, to, Payload::Msg(msg.clone()));
-                            self.push_event(self.now + d2, me, to, Payload::Msg(msg));
+                            let copy = self.slab.duplicate(slot);
+                            self.push_key(self.now + d1, to as u32, copy);
+                            self.push_key(self.now + d2, to as u32, slot);
                         }
                     }
                 }
                 Op::SetTimer(timer, delay) => {
-                    let gen = self.next_gen;
-                    self.next_gen += 1;
-                    self.push_event(self.now + delay, me, me, Payload::Timer(timer.clone(), gen));
-                    // Overwrites any prior arming: the superseded queue
-                    // entry's generation no longer matches and dies at pop.
-                    self.armed.insert((me, timer), gen);
+                    let slot = self.slab.insert(Slot::Timer(timer.clone()));
+                    self.push_key(self.now + delay, me as u32 | TIMER, slot);
+                    // Supersedes any prior arming: its key pops as stale.
+                    if let Some(old) = self.armed.insert((me, timer), slot) {
+                        self.slab.cancel(old);
+                    }
                 }
                 Op::CancelTimer(timer) => {
-                    // The queue entry (if any) becomes stale and is skipped.
-                    self.armed.remove(&(me, timer));
+                    if let Some(old) = self.armed.remove(&(me, timer)) {
+                        self.slab.cancel(old);
+                    }
                 }
             }
         }
@@ -312,20 +338,24 @@ where
     }
 
     /// Time of the next event that will actually be delivered, if any.
-    /// Canceled or superseded timer entries at the head of the queue are
+    /// Canceled or superseded timer keys at the head of the queue are
     /// popped on the way: they would never fire, so discarding them (even
-    /// past a run horizon) changes nothing observable.
+    /// past a run horizon) changes nothing observable. A message key is
+    /// live by construction and its slot is not read.
+    ///
+    /// A drained queue releases its memory.
     fn next_live_at(&mut self) -> Option<Time> {
-        while let Some(ev) = self.queue.peek() {
-            let stale = match &*ev.msg {
-                Payload::Timer(timer, gen) => self.armed.get(&(ev.to, timer.clone())) != Some(gen),
-                Payload::Msg(_) => false,
-            };
-            if !stale {
-                return Some(ev.at);
+        while let Some(&key) = self.queue.peek() {
+            if key.to & TIMER == 0 || !self.slab.is_canceled(key.slot) {
+                return Some(key.at);
             }
             self.queue.pop();
+            self.slab.take(key.slot);
         }
+        self.queue = BinaryHeap::new();
+        self.slab = Slab::new();
+        self.armed = HashMap::new();
+        self.ops = Vec::new();
         None
     }
 
@@ -341,30 +371,35 @@ where
     }
 
     /// Delivers the head of the queue, which `next_live_at` has just found
-    /// live.
+    /// live. Its slot is freed before the actor runs, so that the actor's
+    /// first send can reuse it while it is in cache.
     fn deliver_head(&mut self) {
-        let ev = self.queue.pop().expect("peeked event vanished");
-        debug_assert!(ev.at >= self.now, "time went backwards");
+        let key = self.queue.pop().expect("peeked event vanished");
+        debug_assert!(key.at >= self.now, "time went backwards");
         debug_assert!(self.ops.is_empty());
-        self.now = ev.at;
-        let me = ev.to;
+        self.now = key.at;
+        let me = (key.to & !TIMER) as usize;
+        let payload = self.slab.take(key.slot);
         let mut ctx = Context {
-            now: ev.at,
+            now: key.at,
             me,
             out: &mut self.ops,
+            slab: &mut self.slab,
         };
-        match *ev.msg {
-            Payload::Msg(msg) => {
+        match payload {
+            Slot::Msg(from, msg) => {
                 self.delivered += 1;
-                self.actors[me].on_message(&mut ctx, ev.from, msg);
+                self.actors[me].on_message(&mut ctx, from as usize, msg);
             }
-            Payload::Timer(timer, _gen) => {
+            Slot::Timer(timer) => {
                 self.armed.remove(&(me, timer.clone()));
                 self.timers_fired += 1;
                 self.actors[me].on_timer(&mut ctx, timer);
             }
+            Slot::Free(_) | Slot::Canceled => unreachable!("queued key without a payload"),
         }
         self.apply_ops(me);
+        self.slab.trim();
     }
 
     fn report(&self, truncated: bool) -> RunReport {
@@ -576,6 +611,34 @@ mod tests {
         sim.inject_at(50, 0, 0, 3);
         sim.run();
         assert_eq!(sim.actor(0).log, vec![(10, 2), (50, 1), (50, 3)]);
+    }
+
+    #[test]
+    fn messages_and_timers_pop_by_time_then_scheduling_order() {
+        /// Logs `(now, seq)`: a message carries the seq it was injected
+        /// with; the message injected with seq 3 arms a timer that is
+        /// scheduled sixth (seq 5) and falls due at t = 3.
+        struct Log(Vec<(Time, u64)>);
+        impl Actor for Log {
+            type Msg = u64;
+            type Timer = ();
+            fn on_message(&mut self, ctx: &mut Context<'_, u64>, _f: usize, seq: u64) {
+                self.0.push((ctx.now(), seq));
+                if seq == 3 {
+                    ctx.set_timer((), 2);
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_, u64>, _t: ()) {
+                self.0.push((ctx.now(), 5));
+            }
+        }
+        let mut sim = Simulator::new(vec![Log(vec![])], ConstantDelay(0), 0);
+        for (seq, at) in [5u64, 3, 5, 1, 3].into_iter().enumerate() {
+            sim.inject_at(at, 0, 0, seq as u64);
+        }
+        sim.run();
+        let order = vec![(1, 3), (3, 1), (3, 4), (3, 5), (5, 0), (5, 2)];
+        assert_eq!(sim.actor(0).0, order);
     }
 
     #[test]

@@ -1,8 +1,18 @@
 //! Property-based tests of the discrete-event simulator: causality,
-//! conservation of messages, and seed determinism.
+//! conservation of messages, seed determinism, and equivalence with the
+//! queue the slab-backed one replaced.
 
-use hyperring_sim::{Actor, ConstantDelay, Context, Simulator, Time, UniformDelay};
+use std::cell::{Cell, RefCell};
+use std::collections::{BinaryHeap, HashMap};
+use std::rc::Rc;
+
+use hyperring_sim::{
+    Actor, ConstantDelay, Context, DelayModel, Fate, FaultyDelay, RunReport, Simulator, Time,
+    UniformDelay,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Actor that records delivery times and forwards a decrementing counter
 /// to a fixed next hop.
@@ -109,5 +119,340 @@ proptest! {
             (r.delivered, r.finished_at, log)
         };
         prop_assert_eq!(run(seed), run(seed));
+    }
+}
+
+/// What an actor was handed: a message's payload, or one of its timers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    Msg(u64),
+    Timer(u8),
+}
+
+/// One delivery: `(now, to, from, what)`; a timer comes from its owner.
+type Delivery = (Time, usize, usize, Seen);
+
+/// Timers 0–2 get armed, re-armed and canceled; timer 3 is only ever
+/// canceled, never armed.
+enum Cmd {
+    Send(usize, u64),
+    Arm(u8, Time),
+    Cancel(u8),
+}
+
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// An actor's behaviour, identical under both queues: what it issues in
+/// reply to an event is a hash of the script seed, the actor and how many
+/// events it has seen. A budget of commands keeps every run finite.
+struct Script {
+    seed: u64,
+    me: usize,
+    seen: u64,
+    budget: u32,
+}
+
+impl Script {
+    fn new(seed: u64, me: usize) -> Self {
+        Script {
+            seed,
+            me,
+            seen: 0,
+            budget: 40,
+        }
+    }
+
+    fn react(&mut self, population: usize, what: Seen) -> Vec<Cmd> {
+        self.seen += 1;
+        let tag = match what {
+            Seen::Msg(m) => m,
+            Seen::Timer(t) => u64::from(t) << 56,
+        };
+        let mut h = mix(self.seed ^ mix(self.me as u64 ^ mix(self.seen ^ mix(tag))));
+        let mut cmds = Vec::new();
+        for _ in 0..h % 4 {
+            if self.budget == 0 {
+                break;
+            }
+            self.budget -= 1;
+            h = mix(h);
+            cmds.push(match h % 8 {
+                0..=3 => Cmd::Send((h >> 8) as usize % population, h >> 16),
+                4 | 5 => Cmd::Arm((h >> 8) as u8 % 3, (h >> 16) % 400),
+                6 => Cmd::Cancel((h >> 8) as u8 % 3),
+                _ => Cmd::Cancel(3),
+            });
+        }
+        cmds
+    }
+}
+
+/// A scripted actor on the real simulator; `log` and `population` are
+/// shared by all actors of one run.
+struct Scripted {
+    script: Script,
+    log: Rc<RefCell<Vec<Delivery>>>,
+    population: Rc<Cell<usize>>,
+}
+
+impl Scripted {
+    fn react(&mut self, ctx: &mut Context<'_, u64, u8>, from: usize, what: Seen) {
+        self.log
+            .borrow_mut()
+            .push((ctx.now(), ctx.me(), from, what));
+        for cmd in self.script.react(self.population.get(), what) {
+            match cmd {
+                Cmd::Send(to, m) => ctx.send(to, m),
+                Cmd::Arm(t, d) => ctx.set_timer(t, d),
+                Cmd::Cancel(t) => ctx.cancel_timer(t),
+            }
+        }
+    }
+}
+
+impl Actor for Scripted {
+    type Msg = u64;
+    type Timer = u8;
+    fn on_message(&mut self, ctx: &mut Context<'_, u64, u8>, from: usize, m: u64) {
+        self.react(ctx, from, Seen::Msg(m));
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_, u64, u8>, t: u8) {
+        let me = ctx.me();
+        self.react(ctx, me, Seen::Timer(t));
+    }
+}
+
+/// The queue the slab replaced (PR 16–24), as the reference: boxed events
+/// in a heap ordered by `(at, seq)`, and a timer entry firing only if its
+/// arming generation is still the armed one.
+struct Event {
+    at: Time,
+    seq: u64,
+    from: usize,
+    to: usize,
+    msg: Box<Payload>,
+}
+
+enum Payload {
+    Msg(u64),
+    Timer(u8, u64),
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl Eq for Event {}
+
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+struct Reference<D> {
+    actors: Vec<Script>,
+    queue: BinaryHeap<Event>,
+    armed: HashMap<(usize, u8), u64>,
+    next_gen: u64,
+    delay: D,
+    rng: StdRng,
+    now: Time,
+    seq: u64,
+    report: RunReport,
+    log: Vec<Delivery>,
+}
+
+impl<D: DelayModel> Reference<D> {
+    fn new(actors: Vec<Script>, delay: D, seed: u64) -> Self {
+        Reference {
+            actors,
+            queue: BinaryHeap::new(),
+            armed: HashMap::new(),
+            next_gen: 0,
+            delay,
+            rng: StdRng::seed_from_u64(seed),
+            now: 0,
+            seq: 0,
+            report: RunReport::default(),
+            log: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, at: Time, from: usize, to: usize, msg: Payload) {
+        let (seq, msg) = (self.seq, Box::new(msg));
+        self.queue.push(Event {
+            at,
+            seq,
+            from,
+            to,
+            msg,
+        });
+        self.seq += 1;
+    }
+
+    fn inject(&mut self, from: usize, to: usize, m: u64) {
+        let d = self.delay.delay(from, to, &mut self.rng);
+        self.push(self.now + d, from, to, Payload::Msg(m));
+    }
+
+    fn next_live_at(&mut self) -> Option<Time> {
+        while let Some(ev) = self.queue.peek() {
+            match *ev.msg {
+                Payload::Timer(t, gen) if self.armed.get(&(ev.to, t)) != Some(&gen) => {}
+                _ => return Some(ev.at),
+            }
+            self.queue.pop();
+        }
+        None
+    }
+
+    fn deliver_head(&mut self) {
+        let ev = self.queue.pop().unwrap();
+        let me = ev.to;
+        self.now = ev.at;
+        let what = match *ev.msg {
+            Payload::Msg(m) => {
+                self.report.delivered += 1;
+                Seen::Msg(m)
+            }
+            Payload::Timer(t, _) => {
+                self.armed.remove(&(me, t));
+                self.report.timers_fired += 1;
+                Seen::Timer(t)
+            }
+        };
+        self.log.push((ev.at, me, ev.from, what));
+        let population = self.actors.len();
+        for cmd in self.actors[me].react(population, what) {
+            match cmd {
+                Cmd::Send(to, m) => match self.delay.fate(me, to, &mut self.rng) {
+                    Fate::Deliver(d) => self.push(self.now + d, me, to, Payload::Msg(m)),
+                    Fate::Drop => self.report.dropped += 1,
+                    Fate::Duplicate(d1, d2) => {
+                        self.report.duplicated += 1;
+                        self.push(self.now + d1, me, to, Payload::Msg(m));
+                        self.push(self.now + d2, me, to, Payload::Msg(m));
+                    }
+                },
+                Cmd::Arm(t, d) => {
+                    let gen = self.next_gen;
+                    self.next_gen += 1;
+                    self.push(self.now + d, me, me, Payload::Timer(t, gen));
+                    self.armed.insert((me, t), gen);
+                }
+                Cmd::Cancel(t) => {
+                    self.armed.remove(&(me, t));
+                }
+            }
+        }
+    }
+
+    fn finish(&mut self, truncated: bool) -> RunReport {
+        RunReport {
+            finished_at: self.now,
+            truncated,
+            ..self.report
+        }
+    }
+
+    fn run_limited(&mut self, k: u64) -> RunReport {
+        for _ in 0..k {
+            if self.next_live_at().is_none() {
+                return self.finish(false);
+            }
+            self.deliver_head();
+        }
+        let truncated = self.next_live_at().is_some();
+        self.finish(truncated)
+    }
+
+    fn run_until(&mut self, until: Time) -> RunReport {
+        loop {
+            match self.next_live_at() {
+                None => return self.finish(false),
+                Some(at) if at > until => return self.finish(true),
+                Some(_) => self.deliver_head(),
+            }
+        }
+    }
+}
+
+fn lossy() -> FaultyDelay<UniformDelay> {
+    FaultyDelay::new(UniformDelay::new(1, 300), 0.2, 0.2)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// Random actor scripts — sends, arms, re-arms, cancels (of unarmed
+    /// timers too), injections and actors added mid-run — paused by
+    /// `run_limited(k)`, `run_until(t)` and `run()` under drop 0.2 and dup 0.2:
+    /// the same deliveries in the same order, the same report and the
+    /// same queue length as the reference at every pause.
+    #[test]
+    fn slab_queue_matches_the_boxed_reference(
+        n in 1usize..6,
+        seed in 0u64..10_000,
+        script in 0u64..10_000,
+        steps in proptest::collection::vec((0u8..6, 0u64..2_000, 0u64..1_000), 1..24),
+    ) {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let population = Rc::new(Cell::new(n));
+        let scripted = |me: usize| Scripted {
+            script: Script::new(script, me),
+            log: Rc::clone(&log),
+            population: Rc::clone(&population),
+        };
+        let mut sim = Simulator::new((0..n).map(scripted).collect(), lossy(), seed);
+        let mut reference = Reference::new(
+            (0..n).map(|me| Script::new(script, me)).collect(),
+            lossy(),
+            seed,
+        );
+        let mut steps = steps;
+        steps.push((5, 0, 0)); // drain at the end
+        for (kind, a, m) in steps {
+            let len = sim.len();
+            let (from, to) = (a as usize % len, (a >> 4) as usize % len);
+            let report = match kind {
+                0 => {
+                    sim.inject(from, to, m);
+                    reference.inject(from, to, m);
+                    continue;
+                }
+                1 => {
+                    let at = sim.now() + a;
+                    sim.inject_at(at, from, to, m);
+                    reference.push(at, from, to, Payload::Msg(m));
+                    continue;
+                }
+                2 => {
+                    let me = sim.add_actor(scripted(len));
+                    reference.actors.push(Script::new(script, me));
+                    population.set(me + 1);
+                    continue;
+                }
+                3 => (sim.run_until(sim.now() + a), reference.run_until(reference.now + a)),
+                4 => (sim.run_limited(a % 64), reference.run_limited(a % 64)),
+                _ => (sim.run(), reference.run_limited(u64::MAX)),
+            };
+            prop_assert_eq!(report.0, report.1);
+            prop_assert_eq!(&*log.borrow(), &reference.log);
+            prop_assert_eq!(sim.pending(), reference.queue.len());
+        }
+        prop_assert!(sim.pending() == 0 && !sim.step());
     }
 }
