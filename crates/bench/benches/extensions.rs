@@ -164,8 +164,8 @@ fn bench_failure_detector(c: &mut Criterion) {
     println!("bench {name:<60} mean {mean:>9} ns ({pongs} pongs)");
 }
 
-/// A protocol-message-sized payload (`Effect` is 224 B).
-type Payload = [u64; 28];
+/// A protocol-message-sized payload (`Effect` is 112 B).
+type Payload = [u64; 14];
 
 /// Forwards every message to the next actor, unchanged; with `timers`,
 /// also arms a timer, re-arms it and cancels it, leaving three stale keys
@@ -197,7 +197,7 @@ fn relay(depth: usize, timers: bool) -> Simulator<Relay, UniformDelay> {
     let relays = (0..n).map(|_| Relay { n, timers }).collect();
     let mut sim = Simulator::new(relays, UniformDelay::new(1, 1_000), 5);
     for i in 0..depth {
-        sim.inject(i % n, (i * 7) % n, [i as u64; 28]);
+        sim.inject(i % n, (i * 7) % n, [i as u64; 14]);
     }
     sim.run_limited(depth as u64);
     sim

@@ -117,7 +117,7 @@ where
             *h ^= v;
             *h = h.wrapping_mul(0x0000_0100_0000_01b3);
         };
-        for &d in x.digits_lsd() {
+        for &d in x.digits_lsd().iter() {
             mix(d as u64 + 1, &mut h);
         }
         mix(i as u64 + 1, &mut h);

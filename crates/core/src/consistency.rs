@@ -486,8 +486,8 @@ pub fn check_reachability(tables: &[NeighborTable]) -> Vec<(NodeId, NodeId)> {
 /// [`SimNetwork::tables_iter`](crate::SimNetwork::tables_iter)).
 pub fn check_reachability_refs(tables: &[&NeighborTable]) -> Vec<(NodeId, NodeId)> {
     // Sorted vec + binary search instead of a `HashMap<NodeId, _>`: the
-    // per-hop lookup inside `route` is the hot path here, and digit
-    // compares beat rehashing 65-byte ids n²·d times.
+    // per-hop lookup inside `route` is the hot path here, and word
+    // compares beat SipHashing ids n²·d times.
     let mut by_id: Vec<(NodeId, &NeighborTable)> = tables.iter().map(|t| (t.owner(), *t)).collect();
     by_id.sort_unstable_by_key(|p| p.0);
     let mut failures = Vec::new();

@@ -940,13 +940,13 @@ impl JoinEngine {
     fn timer_salt(&self, id: TimerId) -> u64 {
         const PRIME: u64 = 0x0100_0000_01b3;
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in self.id.digits_lsd() {
+        for &b in self.id.digits_lsd().iter() {
             h = (h ^ u64::from(b)).wrapping_mul(PRIME);
         }
         for b in id.kind_name().bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(PRIME);
         }
-        for &b in id.peer().digits_lsd() {
+        for &b in id.peer().digits_lsd().iter() {
             h = (h ^ u64::from(b)).wrapping_mul(PRIME);
         }
         h

@@ -297,9 +297,11 @@ impl Message {
     }
 }
 
-/// Bytes needed to pack one `d`-digit base-`b` identifier.
+/// Bytes needed to pack one `d`-digit base-`b` identifier at
+/// `⌈log₂ b⌉` bits a digit. Integer arithmetic only: `wire_size` runs on
+/// every send.
 pub fn packed_id_bytes(space: &IdSpace) -> usize {
-    let bits_per_digit = (space.base() as f64).log2().ceil() as usize;
+    let bits_per_digit = (space.base() - 1).ilog2() as usize + 1;
     (space.digit_count() * bits_per_digit).div_ceil(8)
 }
 
@@ -420,6 +422,23 @@ mod tests {
         assert_eq!(packed_id_bytes(&IdSpace::new(16, 8).unwrap()), 4);
         // b=4, d=5: 10 bits -> 2 bytes.
         assert_eq!(packed_id_bytes(&IdSpace::new(4, 5).unwrap()), 2);
+    }
+
+    #[test]
+    fn packed_id_bytes_equals_the_float_formula() {
+        for b in 2u16..=36 {
+            for d in 1..=hyperring_id::MAX_DIGITS {
+                let Ok(space) = IdSpace::new(b, d) else {
+                    continue;
+                };
+                let bits = (b as f64).log2().ceil() as usize;
+                assert_eq!(
+                    packed_id_bytes(&space),
+                    (d * bits).div_ceil(8),
+                    "b={b} d={d}"
+                );
+            }
+        }
     }
 
     #[test]

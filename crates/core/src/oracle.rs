@@ -112,8 +112,8 @@ pub fn build_consistent_tables(space: IdSpace, ids: &[NodeId]) -> Vec<NeighborTa
     // RvNghNotiMsg bookkeeping would have. `y` records `x` as a reverse
     // neighbor at `(k, y[k])`, `k = |csuf(x, y)|`, whenever `x` stores `y`.
     // The id → table-index map is a sorted vec probed by binary search:
-    // hashing a 65-byte `NodeId` per neighbor lost to Θ(log n) digit
-    // compares over this n·d·b-lookup loop at bootstrap scale.
+    // SipHashing a `NodeId` per neighbor lost to Θ(log n) word compares
+    // over this n·d·b-lookup loop at bootstrap scale.
     let mut index: Vec<(NodeId, usize)> = ids.iter().enumerate().map(|(i, &x)| (x, i)).collect();
     index.sort_unstable_by_key(|p| p.0);
     let mut neighbors: Vec<NodeId> = Vec::new();

@@ -16,7 +16,7 @@
 //! * *which one is the canonical witness?* — the numeric minimum of the
 //!   range, answered in `O(log n)` by a segment tree of arena ids
 //!   ([`seal`](CompactSuffixIndex::seal) builds it, queries compare packed
-//!   digit bytes instead of 65-byte `NodeId`s).
+//!   digit bytes instead of resolving `NodeId`s).
 //!
 //! The witness is the *smallest* carrier — the same choice
 //! [`build_consistent_tables`](crate::build_consistent_tables) makes — so
@@ -149,7 +149,7 @@ impl CompactSuffixIndex {
         if id.digit_count() != self.space.digit_count() {
             return None;
         }
-        self.position(id.digits_lsd())
+        self.position(&id.digits_lsd())
             .ok()
             .map(|pos| self.order[pos])
     }
@@ -163,13 +163,14 @@ impl CompactSuffixIndex {
     /// already live. Unseals the index.
     pub fn insert(&mut self, id: NodeId) -> bool {
         debug_assert!(self.space.contains(&id), "id {id} not in space");
-        match self.position(id.digits_lsd()) {
+        let digits = id.digits_lsd();
+        match self.position(&digits) {
             Ok(_) => false,
             Err(pos) => {
                 let d = self.space.digit_count();
                 let idx = (self.bytes.len() / d) as u32;
                 assert!(idx < NONE, "compact index arena full");
-                self.bytes.extend_from_slice(id.digits_lsd());
+                self.bytes.extend_from_slice(&digits);
                 self.order.insert(pos, idx);
                 self.sealed = false;
                 true
@@ -184,7 +185,7 @@ impl CompactSuffixIndex {
         if id.digit_count() != self.space.digit_count() {
             return false;
         }
-        match self.position(id.digits_lsd()) {
+        match self.position(&id.digits_lsd()) {
             Ok(pos) => {
                 self.order.remove(pos);
                 self.sealed = false;

@@ -28,19 +28,21 @@ pub struct Entry {
 /// Per-table interner for node identifiers.
 ///
 /// Every distinct id a table ever references (entries and reverse
-/// neighbors) is stored exactly once as packed digits — nibble-packed when
-/// the base fits four bits, one byte per digit otherwise — and addressed
-/// by a dense `u32` index. A `NodeId` is 65 bytes and repeats across many
-/// slots of the same table (the owner alone occupies `d` self entries), so
-/// interning plus packing is what collapses the per-node footprint by an
-/// order of magnitude.
+/// neighbors) is stored exactly once and addressed by a dense `u32` index.
+/// An id repeats across many slots of the same table (the owner alone
+/// occupies `d` self entries), so interning is what collapses the per-node
+/// footprint by an order of magnitude: each slot holds a 4-byte index
+/// instead of a 33-byte `NodeId`.
 ///
-/// Digits are packed **most-significant first** (high nibble first), so
-/// comparing packed bytes lexicographically equals comparing ids
-/// numerically — the same order as `NodeId::Ord` for the equal-length ids
-/// of one space. [`cmp_ids`](Self::cmp_ids) leans on that equivalence.
+/// The arena stores each id's own packed bytes ([`NodeId::as_bytes`]:
+/// nibbles when the base fits four bits, least-significant digit first),
+/// so interning and resolving an id are copies. In a base over 16, where
+/// ids that pack nibbles and ids that take a byte a digit mix, a leading
+/// byte records which. Digits ascend in significance along the bytes, so
+/// [`cmp_ids`](Self::cmp_ids) compares from the last byte back — the same
+/// order as `NodeId::Ord` for the equal-length ids of one space.
 ///
-/// Dedup goes through an open-addressing hash index over the packed bytes
+/// Dedup goes through an open-addressing hash index over the stored bytes
 /// (linear probing, power-of-two capacity, at most 7/8 full: four bytes a
 /// slot, and most tables hold a few dozen ids in one or two cache lines of
 /// index, so memory is worth more here than short probe runs). The hash is
@@ -48,52 +50,54 @@ pub struct Entry {
 /// in a table — is identical from run to run.
 #[derive(Debug, Clone)]
 struct IdArena {
-    /// Packed digit storage, `stride` bytes per interned id.
+    /// Stored ids, `stride` bytes each.
     bytes: Vec<u8>,
     /// Hash index: [`EMPTY`] or an interned index, probed linearly from
     /// the key's hash.
     index: Vec<u32>,
     stride: usize,
-    nibble: bool,
     digits: usize,
+    /// Base over 16: every key leads with a byte saying whether the id is
+    /// wide.
+    mixed: bool,
 }
 
 /// Initial hash-index capacity (a power of two). A table that has just
 /// been created holds its owner only.
 const INDEX_MIN: usize = 8;
 
+/// Room for the longest key: a width byte and 32 packed bytes.
+type KeyBuf = [u8; 33];
+
 impl IdArena {
     fn new(space: IdSpace) -> Self {
         let digits = space.digit_count();
-        let nibble = space.base() <= 16;
+        let mixed = space.base() > 16;
         IdArena {
             bytes: Vec::new(),
             index: vec![EMPTY; INDEX_MIN],
-            stride: if nibble { digits.div_ceil(2) } else { digits },
-            nibble,
+            stride: if mixed {
+                1 + digits
+            } else {
+                digits.div_ceil(2)
+            },
             digits,
+            mixed,
         }
     }
 
-    /// Packs `id` into `buf`; returns the packed length (`stride`).
-    fn pack(&self, id: &NodeId, buf: &mut [u8; 64]) -> usize {
+    /// The stored form of `id`: its packed bytes, behind a width byte and
+    /// zero-padded to `stride` in a base over 16 (written into `buf`).
+    #[inline]
+    fn key<'a>(&self, id: &'a NodeId, buf: &'a mut KeyBuf) -> &'a [u8] {
         debug_assert_eq!(id.digit_count(), self.digits, "id from a foreign space");
-        if self.nibble {
-            let mut j = 0;
-            let mut pos = self.digits;
-            while pos > 0 {
-                let hi = id.digit(pos - 1);
-                let lo = if pos >= 2 { id.digit(pos - 2) } else { 0 };
-                buf[j] = (hi << 4) | lo;
-                j += 1;
-                pos = pos.saturating_sub(2);
-            }
-        } else {
-            for (j, byte) in buf.iter_mut().enumerate().take(self.digits) {
-                *byte = id.digit(self.digits - 1 - j);
-            }
+        let packed = id.as_bytes();
+        if !self.mixed {
+            return packed;
         }
-        self.stride
+        buf[0] = u8::from(id.is_wide());
+        buf[1..1 + packed.len()].copy_from_slice(packed);
+        &buf[..self.stride]
     }
 
     #[inline]
@@ -108,30 +112,25 @@ impl IdArena {
         self.bytes.len() / self.stride
     }
 
+    #[inline]
     fn resolve(&self, idx: u32) -> NodeId {
         let b = self.packed(idx);
-        let mut lsd = [0u8; 64];
-        if self.nibble {
-            let mut j = 0;
-            let mut pos = self.digits;
-            while pos > 0 {
-                lsd[pos - 1] = b[j] >> 4;
-                if pos >= 2 {
-                    lsd[pos - 2] = b[j] & 0x0f;
-                }
-                j += 1;
-                pos = pos.saturating_sub(2);
-            }
+        let id = if self.mixed {
+            let wide = b[0] != 0;
+            let used = if wide {
+                self.digits
+            } else {
+                self.digits.div_ceil(2)
+            };
+            NodeId::from_bytes(self.digits, wide, &b[1..1 + used])
         } else {
-            for j in 0..self.digits {
-                lsd[self.digits - 1 - j] = b[j];
-            }
-        }
-        NodeId::from_digits_lsd(&lsd[..self.digits])
+            NodeId::from_bytes(self.digits, false, b)
+        };
+        id.expect("interned bytes are an id's packing")
     }
 
     /// Where `key` starts probing in an index of `capacity` slots: FNV-1a
-    /// over the packed bytes, one more multiply to spread the last byte
+    /// over the stored bytes, one more multiply to spread the last byte
     /// into the high bits, then the top `log2(capacity)` bits.
     #[inline]
     fn home(key: &[u8], capacity: usize) -> usize {
@@ -179,9 +178,8 @@ impl IdArena {
 
     /// Interns `id`, returning its stable dense index.
     fn intern(&mut self, id: &NodeId) -> u32 {
-        let mut buf = [0u8; 64];
-        let n = self.pack(id, &mut buf);
-        let key = &buf[..n];
+        let mut buf: KeyBuf = [0; 33];
+        let key = self.key(id, &mut buf);
         match self.probe(key) {
             Ok(idx) => idx,
             Err(mut pos) => {
@@ -200,38 +198,24 @@ impl IdArena {
 
     /// Index of `id` if it was ever interned.
     fn lookup(&self, id: &NodeId) -> Option<u32> {
-        let mut buf = [0u8; 64];
-        let n = self.pack(id, &mut buf);
-        self.probe(&buf[..n]).ok()
+        self.probe(self.key(id, &mut [0u8; 33])).ok()
     }
 
-    /// Numeric order of two interned ids.
+    /// Numeric order of two interned ids: their bytes from the
+    /// most-significant end, or their digits when one packs nibbles and
+    /// the other bytes.
     #[inline]
     fn cmp_ids(&self, a: u32, b: u32) -> Ordering {
-        self.packed(a).cmp(self.packed(b))
-    }
-
-    /// Digit `i` (least significant first) of a packed id.
-    #[inline]
-    fn digit_of(&self, packed: &[u8], i: usize) -> u8 {
-        let pos = self.digits - 1 - i;
-        if !self.nibble {
-            packed[pos]
-        } else if pos & 1 == 0 {
-            packed[pos / 2] >> 4
-        } else {
-            packed[pos / 2] & 0x0f
+        let (pa, pb) = (self.packed(a), self.packed(b));
+        if self.mixed && pa[0] != pb[0] {
+            return self.resolve(a).cmp(&self.resolve(b));
         }
-    }
-
-    /// Length of the common suffix of interned id `idx` and the packed id
-    /// `key`: `NodeId::csuf_len` without resolving either side.
-    #[inline]
-    fn csuf_len(&self, idx: u32, key: &[u8]) -> usize {
-        let packed = self.packed(idx);
-        (0..self.digits)
-            .take_while(|&i| self.digit_of(packed, i) == self.digit_of(key, i))
-            .count()
+        for (x, y) in pa.iter().zip(pb).rev() {
+            if x != y {
+                return x.cmp(y);
+            }
+        }
+        Ordering::Equal
     }
 }
 
@@ -355,9 +339,8 @@ impl WordSet {
 /// a dense `u32` slab holds one `arena index | state bit` word per
 /// `(level, digit)` slot, and reverse neighbors live in one ordered set of
 /// `(slot, arena index)` words for the whole table instead of a set of
-/// 65-byte `NodeId`s per slot. At `d = 8`, `b = 16` this is roughly 1 KiB
-/// per table where the boxed layout took over 10 KiB — the difference
-/// between 4k-node and 100k-node simulations.
+/// 33-byte `NodeId`s per slot. At `d = 8`, `b = 16` this is roughly 1 KiB
+/// per table — the difference between 4k-node and 100k-node simulations.
 ///
 /// # Examples
 ///
@@ -733,24 +716,20 @@ impl NeighborTable {
     /// The reverse neighbor sharing the longest suffix with `target`,
     /// provided that is more than `above` digits; the smallest id among
     /// equals. The owner and `skip` never qualify. Scans the membership
-    /// words in place: ids are compared packed, none is resolved but the
-    /// winner's.
+    /// words in place; resolving a candidate is a copy of its bytes.
     pub(crate) fn closest_reverse(
         &self,
         target: &NodeId,
         skip: &NodeId,
         above: usize,
     ) -> Option<(usize, NodeId)> {
-        let mut buf = [0u8; 64];
-        let n = self.arena.pack(target, &mut buf);
-        let key = &buf[..n];
         let skip = self.arena.lookup(skip);
         let mut best: Option<(usize, u32)> = None;
         for idx in self.rev.iter().map(|k| k as u32) {
             if idx == self.owner_idx || Some(idx) == skip {
                 continue;
             }
-            let c = self.arena.csuf_len(idx, key);
+            let c = target.csuf_len(&self.arena.resolve(idx));
             let better = match best {
                 None => c > above,
                 Some((b, at)) => c > b || (c == b && self.arena.cmp_ids(idx, at).is_lt()),
@@ -830,7 +809,7 @@ impl NeighborTable {
 
     /// Snapshot of the non-empty slots of `range` that `keep` admits. The
     /// rows are counted first and reserved exactly: a table keeps its last
-    /// full snapshot memoized, and `d · b` rows of 68 bytes for the ~60 a
+    /// full snapshot memoized, and `d · b` rows of 36 bytes for the ~60 a
     /// table fills is several KiB per node.
     fn snapshot_where(
         &self,
@@ -847,10 +826,7 @@ impl NeighborTable {
                 entry,
             })
         }));
-        TableSnapshot {
-            owner: self.owner,
-            rows: Arc::new(rows),
-        }
+        TableSnapshot::from_rows(self.owner, rows)
     }
 
     /// The bit vector of filled entries (one bit per slot, level-major),
@@ -924,14 +900,20 @@ pub struct SnapshotRow {
 /// Snapshots are reference-counted: attaching one to several messages,
 /// cloning a [`Message`](crate::Message), or draining an
 /// [`Effects`](crate::Effects) buffer never copies the rows, mirroring how a real
-/// implementation would serialize a table once. (The rows sit behind
-/// `Arc<Vec<_>>` rather than `Arc<[_]>` deliberately: constructing an
-/// `Arc<[T]>` from an unknown-length iterator copies the collected buffer
-/// a second time, which showed up as a measurable per-snapshot cost.)
+/// implementation would serialize a table once. The owner and the rows sit
+/// behind one `Arc`, so a snapshot is 8 bytes inline in every message that
+/// carries one. (The rows are a `Vec` in there rather than an `Arc<[_]>`
+/// deliberately: constructing an `Arc<[T]>` from an unknown-length
+/// iterator copies the collected buffer a second time, which showed up as
+/// a measurable per-snapshot cost.)
 #[derive(Debug, Clone)]
-pub struct TableSnapshot {
+pub struct TableSnapshot(Arc<Photo>);
+
+/// What a [`TableSnapshot`] shares.
+#[derive(Debug)]
+struct Photo {
     owner: NodeId,
-    rows: Arc<Vec<SnapshotRow>>,
+    rows: Vec<SnapshotRow>,
 }
 
 impl TableSnapshot {
@@ -939,27 +921,24 @@ impl TableSnapshot {
     /// of [`rows`](Self::rows)). Row validity — levels within `d`, digits
     /// within `b` — is the decoder's responsibility.
     pub fn from_rows(owner: NodeId, rows: Vec<SnapshotRow>) -> Self {
-        TableSnapshot {
-            owner,
-            rows: Arc::new(rows),
-        }
+        TableSnapshot(Arc::new(Photo { owner, rows }))
     }
 
     /// The node whose table was photographed.
     #[inline]
     pub fn owner(&self) -> NodeId {
-        self.owner
+        self.0.owner
     }
 
     /// Rows (non-empty entries) in the snapshot.
     #[inline]
     pub fn rows(&self) -> &[SnapshotRow] {
-        &self.rows
+        &self.0.rows
     }
 
     /// Looks up entry `(level, digit)` in the snapshot.
     pub fn get(&self, level: usize, digit: u8) -> Option<Entry> {
-        self.rows
+        self.rows()
             .iter()
             .find(|r| r.level as usize == level && r.digit == digit)
             .map(|r| r.entry)
@@ -967,18 +946,18 @@ impl TableSnapshot {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows().len()
     }
 
     /// Whether the snapshot has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows().is_empty()
     }
 }
 
 impl fmt::Display for TableSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "snapshot of {} ({} rows)", self.owner, self.rows.len())
+        write!(f, "snapshot of {} ({} rows)", self.owner(), self.len())
     }
 }
 

@@ -8,12 +8,16 @@
 //! neighbors, and (b) a joiner whose gateway or awaited peer dies
 //! mid-join must not strand forever in a pre-`in_system` status where no
 //! detector will ever rescue it.
+//!
+//! The file also holds ROADMAP item 1's shrunk `churn` schedules S0–S3′:
+//! each pinned at the ending it reaches today, and each with an ignored
+//! twin that asserts Definition 3.8.
 
 use std::sync::{Arc, Mutex};
 
 use hyperring_core::{
-    check_consistency, FailureDetector, ProtocolEvent, ProtocolOptions, RetryPolicy,
-    SimNetworkBuilder, Status, TraceRecord, TraceSink,
+    check_consistency, ConsistencyReport, FailureDetector, ProtocolEvent, ProtocolOptions,
+    RetryPolicy, SimNetwork, SimNetworkBuilder, Status, TraceRecord, TraceSink,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::{ConstantDelay, UniformDelay};
@@ -189,14 +193,70 @@ fn gateway_crash_mid_join_reroutes_with_fallback() {
     );
 }
 
-/// ROADMAP item 1's schedule S1 (`churn` trial seed 25 shrunk to four
-/// nodes) under `run_poisson_churn`'s options: 122032 joins through
-/// 311301 while 113032 — the only `…032` node the gateway shows it —
-/// dies. Returns whether the three survivors end Definition-3.8
-/// consistent.
-fn s1(sim_seed: u64) -> Result<(), String> {
+/// One row of ROADMAP item 1(a)'s table: a `churn` trial (256 members,
+/// b = 4, d = 6) shrunk by ddmin to the members, joins and crash that
+/// still fail it. Times are in µs; the trial seed doubles as the
+/// simulator seed unless a caller says otherwise.
+struct Schedule {
+    seed: u64,
+    members: &'static [&'static str],
+    /// `(joiner, gateway, at)`.
+    joins: &'static [(&'static str, &'static str, u64)],
+    /// `(victim, at)`.
+    crash: (&'static str, u64),
+}
+
+const S0: Schedule = Schedule {
+    seed: 25,
+    members: &["311301", "123032", "113032"],
+    joins: &[],
+    crash: ("113032", 8_353_717),
+};
+
+const S1: Schedule = Schedule {
+    seed: 25,
+    members: &["311301", "123032", "113032"],
+    joins: &[("122032", "311301", 8_222_035)],
+    crash: ("113032", 8_353_717),
+};
+
+const S2: Schedule = Schedule {
+    seed: 19,
+    members: &["000201", "131010", "123010", "211110", "022000"],
+    joins: &[("100220", "000201", 5_266_693)],
+    crash: ("000201", 5_285_550),
+};
+
+const S3: Schedule = Schedule {
+    seed: 14,
+    members: &["101022", "130113", "323231"],
+    joins: &[
+        ("203231", "101022", 5_685_560),
+        ("133231", "130113", 13_840_178),
+    ],
+    crash: ("323231", 13_881_362),
+};
+
+const S3_PRIME: Schedule = Schedule {
+    seed: 0,
+    members: &["312021", "303221", "311133", "102103"],
+    joins: &[
+        ("101133", "312021", 2_379_117),
+        ("303133", "303221", 7_288_769),
+    ],
+    crash: ("311133", 7_113_811),
+};
+
+fn id(s: &str) -> NodeId {
+    IdSpace::new(4, 6).unwrap().parse_id(s).unwrap()
+}
+
+/// Runs `s` under `run_poisson_churn`'s detector and retry options with
+/// `UniformDelay(1 ms, 50 ms)` and simulator seed `sim_seed`, for the
+/// trial's 30 s horizon. Returns the network and the Definition-3.8 report
+/// over the survivors.
+fn run_schedule(s: &Schedule, sim_seed: u64) -> (SimNetwork<UniformDelay>, ConsistencyReport) {
     let space = IdSpace::new(4, 6).unwrap();
-    let id = |s: &str| space.parse_id(s).unwrap();
     let fd = FailureDetector {
         probe_interval_us: 200_000,
         suspicion_threshold: 3,
@@ -218,20 +278,37 @@ fn s1(sim_seed: u64) -> Result<(), String> {
             .with_failure_detector(fd)
             .with_retry(retry),
     );
-    for m in ["311301", "123032", "113032"] {
+    for m in s.members {
         b.add_member(id(m));
     }
-    b.add_joiner(id("122032"), id("311301"), 8_222_035);
+    for &(joiner, gateway, at) in s.joins {
+        b.add_joiner(id(joiner), id(gateway), at);
+    }
     let mut net = b.build(UniformDelay::new(1_000, 50_000), sim_seed);
-    net.crash_at(&id("113032"), 8_353_717);
+    let (victim, at) = s.crash;
+    net.crash_at(&id(victim), at);
     net.run_until(30_000_000);
-    assert_eq!(net.engine(&id("122032")).status(), Status::InSystem);
     let survivors: Vec<_> = net
         .tables_iter()
-        .filter(|t| t.owner() != id("113032"))
+        .filter(|t| t.owner() != id(victim))
         .cloned()
         .collect();
     let report = check_consistency(space, &survivors);
+    (net, report)
+}
+
+/// The violations of `s` at its trial seed, as the report prints them.
+fn endings(s: &Schedule) -> Vec<String> {
+    let (_, report) = run_schedule(s, s.seed);
+    report.violations().iter().map(|v| v.to_string()).collect()
+}
+
+/// ROADMAP item 1's schedule S1: 122032 joins through 311301 while 113032
+/// — the only `…032` node the gateway shows it — dies. Returns whether the
+/// three survivors end Definition-3.8 consistent.
+fn s1(sim_seed: u64) -> Result<(), String> {
+    let (net, report) = run_schedule(&S1, sim_seed);
+    assert_eq!(net.engine(&id("122032")).status(), Status::InSystem);
     if report.is_consistent() {
         Ok(())
     } else {
@@ -267,5 +344,82 @@ fn s1_survivor_learns_the_joiner_admitted_around_the_dead_node() {
 #[test]
 #[ignore = "ROADMAP item 1 defect (i) is open: fails until on_joinwait refuses an evicted slot"]
 fn s1_at_the_trial_seed_needs_defect_i_closed() {
-    s1(25).unwrap();
+    s1(S1.seed).unwrap();
+}
+
+// ROADMAP item 1(a): the other four schedules, pinned at today's exact
+// endings. Each live test fails the day the ending moves, in either
+// direction; its ignored twin asserts Definition 3.8 and is what the fix
+// for item 1 un-ignores. Both sides of a refactor of the crash, detector
+// or repair paths must reproduce these to the violation.
+
+/// S0: no join at all. 113032 dies and 311301's repair of (0, 2) queries
+/// only the nodes in its table, never its reverse neighbours; 123032, the
+/// answer, is one of those (`repair.rs`'s documented limit).
+#[test]
+fn s0_repair_never_refills_the_slot_of_the_crashed_node() {
+    assert_eq!(
+        endings(&S0),
+        ["false negative: 311301 entry (0,2) empty but 123032 exists"]
+    );
+}
+
+#[test]
+#[ignore = "ROADMAP item 1 (e) is open: the repair origin does not scan its reverse set"]
+fn s0_ends_consistent() {
+    assert_eq!(endings(&S0), Vec::<String>::new());
+}
+
+/// S2: the gateway dies 19 ms into the join, before the joiner learned a
+/// single contact. The joiner strands in `Copying` with an empty table and
+/// is counted as a survivor: its own eight empty slots plus the four
+/// members' `(1, 2)` slots that should hold it.
+#[test]
+fn s2_joiner_strands_copying_with_twelve_violations() {
+    let (net, report) = run_schedule(&S2, S2.seed);
+    assert_eq!(net.engine(&id("100220")).status(), Status::Copying);
+    assert_eq!(report.violations().len(), 12, "{report}");
+}
+
+#[test]
+#[ignore = "ROADMAP item 1 (d) is open: a stranded joiner counts as a survivor"]
+fn s2_ends_consistent() {
+    assert_eq!(endings(&S2), Vec::<String>::new());
+}
+
+/// S3: both joiners reach `in_system` and miss each other at level 4.
+#[test]
+fn s3_joiners_miss_each_other_at_level_four() {
+    assert_eq!(
+        endings(&S3),
+        [
+            "false negative: 203231 entry (4,3) empty but 133231 exists",
+            "false negative: 133231 entry (4,0) empty but 203231 exists",
+        ]
+    );
+}
+
+#[test]
+#[ignore = "ROADMAP item 1 (b)/(c) are open: joiners admitted around a dead node miss each other"]
+fn s3_ends_consistent() {
+    assert_eq!(endings(&S3), Vec::<String>::new());
+}
+
+/// S3′: the crash falls between the two joins; the joiners miss each
+/// other at level 3.
+#[test]
+fn s3_prime_joiners_miss_each_other_at_level_three() {
+    assert_eq!(
+        endings(&S3_PRIME),
+        [
+            "false negative: 101133 entry (3,3) empty but 303133 exists",
+            "false negative: 303133 entry (3,1) empty but 101133 exists",
+        ]
+    );
+}
+
+#[test]
+#[ignore = "ROADMAP item 1 (b)/(c) are open: joiners admitted around a dead node miss each other"]
+fn s3_prime_ends_consistent() {
+    assert_eq!(endings(&S3_PRIME), Vec::<String>::new());
 }

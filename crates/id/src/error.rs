@@ -7,7 +7,8 @@ use std::fmt;
 pub enum IdError {
     /// The base `b` is outside the supported range `2..=36`.
     InvalidBase(u16),
-    /// The digit count `d` is outside the supported range `1..=MAX_DIGITS`.
+    /// The digit count `d` is outside the supported range `1..=MAX_DIGITS`,
+    /// or `1..=MAX_WIDE_DIGITS` in a base over 16.
     InvalidDigitCount(usize),
     /// A parsed string had the wrong number of digits for the space.
     WrongLength {
@@ -42,7 +43,12 @@ impl fmt::Display for IdError {
         match self {
             IdError::InvalidBase(b) => write!(f, "base {b} is not in 2..=36"),
             IdError::InvalidDigitCount(d) => {
-                write!(f, "digit count {d} is not in 1..={}", crate::MAX_DIGITS)
+                write!(
+                    f,
+                    "digit count {d} is not in 1..={}, or 1..={} in a base over 16",
+                    crate::MAX_DIGITS,
+                    crate::MAX_WIDE_DIGITS
+                )
             }
             IdError::WrongLength { expected, found } => {
                 write!(f, "expected {expected} digits, found {found}")

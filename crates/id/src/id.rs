@@ -1,6 +1,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 use crate::Suffix;
 
@@ -10,12 +11,30 @@ use crate::Suffix;
 /// evaluated in the paper — fits comfortably.
 pub const MAX_DIGITS: usize = 64;
 
+/// Maximum number of digits an identifier with a digit above 15 may have:
+/// such digits take a byte each, and an identifier holds 32 bytes.
+pub const MAX_WIDE_DIGITS: usize = 32;
+
+/// Bytes of packed digit storage in a [`NodeId`].
+const BYTES: usize = 32;
+
+/// Bit of [`NodeId::meta`] set when digits take a byte each.
+const WIDE: u8 = 0x80;
+
 /// A fixed-length node (or object) identifier of `d` digits in base `b`.
 ///
 /// Digits are indexed **from the right**: `digit(0)` is the rightmost digit,
 /// as in the paper's notation `x[i]`. The value is `Copy` and cheap to pass
 /// around; the base is carried by [`IdSpace`](crate::IdSpace), not by the
 /// identifier itself.
+///
+/// An identifier is 33 bytes: a digit count and 32 bytes of digits in the
+/// layout the wire codec sends — least-significant digit first, two digits
+/// a byte (low nibble first) when every digit is below 16, one byte a
+/// digit otherwise. Unused bytes are zero, so equality, hashing, the
+/// common-suffix length and numeric order all work on the bytes as they
+/// are. An identifier with a digit above 15 has at most
+/// [`MAX_WIDE_DIGITS`] digits.
 ///
 /// # Examples
 ///
@@ -26,15 +45,16 @@ pub const MAX_DIGITS: usize = 64;
 /// assert_eq!(x.digit(0), 1);
 /// assert_eq!(x.digit(2), 2);
 /// assert_eq!(x.to_string(), "10261");
+/// assert_eq!(x.as_bytes(), [0x61, 0x02, 0x01]);
 /// # Ok::<(), hyperring_id::IdError>(())
 /// ```
 #[derive(Clone, Copy)]
 pub struct NodeId {
-    /// Number of digits (`d`).
-    len: u8,
-    /// `digits[i]` is the i-th digit from the right; zero from `len` up
-    /// (`from_digits_lsd` is the only constructor), which `eq` relies on.
-    digits: [u8; MAX_DIGITS],
+    /// Digit count `d`, plus [`WIDE`] when digits take a byte each.
+    meta: u8,
+    /// The digits, packed as the type's documentation says; zero past the
+    /// used bytes, which `eq`, `cmp` and `csuf_len` rely on.
+    bytes: [u8; BYTES],
 }
 
 impl NodeId {
@@ -46,26 +66,92 @@ impl NodeId {
     ///
     /// # Panics
     ///
-    /// Panics if `digits` is empty or longer than [`MAX_DIGITS`].
+    /// Panics if `digits` is empty or longer than [`MAX_DIGITS`], or longer
+    /// than [`MAX_WIDE_DIGITS`] with a digit above 15.
     pub fn from_digits_lsd(digits: &[u8]) -> Self {
+        let d = digits.len();
         assert!(
-            !digits.is_empty() && digits.len() <= MAX_DIGITS,
-            "digit count {} out of range 1..={}",
-            digits.len(),
-            MAX_DIGITS
+            d != 0 && d <= MAX_DIGITS,
+            "digit count {d} out of range 1..={MAX_DIGITS}"
         );
-        let mut buf = [0u8; MAX_DIGITS];
-        buf[..digits.len()].copy_from_slice(digits);
-        NodeId {
-            len: digits.len() as u8,
-            digits: buf,
+        let mut bytes = [0u8; BYTES];
+        if digits.iter().all(|&x| x < 16) {
+            for (i, &x) in digits.iter().enumerate() {
+                bytes[i / 2] |= x << (4 * (i & 1));
+            }
+            NodeId {
+                meta: d as u8,
+                bytes,
+            }
+        } else {
+            assert!(
+                d <= MAX_WIDE_DIGITS,
+                "digit count {d} out of range 1..={MAX_WIDE_DIGITS} for digits above 15"
+            );
+            bytes[..d].copy_from_slice(digits);
+            NodeId {
+                meta: d as u8 | WIDE,
+                bytes,
+            }
         }
+    }
+
+    /// Rebuilds an identifier from its packed bytes
+    /// ([`as_bytes`](Self::as_bytes)) and shape. Returns `None` unless
+    /// `bytes` is exactly the packing of some `digit_count`-digit
+    /// identifier of that width: the right length, a zero padding nibble,
+    /// and — when `wide` — a digit above 15.
+    pub fn from_bytes(digit_count: usize, wide: bool, bytes: &[u8]) -> Option<Self> {
+        let d = digit_count;
+        let used = if wide { d } else { d.div_ceil(2) };
+        if d == 0 || used > BYTES || bytes.len() != used {
+            return None;
+        }
+        let canonical = if wide {
+            bytes.iter().any(|&x| x >= 16)
+        } else {
+            d.is_multiple_of(2) || bytes[used - 1] >> 4 == 0
+        };
+        if !canonical {
+            return None;
+        }
+        let mut out = [0u8; BYTES];
+        out[..used].copy_from_slice(bytes);
+        Some(NodeId {
+            meta: d as u8 | if wide { WIDE } else { 0 },
+            bytes: out,
+        })
     }
 
     /// Number of digits `d` in this identifier.
     #[inline]
     pub fn digit_count(&self) -> usize {
-        self.len as usize
+        (self.meta & !WIDE) as usize
+    }
+
+    /// Whether digits take a byte each (some digit is above 15) rather
+    /// than a nibble.
+    #[inline]
+    pub fn is_wide(&self) -> bool {
+        self.meta & WIDE != 0
+    }
+
+    /// The packed digits: `⌈d/2⌉` bytes of nibbles, or `d` bytes when the
+    /// identifier [is wide](Self::is_wide). For a base-≤16 space this is
+    /// the identifier's wire encoding.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        let d = self.digit_count();
+        &self.bytes[..if self.is_wide() { d } else { d.div_ceil(2) }]
+    }
+
+    /// Word `i` of the packed digits, little-endian: a higher word, and a
+    /// higher bit within a word, holds a more significant digit.
+    #[inline]
+    fn word(&self, i: usize) -> u64 {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&self.bytes[8 * i..8 * i + 8]);
+        u64::from_le_bytes(w)
     }
 
     /// The `i`-th digit **from the right** (the paper's `x[i]`).
@@ -76,17 +162,42 @@ impl NodeId {
     #[inline]
     pub fn digit(&self, i: usize) -> u8 {
         assert!(
-            i < self.len as usize,
+            i < self.digit_count(),
             "digit index {i} out of range for {}-digit id",
-            self.len
+            self.digit_count()
         );
-        self.digits[i]
+        self.nth(i)
     }
 
-    /// Digits in rightmost-first order.
+    /// [`digit`](Self::digit) for an `i` the caller keeps below the digit
+    /// count.
     #[inline]
-    pub fn digits_lsd(&self) -> &[u8] {
-        &self.digits[..self.len as usize]
+    fn nth(&self, i: usize) -> u8 {
+        if self.is_wide() {
+            self.bytes[i]
+        } else {
+            (self.bytes[i / 2] >> (4 * (i & 1))) & 0x0f
+        }
+    }
+
+    /// The rightmost `n` digits unpacked one a byte, the rest of the
+    /// buffer zero.
+    fn unpack(&self, n: usize) -> [u8; MAX_DIGITS] {
+        let mut out = [0u8; MAX_DIGITS];
+        for (i, x) in out[..n].iter_mut().enumerate() {
+            *x = self.nth(i);
+        }
+        out
+    }
+
+    /// Digits in rightmost-first order, unpacked one a byte.
+    #[inline]
+    pub fn digits_lsd(&self) -> Digits {
+        let len = self.digit_count();
+        Digits {
+            len: len as u8,
+            buf: self.unpack(len),
+        }
     }
 
     /// Length of the longest common suffix of `self` and `other` in digits
@@ -96,17 +207,25 @@ impl NodeId {
     /// exactly when the identifiers are equal.
     #[inline]
     pub fn csuf_len(&self, other: &NodeId) -> usize {
-        let n = usize::min(self.len as usize, other.len as usize);
-        let mut k = 0;
-        while k < n && self.digits[k] == other.digits[k] {
-            k += 1;
+        let n = usize::min(self.digit_count(), other.digit_count());
+        if self.is_wide() != other.is_wide() {
+            // Only in a base over 16, where narrow and wide ids mix.
+            return (0..n).take_while(|&i| self.nth(i) == other.nth(i)).count();
         }
-        k
+        let shift = if self.is_wide() { 3 } else { 2 };
+        for w in 0..BYTES / 8 {
+            let x = self.word(w) ^ other.word(w);
+            if x != 0 {
+                let bit = 64 * w + x.trailing_zeros() as usize;
+                return usize::min(n, bit >> shift);
+            }
+        }
+        n
     }
 
     /// The longest common suffix of `self` and `other` as a [`Suffix`].
     pub fn csuf(&self, other: &NodeId) -> Suffix {
-        Suffix::from_digits_lsd(&self.digits[..self.csuf_len(other)])
+        self.suffix(self.csuf_len(other))
     }
 
     /// The suffix of `self` consisting of its rightmost `k` digits.
@@ -116,18 +235,18 @@ impl NodeId {
     /// Panics if `k > self.digit_count()`.
     pub fn suffix(&self, k: usize) -> Suffix {
         assert!(
-            k <= self.len as usize,
+            k <= self.digit_count(),
             "suffix length {k} exceeds digit count {}",
-            self.len
+            self.digit_count()
         );
-        Suffix::from_digits_lsd(&self.digits[..k])
+        Suffix::from_digits_lsd(&self.unpack(k)[..k])
     }
 
     /// Whether this identifier ends with `suffix`.
     #[inline]
     pub fn has_suffix(&self, suffix: &Suffix) -> bool {
         let k = suffix.len();
-        k <= self.len as usize && self.digits[..k] == *suffix.digits_lsd()
+        k <= self.digit_count() && (0..k).all(|i| self.nth(i) == suffix.digit(i))
     }
 
     /// Writes the identifier as `Display` prints it — most-significant
@@ -135,11 +254,11 @@ impl NodeId {
     /// written prefix. For callers that hash or compare the rendering and
     /// cannot afford a `String` per identifier.
     pub fn write_ascii<'a>(&self, buf: &'a mut [u8; MAX_DIGITS]) -> &'a str {
-        let n = self.len as usize;
-        for (out, &d) in buf.iter_mut().zip(self.digits[..n].iter().rev()) {
-            *out = match d {
-                0..=9 => b'0' + d,
-                10..=35 => b'a' + (d - 10),
+        let n = self.digit_count();
+        for (j, out) in buf[..n].iter_mut().enumerate() {
+            *out = match self.nth(n - 1 - j) {
+                d @ 0..=9 => b'0' + d,
+                d @ 10..=35 => b'a' + (d - 10),
                 _ => b'?',
             };
         }
@@ -152,29 +271,32 @@ impl NodeId {
     /// `base^d` overflows `u128`.
     pub fn to_value(&self, base: u16) -> Option<u128> {
         let mut acc: u128 = 0;
-        for i in (0..self.len as usize).rev() {
+        for i in (0..self.digit_count()).rev() {
             acc = acc.checked_mul(base as u128)?;
-            acc = acc.checked_add(self.digits[i] as u128)?;
+            acc = acc.checked_add(self.nth(i) as u128)?;
         }
         Some(acc)
     }
 }
 
 impl PartialEq for NodeId {
-    /// Compares the whole fixed-size arrays — the padding is zero on both
-    /// sides — which the compiler inlines as a few wide compares, where
-    /// two `len`-long slices would go through a `memcmp` call.
+    /// Compares shape and all 32 bytes — the padding is zero on both
+    /// sides — which the compiler inlines as two wide compares.
     #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.digits == other.digits
+        self.meta == other.meta && self.bytes == other.bytes
     }
 }
 
 impl Eq for NodeId {}
 
 impl Hash for NodeId {
+    /// Hashes the shape and the used bytes: equal identifiers have both
+    /// equal.
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.digits_lsd().hash(state);
+        state.write_u8(self.meta);
+        state.write(self.as_bytes());
     }
 }
 
@@ -185,16 +307,24 @@ impl PartialOrd for NodeId {
 }
 
 impl Ord for NodeId {
-    /// Orders identifiers by numeric value (most-significant digit first).
+    /// Orders identifiers by digit count, then by numeric value
+    /// (most-significant digit first).
     fn cmp(&self, other: &Self) -> Ordering {
-        self.len.cmp(&other.len).then_with(|| {
-            for i in (0..self.len as usize).rev() {
-                match self.digits[i].cmp(&other.digits[i]) {
-                    Ordering::Equal => continue,
-                    non_eq => return non_eq,
-                }
+        let n = self.digit_count();
+        n.cmp(&other.digit_count()).then_with(|| {
+            if self.is_wide() == other.is_wide() {
+                (0..BYTES / 8)
+                    .rev()
+                    .map(|w| self.word(w).cmp(&other.word(w)))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            } else {
+                (0..n)
+                    .rev()
+                    .map(|i| self.nth(i).cmp(&other.nth(i)))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
             }
-            Ordering::Equal
         })
     }
 }
@@ -209,6 +339,29 @@ impl fmt::Display for NodeId {
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "NodeId({self})")
+    }
+}
+
+/// An identifier's digits unpacked one a byte, rightmost first: what
+/// [`NodeId::digits_lsd`] returns. Dereferences to `[u8]`.
+#[derive(Clone, Copy)]
+pub struct Digits {
+    len: u8,
+    buf: [u8; MAX_DIGITS],
+}
+
+impl Deref for Digits {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len as usize]
+    }
+}
+
+impl fmt::Debug for Digits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -230,6 +383,7 @@ mod tests {
         assert_eq!(x.digit(2), 2);
         assert_eq!(x.digit(3), 1);
         assert_eq!(x.digit(4), 2);
+        assert_eq!(*x.digits_lsd(), [3, 3, 2, 1, 2]);
     }
 
     #[test]
@@ -250,6 +404,21 @@ mod tests {
         let b = id(&[1, 0, 2, 6, 1]);
         assert_eq!(a.csuf_len(&b), b.csuf_len(&a));
         assert_eq!(a.csuf_len(&b), 1); // both end in 1
+    }
+
+    #[test]
+    fn csuf_crosses_words_and_widths() {
+        // 40 nibbles span three words; the ids differ only in digit 37.
+        let mut xs = [5u8; 40];
+        let a = NodeId::from_digits_lsd(&xs);
+        xs[37] = 6;
+        assert_eq!(a.csuf_len(&NodeId::from_digits_lsd(&xs)), 37);
+        // A narrow id against a wide one: 0 1 against 0 17.
+        let narrow = NodeId::from_digits_lsd(&[0, 1]);
+        let wide = NodeId::from_digits_lsd(&[0, 17]);
+        assert!(!narrow.is_wide() && wide.is_wide());
+        assert_eq!(narrow.csuf_len(&wide), 1);
+        assert!(narrow < wide);
     }
 
     #[test]
@@ -294,6 +463,31 @@ mod tests {
     #[should_panic(expected = "digit index")]
     fn digit_out_of_range_panics() {
         let _ = id(&[1, 2, 3]).digit(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "for digits above 15")]
+    fn wide_id_past_32_digits_panics() {
+        let mut xs = [0u8; 33];
+        xs[0] = 16;
+        let _ = NodeId::from_digits_lsd(&xs);
+    }
+
+    #[test]
+    fn bytes_round_trip_and_reject_other_packings() {
+        for xs in [&[3u8, 3, 2, 1, 2][..], &[1; 64], &[16, 0, 35], &[0, 1]] {
+            let x = NodeId::from_digits_lsd(xs);
+            assert_eq!(
+                NodeId::from_bytes(xs.len(), x.is_wide(), x.as_bytes()),
+                Some(x)
+            );
+        }
+        // Non-zero padding nibble, wrong length, a "wide" id whose digits
+        // all fit a nibble.
+        assert_eq!(NodeId::from_bytes(3, false, &[0x21, 0x13]), None);
+        assert_eq!(NodeId::from_bytes(3, false, &[0x21]), None);
+        assert_eq!(NodeId::from_bytes(2, true, &[1, 2]), None);
+        assert_eq!(NodeId::from_bytes(0, false, &[]), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use rand::Rng;
 
-use crate::{IdError, NodeId, Suffix, MAX_DIGITS};
+use crate::{IdError, NodeId, Suffix, MAX_DIGITS, MAX_WIDE_DIGITS};
 
 /// Configuration of an identifier space: digits of base `b`, `d` digits per
 /// identifier.
@@ -8,7 +8,8 @@ use crate::{IdError, NodeId, Suffix, MAX_DIGITS};
 /// The paper's evaluation uses `b = 16` with `d = 8` (32-bit identifiers) and
 /// `d = 40` (160-bit identifiers); its running examples use `b = 4, d = 5`
 /// (Figure 1) and `b = 8, d = 5` (Figure 2). Bases up to 36 are supported so
-/// identifiers remain printable with `0-9a-z`.
+/// identifiers remain printable with `0-9a-z`; a base over 16 allows at most
+/// [`MAX_WIDE_DIGITS`] digits, any other [`MAX_DIGITS`].
 ///
 /// # Examples
 ///
@@ -35,12 +36,19 @@ impl IdSpace {
     /// # Errors
     ///
     /// Returns [`IdError::InvalidBase`] unless `2 <= base <= 36`, and
-    /// [`IdError::InvalidDigitCount`] unless `1 <= digits <= MAX_DIGITS`.
+    /// [`IdError::InvalidDigitCount`] unless `1 <= digits <= MAX_DIGITS`,
+    /// or `1 <= digits <= MAX_WIDE_DIGITS` when `base > 16`: a digit above
+    /// 15 takes a byte of a [`NodeId`]'s 32.
     pub fn new(base: u16, digits: usize) -> Result<Self, IdError> {
         if !(2..=36).contains(&base) {
             return Err(IdError::InvalidBase(base));
         }
-        if digits == 0 || digits > MAX_DIGITS {
+        let max = if base > 16 {
+            MAX_WIDE_DIGITS
+        } else {
+            MAX_DIGITS
+        };
+        if digits == 0 || digits > max {
             return Err(IdError::InvalidDigitCount(digits));
         }
         Ok(IdSpace {
@@ -73,8 +81,10 @@ impl IdSpace {
     /// Validates that `id` belongs to this space (digit count and digit
     /// values).
     pub fn contains(&self, id: &NodeId) -> bool {
+        // A narrow id's digits are all below 16.
         id.digit_count() == self.digit_count()
-            && id.digits_lsd().iter().all(|&d| (d as u16) < self.base)
+            && ((self.base >= 16 && !id.is_wide())
+                || (0..self.digit_count()).all(|i| (id.digit(i) as u16) < self.base))
     }
 
     /// Builds an identifier from digits given **rightmost first**.
@@ -270,6 +280,23 @@ mod tests {
         assert_eq!(
             IdSpace::new(16, MAX_DIGITS + 1),
             Err(IdError::InvalidDigitCount(MAX_DIGITS + 1))
+        );
+    }
+
+    #[test]
+    fn bases_over_16_stop_at_32_digits() {
+        assert!(IdSpace::new(16, MAX_DIGITS).is_ok());
+        assert!(IdSpace::new(17, MAX_WIDE_DIGITS).is_ok());
+        assert!(IdSpace::new(36, MAX_WIDE_DIGITS).is_ok());
+        for b in 17..=36 {
+            assert_eq!(
+                IdSpace::new(b, MAX_WIDE_DIGITS + 1),
+                Err(IdError::InvalidDigitCount(MAX_WIDE_DIGITS + 1))
+            );
+        }
+        assert_eq!(
+            IdError::InvalidDigitCount(33).to_string(),
+            "digit count 33 is not in 1..=64, or 1..=32 in a base over 16"
         );
     }
 

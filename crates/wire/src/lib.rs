@@ -21,7 +21,10 @@
 //! digit when the base fits four bits (`b <= 16`), one byte per digit
 //! otherwise. With an odd digit count under nibble packing the final high
 //! nibble must be zero — non-zero padding is rejected, so every message
-//! has exactly one encoding.
+//! has exactly one encoding. This is also how a [`NodeId`] holds its
+//! digits in memory, so in a `b <= 16` space encoding and decoding an id
+//! copy its bytes. (In a larger base an id whose digits all sit below 16
+//! packs nibbles in memory and is spread to one byte a digit here.)
 //!
 //! # Strictness
 //!
@@ -169,22 +172,17 @@ fn kind_byte(msg: &Message) -> u8 {
 // ---------------------------------------------------------------------------
 
 fn put_id(space: &IdSpace, id: &NodeId, out: &mut Vec<u8>) {
-    let digits = id.digits_lsd();
-    debug_assert_eq!(digits.len(), space.digit_count(), "id from a foreign space");
-    if space.base() <= 16 {
-        let mut i = 0;
-        while i < digits.len() {
-            let lo = digits[i];
-            let hi = if i + 1 < digits.len() {
-                digits[i + 1]
-            } else {
-                0
-            };
-            out.push((hi << 4) | lo);
-            i += 2;
-        }
+    debug_assert_eq!(
+        id.digit_count(),
+        space.digit_count(),
+        "id from a foreign space"
+    );
+    if space.base() <= 16 || id.is_wide() {
+        // The id's own bytes are its encoding.
+        out.extend_from_slice(id.as_bytes());
     } else {
-        out.extend_from_slice(digits);
+        // A base over 16 sends one byte a digit; this id packs nibbles.
+        out.extend_from_slice(&id.digits_lsd());
     }
 }
 
@@ -370,21 +368,15 @@ impl<'a> Reader<'a> {
     fn id(&mut self, space: &IdSpace) -> Result<NodeId, WireError> {
         let d = space.digit_count();
         let packed = self.take(packed_id_len(space))?;
-        let mut digits = [0u8; 64];
-        if space.base() <= 16 {
-            for (i, digit) in digits.iter_mut().enumerate().take(d) {
-                let byte = packed[i / 2];
-                *digit = if i % 2 == 0 { byte & 0x0f } else { byte >> 4 };
-            }
+        let id = if space.base() <= 16 {
             if d % 2 == 1 && packed[d / 2] >> 4 != 0 {
                 return Err(WireError::Malformed("nonzero id padding nibble"));
             }
+            NodeId::from_bytes(d, false, packed).filter(|id| space.contains(id))
         } else {
-            digits[..d].copy_from_slice(packed);
-        }
-        space
-            .id_from_digits(&digits[..d])
-            .map_err(|_| WireError::Malformed("id digit exceeds base"))
+            space.id_from_digits(packed).ok()
+        };
+        id.ok_or(WireError::Malformed("id digit exceeds base"))
     }
 
     fn level(&mut self, space: &IdSpace) -> Result<u8, WireError> {
@@ -793,5 +785,45 @@ mod tests {
             assert!(max_frame_len(&sp) < 1 << 20, "({b},{d}) frame bound sane");
             assert!(packed_id_len(&sp) <= 64);
         }
+    }
+
+    /// Frames are byte-identical to those of the byte-per-digit `NodeId`
+    /// (literals recorded from it), including a base-32 id whose digits
+    /// all fit a nibble, which the codec spreads to a byte a digit.
+    #[test]
+    fn frames_match_recorded_bytes() {
+        let sp = IdSpace::new(16, 8).unwrap();
+        let me = sp.parse_id("00f3a9b2").unwrap();
+        let peer = sp.parse_id("7c0e5d13").unwrap();
+        let msg = Message::RepairQry {
+            origin: me,
+            target: peer,
+            level: 3,
+            digit: 12,
+        };
+        let mut buf = Vec::new();
+        encode_frame(&sp, me, &msg, &mut buf);
+        assert_eq!(
+            buf,
+            [
+                0x10, 0, 0, 0, 1, 16, 0xb2, 0xa9, 0xf3, 0, 0xb2, 0xa9, 0xf3, 0, 0x13, 0x5d, 0x0e,
+                0x7c, 3, 12
+            ]
+        );
+        let sp = IdSpace::new(32, 3).unwrap();
+        let narrow = sp.parse_id("75a").unwrap();
+        let wide = sp.parse_id("v0q").unwrap();
+        let msg = Message::SpeNoti {
+            initiator: wide,
+            subject: narrow,
+        };
+        let mut buf = Vec::new();
+        encode_frame(&sp, narrow, &msg, &mut buf);
+        assert_eq!(buf, [11, 0, 0, 0, 1, 7, 10, 5, 7, 26, 0, 31, 10, 5, 7]);
+        let (from, _) = decode_datagram(&sp, &buf).unwrap();
+        assert_eq!(from, narrow);
+        let mut id_bytes = Vec::new();
+        encode_id(&sp, &wide, &mut id_bytes);
+        assert_eq!(decode_id(&sp, &id_bytes), Ok((wide, 3)));
     }
 }
