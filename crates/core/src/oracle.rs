@@ -7,12 +7,15 @@
 //! consistency checker validates the result in tests. (Bootstrapping through
 //! the join protocol itself is also supported — see `SimNetwork` — and is
 //! how §6.1 network initialization is exercised.)
+//!
+//! The construction is the one sweep under
+//! [`build_proximate_tables`](crate::build_proximate_tables) too, picking
+//! each slot's first candidate: candidates come in ascending id order.
 
-use std::collections::HashMap;
+use hyperring_id::{IdSpace, NodeId};
 
-use hyperring_id::{IdSpace, NodeId, Suffix};
-
-use crate::table::{Entry, NeighborTable, NodeState};
+use crate::adaptive::build_tables_with;
+use crate::table::NeighborTable;
 
 /// Builds a consistent table (per Definition 3.8, all states `S`) for every
 /// node in `ids`.
@@ -42,100 +45,7 @@ use crate::table::{Entry, NeighborTable, NodeState};
 /// Panics if `ids` is empty, contains duplicates, or contains an identifier
 /// outside `space`.
 pub fn build_consistent_tables(space: IdSpace, ids: &[NodeId]) -> Vec<NeighborTable> {
-    assert!(!ids.is_empty(), "cannot build an empty network");
-    for id in ids {
-        assert!(space.contains(id), "id {id} not in space");
-    }
-
-    // Bucket representatives by (parent suffix, extending digit): the row
-    // stored under a length-`i` suffix `s` holds, at position `j`, the
-    // smallest node whose suffix is `j ∘ s`. Filling node `x`'s level-`i`
-    // entries then needs ONE hash lookup (of `x.suffix(i)`) for the whole
-    // `b`-wide row, instead of `b` lookups of `b` freshly built length-
-    // `(i+1)` suffix keys — `b×` less hashing over the n·d·b fill loop.
-    let b = space.base() as usize;
-    let mut repr: HashMap<Suffix, Vec<Option<NodeId>>> = HashMap::new();
-    for &id in ids {
-        for k in 0..space.digit_count() {
-            let row = repr.entry(id.suffix(k)).or_insert_with(|| vec![None; b]);
-            match &mut row[id.digit(k) as usize] {
-                Some(cur) => {
-                    if id < *cur {
-                        *cur = id;
-                    }
-                }
-                slot => *slot = Some(id),
-            }
-        }
-    }
-    // Duplicate detection: two equal ids collapse in the suffix map, so
-    // check explicitly.
-    {
-        let mut sorted: Vec<&NodeId> = ids.iter().collect();
-        sorted.sort();
-        assert!(
-            sorted.windows(2).all(|w| w[0] != w[1]),
-            "duplicate node identifier"
-        );
-    }
-
-    let mut tables: Vec<NeighborTable> = ids
-        .iter()
-        .map(|&x| {
-            let mut t = NeighborTable::new(space, x);
-            for i in 0..space.digit_count() {
-                let row = repr.get(&x.suffix(i));
-                for j in 0..space.base() as u8 {
-                    let node = if x.digit(i) == j {
-                        // The primary (i, x[i])-neighbor of x is x itself.
-                        Some(x)
-                    } else {
-                        row.and_then(|r| r[j as usize])
-                    };
-                    if let Some(node) = node {
-                        t.set(
-                            i,
-                            j,
-                            Entry {
-                                node,
-                                state: NodeState::S,
-                            },
-                        );
-                    }
-                }
-            }
-            t
-        })
-        .collect();
-
-    // Second pass: register reverse neighbors, as the protocol's
-    // RvNghNotiMsg bookkeeping would have. `y` records `x` as a reverse
-    // neighbor at `(k, y[k])`, `k = |csuf(x, y)|`, whenever `x` stores `y`.
-    // The id → table-index map is a sorted vec probed by binary search:
-    // SipHashing a `NodeId` per neighbor lost to Θ(log n) word compares
-    // over this n·d·b-lookup loop at bootstrap scale.
-    let mut index: Vec<(NodeId, usize)> = ids.iter().enumerate().map(|(i, &x)| (x, i)).collect();
-    index.sort_unstable_by_key(|p| p.0);
-    let mut neighbors: Vec<NodeId> = Vec::new();
-    for xi in 0..tables.len() {
-        let x = tables[xi].owner();
-        neighbors.clear();
-        neighbors.extend(
-            tables[xi]
-                .iter()
-                .map(|(_, _, e)| e.node)
-                .filter(|&y| y != x),
-        );
-        for &y in &neighbors {
-            let k = x.csuf_len(&y);
-            let yi = index[index
-                .binary_search_by(|p| p.0.cmp(&y))
-                .expect("every neighbor is a member")]
-            .1;
-            tables[yi].add_reverse(k, y.digit(k), x);
-        }
-    }
-    tables
+    build_tables_with(space, ids, |_, _, _, _| 0)
 }
 
 #[cfg(test)]

@@ -624,6 +624,31 @@ impl NeighborTable {
         self.peer_epoch += u64::from(self.rev.insert(rev_key(s, idx)));
     }
 
+    /// Registers a run of reverse neighbors at once: each `(level, node)`
+    /// joins `R(level, owner[level])`, interned in run order, as
+    /// `add_reverse` one by one would. For a table whose reverse sets are
+    /// still empty, as the builders of `V` have them: the words are sorted
+    /// once and cut into full chunks, instead of inserted one at a time.
+    /// Each chunk gets the capacity inserts would have grown it to, so the
+    /// room a table has to grow in a run is what it always had.
+    pub(crate) fn add_reverse_run(&mut self, run: impl ExactSizeIterator<Item = (usize, NodeId)>) {
+        assert_eq!(self.rev.len(), 0, "reverse sets already filled");
+        let mut words = Vec::with_capacity(run.len());
+        for (level, node) in run {
+            let s = self.slot(level, self.owner.digit(level));
+            words.push(rev_key(s, self.arena.intern(&node)));
+        }
+        words.sort_unstable();
+        words.dedup();
+        self.peer_epoch += words.len() as u64;
+        let grown = |c: &[u64]| {
+            let mut chunk = Vec::with_capacity(c.len().next_power_of_two().max(4));
+            chunk.extend_from_slice(c);
+            chunk
+        };
+        self.rev.chunks = words.chunks(CHUNK).map(grown).collect();
+    }
+
     /// Removes `node` from every reverse-neighbor set (the node is
     /// leaving). Returns how many sets contained it.
     pub fn remove_reverse(&mut self, node: &NodeId) -> usize {
@@ -1178,6 +1203,43 @@ mod tests {
         assert_eq!(set.len(), 8 * CHUNK);
         assert!(set.chunks.len() <= 9, "{} chunks", set.chunks.len());
         assert!(set.iter().is_sorted());
+    }
+
+    #[test]
+    fn a_reverse_run_registers_what_one_by_one_inserts_do() {
+        // Three chunks' worth of reverse neighbors over several levels, a
+        // few of them already interned as entries.
+        let space = IdSpace::new(16, 5).unwrap();
+        let me = space.parse_id("0a3c5").unwrap();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut others: Vec<NodeId> = Vec::new();
+        while others.len() < 3 * CHUNK {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let digits: Vec<u8> = (0..5).map(|i| (x >> (4 * i)) as u8 & 0xf).collect();
+            let id = space.id_from_digits(&digits).unwrap();
+            if id != me && !others.contains(&id) {
+                others.push(id);
+            }
+        }
+        let mut one = NeighborTable::new(space, me);
+        one.set_self_entries(NodeState::S);
+        for &node in others.iter().take(20) {
+            let k = me.csuf_len(&node);
+            let state = NodeState::S;
+            one.set(k, node.digit(k), Entry { node, state });
+        }
+        let mut run = one.clone();
+        for &node in &others {
+            let k = me.csuf_len(&node);
+            one.add_reverse(k, me.digit(k), node);
+        }
+        run.add_reverse_run(others.iter().map(|&node| (me.csuf_len(&node), node)));
+        assert_eq!(run.arena.bytes, one.arena.bytes);
+        assert_eq!(run.peer_view(), one.peer_view());
+        assert!(run.rev.iter().eq(one.rev.iter()));
+        assert!(run.rev.chunks.iter().all(|c| c.len() <= CHUNK));
     }
 
     #[test]

@@ -231,6 +231,28 @@ fn join_wave_peak_heap_is_pinned() {
     assert!(net.check_consistency().is_consistent());
 }
 
+/// Building `V` in the shape of the `lookup_storm` benchmark: what the
+/// builder holds at its busiest beyond the tables it returns is its sort
+/// and its pick buffers, not a row of candidates per suffix.
+///
+/// Peak: 11 227 940 B (22 514 752 B with a row of candidates per suffix);
+/// live: 8 322 464 B. Each bound is that + 3 %.
+#[test]
+fn oracle_build_heap_is_pinned() {
+    const N: usize = 4096;
+    let ids = distinct(space(), N, 17);
+    let heap = Window::open();
+    let tables = build_consistent_tables(space(), &ids);
+    let (live, peak) = (heap.live(), heap.peak());
+    heap.print("oracle build, n=4096", N);
+    assert_eq!(tables.len(), N);
+    assert!(
+        peak <= 11_227_940 * 103 / 100,
+        "{peak} B of heap live at once"
+    );
+    assert!(live <= 8_322_464 * 103 / 100, "{live} B of heap live after");
+}
+
 /// Every actor holds its engine inline, so a field added here is paid by
 /// every node of every workload. Extension state that most nodes never use
 /// (the failure detector's peer list) goes behind a pointer instead.
