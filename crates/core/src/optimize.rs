@@ -15,7 +15,8 @@ use std::collections::HashMap;
 
 use hyperring_id::NodeId;
 
-use crate::table::{Entry, NeighborTable, NodeState};
+use crate::adaptive::{owner_index, swap_entry};
+use crate::table::NeighborTable;
 
 /// Outcome of an optimization pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,7 +32,8 @@ pub struct OptimizeReport {
 ///
 /// Candidates per node per round: every node stored in its own table or in
 /// any table of a node its table stores. All entries keep state `S` (the
-/// optimization runs on settled networks).
+/// optimization runs on settled networks), and reverse sets follow every
+/// swap.
 ///
 /// # Examples
 ///
@@ -63,6 +65,7 @@ where
         rounds,
         ..Default::default()
     };
+    let at = owner_index(tables);
     for _ in 0..rounds {
         // Snapshot the current tables for candidate discovery (reads see
         // the previous round, like a synchronous gossip round).
@@ -77,11 +80,11 @@ where
             .collect();
         assert_eq!(by_owner.len(), tables.len(), "duplicate table owners");
 
-        for t in tables.iter_mut() {
-            let me = t.owner();
+        for t in 0..tables.len() {
+            let me = tables[t].owner();
             // Candidate pool: my neighbors plus my neighbors' neighbors.
             let mut pool: Vec<NodeId> = Vec::new();
-            for (_, _, e) in t.iter() {
+            for (_, _, e) in tables[t].iter() {
                 pool.push(e.node);
                 if let Some(theirs) = by_owner.get(&e.node) {
                     pool.extend(theirs.iter().copied());
@@ -95,18 +98,11 @@ where
                 }
                 let k = me.csuf_len(&candidate);
                 let digit = candidate.digit(k);
-                match t.get(k, digit) {
+                match tables[t].get(k, digit) {
                     Some(current) if current.node == me || current.node == candidate => {}
                     Some(current) => {
                         if latency(&me, &candidate) < latency(&me, &current.node) {
-                            t.set(
-                                k,
-                                digit,
-                                Entry {
-                                    node: candidate,
-                                    state: NodeState::S,
-                                },
-                            );
+                            swap_entry(tables, &at, t, current.node, candidate);
                             report.replacements += 1;
                         }
                     }
@@ -126,6 +122,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::assert_reverse_sets_follow_entries;
     use crate::consistency::check_consistency;
     use crate::oracle::build_consistent_tables;
     use hyperring_id::IdSpace;
@@ -161,6 +158,7 @@ mod tests {
         let mut tables = build_consistent_tables(space, &v);
         let report = optimize_tables(&mut tables, fake_latency, 3);
         assert!(report.replacements > 0, "dense network must find swaps");
+        assert_reverse_sets_follow_entries(&tables);
         let c = check_consistency(space, &tables);
         assert!(c.is_consistent(), "{c}");
     }
@@ -207,6 +205,7 @@ mod tests {
         assert!(r2.replacements <= r.replacements);
         let r3 = optimize_tables(&mut tables, fake_latency, 1);
         assert_eq!(r3.replacements, 0, "fixed point not reached");
+        assert_reverse_sets_follow_entries(&tables);
     }
 
     #[test]
