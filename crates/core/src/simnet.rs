@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
-use hyperring_id::{IdSpace, NodeId};
+use hyperring_id::{IdBuildHasher, IdSpace, NodeId};
 use hyperring_sim::{Actor, Context, DelayModel, RunReport, Simulator, Time};
 
 use crate::consistency::{check_consistency, ConsistencyReport};
@@ -85,15 +85,16 @@ pub enum SimMsg {
 ///
 /// There is one map, behind one lock that is never contended: the
 /// simulator is sequential, and the lock exists so that a `SimNetwork`
-/// stays `Send`.
+/// stays `Send`. It hashes with [`IdBuildHasher`]: every send that is not
+/// a reply resolves its destination here.
 #[derive(Debug, Default)]
 pub struct Directory {
-    map: RwLock<HashMap<NodeId, usize>>,
+    map: RwLock<HashMap<NodeId, usize, IdBuildHasher>>,
 }
 
 impl Directory {
     /// Wraps an already-built mapping (the builder's bulk path).
-    fn new(map: HashMap<NodeId, usize>) -> Self {
+    fn new(map: HashMap<NodeId, usize, IdBuildHasher>) -> Self {
         Directory {
             map: RwLock::new(map),
         }
@@ -350,7 +351,7 @@ impl SimNetworkBuilder {
 
         let mut ids: Vec<NodeId> = member_tables.iter().map(|t| t.owner()).collect();
         ids.extend(self.joiners.iter().map(|(id, _, _)| *id));
-        let mut map = HashMap::with_capacity(ids.len());
+        let mut map = HashMap::with_capacity_and_hasher(ids.len(), IdBuildHasher::default());
         for (i, id) in ids.iter().enumerate() {
             assert!(map.insert(*id, i).is_none(), "duplicate node identifier");
         }

@@ -31,7 +31,7 @@ mod space;
 mod suffix;
 
 pub use error::IdError;
-pub use id::{Digits, NodeId, MAX_DIGITS, MAX_WIDE_DIGITS};
+pub use id::{Digits, IdBuildHasher, IdHasher, NodeId, MAX_DIGITS, MAX_WIDE_DIGITS};
 pub use sha1::{sha1, Sha1};
 pub use space::IdSpace;
 pub use suffix::Suffix;

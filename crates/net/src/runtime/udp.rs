@@ -32,7 +32,7 @@ use hyperring_core::{
     EffectHandler, EngineDriver, JoinEngine, Message, NeighborTable, NodeInput, ProtocolOptions,
     RuntimeDriver, Status, TimerId, TraceSink, TraceStream,
 };
-use hyperring_id::{IdSpace, NodeId};
+use hyperring_id::{IdBuildHasher, IdSpace, NodeId};
 use std::net::SocketAddr;
 
 use crate::runtime::NetError;
@@ -159,7 +159,7 @@ struct LoopHandler<'a> {
     me: NodeId,
     slot: usize,
     now_us: u64,
-    routes: &'a HashMap<NodeId, SocketAddr>,
+    routes: &'a HashMap<NodeId, SocketAddr, IdBuildHasher>,
     outbound: &'a mut VecDeque<(SocketAddr, Vec<u8>)>,
     capacity: usize,
     wheel: &'a mut TimerWheel<(usize, TimerId)>,
@@ -321,7 +321,8 @@ impl UdpNetwork {
             addrs.push(ep.local_addr()?);
             endpoints.push(ep);
         }
-        let mut routes: HashMap<NodeId, SocketAddr> = HashMap::with_capacity(n_nodes);
+        let mut routes: HashMap<NodeId, SocketAddr, IdBuildHasher> =
+            HashMap::with_capacity_and_hasher(n_nodes, IdBuildHasher::default());
         let mut partitions: Vec<Vec<(NodeId, Option<NodeId>)>> = vec![Vec::new(); n_threads];
         let roster = member_ids
             .iter()
@@ -491,7 +492,7 @@ fn drive_slot(
     s: usize,
     input: NodeInput,
     now_us: u64,
-    routes: &HashMap<NodeId, SocketAddr>,
+    routes: &HashMap<NodeId, SocketAddr, IdBuildHasher>,
     capacity: usize,
     wheel: &mut TimerWheel<(usize, TimerId)>,
     stats: &mut UdpRunStats,
@@ -539,7 +540,7 @@ fn run_loop(
     mut slots: Vec<Slot>,
     starts: Vec<(usize, NodeId)>,
     mut victims: Vec<usize>,
-    routes: Arc<HashMap<NodeId, SocketAddr>>,
+    routes: Arc<HashMap<NodeId, SocketAddr, IdBuildHasher>>,
     shared: Arc<Shared>,
     gauges: Arc<Vec<Gauges>>,
     me: usize,
@@ -557,7 +558,7 @@ fn run_loop(
     let mut error: Option<NetError> = None;
     // An engine index for datagram dispatch; the `to` prefix addresses a
     // node, not a socket, since many engines share this endpoint.
-    let index: HashMap<NodeId, usize> = slots
+    let index: HashMap<NodeId, usize, IdBuildHasher> = slots
         .iter()
         .enumerate()
         .map(|(s, slot)| (slot.driver.engine().id(), s))
