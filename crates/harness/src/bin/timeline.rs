@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run --release -p hyperring-harness --bin timeline
 //! [--n MEMBERS] [--half-lives S1,S2,..] [--seed SEED] [--smoke]
-//! [--audit]`
+//! [--audit] | --shrink SEED`
 //!
 //! Sweeps the given half-life settings (virtual seconds; default
 //! `20,40,80` — at the default 14 s churn window these turn over roughly
@@ -18,12 +18,16 @@
 //! repair arm is consistent at every settled checkpoint where the
 //! control arm is not. Results go to `results/timeline.csv` and
 //! `BENCH_churn.json`; trace digests are byte-stable per seed.
+//!
+//! `--shrink SEED` instead takes trial `SEED` of the benchmark's `churn`
+//! configuration, confirms it ends inconsistent, and prints the 1-minimal
+//! schedule ddmin shrinks it to as one table row; nothing is written.
 
 use std::path::Path;
 
 use hyperring_harness::experiments::{run_poisson_churn, PoissonChurnConfig, PoissonChurnResult};
 use hyperring_harness::metrics::percentile;
-use hyperring_harness::{report, Table, TrialOpts};
+use hyperring_harness::{report, shrink, Table, TrialOpts};
 
 fn pcts(samples: &[u64]) -> (u64, u64, u64) {
     (
@@ -82,6 +86,15 @@ fn json_arm(r: &PoissonChurnResult) -> String {
 
 fn main() {
     let opts = TrialOpts::from_env();
+    if opts.has_flag("--shrink") {
+        let seed: u64 = opts.named("--shrink", 0);
+        let (scenario, compiled) = shrink::churn_trial(seed);
+        match shrink::shrink(&scenario, &compiled) {
+            Some((c, r)) => println!("{}", shrink::row(seed, &c, &r)),
+            None => eprintln!("trial {seed} ends consistent: nothing to shrink"),
+        }
+        return;
+    }
     let smoke = opts.has_flag("--smoke");
     let audit = opts.has_flag("--audit");
     let members: usize = opts.named("--n", if smoke { 32 } else { 256 });

@@ -25,7 +25,9 @@ pub use fig15b::{run_fig15b, run_fig15b_trials, DelayKind, Fig15bConfig, Fig15bR
 pub use lookup::{run_lookup_storm, LookupArm, LookupStormConfig, LookupStormResult};
 pub use msgsize::{run_msgsize_ablation, MsgSizeResult};
 pub use occupancy::{run_occupancy, OccupancyPoint};
-pub use poisson::{poisson_timeline, run_poisson_churn, PoissonChurnConfig, PoissonChurnResult};
+pub use poisson::{
+    poisson_options, poisson_timeline, run_poisson_churn, PoissonChurnConfig, PoissonChurnResult,
+};
 pub use scale::{run_scale, ScaleConfig, ScaleResult};
 pub use stretch::{run_stretch, StretchResult, StretchStats};
 pub use theorem4::{run_theorem4, Theorem4Point};

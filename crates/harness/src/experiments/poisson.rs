@@ -194,33 +194,10 @@ pub fn poisson_timeline(cfg: &PoissonChurnConfig, seed: u64) -> (Timeline, usize
 pub fn run_poisson_churn(cfg: &PoissonChurnConfig, seed: u64, repair: bool) -> PoissonChurnResult {
     let space = IdSpace::new(cfg.base, cfg.digits).expect("valid space");
     let (tl, crashes, joins, crash_capped) = poisson_timeline(cfg, seed);
-    let fd = FailureDetector {
-        repair,
-        max_repairs_in_flight: 4,
-        repair_backoff: true,
-        ..cfg.fd
-    };
-    // Churn-sized retry budget: short enough that a join whose contact
-    // crashed falls back within a couple of virtual seconds (timeout
-    // 300 ms ≫ the 100 ms worst-case round trip; exhaustion after
-    // 0.3 + 0.6 + 1.2 s of doubling), with jitter de-synchronizing the
-    // retry bursts a crash wave would otherwise align.
-    let retry = RetryPolicy {
-        timeout_us: 300_000,
-        max_retries: 2,
-        backoff_pct: 200,
-        jitter_pct: 10,
-        join_fallback: true,
-        ..RetryPolicy::default()
-    };
     let r = TimelineScenario::new(space)
         .members(cfg.members)
         .seed(seed)
-        .options(
-            ProtocolOptions::new()
-                .with_failure_detector(fd)
-                .with_retry(retry),
-        )
+        .options(poisson_options(cfg, repair))
         .run(tl);
     debug_assert_eq!(r.crashed, crashes);
     debug_assert_eq!(r.joins, joins);
@@ -246,6 +223,32 @@ pub fn run_poisson_churn(cfg: &PoissonChurnConfig, seed: u64, repair: bool) -> P
         traced: r.traced,
         trace_digest: r.trace_digest,
     }
+}
+
+/// The detector and retry options of one [`run_poisson_churn`] arm.
+pub fn poisson_options(cfg: &PoissonChurnConfig, repair: bool) -> ProtocolOptions {
+    let fd = FailureDetector {
+        repair,
+        max_repairs_in_flight: 4,
+        repair_backoff: true,
+        ..cfg.fd
+    };
+    // Churn-sized retry budget: short enough that a join whose contact
+    // crashed falls back within a couple of virtual seconds (timeout
+    // 300 ms ≫ the 100 ms worst-case round trip; exhaustion after
+    // 0.3 + 0.6 + 1.2 s of doubling), with jitter de-synchronizing the
+    // retry bursts a crash wave would otherwise align.
+    let retry = RetryPolicy {
+        timeout_us: 300_000,
+        max_retries: 2,
+        backoff_pct: 200,
+        jitter_pct: 10,
+        join_fallback: true,
+        ..RetryPolicy::default()
+    };
+    ProtocolOptions::new()
+        .with_failure_detector(fd)
+        .with_retry(retry)
 }
 
 #[cfg(test)]

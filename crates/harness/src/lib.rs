@@ -38,6 +38,7 @@ pub mod lookup;
 pub mod metrics;
 pub mod report;
 pub mod scenario;
+pub mod shrink;
 pub mod timeline;
 pub mod topo_delay;
 pub mod workload;
