@@ -427,15 +427,10 @@ pub(crate) fn assert_reverse_sets_follow_entries(tables: &[NeighborTable]) {
     }
     let mut held = BTreeSet::new();
     for t in tables {
-        let space = t.space();
-        for level in 0..space.digit_count() {
-            for digit in 0..space.base() as u8 {
-                held.extend(
-                    t.reverse_of(level, digit)
-                        .map(|x| (t.owner(), level, digit, x)),
-                );
-            }
-        }
+        held.extend(
+            t.reverse_runs()
+                .map(|(level, digit, x)| (t.owner(), level, digit, x)),
+        );
     }
     let missing: Vec<_> = implied.difference(&held).take(3).collect();
     let stale: Vec<_> = held.difference(&implied).take(3).collect();

@@ -92,12 +92,8 @@ pub(crate) fn digest_entry(h: &mut Fnv, level: usize, digit: u8, e: &Entry) {
 /// Digests a table's reverse-neighbor sets (`R{level}.{digit}.{r}` in
 /// ascending id order per slot) — the tail of its canonical rendering.
 pub(crate) fn digest_reverse_sets(h: &mut Fnv, t: &NeighborTable) {
-    for level in 0..t.space().digit_count() {
-        for digit in 0..t.space().base() as u8 {
-            for r in t.reverse_of(level, digit) {
-                h.eat_slot(b'R', level, digit, &r);
-            }
-        }
+    for (level, digit, r) in t.reverse_runs() {
+        h.eat_slot(b'R', level, digit, &r);
     }
 }
 

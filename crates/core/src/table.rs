@@ -45,15 +45,19 @@ pub struct Entry {
 /// Dedup goes through an open-addressing hash index over the stored bytes
 /// (linear probing, power-of-two capacity, at most 7/8 full: four bytes a
 /// slot, and most tables hold a few dozen ids in one or two cache lines of
-/// index, so memory is worth more here than short probe runs). The hash is
-/// a fixed function of the bytes, so index layout — like everything else
-/// in a table — is identical from run to run.
+/// index, so memory is worth more here than short probe runs). Each index
+/// word carries eight hash bits the home position does not use above the
+/// 24-bit arena index, so a probe reads an occupant's stored bytes only
+/// when its tag matches: a miss — every fresh id — costs the index line
+/// alone. That caps a table at [`ARENA_MAX`] interned ids. The hash is a
+/// fixed function of the bytes, so index layout — like everything else in
+/// a table — is identical from run to run.
 #[derive(Debug, Clone)]
 struct IdArena {
     /// Stored ids, `stride` bytes each.
     bytes: Vec<u8>,
-    /// Hash index: [`EMPTY`] or an interned index, probed linearly from
-    /// the key's hash.
+    /// Hash index: [`EMPTY`] or `tag << 24 | arena index`, probed linearly
+    /// from the key's home.
     index: Vec<u32>,
     stride: usize,
     digits: usize,
@@ -129,33 +133,49 @@ impl IdArena {
         id.expect("interned bytes are an id's packing")
     }
 
-    /// Where `key` starts probing in an index of `capacity` slots: FNV-1a
-    /// over the stored bytes, one more multiply to spread the last byte
-    /// into the high bits, then the top `log2(capacity)` bits.
+    /// FNV-1a over the stored bytes, then one more multiply to spread the
+    /// last byte into the high bits.
     #[inline]
-    fn home(key: &[u8], capacity: usize) -> usize {
+    fn hash(key: &[u8]) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in key {
             h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
-        h = (h ^ (h >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (h ^ (h >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+
+    /// Where a key of hash `h` starts probing in an index of `capacity`
+    /// slots: the top `log2(capacity)` bits.
+    #[inline]
+    fn home(h: u64, capacity: usize) -> usize {
         (h >> (64 - capacity.trailing_zeros())) as usize
     }
 
-    /// Probes for `key`: `Ok(idx)` if interned, else `Err(pos)` with the
-    /// empty index position where it belongs.
+    /// The index word of arena index `idx` under hash `h`: bits 32..40 of
+    /// the hash as the tag, which the home position reaches only past
+    /// 2^24 index slots.
     #[inline]
-    fn probe(&self, key: &[u8]) -> Result<u32, usize> {
+    fn word(h: u64, idx: u32) -> u32 {
+        ((h >> 32) as u32) << 24 | idx
+    }
+
+    /// Probes for `key` of hash `h`: `Ok(idx)` if interned, else
+    /// `Err(pos)` with the empty index position where it belongs.
+    #[inline]
+    fn probe(&self, key: &[u8], h: u64) -> Result<u32, usize> {
         let mask = self.index.len() - 1;
-        let mut pos = Self::home(key, self.index.len());
+        let tag = Self::word(h, 0);
+        let mut pos = Self::home(h, self.index.len());
         loop {
-            let idx = self.index[pos];
-            if idx == EMPTY {
+            let w = self.index[pos];
+            if w == EMPTY {
                 return Err(pos);
             }
-            // An explicit loop: `stride` is 4 bytes in the common shape,
-            // far below where a `memcmp` call pays for itself.
-            if self.packed(idx).iter().zip(key).all(|(a, b)| a == b) {
+            // Stored bytes only behind a matching tag, compared in an
+            // explicit loop: `stride` is 4 bytes in the common shape, far
+            // below where a `memcmp` call pays for itself.
+            let idx = w & ARENA_IDX;
+            if w & TAG_MASK == tag && self.packed(idx).iter().zip(key).all(|(a, b)| a == b) {
                 return Ok(idx);
             }
             pos = (pos + 1) & mask;
@@ -167,11 +187,12 @@ impl IdArena {
         let capacity = self.index.len() * 2;
         let mut index = vec![EMPTY; capacity];
         for idx in 0..self.len() as u32 {
-            let mut pos = Self::home(self.packed(idx), capacity);
+            let h = Self::hash(self.packed(idx));
+            let mut pos = Self::home(h, capacity);
             while index[pos] != EMPTY {
                 pos = (pos + 1) & (capacity - 1);
             }
-            index[pos] = idx;
+            index[pos] = Self::word(h, idx);
         }
         self.index = index;
     }
@@ -180,17 +201,18 @@ impl IdArena {
     fn intern(&mut self, id: &NodeId) -> u32 {
         let mut buf: KeyBuf = [0; 33];
         let key = self.key(id, &mut buf);
-        match self.probe(key) {
+        let h = Self::hash(key);
+        match self.probe(key, h) {
             Ok(idx) => idx,
             Err(mut pos) => {
                 let idx = self.len() as u32;
-                assert!(idx < IDX_MASK, "id arena full");
+                assert!(idx < ARENA_MAX, "id arena full");
                 if (idx as usize + 1) * 8 > self.index.len() * 7 {
                     self.grow();
-                    pos = self.probe(key).expect_err("key absent before growth");
+                    pos = self.probe(key, h).expect_err("key absent before growth");
                 }
                 self.bytes.extend_from_slice(key);
-                self.index[pos] = idx;
+                self.index[pos] = Self::word(h, idx);
                 idx
             }
         }
@@ -198,7 +220,9 @@ impl IdArena {
 
     /// Index of `id` if it was ever interned.
     fn lookup(&self, id: &NodeId) -> Option<u32> {
-        self.probe(self.key(id, &mut [0u8; 33])).ok()
+        let mut buf: KeyBuf = [0; 33];
+        let key = self.key(id, &mut buf);
+        self.probe(key, Self::hash(key)).ok()
     }
 
     /// Numeric order of two interned ids: their bytes from the
@@ -239,19 +263,41 @@ const EMPTY: u32 = u32::MAX;
 const S_BIT: u32 = 1 << 31;
 /// Low bits of an encoded entry: the arena index of its node.
 const IDX_MASK: u32 = S_BIT - 1;
+/// Low bits of an [`IdArena`] index word: the arena index.
+const ARENA_IDX: u32 = (1 << 24) - 1;
+/// High bits of an [`IdArena`] index word: the tag.
+const TAG_MASK: u32 = !ARENA_IDX;
+/// Most ids one table interns, `2^24 − 1`: an index word's arena index
+/// never reads all ones, so no tagged word equals [`EMPTY`].
+const ARENA_MAX: u32 = ARENA_IDX;
 
 /// One reverse-neighbor membership `node ∈ R_x(slot)` as a single word:
-/// the slot in the high half, the node's arena index in the low half.
+/// the node's arena index in the high half, the slot in the low half.
+/// Arena indices only ascend, so a fresh id's memberships sort after every
+/// word already in the set, and one node's memberships are adjacent.
 #[inline]
 fn rev_key(slot: usize, idx: u32) -> u64 {
-    (slot as u64) << 32 | idx as u64
+    (idx as u64) << 32 | slot as u64
+}
+
+/// The arena index of a [`rev_key`] word.
+#[inline]
+fn rev_idx(word: u64) -> u32 {
+    (word >> 32) as u32
+}
+
+/// The slot of a [`rev_key`] word.
+#[inline]
+fn rev_slot(word: u64) -> usize {
+    word as u32 as usize
 }
 
 /// An ordered set of `u64` words kept as sorted chunks of at most
-/// [`CHUNK`] words each, chunk after chunk in ascending order. An insert
-/// shifts words inside one chunk only, so its cost does not grow with the
-/// size of the set beyond the binary search for the chunk; a set that fits
-/// one chunk is a plain sorted `Vec`.
+/// [`CHUNK`] words each, chunk after chunk in ascending order. A word above
+/// every other is appended without a search; any other insert shifts words
+/// inside one chunk only, so its cost does not grow with the size of the
+/// set beyond the binary search for the chunk. A set that fits one chunk is
+/// a plain sorted `Vec`.
 #[derive(Debug, Clone, Default)]
 struct WordSet {
     chunks: Vec<Vec<u64>>,
@@ -276,9 +322,15 @@ impl WordSet {
 
     /// Inserts `word`; returns whether it was absent.
     fn insert(&mut self, word: u64) -> bool {
-        if self.chunks.is_empty() {
+        // No chunk is ever left empty, so a last chunk has a last word.
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < CHUNK && last.last() < Some(&word) => {
+                last.push(word);
+                return true;
+            }
             // Most sets never outgrow one chunk: reserve the one handle.
-            self.chunks = vec![Vec::new()];
+            None => self.chunks = vec![Vec::new()],
+            _ => {}
         }
         let c = self.chunk_of(word);
         let chunk = &mut self.chunks[c];
@@ -289,9 +341,9 @@ impl WordSet {
             chunk.insert(pos, word);
             return true;
         }
-        // Full. Split where the word goes when that is past the middle: a
-        // slot's run only ever grows at its end (arena indices ascend), and
-        // this leaves full chunks behind it instead of half-full ones.
+        // Full. Split where the word goes when that is past the middle:
+        // words mostly arrive at the end of the set, and this leaves full
+        // chunks behind them instead of half-full ones.
         let at = pos.max(CHUNK / 2);
         let mut upper = chunk.split_off(at);
         if pos < at {
@@ -303,28 +355,32 @@ impl WordSet {
         true
     }
 
-    fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
-        for chunk in &mut self.chunks {
-            chunk.retain(|&w| keep(w));
+    /// Removes the words in `lo..hi`, a run that may span chunks; returns
+    /// how many there were.
+    fn remove_range(&mut self, lo: u64, hi: u64) -> usize {
+        let mut removed = 0;
+        let mut c = self.chunk_of(lo);
+        while let Some(chunk) = self.chunks.get_mut(c) {
+            let len = chunk.len();
+            let end = chunk.partition_point(|&w| w < hi);
+            let start = chunk[..end].partition_point(|&w| w < lo);
+            removed += end - start;
+            chunk.drain(start..end);
+            if chunk.is_empty() {
+                self.chunks.remove(c);
+            } else {
+                c += 1;
+            }
+            if end < len {
+                break;
+            }
         }
-        self.chunks.retain(|c| !c.is_empty());
+        removed
     }
 
     /// All words, ascending.
     fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.chunks.iter().flatten().copied()
-    }
-
-    /// The words in `lo..hi`, ascending.
-    fn range(&self, lo: u64, hi: u64) -> impl Iterator<Item = u64> + '_ {
-        let mut chunks = self.chunks[self.chunk_of(lo)..].iter();
-        let head = chunks
-            .next()
-            .map_or(&[][..], |c| &c[c.partition_point(|&w| w < lo)..]);
-        head.iter()
-            .chain(chunks.flatten())
-            .copied()
-            .take_while(move |&w| w < hi)
     }
 }
 
@@ -338,7 +394,7 @@ impl WordSet {
 /// Internally the table is a struct-of-arrays over an id-interning arena:
 /// a dense `u32` slab holds one `arena index | state bit` word per
 /// `(level, digit)` slot, and reverse neighbors live in one ordered set of
-/// `(slot, arena index)` words for the whole table instead of a set of
+/// `(arena index, slot)` words for the whole table instead of a set of
 /// 33-byte `NodeId`s per slot. At `d = 8`, `b = 16` this is roughly 1 KiB
 /// per table — the difference between 4k-node and 100k-node simulations.
 ///
@@ -370,9 +426,9 @@ pub struct NeighborTable {
     /// One encoded entry per `(level, digit)` slot: [`EMPTY`], or
     /// `arena index | S_BIT`.
     slots: Box<[u32]>,
-    /// Reverse-neighbor memberships as [`rev_key`] words: ordered by slot,
-    /// then by arena index (insertion order, not id order — `reverse_of`
-    /// sorts a slot's run on read).
+    /// Reverse-neighbor memberships as [`rev_key`] words: ordered by arena
+    /// index (insertion order, not id order), then by slot. `reverse_of`
+    /// and `reverse_runs` gather and sort by id on read.
     rev: WordSet,
     /// Entry-version stamp from [`VERSION_CLOCK`]: refreshed on every
     /// entry mutation, copied verbatim by `clone`. Reverse-neighbor edits
@@ -655,9 +711,7 @@ impl NeighborTable {
         let Some(idx) = self.arena.lookup(node) else {
             return 0;
         };
-        let before = self.rev.len();
-        self.rev.retain(|k| k as u32 != idx);
-        let removed = before - self.rev.len();
+        let removed = self.rev.remove_range(rev_key(0, idx), rev_key(0, idx + 1));
         self.peer_epoch += u64::from(removed > 0);
         removed
     }
@@ -682,7 +736,7 @@ impl NeighborTable {
     /// All reverse neighbors across all entries, deduplicated, in
     /// ascending id order (the owner included if a set holds it).
     pub(crate) fn reverse_sorted(&self) -> Vec<NodeId> {
-        let distinct = self.distinct_by_id(self.rev.iter().map(|k| k as u32).collect());
+        let distinct = self.distinct_by_id(self.rev.iter().map(rev_idx).collect());
         distinct.into_iter().map(|i| self.peer_id(i)).collect()
     }
 
@@ -704,7 +758,7 @@ impl NeighborTable {
         self.distinct_by_id(
             entries
                 .map(|&raw| raw & IDX_MASK)
-                .chain(self.rev.iter().map(|k| k as u32))
+                .chain(self.rev.iter().map(rev_idx))
                 .filter(|&idx| idx != self.owner_idx)
                 .collect(),
         )
@@ -750,7 +804,7 @@ impl NeighborTable {
     ) -> Option<(usize, NodeId)> {
         let skip = self.arena.lookup(skip);
         let mut best: Option<(usize, u32)> = None;
-        for idx in self.rev.iter().map(|k| k as u32) {
+        for idx in self.rev.iter().map(rev_idx) {
             if idx == self.owner_idx || Some(idx) == skip {
                 continue;
             }
@@ -779,16 +833,40 @@ impl NeighborTable {
         seen.into_iter().map(|i| self.peer_id(i)).collect()
     }
 
-    /// Reverse neighbors of one entry, in ascending id order.
+    /// Reverse neighbors of one entry, in ascending id order. Each call is
+    /// a pass over every membership of the table.
     pub fn reverse_of(&self, level: usize, digit: u8) -> impl Iterator<Item = NodeId> + '_ {
         let s = self.slot(level, digit);
         let mut run: Vec<u32> = self
             .rev
-            .range(rev_key(s, 0), rev_key(s + 1, 0))
-            .map(|k| k as u32)
+            .iter()
+            .filter(|&k| rev_slot(k) == s)
+            .map(rev_idx)
             .collect();
         run.sort_unstable_by(|&a, &b| self.arena.cmp_ids(a, b));
         run.into_iter().map(|idx| self.arena.resolve(idx))
+    }
+
+    /// Every reverse-neighbor membership as `(level, digit, node)`, in
+    /// slot order and by ascending id within a slot: what `reverse_of`
+    /// over every slot in turn yields, from one pass over the set.
+    pub(crate) fn reverse_runs(&self) -> impl Iterator<Item = (usize, u8, NodeId)> + '_ {
+        let b = self.space.base() as usize;
+        let mut words: Vec<u64> = self.rev.iter().collect();
+        words.sort_unstable_by(|&x, &y| {
+            (rev_slot(x).cmp(&rev_slot(y))).then_with(|| self.arena.cmp_ids(rev_idx(x), rev_idx(y)))
+        });
+        words.into_iter().map(move |k| {
+            let s = rev_slot(k);
+            (s / b, (s % b) as u8, self.arena.resolve(rev_idx(k)))
+        })
+    }
+
+    /// [`reverse_runs`](Self::reverse_runs) collected: test access for
+    /// `tests/table_model.rs`, which lives outside the crate.
+    #[doc(hidden)]
+    pub fn reverse_runs_view(&self) -> Vec<(usize, u8, NodeId)> {
+        self.reverse_runs().collect()
     }
 
     /// Takes an immutable snapshot of all non-empty entries, for inclusion
@@ -1163,46 +1241,92 @@ mod tests {
     fn word_set_matches_btree_across_chunk_splits() {
         let mut set = WordSet::default();
         let mut model = BTreeSet::new();
-        assert_eq!(set.range(0, u64::MAX).count(), 0);
+        assert_eq!(set.remove_range(0, u64::MAX), 0);
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         for _ in 0..(5 * CHUNK) {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            // Few distinct high halves, so ranges span chunk boundaries.
+            // Inserts in no order, so most take the search and the splits.
             let word = rev_key((x % 7) as usize, (x >> 40) as u32 % 4096);
-            set.insert(word);
-            model.insert(word);
+            assert_eq!(set.insert(word), model.insert(word));
         }
         assert!(set.chunks.len() > 2);
         assert!(set.chunks.iter().all(|c| !c.is_empty() && c.len() <= CHUNK));
         assert_eq!(set.len(), model.len());
         assert!(set.iter().eq(model.iter().copied()));
-        for slot in 0..8 {
-            let (lo, hi) = (rev_key(slot, 0), rev_key(slot + 1, 0));
-            assert!(set.range(lo, hi).eq(model.range(lo..hi).copied()));
+        // One node's words, then runs of nodes wide enough to span chunks.
+        for (lo, hi) in [(7, 8), (100, 101), (1000, 1900), (0, 50), (4000, 4096)] {
+            let (lo, hi) = (rev_key(0, lo), rev_key(0, hi));
+            let gone = model.range(lo..hi).count();
+            model.retain(|w| !(lo..hi).contains(w));
+            assert_eq!(set.remove_range(lo, hi), gone);
+            assert!(set.iter().eq(model.iter().copied()));
+            assert!(set.chunks.iter().all(|c| !c.is_empty()));
         }
-        set.retain(|w| w as u32 % 3 == 1);
-        model.retain(|&w| w as u32 % 3 == 1);
-        assert!(set.iter().eq(model.iter().copied()));
-        set.retain(|_| false);
+        assert_eq!(set.remove_range(0, u64::MAX), model.len());
         assert!(set.chunks.is_empty());
     }
 
     #[test]
     fn word_set_growing_at_a_run_end_leaves_full_chunks() {
-        // One slot's run growing at its end, with a later slot's few words
-        // after it: what a much-referenced node's reverse set looks like.
+        // Fresh ids, one or two slots each: every word is above the set,
+        // what a much-referenced node's reverse set sees from joiners.
         let mut set = WordSet::default();
-        for idx in 0..10 {
-            set.insert(rev_key(3, idx));
+        let mut model = BTreeSet::new();
+        for idx in 0..(2 * CHUNK as u32) {
+            for slot in [3, 5].into_iter().take(1 + idx as usize % 2) {
+                assert!(set.insert(rev_key(slot, idx)));
+                model.insert(rev_key(slot, idx));
+            }
+            assert!(!set.insert(rev_key(3, idx)), "a repeat is no insert");
         }
-        for idx in 10..(8 * CHUNK as u32) {
-            set.insert(rev_key(2, idx));
+        assert!(set.chunks.len() > 2);
+        assert!(set.iter().eq(model.iter().copied()));
+        let (last, full) = set.chunks.split_last().unwrap();
+        assert!(full.iter().all(|c| c.len() == CHUNK));
+        assert_eq!(set.chunks.len(), model.len().div_ceil(CHUNK));
+        assert!(!last.is_empty());
+    }
+
+    #[test]
+    fn arena_tag_collisions_still_compare_bytes() {
+        // 2^17 ids into one arena: the index doubles past 2^17 slots, and
+        // 256 tags over them make equal tags in one probe run common.
+        let space = IdSpace::new(16, 8).unwrap();
+        let ids = |from: u32| {
+            (from..from + (1 << 17)).map(move |i| {
+                let x = i.wrapping_mul(0x9e37_79b1);
+                let digits: Vec<u8> = (0..8).map(|k| (x >> (4 * k)) as u8 & 0xf).collect();
+                space.id_from_digits(&digits).unwrap()
+            })
+        };
+        let mut arena = IdArena::new(space);
+        for (i, id) in ids(0).enumerate() {
+            assert_eq!(arena.intern(&id), i as u32);
         }
-        assert_eq!(set.len(), 8 * CHUNK);
-        assert!(set.chunks.len() <= 9, "{} chunks", set.chunks.len());
-        assert!(set.iter().is_sorted());
+        assert!(arena.index.len() >= 1 << 18);
+        let mut tags = [0u32; 256];
+        for &w in arena.index.iter().filter(|&&w| w != EMPTY) {
+            tags[(w >> 24) as usize] += 1;
+        }
+        assert!(
+            tags.iter().all(|&n| n > 256),
+            "tags are not spread: {tags:?}"
+        );
+        // Neighbors share a home's high bits, so a tag taken from those
+        // would match next door nearly always, and filter nothing.
+        let pairs = arena.index.windows(2).filter(|p| !p.contains(&EMPTY));
+        let (all, same) = pairs.fold((0, 0), |(all, same), p| {
+            (all + 1, same + usize::from(p[0] >> 24 == p[1] >> 24))
+        });
+        assert!(same * 50 < all, "{same} of {all} neighbors share a tag");
+        for (i, id) in ids(0).enumerate() {
+            assert_eq!(arena.intern(&id), i as u32);
+            assert_eq!(arena.lookup(&id), Some(i as u32));
+        }
+        assert_eq!(arena.len(), 1 << 17);
+        assert!(ids(1 << 17).all(|id| arena.lookup(&id).is_none()));
     }
 
     #[test]

@@ -81,6 +81,13 @@ fn assert_same(space: IdSpace, t: &NeighborTable, m: &Model, pool: &[NodeId]) {
             assert_eq!(got, m.reverse_of(level, digit));
         }
     }
+    // The one-pass read the digest takes is every slot's `reverse_of` in
+    // slot order.
+    let runs: Vec<(usize, u8, NodeId)> = (0..space.digit_count())
+        .flat_map(|level| (0..space.base() as u8).map(move |digit| (level, digit)))
+        .flat_map(|(level, digit)| t.reverse_of(level, digit).map(move |n| (level, digit, n)))
+        .collect();
+    assert_eq!(t.reverse_runs_view(), runs);
     assert_eq!(t.filled(), m.entries.len());
     let all: BTreeSet<NodeId> = m.rev.iter().map(|&(_, n)| n).collect();
     assert_eq!(t.reverse_neighbors(), all);
@@ -241,5 +248,44 @@ fn table_agrees_with_model_past_ten_thousand_ids() {
             assert_eq!(t.remove_reverse(node), before - m.rev.len());
         }
         assert_same(space, &t.clone(), &m, &pool);
+    }
+}
+
+/// One node in two slots whose memberships straddle two chunks of the
+/// reverse set (512 words a chunk): one removal takes both, and the peer
+/// view moves under one epoch step. Fresh ids before it push its two words
+/// across every offset near the chunk's end.
+#[test]
+fn one_removal_takes_a_node_out_of_two_chunks() {
+    let space = IdSpace::new(16, 8).expect("valid space");
+    let mut rng = StdRng::seed_from_u64(0xc4a2);
+    let owner = space.random_id(&mut rng);
+    for before in 500..520 {
+        let mut t = NeighborTable::new(space, owner);
+        let mut m = Model {
+            base: 16,
+            entries: BTreeMap::new(),
+            rev: BTreeSet::new(),
+        };
+        let mut add = |t: &mut NeighborTable, level, digit, node| {
+            t.add_reverse(level, digit, node);
+            m.rev.insert((m.slot(level, digit), node));
+        };
+        for _ in 0..before {
+            add(&mut t, 0, 3, space.random_id(&mut rng));
+        }
+        let node = space.random_id(&mut rng);
+        add(&mut t, 0, 3, node);
+        add(&mut t, 1, 9, node);
+        for _ in 0..5 {
+            add(&mut t, 1, 9, space.random_id(&mut rng));
+        }
+        let (epoch, _) = t.peer_view();
+        assert_eq!(t.remove_reverse(&node), 2, "after {before}");
+        m.rev.retain(|&(_, n)| n != node);
+        let (after, view) = t.peer_view();
+        assert_eq!(after, epoch + 1, "after {before}");
+        assert_eq!(view, m.peers(owner));
+        assert_same(space, &t, &m, &[node]);
     }
 }
