@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Turns a shim.c dump into tables: symbolise.py PROF_OUT BINARY [--top N] [--under S] [--callers S [--lines]]
+"""Turns a shim.c dump into tables: symbolise.py PROF_OUT BINARY [--top N] [--under S] [--callers S [--lines]] [--self-lines S]
 
 Self = samples whose innermost frame is the symbol; inclusive = samples with
 the symbol anywhere on the stack. --under keeps only the samples taken below
 a symbol whose name contains S, and only the frames from it down; --callers prints
 who called the symbols whose name contains S, by sample, and with --lines the
 call sites too, as `addr2line -i` names them (needs a binary built with debug
-info). Addresses outside BINARY (libc, the vdso) are grouped by mapping.
+info). --self-lines S splits the self samples of the symbols whose name contains
+S by the source line each was taken at, the same way. Addresses outside BINARY
+(libc, the vdso) are grouped by mapping.
 """
 import argparse, bisect, collections, functools, os, subprocess, sys
 
@@ -17,6 +19,7 @@ parser.add_argument("--top", type=int, default=25)
 parser.add_argument("--under")
 parser.add_argument("--callers")
 parser.add_argument("--lines", action="store_true", help="with --callers: file:line of each call site, inlined frames included")
+parser.add_argument("--self-lines", metavar="TEXT", help="file:line of the self samples of symbols whose name contains TEXT")
 args = parser.parse_args()
 if args.lines and not args.callers:
     parser.error("--lines needs --callers")
@@ -64,9 +67,11 @@ if args.under:
     samples = [(raw[: cut + 1], stack[: cut + 1]) for raw, stack in samples
                if (cut := first(stack, args.under)) is not None]
 total = len(samples)
-self_, inclusive, callers, sites = (collections.Counter() for _ in range(4))
+self_, inclusive, callers, sites, spots = (collections.Counter() for _ in range(5))
 for raw, stack in samples:
     self_[stack[0]] += 1
+    if args.self_lines and args.self_lines in stack[0] and not stack[0].startswith("["):
+        spots[raw[0]] += 1  # an instruction pointer inside BINARY
     inclusive.update(set(stack))
     if args.callers:
         hit = first(stack, args.callers)
@@ -92,3 +97,16 @@ if args.lines:
         where = subprocess.run(["addr2line", "-i", "-e", binary, hex(address - base - 1)],
                                capture_output=True, text=True, check=True).stdout.split()
         print(f"{n:8d}  {name_of(address)}\n" + "\n".join(f"{'':10}{line}" for line in where))
+if args.self_lines:
+    # An instruction pointer is the sampled instruction itself: no step back.
+    # One addr2line run for every address (none would make it read stdin);
+    # `-a` heads each address's lines.
+    out = subprocess.run(["addr2line", "-a", "-i", "-e", binary] + [hex(a - base) for a in spots],
+                         capture_output=True, text=True, check=True).stdout.splitlines() if spots else []
+    heads = [i for i, word in enumerate(out) if word.startswith("0x")] + [len(out)]
+    where = collections.Counter()
+    for address, lo, hi in zip(spots, heads, heads[1:]):
+        where[tuple(out[lo + 1:hi])] += spots[address]
+    print(f"\nself lines of *{args.self_lines}* ({sum(spots.values())} samples, innermost inlined frame first)")
+    for chain, n in where.most_common(args.top):
+        print(f"{n:8d} {100 * n / max(total, 1):5.1f}%  " + f"\n{'':16}".join(chain))
