@@ -137,7 +137,7 @@ impl fmt::Display for Violation {
 }
 
 /// Result of a consistency check.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConsistencyReport {
     violations: Vec<Violation>,
     nodes: usize,

@@ -29,9 +29,9 @@ use std::sync::Arc;
 
 use hyperring_core::{Entry, NeighborTable, NodeState, TableSnapshot};
 use hyperring_id::{IdSpace, NodeId};
-use hyperring_sim::{Actor, Context, Simulator, Time, UniformDelay};
+use hyperring_sim::{Actor, Context, RunReport, Simulator, Time, UniformDelay};
 
-use crate::workload::JoinWorkload;
+use crate::timeline::CompiledTimeline;
 
 /// Messages of the optimistic protocol.
 #[derive(Debug, Clone)]
@@ -208,25 +208,24 @@ impl Actor for OptNode {
     }
 }
 
-/// Runs the optimistic baseline to quiescence and returns the final
-/// tables. This is the backend behind
-/// [`Scenario::optimistic`](crate::Scenario::optimistic); use the builder
-/// unless you need the raw tables.
+/// Runs the optimistic baseline over the members and joins of `c` to
+/// quiescence and returns the final tables with the simulator's report.
+/// This is the backend behind
+/// [`Scenario::optimistic`](crate::Scenario::optimistic).
 ///
-/// Joins start `gap_us` apart (0 = all concurrent at t = 0; a large gap
+/// Each join starts at its scheduled time (spacing them far apart
 /// approximates sequential joins, since a join completes within a handful
 /// of 100 ms round trips). Message delays are uniform in `delay_bounds`
 /// microseconds.
 pub(crate) fn run_optimistic_tables(
-    workload: &JoinWorkload,
+    space: IdSpace,
+    c: &CompiledTimeline,
     seed: u64,
-    gap_us: Time,
     delay_bounds: (Time, Time),
-) -> Vec<NeighborTable> {
-    let space = workload.space;
-    let member_tables = hyperring_core::build_consistent_tables(space, &workload.members);
-    let mut ids: Vec<NodeId> = workload.members.clone();
-    ids.extend(workload.joiners.iter().map(|(id, _)| *id));
+) -> (Vec<NeighborTable>, RunReport) {
+    let member_tables = hyperring_core::build_consistent_tables(space, &c.members);
+    let mut ids: Vec<NodeId> = c.members.clone();
+    ids.extend(c.joins.iter().map(|(id, ..)| *id));
     let dir: Arc<HashMap<NodeId, usize>> =
         Arc::new(ids.iter().enumerate().map(|(i, id)| (*id, i)).collect());
 
@@ -241,7 +240,7 @@ pub(crate) fn run_optimistic_tables(
             dir: Arc::clone(&dir),
         })
         .collect();
-    for (id, _) in &workload.joiners {
+    for (id, ..) in &c.joins {
         actors.push(OptNode {
             space,
             id: *id,
@@ -253,42 +252,47 @@ pub(crate) fn run_optimistic_tables(
     }
     let (lo, hi) = delay_bounds;
     let mut sim = Simulator::new(actors, UniformDelay::new(lo, hi), seed);
-    for (i, (id, gw)) in workload.joiners.iter().enumerate() {
+    for (id, gw, at) in &c.joins {
         let idx = dir[id];
-        sim.inject_at(i as Time * gap_us, idx, idx, OptMsg::Start { gateway: *gw });
+        sim.inject_at(*at, idx, idx, OptMsg::Start { gateway: *gw });
     }
     let report = sim.run_limited(200_000_000);
     assert!(!report.truncated, "optimistic run did not quiesce");
-    sim.actors().map(|a| a.table.clone()).collect()
+    (sim.actors().map(|a| a.table.clone()).collect(), report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{RunReport, Scenario};
-    use hyperring_id::IdSpace;
+    use crate::timeline::{Scenario, Timeline, TimelineReport};
 
     /// Large-gap starts: joins are effectively sequential (a join finishes
     /// within ~1 s of simulated time; the gap is 60 s).
     const SEQ_GAP: Time = 60_000_000;
 
-    fn optimistic(w: &JoinWorkload, seed: u64, gap_us: Time) -> RunReport {
-        Scenario::new(w.space)
-            .workload(w.clone())
+    /// `m` optimistic joins into 16 members, started `gap_us` apart.
+    fn optimistic(space: IdSpace, m: usize, seed: u64, gap_us: Time) -> TimelineReport {
+        let tl = (0..m as Time).fold(Timeline::new(), |tl, i| tl.at(i * gap_us).join(1).done());
+        Scenario::new(space)
+            .members(16)
             .seed(seed)
-            .join_gap_us(gap_us)
+            .delay_bounds(1_000, 100_000)
             .optimistic()
-            .run_sim()
+            .run(tl)
     }
 
     #[test]
     fn paper_protocol_never_breaks() {
         let space = IdSpace::new(8, 4).unwrap();
         for seed in 0..5 {
-            let w = JoinWorkload::generate(space, 24, 24, seed);
-            let r = Scenario::new(space).workload(w).seed(seed).run_sim();
-            assert!(r.consistent(), "seed {seed}: {}", r.report);
-            assert_eq!(r.unreachable_pairs, 0);
+            let r = Scenario::new(space)
+                .members(24)
+                .seed(seed)
+                .delay_bounds(1_000, 100_000)
+                .reachability()
+                .run(Timeline::join_wave(24));
+            assert!(r.consistent, "seed {seed}: {}", r.final_report);
+            assert_eq!(r.unreachable_pairs, Some(0));
         }
     }
 
@@ -299,9 +303,8 @@ mod tests {
         let mut broke = 0;
         let mut total_fns = 0;
         for seed in 0..10 {
-            let w = JoinWorkload::generate(space, 16, 48, seed);
-            let r = optimistic(&w, seed, 0);
-            if !r.consistent() {
+            let r = optimistic(space, 48, seed, 0);
+            if !r.consistent {
                 broke += 1;
                 total_fns += r.false_negatives;
             }
@@ -322,9 +325,8 @@ mod tests {
         let mut concurrent = 0usize;
         let mut sequential = 0usize;
         for seed in 0..8 {
-            let w = JoinWorkload::generate(space, 16, 32, seed);
-            concurrent += optimistic(&w, seed, 0).report.violations().len();
-            sequential += optimistic(&w, seed, SEQ_GAP).report.violations().len();
+            concurrent += optimistic(space, 32, seed, 0).violations;
+            sequential += optimistic(space, 32, seed, SEQ_GAP).violations;
         }
         assert!(
             concurrent >= sequential,

@@ -11,8 +11,7 @@
 
 use std::path::Path;
 
-use hyperring_harness::workload::JoinWorkload;
-use hyperring_harness::{report, Scenario, Table, TrialOpts};
+use hyperring_harness::{report, Scenario, Table, Timeline, TrialOpts};
 use hyperring_id::IdSpace;
 
 fn main() {
@@ -36,20 +35,22 @@ fn main() {
     for m in [1usize, 4, 16, 48] {
         eprintln!("m = {m}: {seeds} seeds of each protocol …");
         let per_seed = opts.map_indexed(seeds as usize, |s| {
-            let seed = s as u64;
-            let w = JoinWorkload::generate(space, n, m, seed);
-            let o = Scenario::new(space)
-                .workload(w.clone())
-                .seed(seed)
+            let paper = Scenario::new(space)
+                .members(n)
+                .seed(s as u64)
+                .delay_bounds(1_000, 100_000);
+            let o = paper
+                .clone()
                 .optimistic()
-                .run_sim();
-            let p = Scenario::new(space).workload(w).seed(seed).run_sim();
+                .reachability()
+                .run(Timeline::join_wave(m));
+            let p = paper.run(Timeline::join_wave(m));
             (
-                u64::from(!o.consistent()),
-                o.report.violations().len() as u64,
-                o.unreachable_pairs as u64,
-                u64::from(!p.consistent()),
-                p.report.violations().len() as u64,
+                u64::from(!o.consistent),
+                o.violations as u64,
+                o.unreachable_pairs.unwrap_or(0) as u64,
+                u64::from(!p.consistent),
+                p.violations as u64,
             )
         });
         let (mut ob, mut ov, mut ou) = (0u64, 0u64, 0u64);

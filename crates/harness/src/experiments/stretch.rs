@@ -9,6 +9,7 @@ use hyperring_id::{IdSpace, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::metrics::percentile;
 use crate::topo_delay::TopologyDelay;
 use crate::workload::distinct_ids;
 
@@ -73,13 +74,15 @@ where
             dropped => panic!("consistent tables dropped a route: {dropped:?}"),
         }
     }
+    // Summed in sorted order, as the recorded results were.
     stretches.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let n = stretches.len();
+    let pct = |p| percentile(&stretches, p).expect("at least one sample");
     StretchStats {
         pairs: n,
         mean: stretches.iter().sum::<f64>() / n as f64,
-        median: stretches[n / 2],
-        p95: stretches[(n as f64 * 0.95) as usize],
+        median: pct(50.0),
+        p95: pct(95.0),
         mean_hops: hops_total as f64 / n as f64,
     }
 }

@@ -1,7 +1,7 @@
-//! Experiment harness: workloads, topology-backed delay models, the
-//! unified [`Scenario`] runner, experiment drivers for every table/figure
-//! of the paper's evaluation, the optimistic-join baseline, and
-//! plain-text/CSV reporting.
+//! Experiment harness: workloads, topology-backed delay models, the one
+//! [`Scenario`] runner of [`Timeline`]s and its one [`TimelineReport`],
+//! experiment drivers for every table/figure of the paper's evaluation,
+//! the optimistic-join baseline, and plain-text/CSV reporting.
 //!
 //! Binaries (run with `--release`; each also writes CSV under `results/`):
 //!
@@ -15,9 +15,10 @@
 //! * `baseline_consistency` — optimistic joins vs the paper's protocol;
 //! * `faultsim` — concurrent joins over a lossy network (`FaultyDelay`),
 //!   recovered by `RetryPolicy` timer retransmission; supports `--trace`;
-//! * `crashchurn` — crash-failure churn: nodes die silently mid-run, the
-//!   failure detector evicts them, and suffix-routed repair re-converges
-//!   the survivors; includes a repair-off control arm.
+//! * `churn` — every churn experiment as one timeline runner: join/leave
+//!   waves, one crash wave (repair on and a repair-off control), or
+//!   steady-state Poisson arrivals and crashes; `--runtime sim|udp`, and
+//!   `--shrink SEED` minimises a failing trial.
 //!
 //! # Examples
 //!
@@ -37,7 +38,6 @@ pub mod experiments;
 pub mod lookup;
 pub mod metrics;
 pub mod report;
-pub mod scenario;
 pub mod shrink;
 pub mod timeline;
 pub mod topo_delay;
@@ -48,10 +48,9 @@ pub use lookup::{
     run_schedule, storm_keys, DelayFn, LoadStats, LookupStats, StormSchedule, StretchSummary, Zipf,
 };
 pub use report::Table;
-pub use scenario::{RunReport, Scenario};
 pub use timeline::{
-    Action, At, CheckpointReport, CompiledTimeline, KeyedStormReport, StormReport, Timeline,
-    TimelineReport, TimelineScenario,
+    Action, At, CheckpointReport, CompiledTimeline, KeyedStormReport, Runtime, Scenario,
+    StormReport, Timeline, TimelineReport,
 };
 pub use topo_delay::{CachedTopologyDelay, SharedTopology, TopologyDelay};
 pub use workload::{distinct_ids, run_trials, run_trials_sequential, trial_seed, JoinWorkload};

@@ -20,6 +20,8 @@ use hyperring_object::ObjectStore;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::metrics::percentile;
+
 /// Borrowed host-to-host delay oracle handed to [`run_schedule`] when the
 /// storm should report latency stretch (without one, only hops and load
 /// are measured).
@@ -174,14 +176,6 @@ pub struct LookupStats {
     pub load: LoadStats,
 }
 
-fn percentile_f64(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.max(1) - 1]
-}
-
 /// Routes every lookup of `schedule` over `store`'s borrowed tables and
 /// summarizes hops, load, and (with `latency`) stretch.
 ///
@@ -242,8 +236,10 @@ pub fn run_schedule(
     }
     let lookups = schedule.draws.len();
     let stretch = latency.map(|_| {
+        // Summed in sorted order, as the recorded results were.
         stretches.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let n = stretches.len();
+        let pct = |p| percentile(&stretches, p).unwrap_or(1.0);
         StretchSummary {
             samples: n,
             mean: if n == 0 {
@@ -251,21 +247,9 @@ pub fn run_schedule(
             } else {
                 stretches.iter().sum::<f64>() / n as f64
             },
-            median: if n == 0 {
-                1.0
-            } else {
-                percentile_f64(&stretches, 50.0)
-            },
-            p95: if n == 0 {
-                1.0
-            } else {
-                percentile_f64(&stretches, 95.0)
-            },
-            p99: if n == 0 {
-                1.0
-            } else {
-                percentile_f64(&stretches, 99.0)
-            },
+            median: pct(50.0),
+            p95: pct(95.0),
+            p99: pct(99.0),
         }
     });
     let max = load.iter().copied().max().unwrap_or(0);

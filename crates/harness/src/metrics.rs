@@ -1,20 +1,9 @@
-//! Process-level measurement helpers for the scaling experiments: peak
-//! resident set size and core count, reported alongside throughput so
-//! benchmark rows are interpretable on any machine.
+//! Measurement helpers: the workspace's one [`percentile`], and for the
+//! scaling experiments peak resident set size and core count, reported
+//! alongside throughput so benchmark rows are interpretable on any
+//! machine.
 
-/// The `p`-th percentile of `samples` (nearest-rank over a sorted copy),
-/// or `None` when empty. `p` is clamped to `[0, 100]`; `p = 50` is the
-/// median, `p = 100` the maximum.
-pub fn percentile(samples: &[u64], p: f64) -> Option<u64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let p = p.clamp(0.0, 100.0);
-    let rank = ((p / 100.0) * (sorted.len() as f64)).ceil() as usize;
-    Some(sorted[rank.max(1) - 1])
-}
+pub use hyperring_sim::stats::percentile;
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` off Linux. The high-water mark is

@@ -10,7 +10,7 @@
 //! (deliberately) re-recording.
 
 use hyperring_core::{FailureDetector, ProtocolOptions, RetryPolicy};
-use hyperring_harness::{Timeline, TimelineScenario};
+use hyperring_harness::{Scenario, Timeline};
 use hyperring_id::IdSpace;
 
 /// The canonical schedule: 24 members, 3 joiners at t = 0, a 20% crash
@@ -31,8 +31,8 @@ fn canonical() -> Timeline {
         .horizon(14_000_000)
 }
 
-fn scenario() -> TimelineScenario {
-    TimelineScenario::new(IdSpace::new(4, 6).unwrap())
+fn scenario() -> Scenario {
+    Scenario::new(IdSpace::new(4, 6).unwrap())
         .members(24)
         .seed(4242)
         .options(

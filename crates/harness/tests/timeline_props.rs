@@ -6,7 +6,7 @@
 //! inert on lossless runs (it only reshapes timers that never fire).
 
 use hyperring_core::{FailureDetector, ProtocolOptions, RetryPolicy};
-use hyperring_harness::{Timeline, TimelineScenario};
+use hyperring_harness::{Scenario, Timeline};
 use hyperring_id::IdSpace;
 use proptest::prelude::*;
 
@@ -56,7 +56,7 @@ proptest! {
             .at(crash_at)
             .crash_count(crashes)
             .horizon(14_000_000);
-        let r = TimelineScenario::new(IdSpace::new(4, 6).unwrap())
+        let r = Scenario::new(IdSpace::new(4, 6).unwrap())
             .members(members)
             .seed(seed)
             .options(hardened())
@@ -87,7 +87,7 @@ proptest! {
         let space = IdSpace::new(4, 6).unwrap();
         let run = |retry: RetryPolicy| {
             let tl = Timeline::new().at(0).join(joins).horizon(10_000_000);
-            TimelineScenario::new(space)
+            Scenario::new(space)
                 .members(members)
                 .seed(seed)
                 .options(ProtocolOptions::new().with_retry(retry))

@@ -148,7 +148,8 @@ impl Distribution {
         out
     }
 
-    /// `q`-quantile with nearest-rank interpolation, `0.0 <= q <= 1.0`.
+    /// `q`-quantile by nearest rank, `0.0 <= q <= 1.0`: the
+    /// [`percentile`] at `100 · q`.
     ///
     /// # Panics
     ///
@@ -156,8 +157,7 @@ impl Distribution {
     pub fn quantile(&self, q: f64) -> u64 {
         assert!(!self.sorted.is_empty(), "empty distribution");
         assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-        let idx = ((q * (self.sorted.len() - 1) as f64).round()) as usize;
-        self.sorted[idx]
+        self.sorted[nearest_rank(self.sorted.len(), q * 100.0)]
     }
 
     /// Sample standard deviation (0.0 with fewer than two samples).
@@ -176,9 +176,53 @@ impl Distribution {
     }
 }
 
+/// The `p`-th percentile of `samples` by nearest rank over a sorted copy,
+/// or `None` when empty. `p` is clamped to `[0, 100]`; `p = 50` is the
+/// median (the lower middle sample of an even count), `p = 100` the
+/// maximum. Every p50/p95/p99 this workspace reports is this function.
+///
+/// # Panics
+///
+/// Panics if two samples are unordered (a NaN).
+///
+/// # Examples
+///
+/// ```
+/// use hyperring_sim::stats::percentile;
+/// assert_eq!(percentile(&[30u64, 10, 20, 40], 50.0), Some(20));
+/// assert_eq!(percentile(&[1.5, 0.5], 100.0), Some(1.5));
+/// assert_eq!(percentile::<u64>(&[], 99.0), None);
+/// ```
+pub fn percentile<T: Copy + PartialOrd>(samples: &[T], p: f64) -> Option<T> {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("unordered sample"));
+    sorted.get(nearest_rank(sorted.len(), p)).copied()
+}
+
+/// Index of the `p`-th percentile in a sorted sample of `len`: the
+/// smallest rank with at least `p`% of the sample at or below it.
+fn nearest_rank(len: usize, p: f64) -> usize {
+    let p = p.clamp(0.0, 100.0);
+    let rank = ((p / 100.0) * (len as f64)).ceil() as usize;
+    rank.max(1) - 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let v: Vec<u64> = (1..=10).rev().collect();
+        assert_eq!(percentile(&v, 0.0), Some(1));
+        assert_eq!(percentile(&v, 10.0), Some(1));
+        assert_eq!(percentile(&v, 11.0), Some(2));
+        assert_eq!(percentile(&v, 50.0), Some(5));
+        assert_eq!(percentile(&v, 99.0), Some(10));
+        assert_eq!(percentile(&v, 250.0), Some(10), "p is clamped");
+        let d = Distribution::from_samples(v.into_iter());
+        assert_eq!(d.quantile(0.5), 5);
+    }
 
     #[test]
     fn counters_accumulate_and_merge() {

@@ -7,10 +7,10 @@
 //! $ hyperring-cli route    --n 256 --pairs 5 --seed 3
 //! ```
 //!
-//! `simulate` and `bootstrap` ride the harness's [`Scenario`] and
-//! [`TimelineScenario`] runners — the same engines, options, and report
-//! types every experiment binary uses — instead of hand-rolled
-//! `SimNetworkBuilder` loops.
+//! `simulate` and `bootstrap` are [`Timeline`]s run by the harness's one
+//! [`Scenario`] runner — the same engines, options, and report every
+//! experiment binary uses — instead of hand-rolled `SimNetworkBuilder`
+//! loops.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -20,7 +20,7 @@ use hyperring::analysis::{
     upper_bound_join_noti,
 };
 use hyperring::core::{route, NeighborTable, RouteOutcome};
-use hyperring::harness::{distinct_ids, Scenario, Timeline, TimelineScenario};
+use hyperring::harness::{distinct_ids, Scenario, Timeline};
 use hyperring::id::{IdSpace, NodeId};
 
 /// Minimal `--key value` flag parser with typed lookups and defaults.
@@ -112,33 +112,37 @@ fn cmd_simulate(f: &Flags) -> Result<(), String> {
     let lookups: usize = f.get("lookups", 0)?;
     let space = IdSpace::new(b, d).map_err(|e| e.to_string())?;
     eprintln!("simulating {n} members + {m} concurrent joins (b={b}, d={d}, seed={seed}) …");
-    let mut sc = Scenario::new(space)
-        .nodes(n)
-        .joiners(m)
-        .seed(seed)
-        .delay_bounds(1_000, 80_000);
+    // One wave of joins run to quiescence, then (optionally) a keyed storm
+    // over the settled tables.
+    let mut tl = Timeline::join_wave(m);
     if lookups > 0 {
-        sc = sc.lookup_storm(lookups, 64.min(n), 0.9);
+        tl = tl.at(u64::MAX).keyed_storm(lookups, 64.min(n), 0.9).done();
     }
-    let r = sc.run_sim();
+    let r = Scenario::new(space)
+        .members(n)
+        .seed(seed)
+        .delay_bounds(1_000, 80_000)
+        .reachability()
+        .run(tl);
     println!("survivors          : {}", r.survivors);
     println!("virtual time       : {:.3} s", r.finished_at as f64 / 1e6);
-    println!("consistency        : {}", r.report);
+    println!("consistency        : {}", r.final_report);
     println!(
         "reachability       : {}/{} pairs unreachable",
-        r.unreachable_pairs, r.total_pairs
+        r.unreachable_pairs.unwrap_or(0),
+        r.survivors * r.survivors.saturating_sub(1)
     );
     println!(
         "Theorem 5 bound    : {:.3} JoinNotiMsg per join",
         upper_bound_join_noti(b as u32, d as u32, n as u64, m as u64)
     );
-    if let Some(s) = &r.lookup {
+    if let Some(s) = r.keyed_storms.first().map(|k| &k.stats) {
         println!(
             "lookup storm       : {} lookups over {} keys, {:.2} mean hops (max {}), load imbalance {:.2}",
             s.lookups, s.keys, s.mean_hops, s.max_hops, s.load.imbalance
         );
     }
-    if !r.consistent() {
+    if !r.consistent {
         return Err("run violated the paper's theorems — this is a bug".into());
     }
     Ok(())
@@ -151,15 +155,13 @@ fn cmd_bootstrap(f: &Flags) -> Result<(), String> {
     let seed: u64 = f.get("seed", 7)?;
     let space = IdSpace::new(b, d).map_err(|e| e.to_string())?;
     eprintln!("bootstrapping {n} nodes from a single seed node (concurrently) …");
-    // One member, n-1 concurrent joins at t=0; a late keyed storm probes
-    // the settled network and the horizon lets everything quiesce first.
-    let tl = Timeline::new()
-        .at(0)
-        .join(n - 1)
-        .at(600_000_000)
+    // One member, n-1 concurrent joins at t=0; once everything has
+    // quiesced, a keyed storm probes the settled network.
+    let tl = Timeline::join_wave(n - 1)
+        .at(u64::MAX)
         .keyed_storm(256, 32.min(n), 0.9)
-        .horizon(u64::MAX);
-    let r = TimelineScenario::new(space)
+        .done();
+    let r = Scenario::new(space)
         .members(1)
         .seed(seed)
         .delay_bounds(500, 50_000)
