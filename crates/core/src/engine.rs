@@ -1089,12 +1089,13 @@ impl JoinEngine {
         // naming the joiner itself are possible after a join_fallback
         // restart (the aborted first attempt already planted us in other
         // tables); they are skipped, not copied.
-        for row in table.rows().iter().filter(|r| r.level as usize == i) {
-            if !self.table.is_filled(i, row.digit)
-                && row.entry.node != self.id
-                && !self.repair.is_condemned(&row.entry.node)
-            {
-                self.install(i, row.digit, row.entry, true, out);
+        for row in table.packed_rows().filter(|r| r.level() == i) {
+            if self.table.is_filled(i, row.digit()) {
+                continue;
+            }
+            let entry = row.entry();
+            if entry.node != self.id && !self.repair.is_condemned(&entry.node) {
+                self.install(i, row.digit(), entry, true, out);
             }
         }
         // g = N_p(i, x[i]); s = its recorded state. A condemned g (only
@@ -1245,26 +1246,31 @@ impl JoinEngine {
     // Subroutine Check_Ngh_Table (Figure 8)
     // ------------------------------------------------------------------
 
+    /// The rows are read where they lie: `csuf` and the slot digit come
+    /// off the packed bytes, and a row becomes a `NodeId` only when it
+    /// fills a slot or may join `Q_n`.
     fn check_ngh_table(&mut self, table: &TableSnapshot, out: &mut Effects) {
-        for &row in table.rows() {
-            let u = row.entry.node;
-            if u == self.id || self.repair.is_condemned(&u) {
+        let d = self.space.digit_count();
+        for row in table.packed_rows() {
+            let k = row.csuf_len(&self.id);
+            if k == d {
+                continue; // the row names us
+            }
+            let digit = row.node_digit(k);
+            let fill = !self.table.is_filled(k, digit);
+            let notify = self.status == Status::Notifying && k >= self.noti_level;
+            if !fill && !notify {
                 continue;
             }
-            let k = self.id.csuf_len(&u);
-            if !self.table.is_filled(k, u.digit(k)) {
-                self.install(
-                    k,
-                    u.digit(k),
-                    Entry {
-                        node: u,
-                        state: row.entry.state,
-                    },
-                    true,
-                    out,
-                );
+            let entry = row.entry();
+            let u = entry.node;
+            if self.repair.is_condemned(&u) {
+                continue;
             }
-            if self.status == Status::Notifying && k >= self.noti_level && !self.qn.contains(&u) {
+            if fill {
+                self.install(k, digit, entry, true, out);
+            }
+            if notify && !self.qn.contains(&u) {
                 self.qn.insert(u);
                 self.qr.insert(u);
                 self.send_join_noti(u, out);

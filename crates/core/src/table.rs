@@ -2,7 +2,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 use hyperring_id::{IdSpace, NodeId, Suffix};
 
@@ -415,7 +415,7 @@ impl WordSet {
 /// assert_eq!(t.get(2, 0).unwrap().node, y);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NeighborTable {
     space: IdSpace,
     owner: NodeId,
@@ -446,23 +446,7 @@ pub struct NeighborTable {
     /// Memoized full-table snapshot; rebuilt lazily after any entry
     /// mutation so repeated big-message sends between mutations share one
     /// row allocation instead of re-collecting `d×b` slots each time.
-    snap: Mutex<Option<TableSnapshot>>,
-}
-
-impl Clone for NeighborTable {
-    fn clone(&self) -> Self {
-        NeighborTable {
-            space: self.space,
-            owner: self.owner,
-            owner_idx: self.owner_idx,
-            arena: self.arena.clone(),
-            slots: self.slots.clone(),
-            rev: self.rev.clone(),
-            version: self.version,
-            peer_epoch: self.peer_epoch,
-            snap: Mutex::new(self.snap.lock().unwrap().clone()),
-        }
-    }
+    snap: OnceLock<TableSnapshot>,
 }
 
 impl NeighborTable {
@@ -485,7 +469,7 @@ impl NeighborTable {
             rev: WordSet::default(),
             version: next_version(),
             peer_epoch: 0,
-            snap: Mutex::new(None),
+            snap: OnceLock::new(),
         }
     }
 
@@ -510,7 +494,7 @@ impl NeighborTable {
     #[inline]
     fn invalidate_snapshot(&mut self) {
         self.version = next_version();
-        *self.snap.get_mut().unwrap() = None;
+        self.snap.take();
     }
 
     /// The identifier space of the table.
@@ -876,13 +860,9 @@ impl NeighborTable {
     /// calls return the same shared row allocation (an `Arc` clone), so
     /// attaching the table to many messages costs O(1) per message.
     pub fn snapshot(&self) -> TableSnapshot {
-        let mut cache = self.snap.lock().unwrap();
-        if let Some(s) = &*cache {
-            return s.clone();
-        }
-        let s = self.snapshot_levels(0, self.space.digit_count());
-        *cache = Some(s.clone());
-        s
+        self.snap
+            .get_or_init(|| self.snapshot_levels(0, self.space.digit_count()))
+            .clone()
     }
 
     /// Snapshot restricted to levels `lo..hi` (the §6.2 "levels only"
@@ -910,26 +890,37 @@ impl NeighborTable {
         })
     }
 
-    /// Snapshot of the non-empty slots of `range` that `keep` admits. The
-    /// rows are counted first and reserved exactly: a table keeps its last
-    /// full snapshot memoized, and `d · b` rows of 36 bytes for the ~60 a
-    /// table fills is several KiB per node.
+    /// Snapshot of the non-empty slots of `range` that `keep` admits, in
+    /// the wire's row layout: each id's bytes are copied out of the arena
+    /// (in a base over 16 an id is resolved and spread to a byte a digit).
+    /// The rows are counted first and reserved exactly, since a table
+    /// keeps its last full snapshot memoized.
     fn snapshot_where(
         &self,
         range: std::ops::Range<usize>,
         keep: impl Fn(usize) -> bool,
     ) -> TableSnapshot {
         let b = self.space.base() as usize;
+        let spread = self.arena.mixed;
         let wanted = |s: &usize| self.slots[*s] != EMPTY && keep(*s);
-        let mut rows: Vec<SnapshotRow> = Vec::with_capacity(range.clone().filter(wanted).count());
-        rows.extend(range.filter(wanted).filter_map(|s| {
-            self.decode(self.slots[s]).map(|entry| SnapshotRow {
-                level: (s / b) as u8,
-                digit: (s % b) as u8,
-                entry,
-            })
-        }));
-        TableSnapshot::from_rows(self.owner, rows)
+        let row = row_len(self.space.digit_count(), spread);
+        let mut bytes = Vec::with_capacity(range.clone().filter(wanted).count() * row);
+        for s in range.filter(wanted) {
+            let raw = self.slots[s];
+            let idx = raw & IDX_MASK;
+            bytes.extend_from_slice(&[(s / b) as u8, (s % b) as u8]);
+            if spread {
+                put_row_id(&self.arena.resolve(idx), spread, &mut bytes);
+            } else {
+                bytes.extend_from_slice(self.arena.packed(idx));
+            }
+            bytes.push(u8::from(raw & S_BIT != 0));
+        }
+        TableSnapshot(Arc::new(Photo {
+            owner: self.owner,
+            spread,
+            bytes,
+        }))
     }
 
     /// The bit vector of filled entries (one bit per slot, level-major),
@@ -986,7 +977,7 @@ impl NeighborTable {
     }
 }
 
-/// A compact row of a [`TableSnapshot`].
+/// A row of a [`TableSnapshot`], decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotRow {
     /// Level `i` of the entry.
@@ -1000,15 +991,21 @@ pub struct SnapshotRow {
 /// An immutable, cheaply clonable copy of (part of) a neighbor table, as
 /// carried inside protocol messages.
 ///
+/// The rows are kept the way the wire codec sends them, back to back:
+/// `[level][digit][packed id][state]`, the id least-significant digit
+/// first — two digits a byte when the base fits four bits, a byte a digit
+/// above — and the state `0` for `T`, `1` for `S`. That is 3 + ⌈d/2⌉
+/// bytes a row when `b ≤ 16` (7 at b=16, d=8, where a [`SnapshotRow`] is
+/// 36) and 3 + d above. A table builds a snapshot by copying each id's
+/// bytes out of its arena, the codec sends one with a single copy, and
+/// [`rows`](Self::rows) decodes a row only when the iterator reaches it.
+///
 /// Snapshots are reference-counted: attaching one to several messages,
 /// cloning a [`Message`](crate::Message), or draining an
-/// [`Effects`](crate::Effects) buffer never copies the rows, mirroring how a real
-/// implementation would serialize a table once. The owner and the rows sit
-/// behind one `Arc`, so a snapshot is 8 bytes inline in every message that
-/// carries one. (The rows are a `Vec` in there rather than an `Arc<[_]>`
-/// deliberately: constructing an `Arc<[T]>` from an unknown-length
-/// iterator copies the collected buffer a second time, which showed up as
-/// a measurable per-snapshot cost.)
+/// [`Effects`](crate::Effects) buffer never copies the rows, mirroring how
+/// a real implementation would serialize a table once. The owner and the
+/// rows sit behind one `Arc`, so a snapshot is 8 bytes inline in every
+/// message that carries one.
 #[derive(Debug, Clone)]
 pub struct TableSnapshot(Arc<Photo>);
 
@@ -1016,15 +1013,183 @@ pub struct TableSnapshot(Arc<Photo>);
 #[derive(Debug)]
 struct Photo {
     owner: NodeId,
-    rows: Vec<SnapshotRow>,
+    /// Ids take a byte a digit (a base over 16), not a nibble.
+    spread: bool,
+    /// The rows, [`row_len`] bytes each.
+    bytes: Vec<u8>,
+}
+
+/// Bytes of one snapshot row of `digits`-digit ids: level, digit, the id,
+/// state.
+#[inline]
+fn row_len(digits: usize, spread: bool) -> usize {
+    3 + if spread { digits } else { digits.div_ceil(2) }
+}
+
+/// Appends `id` as a snapshot row holds it: its own bytes, or a byte a
+/// digit when ids are `spread` and this one packs nibbles.
+fn put_row_id(id: &NodeId, spread: bool, out: &mut Vec<u8>) {
+    if spread && !id.is_wide() {
+        out.extend_from_slice(&id.digits_lsd());
+    } else {
+        out.extend_from_slice(id.as_bytes());
+    }
+}
+
+/// One row of a [`TableSnapshot`] where it lies. The join handlers scan
+/// these: level, digit, state, the node's digits and its common suffix
+/// with another id come off the bytes, and a `NodeId` is built only on
+/// request.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PackedRow<'a> {
+    bytes: &'a [u8],
+    digits: usize,
+    spread: bool,
+}
+
+impl PackedRow<'_> {
+    /// Level `i` of the entry.
+    #[inline]
+    pub(crate) fn level(&self) -> usize {
+        self.bytes[0] as usize
+    }
+
+    /// Digit `j` of the entry.
+    #[inline]
+    pub(crate) fn digit(&self) -> u8 {
+        self.bytes[1]
+    }
+
+    /// The node's packed bytes.
+    #[inline]
+    fn id(&self) -> &[u8] {
+        &self.bytes[2..self.bytes.len() - 1]
+    }
+
+    /// The recorded state of the node.
+    #[inline]
+    pub(crate) fn state(&self) -> NodeState {
+        if self.bytes[self.bytes.len() - 1] != 0 {
+            NodeState::S
+        } else {
+            NodeState::T
+        }
+    }
+
+    /// Digit `i` of the node, for `i` below the digit count.
+    #[inline]
+    pub(crate) fn node_digit(&self, i: usize) -> u8 {
+        let id = self.id();
+        if self.spread {
+            id[i]
+        } else {
+            (id[i / 2] >> (4 * (i & 1))) & 0x0f
+        }
+    }
+
+    /// `|csuf(node, x)|` for an `x` of the snapshot's space: where two
+    /// nibble packings first differ, else digit by digit.
+    #[inline]
+    pub(crate) fn csuf_len(&self, x: &NodeId) -> usize {
+        if self.spread || x.is_wide() {
+            return (0..self.digits)
+                .take_while(|&i| self.node_digit(i) == x.digit(i))
+                .count();
+        }
+        let (id, xs) = (self.id(), x.as_bytes());
+        match (0..id.len()).find(|&i| id[i] != xs[i]) {
+            None => self.digits,
+            // An odd digit count leaves both padding nibbles zero, so a
+            // high nibble that differs is a digit's.
+            Some(i) => 2 * i + usize::from((id[i] ^ xs[i]) & 0x0f == 0),
+        }
+    }
+
+    /// The node, built from the row's bytes.
+    pub(crate) fn node(&self) -> NodeId {
+        if self.spread {
+            NodeId::from_digits_lsd(self.id())
+        } else {
+            NodeId::from_bytes(self.digits, false, self.id())
+                .expect("a snapshot row holds an id's packing")
+        }
+    }
+
+    /// The entry, built from the row's bytes.
+    pub(crate) fn entry(&self) -> Entry {
+        Entry {
+            node: self.node(),
+            state: self.state(),
+        }
+    }
+
+    /// Whether the row belongs to `space`: a level below `d`, a digit
+    /// below `b`, an id of `space` in its one packing, a state byte of 0
+    /// or 1.
+    fn is_valid(&self, space: &IdSpace) -> bool {
+        let node = if self.spread {
+            space.id_from_digits(self.id()).ok()
+        } else {
+            NodeId::from_bytes(self.digits, false, self.id()).filter(|n| space.contains(n))
+        };
+        self.level() < space.digit_count()
+            && u16::from(self.digit()) < space.base()
+            && self.bytes[self.bytes.len() - 1] <= 1
+            && node.is_some()
+    }
 }
 
 impl TableSnapshot {
-    /// Reassembles a snapshot from decoded rows (the wire codec's inverse
-    /// of [`rows`](Self::rows)). Row validity — levels within `d`, digits
-    /// within `b` — is the decoder's responsibility.
-    pub fn from_rows(owner: NodeId, rows: Vec<SnapshotRow>) -> Self {
-        TableSnapshot(Arc::new(Photo { owner, rows }))
+    /// Builds a snapshot of `owner`'s table in `space` from decoded rows,
+    /// kept in the order given: the inverse of [`rows`](Self::rows). The
+    /// space fixes the row layout. Row validity — levels within `d`,
+    /// digits within `b`, ids of `space` — is the caller's responsibility.
+    pub fn from_rows(
+        space: IdSpace,
+        owner: NodeId,
+        rows: impl IntoIterator<Item = SnapshotRow>,
+    ) -> Self {
+        let spread = space.base() > 16;
+        let mut bytes = Vec::new();
+        for r in rows {
+            debug_assert!(space.contains(&r.entry.node), "row id from a foreign space");
+            bytes.extend_from_slice(&[r.level, r.digit]);
+            put_row_id(&r.entry.node, spread, &mut bytes);
+            bytes.push(u8::from(r.entry.state == NodeState::S));
+        }
+        TableSnapshot(Arc::new(Photo {
+            owner,
+            spread,
+            bytes,
+        }))
+    }
+
+    /// Rebuilds a snapshot of `owner`'s table in `space` from rows in the
+    /// wire codec's layout — what [`row_bytes`](Self::row_bytes) returns —
+    /// copying them once. Returns `None` unless `owner` is an id of
+    /// `space` and `rows` is whole rows, each with a level below `d`, a
+    /// digit below `b`, an id of `space` in its one packing and a state
+    /// byte of 0 or 1.
+    pub fn from_row_bytes(space: IdSpace, owner: NodeId, rows: &[u8]) -> Option<Self> {
+        let (digits, spread) = (space.digit_count(), space.base() > 16);
+        let len = row_len(digits, spread);
+        let valid = space.contains(&owner)
+            && rows.len() % len == 0
+            && rows.chunks_exact(len).all(|bytes| {
+                PackedRow {
+                    bytes,
+                    digits,
+                    spread,
+                }
+                .is_valid(&space)
+            });
+        valid.then(|| {
+            TableSnapshot(Arc::new(Photo {
+                owner,
+                spread,
+                bytes: rows.to_vec(),
+            }))
+        })
     }
 
     /// The node whose table was photographed.
@@ -1033,28 +1198,51 @@ impl TableSnapshot {
         self.0.owner
     }
 
-    /// Rows (non-empty entries) in the snapshot.
+    /// Rows (non-empty entries) in the snapshot, each decoded when the
+    /// iterator reaches it.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = SnapshotRow> + '_ {
+        self.packed_rows().map(|r| SnapshotRow {
+            level: r.bytes[0],
+            digit: r.bytes[1],
+            entry: r.entry(),
+        })
+    }
+
+    /// The rows back to back in the wire codec's layout: what a table body
+    /// carries after its owner and row count.
     #[inline]
-    pub fn rows(&self) -> &[SnapshotRow] {
-        &self.0.rows
+    pub fn row_bytes(&self) -> &[u8] {
+        &self.0.bytes
+    }
+
+    /// The rows where they lie.
+    pub(crate) fn packed_rows(&self) -> impl ExactSizeIterator<Item = PackedRow<'_>> + '_ {
+        let (digits, spread) = (self.0.owner.digit_count(), self.0.spread);
+        self.0
+            .bytes
+            .chunks_exact(row_len(digits, spread))
+            .map(move |bytes| PackedRow {
+                bytes,
+                digits,
+                spread,
+            })
     }
 
     /// Looks up entry `(level, digit)` in the snapshot.
     pub fn get(&self, level: usize, digit: u8) -> Option<Entry> {
-        self.rows()
-            .iter()
-            .find(|r| r.level as usize == level && r.digit == digit)
-            .map(|r| r.entry)
+        self.packed_rows()
+            .find(|r| r.level() == level && r.digit() == digit)
+            .map(|r| r.entry())
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows().len()
+        self.packed_rows().len()
     }
 
     /// Whether the snapshot has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows().is_empty()
+        self.0.bytes.is_empty()
     }
 }
 
@@ -1129,7 +1317,7 @@ mod tests {
         assert_eq!(snap.get(0, 3).unwrap().node, id("21233"));
         assert!(snap.get(0, 0).is_none());
         let c = snap.clone();
-        assert_eq!(c.rows().as_ptr(), snap.rows().as_ptr());
+        assert_eq!(c.row_bytes().as_ptr(), snap.row_bytes().as_ptr());
     }
 
     #[test]
@@ -1139,7 +1327,7 @@ mod tests {
         let a = t.snapshot();
         let b = t.snapshot();
         // Same shared allocation until the table changes…
-        assert_eq!(a.rows().as_ptr(), b.rows().as_ptr());
+        assert_eq!(a.row_bytes().as_ptr(), b.row_bytes().as_ptr());
         t.set(
             0,
             1,
@@ -1150,7 +1338,7 @@ mod tests {
         );
         // …and a fresh one after any mutation.
         let c = t.snapshot();
-        assert_ne!(a.rows().as_ptr(), c.rows().as_ptr());
+        assert_ne!(a.row_bytes().as_ptr(), c.row_bytes().as_ptr());
         assert_eq!(c.len(), 6);
         assert_eq!(a.len(), 5);
         // A recorded-state change invalidates too.
@@ -1158,7 +1346,10 @@ mod tests {
         assert_eq!(t.snapshot().get(0, 1).unwrap().state, NodeState::S);
         // Cloned tables keep working (and share the memo at clone time).
         let u = t.clone();
-        assert_eq!(u.snapshot().rows().as_ptr(), t.snapshot().rows().as_ptr());
+        assert_eq!(
+            u.snapshot().row_bytes().as_ptr(),
+            t.snapshot().row_bytes().as_ptr()
+        );
     }
 
     #[test]
@@ -1167,10 +1358,7 @@ mod tests {
         t.set_self_entries(NodeState::S);
         let snap = t.snapshot_levels(2, 4);
         assert_eq!(snap.len(), 2);
-        assert!(snap
-            .rows()
-            .iter()
-            .all(|r| (2..4).contains(&(r.level as usize))));
+        assert!(snap.rows().all(|r| (2..4).contains(&(r.level as usize))));
     }
 
     #[test]
@@ -1415,6 +1603,54 @@ mod tests {
     }
 
     #[test]
+    fn packed_rows_read_like_the_ids_they_hold() {
+        // Nibble packings at odd and even d, and a byte a digit with narrow
+        // and wide ids mixed. Each id also comes with copies that differ in
+        // one digit, so every common-suffix length occurs.
+        for (b, d) in [(4u16, 5usize), (16, 8), (16, 7), (32, 3), (20, 5)] {
+            let space = IdSpace::new(b, d).unwrap();
+            let mut ids = vec![
+                space.id_from_digits(&vec![1; d]).unwrap(),
+                space.id_from_digits(&vec![b as u8 - 1; d]).unwrap(),
+            ];
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..12 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let digits: Vec<u8> = (0..d).map(|i| (x >> (5 * i)) as u8 % b as u8).collect();
+                ids.push(space.id_from_digits(&digits).unwrap());
+                for k in 0..d {
+                    let mut near = digits.clone();
+                    near[k] = (near[k] + 1) % b as u8;
+                    ids.push(space.id_from_digits(&near).unwrap());
+                }
+            }
+            let rows = ids.iter().map(|&node| SnapshotRow {
+                level: 0,
+                digit: 0,
+                entry: Entry {
+                    node,
+                    state: NodeState::S,
+                },
+            });
+            let snap = TableSnapshot::from_rows(space, ids[0], rows);
+            assert_eq!(snap.len(), ids.len());
+            for (row, node) in snap.packed_rows().zip(&ids) {
+                assert_eq!(row.node(), *node);
+                assert!((0..d).all(|i| row.node_digit(i) == node.digit(i)));
+                for other in &ids {
+                    assert_eq!(
+                        row.csuf_len(other),
+                        node.csuf_len(other),
+                        "{node} / {other}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn render_contains_owner_and_neighbors() {
         let mut t = NeighborTable::new(space(), id("21233"));
         t.set_self_entries(NodeState::S);
@@ -1449,7 +1685,7 @@ mod tests {
         let (v3, snap) = (t.version(), t.snapshot());
         assert!(!t.set_state_if(1, 3, &id("21233"), NodeState::T));
         assert_eq!(t.version(), v3);
-        assert_eq!(t.snapshot().rows().as_ptr(), snap.rows().as_ptr());
+        assert_eq!(t.snapshot().row_bytes().as_ptr(), snap.row_bytes().as_ptr());
     }
 
     #[test]

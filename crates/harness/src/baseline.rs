@@ -95,7 +95,7 @@ impl OptNode {
     /// Fills empty entries from a snapshot. Never triggers further
     /// messages — the optimistic protocol has no transitive repair.
     fn absorb(&mut self, table: &TableSnapshot) {
-        for row in table.rows().to_vec() {
+        for row in table.rows() {
             let u = row.entry.node;
             if u != self.id {
                 self.fill_if_empty(u);
@@ -134,7 +134,7 @@ impl Actor for OptNode {
                     return;
                 }
                 let i = self.copy_level;
-                for row in table.rows().iter().filter(|r| r.level as usize == i) {
+                for row in table.rows().filter(|r| r.level as usize == i) {
                     if !self.table.is_filled(i, row.digit) && row.entry.node != self.id {
                         self.table.set(i, row.digit, row.entry);
                     }
@@ -170,7 +170,6 @@ impl Actor for OptNode {
                         let snap = self.table.snapshot();
                         let targets: BTreeSet<NodeId> = snap
                             .rows()
-                            .iter()
                             .map(|r| r.entry.node)
                             .filter(|u| *u != me)
                             .collect();

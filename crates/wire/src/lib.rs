@@ -43,7 +43,7 @@
 
 use std::fmt;
 
-use hyperring_core::{BitVec, Entry, Message, NodeState, SnapshotRow, TableSnapshot};
+use hyperring_core::{BitVec, Entry, Message, NodeState, TableSnapshot};
 use hyperring_id::{IdSpace, NodeId};
 
 /// Version byte stamped on (and required of) every frame.
@@ -210,14 +210,16 @@ fn put_opt_entry(space: &IdSpace, entry: &Option<Entry>, out: &mut Vec<u8>) {
 
 fn put_table(space: &IdSpace, table: &TableSnapshot, out: &mut Vec<u8>) {
     put_id(space, &table.owner(), out);
-    let rows = table.rows();
-    debug_assert!(rows.len() <= u16::MAX as usize);
-    out.extend_from_slice(&(rows.len() as u16).to_le_bytes());
-    for row in rows {
-        out.push(row.level);
-        out.push(row.digit);
-        put_entry(space, &row.entry, out);
-    }
+    let rows = table.row_bytes();
+    debug_assert!(table.len() <= u16::MAX as usize);
+    debug_assert_eq!(
+        rows.len(),
+        table.len() * (3 + packed_id_len(space)),
+        "snapshot of another space"
+    );
+    out.extend_from_slice(&(table.len() as u16).to_le_bytes());
+    // A snapshot keeps its rows in this layout.
+    out.extend_from_slice(rows);
 }
 
 fn put_bitvec(bits: &BitVec, out: &mut Vec<u8>) {
@@ -401,6 +403,9 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A table body. Each row is checked in order, so the first bad field
+    /// decides the error; the checked rows then become the snapshot's
+    /// bytes as they are.
     fn table(&mut self, space: &IdSpace) -> Result<TableSnapshot, WireError> {
         let owner = self.id(space)?;
         let count = self.u16()? as usize;
@@ -408,7 +413,7 @@ impl<'a> Reader<'a> {
         if count > slots {
             return Err(WireError::Malformed("row count exceeds table slots"));
         }
-        let mut rows = Vec::with_capacity(count);
+        let start = self.pos;
         for _ in 0..count {
             let level = self.u8()?;
             let digit = self.u8()?;
@@ -418,14 +423,10 @@ impl<'a> Reader<'a> {
             if digit as u16 >= space.base() {
                 return Err(WireError::Malformed("row digit exceeds base"));
             }
-            let entry = self.entry(space)?;
-            rows.push(SnapshotRow {
-                level,
-                digit,
-                entry,
-            });
+            self.entry(space)?;
         }
-        Ok(TableSnapshot::from_rows(owner, rows))
+        TableSnapshot::from_row_bytes(*space, owner, &self.bytes[start..self.pos])
+            .ok_or(WireError::Malformed("table rows"))
     }
 
     fn bitvec(&mut self, space: &IdSpace) -> Result<BitVec, WireError> {

@@ -41,8 +41,8 @@ fn random_table(space: &IdSpace, rng: &mut StdRng) -> TableSnapshot {
             digit: rng.gen_range(0..b) as u8,
             entry: random_entry(space, rng),
         })
-        .collect();
-    TableSnapshot::from_rows(space.random_id(rng), rows)
+        .collect::<Vec<_>>();
+    TableSnapshot::from_rows(*space, space.random_id(rng), rows)
 }
 
 fn random_bitvec(space: &IdSpace, rng: &mut StdRng) -> BitVec {

@@ -99,7 +99,10 @@ fn digest_message(f: &Flight, h: &mut DefaultHasher) {
     }
 }
 
-fn digest_snapshot_rows(rows: &[hyperring::core::SnapshotRow], h: &mut DefaultHasher) {
+fn digest_snapshot_rows(
+    rows: impl Iterator<Item = hyperring::core::SnapshotRow>,
+    h: &mut DefaultHasher,
+) {
     for r in rows {
         r.level.hash(h);
         r.digit.hash(h);
