@@ -1174,7 +1174,7 @@ impl TableSnapshot {
         let (digits, spread) = (space.digit_count(), space.base() > 16);
         let len = row_len(digits, spread);
         let valid = space.contains(&owner)
-            && rows.len() % len == 0
+            && rows.len().is_multiple_of(len)
             && rows.chunks_exact(len).all(|bytes| {
                 PackedRow {
                     bytes,
