@@ -1,5 +1,7 @@
-//! Microbenchmarks of the neighbor-table data structure: snapshotting (the
-//! dominant per-message cost), lookups, and the §6.2 bit-vector filters.
+//! Microbenchmarks of the neighbor-table data structure: building and
+//! scanning snapshots (the dominant per-message cost), lookups, and the
+//! §6.2 bit-vector filters. Set `BENCH_SMOKE=1` for d = 8 only, two
+//! samples a row.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperring_core::{build_consistent_tables, NeighborTable};
@@ -14,11 +16,16 @@ fn full_table(d: usize) -> NeighborTable {
 }
 
 fn bench_table_ops(c: &mut Criterion) {
-    for d in [8usize, 40] {
+    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let sizes: &[usize] = if smoke { &[8] } else { &[8, 40] };
+    for &d in sizes {
         let t = full_table(d);
         let mut g = c.benchmark_group(format!("table_d{d}"));
-        g.bench_with_input(BenchmarkId::new("snapshot_full", d), &d, |b, _| {
-            b.iter(|| black_box(t.snapshot()))
+        g.sample_size(if smoke { 2 } else { 20 });
+        // A build of the full snapshot: `snapshot()` would hand back the
+        // memoized one, since the table does not change between calls.
+        g.bench_with_input(BenchmarkId::new("snapshot_full", d), &d, |b, &d| {
+            b.iter(|| black_box(t.snapshot_levels(0, d)))
         });
         g.bench_with_input(BenchmarkId::new("snapshot_levels_half", d), &d, |b, &d| {
             b.iter(|| black_box(t.snapshot_levels(0, d / 2)))
@@ -37,6 +44,16 @@ fn bench_table_ops(c: &mut Criterion) {
         let snap = t.snapshot();
         g.bench_with_input(BenchmarkId::new("snapshot_clone", d), &d, |b, _| {
             b.iter(|| black_box(snap.clone()))
+        });
+        // Every row read once, as a receiver's scan of a payload does.
+        g.bench_with_input(BenchmarkId::new("snapshot_scan", d), &d, |b, _| {
+            b.iter(|| {
+                let mut sum = 0usize;
+                for r in snap.rows() {
+                    sum += r.level as usize + r.entry.node.digit(0) as usize;
+                }
+                black_box(sum)
+            })
         });
         g.finish();
     }

@@ -16,7 +16,8 @@ use std::cell::RefCell;
 
 use hyperring_core::{
     bootstrap_batched_net, bootstrap_sequential, build_consistent_tables, check_consistency,
-    Effect, JoinEngine, NodeInput, ProtocolOptions, SimMsg, SimNetworkBuilder, TableSnapshot,
+    Effect, Entry, JoinEngine, NeighborTable, NodeInput, NodeState, ProtocolOptions, SimMsg,
+    SimNetworkBuilder, TableSnapshot,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::UniformDelay;
@@ -165,7 +166,7 @@ fn distinct(space: IdSpace, n: usize, seed: u64) -> Vec<NodeId> {
 
 /// A network grown in concurrent waves keeps, at quiescence, its tables
 /// and little else: at most 3 KiB of heap per node for a 128-slot table
-/// (it reads 3 011 B).
+/// (it reads 2 902 B).
 #[test]
 fn quiescent_network_holds_under_3_kib_per_node() {
     const N: usize = 2048;
@@ -205,7 +206,8 @@ fn sequential_bootstrap_peaks_under_8_mib() {
 /// slab that grows by doubling, or holds its high-water mark until the
 /// queue drains, shows here first.
 ///
-/// Peak: 8 849 036 B; the bound is that + 3 %.
+/// Peak: 4 452 937 B (8 849 036 B while a snapshot row was a decoded
+/// 36-byte `SnapshotRow`); the bound is that + 3 %.
 #[test]
 fn join_wave_peak_heap_is_pinned() {
     const MEMBERS: usize = 3072;
@@ -225,7 +227,7 @@ fn join_wave_peak_heap_is_pinned() {
     heap.print("join wave, 3072 members + 1024 joiners", MEMBERS + JOINERS);
     assert!(!report.truncated && net.all_in_system());
     assert!(
-        peak <= 8_849_036 * 103 / 100,
+        peak <= 4_452_937 * 103 / 100,
         "{peak} B of heap live at once"
     );
     assert!(net.check_consistency().is_consistent());
@@ -280,4 +282,26 @@ fn message_path_types_fit_inline_moves() {
     ] {
         assert!(size <= 128, "{name} is {size} B");
     }
+}
+
+/// A snapshot keeps its rows as the wire sends them: at b=16, d=8 a row is
+/// 7 bytes (a decoded row is 36), behind one shared header, so 56 rows hold
+/// at most 56·7 + 128 bytes of heap.
+#[test]
+fn a_56_row_snapshot_holds_7_bytes_a_row() {
+    let owner = space().parse_id("0012abcd").unwrap();
+    let mut t = NeighborTable::new(space(), owner);
+    for slot in 0..56 {
+        let (level, digit) = (slot / 16, (slot % 16) as u8);
+        let mut digits = owner.digits_lsd().to_vec();
+        digits[level] = digit;
+        let node = space().id_from_digits(&digits).unwrap();
+        let state = NodeState::S;
+        t.set(level, digit, Entry { node, state });
+    }
+    let heap = Window::open();
+    let snap = t.snapshot_levels(0, 8);
+    let held = heap.live();
+    assert_eq!(snap.len(), 56);
+    assert!(held <= 56 * 7 + 128, "{held} B of heap for 56 rows");
 }

@@ -5,20 +5,24 @@
 //! contract — `reverse_of` ascending by id above all — the golden digests
 //! depend on. Nor may it show through the peer view the failure detector
 //! reads: every referenced node once, ascending by id, under an epoch
-//! that moves whenever the view does.
+//! that moves whenever the view does. Snapshots are held to the same
+//! model: for every shape, `snapshot()`, `snapshot_levels` and
+//! `snapshot_bitvec` decode to exactly the rows `iter()` gives, and
+//! `from_rows` and `from_row_bytes` round-trip them.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hyperring_core::{Entry, NeighborTable, NodeState};
+use hyperring_core::{Entry, NeighborTable, NodeState, SnapshotRow, TableSnapshot};
 use hyperring_id::{IdSpace, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The id-space shapes the packed arena distinguishes: nibble-packed with
-/// an odd and an even digit count, nibble-packed at SHA-1 length, and
-/// byte-packed (base over 16).
-const SHAPES: [(u16, usize); 4] = [(4, 5), (16, 8), (16, 40), (32, 3)];
+/// The id-space shapes the packed arena and the snapshot rows distinguish:
+/// nibble-packed with an odd and an even digit count, nibble-packed at
+/// SHA-1 length, and a byte a digit (base over 16) at two odd digit
+/// counts, where ids with a digit above 15 mix with ids that pack nibbles.
+const SHAPES: [(u16, usize); 5] = [(4, 5), (16, 8), (16, 40), (32, 3), (20, 5)];
 
 #[derive(Clone)]
 struct Model {
@@ -94,6 +98,50 @@ fn assert_same(space: IdSpace, t: &NeighborTable, m: &Model, pool: &[NodeId]) {
     for node in pool {
         assert_eq!(t.stores(node), m.stores(node), "stores({node})");
     }
+}
+
+/// Every snapshot of `t` against the rows `iter()` gives: the full one
+/// (rows, length, lookups), a level range and a bit-vector filter picked
+/// by `pick`, and the `from_rows` and `from_row_bytes` round trips.
+fn assert_snapshots(space: IdSpace, t: &NeighborTable, pick: u64) {
+    let (d, b) = (space.digit_count(), space.base() as usize);
+    let reference: Vec<SnapshotRow> = t
+        .iter()
+        .map(|(level, digit, entry)| SnapshotRow {
+            level: level as u8,
+            digit,
+            entry,
+        })
+        .collect();
+    let full = t.snapshot();
+    assert_eq!(full.rows().collect::<Vec<_>>(), reference);
+    assert_eq!(full.len(), reference.len());
+    for r in &reference {
+        assert_eq!(full.get(r.level as usize, r.digit), Some(r.entry));
+    }
+    let pick = pick.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let lo = (pick >> 8) as usize % (d + 1);
+    let hi = lo + (pick >> 24) as usize % (d + 1 - lo);
+    let in_range = |r: &&SnapshotRow| (lo..hi).contains(&(r.level as usize));
+    let want: Vec<SnapshotRow> = reference.iter().filter(in_range).copied().collect();
+    assert_eq!(t.snapshot_levels(lo, hi).rows().collect::<Vec<_>>(), want);
+    let bits: Vec<u64> = (0..(d * b).div_ceil(64) as u64)
+        .map(|w| (pick ^ w).wrapping_mul(0xbf58_476d_1ce4_e5b9))
+        .collect();
+    let shown = |r: &&SnapshotRow| {
+        let s = r.level as usize * b + r.digit as usize;
+        r.level as usize >= lo || bits[s / 64] & (1u64 << (s % 64)) == 0
+    };
+    let want: Vec<SnapshotRow> = reference.iter().filter(shown).copied().collect();
+    assert_eq!(
+        t.snapshot_bitvec(lo, &bits).rows().collect::<Vec<_>>(),
+        want
+    );
+    let again = TableSnapshot::from_rows(space, t.owner(), reference.iter().copied());
+    assert_eq!(again.row_bytes(), full.row_bytes());
+    assert_eq!(again.rows().collect::<Vec<_>>(), reference);
+    let wired = TableSnapshot::from_row_bytes(space, t.owner(), full.row_bytes());
+    assert_eq!(wired.map(|s| s.rows().collect::<Vec<_>>()), Some(reference));
 }
 
 /// Drives `ops` random operations over a pool of `pool_size` ids, checking
@@ -190,10 +238,12 @@ fn run_case(base: u16, d: usize, seed: u64, ops: usize, pool_size: usize) {
             "step {step}"
         );
         last_view = view;
+        assert_snapshots(space, &t, step as u64);
     }
     assert_same(space, &t, &m, &pool);
     if let Some((ft, fm)) = fork {
         assert_same(space, &ft, &fm, &pool);
+        assert_snapshots(space, &ft, ops as u64);
     }
 }
 
