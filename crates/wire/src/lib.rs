@@ -26,6 +26,12 @@
 //! copy its bytes. (In a larger base an id whose digits all sit below 16
 //! packs nibbles in memory and is spread to one byte a digit here.)
 //!
+//! A table body is its owner, a `u16` row count and the rows, each
+//! `[level][digit][packed id][state]`. That is how a [`TableSnapshot`]
+//! keeps its rows in memory, so encoding a table copies the snapshot's
+//! bytes once, and decoding checks every row in order and then keeps the
+//! checked bytes.
+//!
 //! # Strictness
 //!
 //! [`decode_frame`] never panics on arbitrary bytes. Every length is
