@@ -832,5 +832,93 @@ mod tests {
         let mut id_bytes = Vec::new();
         encode_id(&sp, &wide, &mut id_bytes);
         assert_eq!(decode_id(&sp, &id_bytes), Ok((wide, 3)));
+        // Table-bearing frames, recorded from the encoder that held rows
+        // as decoded `SnapshotRow`s: b=16 with an odd digit count (a zero
+        // padding nibble in every id), and b=32 with a wide owner and a
+        // narrow row, which the body spreads to a byte a digit.
+        let sp = IdSpace::new(16, 7).unwrap();
+        let owner = sp.parse_id("0f3a9b2").unwrap();
+        let (p1, p2) = (
+            sp.parse_id("7c0e5d2").unwrap(),
+            sp.parse_id("e41a9b2").unwrap(),
+        );
+        let mut t = NeighborTable::new(sp, owner);
+        t.set_self_entries(NodeState::S);
+        t.set(
+            1,
+            13,
+            Entry {
+                node: p1,
+                state: NodeState::T,
+            },
+        );
+        t.set(
+            4,
+            1,
+            Entry {
+                node: p2,
+                state: NodeState::S,
+            },
+        );
+        let table = t.snapshot();
+        let msg = Message::JoinWaitRly {
+            positive: false,
+            next: p2,
+            table: table.clone(),
+        };
+        let mut buf = Vec::new();
+        encode_frame(&sp, owner, &msg, &mut buf);
+        assert_eq!(
+            buf,
+            [
+                80, 0, 0, 0, 1, 3, 178, 169, 243, 0, 0, 178, 169, 65, 14, 178, 169, 243, 0, 9, 0,
+                0, 2, 178, 169, 243, 0, 1, 1, 11, 178, 169, 243, 0, 1, 1, 13, 210, 229, 192, 7, 0,
+                2, 9, 178, 169, 243, 0, 1, 3, 10, 178, 169, 243, 0, 1, 4, 1, 178, 169, 65, 14, 1,
+                4, 3, 178, 169, 243, 0, 1, 5, 15, 178, 169, 243, 0, 1, 6, 0, 178, 169, 243, 0, 1
+            ]
+        );
+        let Ok((_, Message::JoinWaitRly { table: got, .. })) = decode_datagram(&sp, &buf) else {
+            panic!("a JoinWaitRly frame");
+        };
+        assert!(got.rows().eq(table.rows()));
+        let sp = IdSpace::new(32, 3).unwrap();
+        let owner = sp.parse_id("v0q").unwrap();
+        let (narrow, wide) = (sp.parse_id("75a").unwrap(), sp.parse_id("h2q").unwrap());
+        let mut t = NeighborTable::new(sp, owner);
+        t.set_self_entries(NodeState::T);
+        t.set(
+            0,
+            10,
+            Entry {
+                node: narrow,
+                state: NodeState::S,
+            },
+        );
+        t.set(
+            1,
+            2,
+            Entry {
+                node: wide,
+                state: NodeState::T,
+            },
+        );
+        let table = t.snapshot();
+        let msg = Message::CpRly {
+            level: 1,
+            table: table.clone(),
+        };
+        let mut buf = Vec::new();
+        encode_frame(&sp, narrow, &msg, &mut buf);
+        assert_eq!(
+            buf,
+            [
+                41, 0, 0, 0, 1, 1, 10, 5, 7, 1, 26, 0, 31, 5, 0, 0, 10, 10, 5, 7, 1, 0, 26, 26, 0,
+                31, 0, 1, 0, 26, 0, 31, 0, 1, 2, 26, 2, 17, 0, 2, 31, 26, 0, 31, 0
+            ]
+        );
+        let Ok((_, Message::CpRly { table: got, .. })) = decode_datagram(&sp, &buf) else {
+            panic!("a CpRly frame");
+        };
+        assert!(got.rows().eq(table.rows()));
     }
 }
