@@ -105,8 +105,8 @@ pub use options::{FailureDetector, NeighborSelection, PayloadMode, ProtocolOptio
 pub use oracle::build_consistent_tables;
 pub use routing::{next_hop, route, RouteOutcome};
 pub use simnet::{
-    bootstrap_batched, bootstrap_batched_net, bootstrap_sequential, Directory, SimMsg, SimNetwork,
-    SimNetworkBuilder, SimNode,
+    bootstrap_batched, bootstrap_batched_net, bootstrap_sequential, Carrier, Directory, SimMsg,
+    SimNetwork, SimNetworkBuilder, SimNode,
 };
 pub use stats::MessageStats;
 pub use suffix_compact::CompactSuffixIndex;

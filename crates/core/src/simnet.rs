@@ -44,6 +44,24 @@ use crate::oracle::build_consistent_tables;
 use crate::table::NeighborTable;
 use crate::trace::{TraceSink, TraceStream};
 
+/// A hop on the send path of a [`SimNetwork`]: every protocol message a
+/// node sends is handed to the carrier, and the simulator schedules the
+/// message the carrier returns. Set it once with
+/// [`SimNetworkBuilder::carrier`]; nodes added later by
+/// [`SimNetwork::add_joiner_live`] use it too.
+///
+/// Only protocol messages cross it. Control inputs (`Start`, `Leave`,
+/// `Crash`, `StartFd`) do not, and delay, RNG, timers and crashes stay
+/// the simulator's. So a carrier that returns what it was given leaves a
+/// run bit-identical to one without a carrier. `hyperring-net`'s
+/// `LoopbackCarrier` sends each message as a wire frame through a real
+/// loopback socket: same digests then means the codec and the socket
+/// are transparent.
+pub trait Carrier: Send + Sync + std::fmt::Debug {
+    /// Carries `msg` from `from` to `to` and returns what arrived.
+    fn carry(&self, from: NodeId, to: NodeId, msg: Message) -> Message;
+}
+
 /// Message wrapper carried by the simulator.
 #[derive(Debug, Clone)]
 pub enum SimMsg {
@@ -136,6 +154,8 @@ pub struct SimNode {
     /// The run-global trace stream, shared by every node of a traced
     /// network; locked only while a node drives an input.
     trace: Option<Arc<Mutex<TraceStream>>>,
+    /// The network's [`Carrier`], if one was set.
+    carrier: Option<Arc<dyn Carrier>>,
 }
 
 impl SimNode {
@@ -143,11 +163,13 @@ impl SimNode {
         engine: JoinEngine,
         dir: &Arc<Directory>,
         trace: Option<Arc<Mutex<TraceStream>>>,
+        carrier: Option<Arc<dyn Carrier>>,
     ) -> Self {
         SimNode {
             node: EngineDriver::new(engine),
             dir: Arc::clone(dir),
             trace,
+            carrier,
         }
     }
 
@@ -172,6 +194,7 @@ impl SimNode {
             reply_to,
             from_idx,
             dir: &self.dir,
+            carrier: self.carrier.as_deref(),
         };
         match &self.trace {
             Some(stream) => {
@@ -187,14 +210,16 @@ impl SimNode {
 
 /// [`EffectHandler`] adapter mapping engine effects onto one simulator
 /// actor's context: overlay `NodeId`s are resolved to dense indices (with
-/// the reply fast-path — the sender's index is already known), timer
-/// effects become simulator timers.
+/// the reply fast-path — the sender's index is already known), sends
+/// cross the [`Carrier`] if there is one, timer effects become simulator
+/// timers.
 struct SimHandler<'a, 'c> {
     ctx: &'a mut Context<'c, SimMsg, TimerId>,
     me: NodeId,
     reply_to: Option<NodeId>,
     from_idx: usize,
     dir: &'a Directory,
+    carrier: Option<&'a dyn Carrier>,
 }
 
 impl RuntimeDriver for SimHandler<'_, '_> {
@@ -214,6 +239,10 @@ impl EffectHandler for SimHandler<'_, '_> {
             self.dir
                 .resolve(&to)
                 .unwrap_or_else(|| panic!("message addressed to unknown node {to}"))
+        };
+        let msg = match self.carrier {
+            Some(carrier) => carrier.carry(self.me, to, msg),
+            None => msg,
         };
         self.ctx.send(idx, SimMsg::Proto { from: self.me, msg });
     }
@@ -263,6 +292,7 @@ pub struct SimNetworkBuilder {
     member_tables: Option<Vec<NeighborTable>>,
     joiners: Vec<(NodeId, NodeId, Time)>,
     trace: Option<Arc<Mutex<TraceStream>>>,
+    carrier: Option<Arc<dyn Carrier>>,
 }
 
 impl SimNetworkBuilder {
@@ -275,6 +305,7 @@ impl SimNetworkBuilder {
             member_tables: None,
             joiners: Vec::new(),
             trace: None,
+            carrier: None,
         }
     }
 
@@ -297,6 +328,13 @@ impl SimNetworkBuilder {
     /// order of `options` and `trace` calls).
     pub fn trace(&mut self, sink: Box<dyn TraceSink + Send>) -> &mut Self {
         self.trace = Some(Arc::new(Mutex::new(TraceStream::new(sink))));
+        self
+    }
+
+    /// Sends every protocol message of the network through `carrier`
+    /// (see [`Carrier`]).
+    pub fn carrier(&mut self, carrier: Arc<dyn Carrier>) -> &mut Self {
+        self.carrier = Some(carrier);
         self
     }
 
@@ -364,6 +402,7 @@ impl SimNetworkBuilder {
                     JoinEngine::new_member(self.space, opts, t),
                     &dir,
                     self.trace.clone(),
+                    self.carrier.clone(),
                 )
             })
             .collect();
@@ -372,6 +411,7 @@ impl SimNetworkBuilder {
                 JoinEngine::new_joiner(self.space, opts, *id),
                 &dir,
                 self.trace.clone(),
+                self.carrier.clone(),
             ));
         }
 
@@ -398,6 +438,7 @@ impl SimNetworkBuilder {
             ids,
             joiner_count: self.joiners.len(),
             trace: self.trace.clone(),
+            carrier: self.carrier.clone(),
         }
     }
 }
@@ -412,6 +453,7 @@ pub struct SimNetwork<D: DelayModel> {
     ids: Vec<NodeId>,
     joiner_count: usize,
     trace: Option<Arc<Mutex<TraceStream>>>,
+    carrier: Option<Arc<dyn Carrier>>,
 }
 
 impl<D: DelayModel> SimNetwork<D> {
@@ -618,6 +660,7 @@ impl<D: DelayModel> SimNetwork<D> {
             JoinEngine::new_joiner(self.space, self.opts, id),
             &self.dir,
             self.trace.clone(),
+            self.carrier.clone(),
         ));
         debug_assert_eq!(added, idx);
         let now = self.sim.now();

@@ -151,9 +151,8 @@ fn state_name(s: NodeState) -> &'static str {
 /// A [`ProtocolEvent`] stamped with its origin and logical time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
-    /// Timestamp in the runtime's clock (virtual µs in the simulators
-    /// and the lockstep runtime; wall-clock µs since the run started in
-    /// the UDP runtime).
+    /// Timestamp in the runtime's clock (virtual µs in the simulators;
+    /// wall-clock µs since the run started in the UDP runtime).
     pub at: u64,
     /// Global emission order within the run (0, 1, 2, …).
     pub seq: u64,

@@ -11,9 +11,15 @@
 //!
 //! The file also holds ROADMAP item 1's shrunk `churn` schedules S0–S3′:
 //! each pinned at the ending it reaches today, and each with an ignored
-//! twin that asserts Definition 3.8.
+//! twin that asserts Definition 3.8. Every pin also runs
+//! `*_over_loopback`, with each message sent through the wire codec and a
+//! real loopback socket ([`common::Hop`]), and must end the same way.
+
+mod common;
 
 use std::sync::{Arc, Mutex};
+
+use common::Hop;
 
 use hyperring_core::{
     check_consistency, ConsistencyReport, FailureDetector, ProtocolEvent, ProtocolOptions,
@@ -253,10 +259,15 @@ fn id(s: &str) -> NodeId {
 
 /// Runs `s` under `run_poisson_churn`'s detector and retry options with
 /// `UniformDelay(1 ms, 50 ms)` and simulator seed `sim_seed`, for the
-/// trial's 30 s horizon. Returns the network and the Definition-3.8 report
-/// over the survivors.
-fn run_schedule(s: &Schedule, sim_seed: u64) -> (SimNetwork<UniformDelay>, ConsistencyReport) {
+/// trial's 30 s horizon, over loopback when `socket`. Returns the network
+/// and the Definition-3.8 report over the survivors.
+fn run_schedule(
+    s: &Schedule,
+    sim_seed: u64,
+    socket: bool,
+) -> (SimNetwork<UniformDelay>, ConsistencyReport) {
     let space = IdSpace::new(4, 6).unwrap();
+    let hop = Hop::new(space, socket);
     let fd = FailureDetector {
         probe_interval_us: 200_000,
         suspicion_threshold: 3,
@@ -273,6 +284,7 @@ fn run_schedule(s: &Schedule, sim_seed: u64) -> (SimNetwork<UniformDelay>, Consi
         ..RetryPolicy::default()
     };
     let mut b = SimNetworkBuilder::new(space);
+    hop.attach(&mut b);
     b.options(
         ProtocolOptions::new()
             .with_failure_detector(fd)
@@ -288,6 +300,7 @@ fn run_schedule(s: &Schedule, sim_seed: u64) -> (SimNetwork<UniformDelay>, Consi
     let (victim, at) = s.crash;
     net.crash_at(&id(victim), at);
     net.run_until(30_000_000);
+    hop.check();
     let survivors: Vec<_> = net
         .tables_iter()
         .filter(|t| t.owner() != id(victim))
@@ -298,16 +311,16 @@ fn run_schedule(s: &Schedule, sim_seed: u64) -> (SimNetwork<UniformDelay>, Consi
 }
 
 /// The violations of `s` at its trial seed, as the report prints them.
-fn endings(s: &Schedule) -> Vec<String> {
-    let (_, report) = run_schedule(s, s.seed);
+fn endings(s: &Schedule, socket: bool) -> Vec<String> {
+    let (_, report) = run_schedule(s, s.seed, socket);
     report.violations().iter().map(|v| v.to_string()).collect()
 }
 
 /// ROADMAP item 1's schedule S1: 122032 joins through 311301 while 113032
 /// — the only `…032` node the gateway shows it — dies. Returns whether the
 /// three survivors end Definition-3.8 consistent.
-fn s1(sim_seed: u64) -> Result<(), String> {
-    let (net, report) = run_schedule(&S1, sim_seed);
+fn s1(sim_seed: u64, socket: bool) -> Result<(), String> {
+    let (net, report) = run_schedule(&S1, sim_seed, socket);
     assert_eq!(net.engine(&id("122032")).status(), Status::InSystem);
     if report.is_consistent() {
         Ok(())
@@ -325,13 +338,22 @@ fn s1(sim_seed: u64) -> Result<(), String> {
 /// Without the rule 123032 lacks the entry for good. The message counts
 /// of the retry path decide which of the schedule's endings a simulator
 /// seed reaches; these five reach this one.
-#[test]
-fn s1_survivor_learns_the_joiner_admitted_around_the_dead_node() {
+fn s1_admitted_around_the_dead_node(socket: bool) {
     for sim_seed in [8, 36, 82, 83, 160] {
-        if let Err(report) = s1(sim_seed) {
+        if let Err(report) = s1(sim_seed, socket) {
             panic!("seed {sim_seed}: {report}");
         }
     }
+}
+
+#[test]
+fn s1_survivor_learns_the_joiner_admitted_around_the_dead_node() {
+    s1_admitted_around_the_dead_node(false);
+}
+
+#[test]
+fn s1_survivor_learns_the_joiner_admitted_around_the_dead_node_over_loopback() {
+    s1_admitted_around_the_dead_node(true);
 }
 
 /// The trial's own simulator seed takes the schedule's other ending: every
@@ -344,7 +366,7 @@ fn s1_survivor_learns_the_joiner_admitted_around_the_dead_node() {
 #[test]
 #[ignore = "ROADMAP item 1 defect (i) is open: fails until on_joinwait refuses an evicted slot"]
 fn s1_at_the_trial_seed_needs_defect_i_closed() {
-    s1(S1.seed).unwrap();
+    s1(S1.seed, false).unwrap();
 }
 
 // ROADMAP item 1(a): the other four schedules, pinned at today's exact
@@ -356,42 +378,59 @@ fn s1_at_the_trial_seed_needs_defect_i_closed() {
 /// S0: no join at all. 113032 dies and 311301's repair of (0, 2) queries
 /// only the nodes in its table, never its reverse neighbours; 123032, the
 /// answer, is one of those (`repair.rs`'s documented limit).
-#[test]
-fn s0_repair_never_refills_the_slot_of_the_crashed_node() {
+fn s0_pin(socket: bool) {
     assert_eq!(
-        endings(&S0),
+        endings(&S0, socket),
         ["false negative: 311301 entry (0,2) empty but 123032 exists"]
     );
 }
 
 #[test]
+fn s0_repair_never_refills_the_slot_of_the_crashed_node() {
+    s0_pin(false);
+}
+
+#[test]
+fn s0_repair_never_refills_the_slot_of_the_crashed_node_over_loopback() {
+    s0_pin(true);
+}
+
+#[test]
 #[ignore = "ROADMAP item 1 (e) is open: the repair origin does not scan its reverse set"]
 fn s0_ends_consistent() {
-    assert_eq!(endings(&S0), Vec::<String>::new());
+    assert_eq!(endings(&S0, false), Vec::<String>::new());
 }
 
 /// S2: the gateway dies 19 ms into the join, before the joiner learned a
 /// single contact. The joiner strands in `Copying` with an empty table and
 /// is counted as a survivor: its own eight empty slots plus the four
 /// members' `(1, 2)` slots that should hold it.
-#[test]
-fn s2_joiner_strands_copying_with_twelve_violations() {
-    let (net, report) = run_schedule(&S2, S2.seed);
+fn s2_pin(socket: bool) {
+    let (net, report) = run_schedule(&S2, S2.seed, socket);
     assert_eq!(net.engine(&id("100220")).status(), Status::Copying);
     assert_eq!(report.violations().len(), 12, "{report}");
 }
 
 #[test]
+fn s2_joiner_strands_copying_with_twelve_violations() {
+    s2_pin(false);
+}
+
+#[test]
+fn s2_joiner_strands_copying_with_twelve_violations_over_loopback() {
+    s2_pin(true);
+}
+
+#[test]
 #[ignore = "ROADMAP item 1 (d) is open: a stranded joiner counts as a survivor"]
 fn s2_ends_consistent() {
-    assert_eq!(endings(&S2), Vec::<String>::new());
+    assert_eq!(endings(&S2, false), Vec::<String>::new());
 }
 
 /// S3: both joiners reach `in_system` and miss each other at level 4.
-#[test]
-fn s3_joiners_miss_each_other_at_level_four() {
+fn s3_pin(socket: bool) {
     assert_eq!(
-        endings(&S3),
+        endings(&S3, socket),
         [
             "false negative: 203231 entry (4,3) empty but 133231 exists",
             "false negative: 133231 entry (4,0) empty but 203231 exists",
@@ -400,17 +439,26 @@ fn s3_joiners_miss_each_other_at_level_four() {
 }
 
 #[test]
+fn s3_joiners_miss_each_other_at_level_four() {
+    s3_pin(false);
+}
+
+#[test]
+fn s3_joiners_miss_each_other_at_level_four_over_loopback() {
+    s3_pin(true);
+}
+
+#[test]
 #[ignore = "ROADMAP item 1 (b)/(c) are open: joiners admitted around a dead node miss each other"]
 fn s3_ends_consistent() {
-    assert_eq!(endings(&S3), Vec::<String>::new());
+    assert_eq!(endings(&S3, false), Vec::<String>::new());
 }
 
 /// S3′: the crash falls between the two joins; the joiners miss each
 /// other at level 3.
-#[test]
-fn s3_prime_joiners_miss_each_other_at_level_three() {
+fn s3_prime_pin(socket: bool) {
     assert_eq!(
-        endings(&S3_PRIME),
+        endings(&S3_PRIME, socket),
         [
             "false negative: 101133 entry (3,3) empty but 303133 exists",
             "false negative: 303133 entry (3,1) empty but 101133 exists",
@@ -419,7 +467,17 @@ fn s3_prime_joiners_miss_each_other_at_level_three() {
 }
 
 #[test]
+fn s3_prime_joiners_miss_each_other_at_level_three() {
+    s3_prime_pin(false);
+}
+
+#[test]
+fn s3_prime_joiners_miss_each_other_at_level_three_over_loopback() {
+    s3_prime_pin(true);
+}
+
+#[test]
 #[ignore = "ROADMAP item 1 (b)/(c) are open: joiners admitted around a dead node miss each other"]
 fn s3_prime_ends_consistent() {
-    assert_eq!(endings(&S3_PRIME), Vec::<String>::new());
+    assert_eq!(endings(&S3_PRIME, false), Vec::<String>::new());
 }

@@ -4,16 +4,23 @@
 //! incremental bootstrap). Any drift here means the optimization changed
 //! protocol behavior, not just speed.
 //!
+//! Each test has a `*_over_loopback` twin that sends every protocol
+//! message through the wire codec and a real loopback socket
+//! ([`common::Hop`]) and must read the same golden.
+//!
 //! Run with `GOLDEN_PRINT=1 cargo test -p hyperring-core --test golden
 //! -- --nocapture` to print the observed values when (deliberately)
 //! re-recording.
 
+mod common;
+
+use common::Hop;
 use hyperring_core::{
     bootstrap_batched, bootstrap_sequential, check_consistency, tables_digest, DigestTrace,
-    ProtocolOptions, SharedSink, SimNetworkBuilder,
+    JoinEngine, NeighborTable, ProtocolOptions, SharedSink, SimNetworkBuilder,
 };
 use hyperring_id::{IdSpace, NodeId};
-use hyperring_sim::UniformDelay;
+use hyperring_sim::{ConstantDelay, UniformDelay};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,10 +52,11 @@ fn check(name: &str, observed: (u64, u64, bool, u64), golden: (u64, u64, bool, u
 }
 
 /// The paper's Figure 2 scenario: five members, three concurrent joiners.
-#[test]
-fn golden_figure2_concurrent_join() {
+fn figure2_concurrent_join(socket: bool) {
     let space = IdSpace::new(8, 5).unwrap();
+    let hop = Hop::new(space, socket);
     let mut b = SimNetworkBuilder::new(space);
+    hop.attach(&mut b);
     for s in ["72430", "10353", "62332", "13141", "31701"] {
         b.add_member(space.parse_id(s).unwrap());
     }
@@ -58,6 +66,7 @@ fn golden_figure2_concurrent_join() {
     }
     let mut net = b.build(UniformDelay::new(1_000, 80_000), 1234);
     let report = net.run();
+    hop.check();
     let observed = (
         report.delivered,
         report.finished_at,
@@ -71,13 +80,24 @@ fn golden_figure2_concurrent_join() {
     );
 }
 
-/// 40 random nodes (b=4, d=6): 25 members, 15 concurrent joiners.
 #[test]
-fn golden_forty_node_concurrent_join() {
+fn golden_figure2_concurrent_join() {
+    figure2_concurrent_join(false);
+}
+
+#[test]
+fn golden_figure2_concurrent_join_over_loopback() {
+    figure2_concurrent_join(true);
+}
+
+/// 40 random nodes (b=4, d=6): 25 members, 15 concurrent joiners.
+fn forty_node_concurrent_join(socket: bool) {
     let space = IdSpace::new(4, 6).unwrap();
     let ids = distinct(space, 40, 5);
     let (v, w) = ids.split_at(25);
+    let hop = Hop::new(space, socket);
     let mut b = SimNetworkBuilder::new(space);
+    hop.attach(&mut b);
     for id in v {
         b.add_member(*id);
     }
@@ -86,6 +106,7 @@ fn golden_forty_node_concurrent_join() {
     }
     let mut net = b.build(UniformDelay::new(100, 200_000), 99);
     let report = net.run();
+    hop.check();
     let observed = (
         report.delivered,
         report.finished_at,
@@ -99,15 +120,26 @@ fn golden_forty_node_concurrent_join() {
     );
 }
 
+#[test]
+fn golden_forty_node_concurrent_join() {
+    forty_node_concurrent_join(false);
+}
+
+#[test]
+fn golden_forty_node_concurrent_join_over_loopback() {
+    forty_node_concurrent_join(true);
+}
+
 /// The Figure 2 scenario again, with a digest sink attached: the ordered
 /// stream of `ProtocolEvent`s is itself part of the golden fingerprint.
 /// Two invariants at once — attaching a trace must not perturb the run
 /// (delivered/finished_at equal the untraced golden above), and the trace
 /// content must be bit-stable under a fixed seed.
-#[test]
-fn golden_figure2_trace_digest() {
+fn figure2_trace_digest(socket: bool) {
     let space = IdSpace::new(8, 5).unwrap();
+    let hop = Hop::new(space, socket);
     let mut b = SimNetworkBuilder::new(space);
+    hop.attach(&mut b);
     for s in ["72430", "10353", "62332", "13141", "31701"] {
         b.add_member(space.parse_id(s).unwrap());
     }
@@ -119,6 +151,7 @@ fn golden_figure2_trace_digest() {
     b.trace(Box::new(sink.clone()));
     let mut net = b.build(UniformDelay::new(1_000, 80_000), 1234);
     let report = net.run();
+    hop.check();
     assert_eq!(
         (report.delivered, report.finished_at),
         (60, 520_793),
@@ -139,12 +172,49 @@ fn golden_figure2_trace_digest() {
     );
 }
 
-/// §6.1 sequential bootstrap of 24 nodes (b=8, d=5).
 #[test]
-fn golden_sequential_bootstrap() {
+fn golden_figure2_trace_digest() {
+    figure2_trace_digest(false);
+}
+
+#[test]
+fn golden_figure2_trace_digest_over_loopback() {
+    figure2_trace_digest(true);
+}
+
+/// §6.1 bootstrap of `ids` in waves of `batch`: [`bootstrap_sequential`]
+/// for `batch` 1 and [`bootstrap_batched`] otherwise, or, when `socket`,
+/// the same loop re-stated over the public builder with every message
+/// sent through a loopback carrier.
+fn bootstrap(space: IdSpace, ids: &[NodeId], batch: usize, socket: bool) -> Vec<NeighborTable> {
+    let opts = ProtocolOptions::new();
+    match (socket, batch) {
+        (false, 1) => return bootstrap_sequential(space, opts, ids),
+        (false, _) => return bootstrap_batched(space, opts, ids, batch),
+        (true, _) => {}
+    }
+    let hop = Hop::new(space, true);
+    let mut b = SimNetworkBuilder::new(space);
+    hop.attach(&mut b);
+    b.options(opts)
+        .with_member_tables(vec![JoinEngine::new_seed(space, opts, ids[0])
+            .table()
+            .clone()]);
+    let mut net = b.build(ConstantDelay(1), 0);
+    for wave in ids[1..].chunks(batch) {
+        net.add_joiners_live(wave, ids[0]);
+        net.run();
+        assert!(net.all_in_system(), "join wave failed to terminate");
+    }
+    hop.check();
+    net.tables()
+}
+
+/// §6.1 sequential bootstrap of 24 nodes (b=8, d=5).
+fn sequential_bootstrap(socket: bool) {
     let space = IdSpace::new(8, 5).unwrap();
     let ids = distinct(space, 24, 17);
-    let tables = bootstrap_sequential(space, ProtocolOptions::new(), &ids);
+    let tables = bootstrap(space, &ids, 1, socket);
     let observed = (
         tables.len() as u64,
         0,
@@ -158,12 +228,29 @@ fn golden_sequential_bootstrap() {
     );
 }
 
+#[test]
+fn golden_sequential_bootstrap() {
+    sequential_bootstrap(false);
+}
+
+#[test]
+fn golden_sequential_bootstrap_over_loopback() {
+    sequential_bootstrap(true);
+}
+
 /// Fingerprints a batched concurrent bootstrap (b=16, d=8) of `n` nodes
-/// in waves of `batch`.
-fn batched_bootstrap_digest(name: &str, n: usize, seed: u64, batch: usize, golden: u64) {
+/// in waves of `batch`, over loopback when `socket`.
+fn batched_bootstrap_digest(
+    name: &str,
+    n: usize,
+    seed: u64,
+    batch: usize,
+    golden: u64,
+    socket: bool,
+) {
     let space = IdSpace::new(16, 8).unwrap();
     let ids = distinct(space, n, seed);
-    let tables = bootstrap_batched(space, ProtocolOptions::new(), &ids, batch);
+    let tables = bootstrap(space, &ids, batch, socket);
     let observed = (
         tables.len() as u64,
         0,
@@ -174,32 +261,69 @@ fn batched_bootstrap_digest(name: &str, n: usize, seed: u64, batch: usize, golde
 }
 
 /// Batched concurrent bootstrap at n=256 (seed 7, waves of 32).
+fn batched_bootstrap_n256(socket: bool) {
+    batched_bootstrap_digest(
+        "batched_bootstrap_n256",
+        256,
+        7,
+        32,
+        0xca26_c1c7_6a53_5e86,
+        socket,
+    );
+}
+
 #[test]
 fn golden_batched_bootstrap_n256() {
-    batched_bootstrap_digest("batched_bootstrap_n256", 256, 7, 32, 0xca26_c1c7_6a53_5e86);
+    batched_bootstrap_n256(false);
+}
+
+#[test]
+fn golden_batched_bootstrap_n256_over_loopback() {
+    batched_bootstrap_n256(true);
 }
 
 /// Same at n=1024, many waves deep. Ignored by default (seconds of
 /// debug-mode work); exercised in CI's release-mode scale step.
-#[test]
-#[ignore = "slow in debug builds; run with --ignored --release"]
-fn golden_batched_bootstrap_n1024() {
+fn batched_bootstrap_n1024(socket: bool) {
     batched_bootstrap_digest(
         "batched_bootstrap_n1024",
         1024,
         11,
         128,
         0xa6c7_e573_3108_65d7,
+        socket,
     );
+}
+
+#[test]
+#[ignore = "slow in debug builds; run with --ignored --release"]
+fn golden_batched_bootstrap_n1024() {
+    batched_bootstrap_n1024(false);
+}
+
+#[test]
+#[ignore = "slow in debug builds; run with --ignored --release"]
+fn golden_batched_bootstrap_n1024_over_loopback() {
+    batched_bootstrap_n1024(true);
 }
 
 /// 100k-scale smoke test: a 65 536-node batched concurrent bootstrap
 /// completes. Release-only (`--ignored`).
+fn batched_bootstrap_n65536(socket: bool) {
+    let space = IdSpace::new(16, 8).unwrap();
+    let ids = distinct(space, 65_536, 13);
+    let tables = bootstrap(space, &ids, 2048, socket);
+    assert_eq!(tables.len(), 65_536);
+}
+
 #[test]
 #[ignore = "large-n smoke test; run with --ignored --release"]
 fn batched_bootstrap_n65536_completes() {
-    let space = IdSpace::new(16, 8).unwrap();
-    let ids = distinct(space, 65_536, 13);
-    let tables = bootstrap_batched(space, ProtocolOptions::new(), &ids, 2048);
-    assert_eq!(tables.len(), 65_536);
+    batched_bootstrap_n65536(false);
+}
+
+#[test]
+#[ignore = "large-n smoke test; run with --ignored --release"]
+fn batched_bootstrap_n65536_completes_over_loopback() {
+    batched_bootstrap_n65536(true);
 }

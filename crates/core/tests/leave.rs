@@ -1,7 +1,12 @@
 //! Tests of the graceful-leave extension: after a leave, the network of
 //! remaining nodes must again satisfy Definition 3.8 (with `V' = V \ {x}`),
-//! and joins must keep working afterwards.
+//! and joins must keep working afterwards. Each test also runs
+//! `*_over_loopback`, with every message sent through the wire codec and a
+//! real loopback socket ([`common::Hop`]).
 
+mod common;
+
+use common::Hop;
 use hyperring_core::{SimNetworkBuilder, Status};
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::UniformDelay;
@@ -17,18 +22,20 @@ fn distinct_ids(space: IdSpace, n: usize, seed: u64) -> Vec<NodeId> {
     set.into_iter().collect()
 }
 
-#[test]
-fn single_leave_keeps_consistency() {
+fn single_leave(socket: bool) {
     let space = IdSpace::new(8, 4).unwrap();
     let ids = distinct_ids(space, 24, 3);
     for victim in [1usize, 7, 23] {
+        let hop = Hop::new(space, socket);
         let mut b = SimNetworkBuilder::new(space);
+        hop.attach(&mut b);
         for id in &ids {
             b.add_member(*id);
         }
         let mut net = b.build(UniformDelay::new(1_000, 50_000), 5);
         net.run();
         net.depart(&ids[victim]);
+        hop.check();
         assert_eq!(net.engine(&ids[victim]).status(), Status::Departed);
         let c = net.check_consistency();
         assert!(c.is_consistent(), "victim {}: {c}", ids[victim]);
@@ -37,10 +44,21 @@ fn single_leave_keeps_consistency() {
 }
 
 #[test]
-fn sequential_leaves_down_to_one_node() {
+fn single_leave_keeps_consistency() {
+    single_leave(false);
+}
+
+#[test]
+fn single_leave_keeps_consistency_over_loopback() {
+    single_leave(true);
+}
+
+fn sequential_leaves(socket: bool) {
     let space = IdSpace::new(4, 5).unwrap();
     let ids = distinct_ids(space, 16, 9);
+    let hop = Hop::new(space, socket);
     let mut b = SimNetworkBuilder::new(space);
+    hop.attach(&mut b);
     for id in &ids {
         b.add_member(*id);
     }
@@ -59,15 +77,27 @@ fn sequential_leaves_down_to_one_node() {
         let c = net.check_consistency();
         assert!(c.is_consistent(), "after leave #{step} of {}: {c}", ids[v]);
     }
+    hop.check();
     assert_eq!(net.tables().len(), 1);
 }
 
 #[test]
-fn join_after_leave_works() {
+fn sequential_leaves_down_to_one_node() {
+    sequential_leaves(false);
+}
+
+#[test]
+fn sequential_leaves_down_to_one_node_over_loopback() {
+    sequential_leaves(true);
+}
+
+fn join_after_leave(socket: bool) {
     let space = IdSpace::new(8, 4).unwrap();
     let ids = distinct_ids(space, 20, 11);
     let (members, extra) = ids.split_at(18);
+    let hop = Hop::new(space, socket);
     let mut b = SimNetworkBuilder::new(space);
+    hop.attach(&mut b);
     for id in members {
         b.add_member(*id);
     }
@@ -87,27 +117,41 @@ fn join_after_leave_works() {
     // And a fresh network seeded from the survivors accepts another join.
     let survivors = net.tables();
     let mut b2 = SimNetworkBuilder::new(space);
+    hop.attach(&mut b2);
     b2.with_member_tables(survivors);
     b2.add_joiner(extra[1], members[0], 0);
     let mut net2 = b2.build(UniformDelay::new(1_000, 40_000), 13);
     net2.run();
+    hop.check();
     assert!(net2.all_in_system());
     assert!(net2.check_consistency().is_consistent());
 }
 
 #[test]
-fn leaver_with_no_substitute_leaves_entries_empty() {
+fn join_after_leave_works() {
+    join_after_leave(false);
+}
+
+#[test]
+fn join_after_leave_works_over_loopback() {
+    join_after_leave(true);
+}
+
+fn leaver_with_no_substitute(socket: bool) {
     // Three nodes where the victim is the only one with its last digit:
     // after it leaves, the others' entries must be empty, not dangling.
     let space = IdSpace::new(4, 3).unwrap();
     let a = space.parse_id("000").unwrap();
     let b_ = space.parse_id("111").unwrap();
     let c = space.parse_id("222").unwrap();
+    let hop = Hop::new(space, socket);
     let mut b = SimNetworkBuilder::new(space);
+    hop.attach(&mut b);
     b.add_member(a).add_member(b_).add_member(c);
     let mut net = b.build(UniformDelay::new(100, 5_000), 1);
     net.run();
     net.depart(&b_);
+    hop.check();
     let report = net.check_consistency();
     assert!(report.is_consistent(), "{report}");
     // a's (0, 1) entry (suffix "1") must now be empty.
@@ -116,12 +160,23 @@ fn leaver_with_no_substitute_leaves_entries_empty() {
 }
 
 #[test]
-fn concurrent_nonadjacent_leaves() {
+fn leaver_with_no_substitute_leaves_entries_empty() {
+    leaver_with_no_substitute(false);
+}
+
+#[test]
+fn leaver_with_no_substitute_leaves_entries_empty_over_loopback() {
+    leaver_with_no_substitute(true);
+}
+
+fn nonadjacent_leaves(socket: bool) {
     // Two leavers that are not each other's neighbors may leave in the
     // same wave (their LeaveNoti sets are disjoint from each other).
     let space = IdSpace::new(16, 4).unwrap();
     let ids = distinct_ids(space, 30, 17);
+    let hop = Hop::new(space, socket);
     let mut b = SimNetworkBuilder::new(space);
+    hop.attach(&mut b);
     for id in &ids {
         b.add_member(*id);
     }
@@ -147,7 +202,18 @@ fn concurrent_nonadjacent_leaves() {
     assert_eq!(victims.len(), 2, "no non-adjacent pair found");
     net.depart(&victims[0]);
     net.depart(&victims[1]);
+    hop.check();
     let c = net.check_consistency();
     assert!(c.is_consistent(), "{c}");
     assert_eq!(c.nodes(), 28);
+}
+
+#[test]
+fn concurrent_nonadjacent_leaves() {
+    nonadjacent_leaves(false);
+}
+
+#[test]
+fn concurrent_nonadjacent_leaves_over_loopback() {
+    nonadjacent_leaves(true);
 }

@@ -1,26 +1,24 @@
-//! Network runtimes for the join protocol: the protocol, out of the
+//! Socket transport for the join protocol: the protocol, out of the
 //! simulator.
 //!
 //! The deterministic simulator (`hyperring-sim`) is the primary
 //! evaluation substrate, but the protocol engine is sans-io and runs
-//! unchanged on real concurrency and real sockets. This crate hosts it on
-//! two runtimes, both driven through the same
-//! [`EngineDriver`](hyperring_core::EngineDriver) /
-//! [`RuntimeDriver`](hyperring_core::RuntimeDriver) glue, so engine
-//! behavior is identical by construction:
+//! unchanged on real concurrency and real sockets. Messages travel as
+//! `hyperring-wire` frames (see the [`transport`] module for the datagram
+//! layout), over two paths:
 //!
-//! | runtime | transport | threads | clock | delivery |
+//! | path | transport | threads | clock | delivery |
 //! |---|---|---|---|---|
 //! | [`UdpNetwork`] | loopback UDP | few event loops | wall | lossy (injected + backpressure) |
-//! | [`LockstepNet`] | loopback UDP | one | virtual | reliable, deterministic |
+//! | [`LoopbackCarrier`] | loopback UDP | the simulator's | virtual | reliable, the simulator's schedule |
 //!
-//! Messages travel as `hyperring-wire` frames (see the [`transport`]
-//! module for the datagram layout); [`UdpNetwork`]'s timers are served by
-//! a hierarchical [`TimerWheel`], so a
+//! [`UdpNetwork`] drives every engine through the same
+//! [`EngineDriver`](hyperring_core::EngineDriver) glue as the simulator,
+//! with timers on a hierarchical [`TimerWheel`], so a
 //! [`RetryPolicy`](hyperring_core::RetryPolicy) works against the wall
-//! clock too. [`LockstepNet`] reproduces the simulator's event ordering
-//! exactly and yields byte-identical trace digests for lossless runs —
-//! the proof that the codec and socket plumbing are transparent.
+//! clock too. [`LoopbackCarrier`] is the simulator's send path over a
+//! socket: a carried run reads the simulator's own digests — the proof
+//! that the codec and socket plumbing are transparent.
 //!
 //! # Examples
 //!
@@ -53,7 +51,9 @@
 pub mod timer;
 pub mod transport;
 
+mod carrier;
 mod runtime;
 
-pub use runtime::{LockstepNet, NetError, UdpConfig, UdpNetwork, UdpRunStats};
+pub use carrier::LoopbackCarrier;
+pub use runtime::{NetError, UdpConfig, UdpNetwork, UdpRunStats};
 pub use timer::TimerWheel;

@@ -1,22 +1,15 @@
-//! The runtimes: real-socket hosts for the sans-io protocol engine.
-//!
-//! Two live here, both built on the same
+//! The socket runtime: a real-socket host for the sans-io protocol
+//! engine, built on the same
 //! [`EngineDriver`](hyperring_core::EngineDriver) /
-//! [`RuntimeDriver`](hyperring_core::RuntimeDriver) pair, so engine
-//! behavior is identical by construction:
-//!
-//! * [`UdpNetwork`] — a few event-loop threads driving many engines each
-//!   over non-blocking loopback UDP sockets, with injected packet loss,
-//!   per-engine outbound backpressure, and a kill-then-repair crash
-//!   scenario on wall-clock timers;
-//! * [`LockstepNet`] — single-threaded UDP under a virtual clock that
-//!   reproduces the deterministic simulator's event ordering exactly
-//!   (same `DigestTrace` for lossless runs).
+//! [`RuntimeDriver`](hyperring_core::RuntimeDriver) pair as the
+//! simulator, so engine behavior is identical by construction.
+//! [`UdpNetwork`] runs a few event-loop threads driving many engines each
+//! over non-blocking loopback UDP sockets, with injected packet loss,
+//! per-engine outbound backpressure, and a kill-then-repair crash
+//! scenario on wall-clock timers.
 
-mod lockstep;
 mod udp;
 
-pub use lockstep::LockstepNet;
 pub use udp::{UdpConfig, UdpNetwork, UdpRunStats};
 
 use std::fmt;
@@ -37,10 +30,9 @@ pub enum NetError {
     UnknownDestination(NodeId),
     /// The network failed to quiesce within the deadline.
     QuiesceTimeout {
-        /// What the runtime knew was undelivered when the deadline passed:
-        /// for [`UdpNetwork`], the datagrams queued but not yet written to
-        /// a socket (those the kernel still buffers are invisible to it);
-        /// for [`LockstepNet`], the events still in its queue.
+        /// The datagrams queued but not yet written to a socket when the
+        /// deadline passed (those the kernel still buffers are invisible
+        /// to the runtime).
         in_flight: i64,
         /// Joiners still not `in_system` when the deadline passed.
         joining: i64,

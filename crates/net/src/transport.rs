@@ -9,11 +9,11 @@
 //! [to: packed id]  [frame: see hyperring-wire]
 //! ```
 //!
-//! The lockstep runtime extends the header with virtual-time scheduling
-//! metadata (see [`encode_scheduled`]). Readiness is poll(2) via a
-//! hand-declared FFI binding — the build is offline, so no libc crate —
-//! gated to unix; elsewhere the endpoint degrades to short receive
-//! timeouts.
+//! [`UdpNetwork`](crate::UdpNetwork) and
+//! [`LoopbackCarrier`](crate::LoopbackCarrier) both send this one format.
+//! Readiness is poll(2) via a hand-declared FFI binding — the build is
+//! offline, so no libc crate — gated to unix; elsewhere the endpoint
+//! degrades to short receive timeouts.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -201,48 +201,6 @@ pub fn decode_plain(space: &IdSpace, bytes: &[u8]) -> Result<(NodeId, NodeId, Me
     Ok((to, from, msg))
 }
 
-/// Appends `[to][deliver_at: u64][seq: u64][frame]` — the lockstep
-/// runtime's scheduled datagram, carrying the virtual delivery time and
-/// the global event sequence number that reproduce the simulator's
-/// `(time, seq)` ordering on the far side of the kernel.
-pub fn encode_scheduled(
-    space: &IdSpace,
-    to: NodeId,
-    deliver_at: u64,
-    seq: u64,
-    from: NodeId,
-    msg: &Message,
-    buf: &mut Vec<u8>,
-) -> usize {
-    let start = buf.len();
-    encode_id(space, &to, buf);
-    buf.extend_from_slice(&deliver_at.to_le_bytes());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    encode_frame(space, from, msg, buf);
-    buf.len() - start
-}
-
-/// Decodes a scheduled datagram: `(to, deliver_at, seq, from, msg)`.
-pub fn decode_scheduled(
-    space: &IdSpace,
-    bytes: &[u8],
-) -> Result<(NodeId, u64, u64, NodeId, Message), WireError> {
-    let (to, used) = decode_id(space, bytes)?;
-    let rest = &bytes[used..];
-    if rest.len() < 16 {
-        return Err(WireError::Truncated);
-    }
-    let deliver_at = u64::from_le_bytes(rest[..8].try_into().expect("8-byte slice"));
-    let seq = u64::from_le_bytes(rest[8..16].try_into().expect("8-byte slice"));
-    let (from, msg, consumed) = decode_frame(space, &rest[16..])?;
-    if used + 16 + consumed != bytes.len() {
-        return Err(WireError::TrailingBytes {
-            extra: bytes.len() - used - 16 - consumed,
-        });
-    }
-    Ok((to, deliver_at, seq, from, msg))
-}
-
 /// Deterministic receive-side packet-loss injector (xorshift64*, one per
 /// runtime thread, so a seeded run drops a reproducible pseudo-random
 /// subset of its arrivals).
@@ -298,19 +256,12 @@ mod tests {
         let (got_to, got_from, msg) = decode_plain(&sp, &buf[..n]).unwrap();
         assert_eq!((got_to, got_from), (to, from));
         assert!(matches!(msg, Message::CpRst { level: 2 }));
-    }
-
-    #[test]
-    fn scheduled_datagram_round_trips() {
-        let sp = space();
-        let to = sp.parse_id("01230").unwrap();
-        let from = sp.parse_id("32101").unwrap();
-        let mut out = Vec::new();
-        encode_scheduled(&sp, to, 777_000, 42, from, &Message::JoinWait, &mut out);
-        let (got_to, at, seq, got_from, msg) = decode_scheduled(&sp, &out).unwrap();
-        assert_eq!((got_to, at, seq, got_from), (to, 777_000, 42, from));
-        assert!(matches!(msg, Message::JoinWait));
-        assert!(decode_scheduled(&sp, &out[..out.len() - 1]).is_err());
+        for len in 0..n {
+            assert!(
+                decode_plain(&sp, &buf[..len]).is_err(),
+                "a {len}-byte prefix of a {n}-byte datagram decoded"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! | [`analysis`] | `hyperring-analysis` | Theorems 3–5 in closed form |
 //! | [`sim`] | `hyperring-sim` | deterministic discrete-event simulator |
 //! | [`topology`] | `hyperring-topology` | transit-stub router topologies, latency models |
-//! | [`net`] | `hyperring-net` | socket runtimes (loopback UDP: racing event loops, lockstep twin of the simulator) |
+//! | [`net`] | `hyperring-net` | sockets (loopback UDP: racing event loops; the simulator's send path through the codec) |
 //! | [`object`] | `hyperring-object` | object location (publish/lookup, surrogate routing) |
 //! | [`harness`] | `hyperring-harness` | experiment drivers for every table/figure |
 //!
