@@ -78,13 +78,37 @@ pub enum Status {
 /// assert_eq!(member.table().get(0, 1).unwrap().node, b);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+///
+/// # Layout
+///
+/// Every node keeps its status, options, table and message counters
+/// inline; the table also holds the node's id and space. The rest sits
+/// behind two pointers that are null while the state they hold is empty,
+/// and an absent box reads exactly as its empty state:
+///
+/// - the join variables of §4 (`Q_r`, `Q_n`, `Q_sr`, `Q_sn`, the
+///   notification level, the copy cursor and the gateway), allocated for a
+///   joiner and freed when it switches to S-node, so a member never
+///   carries them;
+/// - the extension state (parked `JoinWait`s, the leave ceremony, retry
+///   timers, the failure detector and repair), allocated on the first
+///   write, which the base protocol on a member never makes.
 #[derive(Debug, Clone)]
 pub struct JoinEngine {
-    space: IdSpace,
-    id: NodeId,
     opts: ProtocolOptions,
     status: Status,
     table: NeighborTable,
+    /// The join variables; `None` for members and S-nodes.
+    join: Option<Box<JoinState>>,
+    /// The extension state; `None` until first written.
+    ext: Option<Box<ExtState>>,
+    stats: MessageStats,
+}
+
+/// The variables of the paper's join (§4), alive only while the node is a
+/// T-node.
+#[derive(Debug, Clone, Default)]
+struct JoinState {
     /// `x.noti_level`: length of the common suffix with the node that
     /// stored us first.
     noti_level: usize,
@@ -92,8 +116,6 @@ pub struct JoinEngine {
     qr: BTreeSet<NodeId>,
     /// `Q_n`: nodes we have sent notifications to.
     qn: BTreeSet<NodeId>,
-    /// `Q_j`: joiners that sent us a `JoinWaitMsg` while we were a T-node.
-    qj: BTreeSet<NodeId>,
     /// `Q_sr`: subjects of outstanding `SpeNotiMsg`s.
     qsr: BTreeSet<NodeId>,
     /// `Q_sn`: subjects we have sent `SpeNotiMsg`s about.
@@ -102,6 +124,30 @@ pub struct JoinEngine {
     copy_level: usize,
     /// Copying cursor: the node we await a `CpRlyMsg` from.
     copy_target: Option<NodeId>,
+    /// The gateway `start_join` was called with — the fallback contact of
+    /// last resort when [`RetryPolicy::join_fallback`](crate::RetryPolicy)
+    /// restarts a join whose peer died.
+    g0: Option<NodeId>,
+}
+
+/// What the state of a node without a [`JoinState`] reads as.
+static NO_JOIN: JoinState = JoinState {
+    noti_level: 0,
+    qr: BTreeSet::new(),
+    qn: BTreeSet::new(),
+    qsr: BTreeSet::new(),
+    qsn: BTreeSet::new(),
+    copy_level: 0,
+    copy_target: None,
+    g0: None,
+};
+
+/// State of the protocol's extensions, each empty unless its option is on
+/// or (for `Q_j`) a T-node was asked to store a joiner.
+#[derive(Debug, Clone, Default)]
+struct ExtState {
+    /// `Q_j`: joiners that sent us a `JoinWaitMsg` while we were a T-node.
+    qj: BTreeSet<NodeId>,
     /// Leave extension: reverse neighbors whose `LeaveNotiRlyMsg` is
     /// outstanding.
     ql: BTreeSet<NodeId>,
@@ -115,12 +161,27 @@ pub struct JoinEngine {
     /// Crash-churn extension: vacated slots awaiting repair and the set of
     /// condemned nodes.
     repair: RepairState,
-    /// The gateway `start_join` was called with — the fallback contact of
-    /// last resort when [`RetryPolicy::join_fallback`](crate::RetryPolicy)
-    /// restarts a join whose peer died. `None` for members.
-    g0: Option<NodeId>,
-    stats: MessageStats,
 }
+
+impl ExtState {
+    /// Whether every field reads as in [`NO_EXT`], so the box can go.
+    fn is_idle(&self) -> bool {
+        self.qj.is_empty()
+            && self.ql.is_empty()
+            && self.retries.is_empty()
+            && self.fd.is_idle()
+            && self.repair.is_idle()
+    }
+}
+
+/// What the state of a node without an [`ExtState`] reads as.
+static NO_EXT: ExtState = ExtState {
+    qj: BTreeSet::new(),
+    ql: BTreeSet::new(),
+    retries: BTreeMap::new(),
+    fd: FailureState::IDLE,
+    repair: RepairState::IDLE,
+};
 
 impl JoinEngine {
     /// Creates a member of the initial network `V` with a pre-built
@@ -131,26 +192,12 @@ impl JoinEngine {
     /// Panics if the table's owner or space disagree with the arguments.
     pub fn new_member(space: IdSpace, opts: ProtocolOptions, table: NeighborTable) -> Self {
         assert_eq!(table.space(), space, "table built for another space");
-        let id = table.owner();
         JoinEngine {
-            space,
-            id,
             opts,
             status: Status::InSystem,
             table,
-            noti_level: 0,
-            qr: BTreeSet::new(),
-            qn: BTreeSet::new(),
-            qj: BTreeSet::new(),
-            qsr: BTreeSet::new(),
-            qsn: BTreeSet::new(),
-            copy_level: 0,
-            copy_target: None,
-            ql: BTreeSet::new(),
-            retries: BTreeMap::new(),
-            fd: FailureState::default(),
-            repair: RepairState::default(),
-            g0: None,
+            join: None,
+            ext: None,
             stats: MessageStats::new(),
         }
     }
@@ -171,24 +218,11 @@ impl JoinEngine {
     /// Panics if `id` is not in `space`.
     pub fn new_joiner(space: IdSpace, opts: ProtocolOptions, id: NodeId) -> Self {
         JoinEngine {
-            space,
-            id,
             opts,
             status: Status::Copying,
             table: NeighborTable::new(space, id),
-            noti_level: 0,
-            qr: BTreeSet::new(),
-            qn: BTreeSet::new(),
-            qj: BTreeSet::new(),
-            qsr: BTreeSet::new(),
-            qsn: BTreeSet::new(),
-            copy_level: 0,
-            copy_target: None,
-            ql: BTreeSet::new(),
-            retries: BTreeMap::new(),
-            fd: FailureState::default(),
-            repair: RepairState::default(),
-            g0: None,
+            join: Some(Box::default()),
+            ext: None,
             stats: MessageStats::new(),
         }
     }
@@ -196,7 +230,7 @@ impl JoinEngine {
     /// The node's identifier.
     #[inline]
     pub fn id(&self) -> NodeId {
-        self.id
+        self.table.owner()
     }
 
     /// The node's current status.
@@ -217,10 +251,11 @@ impl JoinEngine {
         &self.table
     }
 
-    /// The node's notification level (meaningful once status ≥ notifying).
+    /// The node's notification level: meaningful while it is notifying,
+    /// and 0 again once it is an S-node (its join variables are freed).
     #[inline]
     pub fn noti_level(&self) -> usize {
-        self.noti_level
+        self.join().noti_level
     }
 
     /// Message statistics for this node.
@@ -233,7 +268,32 @@ impl JoinEngine {
     /// without a [`RetryPolicy`](crate::RetryPolicy), and empty again once
     /// every request was answered or gave up.
     pub fn live_timers(&self) -> impl Iterator<Item = TimerId> + '_ {
-        self.retries.keys().copied()
+        self.ext().retries.keys().copied()
+    }
+
+    /// The join variables; [`NO_JOIN`] for a node that holds none.
+    fn join(&self) -> &JoinState {
+        self.join.as_deref().unwrap_or(&NO_JOIN)
+    }
+
+    /// The join variables, allocated if the node holds none.
+    fn join_mut(&mut self) -> &mut JoinState {
+        self.join.get_or_insert_with(Box::default)
+    }
+
+    /// The extension state; [`NO_EXT`] for a node that holds none.
+    fn ext(&self) -> &ExtState {
+        self.ext.as_deref().unwrap_or(&NO_EXT)
+    }
+
+    /// The extension state, allocated on first use.
+    fn ext_mut(&mut self) -> &mut ExtState {
+        self.ext.get_or_insert_with(Box::default)
+    }
+
+    /// Whether this node declared `node` dead.
+    fn is_condemned(&self, node: &NodeId) -> bool {
+        self.ext().repair.is_condemned(node)
     }
 
     /// Hashes the node's complete *protocol-relevant* state — status,
@@ -247,11 +307,12 @@ impl JoinEngine {
     /// model-checking tests to deduplicate explored interleavings.
     pub fn hash_state<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash;
-        self.id.hash(h);
+        let (join, ext) = (self.join(), self.ext());
+        self.id().hash(h);
         (self.status as u8).hash(h);
-        self.noti_level.hash(h);
-        self.copy_level.hash(h);
-        self.copy_target.hash(h);
+        join.noti_level.hash(h);
+        join.copy_level.hash(h);
+        join.copy_target.hash(h);
         for (level, digit, e) in self.table.iter() {
             level.hash(h);
             digit.hash(h);
@@ -259,17 +320,17 @@ impl JoinEngine {
             (e.state == NodeState::S).hash(h);
         }
         self.table.reverse_sorted().hash(h);
-        for q in [&self.qr, &self.qn, &self.qj, &self.qsr, &self.qsn, &self.ql] {
+        for q in [&join.qr, &join.qn, &ext.qj, &join.qsr, &join.qsn, &ext.ql] {
             q.hash(h);
             0xfeu8.hash(h);
         }
-        for (id, n) in &self.retries {
+        for (id, n) in &ext.retries {
             id.hash(h);
             n.hash(h);
         }
-        self.fd.hash_state(h);
-        self.repair.hash_state(h);
-        self.g0.hash(h);
+        ext.fd.hash_state(h);
+        ext.repair.hash_state(h);
+        join.g0.hash(h);
     }
 
     /// Begins the join, given a node `g0` of the existing network
@@ -280,11 +341,12 @@ impl JoinEngine {
     /// Panics if the node is not a fresh joiner or `g0` is the node itself.
     pub fn start_join(&mut self, g0: NodeId, out: &mut Effects) {
         assert_eq!(self.status, Status::Copying, "join already started");
-        assert!(self.copy_target.is_none(), "join already started");
-        assert_ne!(g0, self.id, "cannot join via self");
+        assert!(self.join().copy_target.is_none(), "join already started");
+        assert_ne!(g0, self.id(), "cannot join via self");
         self.trace(out, ProtocolEvent::JoinStarted { gateway: g0 });
-        self.copy_target = Some(g0);
-        self.g0 = Some(g0);
+        let join = self.join_mut();
+        join.copy_target = Some(g0);
+        join.g0 = Some(g0);
         self.post(out, g0, Message::CpRst { level: 0 });
         self.arm(out, TimerId::CpRst { peer: g0 });
     }
@@ -356,7 +418,9 @@ impl JoinEngine {
                 }
             }
             Message::Pong => {
-                self.fd.pong(&self.table, &from);
+                if let Some(ext) = &mut self.ext {
+                    ext.fd.pong(&self.table, &from);
+                }
                 self.disarm(out, TimerId::InSys { peer: from });
             }
             Message::RepairQry {
@@ -395,12 +459,12 @@ impl JoinEngine {
         let Some(fd) = self.opts.failure_detector else {
             return;
         };
-        if self.fd.running || self.status != Status::InSystem {
+        if self.ext().fd.running || self.status != Status::InSystem {
             return;
         }
-        self.fd.running = true;
+        self.ext_mut().fd.running = true;
         out.push(Effect::SetTimer {
-            id: TimerId::FdProbe { owner: self.id },
+            id: TimerId::FdProbe { owner: self.id() },
             delay_hint: fd.probe_interval_us,
         });
     }
@@ -413,10 +477,13 @@ impl JoinEngine {
             return;
         };
         if self.status != Status::InSystem {
-            self.fd.running = false;
+            if let Some(ext) = &mut self.ext {
+                ext.fd.running = false;
+            }
             return; // leaving, departed, or crashed: stop probing
         }
-        let outcome = self.fd.tick(&self.table, fd.suspicion_threshold);
+        let ext = self.ext.get_or_insert_with(Box::default);
+        let outcome = ext.fd.tick(&self.table, fd.suspicion_threshold);
         for (peer, missed) in outcome.dead {
             self.declare_dead(peer, missed, fd.repair, out);
         }
@@ -427,7 +494,7 @@ impl JoinEngine {
             self.drive_repairs(out);
         }
         out.push(Effect::SetTimer {
-            id: TimerId::FdProbe { owner: self.id },
+            id: TimerId::FdProbe { owner: self.id() },
             delay_hint: fd.probe_interval_us,
         });
     }
@@ -437,7 +504,7 @@ impl JoinEngine {
     /// queues each vacated slot for refilling.
     fn declare_dead(&mut self, peer: NodeId, missed: u32, repair: bool, out: &mut Effects) {
         self.trace(out, ProtocolEvent::NeighborDead { peer, missed });
-        self.repair.condemn(peer);
+        self.ext_mut().repair.condemn(peer);
         self.table.remove_reverse(&peer);
         let vacated: Vec<(usize, u8)> = self
             .table
@@ -456,14 +523,16 @@ impl JoinEngine {
                 },
             );
             if repair {
-                self.repair.enqueue(level, digit);
+                self.ext_mut().repair.enqueue(level, digit);
             }
         }
         // The peer can no longer answer; drop any reply-awaiting state so
         // join-era bookkeeping does not dangle on a dead node.
-        self.qr.remove(&peer);
-        self.qsr.remove(&peer);
-        self.ql.remove(&peer);
+        if let Some(join) = &mut self.join {
+            join.qr.remove(&peer);
+            join.qsr.remove(&peer);
+        }
+        self.ext_mut().ql.remove(&peer);
     }
 
     /// (Re-)sends `RepairQryMsg`s for the still-vacant slots under
@@ -475,23 +544,25 @@ impl JoinEngine {
             .failure_detector
             .map(|fd| (fd.max_repairs_in_flight, fd.repair_backoff))
             .unwrap_or((0, false));
-        let due = self.repair.due(&self.table, cap, backoff);
+        let ext = self.ext.get_or_insert_with(Box::default);
+        let due = ext.repair.due(&self.table, cap, backoff);
         for (level, digit) in due.exhausted {
             self.trace(out, ProtocolEvent::RepairFailed { level, digit });
         }
         for (level, digit) in due.query {
-            let recipients = self.repair.recipients(&self.table, level);
+            let recipients = self.ext().repair.recipients(&self.table, level);
             if recipients.is_empty() {
                 continue; // isolated for now; the next tick retries
             }
             self.trace(out, ProtocolEvent::RepairStarted { level, digit });
-            let target = synth_target(&self.id, level, digit);
+            let origin = self.id();
+            let target = synth_target(&origin, level, digit);
             for r in recipients {
                 self.post(
                     out,
                     r,
                     Message::RepairQry {
-                        origin: self.id,
+                        origin,
                         target,
                         level: level as u8,
                         digit,
@@ -521,10 +592,11 @@ impl JoinEngine {
         digit: u8,
         out: &mut Effects,
     ) {
-        if origin == self.id {
+        let me = self.id();
+        if origin == me {
             return; // a query of our own echoed back; nothing to add
         }
-        let k = self.id.csuf_len(&target);
+        let k = me.csuf_len(&target);
         if k > level as usize {
             // We carry the desired suffix ourselves.
             let state = if self.status == Status::InSystem {
@@ -532,10 +604,7 @@ impl JoinEngine {
             } else {
                 NodeState::T
             };
-            let found = Some(Entry {
-                node: self.id,
-                state,
-            });
+            let found = Some(Entry { node: me, state });
             self.post(
                 out,
                 origin,
@@ -553,7 +622,7 @@ impl JoinEngine {
         // before reverse neighbors, the smallest id among those.
         let mut best: Option<(usize, Entry)> = None;
         for (_, _, e) in self.table.iter() {
-            if e.node == self.id || e.node == origin {
+            if e.node == me || e.node == origin {
                 continue;
             }
             let c = e.node.csuf_len(&target);
@@ -610,14 +679,14 @@ impl JoinEngine {
     /// through the join machinery's `T`→`S` discipline. Negative or
     /// stale replies are dropped; the detector tick re-drives dry slots.
     fn on_repairrly(&mut self, level: usize, digit: u8, found: Option<Entry>, out: &mut Effects) {
-        if !self.repair.is_pending(level, digit) {
+        if !self.ext().repair.is_pending(level, digit) {
             return;
         }
         let Some(e) = found else {
             return;
         };
-        if e.node == self.id
-            || self.repair.is_condemned(&e.node)
+        if e.node == self.id()
+            || self.is_condemned(&e.node)
             || self.table.is_filled(level, digit)
             || !self.table.fits(level, digit, &e.node)
         {
@@ -636,7 +705,7 @@ impl JoinEngine {
             true,
             out,
         );
-        self.repair.complete(level, digit);
+        self.ext_mut().repair.complete(level, digit);
         self.trace(
             out,
             ProtocolEvent::RepairInstalled {
@@ -677,7 +746,7 @@ impl JoinEngine {
             "only an S-node can leave gracefully"
         );
         self.set_status(Status::Leaving, out);
-        let me = self.id;
+        let me = self.id();
         // Tell stored neighbors to drop us from their reverse sets.
         for (_, _, e) in self.table.iter().collect::<Vec<_>>() {
             if e.node != me {
@@ -692,16 +761,17 @@ impl JoinEngine {
             let k = me.csuf_len(&v);
             let replacement = self.table.find_sharer(k + 1);
             debug_assert!(replacement.is_none_or(|e| e.node.csuf_len(&me) > k));
-            self.ql.insert(v);
+            self.ext_mut().ql.insert(v);
             self.post(out, v, Message::LeaveNoti { replacement });
         }
-        if self.ql.is_empty() {
+        if self.ext().ql.is_empty() {
             self.set_status(Status::Departed, out);
         }
     }
 
     fn on_leavenoti(&mut self, from: NodeId, replacement: Option<Entry>, out: &mut Effects) {
-        let k = self.id.csuf_len(&from);
+        let me = self.id();
+        let k = me.csuf_len(&from);
         let slot_digit = from.digit(k);
         if self
             .table
@@ -710,7 +780,7 @@ impl JoinEngine {
         {
             self.table.clear(k, slot_digit);
             match replacement {
-                Some(e) if e.node != self.id && self.table.fits(k, slot_digit, &e.node) => {
+                Some(e) if e.node != me && self.table.fits(k, slot_digit, &e.node) => {
                     self.install(k, slot_digit, e, true, out);
                 }
                 _ => {}
@@ -721,8 +791,10 @@ impl JoinEngine {
     }
 
     fn on_leavenotirly(&mut self, from: NodeId, out: &mut Effects) {
-        self.ql.remove(&from);
-        if self.status == Status::Leaving && self.ql.is_empty() {
+        if let Some(ext) = &mut self.ext {
+            ext.ql.remove(&from);
+        }
+        if self.status == Status::Leaving && self.ext().ql.is_empty() {
             self.set_status(Status::Departed, out);
         }
     }
@@ -732,8 +804,15 @@ impl JoinEngine {
     // ------------------------------------------------------------------
 
     fn post(&mut self, out: &mut Effects, to: NodeId, msg: Message) {
-        debug_assert_ne!(to, self.id, "node {} sending {:?} to itself", self.id, msg);
-        self.stats.record(msg.kind(), msg.wire_size(&self.space));
+        debug_assert_ne!(
+            to,
+            self.id(),
+            "node {} sending {:?} to itself",
+            self.id(),
+            msg
+        );
+        self.stats
+            .record(msg.kind(), msg.wire_size(&self.table.space()));
         out.push(Effect::Send { to, msg });
     }
 
@@ -779,7 +858,7 @@ impl JoinEngine {
     /// No-op without a [`RetryPolicy`](crate::RetryPolicy).
     fn arm(&mut self, out: &mut Effects, id: TimerId) {
         if let Some(rp) = self.opts.retry {
-            self.retries.insert(id, 0);
+            self.ext_mut().retries.insert(id, 0);
             out.push(Effect::SetTimer {
                 id,
                 delay_hint: rp.timeout_us,
@@ -789,7 +868,12 @@ impl JoinEngine {
 
     /// Cancels a retry timer if it is live.
     fn disarm(&mut self, out: &mut Effects, id: TimerId) {
-        if self.opts.retry.is_some() && self.retries.remove(&id).is_some() {
+        let live = self.opts.retry.is_some()
+            && self
+                .ext
+                .as_mut()
+                .is_some_and(|x| x.retries.remove(&id).is_some());
+        if live {
             out.push(Effect::CancelTimer { id });
         }
     }
@@ -811,7 +895,7 @@ impl JoinEngine {
                 state: entry.state,
             },
         );
-        if notify && entry.node != self.id {
+        if notify && entry.node != self.id() {
             self.post(
                 out,
                 entry.node,
@@ -848,28 +932,30 @@ impl JoinEngine {
             self.status,
             Status::Leaving | Status::Departed | Status::Crashed
         ) {
-            self.retries.remove(&id);
+            self.forget_timer(id);
             return;
         }
-        let Some(&attempt) = self.retries.get(&id) else {
+        let Some(&attempt) = self.ext().retries.get(&id) else {
             return; // canceled concurrently; stale fire
         };
         let still_wanted = match id {
             TimerId::CpRst { peer } => {
-                self.status == Status::Copying && self.copy_target == Some(peer)
+                self.status == Status::Copying && self.join().copy_target == Some(peer)
             }
-            TimerId::JoinWait { peer } | TimerId::JoinNoti { peer } => self.qr.contains(&peer),
-            TimerId::SpeNoti { subject } => self.qsr.contains(&subject),
+            TimerId::JoinWait { peer } | TimerId::JoinNoti { peer } => {
+                self.join().qr.contains(&peer)
+            }
+            TimerId::SpeNoti { subject } => self.join().qsr.contains(&subject),
             TimerId::RvNgh { peer } => self.table.stores(&peer),
             TimerId::InSys { .. } => self.status == Status::InSystem,
             TimerId::FdProbe { .. } => unreachable!("dispatched before the retry gate"),
         };
         if !still_wanted {
-            self.retries.remove(&id);
+            self.forget_timer(id);
             return;
         }
         if attempt >= rp.max_retries {
-            self.retries.remove(&id);
+            self.forget_timer(id);
             self.trace(out, ProtocolEvent::RetriesExhausted { timer: id });
             if rp.join_fallback {
                 self.join_exhausted_fallback(id, attempt, out);
@@ -878,7 +964,7 @@ impl JoinEngine {
         }
         match id {
             TimerId::CpRst { peer } => {
-                let level = self.copy_level as u8;
+                let level = self.join().copy_level as u8;
                 self.post(out, peer, Message::CpRst { level });
             }
             TimerId::JoinWait { peer } => self.post(out, peer, Message::JoinWait),
@@ -886,24 +972,19 @@ impl JoinEngine {
             TimerId::SpeNoti { subject } => {
                 // The chain restarts from whoever currently holds the
                 // subject's slot in our table.
-                let k = self.id.csuf_len(&subject);
+                let initiator = self.id();
+                let k = initiator.csuf_len(&subject);
                 let holder = self.table.get(k, subject.digit(k)).map(|e| e.node);
                 match holder {
-                    Some(h) if h != subject && h != self.id => {
-                        let initiator = self.id;
+                    Some(h) if h != subject && h != initiator => {
                         self.post(out, h, Message::SpeNoti { initiator, subject });
                     }
                     _ => {
                         // The subject landed in our own table (or the slot
                         // emptied): nothing remote remains outstanding.
-                        self.qsr.remove(&subject);
-                        self.retries.remove(&id);
-                        if self.qr.is_empty()
-                            && self.qsr.is_empty()
-                            && self.status == Status::Notifying
-                        {
-                            self.switch_to_s_node(out);
-                        }
+                        self.take_spe_reply(subject);
+                        self.forget_timer(id);
+                        self.try_switch(out);
                         return;
                     }
                 }
@@ -920,7 +1001,7 @@ impl JoinEngine {
             TimerId::InSys { peer } => self.post(out, peer, Message::InSysNoti),
             TimerId::FdProbe { .. } => unreachable!("dispatched before the retry gate"),
         }
-        self.retries.insert(id, attempt + 1);
+        self.ext_mut().retries.insert(id, attempt + 1);
         // A silent peer will not answer a faster drumbeat: back off.
         let delay_hint = rp.retry_delay(self.timer_salt(id), attempt + 1);
         out.push(Effect::SetTimer { id, delay_hint });
@@ -940,7 +1021,7 @@ impl JoinEngine {
     fn timer_salt(&self, id: TimerId) -> u64 {
         const PRIME: u64 = 0x0100_0000_01b3;
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in self.id.digits_lsd().iter() {
+        for &b in self.id().digits_lsd().iter() {
             h = (h ^ u64::from(b)).wrapping_mul(PRIME);
         }
         for b in id.kind_name().bytes() {
@@ -995,7 +1076,7 @@ impl JoinEngine {
                 // The chain's current holder is unreachable; stop waiting
                 // on the subject (the holder, not the subject, is the
                 // silent party, so nobody is condemned here).
-                self.qsr.remove(&subject);
+                self.take_spe_reply(subject);
                 self.try_switch(out);
             }
             TimerId::RvNgh { .. } | TimerId::InSys { .. } | TimerId::FdProbe { .. } => {}
@@ -1009,14 +1090,15 @@ impl JoinEngine {
     /// the trace; outstanding state is kept so a late reply can still
     /// resume it.
     fn restart_join(&mut self, dead: NodeId, out: &mut Effects) {
+        let me = self.id();
         let via = self
             .table
             .iter()
             .map(|(_, _, e)| e.node)
-            .find(|n| *n != self.id && !self.repair.is_condemned(n))
+            .find(|n| *n != me && !self.is_condemned(n))
             .or_else(|| {
-                self.g0
-                    .filter(|g| *g != dead && !self.repair.is_condemned(g))
+                let g0 = self.join().g0;
+                g0.filter(|g| *g != dead && !self.is_condemned(g))
             });
         let Some(via) = via else {
             self.trace(out, ProtocolEvent::JoinStranded { dead });
@@ -1027,9 +1109,7 @@ impl JoinEngine {
         // re-notified, and RvNgh/InSys retransmissions for entries already
         // installed stay valid.
         let stale: Vec<TimerId> = self
-            .retries
-            .keys()
-            .copied()
+            .live_timers()
             .filter(|t| {
                 matches!(
                     t,
@@ -1043,22 +1123,42 @@ impl JoinEngine {
         for t in stale {
             self.disarm(out, t);
         }
-        self.qr.clear();
-        self.qsr.clear();
         self.trace(out, ProtocolEvent::JoinRerouted { dead, via });
         self.set_status(Status::Copying, out);
-        self.noti_level = 0;
-        self.copy_level = 0;
-        self.copy_target = Some(via);
+        let join = self.join_mut();
+        join.qr.clear();
+        join.qsr.clear();
+        join.noti_level = 0;
+        join.copy_level = 0;
+        join.copy_target = Some(via);
         self.post(out, via, Message::CpRst { level: 0 });
         self.arm(out, TimerId::CpRst { peer: via });
     }
 
-    /// Switches to S-node if nothing is outstanding any more (the same
-    /// check the reply handlers run).
+    /// Switches to S-node if the node is notifying and owes nobody a
+    /// reply any more (`Q_r` and `Q_sr` empty): Figure 13's guard, run
+    /// after every reply.
     fn try_switch(&mut self, out: &mut Effects) {
-        if self.qr.is_empty() && self.qsr.is_empty() && self.status == Status::Notifying {
+        let join = self.join();
+        if self.status == Status::Notifying && join.qr.is_empty() && join.qsr.is_empty() {
             self.switch_to_s_node(out);
+        }
+    }
+
+    /// Removes `from` from `Q_r`; whether it was there.
+    fn take_reply(&mut self, from: NodeId) -> bool {
+        self.join.as_mut().is_some_and(|j| j.qr.remove(&from))
+    }
+
+    /// Removes `subject` from `Q_sr`; whether it was there.
+    fn take_spe_reply(&mut self, subject: NodeId) -> bool {
+        self.join.as_mut().is_some_and(|j| j.qsr.remove(&subject))
+    }
+
+    /// Drops the retry bookkeeping of timer `id`, if any.
+    fn forget_timer(&mut self, id: TimerId) {
+        if let Some(ext) = &mut self.ext {
+            ext.retries.remove(&id);
         }
     }
 
@@ -1075,8 +1175,8 @@ impl JoinEngine {
 
     fn on_cprly(&mut self, from: NodeId, level: u8, table: TableSnapshot, out: &mut Effects) {
         if self.status != Status::Copying
-            || self.copy_target != Some(from)
-            || level as usize != self.copy_level
+            || self.join().copy_target != Some(from)
+            || level as usize != self.join().copy_level
         {
             // Stale reply (cannot happen with reliable one-outstanding
             // requests, but a lossy or duplicating network layer can
@@ -1084,7 +1184,8 @@ impl JoinEngine {
             return;
         }
         self.disarm(out, TimerId::CpRst { peer: from });
-        let i = self.copy_level;
+        let i = self.join().copy_level;
+        let me = self.id();
         // Copy level i of g's table into level i of our own. Entries
         // naming the joiner itself are possible after a join_fallback
         // restart (the aborted first attempt already planted us in other
@@ -1094,7 +1195,7 @@ impl JoinEngine {
                 continue;
             }
             let entry = row.entry();
-            if entry.node != self.id && !self.repair.is_condemned(&entry.node) {
+            if entry.node != me && !self.is_condemned(&entry.node) {
                 self.install(i, row.digit(), entry, true, out);
             }
         }
@@ -1104,25 +1205,21 @@ impl JoinEngine {
         // found dead — and so is an entry naming the joiner itself, which
         // would otherwise make the restarted join wait on *us*.
         let next = table
-            .get(i, self.id.digit(i))
-            .filter(|e| e.node != self.id && !self.repair.is_condemned(&e.node));
-        self.copy_level += 1;
+            .get(i, me.digit(i))
+            .filter(|e| e.node != me && !self.is_condemned(&e.node));
+        let level = i + 1;
+        self.join_mut().copy_level = level;
         match next {
             Some(e) if e.state == NodeState::S => {
                 // Continue the loop: copy the next level from g.
                 debug_assert!(
-                    self.copy_level < self.space.digit_count(),
+                    level < self.table.space().digit_count(),
                     "next copy target would share all digits, i.e. be us"
                 );
-                debug_assert_ne!(e.node, self.id);
-                self.copy_target = Some(e.node);
-                self.post(
-                    out,
-                    e.node,
-                    Message::CpRst {
-                        level: self.copy_level as u8,
-                    },
-                );
+                debug_assert_ne!(e.node, me);
+                self.join_mut().copy_target = Some(e.node);
+                let level = level as u8;
+                self.post(out, e.node, Message::CpRst { level });
                 self.arm(out, TimerId::CpRst { peer: e.node });
             }
             Some(e) => self.enter_waiting(e.node, out), // g exists but is a T-node
@@ -1133,8 +1230,8 @@ impl JoinEngine {
     /// End of Figure 5: install self entries, switch to *waiting*, send the
     /// first `JoinWaitMsg`.
     fn enter_waiting(&mut self, target: NodeId, out: &mut Effects) {
-        let me = self.id;
-        for i in 0..self.space.digit_count() {
+        let me = self.id();
+        for i in 0..self.table.space().digit_count() {
             // The primary (i, x[i])-neighbor of x is x itself; overwrite
             // whatever was copied there.
             self.table.set(
@@ -1147,10 +1244,11 @@ impl JoinEngine {
             );
         }
         self.set_status(Status::Waiting, out);
-        self.copy_target = None;
-        debug_assert_ne!(target, self.id);
-        self.qn.insert(target);
-        self.qr.insert(target);
+        debug_assert_ne!(target, me);
+        let join = self.join_mut();
+        join.copy_target = None;
+        join.qn.insert(target);
+        join.qr.insert(target);
         self.post(out, target, Message::JoinWait);
         self.arm(out, TimerId::JoinWait { peer: target });
     }
@@ -1162,10 +1260,10 @@ impl JoinEngine {
     fn on_joinwait(&mut self, from: NodeId, out: &mut Effects) {
         if self.status != Status::InSystem {
             // A T-node must delay its reply until it becomes an S-node.
-            self.qj.insert(from);
+            self.ext_mut().qj.insert(from);
             return;
         }
-        let k = self.id.csuf_len(&from);
+        let k = self.id().csuf_len(&from);
         match self.table.get(k, from.digit(k)) {
             Some(e) if e.node != from => {
                 let table = self.table.snapshot();
@@ -1217,29 +1315,28 @@ impl JoinEngine {
         table: TableSnapshot,
         out: &mut Effects,
     ) {
-        let awaited = self.qr.remove(&from);
-        if !awaited && self.opts.retry.is_some() {
+        if !self.take_reply(from) && self.opts.retry.is_some() {
             return; // duplicate reply under retransmission; already processed
         }
         self.disarm(out, TimerId::JoinWait { peer: from });
-        let k = self.id.csuf_len(&from);
+        let me = self.id();
+        let k = me.csuf_len(&from);
         // The sender replied, so it is an S-node; upgrade its recorded state.
         self.flip_state(k, from.digit(k), from, NodeState::S, out);
         if positive {
             self.set_status(Status::Notifying, out);
-            self.noti_level = k;
-            self.table.add_reverse(k, self.id.digit(k), from);
+            self.join_mut().noti_level = k;
+            self.table.add_reverse(k, me.digit(k), from);
         } else {
-            debug_assert_ne!(next, self.id);
-            self.qn.insert(next);
-            self.qr.insert(next);
+            debug_assert_ne!(next, me);
+            let join = self.join_mut();
+            join.qn.insert(next);
+            join.qr.insert(next);
             self.post(out, next, Message::JoinWait);
             self.arm(out, TimerId::JoinWait { peer: next });
         }
         self.check_ngh_table(&table, out);
-        if self.status == Status::Notifying && self.qr.is_empty() && self.qsr.is_empty() {
-            self.switch_to_s_node(out);
-        }
+        self.try_switch(out);
     }
 
     // ------------------------------------------------------------------
@@ -1250,29 +1347,31 @@ impl JoinEngine {
     /// off the packed bytes, and a row becomes a `NodeId` only when it
     /// fills a slot or may join `Q_n`.
     fn check_ngh_table(&mut self, table: &TableSnapshot, out: &mut Effects) {
-        let d = self.space.digit_count();
+        let me = self.id();
+        let d = self.table.space().digit_count();
         for row in table.packed_rows() {
-            let k = row.csuf_len(&self.id);
+            let k = row.csuf_len(&me);
             if k == d {
                 continue; // the row names us
             }
             let digit = row.node_digit(k);
             let fill = !self.table.is_filled(k, digit);
-            let notify = self.status == Status::Notifying && k >= self.noti_level;
+            let notify = self.status == Status::Notifying && k >= self.join().noti_level;
             if !fill && !notify {
                 continue;
             }
             let entry = row.entry();
             let u = entry.node;
-            if self.repair.is_condemned(&u) {
+            if self.is_condemned(&u) {
                 continue;
             }
             if fill {
                 self.install(k, digit, entry, true, out);
             }
-            if notify && !self.qn.contains(&u) {
-                self.qn.insert(u);
-                self.qr.insert(u);
+            if notify && !self.join().qn.contains(&u) {
+                let join = self.join_mut();
+                join.qn.insert(u);
+                join.qr.insert(u);
                 self.send_join_noti(u, out);
                 self.arm(out, TimerId::JoinNoti { peer: u });
             }
@@ -1283,11 +1382,11 @@ impl JoinEngine {
     /// path, which is why payload construction recomputes from the current
     /// table).
     fn send_join_noti(&mut self, u: NodeId, out: &mut Effects) {
-        let k = self.id.csuf_len(&u);
+        let k = self.id().csuf_len(&u);
         let payload = self.noti_payload(k);
         let filled_bits = match self.opts.payload {
             PayloadMode::BitVector => Some(BitVec {
-                noti_level: self.noti_level as u8,
+                noti_level: self.join().noti_level as u8,
                 words: self.table.filled_bitvec(),
             }),
             _ => None,
@@ -1307,9 +1406,11 @@ impl JoinEngine {
         match self.opts.payload {
             PayloadMode::Full => self.table.snapshot(),
             // §6.2: levels noti_level ..= k suffice.
-            PayloadMode::Levels | PayloadMode::BitVector => self
-                .table
-                .snapshot_levels(self.noti_level, (k + 1).min(self.space.digit_count())),
+            PayloadMode::Levels | PayloadMode::BitVector => {
+                let d = self.table.space().digit_count();
+                self.table
+                    .snapshot_levels(self.join().noti_level, (k + 1).min(d))
+            }
         }
     }
 
@@ -1324,7 +1425,8 @@ impl JoinEngine {
         filled_bits: Option<BitVec>,
         out: &mut Effects,
     ) {
-        let k = self.id.csuf_len(&from);
+        let me = self.id();
+        let k = me.csuf_len(&from);
         if !self.table.is_filled(k, from.digit(k)) {
             // The (positive) reply informs `from`; no RvNghNoti needed.
             self.install(
@@ -1339,7 +1441,7 @@ impl JoinEngine {
             );
         }
         let flag = self.status == Status::InSystem
-            && table.get(k, self.id.digit(k)).map(|e| e.node) != Some(self.id);
+            && table.get(k, me.digit(k)).map(|e| e.node) != Some(me);
         let positive = self
             .table
             .get(k, from.digit(k))
@@ -1370,38 +1472,31 @@ impl JoinEngine {
         flag: bool,
         out: &mut Effects,
     ) {
-        let awaited = self.qr.remove(&from);
-        if !awaited && self.opts.retry.is_some() {
+        if !self.take_reply(from) && self.opts.retry.is_some() {
             return; // duplicate reply under retransmission; already processed
         }
         self.disarm(out, TimerId::JoinNoti { peer: from });
-        let k = self.id.csuf_len(&from);
+        let me = self.id();
+        let k = me.csuf_len(&from);
         if positive {
-            self.table.add_reverse(k, self.id.digit(k), from);
+            self.table.add_reverse(k, me.digit(k), from);
         }
-        if flag && k > self.noti_level && !self.qsn.contains(&from) {
+        if flag && k > self.join().noti_level && !self.join().qsn.contains(&from) {
             let holder = self
                 .table
                 .get(k, from.digit(k))
                 .expect("flagged entry must be occupied by some other node")
                 .node;
             debug_assert_ne!(holder, from);
-            self.qsn.insert(from);
-            self.qsr.insert(from);
-            self.post(
-                out,
-                holder,
-                Message::SpeNoti {
-                    initiator: self.id,
-                    subject: from,
-                },
-            );
-            self.arm(out, TimerId::SpeNoti { subject: from });
+            let join = self.join_mut();
+            join.qsn.insert(from);
+            join.qsr.insert(from);
+            let (initiator, subject) = (me, from);
+            self.post(out, holder, Message::SpeNoti { initiator, subject });
+            self.arm(out, TimerId::SpeNoti { subject });
         }
         self.check_ngh_table(&table, out);
-        if self.qr.is_empty() && self.qsr.is_empty() && self.status == Status::Notifying {
-            self.switch_to_s_node(out);
-        }
+        self.try_switch(out);
     }
 
     // ------------------------------------------------------------------
@@ -1409,13 +1504,14 @@ impl JoinEngine {
     // ------------------------------------------------------------------
 
     fn on_spenoti(&mut self, initiator: NodeId, subject: NodeId, out: &mut Effects) {
-        debug_assert_ne!(subject, self.id, "SpeNoti delivered to its subject");
-        if subject == self.id {
+        let me = self.id();
+        debug_assert_ne!(subject, me, "SpeNoti delivered to its subject");
+        if subject == me {
             // Defensive: we trivially "store" ourselves; acknowledge.
             self.post(out, initiator, Message::SpeNotiRly { subject });
             return;
         }
-        let k = self.id.csuf_len(&subject);
+        let k = me.csuf_len(&subject);
         if !self.table.is_filled(k, subject.digit(k)) {
             self.install(
                 k,
@@ -1435,29 +1531,24 @@ impl JoinEngine {
             .node;
         if stored != subject {
             self.post(out, stored, Message::SpeNoti { initiator, subject });
-        } else if initiator == self.id {
+        } else if initiator == me {
             // We initiated and the chain came back to us having stored the
             // subject; nothing is outstanding to acknowledge remotely.
-            if self.qsr.remove(&subject) {
+            if self.take_spe_reply(subject) {
                 self.disarm(out, TimerId::SpeNoti { subject });
             }
-            if self.qr.is_empty() && self.qsr.is_empty() && self.status == Status::Notifying {
-                self.switch_to_s_node(out);
-            }
+            self.try_switch(out);
         } else {
             self.post(out, initiator, Message::SpeNotiRly { subject });
         }
     }
 
     fn on_spenotirly(&mut self, subject: NodeId, out: &mut Effects) {
-        let awaited = self.qsr.remove(&subject);
-        if !awaited && self.opts.retry.is_some() {
+        if !self.take_spe_reply(subject) && self.opts.retry.is_some() {
             return; // duplicate reply under retransmission; already processed
         }
         self.disarm(out, TimerId::SpeNoti { subject });
-        if self.qr.is_empty() && self.qsr.is_empty() && self.status == Status::Notifying {
-            self.switch_to_s_node(out);
-        }
+        self.try_switch(out);
     }
 
     // ------------------------------------------------------------------
@@ -1470,16 +1561,13 @@ impl JoinEngine {
             return;
         }
         self.set_status(Status::InSystem, out);
-        // The join queues exist only while waiting/notifying (§4): `Q_r` and
-        // `Q_sr` are empty here, and `Q_n`/`Q_sn` are read only under those
-        // statuses, which an S-node never re-enters. Assigning (not
-        // `clear`ing) frees the tree nodes.
-        self.qr = BTreeSet::new();
-        self.qn = BTreeSet::new();
-        self.qsr = BTreeSet::new();
-        self.qsn = BTreeSet::new();
-        let me = self.id;
-        for i in 0..self.space.digit_count() {
+        // The join variables exist only while copying/waiting/notifying
+        // (§4): `Q_r` and `Q_sr` are empty here, `Q_n`/`Q_sn` and the
+        // cursors are read only under those statuses, which an S-node never
+        // re-enters. Dropping the box frees them all.
+        self.join = None;
+        let me = self.id();
+        for i in 0..self.table.space().digit_count() {
             self.flip_state(i, me.digit(i), me, NodeState::S, out);
         }
         for v in self.table.reverse_sorted() {
@@ -1488,7 +1576,11 @@ impl JoinEngine {
                 self.arm(out, TimerId::InSys { peer: v });
             }
         }
-        for u in std::mem::take(&mut self.qj) {
+        let parked = self.ext.as_mut().map(|x| std::mem::take(&mut x.qj));
+        if self.ext.as_ref().is_some_and(|x| x.is_idle()) {
+            self.ext = None; // it held only the parked joiners
+        }
+        for u in parked.into_iter().flatten() {
             let k = me.csuf_len(&u);
             match self.table.get(k, u.digit(k)) {
                 None => {
@@ -1543,7 +1635,7 @@ impl JoinEngine {
     }
 
     fn on_insysnoti(&mut self, from: NodeId, out: &mut Effects) {
-        let k = self.id.csuf_len(&from);
+        let k = self.id().csuf_len(&from);
         self.flip_state(k, from.digit(k), from, NodeState::S, out);
         if self.opts.retry.is_some() {
             // The acknowledgement that cancels the sender's `InSys` timer.
@@ -1559,8 +1651,9 @@ impl JoinEngine {
         // `from` stored us in its (k, self[k]) entry; we are now a reverse
         // neighbor of... it; equivalently it is a reverse (k, self[k])-
         // neighbor of us.
-        let k = self.id.csuf_len(&from);
-        self.table.add_reverse(k, self.id.digit(k), from);
+        let me = self.id();
+        let k = me.csuf_len(&from);
+        self.table.add_reverse(k, me.digit(k), from);
         let in_system = self.status == Status::InSystem;
         let actual = if in_system {
             NodeState::S
@@ -1576,7 +1669,7 @@ impl JoinEngine {
         if in_system
             && self.opts.failure_detector.is_some()
             && !self.table.is_filled(k, from.digit(k))
-            && !self.repair.is_condemned(&from)
+            && !self.is_condemned(&from)
         {
             let entry = Entry {
                 node: from,
@@ -1593,7 +1686,7 @@ impl JoinEngine {
     }
 
     fn on_rvnghnotirly(&mut self, from: NodeId, actual: NodeState, out: &mut Effects) {
-        let k = self.id.csuf_len(&from);
+        let k = self.id().csuf_len(&from);
         self.disarm(out, TimerId::RvNgh { peer: from });
         if self.opts.retry.is_some() && actual != NodeState::S {
             // Under retransmission a stale duplicate could otherwise

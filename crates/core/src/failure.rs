@@ -81,6 +81,17 @@ pub(crate) struct TickOutcome {
 }
 
 impl FailureState {
+    /// A detector that never ran: what the default reads as, as a constant.
+    pub(crate) const IDLE: FailureState = FailureState {
+        running: false,
+        monitored: None,
+    };
+
+    /// Whether the detector never ran: the state reads as [`Self::IDLE`].
+    pub(crate) fn is_idle(&self) -> bool {
+        !self.running && self.monitored.is_none()
+    }
+
     /// Runs one detector tick over the peers `table`'s owner monitors:
     /// those whose missed count reached `threshold` are returned as dead
     /// (and their count forgotten); every other one is probed and charged

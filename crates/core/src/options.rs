@@ -34,7 +34,7 @@ pub struct RetryPolicy {
     pub max_retries: u32,
     // Read nowhere (notifications are acknowledged like every other
     // request): the frozen `benchmark/` sets it in a struct literal.
-    // Goes with the thaw (ROADMAP item 5).
+    // Goes with the thaw (ROADMAP item 7(d)).
     #[doc(hidden)]
     pub noti_repeats: u32,
     /// Per-retransmission growth of the timeout, in percent: 100 (the

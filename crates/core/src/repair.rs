@@ -69,6 +69,18 @@ pub(crate) struct DueSlots {
 }
 
 impl RepairState {
+    /// No slot pending, nobody condemned: the default, as a constant.
+    pub(crate) const IDLE: RepairState = RepairState {
+        pending: BTreeMap::new(),
+        condemned: BTreeSet::new(),
+        tick: 0,
+    };
+
+    /// Whether the state reads as [`Self::IDLE`].
+    pub(crate) fn is_idle(&self) -> bool {
+        self.pending.is_empty() && self.condemned.is_empty() && self.tick == 0
+    }
+
     /// Marks `(level, digit)` vacated and awaiting repair.
     pub(crate) fn enqueue(&mut self, level: usize, digit: u8) {
         self.pending.entry((level, digit)).or_default();

@@ -145,31 +145,32 @@ impl Directory {
     }
 }
 
-/// One simulated overlay node: a driven engine plus a handle on the
-/// network's one shared address directory.
+/// What every node of one network shares, behind the one handle each
+/// node holds.
 #[derive(Debug)]
-pub struct SimNode {
-    node: EngineDriver,
-    dir: Arc<Directory>,
-    /// The run-global trace stream, shared by every node of a traced
-    /// network; locked only while a node drives an input.
+struct Shared {
+    /// Overlay id → actor index, for every node of the network.
+    dir: Directory,
+    /// The run-global trace stream of a traced network; locked only while
+    /// a node drives an input.
     trace: Option<Arc<Mutex<TraceStream>>>,
     /// The network's [`Carrier`], if one was set.
     carrier: Option<Arc<dyn Carrier>>,
 }
 
+/// One simulated overlay node: a driven engine plus a handle on what the
+/// network's nodes share (the address directory, trace and carrier).
+#[derive(Debug)]
+pub struct SimNode {
+    node: EngineDriver,
+    net: Arc<Shared>,
+}
+
 impl SimNode {
-    fn new(
-        engine: JoinEngine,
-        dir: &Arc<Directory>,
-        trace: Option<Arc<Mutex<TraceStream>>>,
-        carrier: Option<Arc<dyn Carrier>>,
-    ) -> Self {
+    fn new(engine: JoinEngine, net: &Arc<Shared>) -> Self {
         SimNode {
             node: EngineDriver::new(engine),
-            dir: Arc::clone(dir),
-            trace,
-            carrier,
+            net: Arc::clone(net),
         }
     }
 
@@ -193,10 +194,10 @@ impl SimNode {
             me,
             reply_to,
             from_idx,
-            dir: &self.dir,
-            carrier: self.carrier.as_deref(),
+            dir: &self.net.dir,
+            carrier: self.net.carrier.as_deref(),
         };
-        match &self.trace {
+        match &self.net.trace {
             Some(stream) => {
                 let mut stream = stream.lock().unwrap();
                 self.node.drive(input, &mut rt, Some(&mut stream));
@@ -310,7 +311,7 @@ impl SimNetworkBuilder {
     }
 
     // Accepted and ignored: the frozen `benchmark/` bootstrap calls this.
-    // Goes when `benchmark/` is next touched (ROADMAP item 5, the thaw).
+    // Goes when `benchmark/` is next touched (ROADMAP item 7(d), the thaw).
     #[doc(hidden)]
     pub fn shards(&mut self, _n: usize) -> &mut Self {
         self
@@ -393,26 +394,20 @@ impl SimNetworkBuilder {
         for (i, id) in ids.iter().enumerate() {
             assert!(map.insert(*id, i).is_none(), "duplicate node identifier");
         }
-        let dir = Arc::new(Directory::new(map));
+        let shared = Arc::new(Shared {
+            dir: Directory::new(map),
+            trace: self.trace.clone(),
+            carrier: self.carrier.clone(),
+        });
+        let dir = &shared.dir;
 
         let mut actors: Vec<SimNode> = member_tables
             .into_iter()
-            .map(|t| {
-                SimNode::new(
-                    JoinEngine::new_member(self.space, opts, t),
-                    &dir,
-                    self.trace.clone(),
-                    self.carrier.clone(),
-                )
-            })
+            .map(|t| SimNode::new(JoinEngine::new_member(self.space, opts, t), &shared))
             .collect();
         for (id, _, _) in &self.joiners {
-            actors.push(SimNode::new(
-                JoinEngine::new_joiner(self.space, opts, *id),
-                &dir,
-                self.trace.clone(),
-                self.carrier.clone(),
-            ));
+            let engine = JoinEngine::new_joiner(self.space, opts, *id);
+            actors.push(SimNode::new(engine, &shared));
         }
 
         let mut sim = Simulator::new(actors, delay, seed);
@@ -434,11 +429,9 @@ impl SimNetworkBuilder {
             space: self.space,
             opts,
             sim,
-            dir,
+            shared,
             ids,
             joiner_count: self.joiners.len(),
-            trace: self.trace.clone(),
-            carrier: self.carrier.clone(),
         }
     }
 }
@@ -449,11 +442,9 @@ pub struct SimNetwork<D: DelayModel> {
     space: IdSpace,
     opts: ProtocolOptions,
     sim: Simulator<SimNode, D>,
-    dir: Arc<Directory>,
+    shared: Arc<Shared>,
     ids: Vec<NodeId>,
     joiner_count: usize,
-    trace: Option<Arc<Mutex<TraceStream>>>,
-    carrier: Option<Arc<dyn Carrier>>,
 }
 
 impl<D: DelayModel> SimNetwork<D> {
@@ -496,7 +487,7 @@ impl<D: DelayModel> SimNetwork<D> {
     /// Copies the trace stream's emission count into the report, and
     /// flushes the sink so file-backed traces are complete at return.
     fn stamp_trace(&self, mut report: RunReport) -> RunReport {
-        if let Some(stream) = &self.trace {
+        if let Some(stream) = &self.shared.trace {
             let mut stream = stream.lock().unwrap();
             stream.flush();
             report.traced = stream.emitted();
@@ -510,7 +501,7 @@ impl<D: DelayModel> SimNetwork<D> {
     ///
     /// Panics if `id` is unknown.
     pub fn engine(&self, id: &NodeId) -> &JoinEngine {
-        let idx = self.dir.resolve(id).expect("unknown node id");
+        let idx = self.shared.dir.resolve(id).expect("unknown node id");
         self.sim.actor(idx).engine()
     }
 
@@ -575,7 +566,7 @@ impl<D: DelayModel> SimNetwork<D> {
     ///
     /// Panics if `id` is unknown or the leave fails to complete.
     pub fn depart(&mut self, id: &NodeId) -> RunReport {
-        let idx = self.dir.resolve(id).expect("unknown node id");
+        let idx = self.shared.dir.resolve(id).expect("unknown node id");
         let now = self.sim.now();
         self.sim.inject_at(now, idx, idx, SimMsg::Leave);
         let report = self.sim.run();
@@ -608,7 +599,7 @@ impl<D: DelayModel> SimNetwork<D> {
     ///
     /// Panics if `id` is unknown.
     pub fn leave_at(&mut self, id: &NodeId, at: Time) {
-        let idx = self.dir.resolve(id).expect("unknown node id");
+        let idx = self.shared.dir.resolve(id).expect("unknown node id");
         self.sim.inject_at(at, idx, idx, SimMsg::Leave);
     }
 
@@ -622,7 +613,7 @@ impl<D: DelayModel> SimNetwork<D> {
     ///
     /// Panics if `id` is unknown or `at` is in the past.
     pub fn crash_at(&mut self, id: &NodeId, at: Time) {
-        let idx = self.dir.resolve(id).expect("unknown node id");
+        let idx = self.shared.dir.resolve(id).expect("unknown node id");
         self.sim.inject_at(at, idx, idx, SimMsg::Crash);
     }
 
@@ -648,20 +639,16 @@ impl<D: DelayModel> SimNetwork<D> {
     /// `gateway` is unknown.
     pub fn add_joiner_live(&mut self, id: NodeId, gateway: NodeId) -> usize {
         assert!(
-            self.dir.resolve(&gateway).is_some(),
+            self.shared.dir.resolve(&gateway).is_some(),
             "gateway {gateway} unknown"
         );
         assert_ne!(id, gateway, "node cannot join via itself");
         let idx = self.sim.len();
-        assert!(self.dir.insert(id, idx), "duplicate node identifier");
+        assert!(self.shared.dir.insert(id, idx), "duplicate node identifier");
         self.ids.push(id);
         self.joiner_count += 1;
-        let added = self.sim.add_actor(SimNode::new(
-            JoinEngine::new_joiner(self.space, self.opts, id),
-            &self.dir,
-            self.trace.clone(),
-            self.carrier.clone(),
-        ));
+        let engine = JoinEngine::new_joiner(self.space, self.opts, id);
+        let added = self.sim.add_actor(SimNode::new(engine, &self.shared));
         debug_assert_eq!(added, idx);
         let now = self.sim.now();
         self.sim.inject_at(now, idx, idx, SimMsg::Start { gateway });
@@ -1133,7 +1120,10 @@ mod tests {
             };
             let report = net.run();
             assert!(net.all_in_system());
-            let actors: Vec<usize> = w.iter().map(|id| net.dir.resolve(id).unwrap()).collect();
+            let actors: Vec<usize> = w
+                .iter()
+                .map(|id| net.shared.dir.resolve(id).unwrap())
+                .collect();
             assert_eq!(returned, actors);
             (actors, report.delivered, tables_digest(&net.tables()))
         };

@@ -146,3 +146,144 @@ proptest! {
         prop_assert_eq!(fingerprint(&clone), fingerprint(original));
     }
 }
+
+// ---------------------------------------------------------------------
+// `hash_state` fingerprints pinned across refactors of the engine's
+// layout. Each names one kind of node state; a layout change that moves a
+// field behind a pointer must read the same digest for every one of them.
+// `DefaultHasher::new()` is SipHash with fixed zero keys, so the digests
+// repeat from run to run; they assume a 64-bit little-endian target, and
+// a toolchain whose std changed its hasher would need them re-recorded.
+// ---------------------------------------------------------------------
+
+mod fingerprints {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::Hasher;
+
+    use hyperring_core::{
+        build_consistent_tables, Effects, Entry, Event, FailureDetector, JoinEngine, Message,
+        NodeState, ProtocolOptions, RetryPolicy, SimNetworkBuilder, Status, TimerId,
+    };
+    use hyperring_id::{IdSpace, NodeId};
+    use hyperring_sim::UniformDelay;
+
+    use super::distinct;
+
+    fn fingerprint(e: &JoinEngine) -> u64 {
+        let mut h = DefaultHasher::new();
+        e.hash_state(&mut h);
+        h.finish()
+    }
+
+    fn space() -> IdSpace {
+        IdSpace::new(4, 4).unwrap()
+    }
+
+    fn id(s: &str) -> NodeId {
+        space().parse_id(s).unwrap()
+    }
+
+    /// `who`'s engine in the consistent network `ids`, under `opts`.
+    fn member(ids: &[&str], who: &str, opts: ProtocolOptions) -> JoinEngine {
+        let ids: Vec<NodeId> = ids.iter().map(|s| id(s)).collect();
+        let table = build_consistent_tables(space(), &ids)
+            .into_iter()
+            .find(|t| t.owner() == id(who))
+            .expect("member id present");
+        JoinEngine::new_member(space(), opts, table)
+    }
+
+    /// A wave of 12 joiners into 36 members, stopped after `deliveries`:
+    /// the first joiner (in actor order) in each of `Copying`, `Waiting`
+    /// and `Notifying`, and after the wave the first member.
+    fn wave(deliveries: u64) -> ([Option<u64>; 3], u64) {
+        let space = IdSpace::new(4, 5).unwrap();
+        let ids = distinct(space, 48, 29);
+        let (members, joiners) = ids.split_at(36);
+        let mut b = SimNetworkBuilder::new(space);
+        for m in members {
+            b.add_member(*m);
+        }
+        for (i, j) in joiners.iter().enumerate() {
+            b.add_joiner(*j, members[i * 3], 0);
+        }
+        let mut net = b.build(UniformDelay::new(1_000, 50_000), 29);
+        net.run_limited(deliveries);
+        let mut mid = [None; 3];
+        for e in net.engines().skip(members.len()) {
+            let slot = match e.status() {
+                Status::Copying => 0,
+                Status::Waiting => 1,
+                Status::Notifying => 2,
+                _ => continue,
+            };
+            mid[slot].get_or_insert_with(|| fingerprint(e));
+        }
+        net.run();
+        assert!(net.all_in_system());
+        (mid, fingerprint(net.engine(&members[0])))
+    }
+
+    #[test]
+    fn a_member_after_a_wave_and_joiners_mid_wave() {
+        let (mid, member) = wave(150);
+        let [copying, waiting, notifying] = mid.map(|f| f.expect("a joiner in each status"));
+        assert_eq!(copying, 17_708_795_863_572_476_931);
+        assert_eq!(waiting, 13_123_782_288_993_559_212);
+        assert_eq!(notifying, 14_393_536_899_975_934_989);
+        assert_eq!(member, 1_094_397_433_269_294_893);
+    }
+
+    /// 0000 runs a detector with repair on; 1113 stops answering. After
+    /// the threshold it is condemned, its one slot (0, 3) is evicted and
+    /// queued, and the repair query is in flight.
+    #[test]
+    fn a_member_with_a_running_detector_a_pending_repair_and_a_condemned_peer() {
+        let fd = FailureDetector {
+            suspicion_threshold: 2,
+            ..FailureDetector::default()
+        };
+        let v = ["0000", "3213", "1113", "2221", "0110"];
+        let mut x = member(&v, "0000", ProtocolOptions::new().with_failure_detector(fd));
+        assert_eq!(x.table().get(0, 3).unwrap().node, id("1113"));
+        let tick = Event::TimerFired {
+            id: TimerId::FdProbe { owner: id("0000") },
+        };
+        x.start_failure_detector(&mut Effects::new());
+        for _ in 0..3 {
+            let mut out = Effects::new();
+            x.on_event(tick.clone(), &mut out);
+            for (to, _) in out.drain_sends().collect::<Vec<_>>() {
+                if to != id("1113") {
+                    x.handle(to, Message::Pong, &mut Effects::new());
+                }
+            }
+        }
+        assert!(x.table().get(0, 3).is_none(), "1113 was evicted");
+        assert_eq!(fingerprint(&x), 16_051_928_858_401_653_070);
+    }
+
+    /// 0000, under a retry policy, takes 3213 as the replacement 1113
+    /// offers on leaving (a live `RvNgh` retry), then begins its own
+    /// leave with its reverse neighbours' acknowledgements outstanding.
+    #[test]
+    fn a_member_with_a_live_retry_and_a_leave_in_progress() {
+        let v = ["0000", "3213", "1113", "2221", "0110"];
+        let opts = ProtocolOptions::new().with_retry(RetryPolicy::default());
+        let mut x = member(&v, "0000", opts);
+        let replacement = Some(Entry {
+            node: id("3213"),
+            state: NodeState::S,
+        });
+        x.handle(
+            id("1113"),
+            Message::LeaveNoti { replacement },
+            &mut Effects::new(),
+        );
+        let rv = TimerId::RvNgh { peer: id("3213") };
+        assert!(x.live_timers().any(|t| t == rv));
+        x.begin_leave(&mut Effects::new());
+        assert_eq!(x.status(), Status::Leaving);
+        assert_eq!(fingerprint(&x), 9_914_350_188_608_270_640);
+    }
+}

@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use hyperring_core::{
     bootstrap_batched_net, bootstrap_sequential, build_consistent_tables, check_consistency,
     Effect, Entry, JoinEngine, NeighborTable, NodeInput, NodeState, ProtocolOptions, SimMsg,
-    SimNetworkBuilder, TableSnapshot,
+    SimNetworkBuilder, SimNode, TableSnapshot,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::UniformDelay;
@@ -165,8 +165,10 @@ fn distinct(space: IdSpace, n: usize, seed: u64) -> Vec<NodeId> {
 }
 
 /// A network grown in concurrent waves keeps, at quiescence, its tables
-/// and little else: at most 3 KiB of heap per node for a 128-slot table
-/// (it reads 2 902 B).
+/// and little else. It reads 2 550 B of heap per node for a 128-slot
+/// table, the actor array's inline nodes included (2 902 B while every
+/// node carried its join and extension state inline); the bound is that
+/// + 3 %.
 #[test]
 fn quiescent_network_holds_under_3_kib_per_node() {
     const N: usize = 2048;
@@ -176,7 +178,7 @@ fn quiescent_network_holds_under_3_kib_per_node() {
     let per_node = heap.live() / N;
     heap.print("batched bootstrap, n=2048, waves of 256", N);
     assert!(
-        per_node <= 3 * 1024,
+        per_node <= 2_550 * 103 / 100,
         "{per_node} B of live heap per node at quiescence"
     );
     let report = net.check_consistency();
@@ -256,12 +258,65 @@ fn oracle_build_heap_is_pinned() {
 }
 
 /// Every actor holds its engine inline, so a field added here is paid by
-/// every node of every workload. Extension state that most nodes never use
-/// (the failure detector's peer list) goes behind a pointer instead.
+/// every node of every workload. State that only some nodes use at some
+/// times (the join variables, the extensions) goes behind a pointer
+/// instead. 576 and 592 B today (920 and 960 B with both inline).
 #[test]
-fn engine_is_at_most_920_bytes_inline() {
-    let size = std::mem::size_of::<JoinEngine>();
-    assert!(size <= 920, "JoinEngine is {size} B inline");
+fn engine_and_sim_node_fit_their_inline_budgets() {
+    use std::mem::size_of;
+    let engine = size_of::<JoinEngine>();
+    assert!(engine <= 576, "JoinEngine is {engine} B inline");
+    let node = size_of::<SimNode>();
+    assert!(node <= 600, "SimNode is {node} B inline");
+}
+
+/// Heap bytes a clone of `v` allocates: everything `v` owns, counted.
+fn owned_heap<T: Clone>(v: &T) -> usize {
+    let heap = Window::open();
+    let copy = v.clone();
+    let held = heap.live();
+    drop(copy);
+    held
+}
+
+/// Heap `e` owns beyond its table: its join and extension state.
+fn state_beyond_table(e: &JoinEngine) -> usize {
+    owned_heap(e) - owned_heap(e.table())
+}
+
+/// A member answering a join wave under the base protocol owns nothing but
+/// its table at any point of the wave; a joiner owns its join state until
+/// it switches to S-node, and nothing but its table after.
+#[test]
+fn only_joiners_hold_join_state_and_only_until_in_system() {
+    const MEMBERS: usize = 192;
+    const JOINERS: usize = 64;
+    let ids = distinct(space(), MEMBERS + JOINERS, 19);
+    let (members, joiners) = ids.split_at(MEMBERS);
+    let mut b = SimNetworkBuilder::new(space());
+    b.with_member_tables(build_consistent_tables(space(), members));
+    for (i, joiner) in joiners.iter().enumerate() {
+        b.add_joiner(*joiner, members[i], 0);
+    }
+    let mut net = b.build(UniformDelay::new(1_000, 60_000), 19);
+    let mut joining_seen = 0;
+    loop {
+        let report = net.run_limited(500);
+        for (i, e) in net.engines().enumerate() {
+            let beyond = state_beyond_table(e);
+            if i < MEMBERS || e.is_in_system() {
+                assert_eq!(beyond, 0, "{} holds {beyond} B beyond its table", e.id());
+            } else {
+                assert!(beyond > 0, "joiner {} holds no join state", e.id());
+                joining_seen += 1;
+            }
+        }
+        if !report.truncated {
+            break;
+        }
+    }
+    assert!(net.all_in_system());
+    assert!(joining_seen > 0, "no checkpoint fell mid-join");
 }
 
 /// A delivery moves one message through `Effect` → `SimMsg` → queue slot

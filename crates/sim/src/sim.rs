@@ -195,7 +195,7 @@ where
     }
 
     // Accepted and ignored: the frozen `benchmark/` probes call this.
-    // Goes when `benchmark/` is next touched (ROADMAP item 5, the thaw).
+    // Goes when `benchmark/` is next touched (ROADMAP item 7(d), the thaw).
     #[doc(hidden)]
     pub fn set_shards(&mut self, _n: usize) {}
 
