@@ -2,8 +2,7 @@
 //! table optimization, surrogate-routing object lookups, the failure
 //! detector's tick and `Pong`, and the simulator's event queue under the
 //! traffic those extensions make (a steady depth of messages; timers armed,
-//! re-armed and canceled). Set `BENCH_SMOKE=1` for one small shape of each
-//! detector and queue bench.
+//! re-armed and canceled).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyperring_core::{
@@ -122,11 +121,8 @@ fn hub(n: usize) -> (JoinEngine, Vec<NodeId>) {
 }
 
 fn bench_failure_detector(c: &mut Criterion) {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let sizes: &[usize] = if smoke { &[16] } else { &[16, 256, 4096] };
     let mut g = c.benchmark_group("fd_tick");
-    g.sample_size(if smoke { 2 } else { 20 });
-    for &n in sizes {
+    for n in [16, 256, 4096] {
         let (mut hub, _) = hub(n);
         let id = TimerId::FdProbe { owner: hub.id() };
         let mut out = Effects::new();
@@ -146,7 +142,7 @@ fn bench_failure_detector(c: &mut Criterion) {
     let (mut hub, peers) = hub(256);
     let id = TimerId::FdProbe { owner: hub.id() };
     let mut out = Effects::new();
-    let rounds = if smoke { 8 } else { 2048 };
+    let rounds = 2048;
     let mut spent = Duration::ZERO;
     for _ in 0..rounds {
         hub.on_event(Event::TimerFired { id }, &mut out);
@@ -204,12 +200,9 @@ fn relay(depth: usize, timers: bool) -> Simulator<Relay, UniformDelay> {
 }
 
 fn bench_sim_queue(c: &mut Criterion) {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let depths: &[usize] = if smoke { &[1024] } else { &[1024, 8192, 65536] };
     let mut g = c.benchmark_group("sim_queue");
-    g.sample_size(if smoke { 2 } else { 20 });
     g.throughput(Throughput::Elements(1));
-    for &depth in depths {
+    for depth in [1024, 8192, 65536] {
         let mut sim = relay(depth, false);
         g.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
             b.iter(|| sim.step())
@@ -217,10 +210,9 @@ fn bench_sim_queue(c: &mut Criterion) {
     }
     g.finish();
 
-    let depth = if smoke { 1024 } else { 8192 };
+    let depth = 8192;
     let mut sim = relay(depth, true);
     let mut g = c.benchmark_group("sim_timer_rearm");
-    g.sample_size(if smoke { 2 } else { 20 });
     g.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
         b.iter(|| sim.step())
     });

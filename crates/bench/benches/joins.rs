@@ -1,8 +1,8 @@
 //! Join-protocol throughput: complete join waves of varying concurrency,
-//! and the engine's raw message-handling rate.
+//! §6.1 sequential bootstrap, and the oracle's table construction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hyperring_core::SimNetworkBuilder;
+use hyperring_core::{bootstrap_sequential, ProtocolOptions, SimNetworkBuilder};
 use hyperring_harness::distinct_ids;
 use hyperring_id::IdSpace;
 use hyperring_sim::UniformDelay;
@@ -35,6 +35,25 @@ fn bench_join_waves(c: &mut Criterion) {
     g.finish();
 }
 
+/// §6.1: a seed node and `n - 1` joins, one at a time.
+fn bench_bootstrap_sequential(c: &mut Criterion) {
+    let space = IdSpace::new(16, 8).unwrap();
+    let mut g = c.benchmark_group("bootstrap_sequential");
+    g.sample_size(3);
+    for n in [256usize, 1024] {
+        let ids = distinct_ids(space, n, 11);
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                let tables = bootstrap_sequential(space, ProtocolOptions::new(), &ids);
+                assert_eq!(tables.len(), n);
+                black_box(tables.len())
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_oracle(c: &mut Criterion) {
     let space = IdSpace::new(16, 8).unwrap();
     let mut g = c.benchmark_group("oracle_tables");
@@ -49,5 +68,10 @@ fn bench_oracle(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_join_waves, bench_oracle);
+criterion_group!(
+    benches,
+    bench_join_waves,
+    bench_bootstrap_sequential,
+    bench_oracle
+);
 criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! Microbenchmarks of the neighbor-table data structure: building and
 //! scanning snapshots (the dominant per-message cost), lookups, and the
-//! §6.2 bit-vector filters. Set `BENCH_SMOKE=1` for d = 8 only, two
-//! samples a row.
+//! §6.2 bit-vector filters.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperring_core::{build_consistent_tables, NeighborTable};
@@ -16,12 +15,9 @@ fn full_table(d: usize) -> NeighborTable {
 }
 
 fn bench_table_ops(c: &mut Criterion) {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let sizes: &[usize] = if smoke { &[8] } else { &[8, 40] };
-    for &d in sizes {
+    for d in [8, 40] {
         let t = full_table(d);
         let mut g = c.benchmark_group(format!("table_d{d}"));
-        g.sample_size(if smoke { 2 } else { 20 });
         // A build of the full snapshot: `snapshot()` would hand back the
         // memoized one, since the table does not change between calls.
         g.bench_with_input(BenchmarkId::new("snapshot_full", d), &d, |b, &d| {

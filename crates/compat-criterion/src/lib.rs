@@ -8,11 +8,8 @@
 //!
 //! Measurement is deliberately simple: each benchmark is warmed up, then
 //! timed for `sample_size` samples (bounded by a wall-clock budget), and
-//! the mean/min/max nanoseconds per iteration are printed. Results are
-//! also collected on the [`Criterion`] value so a bench target with a
-//! custom `main` can export them as JSON (see
-//! [`Criterion::results`] / [`BenchResult::to_json`]), which this
-//! workspace uses to track performance trajectories across PRs.
+//! the mean and min nanoseconds per iteration are printed. Nothing is
+//! written: the workspace's performance numbers come from `benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +21,7 @@ use std::time::{Duration, Instant};
 /// barrier.
 pub use std::hint::black_box;
 
-/// Throughput annotation for a benchmark group (reported, not measured).
+/// Throughput annotation for a benchmark group (accepted, not reported).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Throughput {
     /// Elements processed per iteration.
@@ -73,51 +70,9 @@ impl From<String> for BenchmarkId {
     }
 }
 
-/// One measured benchmark.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchResult {
-    /// Full benchmark id (`group/function/parameter`).
-    pub id: String,
-    /// Mean nanoseconds per iteration.
-    pub mean_ns: f64,
-    /// Fastest sample, ns per iteration.
-    pub min_ns: f64,
-    /// Slowest sample, ns per iteration.
-    pub max_ns: f64,
-    /// Number of timed samples.
-    pub samples: usize,
-    /// Iterations per sample.
-    pub iters_per_sample: u64,
-    /// Declared throughput, if any.
-    pub throughput: Option<Throughput>,
-}
-
-impl BenchResult {
-    /// Serializes the result as a JSON object (no external deps, so this
-    /// is hand-rolled; ids contain no characters needing escapes).
-    pub fn to_json(&self) -> String {
-        let throughput = match self.throughput {
-            Some(Throughput::Elements(n)) => format!(r#", "throughput_elements": {n}"#),
-            Some(Throughput::Bytes(n)) => format!(r#", "throughput_bytes": {n}"#),
-            None => String::new(),
-        };
-        format!(
-            r#"{{"id": "{}", "mean_ns": {:.1}, "min_ns": {:.1}, "max_ns": {:.1}, "samples": {}, "iters_per_sample": {}{}}}"#,
-            self.id.replace('"', "'"),
-            self.mean_ns,
-            self.min_ns,
-            self.max_ns,
-            self.samples,
-            self.iters_per_sample,
-            throughput
-        )
-    }
-}
-
-/// Benchmark driver. Collects every measurement it runs.
+/// Benchmark driver.
 #[derive(Debug)]
 pub struct Criterion {
-    results: Vec<BenchResult>,
     default_sample_size: usize,
     sample_budget: Duration,
 }
@@ -125,7 +80,6 @@ pub struct Criterion {
 impl Default for Criterion {
     fn default() -> Self {
         Criterion {
-            results: Vec::new(),
             default_sample_size: 20,
             sample_budget: Duration::from_secs(3),
         }
@@ -145,7 +99,6 @@ impl Criterion {
             criterion: self,
             name: name.into(),
             sample_size: None,
-            throughput: None,
         }
     }
 
@@ -157,79 +110,48 @@ impl Criterion {
         let id = id.into().to_string();
         let sample_size = self.default_sample_size;
         let budget = self.sample_budget;
-        self.record(id, None, sample_size, budget, f);
+        record(id, sample_size, budget, f);
         self
     }
+}
 
-    /// All measurements taken so far, in execution order.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
+fn record<F>(id: String, sample_size: usize, budget: Duration, mut f: F)
+where
+    F: FnMut(&mut Bencher),
+{
+    // Warm-up & calibration: run once to size the per-sample iteration
+    // count so one sample lasts roughly 10 ms (or a single iteration,
+    // whichever is longer).
+    let mut bencher = Bencher {
+        iters: 1,
+        elapsed: Duration::ZERO,
+    };
+    f(&mut bencher);
+    let once = bencher.elapsed.max(Duration::from_nanos(1));
+    let iters_per_sample =
+        (Duration::from_millis(10).as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
 
-    /// Serializes all measurements as a JSON array.
-    pub fn results_json(&self) -> String {
-        let rows: Vec<String> = self
-            .results
-            .iter()
-            .map(|r| format!("  {}", r.to_json()))
-            .collect();
-        format!("[\n{}\n]\n", rows.join(",\n"))
-    }
-
-    fn record<F>(
-        &mut self,
-        id: String,
-        throughput: Option<Throughput>,
-        sample_size: usize,
-        budget: Duration,
-        mut f: F,
-    ) where
-        F: FnMut(&mut Bencher),
-    {
-        // Warm-up & calibration: run once to size the per-sample iteration
-        // count so one sample lasts roughly 10 ms (or a single iteration,
-        // whichever is longer).
+    let start = Instant::now();
+    let mut per_iter_ns = Vec::with_capacity(sample_size);
+    for _ in 0..sample_size {
         let mut bencher = Bencher {
-            iters: 1,
+            iters: iters_per_sample,
             elapsed: Duration::ZERO,
         };
         f(&mut bencher);
-        let once = bencher.elapsed.max(Duration::from_nanos(1));
-        let iters_per_sample =
-            (Duration::from_millis(10).as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
-
-        let start = Instant::now();
-        let mut per_iter_ns = Vec::with_capacity(sample_size);
-        for _ in 0..sample_size {
-            let mut bencher = Bencher {
-                iters: iters_per_sample,
-                elapsed: Duration::ZERO,
-            };
-            f(&mut bencher);
-            per_iter_ns.push(bencher.elapsed.as_nanos() as f64 / iters_per_sample as f64);
-            if start.elapsed() > budget {
-                break;
-            }
+        per_iter_ns.push(bencher.elapsed.as_nanos() as f64 / iters_per_sample as f64);
+        if start.elapsed() > budget {
+            break;
         }
-        let samples = per_iter_ns.len();
-        let mean_ns = per_iter_ns.iter().sum::<f64>() / samples as f64;
-        let min_ns = per_iter_ns.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max_ns = per_iter_ns.iter().cloned().fold(0.0, f64::max);
-        println!(
-            "bench {id:<60} mean {:>12} min {:>12} ({samples} samples x {iters_per_sample} iters)",
-            fmt_ns(mean_ns),
-            fmt_ns(min_ns),
-        );
-        self.results.push(BenchResult {
-            id,
-            mean_ns,
-            min_ns,
-            max_ns,
-            samples,
-            iters_per_sample,
-            throughput,
-        });
     }
+    let samples = per_iter_ns.len();
+    let mean_ns = per_iter_ns.iter().sum::<f64>() / samples as f64;
+    let min_ns = per_iter_ns.iter().cloned().fold(f64::INFINITY, f64::min);
+    println!(
+        "bench {id:<60} mean {:>12} min {:>12} ({samples} samples x {iters_per_sample} iters)",
+        fmt_ns(mean_ns),
+        fmt_ns(min_ns),
+    );
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -251,7 +173,6 @@ pub struct BenchmarkGroup<'c> {
     criterion: &'c mut Criterion,
     name: String,
     sample_size: Option<usize>,
-    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -261,9 +182,9 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Declares the per-iteration throughput of subsequent benchmarks.
-    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
-        self.throughput = Some(throughput);
+    /// Declares the per-iteration throughput of subsequent benchmarks
+    /// (accepted for API compatibility; the stub reports time only).
+    pub fn throughput(&mut self, _throughput: Throughput) -> &mut Self {
         self
     }
 
@@ -277,8 +198,7 @@ impl BenchmarkGroup<'_> {
             .sample_size
             .unwrap_or(self.criterion.default_sample_size);
         let budget = self.criterion.sample_budget;
-        self.criterion
-            .record(full, self.throughput, sample_size, budget, f);
+        record(full, sample_size, budget, f);
         self
     }
 
@@ -343,28 +263,32 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
-    fn measures_and_collects_results() {
+    fn runs_every_registered_benchmark() {
+        let calls = [Cell::new(0u64), Cell::new(0), Cell::new(0)];
         let mut c = Criterion::default().sample_size(3);
         {
             let mut g = c.benchmark_group("demo");
             g.sample_size(3);
             g.throughput(Throughput::Elements(64));
             g.bench_with_input(BenchmarkId::new("sum", 64), &64u64, |b, &n| {
+                calls[0].set(calls[0].get() + 1);
                 b.iter(|| (0..n).sum::<u64>())
             });
-            g.bench_function("noop", |b| b.iter(|| 1u64 + 1));
+            g.bench_function("noop", |b| {
+                calls[1].set(calls[1].get() + 1);
+                b.iter(|| 1u64 + 1)
+            });
             g.finish();
         }
-        c.bench_function("top_level", |b| b.iter(|| black_box(2u64) * 3));
-        assert_eq!(c.results().len(), 3);
-        assert_eq!(c.results()[0].id, "demo/sum/64");
-        assert_eq!(c.results()[0].throughput, Some(Throughput::Elements(64)));
-        assert!(c.results().iter().all(|r| r.mean_ns > 0.0 && r.samples > 0));
-        let json = c.results_json();
-        assert!(json.starts_with("[\n"));
-        assert!(json.contains("\"id\": \"demo/noop\""));
-        assert!(json.trim_end().ends_with(']'));
+        c.bench_function("top_level", |b| {
+            calls[2].set(calls[2].get() + 1);
+            b.iter(|| black_box(2u64) * 3)
+        });
+        // One calibration run, then at most `sample_size` timed samples.
+        assert!(calls.iter().all(|n| (2..=4).contains(&n.get())));
+        assert_eq!(BenchmarkId::new("sum", 64).to_string(), "sum/64");
     }
 }

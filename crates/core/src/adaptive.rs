@@ -1,11 +1,11 @@
-//! Adaptive neighbor selection — proximity-aware slot filling and
-//! demand-driven promotion of secondary neighbors.
+//! Neighbor selection — the choice among suffix-equivalent candidates:
+//! proximity-aware slot filling, demand-driven promotion of secondary
+//! neighbors, and gossip rounds of local optimization.
 //!
 //! Definition 3.8 constrains only *which suffix* a table entry's node must
 //! carry, never *which node* among the suffix-equivalent candidates, so the
-//! choice is a pure performance knob (see
-//! [`NeighborSelection`](crate::NeighborSelection)). This module provides
-//! the two adaptive mechanisms the lookup-storm experiment drives:
+//! choice is a pure performance knob. This module provides three ways to
+//! make it:
 //!
 //! 1. **Fill-time proximity** ([`build_proximate_tables`]): like the
 //!    omniscient oracle, but each `(level, digit)` slot takes the
@@ -20,10 +20,16 @@
 //!    swaps hot slots to strictly closer observed candidates — the
 //!    "locally self-adjusting" discipline, using only information a real
 //!    node would have.
+//! 3. **Gossip optimization** ([`optimize_tables`]): the paper's problem 3
+//!    (§1), deferred there to future work. Each round every node swaps
+//!    entries for strictly closer candidates among the nodes in its own
+//!    and its neighbors' tables.
 //!
-//! Both mechanisms replace entries only with nodes that fit the slot's
-//! suffix constraint, so consistency is preserved by construction (the
-//! tests double-check with the Definition 3.8 checker).
+//! Promotion and gossip share one step: a candidate fits exactly one slot,
+//! and replaces its occupant only if strictly closer. Every mechanism
+//! replaces entries only with nodes that fit the slot's suffix constraint,
+//! so consistency is preserved by construction (the tests double-check
+//! with the Definition 3.8 checker).
 //!
 //! Every builder of `V` — the oracle's smallest id and both proximity
 //! fills — is one sweep, `build_tables_with`, that differs only in the
@@ -332,8 +338,8 @@ pub struct PromotionReport {
 /// table: `(k, c[k])` with `k = |csuf(me, c)|`. If that slot forwarded at
 /// least `min_traffic` lookups and `c` is strictly closer to `me` than the
 /// slot's current occupant, the slot is swapped to `c` (state `S`, like
-/// [`optimize_tables`](crate::optimize_tables)). Iteration order is
-/// deterministic (id order), so a fixed storm yields a fixed outcome.
+/// [`optimize_tables`]). Iteration order is deterministic (id order), so
+/// a fixed storm yields a fixed outcome.
 ///
 /// Consistency is preserved: an entry is only replaced by another node
 /// carrying the slot's desired suffix. Reverse sets follow the swap.
@@ -350,36 +356,91 @@ where
     let at = owner_index(tables);
     for t in 0..tables.len() {
         let me = tables[t].owner();
-        for &c in demand.observed(&me) {
-            if c == me {
-                continue;
-            }
-            report.examined += 1;
-            let k = me.csuf_len(&c);
-            let digit = c.digit(k);
-            if demand.slot_traffic(&me, k, digit) < min_traffic {
-                continue;
-            }
-            match tables[t].get(k, digit) {
-                Some(current) if current.node == me || current.node == c => {}
-                Some(current) => {
-                    if latency(&me, &c) < latency(&me, &current.node) {
-                        swap_entry(tables, &at, t, current.node, c);
-                        report.promoted += 1;
-                    }
+        let observed = || demand.observed(&me).copied().filter(move |&c| c != me);
+        report.examined += observed().count();
+        let hot = observed().filter(|c| {
+            let k = me.csuf_len(c);
+            demand.slot_traffic(&me, k, c.digit(k)) >= min_traffic
+        });
+        report.promoted += improve_slots(tables, &at, t, hot, &latency);
+    }
+    report
+}
+
+/// Outcome of an [`optimize_tables`] pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct OptimizeReport {
+    /// Gossip rounds executed.
+    pub rounds: usize,
+    /// Total entry replacements across all rounds.
+    pub replacements: usize,
+}
+
+/// Optimizes `tables` in place for `rounds` rounds against the given
+/// symmetric latency oracle. Returns the work done.
+///
+/// Candidates per node per round: every node stored in its own table or in
+/// any table of a node its table stores (exactly what a node could learn
+/// from one message exchange). Reads see the previous round, like a
+/// synchronous gossip round. All entries keep state `S` (the optimization
+/// runs on settled networks), and reverse sets follow every swap.
+///
+/// # Examples
+///
+/// ```
+/// use hyperring_core::{build_consistent_tables, check_consistency, optimize_tables};
+/// use hyperring_id::IdSpace;
+///
+/// let space = IdSpace::new(4, 4)?;
+/// let ids: Vec<_> = ["0123", "3210", "1111", "2221", "0001", "1001"]
+///     .iter().map(|s| space.parse_id(s).unwrap()).collect();
+/// let mut tables = build_consistent_tables(space, &ids);
+/// // Any symmetric metric works; here, difference of leading digits.
+/// let report = optimize_tables(&mut tables, |a, b| {
+///     (a.digit(3) as i32 - b.digit(3) as i32).unsigned_abs() as u64 + 1
+/// }, 2);
+/// assert_eq!(report.rounds, 2);
+/// assert!(check_consistency(space, &tables).is_consistent());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// # Panics
+///
+/// Panics if `tables` contains duplicate owners.
+pub fn optimize_tables<L>(tables: &mut [NeighborTable], latency: L, rounds: usize) -> OptimizeReport
+where
+    L: Fn(&NodeId, &NodeId) -> u64,
+{
+    let mut report = OptimizeReport {
+        rounds,
+        ..Default::default()
+    };
+    let at = owner_index(tables);
+    for _ in 0..rounds {
+        let by_owner: HashMap<NodeId, Vec<NodeId>> = tables
+            .iter()
+            .map(|t| (t.owner(), t.iter().map(|(_, _, e)| e.node).collect()))
+            .collect();
+        assert_eq!(by_owner.len(), tables.len(), "duplicate table owners");
+        for t in 0..tables.len() {
+            // Candidate pool: my neighbors plus my neighbors' neighbors.
+            let mut pool: Vec<NodeId> = Vec::new();
+            for (_, _, e) in tables[t].iter() {
+                pool.push(e.node);
+                if let Some(theirs) = by_owner.get(&e.node) {
+                    pool.extend(theirs.iter().copied());
                 }
-                // The slot can be empty only if no member carries the
-                // suffix — but `c` does, so with consistent input tables
-                // this cannot happen.
-                None => debug_assert!(false, "observed candidate for an empty entry"),
             }
+            pool.sort();
+            pool.dedup();
+            report.replacements += improve_slots(tables, &at, t, pool, &latency);
         }
     }
     report
 }
 
 /// Each table's position in `tables`, by owner.
-pub(crate) fn owner_index(tables: &[NeighborTable]) -> HashMap<NodeId, usize> {
+fn owner_index(tables: &[NeighborTable]) -> HashMap<NodeId, usize> {
     tables
         .iter()
         .enumerate()
@@ -387,27 +448,50 @@ pub(crate) fn owner_index(tables: &[NeighborTable]) -> HashMap<NodeId, usize> {
         .collect()
 }
 
-/// Swaps table `t`'s entry for `new` from `old` to `new` (state `S`) and
-/// moves the reverse-set membership along: the owner stored `old` in that
-/// one slot only, so `old` forgets it everywhere, and `new` records it. A
-/// node without a table in `tables` (`at` indexes them) keeps no sets.
-pub(crate) fn swap_entry(
+/// The step both optimizers repeat. Each candidate `c` other than the
+/// owner `me` of table `t` fits exactly one of its slots, `(k, c[k])` with
+/// `k = |csuf(me, c)|`; if `c` is strictly closer to `me` than the
+/// occupant, the slot takes `c` (state `S`). Reverse sets follow: `me`
+/// stored the occupant in that one slot only, so the occupant forgets `me`
+/// everywhere, and `c` records it. A node without a table in `tables`
+/// (`at` indexes them) keeps no sets. Returns the slots swapped.
+fn improve_slots<L>(
     tables: &mut [NeighborTable],
     at: &HashMap<NodeId, usize>,
     t: usize,
-    old: NodeId,
-    new: NodeId,
-) {
+    candidates: impl IntoIterator<Item = NodeId>,
+    latency: &L,
+) -> usize
+where
+    L: Fn(&NodeId, &NodeId) -> u64,
+{
     let me = tables[t].owner();
-    let k = me.csuf_len(&new);
-    let (node, state) = (new, NodeState::S);
-    tables[t].set(k, new.digit(k), Entry { node, state });
-    if let Some(&o) = at.get(&old) {
-        tables[o].remove_reverse(&me);
+    let mut swapped = 0;
+    for c in candidates.into_iter().filter(|&c| c != me) {
+        let k = me.csuf_len(&c);
+        let digit = c.digit(k);
+        match tables[t].get(k, digit) {
+            Some(old) if old.node != me && old.node != c => {
+                if latency(&me, &c) < latency(&me, &old.node) {
+                    let (node, state) = (c, NodeState::S);
+                    tables[t].set(k, digit, Entry { node, state });
+                    if let Some(&o) = at.get(&old.node) {
+                        tables[o].remove_reverse(&me);
+                    }
+                    if let Some(&n) = at.get(&c) {
+                        tables[n].add_reverse(k, digit, me);
+                    }
+                    swapped += 1;
+                }
+            }
+            Some(_) => {}
+            // The slot can be empty only if no member carries the suffix —
+            // but `c` does, so with consistent input tables this cannot
+            // happen.
+            None => debug_assert!(false, "candidate for an empty entry"),
+        }
     }
-    if let Some(&n) = at.get(&new) {
-        tables[n].add_reverse(k, new.digit(k), me);
-    }
+    swapped
 }
 
 /// Asserts that every reverse set is exactly what the entries imply: `y`
@@ -470,6 +554,32 @@ mod tests {
         1 + h.finish() % 100_000
     }
 
+    /// The sum of `fake_latency` over every entry other than a self entry.
+    fn total_latency(tables: &[NeighborTable]) -> u64 {
+        tables
+            .iter()
+            .flat_map(|t| {
+                let me = t.owner();
+                t.iter()
+                    .filter(move |(_, _, e)| e.node != me)
+                    .map(move |(_, _, e)| fake_latency(&me, &e.node))
+            })
+            .sum()
+    }
+
+    /// Every node of `v` forwarded one lookup from every other, through
+    /// the slot the source fits.
+    fn dense_demand(v: &[NodeId]) -> DemandProfile {
+        let mut demand = DemandProfile::new();
+        for &me in v {
+            for &src in v.iter().filter(|&&src| src != me) {
+                let k = me.csuf_len(&src);
+                demand.record_hop(me, k, src.digit(k), src);
+            }
+        }
+        demand
+    }
+
     #[test]
     fn proximate_tables_pass_the_checker() {
         let space = IdSpace::new(8, 5).unwrap();
@@ -485,19 +595,7 @@ mod tests {
         let v = ids(space, 50, 9);
         let oracle = build_consistent_tables(space, &v);
         let prox = build_proximate_tables(space, &v, fake_latency);
-        let total = |tables: &[NeighborTable]| -> u64 {
-            tables
-                .iter()
-                .map(|t| {
-                    let me = t.owner();
-                    t.iter()
-                        .filter(|(_, _, e)| e.node != me)
-                        .map(|(_, _, e)| fake_latency(&me, &e.node))
-                        .sum::<u64>()
-                })
-                .sum()
-        };
-        assert!(total(&prox) <= total(&oracle));
+        assert!(total_latency(&prox) <= total_latency(&oracle));
         // Same slots are populated in both builds (consistency dictates
         // which suffixes exist, not which carrier fills them).
         for (a, b) in oracle.iter().zip(prox.iter()) {
@@ -533,36 +631,17 @@ mod tests {
         // Bounded knowledge leaves slack that dense demand recovers: with
         // every node observed, promotion must close some of the gap to
         // the omniscient fill.
-        let total = |tables: &[NeighborTable]| -> u64 {
-            tables
-                .iter()
-                .map(|t| {
-                    let me = t.owner();
-                    t.iter()
-                        .filter(|(_, _, e)| e.node != me)
-                        .map(|(_, _, e)| fake_latency(&me, &e.node))
-                        .sum::<u64>()
-                })
-                .sum()
-        };
         let full = build_proximate_tables(space, &v, fake_latency);
-        assert!(total(&full) < total(&a), "sampling left no slack");
+        assert!(
+            total_latency(&full) < total_latency(&a),
+            "sampling left no slack"
+        );
         let mut promoted = a.clone();
-        let mut demand = DemandProfile::new();
-        for t in promoted.iter() {
-            let me = t.owner();
-            for &src in &v {
-                if src == me {
-                    continue;
-                }
-                let k = me.csuf_len(&src);
-                demand.record_hop(me, k, src.digit(k), src);
-            }
-        }
+        let demand = dense_demand(&v);
         let rep = promote_secondaries(&mut promoted, &demand, fake_latency, 1);
         assert!(rep.promoted > 0);
         assert_reverse_sets_follow_entries(&promoted);
-        assert!(total(&promoted) < total(&a));
+        assert!(total_latency(&promoted) < total_latency(&a));
         let report = check_consistency(space, &promoted);
         assert!(report.is_consistent(), "{report}");
     }
@@ -575,40 +654,12 @@ mod tests {
         // Synthesize demand: every node observes every other, every slot
         // is hot — promotion should then reach the fill-time optimum for
         // all slots whose best candidate appeared as a source.
-        let mut demand = DemandProfile::new();
-        for t in tables.iter() {
-            let me = t.owner();
-            for &src in &v {
-                if src == me {
-                    continue;
-                }
-                let k = me.csuf_len(&src);
-                demand.record_hop(me, k, src.digit(k), src);
-            }
-        }
-        let before: u64 = tables
-            .iter()
-            .map(|t| {
-                let me = t.owner();
-                t.iter()
-                    .filter(|(_, _, e)| e.node != me)
-                    .map(|(_, _, e)| fake_latency(&me, &e.node))
-                    .sum::<u64>()
-            })
-            .sum();
+        let demand = dense_demand(&v);
+        let before = total_latency(&tables);
         let report = promote_secondaries(&mut tables, &demand, fake_latency, 1);
         assert!(report.promoted > 0, "dense demand must promote something");
         assert_reverse_sets_follow_entries(&tables);
-        let after: u64 = tables
-            .iter()
-            .map(|t| {
-                let me = t.owner();
-                t.iter()
-                    .filter(|(_, _, e)| e.node != me)
-                    .map(|(_, _, e)| fake_latency(&me, &e.node))
-                    .sum::<u64>()
-            })
-            .sum();
+        let after = total_latency(&tables);
         assert!(after < before);
         let c = check_consistency(space, &tables);
         assert!(c.is_consistent(), "{c}");
@@ -619,22 +670,66 @@ mod tests {
         let space = IdSpace::new(8, 4).unwrap();
         let v = ids(space, 30, 17);
         let mut tables = build_consistent_tables(space, &v);
-        let mut demand = DemandProfile::new();
         // One observation per slot, threshold of two: nothing may move.
-        for t in tables.iter() {
-            let me = t.owner();
-            for &src in &v {
-                if src == me {
-                    continue;
-                }
-                let k = me.csuf_len(&src);
-                demand.record_hop(me, k, src.digit(k), src);
-            }
-        }
+        let demand = dense_demand(&v);
         let digest = crate::digest::tables_digest(&tables);
         let report = promote_secondaries(&mut tables, &demand, fake_latency, u64::MAX);
         assert_eq!(report.promoted, 0);
         assert_eq!(crate::digest::tables_digest(&tables), digest);
+    }
+
+    /// A latency of the ids' digits alone (no std hasher), so the pins
+    /// below hold across toolchains.
+    fn digit_latency(a: &NodeId, b: &NodeId) -> u64 {
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        let (lo, hi) = (lo.digits_lsd(), hi.digits_lsd());
+        let digits = lo.iter().chain(hi.iter());
+        let mut z = digits.fold(0u64, |z, &d| z.wrapping_mul(31).wrapping_add(d as u64 + 1));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        1 + (z ^ (z >> 31)) % 100_000
+    }
+
+    #[test]
+    fn optimize_tables_digests_are_pinned() {
+        let space = IdSpace::new(8, 5).unwrap();
+        let v = ids(space, 60, 5);
+        let observed = [1, 2, 4].map(|rounds| {
+            let mut tables = build_consistent_tables(space, &v);
+            let r = optimize_tables(&mut tables, digit_latency, rounds);
+            (r.replacements, crate::digest::tables_digest(&tables))
+        });
+        let golden = [
+            (668, 0x543278a1565f6f67),
+            (718, 0xaaf62a03c7a59131),
+            (749, 0xfbad815105325cc0),
+        ];
+        assert_eq!(observed, golden);
+    }
+
+    #[test]
+    fn promote_secondaries_digest_is_pinned() {
+        let space = IdSpace::new(8, 5).unwrap();
+        let v = ids(space, 60, 21);
+        let mut tables = build_proximate_tables_sampled(space, &v, digit_latency, 2, 7);
+        // A fixed storm: 4000 (forwarder, source) draws from an LCG.
+        let mut demand = DemandProfile::new();
+        let mut h: u64 = 43;
+        for _ in 0..4000 {
+            h = h
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (me, src) = (v[(h >> 33) as usize % 60], v[(h >> 13) as usize % 60]);
+            let k = me.csuf_len(&src).min(space.digit_count() - 1);
+            demand.record_hop(me, k, src.digit(k), src);
+        }
+        let r = promote_secondaries(&mut tables, &demand, digit_latency, 2);
+        let observed = (
+            r.examined,
+            r.promoted,
+            crate::digest::tables_digest(&tables),
+        );
+        assert_eq!(observed, (2381, 411, 0xc114977cb80cffde));
     }
 
     #[test]
@@ -652,5 +747,55 @@ mod tests {
         assert_eq!(d.total_hops(), 3);
         assert_eq!(d.observed(&a).collect::<Vec<_>>(), vec![&b]);
         assert_eq!(d.observed(&b).count(), 0);
+    }
+
+    #[test]
+    fn optimization_preserves_consistency() {
+        let space = IdSpace::new(8, 5).unwrap();
+        let v = ids(space, 60, 5);
+        let mut tables = build_consistent_tables(space, &v);
+        let report = optimize_tables(&mut tables, fake_latency, 3);
+        assert!(report.replacements > 0, "dense network must find swaps");
+        assert_reverse_sets_follow_entries(&tables);
+        let c = check_consistency(space, &tables);
+        assert!(c.is_consistent(), "{c}");
+    }
+
+    #[test]
+    fn optimization_never_increases_entry_latency() {
+        let space = IdSpace::new(8, 4).unwrap();
+        let v = ids(space, 40, 6);
+        let mut tables = build_consistent_tables(space, &v);
+        let filled: Vec<usize> = tables.iter().map(|t| t.filled()).collect();
+        let before = total_latency(&tables);
+        optimize_tables(&mut tables, fake_latency, 2);
+        let after: Vec<usize> = tables.iter().map(|t| t.filled()).collect();
+        assert_eq!(filled, after, "no entry appears or vanishes");
+        assert!(total_latency(&tables) <= before);
+    }
+
+    #[test]
+    fn second_pass_converges() {
+        let space = IdSpace::new(4, 5).unwrap();
+        let v = ids(space, 50, 7);
+        let mut tables = build_consistent_tables(space, &v);
+        optimize_tables(&mut tables, fake_latency, 4);
+        // Once candidates stop changing, further rounds do nothing.
+        let r = optimize_tables(&mut tables, fake_latency, 1);
+        let r2 = optimize_tables(&mut tables, fake_latency, 1);
+        assert!(r2.replacements <= r.replacements);
+        let r3 = optimize_tables(&mut tables, fake_latency, 1);
+        assert_eq!(r3.replacements, 0, "fixed point not reached");
+        assert_reverse_sets_follow_entries(&tables);
+    }
+
+    #[test]
+    fn zero_rounds_is_a_noop() {
+        let space = IdSpace::new(4, 4).unwrap();
+        let v = ids(space, 10, 8);
+        let mut tables = build_consistent_tables(space, &v);
+        let r = optimize_tables(&mut tables, fake_latency, 0);
+        assert_eq!(r.replacements, 0);
+        assert_eq!(r.rounds, 0);
     }
 }

@@ -71,7 +71,6 @@ mod engine;
 mod failure;
 mod incremental;
 mod messages;
-mod optimize;
 mod options;
 mod oracle;
 mod repair;
@@ -83,8 +82,8 @@ mod table;
 mod trace;
 
 pub use adaptive::{
-    build_proximate_tables, build_proximate_tables_sampled, promote_secondaries, DemandProfile,
-    PromotionReport,
+    build_proximate_tables, build_proximate_tables_sampled, optimize_tables, promote_secondaries,
+    DemandProfile, OptimizeReport, PromotionReport,
 };
 /// Alias of [`check_consistency`] — the name the `benchmark/` probes
 /// import. Two names, one function.
@@ -100,8 +99,7 @@ pub use effect::{Effect, Effects, Event, TimerId};
 pub use engine::{JoinEngine, Status};
 pub use incremental::IncrementalChecker;
 pub use messages::{packed_id_bytes, BitVec, Message, MessageKind};
-pub use optimize::{optimize_tables, OptimizeReport};
-pub use options::{FailureDetector, NeighborSelection, PayloadMode, ProtocolOptions, RetryPolicy};
+pub use options::{FailureDetector, PayloadMode, ProtocolOptions, RetryPolicy};
 pub use oracle::build_consistent_tables;
 pub use routing::{next_hop, route, RouteOutcome};
 pub use simnet::{

@@ -39,13 +39,10 @@ pub struct RetryPolicy {
     pub noti_repeats: u32,
     /// Per-retransmission growth of the timeout, in percent: 100 (the
     /// default) keeps the classic fixed spacing, 200 doubles the wait
-    /// after every unanswered retransmission. A lossless run whose
-    /// replies beat the first timeout is bit-identical whatever this is
-    /// set to.
+    /// after every unanswered retransmission, up to 16 s. A lossless run
+    /// whose replies beat the first timeout is bit-identical whatever this
+    /// is set to.
     pub backoff_pct: u32,
-    /// Upper bound on a backed-off timeout (ignored at the default
-    /// `backoff_pct = 100`).
-    pub max_timeout_us: u64,
     /// Deterministic jitter amplitude in percent of the backed-off
     /// delay: each retransmission's wait is shifted by up to ±this
     /// fraction, derived purely from `(node, timer, attempt)` so every
@@ -61,6 +58,9 @@ pub struct RetryPolicy {
     pub join_fallback: bool,
 }
 
+/// Upper bound on a backed-off timeout, in microseconds.
+const MAX_TIMEOUT_US: u64 = 16_000_000;
+
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
@@ -68,7 +68,6 @@ impl Default for RetryPolicy {
             max_retries: 16,
             noti_repeats: 4,
             backoff_pct: 100,
-            max_timeout_us: 16_000_000,
             jitter_pct: 0,
             join_fallback: false,
         }
@@ -80,7 +79,7 @@ impl RetryPolicy {
     /// (`attempt` 0 is the initial arm). With the default
     /// `backoff_pct = 100` this is always [`timeout_us`](Self::timeout_us);
     /// otherwise the delay grows `backoff_pct`% per attempt, saturating
-    /// at [`max_timeout_us`](Self::max_timeout_us), and is then shifted
+    /// at 16 s, and is then shifted
     /// by a deterministic jitter of up to ±[`jitter_pct`](Self::jitter_pct)%
     /// derived from `salt` (a pure function of the node and timer, so
     /// reruns of a seed are bit-identical).
@@ -89,8 +88,8 @@ impl RetryPolicy {
         if self.backoff_pct > 100 {
             for _ in 0..attempt {
                 d = d.saturating_mul(u64::from(self.backoff_pct)) / 100;
-                if d >= self.max_timeout_us {
-                    d = self.max_timeout_us;
+                if d >= MAX_TIMEOUT_US {
+                    d = MAX_TIMEOUT_US;
                     break;
                 }
             }
@@ -159,28 +158,6 @@ impl Default for FailureDetector {
     }
 }
 
-/// How a node chooses among suffix-equivalent candidates when filling a
-/// table slot (the adaptive-routing extension; the paper's protocol keeps
-/// the first/lowest-id candidate it learns of).
-///
-/// Any node whose id extends the slot's `(level, digit)` suffix constraint
-/// satisfies Definition 3.8 equally well, so the choice is a pure
-/// performance knob: it can never affect consistency, only routed delay.
-/// See `hyperring_core::adaptive` for the fill-time and demand-driven
-/// machinery the harness drives when this is set to
-/// [`Proximity`](NeighborSelection::Proximity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NeighborSelection {
-    /// Paper-faithful: keep the protocol's own candidate (the default,
-    /// and what every golden pins).
-    #[default]
-    Paper,
-    /// Prefer the lowest-delay candidate satisfying the slot's suffix
-    /// constraint, and allow demand-driven promotion of secondary
-    /// neighbors observed in forwarding traffic.
-    Proximity,
-}
-
 /// Tunable options of the join protocol.
 ///
 /// The defaults reproduce the paper's base protocol exactly; the payload
@@ -215,10 +192,6 @@ pub struct ProtocolOptions {
     /// Crash-failure detection; `None` (the default) assumes crash-free
     /// nodes and sends no probes.
     pub(crate) failure_detector: Option<FailureDetector>,
-    /// Candidate choice among suffix-equivalent neighbors. The engine's
-    /// message schedule is unaffected (goldens pin the default); the
-    /// harness reads this to pick the table-fill and promotion strategy.
-    pub(crate) neighbor_selection: NeighborSelection,
 }
 
 impl ProtocolOptions {
@@ -253,13 +226,6 @@ impl ProtocolOptions {
         self
     }
 
-    /// Sets the candidate-choice strategy among suffix-equivalent
-    /// neighbors.
-    pub fn with_neighbor_selection(mut self, selection: NeighborSelection) -> Self {
-        self.neighbor_selection = selection;
-        self
-    }
-
     /// The configured table-payload reduction mode.
     pub fn payload(&self) -> PayloadMode {
         self.payload
@@ -278,11 +244,6 @@ impl ProtocolOptions {
     /// The configured crash-failure detector, if any.
     pub fn failure_detector(&self) -> Option<FailureDetector> {
         self.failure_detector
-    }
-
-    /// The configured candidate-choice strategy.
-    pub fn neighbor_selection(&self) -> NeighborSelection {
-        self.neighbor_selection
     }
 }
 
@@ -310,14 +271,6 @@ mod tests {
         let o = o.with_retry(RetryPolicy::default()).with_trace();
         assert_eq!(o.retry().unwrap().max_retries, 16);
         assert!(o.trace());
-    }
-
-    #[test]
-    fn neighbor_selection_defaults_to_paper() {
-        let o = ProtocolOptions::new();
-        assert_eq!(o.neighbor_selection(), NeighborSelection::Paper);
-        let o = o.with_neighbor_selection(NeighborSelection::Proximity);
-        assert_eq!(o.neighbor_selection(), NeighborSelection::Proximity);
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   which at the 14 s churn window turn over roughly 55%, 27% and 13% of
 //!   the default 256 members), the hardened repair path against the
 //!   eviction-only control on the identical compiled schedule. `--smoke`
-//!   shrinks everything for CI; `--audit` asserts that the repair arm is
-//!   consistent at every settled checkpoint where the control is not.
-//!   Writes `results/timeline.csv` and `BENCH_churn.json`.
+//!   shrinks everything for CI and writes nothing; `--audit` asserts that
+//!   the repair arm is consistent at every settled checkpoint where the
+//!   control is not. Writes `results/timeline.csv`.
 //! * `--shrink SEED` — takes trial `SEED` of the benchmark's `churn`
 //!   configuration, confirms it ends inconsistent, and prints the
 //!   1-minimal schedule ddmin shrinks it to as one table row; nothing is
@@ -247,49 +247,6 @@ fn ms(us: u64) -> String {
     format!("{:.1}", us as f64 / 1e3)
 }
 
-fn poisson_json(r: &TimelineReport, crash_capped: bool) -> String {
-    let (tc50, tc95, tc99) = pcts(&r.ttr_from_crash_us);
-    let (te50, te95, te99) = pcts(&r.ttr_from_eviction_us);
-    let (rc50, rc95, rc99) = pcts(&r.recovery_us);
-    let checkpoints: Vec<String> = r
-        .checkpoints
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"at_us\":{},\"live\":{},\"violations\":{},\"consistent\":{}}}",
-                c.at, c.live, c.violations, c.consistent
-            )
-        })
-        .collect();
-    format!(
-        "{{\"crashed\":{},\"joins\":{},\"crash_capped\":{},\"survivors\":{},\
-         \"consistent\":{},\"false_negatives\":{},\"dead_refs\":{},\
-         \"evicted\":{},\"repaired\":{},\
-         \"ttr_from_crash_us\":{{\"samples\":{},\"p50\":{tc50},\"p95\":{tc95},\"p99\":{tc99}}},\
-         \"ttr_from_eviction_us\":{{\"samples\":{},\"p50\":{te50},\"p95\":{te95},\"p99\":{te99}}},\
-         \"recovery_us\":{{\"samples\":{},\"p50\":{rc50},\"p95\":{rc95},\"p99\":{rc99}}},\
-         \"delivered\":{},\"timers_fired\":{},\"traced\":{},\"trace_digest\":\"{:016x}\",\
-         \"checkpoints\":[{}]}}",
-        r.crashed,
-        r.joins,
-        crash_capped,
-        r.survivors,
-        r.consistent,
-        r.false_negatives,
-        r.dead_refs,
-        r.evicted,
-        r.repaired,
-        r.ttr_from_crash_us.len(),
-        r.ttr_from_eviction_us.len(),
-        r.recovery_us.len(),
-        r.delivered,
-        r.timers_fired,
-        r.traced,
-        r.trace_digest,
-        checkpoints.join(","),
-    )
-}
-
 fn poisson(opts: &TrialOpts) {
     let smoke = opts.has_flag("--smoke");
     let audit = opts.has_flag("--audit");
@@ -328,10 +285,10 @@ fn poisson(opts: &TrialOpts) {
             checkpoint_every,
             ..PoissonChurnConfig::default()
         };
-        let (tl, _, _, capped) = poisson_timeline(&cfg, seed);
+        let (tl, ..) = poisson_timeline(&cfg, seed);
         let on = cfg.scenario(seed, true).run(tl.clone());
         let off = cfg.scenario(seed, false).run(tl);
-        (half_lives_s[i], capped, on, off)
+        (half_lives_s[i], on, off)
     });
 
     let mut t = Table::new([
@@ -351,8 +308,7 @@ fn poisson(opts: &TrialOpts) {
         "recovery p99 (ms)",
         "trace digest",
     ]);
-    let mut json_rows = Vec::new();
-    for (hl, capped, on, off) in &arms {
+    for (hl, on, off) in &arms {
         if audit {
             assert_eq!(on.dead_refs, 0, "hl={hl}: a crashed node is still stored");
             assert!(
@@ -400,11 +356,6 @@ fn poisson(opts: &TrialOpts) {
                 format!("{:016x}", r.trace_digest),
             ]);
         }
-        json_rows.push(format!(
-            "{{\"half_life_s\":{hl},\"seed\":{seed},\"repair\":{},\"control\":{}}}",
-            poisson_json(on, *capped),
-            poisson_json(off, *capped)
-        ));
     }
     println!(
         "\nPoisson churn: {members} members, arrivals = departures = n·ln2/t½ \
@@ -413,17 +364,8 @@ fn poisson(opts: &TrialOpts) {
         horizon / 1_000_000
     );
     println!("{}", t.render());
-    report::write_csv_or_warn(&t, Path::new("results/timeline.csv"));
-    let json = format!(
-        "{{\n\"config\":{{\"members\":{members},\"seed\":{seed},\"churn_until_us\":{churn_until},\
-         \"horizon_us\":{horizon},\"checkpoint_every_us\":{checkpoint_every},\"smoke\":{smoke}}},\n\
-         \"sweeps\":[\n  {}\n]\n}}\n",
-        json_rows.join(",\n  ")
-    );
-    if let Err(e) = std::fs::write("BENCH_churn.json", &json) {
-        eprintln!("warning: could not write BENCH_churn.json: {e}");
-    } else {
-        println!("wrote BENCH_churn.json");
+    if !smoke {
+        report::write_csv_or_warn(&t, Path::new("results/timeline.csv"));
     }
     if audit {
         println!("audit: repair arm recovered at every settled checkpoint the control missed");

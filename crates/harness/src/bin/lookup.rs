@@ -9,8 +9,9 @@
 //!
 //! Per overlay size, both arms replay the same uniform and Zipf storm
 //! schedules; the table reports latency stretch, hop counts, and load
-//! imbalance per `(n, arm, distribution)` row. `--smoke` shrinks
-//! everything for CI; `--audit` additionally asserts the acceptance
+//! imbalance per `(n, arm, distribution)` row, and writes them to
+//! `results/lookup.csv`. `--smoke` shrinks everything for CI and writes
+//! nothing; `--audit` additionally asserts the acceptance
 //! properties: the adaptive arm strictly reduces mean stretch under both
 //! distributions, and the measured storms leave both arms' tables
 //! byte-identical (digest-stable).
@@ -155,7 +156,9 @@ fn main() {
             r.adaptive.promoted
         );
     }
-    report::write_csv_or_warn(&t, Path::new("results/lookup.csv"));
+    if !smoke {
+        report::write_csv_or_warn(&t, Path::new("results/lookup.csv"));
+    }
 
     if do_audit {
         for r in &results {

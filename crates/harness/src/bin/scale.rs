@@ -15,7 +15,9 @@
 //!   delta exceeds `M` MiB; the checker borrows the tables in place and
 //!   its delta is near zero, so a tight pin here catches any check that
 //!   materializes a copy of them;
-//! * `--smoke` — small fast configuration for CI.
+//! * `--smoke` — small fast configuration for CI; writes nothing.
+//!
+//! Writes `results/scale.csv`.
 
 use std::path::Path;
 
@@ -102,5 +104,7 @@ fn main() {
 
     println!("\nscaling: batched concurrent bootstrap (b=16, d=8)");
     println!("{}", t.render());
-    report::write_csv_or_warn(&t, Path::new("results/scale.csv"));
+    if !smoke {
+        report::write_csv_or_warn(&t, Path::new("results/scale.csv"));
+    }
 }
