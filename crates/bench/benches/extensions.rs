@@ -68,27 +68,32 @@ fn bench_object_lookup(c: &mut Criterion) {
     let ids = distinct_ids(space, 512, 9);
     let tables = build_consistent_tables(space, &ids);
     let mut store = ObjectStore::over(space, &tables);
-    for i in 0..100 {
-        store.publish(ids[i % ids.len()], &format!("obj-{i}"));
+    let names: Vec<String> = (0..100).map(|i| format!("obj-{i}")).collect();
+    for (i, name) in names.iter().enumerate() {
+        store.publish(ids[i % ids.len()], name);
     }
+    // Made before timing, so each row times what its name says.
+    let probes: Vec<NodeId> = (0..1024)
+        .map(|i| space.id_from_hash(format!("probe-{i}").as_bytes()))
+        .collect();
     let mut g = c.benchmark_group("object");
     g.throughput(Throughput::Elements(1));
     g.bench_function("lookup_n512", |b| {
         let mut i = 0usize;
         b.iter(|| {
-            let name = format!("obj-{}", i % 100);
+            let name = &names[i % names.len()];
             let from = ids[(i * 13) % ids.len()];
             i += 1;
-            black_box(store.lookup(from, &name))
+            black_box(store.lookup(from, name))
         })
     });
     g.bench_function("surrogate_root_n512", |b| {
         let mut i = 0usize;
         b.iter(|| {
-            let oid = space.id_from_hash(format!("probe-{i}").as_bytes());
+            let oid = &probes[i % probes.len()];
             let from = ids[i % ids.len()];
             i += 1;
-            black_box(store.root_from(from, &oid))
+            black_box(store.root_from(from, oid))
         })
     });
     g.finish();

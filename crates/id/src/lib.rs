@@ -21,7 +21,7 @@
 //! # Ok::<(), hyperring_id::IdError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)] // one exception: the SHA-extension call in sha1
 #![warn(missing_docs)]
 
 mod error;

@@ -5,6 +5,10 @@
 //! only needs uniform dispersion, for which it remains perfectly adequate —
 //! and it keeps identifiers bit-compatible with the systems the paper cites
 //! (PRR, Pastry, Tapestry all use 160-bit hashed identifiers).
+//!
+//! On an x86-64 CPU with the SHA extensions each block runs through
+//! `sha1rnds4` and its message-schedule companions; every other CPU runs
+//! the portable rounds, which the tests hold the hardware ones to.
 
 /// Incremental SHA-1 hasher.
 ///
@@ -76,10 +80,10 @@ impl Sha1 {
         // Pad: 0x80, zeros to 56 mod 64, then the 64-bit big-endian length.
         let rem = (self.buf_len + 1) % 64;
         let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
-        let mut pad = vec![0u8; 1 + zeros + 8];
+        let mut pad = [0u8; 1 + 63 + 8];
         pad[0] = 0x80;
-        pad[1 + zeros..].copy_from_slice(&len_bits.to_be_bytes());
-        self.update(&pad);
+        pad[1 + zeros..][..8].copy_from_slice(&len_bits.to_be_bytes());
+        self.update(&pad[..1 + zeros + 8]);
         debug_assert_eq!(self.buf_len, 0);
 
         let mut out = [0u8; 20];
@@ -89,7 +93,24 @@ impl Sha1 {
         out
     }
 
+    /// Runs one block through the SHA extensions where the CPU has them,
+    /// else through the portable rounds.
     fn compress(&mut self, block: &[u8; 64]) {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1") {
+            // SAFETY: `ni::compress` enables `sha` and `sse4.1` only, and the
+            // CPU has just been found to support both.
+            #[allow(unsafe_code)]
+            unsafe {
+                ni::compress(&mut self.state, block)
+            };
+            return;
+        }
+        self.compress_portable(block);
+    }
+
+    /// The portable compression function: 80 rounds over one block.
+    fn compress_portable(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 80];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -122,6 +143,68 @@ impl Sha1 {
         self.state[2] = self.state[2].wrapping_add(c);
         self.state[3] = self.state[3].wrapping_add(d);
         self.state[4] = self.state[4].wrapping_add(e);
+    }
+}
+
+/// The compression function on the x86-64 SHA extensions.
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_extract_epi32, _mm_set_epi32, _mm_sha1msg1_epu32,
+        _mm_sha1msg2_epu32, _mm_sha1nexte_epu32, _mm_sha1rnds4_epu32, _mm_xor_si128,
+    };
+
+    /// As `Sha1::compress_portable`, in 20 groups of four rounds. A register
+    /// holds four words with the first in its high lane: `a b c d` of the
+    /// state, or four message words. `e` lives in a high lane of its own,
+    /// and from the second group on `sha1nexte` derives it from `a` four
+    /// rounds back while adding it to the group's words.
+    #[target_feature(enable = "sha,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+        let word: [u32; 16] = std::array::from_fn(|i| {
+            u32::from_be_bytes(block[4 * i..][..4].try_into().expect("4 bytes"))
+        });
+        let quad = |q: &[u32]| _mm_set_epi32(q[0] as i32, q[1] as i32, q[2] as i32, q[3] as i32);
+        let mut w: [__m128i; 4] = std::array::from_fn(|g| quad(&word[4 * g..]));
+        let abcd0 = quad(&state[..4]);
+        let e0 = quad(&[state[4], 0, 0, 0]);
+
+        let mut abcd = abcd0;
+        let mut back = abcd;
+        abcd = _mm_sha1rnds4_epu32::<0>(abcd, _mm_add_epi32(e0, w[0]));
+        for g in 1..5 {
+            four::<0>(g, &mut w, &mut abcd, &mut back);
+        }
+        for g in 5..10 {
+            four::<1>(g, &mut w, &mut abcd, &mut back);
+        }
+        for g in 10..15 {
+            four::<2>(g, &mut w, &mut abcd, &mut back);
+        }
+        for g in 15..20 {
+            four::<3>(g, &mut w, &mut abcd, &mut back);
+        }
+        let abcd = _mm_add_epi32(abcd, abcd0);
+        let e = _mm_sha1nexte_epu32(back, e0);
+        state[0] = _mm_extract_epi32::<3>(abcd) as u32;
+        state[1] = _mm_extract_epi32::<2>(abcd) as u32;
+        state[2] = _mm_extract_epi32::<1>(abcd) as u32;
+        state[3] = _mm_extract_epi32::<0>(abcd) as u32;
+        state[4] = _mm_extract_epi32::<3>(e) as u32;
+    }
+
+    /// Rounds `4g..4g + 4` with round function `F`, scheduling their words
+    /// from the sixteen before them once the block's own are used up.
+    #[inline]
+    #[target_feature(enable = "sha,sse4.1")]
+    fn four<const F: i32>(g: usize, w: &mut [__m128i; 4], abcd: &mut __m128i, back: &mut __m128i) {
+        if g >= 4 {
+            let [w0, w1, w2, w3] = [g, g + 1, g + 2, g + 3].map(|i| w[i % 4]);
+            w[g % 4] = _mm_sha1msg2_epu32(_mm_xor_si128(_mm_sha1msg1_epu32(w0, w1), w2), w3);
+        }
+        let e = _mm_sha1nexte_epu32(*back, w[g % 4]);
+        *back = *abcd;
+        *abcd = _mm_sha1rnds4_epu32::<F>(*abcd, e);
     }
 }
 
@@ -160,6 +243,88 @@ mod tests {
             "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
         );
         assert_eq!(hex(&sha1(b"")), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+    }
+
+    #[test]
+    fn padding_edges_are_pinned() {
+        // One- and two-block padding edges: 55 bytes is the longest message
+        // whose length fits its last block, 119 the longest for two.
+        let pinned = [
+            (0, "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+            (55, "8ae2d46729cfe68ff927af5eec9c7d1b66d65ac2"),
+            (56, "636e2ec698dac903498e648bd2f3af641d3c88cb"),
+            (63, "6d942da0c4392b123528f2905c713a3ce28364bd"),
+            (64, "c6138d514ffa2135bfce0ed0b8fac65669917ec7"),
+            (65, "69bd728ad6e13cd76ff19751fde427b00e395746"),
+            (119, "41c89d06001bab4ab78736b44efe7ce18ce6ae08"),
+            (120, "d3dbd653bd8597b7475321b60a36891278e6a04a"),
+            (1000, "c9c960a0b925474fab83942cc27d504fc24ac37b"),
+        ];
+        for (n, digest) in pinned {
+            let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
+            assert_eq!(hex(&sha1(&data)), digest, "length {n}");
+        }
+    }
+
+    /// Whether this CPU runs the hardware kernel; says so when it does not.
+    fn has_sha_extensions() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1") {
+            return true;
+        }
+        eprintln!("no SHA extensions on this CPU: only the portable rounds ran");
+        false
+    }
+
+    /// One-shot SHA-1 padded here and compressed by the portable rounds
+    /// alone.
+    fn portable_sha1(data: &[u8]) -> [u8; 20] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut h = Sha1::new();
+        for block in msg.chunks_exact(64) {
+            h.compress_portable(block.try_into().expect("64 bytes"));
+        }
+        let mut out = [0u8; 20];
+        for (o, word) in out.chunks_exact_mut(4).zip(h.state) {
+            o.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn hardware_rounds_match_portable_rounds() {
+        use rand::{Rng, SeedableRng};
+        if !has_sha_extensions() {
+            return;
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(35);
+        for _ in 0..1000 {
+            let mut block = [0u8; 64];
+            rng.fill(&mut block[..]);
+            let start: [u32; 5] = std::array::from_fn(|_| rng.gen());
+            let (mut portable, mut hardware) = (Sha1::new(), Sha1::new());
+            (portable.state, hardware.state) = (start, start);
+            portable.compress_portable(&block);
+            hardware.compress(&block);
+            assert_eq!(
+                hardware.state, portable.state,
+                "block {block:02x?} from {start:08x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn digests_match_portable_reference() {
+        has_sha_extensions();
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 37 % 256) as u8).collect();
+        for n in 0..=300 {
+            assert_eq!(sha1(&data[..n]), portable_sha1(&data[..n]), "length {n}");
+        }
     }
 
     #[test]

@@ -226,7 +226,7 @@ impl IdSpace {
     /// bytes). The tiny modulo bias for non-power-of-two bases is irrelevant
     /// for routing-table balance.
     pub fn id_from_hash(&self, data: &[u8]) -> NodeId {
-        let mut digits = Vec::with_capacity(self.digit_count());
+        let (mut digits, mut len) = ([0u8; MAX_DIGITS], 0);
         let mut block = crate::sha1(data);
         let mut used = 0usize;
 
@@ -234,7 +234,7 @@ impl IdSpace {
             let bits_per_digit = self.base.trailing_zeros() as usize;
             let mut bitbuf: u32 = 0;
             let mut bitcnt = 0usize;
-            while digits.len() < self.digit_count() {
+            while len < self.digit_count() {
                 if bitcnt < bits_per_digit {
                     if used == block.len() {
                         block = crate::sha1(&block);
@@ -248,20 +248,22 @@ impl IdSpace {
                     let digit = ((bitbuf >> shift) & (self.base as u32 - 1)) as u8;
                     bitcnt = shift;
                     bitbuf &= (1u32 << shift) - 1;
-                    digits.push(digit);
+                    digits[len] = digit;
+                    len += 1;
                 }
             }
         } else {
-            while digits.len() < self.digit_count() {
+            while len < self.digit_count() {
                 if used == block.len() {
                     block = crate::sha1(&block);
                     used = 0;
                 }
-                digits.push((block[used] as u16 % self.base) as u8);
+                digits[len] = (block[used] as u16 % self.base) as u8;
+                len += 1;
                 used += 1;
             }
         }
-        NodeId::from_digits_lsd(&digits)
+        NodeId::from_digits_lsd(&digits[..len])
     }
 }
 
@@ -394,6 +396,63 @@ mod tests {
             assert_ne!(x, z, "b={b} d={d}");
             assert!(space.contains(&x));
             assert!(space.contains(&z));
+        }
+    }
+
+    #[test]
+    fn hash_ids_are_pinned() {
+        // Known answers: the power-of-two bit stream at 4, 2 and 1 bits a
+        // digit, the mod-b path, exactly the 20 hash bytes at (32, 32), and
+        // a second block at (36, 32).
+        let pinned: [((u16, usize), [&str; 4]); 6] = [
+            ((16, 8), ["ee3a93ad", "d4a1e5af", "ce7de3c7", "2eb328a7"]),
+            ((4, 6), ["302213", "112233", "300331", "022231"]),
+            (
+                (2, 64),
+                [
+                    "1011000011010010110101100111101001110111110001011001110001011011",
+                    "0110110100001011100000011100111110110010010110000111101001011111",
+                    "1010010110111100011101001000010100110111111010110111110000111110",
+                    "0010001001111000110111101001001101000111110111000100000101011110",
+                ],
+            ),
+            (
+                (10, 12),
+                [
+                    "915035748378",
+                    "455028937640",
+                    "640151616524",
+                    "054780316902",
+                ],
+            ),
+            (
+                (32, 32),
+                [
+                    "9o1gtn2io0oapnvnlicqg5dduir7qs8r",
+                    "2dp50b6elasq8flul7kcb87gjfjk1f9v",
+                    "l11rft95flh212b4k88bquo515rfdvgf",
+                    "dhi5glf5qpqsa16isrg84fcf9mon31af",
+                ],
+            ),
+            (
+                (36, 32),
+                [
+                    "q4dw408qc6ra970v0oo5nbded3zmmjl2",
+                    "bo7csnno2kf3id265d5xmtt82slr5qmy",
+                    "03e4210ooxv1ho1e6vyhgykhlpahkzqg",
+                    "7vbvmo1fpg6x9m2j7mzum1gvwuflanme",
+                ],
+            ),
+        ];
+        for ((b, d), ids) in pinned {
+            let space = IdSpace::new(b, d).unwrap();
+            for (name, id) in ["", "node-0", "skylark.mp3", "obj-42"].iter().zip(ids) {
+                assert_eq!(
+                    space.id_from_hash(name.as_bytes()).to_string(),
+                    id,
+                    "b={b} d={d} {name:?}"
+                );
+            }
         }
     }
 

@@ -18,8 +18,8 @@
 //!
 //! The store *borrows* its tables ([`ObjectStore::over`]) and reads them
 //! once, into rows of node indices: routing a lookup hashes its start and
-//! then resolves no identifier, so a storm of millions of lookups
-//! allocates only when a directory row is touched. The free functions
+//! then resolves no identifier, and a hit borrows its directory row, so a
+//! storm of millions of lookups allocates nothing. The free functions
 //! ([`surrogate_root_with`] and its wrappers) walk any `NodeId -> table`
 //! lookup directly and are what the store's walk is tested against.
 //! After membership changes,
@@ -47,7 +47,7 @@
 //! let receipt = store.publish(ids[0], "skylark.mp3");
 //! let hit = store.lookup(ids[5], "skylark.mp3").expect("object published");
 //! assert_eq!(hit.root, receipt.root);
-//! assert_eq!(hit.homes, vec![ids[0]]);
+//! assert_eq!(hit.homes, [ids[0]]);
 //! assert!(store.lookup(ids[5], "missing.mp3").is_none());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -59,7 +59,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::marker::PhantomData;
 
 use hyperring_core::NeighborTable;
-use hyperring_id::{IdSpace, NodeId};
+use hyperring_id::{IdBuildHasher, IdSpace, NodeId};
 
 /// One overlay hop taken by surrogate routing: `from`'s `(level, digit)`
 /// entry advanced the query to `to`.
@@ -175,15 +175,16 @@ pub struct PublishReceipt {
     pub hops: usize,
 }
 
-/// A successful lookup.
+/// A successful lookup, borrowing the answering directory row from the
+/// store.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LookupHit {
+pub struct LookupHit<'s> {
     /// The object's hashed identifier.
     pub object_id: NodeId,
     /// The root node that answered.
     pub root: NodeId,
     /// Nodes holding a copy of the object, in publication order.
-    pub homes: Vec<NodeId>,
+    pub homes: &'s [NodeId],
     /// Overlay hops taken from the querier to the root.
     pub hops: usize,
 }
@@ -232,8 +233,9 @@ pub struct ObjectStore<'a> {
     /// Node index -> identifier: the owners in the caller's order, then
     /// the dangling nodes in order of first mention.
     ids: Vec<NodeId>,
-    /// Identifier -> node index, consulted for a walk's start only.
-    index: HashMap<NodeId, u32>,
+    /// Identifier -> node index, consulted for a walk's start only. Its
+    /// keys are the owners and entries of the tables given to `over`.
+    index: HashMap<NodeId, u32, IdBuildHasher>,
     /// Node `i`'s rows are `row_start[i]..row_start[i + 1]`, level 0
     /// first; one entry past the last table, none for dangling nodes.
     row_start: Vec<u32>,
@@ -260,7 +262,7 @@ impl<'a> ObjectStore<'a> {
         // Bounds every row, word and node index below.
         assert!(tables.len() * d * b < EMPTY as usize, "too many tables");
         let mut ids: Vec<NodeId> = tables.iter().map(|t| t.owner()).collect();
-        let mut index: HashMap<NodeId, u32> =
+        let mut index: HashMap<NodeId, u32, IdBuildHasher> =
             (ids.iter().zip(0..)).map(|(&id, i)| (id, i)).collect();
         let mut row_start = Vec::with_capacity(tables.len() + 1);
         let mut rows: Vec<u32> = Vec::new();
@@ -425,14 +427,14 @@ impl<'a> ObjectStore<'a> {
     /// # Panics
     ///
     /// Panics if `from` is not a live node.
-    pub fn lookup(&self, from: NodeId, name: &str) -> Option<LookupHit> {
+    pub fn lookup(&self, from: NodeId, name: &str) -> Option<LookupHit<'_>> {
         let object_id = self.object_id(name);
         let (root, hops) = self.walk(self.start(&from), &object_id, |_| {});
         let homes = self.directories[root as usize].get(&object_id)?;
         Some(LookupHit {
             object_id,
             root: self.ids[root as usize],
-            homes: homes.clone(),
+            homes,
             hops,
         })
     }
