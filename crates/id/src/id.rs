@@ -96,6 +96,19 @@ impl NodeId {
         }
     }
 
+    /// An identifier of `d` digits, each below 16, from the nibbles
+    /// [`from_digits_lsd`](Self::from_digits_lsd) would pack them into:
+    /// `bytes` zero past the last digit.
+    pub(crate) fn from_nibbles(d: usize, bytes: [u8; BYTES]) -> Self {
+        debug_assert!(d != 0 && d <= MAX_DIGITS);
+        debug_assert!(d.is_multiple_of(2) || bytes[d / 2] >> 4 == 0);
+        debug_assert!(bytes[d.div_ceil(2)..].iter().all(|&x| x == 0));
+        NodeId {
+            meta: d as u8,
+            bytes,
+        }
+    }
+
     /// Rebuilds an identifier from its packed bytes
     /// ([`as_bytes`](Self::as_bytes)) and shape. Returns `None` unless
     /// `bytes` is exactly the packing of some `digit_count`-digit
