@@ -25,6 +25,8 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
+use hyperring_id::IdBuildHasher;
+
 /// Slots per level (64 keeps slot indexing a 6-bit shift and the
 /// occupancy mask one machine word).
 pub const SLOTS: usize = 64;
@@ -42,7 +44,11 @@ pub struct TimerWheel<K> {
     /// Bit `s` of `masks[l]` set iff `levels[l][s]` is non-empty.
     masks: [u64; LEVELS],
     overflow: Vec<(K, u64, u64)>,
-    armed: HashMap<K, (u64, u64)>, // key -> (generation, deadline_us)
+    /// key -> (generation, deadline_us). Under a retry policy every
+    /// request arms a key and every reply cancels one, so the index runs
+    /// on the fixed [`IdBuildHasher`]: its keys are ones the owner
+    /// inserted, never ones an outside party picks.
+    armed: HashMap<K, (u64, u64), IdBuildHasher>,
     generation: u64,
 }
 
@@ -62,7 +68,7 @@ impl<K: Clone + Eq + Hash> TimerWheel<K> {
                 .collect(),
             masks: [0; LEVELS],
             overflow: Vec::new(),
-            armed: HashMap::new(),
+            armed: HashMap::default(),
             generation: 0,
         }
     }

@@ -8,8 +8,9 @@
 //!
 //! The rest of the file covers what only a wall-clock runtime can: roster
 //! validation before any socket is bound, retransmission and tracing on
-//! real timers, quiescence with a failure detector armed, and kill →
-//! detect → repair over real sockets.
+//! real timers, exact quiescence without a failure detector and the
+//! settle-window fallback with one armed, and kill → detect → repair over
+//! real sockets.
 
 use hyperring_core::{
     build_consistent_tables, check_consistency, FailureDetector, ProtocolOptions, RetryPolicy,
@@ -95,7 +96,13 @@ fn lossless_wave_reports_clean_stats() {
     let (v, w) = ids.split_at(16);
     let members = build_consistent_tables(space, v);
     let joiners: Vec<(NodeId, NodeId)> = w.iter().map(|&id| (id, v[0])).collect();
+    let settle = Duration::from_secs(10);
+    let config = UdpConfig {
+        settle,
+        ..UdpConfig::default()
+    };
     let (tables, stats) = UdpNetwork::new(space, ProtocolOptions::new(), members)
+        .with_config(config)
         .run_joins(&joiners)
         .expect("lossless wave quiesces");
     assert!(check_consistency(space, &tables).is_consistent());
@@ -105,13 +112,12 @@ fn lossless_wave_reports_clean_stats() {
         stats.bytes_received <= stats.bytes_sent,
         "received more bytes than were sent"
     );
-    // The supervisor samples once per settle window: the window the joins
-    // ran in, then a silent one. A wave this small is over in a few
-    // milliseconds, so a supervisor that timed the silence from the last
-    // activity would return well inside the second window.
+    // Nothing was lost and no detector runs, so the run ends at exact
+    // quiescence: the window rule could not end it before its first look,
+    // a whole settle window in.
     assert!(
-        stats.wall >= 2 * UdpConfig::default().settle,
-        "run ended after {:?}, before the second settle window closed",
+        stats.wall < settle,
+        "run ended after {:?}, not before the first settle window closed",
         stats.wall
     );
 }
@@ -296,13 +302,24 @@ fn run_joins_quiesces_with_a_failure_detector_armed() {
         quiesce_timeout: Duration::from_secs(5),
         ..UdpConfig::default()
     };
-    assert!(config.settle > Duration::from_millis(20));
-    let (tables, _) = net
+    let settle = config.settle;
+    assert!(settle > Duration::from_millis(20));
+    let (tables, stats) = net
         .with_config(config)
         .run_joins(&joiners)
         .expect("heartbeat is not progress");
     assert_eq!(tables.len(), 14);
     assert!(check_consistency(space, &tables).is_consistent());
+    // Heartbeat never stops, so only the window rule can end this run:
+    // one look per settle window, the window the joins ran in, then a
+    // silent one. A wave this small is over in a few milliseconds, so a
+    // supervisor that timed the silence from the last activity would
+    // return well inside the second window.
+    assert!(
+        stats.wall >= 2 * settle,
+        "run ended after {:?}, before the second settle window closed",
+        stats.wall
+    );
 }
 
 #[test]
