@@ -15,9 +15,8 @@
 //!
 //! * [`check_consistency`] — interns the table owners in a
 //!   [`CompactSuffixIndex`] and walks every borrowed table against it by
-//!   range descent, fanning the per-node loop across cores: `O(n · d · b ·
-//!   log n)` after the index build, with no table cloned and
-//!   `≈ (d + 12) · n` bytes of check-phase memory.
+//!   range descent: `O(n · d · b · log n)` after the index build, with no
+//!   table cloned and `≈ (d + 12) · n` bytes of check-phase memory.
 //!   [`digest_and_check_streaming`] folds the canonical table digest out of
 //!   the same walk, and [`IncrementalChecker`](crate::IncrementalChecker)
 //!   re-runs it over the dirty tables only.
@@ -34,7 +33,6 @@ use std::fmt;
 use hyperring_id::{IdSpace, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::digest::{digest_entry, digest_reverse_sets, digest_table_prefix, Fnv};
 use crate::routing::route;
@@ -319,13 +317,11 @@ fn index_owners<'a>(
 /// `Vec` or slice, or
 /// [`SimNetwork::tables_iter`](crate::SimNetwork::tables_iter) over the
 /// engines' arena-backed tables — and walks each table in place against a
-/// [`CompactSuffixIndex`] of the owners, in parallel. Nothing is cloned:
-/// the check-phase overhead is the index (`≈ (d + 12) · n` bytes) plus one
-/// reference per node. The result is deterministic: compat-rayon hands
-/// each worker a contiguous chunk and reassembles results in input order,
-/// so violations come back in table order for any thread count, and the
-/// reported witness for a missing entry is always the smallest carrier of
-/// the desired suffix.
+/// [`CompactSuffixIndex`] of the owners, one table after another. Nothing
+/// is cloned: the check-phase overhead is the index (`≈ (d + 12) · n`
+/// bytes) plus one reference per node. Violations come back in table
+/// order, and the reported witness for a missing entry is always the
+/// smallest carrier of the desired suffix.
 ///
 /// # Examples
 ///
@@ -353,11 +349,11 @@ where
     I: IntoIterator<Item = &'a NeighborTable>,
 {
     let (refs, index) = index_owners(space, tables);
-    let per_node: Vec<Vec<Violation>> = refs
-        .par_iter()
-        .map(|t| check_table(space, t, &index, |_, _, _| {}))
+    let violations = refs
+        .iter()
+        .flat_map(|t| check_table(space, t, &index, |_, _, _| {}))
         .collect();
-    ConsistencyReport::assemble(space, refs.len(), per_node.into_iter().flatten().collect())
+    ConsistencyReport::assemble(space, refs.len(), violations)
 }
 
 /// One pass, two answers: the canonical
@@ -367,11 +363,6 @@ where
 /// byte-identical to `tables_digest` over the same sequence (the golden
 /// values must never move); the report is identical to
 /// [`check_consistency`].
-///
-/// The digest threads sequentially across tables by construction, so this
-/// pass checks sequentially too; prefer it when the digest is wanted
-/// anyway (the scale harness), and the parallel [`check_consistency`]
-/// when it is not.
 ///
 /// # Panics
 ///
@@ -485,29 +476,41 @@ pub fn check_reachability(tables: &[NeighborTable]) -> Vec<(NodeId, NodeId)> {
 /// runner feeds straight from
 /// [`SimNetwork::tables_iter`](crate::SimNetwork::tables_iter)).
 pub fn check_reachability_refs(tables: &[&NeighborTable]) -> Vec<(NodeId, NodeId)> {
-    // Sorted vec + binary search instead of a `HashMap<NodeId, _>`: the
-    // per-hop lookup inside `route` is the hot path here, and word
-    // compares beat SipHashing ids n²·d times.
-    let mut by_id: Vec<(NodeId, &NeighborTable)> = tables.iter().map(|t| (t.owner(), *t)).collect();
-    by_id.sort_unstable_by_key(|p| p.0);
+    let by_owner = ByOwner::new(tables);
     let mut failures = Vec::new();
     for s in tables {
         for t in tables {
-            if s.owner() == t.owner() {
-                continue;
-            }
-            let outcome = route(s.owner(), t.owner(), |id| {
-                by_id
-                    .binary_search_by(|p| p.0.cmp(id))
-                    .ok()
-                    .map(|i| by_id[i].1)
-            });
-            if !outcome.is_delivered() {
+            if s.owner() != t.owner() && !by_owner.delivers(s.owner(), t.owner()) {
                 failures.push((s.owner(), t.owner()));
             }
         }
     }
     failures
+}
+
+/// The tables sorted by owner, for the reachability checks' routes. A
+/// sorted vec + binary search instead of a `HashMap<NodeId, _>`: the
+/// per-hop lookup inside `route` is the hot path here, and word compares
+/// beat SipHashing ids n²·d times.
+struct ByOwner<'a>(Vec<(NodeId, &'a NeighborTable)>);
+
+impl<'a> ByOwner<'a> {
+    fn new(tables: &[&'a NeighborTable]) -> Self {
+        let mut by_id: Vec<_> = tables.iter().map(|t| (t.owner(), *t)).collect();
+        by_id.sort_unstable_by_key(|p| p.0);
+        ByOwner(by_id)
+    }
+
+    /// Whether [`route`] delivers from `src` to `dst` over these tables.
+    fn delivers(&self, src: NodeId, dst: NodeId) -> bool {
+        route(src, dst, |id| {
+            self.0
+                .binary_search_by(|p| p.0.cmp(id))
+                .ok()
+                .map(|i| self.0[i].1)
+        })
+        .is_delivered()
+    }
 }
 
 /// Lemma 3.1 spot-checked instead of proved exhaustively: routes
@@ -530,8 +533,7 @@ pub fn check_reachability_sampled(
     if n < 2 {
         return Vec::new();
     }
-    let mut by_id: Vec<(NodeId, &NeighborTable)> = tables.iter().map(|t| (t.owner(), *t)).collect();
-    by_id.sort_unstable_by_key(|p| p.0);
+    let by_owner = ByOwner::new(tables);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut failures = Vec::new();
     for _ in 0..k_pairs {
@@ -540,14 +542,8 @@ pub fn check_reachability_sampled(
         if t >= s {
             t += 1;
         }
-        let (src, dst) = (by_id[s].0, by_id[t].0);
-        let outcome = route(src, dst, |id| {
-            by_id
-                .binary_search_by(|p| p.0.cmp(id))
-                .ok()
-                .map(|i| by_id[i].1)
-        });
-        if !outcome.is_delivered() {
+        let (src, dst) = (by_owner.0[s].0, by_owner.0[t].0);
+        if !by_owner.delivers(src, dst) {
             failures.push((src, dst));
         }
     }

@@ -29,7 +29,6 @@
 use std::collections::{HashMap, HashSet};
 
 use hyperring_id::IdSpace;
-use rayon::prelude::*;
 
 use crate::consistency::{check_table, ConsistencyReport, Violation};
 use crate::suffix_compact::CompactSuffixIndex;
@@ -223,40 +222,27 @@ impl IncrementalChecker {
             dirty
         };
 
-        // Re-verify the dirty tables in parallel (contiguous chunks keep
-        // the per-table results in input order; the cache is keyed by
-        // arena id so order within the dirty set does not matter).
-        let todo: Vec<(u32, &NeighborTable)> = refs
-            .iter()
-            .filter_map(|t| {
-                let idx = self.index.index_of(&t.owner()).expect("live owner");
-                dirty.contains(&idx).then_some((idx, *t))
-            })
-            .collect();
-        let index = &self.index;
-        let space = self.space;
-        let fresh: Vec<(u32, u64, Vec<Violation>)> = todo
-            .par_iter()
-            .map(|&(idx, t)| (idx, t.version(), check_table(space, t, index, |_, _, _| {})))
-            .collect();
-        for (idx, version, violations) in fresh {
-            self.last_version.insert(idx, version);
-            if violations.is_empty() {
-                self.cached.remove(&idx);
-            } else {
-                self.cached.insert(idx, violations);
-            }
-        }
-
-        // Assemble in current table order, mixing cached and fresh results.
+        // Re-verify the dirty tables and assemble the report in current
+        // table order, mixing cached and fresh results (the cache is keyed
+        // by arena id, so a table keeps its verdict across reorderings).
         let mut violations = Vec::new();
+        self.last_reverified = 0;
         for t in &refs {
             let idx = self.index.index_of(&t.owner()).expect("live owner");
+            if dirty.contains(&idx) {
+                self.last_reverified += 1;
+                self.last_version.insert(idx, t.version());
+                let fresh = check_table(self.space, t, &self.index, |_, _, _| {});
+                if fresh.is_empty() {
+                    self.cached.remove(&idx);
+                } else {
+                    self.cached.insert(idx, fresh);
+                }
+            }
             if let Some(v) = self.cached.get(&idx) {
                 violations.extend(v.iter().cloned());
             }
         }
-        self.last_reverified = todo.len();
         self.checks += 1;
         self.prev = Some(self.index.clone());
         ConsistencyReport::assemble(self.space, refs.len(), violations)

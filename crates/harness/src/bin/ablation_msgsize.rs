@@ -1,7 +1,7 @@
 //! §6.2 ablation: bytes saved by the paper's message-size reductions
 //! (level-restricted `JoinNotiMsg` payloads, bit-vector-filtered replies).
 //!
-//! Usage: `cargo run --release -p hyperring-harness --bin ablation_msgsize [--full] [--trials N] [--sequential]`
+//! Usage: `cargo run --release -p hyperring-harness --bin ablation_msgsize [--full] [--trials N]`
 //!
 //! With `--trials N`, each configuration is re-run under `N` independent
 //! seeds (fanned across cores), one row per trial; trial 0 keeps the base

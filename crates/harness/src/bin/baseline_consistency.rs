@@ -2,12 +2,12 @@
 //! versus the paper's protocol, measuring table-consistency violations as
 //! concurrency grows.
 //!
-//! Usage: `cargo run --release -p hyperring-harness --bin baseline_consistency [seeds] [--trials N] [--sequential]`
+//! Usage: `cargo run --release -p hyperring-harness --bin baseline_consistency [seeds] [--trials N]`
 //!
 //! The per-seed runs (seeds `0..seeds`) are fanned across cores and
-//! aggregated in seed order, so the output never depends on scheduling;
-//! `--sequential` forces one core. `--trials N` is this binary's
-//! repetition knob spelled the uniform way: it overrides `[seeds]`.
+//! aggregated in seed order, so the output never depends on scheduling.
+//! `--trials N` is this binary's repetition knob spelled the uniform way:
+//! it overrides `[seeds]`.
 
 use std::path::Path;
 

@@ -1,7 +1,7 @@
 //! §6.1 network initialization: build an n-node network from a single
 //! node, sequentially, concurrently, and staggered.
 //!
-//! Usage: `cargo run --release -p hyperring-harness --bin bootstrap [n] [--trials N] [--sequential] [--trace PATH]`
+//! Usage: `cargo run --release -p hyperring-harness --bin bootstrap [n] [--trials N] [--trace PATH]`
 //!
 //! With `--trials N`, each mode is re-run under `N` independent seeds
 //! (fanned across cores), one row per trial; trial 0 keeps the base seed,

@@ -32,8 +32,8 @@
 //!   1-minimal schedule ddmin shrinks it to as one table row; nothing is
 //!   written.
 //!
-//! `--trials N` and `--sequential` work as in every binary (`waves` and
-//! `crash`); on the simulator every trace digest is byte-stable per seed.
+//! `--trials N` works as in every binary (`waves` and `crash`); on the
+//! simulator every trace digest is byte-stable per seed.
 
 use std::path::Path;
 

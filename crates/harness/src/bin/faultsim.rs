@@ -1,7 +1,7 @@
 //! Concurrent joins over a lossy network, recovered by timer retries.
 //!
 //! Usage: `cargo run --release -p hyperring-harness --bin faultsim
-//! [joiners] [drop_pct] [dup_pct] [--trials N] [--sequential] [--trace PATH]`
+//! [joiners] [drop_pct] [dup_pct] [--trials N] [--trace PATH]`
 //!
 //! Each trial runs `joiners` concurrent joins into a 16-member network
 //! while every message is dropped with probability `drop_pct`% (default

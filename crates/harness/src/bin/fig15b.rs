@@ -9,8 +9,7 @@
 //!
 //! `--trials N` runs each configuration `N` times (fanned across cores;
 //! all trials share one cached topology), adds one summary row per trial
-//! plus a mean row, and plots the CDF of trial 0. `--sequential` runs the
-//! trials on one core with identical output.
+//! plus a mean row, and plots the CDF of trial 0.
 
 use std::path::Path;
 
@@ -47,7 +46,7 @@ fn main() {
     for (i, cfg) in configs.iter().enumerate() {
         let label = format!("n={},m={},b={},d={}", cfg.n, cfg.m, cfg.b, cfg.d);
         eprintln!("running {label} …");
-        let runs = run_fig15b_trials(cfg, opts.trials, opts.sequential);
+        let runs = run_fig15b_trials(cfg, opts.trials);
         let (paper_avg, paper_bound) = if small {
             ("-".to_string(), "-".to_string())
         } else {

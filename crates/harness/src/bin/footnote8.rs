@@ -2,12 +2,12 @@
 //! paper observed it is "rarely sent"; this sweep measures the rate per
 //! join across identifier densities and concurrency levels.
 //!
-//! Usage: `cargo run --release -p hyperring-harness --bin footnote8 [seeds] [--trials N] [--sequential]`
+//! Usage: `cargo run --release -p hyperring-harness --bin footnote8 [seeds] [--trials N]`
 //!
 //! The per-row runs (seeds `100..100+seeds`) are fanned across cores and
-//! summed in seed order, so the output never depends on scheduling;
-//! `--sequential` forces one core. `--trials N` is this binary's
-//! repetition knob spelled the uniform way: it overrides `[seeds]`.
+//! summed in seed order, so the output never depends on scheduling.
+//! `--trials N` is this binary's repetition knob spelled the uniform way:
+//! it overrides `[seeds]`.
 
 use std::path::Path;
 

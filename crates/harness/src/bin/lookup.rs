@@ -5,7 +5,7 @@
 //! Usage: `cargo run --release -p hyperring-harness --bin lookup
 //! [--sizes "256,1024"] [--lookups N] [--keys K] [--zipf A]
 //! [--sample S] [--min-traffic T] [--seed SEED] [--paper-topology]
-//! [--smoke] [--audit] [--trials N] [--sequential]`
+//! [--smoke] [--audit] [--trials N]`
 //!
 //! Per overlay size, both arms replay the same uniform and Zipf storm
 //! schedules; the table reports latency stretch, hop counts, and load

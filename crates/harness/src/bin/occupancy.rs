@@ -1,6 +1,6 @@
 //! Table occupancy vs the closed-form expectation (small-message volume).
 //!
-//! Usage: `cargo run --release -p hyperring-harness --bin occupancy [--trials N] [--sequential]`
+//! Usage: `cargo run --release -p hyperring-harness --bin occupancy [--trials N]`
 //!
 //! With `--trials N`, the measured column is averaged over `N`
 //! independent id populations (fanned across cores); trial 0 keeps the

@@ -1,7 +1,7 @@
 //! Routing stretch (the P2 property of §1) before and after
 //! nearest-neighbor table optimization (extension; the paper's problem 3).
 //!
-//! Usage: `cargo run --release -p hyperring-harness --bin stretch [n] [--trials N] [--sequential]`
+//! Usage: `cargo run --release -p hyperring-harness --bin stretch [n] [--trials N]`
 //!
 //! With `--trials N`, the measurement is repeated under `N` independent
 //! seeds (fanned across cores; each trial draws its own topology and id

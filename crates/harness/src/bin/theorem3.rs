@@ -1,7 +1,7 @@
 //! Verifies Theorem 3 empirically: across workloads, no joining node ever
 //! sends more than `d + 1` messages of types `CpRstMsg` + `JoinWaitMsg`.
 //!
-//! Usage: `cargo run --release -p hyperring-harness --bin theorem3 [--trials N] [--sequential]`
+//! Usage: `cargo run --release -p hyperring-harness --bin theorem3 [--trials N]`
 //!
 //! With `--trials N`, each parameter combination is re-run under `N`
 //! independent seeds (fanned across cores) and the table reports the max

@@ -1,12 +1,12 @@
 //! Theorem 4: the expected number of `JoinNotiMsg` for a *single* join —
 //! measured single joins against the closed-form expectation.
 //!
-//! Usage: `cargo run --release -p hyperring-harness --bin theorem4 [samples] [--trials N] [--sequential]`
+//! Usage: `cargo run --release -p hyperring-harness --bin theorem4 [samples] [--trials N]`
 //!
 //! With `--trials N`, the sweep repeats under `N` independent seeds
 //! (fanned across cores) and the measured column becomes the mean over
 //! trials. Trial 0 keeps the base seed, so `--trials 1` reproduces the
-//! plain run exactly, and `--sequential` never changes the numbers.
+//! plain run exactly, and the core count never changes the numbers.
 
 use std::path::Path;
 

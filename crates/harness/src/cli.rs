@@ -4,11 +4,9 @@
 //!
 //! * `--trials N` — run `N` independent trials (default 1), fanned across
 //!   cores, with per-trial seeds from
-//!   [`trial_seed`](crate::workload::trial_seed);
-//! * `--sequential` — run those trials on one core instead. The printed
-//!   output is identical either way (the parallel runner is
-//!   order-preserving and trials share no mutable state), so this exists
-//!   for cross-checking and for memory-constrained machines;
+//!   [`trial_seed`](crate::workload::trial_seed). The printed output does
+//!   not depend on the core count: results come back in trial order and
+//!   trials share no mutable state;
 //! * `--trace PATH` — binaries that support it write a JSONL protocol
 //!   trace (one [`ProtocolEvent`](hyperring_core::ProtocolEvent) per line,
 //!   stamped with virtual time) of one representative run to `PATH`.
@@ -17,16 +15,13 @@
 
 use std::path::PathBuf;
 
-use crate::workload::{run_trials, run_trials_sequential};
-use rayon::prelude::*;
+use crate::workload::{fan_out, run_trials};
 
 /// Trial-related options extracted from the command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrialOpts {
     /// Number of independent trials to run (≥ 1).
     pub trials: usize,
-    /// Run trials sequentially instead of across cores.
-    pub sequential: bool,
     /// Where to write a JSONL protocol trace, if requested.
     pub trace: Option<PathBuf>,
     /// The arguments left over after removing trial flags, in order
@@ -35,7 +30,7 @@ pub struct TrialOpts {
 }
 
 impl TrialOpts {
-    /// Parses `--trials N` and `--sequential` out of an argument list.
+    /// Parses `--trials N` and `--trace PATH` out of an argument list.
     ///
     /// # Panics
     ///
@@ -43,7 +38,6 @@ impl TrialOpts {
     /// the value is not a positive integer.
     pub fn parse(args: impl Iterator<Item = String>) -> Self {
         let mut trials = 1usize;
-        let mut sequential = false;
         let mut trace = None;
         let mut rest = Vec::new();
         let mut args = args.peekable();
@@ -56,7 +50,6 @@ impl TrialOpts {
                         .expect("--trials value must be a positive integer");
                     assert!(trials >= 1, "--trials value must be a positive integer");
                 }
-                "--sequential" => sequential = true,
                 "--trace" => {
                     let v = args.next().expect("--trace requires a path");
                     trace = Some(PathBuf::from(v));
@@ -66,7 +59,6 @@ impl TrialOpts {
         }
         TrialOpts {
             trials,
-            sequential,
             trace,
             rest,
         }
@@ -119,22 +111,17 @@ impl TrialOpts {
     }
 
     /// Runs `self.trials` trials of `f` with per-trial seeds derived from
-    /// `base_seed`, parallel unless `--sequential` was given. Results come
-    /// back in trial order either way.
+    /// `base_seed`, fanned across cores, returning results in trial order.
     pub fn run<R, F>(&self, base_seed: u64, f: F) -> Vec<R>
     where
         R: Send,
-        F: Fn(usize, u64) -> R + Sync + Send,
+        F: Fn(usize, u64) -> R + Sync,
     {
-        if self.sequential {
-            run_trials_sequential(self.trials, base_seed, f)
-        } else {
-            run_trials(self.trials, base_seed, f)
-        }
+        run_trials(self.trials, base_seed, f)
     }
 
-    /// Maps `f` over `0..count` — across cores unless `--sequential` was
-    /// given — returning results in index order either way.
+    /// Maps `f` over `0..count`, fanned across cores, returning results in
+    /// index order.
     ///
     /// For binaries whose repetition knob predates `--trials` (e.g. a
     /// `[seeds]` positional) and therefore derive per-run seeds themselves
@@ -142,13 +129,9 @@ impl TrialOpts {
     pub fn map_indexed<R, F>(&self, count: usize, f: F) -> Vec<R>
     where
         R: Send,
-        F: Fn(usize) -> R + Sync + Send,
+        F: Fn(usize) -> R + Sync,
     {
-        if self.sequential {
-            (0..count).map(f).collect()
-        } else {
-            (0..count).into_par_iter().map(f).collect()
-        }
+        fan_out(count, f)
     }
 }
 
@@ -164,21 +147,11 @@ mod tests {
     fn defaults_and_flag_extraction() {
         let o = parse(&[]);
         assert_eq!(o.trials, 1);
-        assert!(!o.sequential);
         assert!(o.trace.is_none());
         assert!(o.rest.is_empty());
 
-        let o = parse(&[
-            "5000",
-            "--trials",
-            "8",
-            "--sequential",
-            "--trace",
-            "out.jsonl",
-            "--small",
-        ]);
+        let o = parse(&["5000", "--trials", "8", "--trace", "out.jsonl", "--small"]);
         assert_eq!(o.trials, 8);
-        assert!(o.sequential);
         assert_eq!(o.trace.as_deref(), Some(std::path::Path::new("out.jsonl")));
         assert_eq!(o.rest, vec!["5000".to_string(), "--small".to_string()]);
         assert_eq!(o.positional(0, 0u64), 5000);
@@ -203,22 +176,5 @@ mod tests {
     #[should_panic(expected = "--trials value must be a positive integer")]
     fn zero_trials_rejected() {
         parse(&["--trials", "0"]);
-    }
-
-    #[test]
-    fn run_respects_sequential_flag_and_matches_parallel() {
-        let par = parse(&["--trials", "6"]);
-        let seq = parse(&["--trials", "6", "--sequential"]);
-        let f = |k: usize, seed: u64| (k as u64) ^ seed.rotate_left(7);
-        assert_eq!(par.run(99, f), seq.run(99, f));
-    }
-
-    #[test]
-    fn map_indexed_is_ordered_and_mode_independent() {
-        let par = parse(&[]);
-        let seq = parse(&["--sequential"]);
-        let f = |i: usize| i * i + 1;
-        assert_eq!(par.map_indexed(9, f), seq.map_indexed(9, f));
-        assert_eq!(par.map_indexed(3, f), vec![1, 2, 5]);
     }
 }

@@ -10,7 +10,7 @@ use hyperring_sim::stats::Distribution;
 use hyperring_sim::UniformDelay;
 
 use crate::topo_delay::SharedTopology;
-use crate::workload::{run_trials, run_trials_sequential, JoinWorkload};
+use crate::workload::{run_trials, JoinWorkload};
 
 /// Which latency substrate to run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,21 +122,20 @@ impl Fig15bResult {
 
 /// Runs one Figure 15(b) experiment.
 ///
-/// Equivalent to `run_fig15b_trials(cfg, 1, true)[0]`.
+/// Equivalent to `run_fig15b_trials(cfg, 1)[0]`.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is degenerate (e.g. zero members) or if the
 /// run violates a theorem (Theorem 2 termination is asserted internally).
 pub fn run_fig15b(cfg: &Fig15bConfig) -> Fig15bResult {
-    run_fig15b_trials(cfg, 1, true)
+    run_fig15b_trials(cfg, 1)
         .pop()
         .expect("one trial requested")
 }
 
 /// Runs `trials` independent Figure 15(b) experiments, fanned across
-/// cores (or sequentially when `sequential` is set — the results are
-/// bit-identical either way).
+/// cores; the results do not depend on the core count.
 ///
 /// All trials share **one** router topology — generated once from
 /// `cfg.seed`, behind an `Arc`, with its host-to-host delay rows memoized
@@ -149,7 +148,7 @@ pub fn run_fig15b(cfg: &Fig15bConfig) -> Fig15bResult {
 /// # Panics
 ///
 /// As [`run_fig15b`], for any trial.
-pub fn run_fig15b_trials(cfg: &Fig15bConfig, trials: usize, sequential: bool) -> Vec<Fig15bResult> {
+pub fn run_fig15b_trials(cfg: &Fig15bConfig, trials: usize) -> Vec<Fig15bResult> {
     let space = IdSpace::new(cfg.b, cfg.d).expect("valid space");
     let total_hosts = cfg.n + cfg.m;
     let topo = match cfg.delay {
@@ -188,11 +187,7 @@ pub fn run_fig15b_trials(cfg: &Fig15bConfig, trials: usize, sequential: bool) ->
         }
     };
 
-    if sequential {
-        run_trials_sequential(trials, cfg.seed, trial)
-    } else {
-        run_trials(trials, cfg.seed, trial)
-    }
+    run_trials(trials, cfg.seed, trial)
 }
 
 fn run_with<D: hyperring_sim::DelayModel>(
@@ -289,12 +284,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_trials_match_sequential_and_trial_zero_matches_single_run() {
+    fn trials_are_reproducible_and_trial_zero_matches_single_run() {
         let cfg = Fig15bConfig::small(8, 1234);
-        let par = run_fig15b_trials(&cfg, 3, false);
-        let seq = run_fig15b_trials(&cfg, 3, true);
-        assert_eq!(par.len(), 3);
-        for (p, s) in par.iter().zip(&seq) {
+        let first = run_fig15b_trials(&cfg, 3);
+        let again = run_fig15b_trials(&cfg, 3);
+        assert_eq!(first.len(), 3);
+        for (p, s) in first.iter().zip(&again) {
             assert_eq!(p.config.seed, s.config.seed);
             assert_eq!(p.average(), s.average());
             assert_eq!(p.messages_delivered, s.messages_delivered);
@@ -303,12 +298,12 @@ mod tests {
             assert!(p.consistent);
         }
         // Distinct seeds → the trials really are independent samples.
-        assert_ne!(par[0].config.seed, par[1].config.seed);
+        assert_ne!(first[0].config.seed, first[1].config.seed);
         // Trial 0 keeps the base seed and reproduces the single-run API.
         let single = run_fig15b(&cfg);
-        assert_eq!(par[0].config.seed, cfg.seed);
-        assert_eq!(par[0].average(), single.average());
-        assert_eq!(par[0].messages_delivered, single.messages_delivered);
-        assert_eq!(par[0].finished_at, single.finished_at);
+        assert_eq!(first[0].config.seed, cfg.seed);
+        assert_eq!(first[0].average(), single.average());
+        assert_eq!(first[0].messages_delivered, single.messages_delivered);
+        assert_eq!(first[0].finished_at, single.finished_at);
     }
 }

@@ -5,9 +5,8 @@ use hyperring_analysis::expected_join_noti;
 use hyperring_core::{ProtocolOptions, SimNetworkBuilder};
 use hyperring_id::IdSpace;
 use hyperring_sim::UniformDelay;
-use rayon::prelude::*;
 
-use crate::workload::distinct_ids;
+use crate::workload::{distinct_ids, fan_out};
 
 /// One network size's measured-vs-analytic comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,34 +43,30 @@ pub fn run_theorem4(
             let members = &ids[..n];
             // Each sampled join runs against its own copy of `V` with its
             // own seed, so the samples are independent — fan them across
-            // cores. Summing the collected (trial-ordered) counts keeps the
-            // result identical to the sequential loop this replaces.
-            let counts: Vec<u64> = (0..samples)
-                .into_par_iter()
-                .map(|s| {
-                    let joiner = ids[n + s];
-                    let mut builder = SimNetworkBuilder::new(space);
-                    builder.options(ProtocolOptions::new());
-                    for id in members {
-                        builder.add_member(*id);
-                    }
-                    builder.add_joiner(joiner, members[s % n], 0);
-                    let mut net = builder.build(
-                        UniformDelay::new(1_000, 50_000),
-                        seed.wrapping_add(s as u64),
-                    );
-                    net.run();
-                    assert!(net.all_in_system(), "single join did not terminate");
-                    debug_assert!(net.check_consistency().is_consistent());
-                    let count = net
-                        .joiners()
-                        .next()
-                        .expect("one joiner")
-                        .stats()
-                        .join_noti();
-                    count
-                })
-                .collect();
+            // cores. The counts come back in sample order.
+            let counts: Vec<u64> = fan_out(samples, |s| {
+                let joiner = ids[n + s];
+                let mut builder = SimNetworkBuilder::new(space);
+                builder.options(ProtocolOptions::new());
+                for id in members {
+                    builder.add_member(*id);
+                }
+                builder.add_joiner(joiner, members[s % n], 0);
+                let mut net = builder.build(
+                    UniformDelay::new(1_000, 50_000),
+                    seed.wrapping_add(s as u64),
+                );
+                net.run();
+                assert!(net.all_in_system(), "single join did not terminate");
+                debug_assert!(net.check_consistency().is_consistent());
+                let count = net
+                    .joiners()
+                    .next()
+                    .expect("one joiner")
+                    .stats()
+                    .join_noti();
+                count
+            });
             let total: u64 = counts.iter().sum();
             Theorem4Point {
                 n,

@@ -53,4 +53,4 @@ pub use timeline::{
     StormReport, Timeline, TimelineReport,
 };
 pub use topo_delay::{CachedTopologyDelay, SharedTopology, TopologyDelay};
-pub use workload::{distinct_ids, run_trials, run_trials_sequential, trial_seed, JoinWorkload};
+pub use workload::{distinct_ids, run_trials, trial_seed, JoinWorkload};

@@ -8,8 +8,9 @@
 //!   behind an [`Arc`], shared by any number of trials, with per-source
 //!   latency rows memoized into a lazily-filled host-to-host matrix. Rows
 //!   are computed once, on first use, and every clone sees them;
-//!   [`SharedTopology::full_matrix`] batch-fills all rows across cores
-//!   when a trial sweep is about to touch everything anyway.
+//!   [`SharedTopology::full_matrix`] batch-fills all rows, one core per
+//!   chunk of sources, when a trial sweep is about to touch everything
+//!   anyway.
 //!
 //! Topology generation is the expensive part (Waxman wiring plus one
 //! Dijkstra per transit router plus per-stub-domain APSP — seconds at the
@@ -23,7 +24,8 @@ use hyperring_sim::{DelayModel, MatrixDelay, Time};
 use hyperring_topology::{HostMap, TransitStub, TransitStubConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
+
+use crate::workload::fan_out;
 
 /// A [`DelayModel`] backed by a transit-stub router topology: actor `i` of
 /// the simulation is host `i` of the [`HostMap`], and each message takes
@@ -161,17 +163,15 @@ impl SharedTopology {
         CachedTopologyDelay { topo: self.clone() }
     }
 
-    /// Batch-fills every row (independent sources, fanned across cores)
-    /// and returns the dense matrix as a standalone [`MatrixDelay`].
+    /// Batch-fills every row — the sources are independent, so they fan
+    /// out across cores like trials do — and returns the dense matrix as a
+    /// standalone [`MatrixDelay`].
     ///
     /// Rows already memoized by earlier lookups are reused, and rows
     /// computed here stay memoized for later [`delay`](Self::delay) calls.
     pub fn full_matrix(&self) -> MatrixDelay {
         let n = self.host_count();
-        let rows: Vec<Arc<Vec<Time>>> = (0..n)
-            .into_par_iter()
-            .map(|from| Arc::clone(self.inner.row(from)))
-            .collect();
+        let rows: Vec<Arc<Vec<Time>>> = fan_out(n, |from| Arc::clone(self.inner.row(from)));
         let mut matrix = Vec::with_capacity(n * n);
         for row in rows {
             matrix.extend_from_slice(&row);

@@ -3,7 +3,8 @@
 use hyperring_id::{IdSpace, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+
+use crate::metrics::cores;
 
 /// Derives the seed of trial `trial` from an experiment's base seed.
 ///
@@ -25,31 +26,48 @@ pub fn trial_seed(base: u64, trial: usize) -> u64 {
 ///
 /// Trial `k` receives `(k, trial_seed(base_seed, k))`; results come back
 /// in trial order regardless of thread count, so the output is
-/// *bit-identical* to [`run_trials_sequential`] — parallelism changes
+/// bit-identical to `(0..trials).map(..)` — parallelism changes
 /// wall-clock time only. (Equality holds because each trial derives all
 /// of its randomness from its own seed and shares no mutable state.)
 pub fn run_trials<R, F>(trials: usize, base_seed: u64, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(usize, u64) -> R + Sync + Send,
+    F: Fn(usize, u64) -> R + Sync,
 {
-    (0..trials)
-        .into_par_iter()
-        .map(|k| f(k, trial_seed(base_seed, k)))
-        .collect()
+    fan_out(trials, |k| f(k, trial_seed(base_seed, k)))
 }
 
-/// The sequential twin of [`run_trials`]: same trials, same seeds, same
-/// order, one core. Kept as the reference the parallel path is tested
-/// against, and as the fallback when a caller wants predictable memory
-/// use.
-pub fn run_trials_sequential<R, F>(trials: usize, base_seed: u64, mut f: F) -> Vec<R>
+/// Maps `f` over `0..n` with one contiguous chunk of indices per core and
+/// returns the results in index order. The crate's only parallel path:
+/// independent trials and samples fan out here, while the libraries they
+/// call stay sequential. With one item or one core it runs inline, and a
+/// panic in `f` propagates to the caller.
+pub(crate) fn fan_out<R, F>(n: usize, f: F) -> Vec<R>
 where
-    F: FnMut(usize, u64) -> R,
+    R: Send,
+    F: Fn(usize) -> R + Sync,
 {
-    (0..trials)
-        .map(|k| f(k, trial_seed(base_seed, k)))
-        .collect()
+    let threads = cores().min(n);
+    if threads <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let chunk = n.div_ceil(threads);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|start| {
+                scope.spawn(move || (start..n.min(start + chunk)).map(f).collect::<Vec<R>>())
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 /// Draws `n` *distinct* uniformly random identifiers, deterministically
@@ -166,27 +184,31 @@ mod tests {
     }
 
     #[test]
-    fn parallel_trials_are_bit_identical_to_sequential() {
-        // Each trial runs a real (small) simulation workload so thread
-        // interleaving would show up if any state leaked between trials.
+    fn fanned_out_runs_equal_a_plain_map() {
+        // Empty input, fewer items than cores, uneven chunks, many chunks.
         let space = IdSpace::new(8, 4).unwrap();
-        let run = |k: usize, seed: u64| {
-            let ids = distinct_ids(space, 12 + k % 3, seed);
-            let digest: u64 = ids
-                .iter()
-                .enumerate()
-                .map(|(i, id)| id.to_string().len() as u64 * (i as u64 + 1))
-                .sum();
-            (k, seed, ids, digest)
-        };
-        let par = run_trials(16, 2003, run);
-        let seq = run_trials_sequential(16, 2003, run);
-        assert_eq!(par, seq);
-        assert_eq!(par.len(), 16);
-        // Trials are in order and carry their own seeds.
-        for (k, row) in par.iter().enumerate() {
-            assert_eq!(row.0, k);
-            assert_eq!(row.1, trial_seed(2003, k));
+        let trial = |k: usize, seed: u64| (k, seed, distinct_ids(space, 3 + k % 3, seed));
+        let square = |i: usize| i * i + 1;
+        for n in [0, 1, 2, 3, 7, 64] {
+            let plain: Vec<_> = (0..n).map(|k| trial(k, trial_seed(2003, k))).collect();
+            let opts = crate::TrialOpts {
+                trials: n,
+                trace: None,
+                rest: Vec::new(),
+            };
+            assert_eq!(run_trials(n, 2003, trial), plain, "run_trials, n = {n}");
+            assert_eq!(opts.run(2003, trial), plain, "TrialOpts::run, n = {n}");
+            assert_eq!(
+                opts.map_indexed(n, square),
+                (0..n).map(square).collect::<Vec<_>>(),
+                "TrialOpts::map_indexed, n = {n}"
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "trial 5 failed")]
+    fn a_panicking_trial_propagates_out_of_fan_out() {
+        fan_out(8, |k| assert!(k != 5, "trial {k} failed"));
     }
 }

@@ -1,8 +1,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rayon::prelude::*;
-
 use crate::Graph;
 
 /// Single-source shortest path distances (Dijkstra).
@@ -46,18 +44,15 @@ pub fn dijkstra(g: &Graph, src: u32) -> Vec<u64> {
 }
 
 /// Batch single-source shortest paths: one [`dijkstra`] row per source,
-/// fanned across cores.
-///
-/// The sources are independent, so the rows are computed in parallel;
-/// `rows[k]` is exactly `dijkstra(g, sources[k])` regardless of thread
-/// count. This is the building block the delay-matrix cache uses to fill
-/// many rows at once instead of paying one traversal per lookup miss.
+/// in source order, so `rows[k]` is exactly `dijkstra(g, sources[k])`.
+/// This is the building block the delay-matrix cache uses to fill many
+/// rows at once instead of paying one traversal per lookup miss.
 ///
 /// # Panics
 ///
 /// Panics if any source is out of range.
 pub fn dijkstra_multi(g: &Graph, sources: &[u32]) -> Vec<Vec<u64>> {
-    sources.par_iter().map(|&s| dijkstra(g, s)).collect()
+    sources.iter().map(|&s| dijkstra(g, s)).collect()
 }
 
 /// All-pairs shortest paths (Floyd–Warshall), for small graphs.

@@ -220,8 +220,7 @@ impl TransitStub {
         debug_assert!(graph.is_connected());
 
         // 4. Transit-core distance matrix: one full-graph Dijkstra per
-        //    transit router, batched so independent sources run on
-        //    separate cores.
+        //    transit router.
         let sources: Vec<u32> = (0..transit_count).collect();
         let rows = dijkstra_multi(&graph, &sources);
         let mut transit_dist = vec![0u64; (transit_count * transit_count) as usize];
