@@ -13,8 +13,8 @@
 //!   Theorem 1) and every joiner eventually becomes an S-node (Theorem 2);
 //! * the **consistency definition** of §3 as an executable checker
 //!   ([`check_consistency`], [`check_reachability`]);
-//! * network initialization per §6.1 ([`bootstrap_sequential`], or
-//!   concurrent bootstrap through [`SimNetworkBuilder`]);
+//! * network initialization per §6.1 ([`bootstrap`], sequential or in
+//!   concurrent waves, or any join schedule through [`SimNetworkBuilder`]);
 //! * the §6.2 message-size reductions ([`PayloadMode`]);
 //! * a typed **effect/event layer** at the engine ↔ runtime boundary
 //!   ([`Effect`], [`Event`], [`dispatch_effects`]) with optional
@@ -102,10 +102,7 @@ pub use messages::{packed_id_bytes, BitVec, Message, MessageKind};
 pub use options::{FailureDetector, PayloadMode, ProtocolOptions, RetryPolicy};
 pub use oracle::build_consistent_tables;
 pub use routing::{next_hop, route, RouteOutcome};
-pub use simnet::{
-    bootstrap_batched, bootstrap_batched_net, bootstrap_sequential, Carrier, Directory, SimMsg,
-    SimNetwork, SimNetworkBuilder, SimNode,
-};
+pub use simnet::{bootstrap, Carrier, Directory, SimMsg, SimNetwork, SimNetworkBuilder, SimNode};
 pub use stats::MessageStats;
 pub use suffix_compact::CompactSuffixIndex;
 pub use table::{Entry, NeighborTable, NodeState, SnapshotRow, TableSnapshot};

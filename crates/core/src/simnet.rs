@@ -630,8 +630,8 @@ impl<D: DelayModel> SimNetwork<D> {
     /// Existing actors, queued events, and tables are untouched: a join
     /// costs one insert into the shared directory map and one actor
     /// appended, amortized O(1) in time and memory, which is what lets
-    /// [`bootstrap_sequential`] grow one network instead of rebuilding it
-    /// for every join.
+    /// [`bootstrap`] grow one network instead of rebuilding it for every
+    /// join.
     ///
     /// # Panics
     ///
@@ -672,88 +672,32 @@ impl<D: DelayModel> SimNetwork<D> {
     }
 }
 
-/// Initializes a network per §6.1: `ids[0]` becomes the seed node, the rest
-/// join **sequentially** (each join runs to quiescence before the next
-/// starts). Returns the final consistent tables.
+/// Initializes a network per §6.1: `ids[0]` becomes the seed node and the
+/// rest join through it in concurrent **waves** of up to `batch` nodes.
+/// Every joiner of a wave starts at the same virtual instant (through the
+/// seed-node gateway, assumption (ii) of §3.1) and the wave runs to
+/// quiescence before the next begins; `batch` 1 is the sequential
+/// bootstrap, each join completing before the next starts. Returns the
+/// live network: digests and Definition-3.8 checks stream straight off
+/// its arena-backed tables via [`SimNetwork::tables_iter`], and
+/// [`SimNetwork::tables`] clones them out.
 ///
-/// Sequential joins are timing-insensitive (Lemma 5.2 holds for any
-/// latencies), so a fixed 1 µs delay is used internally.
-///
-/// The network is grown *incrementally*: one simulator lives for the whole
-/// bootstrap and each joiner is injected into it through
-/// [`SimNetwork::add_joiner_live`], so per join the work is O(one join)
-/// instead of O(rebuild everything). The result is identical to
-/// rebuilding a fresh network from the tables so far before every join: a
-/// completed joiner's engine differs from a freshly constructed member
-/// only in history bookkeeping (`noti_level`, statistics) that no
-/// *in_system*-status code path reads, and in a sequential
-/// bootstrap no join traffic crosses a quiescence boundary. The
-/// `golden_sequential_bootstrap` digest pins the output, entries and
+/// One simulator lives for the whole bootstrap and each wave is injected
+/// into it through [`SimNetwork::add_joiners_live`], so a wave costs
+/// O(its own traffic), not a rebuild, and peak queue memory is bounded by
+/// one wave's traffic rather than by `n`. Joins are timing-insensitive
+/// when sequential (Lemma 5.2 holds for any latencies), so a fixed 1 µs
+/// delay is used. Within a wave, which sharer a joiner copies from
+/// depends on message interleaving, so tables differ between batch sizes
+/// while staying just as consistent. The `golden_sequential_bootstrap`
+/// and `golden_batched_bootstrap_*` digests pin the output, entries and
 /// reverse sets.
 ///
 /// # Panics
 ///
-/// Panics if `ids` is empty or contains duplicates.
-pub fn bootstrap_sequential(
-    space: IdSpace,
-    opts: ProtocolOptions,
-    ids: &[NodeId],
-) -> Vec<NeighborTable> {
-    assert!(!ids.is_empty());
-    let seed_node = ids[0];
-    let mut b = SimNetworkBuilder::new(space);
-    let seed_table = JoinEngine::new_seed(space, opts, seed_node).table().clone();
-    b.options(opts).with_member_tables(vec![seed_table]);
-    let mut net = b.build(hyperring_sim::ConstantDelay(1), 0);
-    for id in &ids[1..] {
-        net.add_joiner_live(*id, seed_node);
-        net.run();
-        // Earlier joiners were asserted on their own turn and `in_system`
-        // is absorbing here, so only the newcomer needs looking at.
-        assert!(
-            net.engine(id).is_in_system(),
-            "sequential join failed to terminate"
-        );
-    }
-    net.tables()
-}
-
-/// Initializes a network like [`bootstrap_sequential`], but injects
-/// joiners in concurrent **waves** of up to `batch` nodes: every joiner
-/// of a wave starts at the same virtual instant (through the seed-node
-/// gateway, assumption (ii) of §3.1) and the wave runs to quiescence
-/// before the next begins. This is the scaling path for large `n`: one
-/// simulator lives for the whole bootstrap (no rebuilds), so peak queue
-/// memory is bounded by one wave's traffic rather than by `n`.
-///
-/// Concurrent joins make the resulting tables differ from (while staying
-/// just as consistent as) the sequential bootstrap's: within a wave,
-/// which sharer a joiner copies from depends on message interleaving.
-///
-/// # Panics
-///
 /// Panics if `ids` is empty or contains duplicates, `batch` is zero, or
-/// a wave fails to reach quiescence with all nodes in system.
-pub fn bootstrap_batched(
-    space: IdSpace,
-    opts: ProtocolOptions,
-    ids: &[NodeId],
-    batch: usize,
-) -> Vec<NeighborTable> {
-    bootstrap_batched_net(space, opts, ids, batch).tables()
-}
-
-/// [`bootstrap_batched`], returning the live network instead of cloning
-/// its tables out. This is the memory-lean endpoint for large `n`: the
-/// caller streams digests and Definition-3.8 checks straight off the
-/// engines' arena-backed tables via [`SimNetwork::tables_iter`] — the
-/// `Vec<NeighborTable>` materialization that used to double peak RSS at
-/// the check never happens.
-///
-/// # Panics
-///
-/// As [`bootstrap_batched`].
-pub fn bootstrap_batched_net(
+/// a wave fails to reach quiescence with all its joiners in system.
+pub fn bootstrap(
     space: IdSpace,
     opts: ProtocolOptions,
     ids: &[NodeId],
@@ -769,7 +713,12 @@ pub fn bootstrap_batched_net(
     for wave in ids[1..].chunks(batch) {
         net.add_joiners_live(wave, seed_node);
         net.run();
-        assert!(net.all_in_system(), "join wave failed to terminate");
+        // Earlier waves were asserted on their own turn and `in_system`
+        // is absorbing here, so only this wave's joiners need looking at.
+        assert!(
+            wave.iter().all(|id| net.engine(id).is_in_system()),
+            "join wave failed to terminate"
+        );
     }
     net
 }
@@ -882,7 +831,7 @@ mod tests {
     fn bootstrap_sequential_builds_consistent_network() {
         let sp = IdSpace::new(4, 4).unwrap();
         let ids = distinct_ids(sp, 12, 17);
-        let tables = bootstrap_sequential(sp, ProtocolOptions::new(), &ids);
+        let tables = bootstrap(sp, ProtocolOptions::new(), &ids, 1).tables();
         assert_eq!(tables.len(), 12);
         let report = check_consistency(sp, &tables);
         assert!(report.is_consistent(), "{report}");

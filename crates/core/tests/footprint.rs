@@ -15,9 +15,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 
 use hyperring_core::{
-    bootstrap_batched_net, bootstrap_sequential, build_consistent_tables, check_consistency,
-    Effect, Entry, JoinEngine, NeighborTable, NodeInput, NodeState, ProtocolOptions, SimMsg,
-    SimNetworkBuilder, SimNode, TableSnapshot,
+    bootstrap, build_consistent_tables, check_consistency, Effect, Entry, JoinEngine,
+    NeighborTable, NodeInput, NodeState, ProtocolOptions, SimMsg, SimNetworkBuilder, SimNode,
+    TableSnapshot,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::UniformDelay;
@@ -174,7 +174,7 @@ fn quiescent_network_holds_under_3_kib_per_node() {
     const N: usize = 2048;
     let ids = distinct(space(), N, 7);
     let heap = Window::open();
-    let net = bootstrap_batched_net(space(), ProtocolOptions::new(), &ids, 256);
+    let net = bootstrap(space(), ProtocolOptions::new(), &ids, 256);
     let per_node = heap.live() / N;
     heap.print("batched bootstrap, n=2048, waves of 256", N);
     assert!(
@@ -192,7 +192,7 @@ fn sequential_bootstrap_peaks_under_8_mib() {
     const N: usize = 1024;
     let ids = distinct(space(), N, 11);
     let heap = Window::open();
-    let tables = bootstrap_sequential(space(), ProtocolOptions::new(), &ids);
+    let tables = bootstrap(space(), ProtocolOptions::new(), &ids, 1).tables();
     let peak = heap.peak();
     heap.print("sequential bootstrap, n=1024", N);
     assert!(

@@ -16,8 +16,8 @@ mod common;
 
 use common::Hop;
 use hyperring_core::{
-    bootstrap_batched, bootstrap_sequential, check_consistency, tables_digest, DigestTrace,
-    JoinEngine, NeighborTable, ProtocolOptions, SharedSink, SimNetworkBuilder,
+    check_consistency, tables_digest, DigestTrace, JoinEngine, NeighborTable, ProtocolOptions,
+    SharedSink, SimNetworkBuilder,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::{ConstantDelay, UniformDelay};
@@ -182,16 +182,14 @@ fn golden_figure2_trace_digest_over_loopback() {
     figure2_trace_digest(true);
 }
 
-/// §6.1 bootstrap of `ids` in waves of `batch`: [`bootstrap_sequential`]
-/// for `batch` 1 and [`bootstrap_batched`] otherwise, or, when `socket`,
-/// the same loop re-stated over the public builder with every message
-/// sent through a loopback carrier.
+/// §6.1 bootstrap of `ids` in waves of `batch`:
+/// [`hyperring_core::bootstrap`], or, when `socket`, the same loop
+/// re-stated over the public builder with every message sent through a
+/// loopback carrier.
 fn bootstrap(space: IdSpace, ids: &[NodeId], batch: usize, socket: bool) -> Vec<NeighborTable> {
     let opts = ProtocolOptions::new();
-    match (socket, batch) {
-        (false, 1) => return bootstrap_sequential(space, opts, ids),
-        (false, _) => return bootstrap_batched(space, opts, ids, batch),
-        (true, _) => {}
+    if !socket {
+        return hyperring_core::bootstrap(space, opts, ids, batch).tables();
     }
     let hop = Hop::new(space, true);
     let mut b = SimNetworkBuilder::new(space);

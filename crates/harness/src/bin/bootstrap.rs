@@ -11,7 +11,7 @@
 
 use std::path::Path;
 
-use hyperring_harness::experiments::{run_bootstrap_traced, BootstrapConfig};
+use hyperring_harness::experiments::{run_bootstrap, BootstrapConfig};
 use hyperring_harness::{report, Table, TrialOpts};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
                 (0, BootstrapConfig::Concurrent) => trace.as_deref(),
                 _ => None,
             };
-            run_bootstrap_traced(16, 8, n, mode, seed, path)
+            run_bootstrap(16, 8, n, mode, seed, path)
         });
         for (k, r) in runs.iter().enumerate() {
             assert!(r.consistent, "{name} bootstrap inconsistent");

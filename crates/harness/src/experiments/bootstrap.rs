@@ -3,9 +3,7 @@
 
 use std::path::Path;
 
-use hyperring_core::{
-    bootstrap_sequential, check_consistency, JsonlTrace, ProtocolOptions, SimNetworkBuilder,
-};
+use hyperring_core::{bootstrap, JsonlTrace, ProtocolOptions, SimNetworkBuilder};
 use hyperring_id::IdSpace;
 use hyperring_sim::UniformDelay;
 
@@ -43,29 +41,16 @@ pub struct BootstrapResult {
     pub finished_at: u64,
 }
 
-/// Initializes an `n`-node network from a single seed node per §6.1.
+/// Initializes an `n`-node network from a single seed node per §6.1,
+/// writing a JSONL protocol trace of the run to `trace` if given
+/// (concurrent/staggered modes only; the sequential path runs one
+/// isolated join at a time and is not worth tracing).
 ///
 /// # Panics
 ///
-/// Panics if `n == 0` or the space is too small.
+/// Panics if `n == 0`, the space is too small, or the trace file cannot
+/// be created.
 pub fn run_bootstrap(
-    b: u16,
-    d: usize,
-    n: usize,
-    mode: BootstrapConfig,
-    seed: u64,
-) -> BootstrapResult {
-    run_bootstrap_traced(b, d, n, mode, seed, None)
-}
-
-/// [`run_bootstrap`] with an optional JSONL protocol trace of the run
-/// written to `trace` (concurrent/staggered modes only; the sequential
-/// path runs one isolated join at a time and is not worth tracing).
-///
-/// # Panics
-///
-/// As [`run_bootstrap`], plus if the trace file cannot be created.
-pub fn run_bootstrap_traced(
     b: u16,
     d: usize,
     n: usize,
@@ -78,11 +63,10 @@ pub fn run_bootstrap_traced(
     match mode {
         BootstrapConfig::Sequential => {
             // One live simulator grown join-by-join (O(n) incremental work).
-            let tables = bootstrap_sequential(space, ProtocolOptions::new(), &ids);
-            let consistent = check_consistency(space, &tables).is_consistent();
+            let net = bootstrap(space, ProtocolOptions::new(), &ids, 1);
             BootstrapResult {
                 nodes: n,
-                consistent,
+                consistent: net.check_consistency().is_consistent(),
                 messages: 0,
                 finished_at: 0,
             }
@@ -123,7 +107,7 @@ mod tests {
 
     #[test]
     fn sequential_bootstrap_consistent() {
-        let r = run_bootstrap(4, 4, 16, BootstrapConfig::Sequential, 3);
+        let r = run_bootstrap(4, 4, 16, BootstrapConfig::Sequential, 3, None);
         assert!(r.consistent);
         assert_eq!(r.nodes, 16);
     }
@@ -133,7 +117,7 @@ mod tests {
         // Everyone piles onto one seed node at t = 0 — the protocol's
         // JoinWait queueing (Q_j) must serialize them safely.
         for seed in [1u64, 2, 3] {
-            let r = run_bootstrap(4, 5, 24, BootstrapConfig::Concurrent, seed);
+            let r = run_bootstrap(4, 5, 24, BootstrapConfig::Concurrent, seed, None);
             assert!(r.consistent, "seed {seed}");
             assert!(r.messages > 0);
         }
@@ -141,7 +125,14 @@ mod tests {
 
     #[test]
     fn staggered_bootstrap_consistent() {
-        let r = run_bootstrap(8, 4, 20, BootstrapConfig::Staggered { gap_us: 10_000 }, 9);
+        let r = run_bootstrap(
+            8,
+            4,
+            20,
+            BootstrapConfig::Staggered { gap_us: 10_000 },
+            9,
+            None,
+        );
         assert!(r.consistent);
         assert!(r.finished_at > 0);
     }

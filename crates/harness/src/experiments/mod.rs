@@ -14,7 +14,7 @@ mod scale;
 mod stretch;
 mod theorem4;
 
-pub use bootstrap::{run_bootstrap, run_bootstrap_traced, BootstrapConfig, BootstrapResult};
+pub use bootstrap::{run_bootstrap, BootstrapConfig, BootstrapResult};
 pub use churn::{
     poisson_timeline, run_crashchurn, run_poisson_churn, run_wave_churn, wave_stats,
     CrashChurnConfig, PoissonChurnConfig, PoissonChurnResult, WaveChurnConfig, WaveStats,

@@ -6,8 +6,8 @@
 use std::time::Instant;
 
 use hyperring_core::{
-    bootstrap_batched_net, check_reachability_sampled, digest_and_check_streaming,
-    tables_digest_iter, NeighborTable, ProtocolOptions,
+    bootstrap, check_reachability_sampled, digest_and_check_streaming, tables_digest_iter,
+    NeighborTable, ProtocolOptions,
 };
 use hyperring_id::IdSpace;
 
@@ -102,7 +102,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
     // Scope the bootstrap peak to this run, not the process lifetime.
     reset_peak_rss();
     let start = Instant::now();
-    let net = bootstrap_batched_net(space, opts, &ids, cfg.batch);
+    let net = bootstrap(space, opts, &ids, cfg.batch);
     let wall_secs = start.elapsed().as_secs_f64();
     let boot_peak = peak_rss_bytes().unwrap_or(0);
 

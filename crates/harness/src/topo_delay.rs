@@ -7,10 +7,7 @@
 //! * [`SharedTopology`] / [`CachedTopologyDelay`] — one generated topology
 //!   behind an [`Arc`], shared by any number of trials, with per-source
 //!   latency rows memoized into a lazily-filled host-to-host matrix. Rows
-//!   are computed once, on first use, and every clone sees them;
-//!   [`SharedTopology::full_matrix`] batch-fills all rows, one core per
-//!   chunk of sources, when a trial sweep is about to touch everything
-//!   anyway.
+//!   are computed once, on first use, and every clone sees them.
 //!
 //! Topology generation is the expensive part (Waxman wiring plus one
 //! Dijkstra per transit router plus per-stub-domain APSP — seconds at the
@@ -20,12 +17,10 @@
 
 use std::sync::{Arc, OnceLock};
 
-use hyperring_sim::{DelayModel, MatrixDelay, Time};
+use hyperring_sim::{DelayModel, Time};
 use hyperring_topology::{HostMap, TransitStub, TransitStubConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-use crate::workload::fan_out;
 
 /// A [`DelayModel`] backed by a transit-stub router topology: actor `i` of
 /// the simulation is host `i` of the [`HostMap`], and each message takes
@@ -162,22 +157,6 @@ impl SharedTopology {
     pub fn delay_model(&self) -> CachedTopologyDelay {
         CachedTopologyDelay { topo: self.clone() }
     }
-
-    /// Batch-fills every row — the sources are independent, so they fan
-    /// out across cores like trials do — and returns the dense matrix as a
-    /// standalone [`MatrixDelay`].
-    ///
-    /// Rows already memoized by earlier lookups are reused, and rows
-    /// computed here stay memoized for later [`delay`](Self::delay) calls.
-    pub fn full_matrix(&self) -> MatrixDelay {
-        let n = self.host_count();
-        let rows: Vec<Arc<Vec<Time>>> = fan_out(n, |from| Arc::clone(self.inner.row(from)));
-        let mut matrix = Vec::with_capacity(n * n);
-        for row in rows {
-            matrix.extend_from_slice(&row);
-        }
-        MatrixDelay::new(n, Arc::new(matrix))
-    }
 }
 
 /// A [`DelayModel`] view of a [`SharedTopology`]: each lookup is a row
@@ -244,26 +223,9 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn full_matrix_matches_lazy_rows_and_shares_cache() {
-        let shared = SharedTopology::test_scale(16, 3);
-        // Touch a few entries first so the batch fill mixes memoized and
-        // fresh rows.
-        let early = shared.delay(3, 7);
-        let mut matrix = shared.full_matrix();
-        assert_eq!(matrix.len(), 16);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(matrix.delay(3, 7, &mut rng), early);
-        for i in 0..16 {
-            for j in 0..16 {
-                assert_eq!(matrix.get(i, j), shared.delay(i, j), "({i},{j})");
-            }
-        }
-        // Clones share the row cache with the original.
-        let clone = shared.clone();
-        assert_eq!(clone.delay(15, 0), shared.delay(15, 0));
+        // Clones share the row cache with the original: every row the
+        // model filled is memoized in `shared` too.
         assert_eq!(Arc::strong_count(&shared.inner), 2);
+        assert!(shared.inner.rows.iter().all(|row| row.get().is_some()));
     }
 }

@@ -1,5 +1,3 @@
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -78,90 +76,6 @@ impl UniformDelay {
 impl DelayModel for UniformDelay {
     fn delay(&mut self, _from: usize, _to: usize, rng: &mut StdRng) -> Time {
         rng.gen_range(self.lo..=self.hi)
-    }
-}
-
-/// A fully materialized `n × n` latency matrix behind an [`Arc`]:
-/// cloning is `O(1)` and every clone shares the same storage, so one
-/// expensive topology computation can feed any number of concurrent
-/// simulation trials.
-///
-/// Lookups are a single row-major index — the cheapest possible
-/// [`DelayModel`] for topology-derived latencies.
-#[derive(Debug, Clone)]
-pub struct MatrixDelay {
-    n: usize,
-    matrix: Arc<Vec<Time>>,
-}
-
-impl MatrixDelay {
-    /// Wraps a row-major `n × n` matrix (entry `from * n + to`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `matrix.len() != n * n`.
-    pub fn new(n: usize, matrix: Arc<Vec<Time>>) -> Self {
-        assert_eq!(matrix.len(), n * n, "matrix must be n × n");
-        MatrixDelay { n, matrix }
-    }
-
-    /// Materializes a matrix from a latency function.
-    pub fn from_fn(n: usize, mut latency: impl FnMut(usize, usize) -> Time) -> Self {
-        let mut matrix = Vec::with_capacity(n * n);
-        for from in 0..n {
-            for to in 0..n {
-                matrix.push(latency(from, to));
-            }
-        }
-        MatrixDelay {
-            n,
-            matrix: Arc::new(matrix),
-        }
-    }
-
-    /// Number of actors the matrix covers.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the matrix covers no actors.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The latency stored for `from → to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    pub fn get(&self, from: usize, to: usize) -> Time {
-        assert!(from < self.n && to < self.n, "actor index out of range");
-        self.matrix[from * self.n + to]
-    }
-}
-
-impl DelayModel for MatrixDelay {
-    fn delay(&mut self, from: usize, to: usize, _rng: &mut StdRng) -> Time {
-        self.matrix[from * self.n + to]
-    }
-}
-
-/// Adapter turning any closure `(from, to) -> Time` into a [`DelayModel`],
-/// e.g. a lookup into a router topology.
-pub struct FnDelay<F>(
-    /// The latency function.
-    pub F,
-);
-
-impl<F: FnMut(usize, usize) -> Time> DelayModel for FnDelay<F> {
-    fn delay(&mut self, from: usize, to: usize, _rng: &mut StdRng) -> Time {
-        (self.0)(from, to)
-    }
-}
-
-impl<F> std::fmt::Debug for FnDelay<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("FnDelay(..)")
     }
 }
 
@@ -272,32 +186,6 @@ mod tests {
     #[should_panic(expected = "empty latency range")]
     fn uniform_delay_rejects_inverted_range() {
         UniformDelay::new(5, 4);
-    }
-
-    #[test]
-    fn matrix_delay_shares_storage_across_clones() {
-        let m = MatrixDelay::from_fn(3, |from, to| (from * 10 + to) as Time);
-        let mut a = m.clone();
-        let mut b = m;
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(a.delay(2, 1, &mut rng), 21);
-        assert_eq!(b.delay(2, 1, &mut rng), 21);
-        assert_eq!(a.get(0, 2), 2);
-        assert_eq!(a.len(), 3);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "matrix must be n × n")]
-    fn matrix_delay_rejects_wrong_shape() {
-        MatrixDelay::new(2, Arc::new(vec![0; 3]));
-    }
-
-    #[test]
-    fn fn_delay_uses_closure() {
-        let mut m = FnDelay(|from: usize, to: usize| (from * 10 + to) as Time);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(m.delay(2, 3, &mut rng), 23);
     }
 
     #[test]

@@ -50,6 +50,6 @@ mod event;
 mod sim;
 pub mod stats;
 
-pub use delay::{ConstantDelay, DelayModel, Fate, FaultyDelay, FnDelay, MatrixDelay, UniformDelay};
+pub use delay::{ConstantDelay, DelayModel, Fate, FaultyDelay, UniformDelay};
 pub use event::Time;
 pub use sim::{Actor, Context, RunReport, Simulator};

@@ -1,66 +1,6 @@
-//! Small statistics toolkit for simulation outputs: counters, empirical
-//! CDFs, and summary statistics — enough to regenerate the paper's Figure
-//! 15(b) (a cumulative distribution of per-join message counts).
-
-use std::collections::BTreeMap;
-
-/// Typed event counters keyed by a caller-chosen label type.
-///
-/// # Examples
-///
-/// ```
-/// use hyperring_sim::stats::Counters;
-/// let mut c: Counters<&'static str> = Counters::new();
-/// c.bump("JoinNotiMsg");
-/// c.add("JoinNotiMsg", 2);
-/// assert_eq!(c.get(&"JoinNotiMsg"), 3);
-/// assert_eq!(c.get(&"CpRstMsg"), 0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Counters<K: Ord> {
-    map: BTreeMap<K, u64>,
-}
-
-impl<K: Ord> Counters<K> {
-    /// Creates an empty counter set.
-    pub fn new() -> Self {
-        Counters {
-            map: BTreeMap::new(),
-        }
-    }
-
-    /// Adds `n` to the counter for `key`.
-    pub fn add(&mut self, key: K, n: u64) {
-        *self.map.entry(key).or_insert(0) += n;
-    }
-
-    /// Increments the counter for `key` by one.
-    pub fn bump(&mut self, key: K) {
-        self.add(key, 1);
-    }
-
-    /// Current value for `key` (0 if never touched).
-    pub fn get(&self, key: &K) -> u64 {
-        self.map.get(key).copied().unwrap_or(0)
-    }
-
-    /// Sum of all counters.
-    pub fn total(&self) -> u64 {
-        self.map.values().sum()
-    }
-
-    /// Iterates `(key, count)` in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, u64)> {
-        self.map.iter().map(|(k, &v)| (k, v))
-    }
-
-    /// Merges another counter set into this one.
-    pub fn merge(&mut self, other: Counters<K>) {
-        for (k, v) in other.map {
-            self.add(k, v);
-        }
-    }
-}
+//! Small statistics toolkit for simulation outputs: empirical CDFs and
+//! summary statistics — enough to regenerate the paper's Figure 15(b) (a
+//! cumulative distribution of per-join message counts).
 
 /// An empirical distribution built from `u64` samples.
 ///
@@ -222,23 +162,6 @@ mod tests {
         assert_eq!(percentile(&v, 250.0), Some(10), "p is clamped");
         let d = Distribution::from_samples(v.into_iter());
         assert_eq!(d.quantile(0.5), 5);
-    }
-
-    #[test]
-    fn counters_accumulate_and_merge() {
-        let mut a: Counters<u8> = Counters::new();
-        a.bump(1);
-        a.add(2, 5);
-        let mut b: Counters<u8> = Counters::new();
-        b.add(2, 3);
-        b.bump(7);
-        a.merge(b);
-        assert_eq!(a.get(&1), 1);
-        assert_eq!(a.get(&2), 8);
-        assert_eq!(a.get(&7), 1);
-        assert_eq!(a.total(), 10);
-        let keys: Vec<u8> = a.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![1, 2, 7]);
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //!
 //! Run with: `cargo run --release --example bootstrap`
 
-use hyperring::core::{
-    bootstrap_sequential, check_consistency, ProtocolOptions, SimNetworkBuilder,
-};
+use hyperring::core::{bootstrap, check_consistency, ProtocolOptions, SimNetworkBuilder};
 use hyperring::harness::distinct_ids;
 use hyperring::id::IdSpace;
 use hyperring::sim::UniformDelay;
@@ -18,7 +16,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let ids = distinct_ids(space, n, 7);
 
     // Sequential initialization (each join completes before the next).
-    let tables = bootstrap_sequential(space, ProtocolOptions::new(), &ids);
+    let tables = bootstrap(space, ProtocolOptions::new(), &ids, 1).tables();
     let report = check_consistency(space, &tables);
     assert!(report.is_consistent());
     println!("sequential bootstrap of {n} nodes: {report}");

@@ -50,6 +50,18 @@ impl Flags {
     }
 }
 
+/// `--n`, checked against `1..=max`: a network of distinct ids is never
+/// empty and never holds more ids than its space has to give (`None`: a
+/// space too large to count).
+fn node_count(f: &Flags, default: usize, max: Option<u128>) -> Result<usize, String> {
+    let n: usize = f.get("n", default)?;
+    match max {
+        _ if n == 0 => Err("--n must be at least 1".into()),
+        Some(max) if n as u128 > max => Err(format!("--n {n} exceeds the {max} ids available")),
+        _ => Ok(n),
+    }
+}
+
 fn usage() -> &'static str {
     "hyperring-cli — hypercube routing with consistency-preserving joins\n\
      \n\
@@ -71,7 +83,9 @@ fn usage() -> &'static str {
 fn cmd_analyze(f: &Flags) -> Result<(), String> {
     let b: u32 = f.get("b", 16)?;
     let d: u32 = f.get("d", 8)?;
-    let n: u64 = f.get("n", 3096)?;
+    // Theorem 4 adds a joiner to the n members: one id must stay free.
+    let free = u128::from(b).checked_pow(d).map(|c| c.saturating_sub(1));
+    let n = node_count(f, 3096, free)? as u64;
     let m: u64 = f.get("m", 1000)?;
     println!(
         "identifier space: base {b}, {d} digits ({} ids)",
@@ -106,11 +120,13 @@ fn cmd_analyze(f: &Flags) -> Result<(), String> {
 fn cmd_simulate(f: &Flags) -> Result<(), String> {
     let b: u16 = f.get("b", 16)?;
     let d: usize = f.get("d", 8)?;
-    let n: usize = f.get("n", 512)?;
     let m: usize = f.get("m", 128)?;
     let seed: u64 = f.get("seed", 7)?;
     let lookups: usize = f.get("lookups", 0)?;
     let space = IdSpace::new(b, d).map_err(|e| e.to_string())?;
+    // The m joiners take ids of their own.
+    let free = space.capacity().map(|c| c.saturating_sub(m as u128));
+    let n = node_count(f, 512, free)?;
     eprintln!("simulating {n} members + {m} concurrent joins (b={b}, d={d}, seed={seed}) …");
     // One wave of joins run to quiescence, then (optionally) a keyed storm
     // over the settled tables.
@@ -151,9 +167,9 @@ fn cmd_simulate(f: &Flags) -> Result<(), String> {
 fn cmd_bootstrap(f: &Flags) -> Result<(), String> {
     let b: u16 = f.get("b", 16)?;
     let d: usize = f.get("d", 8)?;
-    let n: usize = f.get("n", 128)?;
     let seed: u64 = f.get("seed", 7)?;
     let space = IdSpace::new(b, d).map_err(|e| e.to_string())?;
+    let n = node_count(f, 128, space.capacity())?;
     eprintln!("bootstrapping {n} nodes from a single seed node (concurrently) …");
     // One member, n-1 concurrent joins at t=0; once everything has
     // quiesced, a keyed storm probes the settled network.
@@ -183,10 +199,10 @@ fn cmd_bootstrap(f: &Flags) -> Result<(), String> {
 fn cmd_route(f: &Flags) -> Result<(), String> {
     let b: u16 = f.get("b", 16)?;
     let d: usize = f.get("d", 8)?;
-    let n: usize = f.get("n", 256)?;
     let pairs: usize = f.get("pairs", 5)?;
     let seed: u64 = f.get("seed", 7)?;
     let space = IdSpace::new(b, d).map_err(|e| e.to_string())?;
+    let n = node_count(f, 256, space.capacity())?;
     let ids = distinct_ids(space, n, seed);
     let tables = hyperring::core::build_consistent_tables(space, &ids);
     // Borrowed view — routing never needs to own the tables.
