@@ -27,7 +27,7 @@ pub trait EffectHandler {
 /// Drains `effects` in order: sends and timer ops go to `handler`, trace
 /// events are stamped with (`now`, `node`, next sequence number) and fed
 /// to `trace` (discarded when `None`).
-pub fn dispatch_effects<H: EffectHandler + ?Sized>(
+pub(crate) fn dispatch_effects<H: EffectHandler + ?Sized>(
     node: NodeId,
     now: u64,
     effects: &mut Effects,

@@ -3,9 +3,9 @@
 //!
 //! No runtime (the zero-copy simulator nodes, the socket runtimes)
 //! carries its own copy of the input-matching + effect-draining glue
-//! around [`dispatch_effects`](crate::dispatch_effects): a runtime wraps
-//! each engine in an [`EngineDriver`], implements [`RuntimeDriver`] (that
-//! is, [`EffectHandler`] plus a clock) for its transport, and feeds
+//! around `dispatch_effects`: a runtime wraps each engine in an
+//! [`EngineDriver`], implements [`RuntimeDriver`] (that is,
+//! [`EffectHandler`] plus a clock) for its transport, and feeds
 //! [`NodeInput`]s through [`EngineDriver::drive`]. Since the drive path is
 //! shared, engine behavior is provably identical across simulated and
 //! socket transports — the same inputs in the same order produce the same
@@ -23,7 +23,8 @@ use crate::messages::Message;
 use crate::trace::TraceStream;
 
 /// One input a runtime feeds a node: a protocol delivery, a timer expiry,
-/// or a control action (start a join, leave, arm the failure detector).
+/// or a control action (start a join, leave, arm the failure detector,
+/// crash).
 #[derive(Debug, Clone)]
 pub enum NodeInput {
     /// A protocol message arrived from `from`.
@@ -46,6 +47,10 @@ pub enum NodeInput {
     /// configured). Runtimes send this to initial members, which never pass
     /// through the joiner's S-node switch.
     StartFailureDetector,
+    /// Crash-fail on the spot: no goodbye, no replacement, no effects
+    /// (crash-churn extension). The runtime stops delivering to the node
+    /// afterwards; survivors must detect the silence.
+    Crash,
 }
 
 /// What one [`EngineDriver::drive`] call observed, for the runtime's
@@ -134,6 +139,7 @@ impl EngineDriver {
             NodeInput::StartJoin { gateway } => self.engine.start_join(gateway, &mut effects),
             NodeInput::BeginLeave => self.engine.begin_leave(&mut effects),
             NodeInput::StartFailureDetector => self.engine.start_failure_detector(&mut effects),
+            NodeInput::Crash => self.engine.crash(),
         }
         if !effects.is_empty() {
             let me = self.engine.id();

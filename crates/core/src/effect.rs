@@ -5,7 +5,7 @@
 //! [`Effect`] pushed into an [`Effects`] buffer, and everything that can
 //! happen to it arrives as an [`Event`]. A runtime (the deterministic
 //! simulator, the socket runtimes, tests) drains the buffer through one
-//! shared dispatch path ([`dispatch_effects`](crate::dispatch_effects)).
+//! shared dispatch path ([`EngineDriver::drive`](crate::EngineDriver::drive)).
 
 use hyperring_id::NodeId;
 

@@ -50,43 +50,16 @@ use crate::trace::{TraceSink, TraceStream};
 /// [`SimNetworkBuilder::carrier`]; nodes added later by
 /// [`SimNetwork::add_joiner_live`] use it too.
 ///
-/// Only protocol messages cross it. Control inputs (`Start`, `Leave`,
-/// `Crash`, `StartFd`) do not, and delay, RNG, timers and crashes stay
-/// the simulator's. So a carrier that returns what it was given leaves a
-/// run bit-identical to one without a carrier. `hyperring-net`'s
-/// `LoopbackCarrier` sends each message as a wire frame through a real
-/// loopback socket: same digests then means the codec and the socket
-/// are transparent.
+/// Only protocol messages cross it. Control inputs (`StartJoin`,
+/// `BeginLeave`, `Crash`, `StartFailureDetector`) do not, and delay, RNG,
+/// timers and crashes stay the simulator's. So a carrier that returns
+/// what it was given leaves a run bit-identical to one without a carrier.
+/// `hyperring-net`'s `LoopbackCarrier` sends each message as a wire frame
+/// through a real loopback socket: same digests then means the codec and
+/// the socket are transparent.
 pub trait Carrier: Send + Sync + std::fmt::Debug {
     /// Carries `msg` from `from` to `to` and returns what arrived.
     fn carry(&self, from: NodeId, to: NodeId, msg: Message) -> Message;
-}
-
-/// Message wrapper carried by the simulator.
-#[derive(Debug, Clone)]
-pub enum SimMsg {
-    /// A protocol message from `from`.
-    Proto {
-        /// The overlay-level sender.
-        from: NodeId,
-        /// The protocol message.
-        msg: Message,
-    },
-    /// Control: begin joining through `gateway` (delivered to the joiner
-    /// itself at its start time).
-    Start {
-        /// The known member to join through (assumption (ii) of §3.1).
-        gateway: NodeId,
-    },
-    /// Control: begin a graceful leave (extension).
-    Leave,
-    /// Control: crash-fail on the spot — no goodbye, no replacement
-    /// (crash-churn extension). Survivors must detect the silence.
-    Crash,
-    /// Control: arm the failure detector (delivered to every initial
-    /// member at time 0 when a [`FailureDetector`](crate::FailureDetector)
-    /// is configured; joiners arm theirs on becoming S-nodes).
-    StartFd,
 }
 
 /// Append-only `NodeId → dense index` interner shared by the builder and
@@ -183,7 +156,7 @@ impl SimNode {
     /// actor's simulator context as the transport.
     fn dispatch(
         &mut self,
-        ctx: &mut Context<'_, SimMsg, TimerId>,
+        ctx: &mut Context<'_, NodeInput, TimerId>,
         from_idx: usize,
         reply_to: Option<NodeId>,
         input: NodeInput,
@@ -215,7 +188,7 @@ impl SimNode {
 /// cross the [`Carrier`] if there is one, timer effects become simulator
 /// timers.
 struct SimHandler<'a, 'c> {
-    ctx: &'a mut Context<'c, SimMsg, TimerId>,
+    ctx: &'a mut Context<'c, NodeInput, TimerId>,
     me: NodeId,
     reply_to: Option<NodeId>,
     from_idx: usize,
@@ -245,7 +218,8 @@ impl EffectHandler for SimHandler<'_, '_> {
             Some(carrier) => carrier.carry(self.me, to, msg),
             None => msg,
         };
-        self.ctx.send(idx, SimMsg::Proto { from: self.me, msg });
+        self.ctx
+            .send(idx, NodeInput::Deliver { from: self.me, msg });
     }
 
     fn set_timer(&mut self, id: TimerId, delay_hint: u64) {
@@ -258,28 +232,23 @@ impl EffectHandler for SimHandler<'_, '_> {
 }
 
 impl Actor for SimNode {
-    type Msg = SimMsg;
+    type Msg = NodeInput;
     type Timer = TimerId;
 
-    fn on_message(&mut self, ctx: &mut Context<'_, SimMsg, TimerId>, from_idx: usize, msg: SimMsg) {
-        let reply_to = match &msg {
-            SimMsg::Proto { from, .. } => Some(*from),
+    fn on_message(
+        &mut self,
+        ctx: &mut Context<'_, NodeInput, TimerId>,
+        from_idx: usize,
+        input: NodeInput,
+    ) {
+        let reply_to = match &input {
+            NodeInput::Deliver { from, .. } => Some(*from),
             _ => None,
-        };
-        let input = match msg {
-            SimMsg::Start { gateway } => NodeInput::StartJoin { gateway },
-            SimMsg::Leave => NodeInput::BeginLeave,
-            SimMsg::Crash => {
-                self.node.crash();
-                return;
-            }
-            SimMsg::StartFd => NodeInput::StartFailureDetector,
-            SimMsg::Proto { from, msg } => NodeInput::Deliver { from, msg },
         };
         self.dispatch(ctx, from_idx, reply_to, input);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, SimMsg, TimerId>, timer: TimerId) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, NodeInput, TimerId>, timer: TimerId) {
         self.dispatch(ctx, usize::MAX, None, NodeInput::TimerFired(timer));
     }
 }
@@ -416,14 +385,14 @@ impl SimNetworkBuilder {
             // arm their detectors; kick them off at time 0.
             let members = ids.len() - self.joiners.len();
             for idx in 0..members {
-                sim.inject_at(0, idx, idx, SimMsg::StartFd);
+                sim.inject_at(0, idx, idx, NodeInput::StartFailureDetector);
             }
         }
         for (id, gateway, at) in &self.joiners {
             assert!(dir.resolve(gateway).is_some(), "gateway {gateway} unknown");
             assert_ne!(id, gateway, "node cannot join via itself");
             let idx = dir.resolve(id).expect("joiner registered above");
-            sim.inject_at(*at, idx, idx, SimMsg::Start { gateway: *gateway });
+            sim.inject_at(*at, idx, idx, NodeInput::StartJoin { gateway: *gateway });
         }
         SimNetwork {
             space: self.space,
@@ -451,16 +420,6 @@ impl<D: DelayModel> SimNetwork<D> {
     /// The identifier space.
     pub fn space(&self) -> IdSpace {
         self.space
-    }
-
-    /// All node identifiers (members first, then joiners).
-    pub fn ids(&self) -> &[NodeId] {
-        &self.ids
-    }
-
-    /// Number of joiners configured.
-    pub fn joiner_count(&self) -> usize {
-        self.joiner_count
     }
 
     /// Runs to quiescence and returns the simulator's report.
@@ -538,22 +497,12 @@ impl<D: DelayModel> SimNetwork<D> {
             .map(|e| e.table())
     }
 
-    /// Visits each live node's table in engine order — the closure form of
-    /// [`tables_iter`](Self::tables_iter) for callers that only need a
-    /// single pass (e.g. folding a digest).
-    pub fn for_each_table(&self, mut f: impl FnMut(&NeighborTable)) {
-        for t in self.tables_iter() {
-            f(t);
-        }
-    }
-
     /// Clones out the tables of live (neither departed nor crashed) nodes.
     ///
     /// **Tests and table hand-off only**: this materializes `O(n · d · b)`
     /// memory (every entry and reverse set of every live node). Checking,
     /// digesting, and counting should borrow via
-    /// [`tables_iter`](Self::tables_iter) /
-    /// [`for_each_table`](Self::for_each_table) instead.
+    /// [`tables_iter`](Self::tables_iter) instead.
     pub fn tables(&self) -> Vec<NeighborTable> {
         self.tables_iter().cloned().collect()
     }
@@ -568,7 +517,7 @@ impl<D: DelayModel> SimNetwork<D> {
     pub fn depart(&mut self, id: &NodeId) -> RunReport {
         let idx = self.shared.dir.resolve(id).expect("unknown node id");
         let now = self.sim.now();
-        self.sim.inject_at(now, idx, idx, SimMsg::Leave);
+        self.sim.inject_at(now, idx, idx, NodeInput::BeginLeave);
         let report = self.sim.run();
         assert_eq!(
             self.engine(id).status(),
@@ -576,16 +525,6 @@ impl<D: DelayModel> SimNetwork<D> {
             "{id} failed to depart"
         );
         self.stamp_trace(report)
-    }
-
-    /// Whether every node is an S-node, cleanly departed, or crashed.
-    pub fn all_settled(&self) -> bool {
-        self.engines().all(|e| {
-            matches!(
-                e.status(),
-                Status::InSystem | Status::Departed | Status::Crashed
-            )
-        })
     }
 
     /// Schedules a graceful leave of `id` at absolute virtual time `at`
@@ -600,7 +539,7 @@ impl<D: DelayModel> SimNetwork<D> {
     /// Panics if `id` is unknown.
     pub fn leave_at(&mut self, id: &NodeId, at: Time) {
         let idx = self.shared.dir.resolve(id).expect("unknown node id");
-        self.sim.inject_at(at, idx, idx, SimMsg::Leave);
+        self.sim.inject_at(at, idx, idx, NodeInput::BeginLeave);
     }
 
     /// Schedules a crash failure of `id` at absolute virtual time `at`
@@ -614,7 +553,7 @@ impl<D: DelayModel> SimNetwork<D> {
     /// Panics if `id` is unknown or `at` is in the past.
     pub fn crash_at(&mut self, id: &NodeId, at: Time) {
         let idx = self.shared.dir.resolve(id).expect("unknown node id");
-        self.sim.inject_at(at, idx, idx, SimMsg::Crash);
+        self.sim.inject_at(at, idx, idx, NodeInput::Crash);
     }
 
     /// Virtual time (µs).
@@ -651,7 +590,8 @@ impl<D: DelayModel> SimNetwork<D> {
         let added = self.sim.add_actor(SimNode::new(engine, &self.shared));
         debug_assert_eq!(added, idx);
         let now = self.sim.now();
-        self.sim.inject_at(now, idx, idx, SimMsg::Start { gateway });
+        self.sim
+            .inject_at(now, idx, idx, NodeInput::StartJoin { gateway });
         idx
     }
 
@@ -857,8 +797,8 @@ mod tests {
         assert!(second.finished_at >= first.finished_at);
         assert!(net.all_in_system());
         assert_eq!(net.engine(&late).status(), Status::InSystem);
-        assert_eq!(net.joiner_count(), 2);
-        assert_eq!(net.ids().len(), 7);
+        assert_eq!(net.joiners().count(), 2);
+        assert_eq!(net.engines().count(), 7);
         assert!(net.check_consistency().is_consistent());
     }
 
@@ -1026,7 +966,12 @@ mod tests {
             net.leave_at(&u, 0);
             net.leave_at(&v, 0);
             net.run_limited(60_000_000);
-            let stalled = !net.all_settled();
+            let stalled = !net.engines().all(|e| {
+                matches!(
+                    e.status(),
+                    Status::InSystem | Status::Departed | Status::Crashed
+                )
+            });
             let consistent = net.check_consistency().is_consistent();
             if stalled || !consistent {
                 broken += 1;

@@ -492,7 +492,7 @@ impl<T: TraceSink> TraceSink for SharedSink<T> {
 }
 
 /// A sink plus the run-global sequence counter: the single object a
-/// runtime threads through [`dispatch_effects`](crate::dispatch_effects)
+/// runtime threads through [`EngineDriver::drive`](crate::EngineDriver::drive)
 /// to stamp and deliver every traced event.
 pub struct TraceStream {
     seq: u64,

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 
 use hyperring_core::{
     bootstrap, build_consistent_tables, check_consistency, Effect, Entry, JoinEngine,
-    NeighborTable, NodeInput, NodeState, ProtocolOptions, SimMsg, SimNetworkBuilder, SimNode,
+    NeighborTable, NodeInput, NodeState, ProtocolOptions, SimNetworkBuilder, SimNode,
     TableSnapshot,
 };
 use hyperring_id::{IdSpace, NodeId};
@@ -319,8 +319,8 @@ fn only_joiners_hold_join_state_and_only_until_in_system() {
     assert!(joining_seen > 0, "no checkpoint fell mid-join");
 }
 
-/// A delivery moves one message through `Effect` → `SimMsg` → queue slot
-/// → `NodeInput`. At 128 bytes or less the compiler copies each hop with
+/// A delivery moves one message through `Effect` → `NodeInput` → queue
+/// slot → engine. At 128 bytes or less the compiler copies each hop with
 /// inline moves; above that every hop is a `memcpy` call, which was a
 /// quarter of a `churn` profile at 224 bytes. What keeps them small: the
 /// id is 33 bytes (a digit count and 32 packed bytes) and a snapshot one
@@ -332,7 +332,6 @@ fn message_path_types_fit_inline_moves() {
     assert_eq!(size_of::<TableSnapshot>(), 8);
     for (name, size) in [
         ("Effect", size_of::<Effect>()),
-        ("SimMsg", size_of::<SimMsg>()),
         ("NodeInput", size_of::<NodeInput>()),
     ] {
         assert!(size <= 128, "{name} is {size} B");

@@ -1,6 +1,7 @@
 //! Experiment drivers, one per table/figure/claim of the paper's
 //! evaluation. Each driver is a pure function from a config to a result
-//! struct; the `bin/` targets print the paper-style rows and write CSVs.
+//! struct; `hyperring-cli`'s commands print the paper-style rows and
+//! write CSVs.
 
 mod bootstrap;
 mod churn;

@@ -138,7 +138,7 @@ pub fn ascii_chart(points: &[(f64, f64)], width: usize, height: usize) -> String
 }
 
 /// Writes the table as CSV, printing a confirmation or a warning — the
-/// convenience wrapper used by the experiment binaries.
+/// convenience wrapper used by the experiment commands.
 pub fn write_csv_or_warn(table: &Table, path: &Path) {
     match table.write_csv(path) {
         Ok(()) => println!("wrote {}", path.display()),

@@ -42,7 +42,7 @@ where
 /// independent trials and samples fan out here, while the libraries they
 /// call stay sequential. With one item or one core it runs inline, and a
 /// panic in `f` propagates to the caller.
-pub(crate) fn fan_out<R, F>(n: usize, f: F) -> Vec<R>
+pub fn fan_out<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -191,17 +191,11 @@ mod tests {
         let square = |i: usize| i * i + 1;
         for n in [0, 1, 2, 3, 7, 64] {
             let plain: Vec<_> = (0..n).map(|k| trial(k, trial_seed(2003, k))).collect();
-            let opts = crate::TrialOpts {
-                trials: n,
-                trace: None,
-                rest: Vec::new(),
-            };
             assert_eq!(run_trials(n, 2003, trial), plain, "run_trials, n = {n}");
-            assert_eq!(opts.run(2003, trial), plain, "TrialOpts::run, n = {n}");
             assert_eq!(
-                opts.map_indexed(n, square),
+                fan_out(n, square),
                 (0..n).map(square).collect::<Vec<_>>(),
-                "TrialOpts::map_indexed, n = {n}"
+                "fan_out, n = {n}"
             );
         }
     }

@@ -653,7 +653,7 @@ fn drive_slot(
     let progress = match &input {
         NodeInput::Deliver { msg, .. } => !is_heartbeat(msg),
         NodeInput::TimerFired(id) => !matches!(id, TimerId::FdProbe { .. }),
-        NodeInput::StartFailureDetector => false,
+        NodeInput::StartFailureDetector | NodeInput::Crash => false,
         NodeInput::StartJoin { .. } | NodeInput::BeginLeave => true,
     };
     let Slot { driver, outbound } = &mut slots[s];

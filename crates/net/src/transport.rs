@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use hyperring_core::Message;
 use hyperring_id::{IdSpace, NodeId};
-use hyperring_wire::{decode_frame, decode_id, encode_frame, encode_id, WireError};
+use hyperring_wire::{decode_datagram, decode_id, encode_frame, encode_id, WireError};
 
 /// Readiness: wait for the socket to become readable.
 pub const WAIT_READ: i16 = 0x001; // POLLIN
@@ -192,12 +192,7 @@ pub fn encode_plain(
 /// Decodes a `[to][frame]` datagram.
 pub fn decode_plain(space: &IdSpace, bytes: &[u8]) -> Result<(NodeId, NodeId, Message), WireError> {
     let (to, used) = decode_id(space, bytes)?;
-    let (from, msg, consumed) = decode_frame(space, &bytes[used..])?;
-    if used + consumed != bytes.len() {
-        return Err(WireError::TrailingBytes {
-            extra: bytes.len() - used - consumed,
-        });
-    }
+    let (from, msg) = decode_datagram(space, &bytes[used..])?;
     Ok((to, from, msg))
 }
 

@@ -1,88 +1,90 @@
 //! Churn, every shape of it, through the one timeline runner.
-//!
-//! Usage: `cargo run --release -p hyperring-harness --bin churn --
-//! SHAPE [flags]`, where SHAPE is one of:
-//!
-//! * `waves [--rounds R]` — alternating waves of concurrent joins (the
-//!   paper's protocol) and sequential graceful leaves (this repository's
-//!   extension), 32 of each per round over 64 members (b=16, d=8),
-//!   consistency checked after every wave, which must also have finished
-//!   every join; reports each wave's messages and mean leave-protocol
-//!   messages per leaver. Writes `results/churn.csv`.
-//! * `crash [--n MEMBERS] [--crash-pct PCT] [--runtime sim|udp]` — each
-//!   trial crashes `PCT`% (default 20) of an `MEMBERS`-node (default 64)
-//!   consistent network at t = 0.5 s and runs both arms over the same
-//!   schedule: repair **on** (must re-converge to Definition-3.8
-//!   consistency among survivors) and repair **off** (the control,
-//!   expected to be left with false negatives). Writes
-//!   `results/crashchurn.csv` and `results/crashchurn.json`. Over `udp`
-//!   the crash wave lands once the network is quiet, times are wall
-//!   clock, the trace digest is not reproducible, and nothing is written.
-//! * `poisson [--n MEMBERS] [--half-lives S1,S2,..] [--seed SEED]
-//!   [--smoke] [--audit]` — steady-state Poisson arrivals and crashes at
-//!   each node-lifetime half-life (virtual seconds; default `20,40,80`,
-//!   which at the 14 s churn window turn over roughly 55%, 27% and 13% of
-//!   the default 256 members), the hardened repair path against the
-//!   eviction-only control on the identical compiled schedule. `--smoke`
-//!   shrinks everything for CI and writes nothing; `--audit` asserts that
-//!   the repair arm is consistent at every settled checkpoint where the
-//!   control is not. Writes `results/timeline.csv`.
-//! * `--shrink SEED` — takes trial `SEED` of the benchmark's `churn`
-//!   configuration, confirms it ends inconsistent, and prints the
-//!   1-minimal schedule ddmin shrinks it to as one table row; nothing is
-//!   written.
-//!
-//! `--trials N` works as in every binary (`waves` and `crash`); on the
-//! simulator every trace digest is byte-stable per seed.
 
 use std::path::Path;
 
-use hyperring_harness::experiments::{
+use hyperring::harness::experiments::{
     poisson_timeline, run_wave_churn, wave_stats, CrashChurnConfig, PoissonChurnConfig,
     WaveChurnConfig,
 };
-use hyperring_harness::metrics::percentile;
-use hyperring_harness::{report, shrink, Runtime, Table, TimelineReport, TrialOpts};
+use hyperring::harness::metrics::percentile;
+use hyperring::harness::workload::fan_out;
+use hyperring::harness::{report, run_trials, shrink, Runtime, Table, TimelineReport};
 
-fn main() {
-    let opts = TrialOpts::from_env();
-    if opts.has_flag("--shrink") {
-        let seed: u64 = opts.named("--shrink", 0);
+use crate::args::{list, Args};
+
+/// `churn SHAPE [flags]`, where SHAPE is one of:
+///
+/// * `waves [--rounds R] [--trials N]` (the default) — alternating waves
+///   of concurrent joins (the paper's protocol) and sequential graceful
+///   leaves (this repository's extension), 32 of each per round over 64
+///   members (b=16, d=8), consistency checked after every wave, which
+///   must also have finished every join. Writes `results/churn.csv`.
+/// * `crash [--n MEMBERS] [--crash-pct PCT] [--runtime sim|udp]
+///   [--trials N]` — each trial crashes `PCT`% (default 20) of a
+///   `MEMBERS`-node (default 64) consistent network at t = 0.5 s and
+///   runs both arms over the same schedule: repair **on** (must
+///   re-converge to Definition-3.8 consistency among survivors) and
+///   repair **off** (the control, expected to be left with false
+///   negatives). Writes `results/crashchurn.csv` and
+///   `results/crashchurn.json`. Over `udp` the crash wave lands once the
+///   network is quiet, times are wall clock, the trace digest is not
+///   reproducible, and nothing is written.
+/// * `poisson [--n MEMBERS] [--half-lives S1,S2,..] [--seed SEED]
+///   [--smoke] [--audit]` — steady-state Poisson arrivals and crashes at
+///   each node-lifetime half-life (virtual seconds; default `20,40,80`,
+///   which at the 14 s churn window turn over roughly 55%, 27% and 13% of
+///   the default 256 members), the hardened repair path against the
+///   eviction-only control on the identical compiled schedule. `--smoke`
+///   shrinks everything for CI and writes nothing; `--audit` asserts that
+///   the repair arm is consistent at every settled checkpoint where the
+///   control is not. Writes `results/timeline.csv`.
+/// * `--shrink SEED` — takes trial `SEED` of the benchmark's `churn`
+///   configuration, confirms it ends inconsistent, and prints the
+///   1-minimal schedule ddmin shrinks it to as one table row; nothing is
+///   written.
+///
+/// On the simulator every trace digest is byte-stable per seed.
+pub fn churn(mut args: Args) -> Result<(), String> {
+    if let Some(seed) = args.get::<u64>("--shrink")? {
+        args.finish()?;
         let (scenario, compiled) = shrink::churn_trial(seed);
         match shrink::shrink(&scenario, &compiled) {
             Some((c, r)) => println!("{}", shrink::row(seed, &c, &r)),
             None => eprintln!("trial {seed} ends consistent: nothing to shrink"),
         }
-        return;
+        return Ok(());
     }
-    let shape: String = opts.positional(0, "waves".to_string());
-    let runtime: Runtime = opts.named("--runtime", Runtime::Sim);
-    assert!(
-        runtime == Runtime::Sim || shape == "crash",
-        "the {shape} shape runs on the simulator only, not on --runtime {runtime}"
-    );
+    let shape: String = args.positional(0, "waves".to_string())?;
+    let runtime: Runtime = args.value("--runtime", Runtime::Sim)?;
+    if runtime != Runtime::Sim && shape != "crash" {
+        return Err(format!(
+            "the {shape} shape runs on the simulator only, not on --runtime {runtime}"
+        ));
+    }
     match shape.as_str() {
-        "waves" => waves(&opts),
-        "crash" => crash(&opts, runtime),
-        "poisson" => poisson(&opts),
-        other => panic!("unknown shape {other:?} (waves | crash | poisson)"),
+        "waves" => waves(args),
+        "crash" => crash(args, runtime),
+        "poisson" => poisson(args),
+        other => Err(format!("unknown shape {other:?} (waves | crash | poisson)")),
     }
 }
 
-fn waves(opts: &TrialOpts) {
+fn waves(mut args: Args) -> Result<(), String> {
     let cfg = WaveChurnConfig {
         base: 16,
         digits: 8,
         members: 64,
-        rounds: opts.named("--rounds", 5),
+        rounds: args.value("--rounds", 5)?,
         joins_per_round: 32,
         leaves_per_round: 32,
     };
+    let trials = args.trials()?;
+    args.finish()?;
     eprintln!(
         "running {} rounds of 64-node churn (b=16, d=8, 32 joins / 32 leaves per round) …",
         cfg.rounds
     );
-    let runs = opts.run(2003, |_, seed| run_wave_churn(&cfg, seed));
+    let runs = run_trials(trials, 2003, |_, seed| run_wave_churn(&cfg, seed));
     for r in &runs {
         assert!(r.consistent, "churn broke consistency: {}", r.final_report);
         for c in &r.checkpoints {
@@ -118,7 +120,7 @@ fn waves(opts: &TrialOpts) {
     }
     println!("\nChurn: joins (paper protocol) + graceful leaves (extension)");
     println!("{}", t.render());
-    if opts.trials > 1 {
+    if trials > 1 {
         let mut per_trial = Table::new(["trial", "waves", "always consistent", "messages"]);
         for (k, r) in runs.iter().enumerate() {
             per_trial.row([
@@ -132,6 +134,7 @@ fn waves(opts: &TrialOpts) {
         println!("{}", per_trial.render());
     }
     report::write_csv_or_warn(&t, Path::new("results/churn.csv"));
+    Ok(())
 }
 
 fn crash_json(r: &TimelineReport) -> String {
@@ -153,9 +156,11 @@ fn crash_json(r: &TimelineReport) -> String {
     )
 }
 
-fn crash(opts: &TrialOpts, runtime: Runtime) {
-    let members: usize = opts.named("--n", 64);
-    let crash_pct: u32 = opts.named("--crash-pct", 20);
+fn crash(mut args: Args, runtime: Runtime) -> Result<(), String> {
+    let members: usize = args.value("--n", 64)?;
+    let crash_pct: u32 = args.value("--crash-pct", 20)?;
+    let trials = args.trials()?;
+    args.finish()?;
     let cfg = CrashChurnConfig {
         members,
         crash_fraction: f64::from(crash_pct) / 100.0,
@@ -163,15 +168,16 @@ fn crash(opts: &TrialOpts, runtime: Runtime) {
     };
 
     eprintln!(
-        "crashing {} of {members} members mid-run ({} trials, repair on + control) …",
+        "crashing {} of {members} members mid-run ({trials} trials, repair on + control) …",
         cfg.crashes(),
-        opts.trials
     );
     let arm = |seed, repair| {
         let scenario = cfg.scenario(seed, repair).runtime(runtime);
         scenario.run(cfg.timeline())
     };
-    let results = opts.run(41, |_, seed| (seed, arm(seed, true), arm(seed, false)));
+    let results = run_trials(trials, 41, |_, seed| {
+        (seed, arm(seed, true), arm(seed, false))
+    });
 
     let mut t = Table::new([
         "trial",
@@ -222,7 +228,7 @@ fn crash(opts: &TrialOpts, runtime: Runtime) {
     );
     println!("{}", t.render());
     if runtime != Runtime::Sim {
-        return; // the recorded results are the simulator's
+        return Ok(()); // the recorded results are the simulator's
     }
     report::write_csv_or_warn(&t, Path::new("results/crashchurn.csv"));
     let json = format!("[\n  {}\n]\n", json_rows.join(",\n  "));
@@ -233,6 +239,7 @@ fn crash(opts: &TrialOpts, runtime: Runtime) {
     } else {
         println!("wrote results/crashchurn.json");
     }
+    Ok(())
 }
 
 fn pcts(samples: &[u64]) -> (u64, u64, u64) {
@@ -247,23 +254,17 @@ fn ms(us: u64) -> String {
     format!("{:.1}", us as f64 / 1e3)
 }
 
-fn poisson(opts: &TrialOpts) {
-    let smoke = opts.has_flag("--smoke");
-    let audit = opts.has_flag("--audit");
-    let members: usize = opts.named("--n", if smoke { 32 } else { 256 });
-    let seed: u64 = opts.named("--seed", 43);
-    let half_lives_s: Vec<f64> = opts
-        .named(
-            "--half-lives",
-            if smoke {
-                "8".to_string()
-            } else {
-                "20,40,80".to_string()
-            },
-        )
-        .split(',')
-        .map(|s| s.trim().parse().expect("half-life must be a number"))
-        .collect();
+fn poisson(mut args: Args) -> Result<(), String> {
+    let smoke = args.switch("--smoke");
+    let audit = args.switch("--audit");
+    let members: usize = args.value("--n", if smoke { 32 } else { 256 })?;
+    let seed: u64 = args.value("--seed", 43)?;
+    let half_lives_s: Vec<f64> = match args.get::<String>("--half-lives")? {
+        Some(v) => list("--half-lives", &v)?,
+        None if smoke => vec![8.0],
+        None => vec![20.0, 40.0, 80.0],
+    };
+    args.finish()?;
     let (churn_until, horizon, checkpoint_every) = if smoke {
         (4_000_000, 12_000_000, 2_000_000)
     } else {
@@ -276,7 +277,7 @@ fn poisson(opts: &TrialOpts) {
         churn_until / 1_000_000,
         horizon / 1_000_000
     );
-    let arms = opts.map_indexed(half_lives_s.len(), |i| {
+    let arms = fan_out(half_lives_s.len(), |i| {
         let cfg = PoissonChurnConfig {
             members,
             half_life_us: (half_lives_s[i] * 1e6) as u64,
@@ -370,4 +371,5 @@ fn poisson(opts: &TrialOpts) {
     if audit {
         println!("audit: repair arm recovered at every settled checkpoint the control missed");
     }
+    Ok(())
 }

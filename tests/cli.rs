@@ -1,11 +1,15 @@
-//! `hyperring-cli` rejects an out-of-range `--n` with an error and exit
-//! code 1 instead of panicking, and still runs an in-range one.
+//! `hyperring-cli` rejects an out-of-range `--n`, a malformed value and
+//! an argument its command does not take with an error and exit code 1
+//! instead of panicking or running the defaults, and still runs an
+//! in-range command. Commands run in a scratch directory, so the
+//! `results/` they write stays out of the source tree.
 
 use std::process::{Command, Output};
 
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hyperring-cli"))
         .args(args)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
         .output()
         .expect("run hyperring-cli")
 }
@@ -40,4 +44,25 @@ fn smallest_bootstrap_runs() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn bad_or_unread_arguments_are_errors_before_any_work() {
+    for args in [
+        // The flag is `--half-lives`.
+        &["churn", "poisson", "--half-life", "40"][..],
+        &["churn", "bogus"],
+        &["fig15b", "--trials", "0"],
+        &["theorem4", "abc"],
+        &["scale", "--batch", "x"],
+        // Figure 15(a) is analytic: it takes no trials.
+        &["fig15a", "--trials", "2"],
+    ] {
+        let out = cli(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains("error:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} did work");
+    }
 }

@@ -16,6 +16,7 @@ use hyperring::core::{
     check_consistency, Effects, JoinEngine, Message, NeighborTable, ProtocolOptions, Status,
 };
 use hyperring::id::{IdSpace, NodeId};
+use hyperring::net::transport::encode_plain;
 
 /// One in-flight message.
 #[derive(Clone)]
@@ -25,92 +26,6 @@ struct Flight {
     msg: Message,
 }
 
-fn digest_message(f: &Flight, h: &mut DefaultHasher) {
-    f.from.hash(h);
-    f.to.hash(h);
-    std::mem::discriminant(&f.msg).hash(h);
-    match &f.msg {
-        Message::CpRst { level } => level.hash(h),
-        Message::CpRly { level, table } => {
-            level.hash(h);
-            digest_snapshot_rows(table.rows(), h);
-        }
-        Message::JoinWait | Message::InSysNoti | Message::LeaveNotiRly | Message::RvNghForget => {}
-        Message::JoinWaitRly {
-            positive,
-            next,
-            table,
-        } => {
-            positive.hash(h);
-            next.hash(h);
-            digest_snapshot_rows(table.rows(), h);
-        }
-        Message::JoinNoti { table, filled_bits } => {
-            digest_snapshot_rows(table.rows(), h);
-            if let Some(bits) = filled_bits {
-                bits.noti_level.hash(h);
-                bits.words.hash(h);
-            }
-        }
-        Message::JoinNotiRly {
-            positive,
-            table,
-            flag,
-        } => {
-            positive.hash(h);
-            flag.hash(h);
-            digest_snapshot_rows(table.rows(), h);
-        }
-        Message::SpeNoti { initiator, subject } => {
-            initiator.hash(h);
-            subject.hash(h);
-        }
-        Message::SpeNotiRly { subject } => subject.hash(h),
-        Message::RvNghNoti { recorded } => (*recorded == hyperring::core::NodeState::S).hash(h),
-        Message::RvNghNotiRly { actual } => (*actual == hyperring::core::NodeState::S).hash(h),
-        Message::LeaveNoti { replacement } => {
-            if let Some(e) = replacement {
-                e.node.hash(h);
-            }
-        }
-        Message::Ping | Message::Pong => {}
-        Message::RepairQry {
-            origin,
-            target,
-            level,
-            digit,
-        } => {
-            origin.hash(h);
-            target.hash(h);
-            level.hash(h);
-            digit.hash(h);
-        }
-        Message::RepairRly {
-            level,
-            digit,
-            found,
-        } => {
-            level.hash(h);
-            digit.hash(h);
-            if let Some(e) = found {
-                e.node.hash(h);
-            }
-        }
-    }
-}
-
-fn digest_snapshot_rows(
-    rows: impl Iterator<Item = hyperring::core::SnapshotRow>,
-    h: &mut DefaultHasher,
-) {
-    for r in rows {
-        r.level.hash(h);
-        r.digit.hash(h);
-        r.entry.node.hash(h);
-        (r.entry.state == hyperring::core::NodeState::S).hash(h);
-    }
-}
-
 #[derive(Clone)]
 struct State {
     engines: Vec<JoinEngine>,
@@ -118,7 +33,10 @@ struct State {
 }
 
 impl State {
-    fn digest(&self) -> u64 {
+    /// Digest of every engine's state plus the pending multiset, each
+    /// message hashed as the `[to][frame]` datagram the wire codec writes
+    /// for it (every field of every kind) into the reused `buf`.
+    fn digest(&self, space: &IdSpace, buf: &mut Vec<u8>) -> u64 {
         let mut h = DefaultHasher::new();
         for e in &self.engines {
             e.hash_state(&mut h);
@@ -129,8 +47,10 @@ impl State {
             .pending
             .iter()
             .map(|f| {
+                buf.clear();
+                encode_plain(space, f.to, f.from, &f.msg, buf);
                 let mut mh = DefaultHasher::new();
-                digest_message(f, &mut mh);
+                buf.hash(&mut mh);
                 mh.finish()
             })
             .collect();
@@ -142,6 +62,7 @@ impl State {
 
 struct Explorer {
     space: IdSpace,
+    buf: Vec<u8>,
     visited: HashSet<u64>,
     quiescent: usize,
     explored: usize,
@@ -171,7 +92,8 @@ impl Explorer {
             self.truncated = true;
             return;
         }
-        if !self.visited.insert(state.digest()) {
+        let digest = state.digest(&self.space, &mut self.buf);
+        if !self.visited.insert(digest) {
             return;
         }
         self.explored += 1;
@@ -239,6 +161,7 @@ fn check_scenario(
     }
     let mut ex = Explorer {
         space,
+        buf: Vec::new(),
         visited: HashSet::new(),
         quiescent: 0,
         explored: 0,
