@@ -270,6 +270,23 @@ fn engine_and_sim_node_fit_their_inline_budgets() {
     assert!(node <= 584, "SimNode is {node} B inline");
 }
 
+/// A slot's four states — empty, vacated, `T`, `S` — share one 4-byte
+/// word, and a vacated slot's repair bookkeeping (attempts, backoff wait)
+/// lives in that word: a table with slots under repair has the size, and
+/// owns the heap, of one without.
+#[test]
+fn vacated_slots_cost_no_memory() {
+    assert_eq!(std::mem::size_of::<NeighborTable>(), 192);
+    let owner = space().parse_id("0012abcd").unwrap();
+    let mut t = NeighborTable::new(space(), owner);
+    t.set_self_entries(NodeState::S);
+    let before = owned_heap(&t);
+    for level in 0..8 {
+        t.vacate(level, (owner.digit(level) + 1) % 16);
+    }
+    assert_eq!(owned_heap(&t), before);
+}
+
 /// Heap bytes a clone of `v` allocates: everything `v` owns, counted.
 fn owned_heap<T: Clone>(v: &T) -> usize {
     let heap = Window::open();

@@ -1,5 +1,9 @@
 //! `NeighborTable` against a plain model: entries in a `BTreeMap` by slot,
-//! reverse neighbors in a `BTreeSet<(slot, NodeId)>`. The table interns ids
+//! vacated slots in a `BTreeSet`, reverse neighbors in a
+//! `BTreeSet<(slot, NodeId)>`. A vacated slot is empty to every read but
+//! `is_vacated`: `get`, `is_filled`, `iter`, `filled`, `stores`,
+//! `find_sharer`, `filled_bitvec`, the snapshots and the peer view all
+//! pass over it. The table interns ids
 //! behind a hash index and keeps reverse memberships as integer words in
 //! insertion order; none of that may show through the public API, whose
 //! contract — `reverse_of` ascending by id above all — the golden digests
@@ -28,6 +32,7 @@ const SHAPES: [(u16, usize); 5] = [(4, 5), (16, 8), (16, 40), (32, 3), (20, 5)];
 struct Model {
     base: usize,
     entries: BTreeMap<usize, Entry>,
+    vacated: BTreeSet<usize>,
     rev: BTreeSet<(usize, NodeId)>,
 }
 
@@ -47,6 +52,13 @@ impl Model {
 
     fn stores(&self, node: &NodeId) -> bool {
         self.entries.values().any(|e| e.node == *node)
+    }
+
+    /// The first entry at `min_csuf` or above, in slot order, that is not
+    /// the owner.
+    fn find_sharer(&self, owner: NodeId, min_csuf: usize) -> Option<Entry> {
+        let mut from = self.entries.range(min_csuf * self.base..).map(|(_, e)| *e);
+        from.find(|e| e.node != owner)
     }
 
     /// `entries ∪ reverse − {owner}`, ascending by id.
@@ -77,6 +89,10 @@ fn assert_same(space: IdSpace, t: &NeighborTable, m: &Model, pool: &[NodeId]) {
             let want = m.entries.get(&m.slot(level, digit)).copied();
             assert_eq!(t.get(level, digit), want);
             assert_eq!(t.is_filled(level, digit), want.is_some());
+            assert_eq!(
+                t.is_vacated(level, digit),
+                m.vacated.contains(&m.slot(level, digit))
+            );
             let got: Vec<NodeId> = t.reverse_of(level, digit).collect();
             assert!(
                 got.is_sorted(),
@@ -93,6 +109,18 @@ fn assert_same(space: IdSpace, t: &NeighborTable, m: &Model, pool: &[NodeId]) {
         .collect();
     assert_eq!(t.reverse_runs_view(), runs);
     assert_eq!(t.filled(), m.entries.len());
+    for min_csuf in 0..=space.digit_count() {
+        assert_eq!(
+            t.find_sharer(min_csuf),
+            m.find_sharer(t.owner(), min_csuf),
+            "find_sharer({min_csuf})"
+        );
+    }
+    let mut bits = vec![0u64; (space.digit_count() * m.base).div_ceil(64)];
+    for &s in m.entries.keys() {
+        bits[s / 64] |= 1 << (s % 64);
+    }
+    assert_eq!(t.filled_bitvec(), bits);
     let all: BTreeSet<NodeId> = m.rev.iter().map(|&(_, n)| n).collect();
     assert_eq!(t.reverse_neighbors(), all);
     for node in pool {
@@ -157,6 +185,7 @@ fn run_case(base: u16, d: usize, seed: u64, ops: usize, pool_size: usize) {
     let mut m = Model {
         base: base as usize,
         entries: BTreeMap::new(),
+        vacated: BTreeSet::new(),
         rev: BTreeSet::new(),
     };
     // A fork taken mid-run must stay what it was, whatever happens to the
@@ -184,17 +213,24 @@ fn run_case(base: u16, d: usize, seed: u64, ops: usize, pool_size: usize) {
                 m.rev.retain(|&(_, n)| n != node);
                 assert_eq!(t.remove_reverse(&node), before - m.rev.len());
             }
-            55..=74 => {
+            55..=71 => {
                 let entry = Entry {
                     node: fitting(space, owner, level, digit, node),
                     state,
                 };
                 t.set(level, digit, entry);
                 m.entries.insert(slot, entry);
+                m.vacated.remove(&slot);
+            }
+            72..=74 => {
+                t.vacate(level, digit);
+                m.entries.remove(&slot);
+                m.vacated.insert(slot);
             }
             75..=79 => {
                 t.clear(level, digit);
                 m.entries.remove(&slot);
+                m.vacated.remove(&slot);
             }
             80..=94 => {
                 // Half the time aim at the node the slot really stores.
@@ -224,6 +260,7 @@ fn run_case(base: u16, d: usize, seed: u64, ops: usize, pool_size: usize) {
             }
         }
         assert_eq!(t.get(level, digit), m.entries.get(&slot).copied());
+        assert_eq!(t.is_vacated(level, digit), m.vacated.contains(&slot));
         assert_eq!(
             t.reverse_of(level, digit).collect::<Vec<_>>(),
             m.reverse_of(level, digit)
@@ -277,6 +314,7 @@ fn table_agrees_with_model_past_ten_thousand_ids() {
         let mut m = Model {
             base: base as usize,
             entries: BTreeMap::new(),
+            vacated: BTreeSet::new(),
             rev: BTreeSet::new(),
         };
         let mut ids = BTreeSet::new();
@@ -315,6 +353,7 @@ fn one_removal_takes_a_node_out_of_two_chunks() {
         let mut m = Model {
             base: 16,
             entries: BTreeMap::new(),
+            vacated: BTreeSet::new(),
             rev: BTreeSet::new(),
         };
         let mut add = |t: &mut NeighborTable, level, digit, node| {
