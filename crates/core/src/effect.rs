@@ -53,7 +53,8 @@ pub enum TimerId {
     },
     /// Periodic failure-detector tick (crash-churn extension): on each
     /// fire the node probes its monitored neighbors with `PingMsg`s,
-    /// declares unresponsive ones dead, re-drives pending repairs, and
+    /// declares unresponsive ones dead, re-drives the repairs of its
+    /// vacated slots, and
     /// re-arms the tick. One per node, keyed on the node itself.
     FdProbe {
         /// The probing node (timers are per-node; the detector uses one

@@ -1,7 +1,9 @@
 //! The `churn` minimiser against a schedule whose failure is known:
-//! ROADMAP item 1's S3′ (trial seed 0), padded with members, joins and
-//! crashes that have nothing to do with it. When item 1's fix makes S3′
-//! end consistent, this test needs another failing schedule.
+//! ROADMAP item 1's S3 (trial seed 14), padded with members, joins and
+//! crashes that have nothing to do with it. When item 1's fix makes S3
+//! end consistent, this test needs another failing schedule. Beside it,
+//! the trial seeds the repair's refill from its own reverse set fixed are
+//! pinned consistent.
 
 use std::time::{Duration, Instant};
 
@@ -13,16 +15,17 @@ fn id(s: &str) -> NodeId {
     IdSpace::new(4, 6).unwrap().parse_id(s).unwrap()
 }
 
-/// S3′, plus three members, four joins after its events (two through the
+/// S3, plus three members, four joins after its events (two through the
 /// new members, two through its own) and two late crashes, one of them
-/// of an S3′ member.
-fn padded_s3_prime() -> CompiledTimeline {
-    let mut members = vec!["312021", "303221", "311133", "102103"];
+/// of an S3 member. The new members all end in 0, a digit no S3 id ends
+/// in: members that share S3's last digits change how its joins run.
+fn padded_s3() -> CompiledTimeline {
+    let mut members = vec!["101022", "130113", "323231"];
     let mut joins = vec![
-        ("101133", "312021", 2_379_117),
-        ("303133", "303221", 7_288_769),
+        ("203231", "101022", 5_685_560),
+        ("133231", "130113", 13_840_178),
     ];
-    let mut crashes = vec![("311133", 7_113_811)];
+    let mut crashes = vec![("323231", 13_881_362)];
     members.extend(PAD_MEMBERS);
     joins.extend(PAD_JOINS);
     crashes.extend(PAD_CRASHES);
@@ -41,14 +44,14 @@ fn padded_s3_prime() -> CompiledTimeline {
     }
 }
 
-const PAD_MEMBERS: [&str; 3] = ["020202", "231312", "000110"];
+const PAD_MEMBERS: [&str; 3] = ["021100", "332200", "110000"];
 const PAD_JOINS: [(&str, &str, u64); 4] = [
-    ("130000", "020202", 20_000_000),
-    ("333310", "000110", 22_500_000),
-    ("230000", "102103", 16_000_000),
-    ("320000", "312021", 17_000_000),
+    ("130000", "021100", 20_000_000),
+    ("333310", "110000", 22_500_000),
+    ("230000", "130113", 16_000_000),
+    ("320000", "101022", 17_000_000),
 ];
-const PAD_CRASHES: [(&str, u64); 2] = [("231312", 25_000_000), ("102103", 26_000_000)];
+const PAD_CRASHES: [(&str, u64); 2] = [("332200", 25_000_000), ("130113", 26_000_000)];
 
 /// `c` without member `m`, its crash and the joins through it.
 fn without_member(c: &CompiledTimeline, m: NodeId) -> CompiledTimeline {
@@ -61,19 +64,20 @@ fn without_member(c: &CompiledTimeline, m: NodeId) -> CompiledTimeline {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release test: CI runs it optimised")]
-fn a_padded_s3_prime_shrinks_to_a_one_minimal_failing_schedule() {
+fn a_padded_s3_shrinks_to_a_one_minimal_failing_schedule() {
     let started = Instant::now();
-    let (scenario, _) = churn_trial(0);
-    let padded = padded_s3_prime();
+    let (scenario, _) = churn_trial(14);
+    let padded = padded_s3();
     let (shrunk, report) = shrink(&scenario, &padded).expect("the padded schedule fails");
     assert!(!report.consistent);
     assert!(!scenario.run_compiled(&shrunk).consistent);
-    // Back to S3′'s members and crash; its second join goes too, since
-    // the first join alone already ends inconsistent.
+    // Back to S3's members, joins and crash, and its two violations.
     assert_eq!(
-        row(0, &shrunk, &report),
-        "| shrunk | 0 | 312021 303221 311133 102103 | 101133 via 312021 @ 2 379 117 \
-         | 311133 @ 7 113 811 | false negative: 102103 entry (1,3) empty but 101133 exists |"
+        row(14, &shrunk, &report),
+        "| shrunk | 14 | 101022 130113 323231 | 203231 via 101022 @ 5 685 560; \
+         133231 via 130113 @ 13 840 178 | 323231 @ 13 881 362 | false negative: 203231 \
+         entry (4,3) empty but 133231 exists; false negative: 133231 entry (4,0) empty \
+         but 203231 exists |"
     );
     // Without any one part it ends consistent.
     let mut smaller: Vec<CompiledTimeline> = Vec::new();
@@ -95,6 +99,21 @@ fn a_padded_s3_prime_shrinks_to_a_one_minimal_failing_schedule() {
     }
     // The same schedule, the same row.
     let (again, again_report) = shrink(&scenario, &padded).unwrap();
-    assert_eq!(row(0, &shrunk, &report), row(0, &again, &again_report));
+    assert_eq!(row(14, &shrunk, &report), row(14, &again, &again_report));
     assert!(started.elapsed() < Duration::from_secs(60));
+}
+
+/// Trial seeds 18 and 38 of `churn` (ROADMAP item 1's rows 18 and 38)
+/// each ended with one slot empty while a live carrier of its suffix
+/// existed, until repair refilled a vacated slot from its owner's own
+/// reverse set. Both end consistent, with no reference to a dead node.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release test: CI runs it optimised")]
+fn trials_18_and_38_end_consistent() {
+    for seed in [18, 38] {
+        let (scenario, timeline) = churn_trial(seed);
+        let r = scenario.run_compiled(&timeline);
+        assert!(r.consistent, "trial {seed}: {} violations", r.violations);
+        assert_eq!(r.dead_refs, 0, "trial {seed}");
+    }
 }
