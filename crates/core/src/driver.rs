@@ -112,12 +112,6 @@ impl EngineDriver {
         self.engine
     }
 
-    /// Crash-fails the node in place: no goodbye traffic, no effects. The
-    /// runtime stops delivering to it afterwards.
-    pub fn crash(&mut self) {
-        self.engine.crash();
-    }
-
     /// Applies one input and drains the resulting effects into `rt` (trace
     /// effects into `trace`, stamped with `rt.now_us()`). This is the one
     /// shared dispatch path of every runtime.

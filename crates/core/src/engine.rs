@@ -35,6 +35,13 @@ pub enum Status {
     Crashed,
 }
 
+impl Status {
+    /// Whether a node in this status is still joining (a T-node).
+    pub fn is_joining(self) -> bool {
+        matches!(self, Status::Copying | Status::Waiting | Status::Notifying)
+    }
+}
+
 /// The join-protocol state machine of a single node — a faithful
 /// implementation of the paper's Figures 5–14.
 ///

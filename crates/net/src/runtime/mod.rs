@@ -5,8 +5,8 @@
 //! simulator, so engine behavior is identical by construction.
 //! [`UdpNetwork`] runs a few event-loop threads driving many engines each
 //! over non-blocking loopback UDP sockets, with injected packet loss,
-//! per-engine outbound backpressure, and a kill-then-repair crash
-//! scenario on wall-clock timers.
+//! per-engine outbound backpressure, and one schedule of timed inputs
+//! (joins, crashes, leaves) on the wall clock.
 
 mod udp;
 
@@ -25,8 +25,9 @@ pub enum NetError {
     DuplicateNode(NodeId),
     /// A joiner's gateway is neither a member nor a joiner.
     UnknownGateway(NodeId),
-    /// The engine addressed a message to a node the network doesn't know
-    /// (an engine bug; recorded rather than unwinding a worker thread).
+    /// A scheduled input names a node the network doesn't know, or the
+    /// engine addressed a message to one (an engine bug; recorded rather
+    /// than unwinding a worker thread).
     UnknownDestination(NodeId),
     /// The network failed to quiesce within the deadline.
     QuiesceTimeout {

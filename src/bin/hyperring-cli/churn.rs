@@ -26,9 +26,9 @@ use crate::args::{list, Args};
 ///   re-converge to Definition-3.8 consistency among survivors) and
 ///   repair **off** (the control, expected to be left with false
 ///   negatives). Writes `results/crashchurn.csv` and
-///   `results/crashchurn.json`. Over `udp` the crash wave lands once the
-///   network is quiet, times are wall clock, the trace digest is not
-///   reproducible, and nothing is written.
+///   `results/crashchurn.json`. Over `udp` the crash wave lands at its
+///   timeline time on the wall clock, times are wall clock, the trace
+///   digest is not reproducible, and nothing is written.
 /// * `poisson [--n MEMBERS] [--half-lives S1,S2,..] [--seed SEED]
 ///   [--smoke] [--audit]` — steady-state Poisson arrivals and crashes at
 ///   each node-lifetime half-life (virtual seconds; default `20,40,80`,
