@@ -722,16 +722,7 @@ mod tests {
     /// guard instead of the old O(n²) `Vec::contains` scan; the accepted
     /// sequence — and thus every seeded test — is unchanged).
     fn distinct_ids(sp: IdSpace, n: usize, seed: u64) -> Vec<NodeId> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut seen = std::collections::HashSet::with_capacity(n);
-        let mut ids = Vec::with_capacity(n);
-        while ids.len() < n {
-            let id = sp.random_id(&mut rng);
-            if seen.insert(id) {
-                ids.push(id);
-            }
-        }
-        ids
+        sp.distinct_ids(n, &mut StdRng::seed_from_u64(seed))
     }
 
     #[test]

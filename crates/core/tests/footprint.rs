@@ -152,16 +152,7 @@ fn space() -> IdSpace {
 }
 
 fn distinct(space: IdSpace, n: usize, seed: u64) -> Vec<NodeId> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen = std::collections::HashSet::with_capacity(n);
-    let mut ids = Vec::with_capacity(n);
-    while ids.len() < n {
-        let id = space.random_id(&mut rng);
-        if seen.insert(id) {
-            ids.push(id);
-        }
-    }
-    ids
+    space.distinct_ids(n, &mut StdRng::seed_from_u64(seed))
 }
 
 /// A network grown in concurrent waves keeps, at quiescence, its tables

@@ -77,22 +77,7 @@ where
 ///
 /// Panics if the space cannot hold `n` distinct identifiers.
 pub fn distinct_ids(space: IdSpace, n: usize, seed: u64) -> Vec<NodeId> {
-    if let Some(cap) = space.capacity() {
-        assert!(
-            (n as u128) <= cap,
-            "cannot draw {n} distinct ids from a space of {cap}"
-        );
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen = std::collections::HashSet::with_capacity(n);
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        let id = space.random_id(&mut rng);
-        if seen.insert(id) {
-            out.push(id);
-        }
-    }
-    out
+    space.distinct_ids(n, &mut StdRng::seed_from_u64(seed))
 }
 
 /// Splits a drawn identifier population into members `V` and joiners `W`

@@ -1,6 +1,8 @@
+use std::collections::HashSet;
+
 use rand::Rng;
 
-use crate::{IdError, NodeId, Suffix, MAX_DIGITS, MAX_WIDE_DIGITS};
+use crate::{IdBuildHasher, IdError, NodeId, Suffix, MAX_DIGITS, MAX_WIDE_DIGITS};
 
 /// Configuration of an identifier space: digits of base `b`, `d` digits per
 /// identifier.
@@ -215,6 +217,30 @@ impl IdSpace {
             *d = rng.gen_range(0..self.base) as u8;
         }
         NodeId::from_digits_lsd(&digits[..self.digit_count()])
+    }
+
+    /// Draws `n` distinct uniformly random identifiers, in the order they
+    /// were first drawn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the space holds fewer than `n` identifiers.
+    pub fn distinct_ids<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<NodeId> {
+        if let Some(cap) = self.capacity() {
+            assert!(
+                (n as u128) <= cap,
+                "cannot draw {n} distinct ids from a space of {cap}"
+            );
+        }
+        let mut seen = HashSet::with_capacity_and_hasher(n, IdBuildHasher::default());
+        let mut ids = Vec::with_capacity(n);
+        while ids.len() < n {
+            let id = self.random_id(rng);
+            if seen.insert(id) {
+                ids.push(id);
+            }
+        }
+        ids
     }
 
     /// Derives an identifier from arbitrary bytes via SHA-1, the hash the
