@@ -106,12 +106,6 @@ impl EngineDriver {
         &self.engine
     }
 
-    /// Consumes the driver, returning the engine (for table hand-off at
-    /// the end of a run).
-    pub fn into_engine(self) -> JoinEngine {
-        self.engine
-    }
-
     /// Applies one input and drains the resulting effects into `rt` (trace
     /// effects into `trace`, stamped with `rt.now_us()`). This is the one
     /// shared dispatch path of every runtime.

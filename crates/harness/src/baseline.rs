@@ -27,11 +27,11 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use hyperring_core::{Entry, NeighborTable, NodeState, TableSnapshot};
+use hyperring_core::{Entry, NeighborTable, NodeState, Status, TableSnapshot};
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::{Actor, Context, RunReport, Simulator, Time, UniformDelay};
 
-use crate::timeline::CompiledTimeline;
+use crate::timeline::{CompiledTimeline, Run};
 
 /// Messages of the optimistic protocol.
 #[derive(Debug, Clone)]
@@ -57,19 +57,14 @@ enum OptMsg {
     },
 }
 
-#[derive(Debug, PartialEq, Eq)]
-enum OptStatus {
-    Copying,
-    Done,
-}
-
-/// One optimistic node.
+/// One optimistic node: `Copying` until it announces itself, `InSystem`
+/// from then on.
 #[derive(Debug)]
 struct OptNode {
     space: IdSpace,
     id: NodeId,
     table: NeighborTable,
-    status: OptStatus,
+    status: Status,
     copy_level: usize,
     dir: Arc<HashMap<NodeId, usize>>,
 }
@@ -130,7 +125,7 @@ impl Actor for OptNode {
                 ));
             }
             OptMsg::CpRly { level, table } => {
-                if self.status != OptStatus::Copying || level as usize != self.copy_level {
+                if self.status != Status::Copying || level as usize != self.copy_level {
                     return;
                 }
                 let i = self.copy_level;
@@ -166,7 +161,7 @@ impl Actor for OptNode {
                                 },
                             );
                         }
-                        self.status = OptStatus::Done;
+                        self.status = Status::InSystem;
                         let snap = self.table.snapshot();
                         let targets: BTreeSet<NodeId> = snap
                             .rows()
@@ -207,21 +202,18 @@ impl Actor for OptNode {
     }
 }
 
-/// Runs the optimistic baseline over the members and joins of `c` to
-/// quiescence and returns the final tables with the simulator's report.
-/// This is the backend behind
-/// [`Scenario::optimistic`](crate::Scenario::optimistic).
-///
+/// Starts the optimistic baseline over the members and joins of `c`: the
+/// backend behind [`Scenario::optimistic`](crate::Scenario::optimistic).
 /// Each join starts at its scheduled time (spacing them far apart
 /// approximates sequential joins, since a join completes within a handful
 /// of 100 ms round trips). Message delays are uniform in `delay_bounds`
 /// microseconds.
-pub(crate) fn run_optimistic_tables(
+pub(crate) fn start_optimistic(
     space: IdSpace,
     c: &CompiledTimeline,
     seed: u64,
     delay_bounds: (Time, Time),
-) -> (Vec<NeighborTable>, RunReport) {
+) -> impl Run {
     let member_tables = hyperring_core::build_consistent_tables(space, &c.members);
     let mut ids: Vec<NodeId> = c.members.clone();
     ids.extend(c.joins.iter().map(|(id, ..)| *id));
@@ -234,7 +226,7 @@ pub(crate) fn run_optimistic_tables(
             space,
             id: t.owner(),
             table: t,
-            status: OptStatus::Done,
+            status: Status::InSystem,
             copy_level: 0,
             dir: Arc::clone(&dir),
         })
@@ -244,7 +236,7 @@ pub(crate) fn run_optimistic_tables(
             space,
             id: *id,
             table: NeighborTable::new(space, *id),
-            status: OptStatus::Copying,
+            status: Status::Copying,
             copy_level: 0,
             dir: Arc::clone(&dir),
         });
@@ -255,9 +247,26 @@ pub(crate) fn run_optimistic_tables(
         let idx = dir[id];
         sim.inject_at(*at, idx, idx, OptMsg::Start { gateway: *gw });
     }
-    let report = sim.run_limited(200_000_000);
-    assert!(!report.truncated, "optimistic run did not quiesce");
-    (sim.actors().map(|a| a.table.clone()).collect(), report)
+    sim
+}
+
+impl Run for Simulator<OptNode, UniformDelay> {
+    fn pause_at(&mut self, at: Time) -> u64 {
+        self.run_until(at).delivered
+    }
+
+    /// Runs to quiescence, whatever the horizon: the protocol has no
+    /// timers, so its queue drains.
+    fn run_to_end(&mut self, _horizon: Time) -> RunReport {
+        let report = self.run_limited(200_000_000);
+        assert!(!report.truncated, "optimistic run did not quiesce");
+        report
+    }
+
+    fn tables(&self, keep: fn(Status) -> bool) -> Vec<&NeighborTable> {
+        let kept = self.actors().filter(|a| keep(a.status));
+        kept.map(|a| &a.table).collect()
+    }
 }
 
 #[cfg(test)]

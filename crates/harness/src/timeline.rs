@@ -67,33 +67,34 @@
 //! injecting any simulator event, so they measure reachability without
 //! perturbing the protocol run.
 //!
-//! **Runtimes.** [`Runtime::Sim`], the default, drives the simulator and
-//! everything above applies. [`Runtime::Udp`] compiles the joins, crashes
-//! and leaves of the same timeline into one schedule of timed inputs and
-//! runs it over real loopback sockets ([`UdpNetwork::run_schedule`]):
-//! each lands at its timeline time on the wall clock, and the run ends at
-//! quiescence after the last of them (after a detector grace when it
-//! crashes a node). Crash-to-repair times count from a crash's timeline
-//! instant. The wall clock is not paused, so checkpoints and storms
-//! observe the settled end state, recovery spans are not measured, and
-//! the trace digest is not reproducible. The optimistic baseline
-//! ([`Scenario::optimistic`]) runs joins only, on the simulator. These
-//! two observe checkpoints and storms at the end state, and leave the
-//! counters their runtime does not keep at zero or empty.
+//! **Runtimes.** Every runtime runs through one pause loop: it runs to
+//! each checkpoint and storm instant, is observed there, and then runs
+//! to its own end. [`Runtime::Sim`], the default, drives the simulator to
+//! the horizon, and everything above applies. [`Runtime::Udp`] compiles
+//! the joins, crashes and leaves of the same timeline into one schedule
+//! of timed inputs and runs it over real loopback sockets
+//! ([`UdpNetwork::start`]): each lands at its timeline time on the run
+//! clock, a pause stops the clock ([`UdpRun::run_until`]), and the run
+//! ends at quiescence after the last input (after a detector grace when
+//! it crashes a node), whatever the horizon. Its checkpoints, storms,
+//! crash-to-repair times and recovery spans are read on the run clock;
+//! its trace digest is not reproducible. The optimistic baseline
+//! ([`Scenario::optimistic`]) runs joins only, on the simulator, to
+//! quiescence, and records no trace.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use hyperring_core::{
     build_consistent_tables, check_consistency, check_reachability_refs, ConsistencyReport,
-    DigestTrace, IncrementalChecker, MessageKind, NeighborTable, NodeInput, ProtocolEvent,
-    ProtocolOptions, SharedSink, SimNetwork, SimNetworkBuilder, Status, TraceRecord, TraceSink,
-    Violation,
+    DigestTrace, IncrementalChecker, JoinEngine, MessageKind, NeighborTable, NodeInput,
+    ProtocolEvent, ProtocolOptions, SharedSink, SimNetwork, SimNetworkBuilder, Status, TraceRecord,
+    TraceSink, Violation,
 };
 use hyperring_id::{IdSpace, NodeId};
-use hyperring_net::{NetError, UdpNetwork};
-use hyperring_sim::{DelayModel, Time, UniformDelay};
+use hyperring_net::{UdpNetwork, UdpRun};
+use hyperring_sim::{DelayModel, RunReport, Time, UniformDelay};
 
-use crate::baseline::run_optimistic_tables;
+use crate::baseline::start_optimistic;
 use crate::lookup::{run_schedule, storm_keys, LookupStats, StormSchedule};
 use crate::workload::JoinWorkload;
 use hyperring_object::ObjectStore;
@@ -542,10 +543,10 @@ pub struct CheckpointReport {
     pub consistent: bool,
     /// Joins started by then that had not finished: neither `in_system`
     /// nor crashed nor departed. Their nodes are not among the `live`
-    /// tables checked. Simulator only; zero elsewhere.
+    /// tables checked.
     pub joining: usize,
-    /// Messages delivered from the start of the run until then. Simulator
-    /// only; zero elsewhere.
+    /// Messages delivered from the start of the run until then (datagrams
+    /// received over UDP).
     pub delivered: u64,
 }
 
@@ -619,14 +620,14 @@ pub struct TimelineReport {
     /// Slots repaired over the run.
     pub repaired: u64,
     /// Leave-protocol messages (`LeaveNoti` + `RvNghForget`) each leaver
-    /// sent, in schedule order. Simulator only; empty elsewhere.
+    /// sent, in schedule order.
     pub leave_msgs: Vec<u64>,
     /// Messages delivered over the run (datagrams received over UDP).
     pub delivered: u64,
     /// Timers fired over the run.
     pub timers_fired: u64,
     /// Time the run ended at: virtual µs on the simulator, wall-clock µs
-    /// over UDP.
+    /// over UDP (pauses left out).
     pub finished_at: u64,
     /// Protocol events recorded.
     pub traced: u64,
@@ -641,7 +642,8 @@ pub enum Runtime {
     /// The deterministic discrete-event simulator, in virtual time.
     #[default]
     Sim,
-    /// Real loopback UDP sockets ([`UdpNetwork`]), in wall-clock time.
+    /// Real loopback UDP sockets ([`UdpNetwork`]), on a wall clock that
+    /// stops at pauses.
     Udp,
 }
 
@@ -654,15 +656,6 @@ impl std::str::FromStr for Runtime {
             "udp" => Ok(Runtime::Udp),
             other => Err(format!("unknown runtime {other:?} (sim | udp)")),
         }
-    }
-}
-
-impl std::fmt::Display for Runtime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Runtime::Sim => "sim",
-            Runtime::Udp => "udp",
-        })
     }
 }
 
@@ -761,135 +754,84 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics on a schedule the runtime cannot run (see the module docs),
-    /// and when a socket run fails ([`NetError`]).
+    /// and when a socket run fails ([`NetError`](hyperring_net::NetError)).
     pub fn run_compiled(&self, c: &CompiledTimeline) -> TimelineReport {
         if self.optimistic {
-            return self.run_optimistic(c);
+            assert!(
+                c.crashes.is_empty() && c.leaves.is_empty(),
+                "the optimistic baseline has no failure or leave handling"
+            );
+            assert_eq!(
+                self.runtime,
+                Runtime::Sim,
+                "the optimistic baseline runs on the simulator only"
+            );
+            let run = start_optimistic(self.space, c, self.seed, self.delay_bounds);
+            return self.pause_loop(c, run);
         }
-        match self.runtime {
-            Runtime::Sim => self.run_sim(c),
-            Runtime::Udp => self
-                .run_udp(c)
-                .unwrap_or_else(|e| panic!("socket run failed: {e}")),
-        }
-    }
-
-    fn run_sim(&self, c: &CompiledTimeline) -> TimelineReport {
-        let mut b = SimNetworkBuilder::new(self.space);
-        for id in &c.members {
-            b.add_member(*id);
-        }
-        for (id, gw, at) in &c.joins {
-            b.add_joiner(*id, *gw, *at);
-        }
-        b.options(self.opts);
         let trace = Trace::new(c);
-        b.trace(trace.sink());
-        let (lo, hi) = self.delay_bounds;
-        let mut net = b.build(UniformDelay::new(lo, hi), self.seed);
-        for (id, at) in &c.crashes {
-            net.crash_at(id, *at);
-        }
-        for (id, at) in &c.leaves {
-            net.leave_at(id, *at);
-        }
-        let mut obs = Observer::new(self, c);
-        for (at, pause) in pauses(c) {
-            let progress = Progress {
-                delivered: net.run_until(at).delivered,
-                joining: c
+        let mut r = match self.runtime {
+            Runtime::Sim => {
+                let mut b = SimNetworkBuilder::new(self.space);
+                for id in &c.members {
+                    b.add_member(*id);
+                }
+                for (id, gw, at) in &c.joins {
+                    b.add_joiner(*id, *gw, *at);
+                }
+                b.options(self.opts);
+                b.trace(trace.sink());
+                let (lo, hi) = self.delay_bounds;
+                let mut net = b.build(UniformDelay::new(lo, hi), self.seed);
+                for (id, at) in &c.crashes {
+                    net.crash_at(id, *at);
+                }
+                for (id, at) in &c.leaves {
+                    net.leave_at(id, *at);
+                }
+                self.pause_loop(c, net)
+            }
+            Runtime::Udp => {
+                let net = UdpNetwork::new(
+                    self.space,
+                    self.opts,
+                    build_consistent_tables(self.space, &c.members),
+                )
+                .with_trace(trace.sink());
+                let joins = c
                     .joins
                     .iter()
-                    .filter(|(id, _, t)| *t <= at && net.engine(id).status().is_joining())
-                    .count(),
-            };
-            obs.observe(at, pause, &in_system_tables(&net), progress);
-        }
-        let run = net.run_until(c.horizon);
-        let tables: Vec<&NeighborTable> = net.tables_iter().collect();
-        let mut r = self.verdict(c, &tables, obs);
-        r.leave_msgs = c
-            .leaves
-            .iter()
-            .map(|(id, _)| {
-                let s = net.engine(id).stats();
-                s.sent(MessageKind::LeaveNoti) + s.sent(MessageKind::RvNghForget)
-            })
-            .collect();
-        r.delivered = run.delivered;
-        r.timers_fired = run.timers_fired;
-        r.finished_at = run.finished_at;
+                    .map(|&(id, gateway, at)| (at, id, NodeInput::StartJoin { gateway }));
+                let crashes = c.crashes.iter().map(|&(id, at)| (at, id, NodeInput::Crash));
+                let leaves = c
+                    .leaves
+                    .iter()
+                    .map(|&(id, at)| (at, id, NodeInput::BeginLeave));
+                let schedule: Vec<(Time, NodeId, NodeInput)> =
+                    joins.chain(crashes).chain(leaves).collect();
+                self.pause_loop(c, socket_run(net.start(&schedule)))
+            }
+        };
         trace.read_into(&mut r);
         r
     }
 
-    fn run_udp(&self, c: &CompiledTimeline) -> Result<TimelineReport, NetError> {
-        let trace = Trace::new(c);
-        let net = UdpNetwork::new(
-            self.space,
-            self.opts,
-            build_consistent_tables(self.space, &c.members),
-        )
-        .with_trace(trace.sink());
-        let joins = c
-            .joins
-            .iter()
-            .map(|&(id, gateway, at)| (at, id, NodeInput::StartJoin { gateway }));
-        let crashes = c.crashes.iter().map(|&(id, at)| (at, id, NodeInput::Crash));
-        let leaves = c
-            .leaves
-            .iter()
-            .map(|&(id, at)| (at, id, NodeInput::BeginLeave));
-        let schedule: Vec<(Time, NodeId, NodeInput)> = joins.chain(crashes).chain(leaves).collect();
-        let (tables, stats) = net.run_schedule(&schedule)?;
-        let tables: Vec<&NeighborTable> = tables.iter().collect();
-        let mut r = self.observe_end_state(c, &tables);
-        r.delivered = stats.datagrams_received;
-        r.timers_fired = stats.timers_fired;
-        r.finished_at = stats.wall.as_micros() as u64;
-        trace.read_into(&mut r);
-        Ok(r)
-    }
-
-    fn run_optimistic(&self, c: &CompiledTimeline) -> TimelineReport {
-        assert!(
-            c.crashes.is_empty() && c.leaves.is_empty(),
-            "the optimistic baseline has no failure or leave handling"
-        );
-        assert_eq!(
-            self.runtime,
-            Runtime::Sim,
-            "the optimistic baseline runs on the simulator only"
-        );
-        let (tables, run) = run_optimistic_tables(self.space, c, self.seed, self.delay_bounds);
-        let tables: Vec<&NeighborTable> = tables.iter().collect();
-        let mut r = self.observe_end_state(c, &tables);
-        r.delivered = run.delivered;
-        r.finished_at = run.finished_at;
-        r
-    }
-
-    /// Observes every checkpoint and storm of `c` on the settled `tables`
-    /// (runtimes without a pausable virtual clock), then reports. No
-    /// recovery span is measured: a checkpoint's virtual time says
-    /// nothing about when these tables settled.
-    fn observe_end_state(&self, c: &CompiledTimeline, tables: &[&NeighborTable]) -> TimelineReport {
+    /// The one pause loop: runs `run` to each checkpoint and storm
+    /// instant in turn and observes its S-node tables there, then runs it
+    /// to its end and reports.
+    fn pause_loop(&self, c: &CompiledTimeline, mut run: impl Run) -> TimelineReport {
         let mut obs = Observer::new(self, c);
-        obs.disruptions.clear();
         for (at, pause) in pauses(c) {
-            obs.observe(at, pause, tables, Progress::default());
+            let delivered = run.pause_at(at);
+            // A join not started yet is still `Copying`.
+            let unstarted = c.joins.iter().filter(|(.., t)| *t > at).count();
+            let joining = run.tables(Status::is_joining).len() - unstarted;
+            let tables = run.tables(|s| s == Status::InSystem);
+            obs.observe(at, pause, &tables, delivered, joining);
         }
-        self.verdict(c, tables, obs)
-    }
-
-    /// The shared tail of every runtime: the survivor-restricted verdict
-    /// over the live nodes' final `tables`, plus what the observer saw.
-    fn verdict(
-        &self,
-        c: &CompiledTimeline,
-        tables: &[&NeighborTable],
-        obs: Observer,
-    ) -> TimelineReport {
+        let end = run.run_to_end(c.horizon);
+        // The survivor-restricted verdict over the live nodes' tables.
+        let tables = run.tables(|s| !matches!(s, Status::Crashed | Status::Departed));
         let crashed: BTreeSet<NodeId> = c.crashes.iter().map(|(id, _)| *id).collect();
         let dead_refs = tables
             .iter()
@@ -909,11 +851,15 @@ impl Scenario {
             dead_refs,
             unreachable_pairs: self
                 .reachability
-                .then(|| check_reachability_refs(tables).len()),
+                .then(|| check_reachability_refs(&tables).len()),
             checkpoints: obs.checkpoints,
             storms: obs.storms,
             keyed_storms: obs.keyed_storms,
             recovery_us: obs.recovery_us,
+            leave_msgs: c.leaves.iter().map(|(id, _)| run.leave_msgs(id)).collect(),
+            delivered: end.delivered,
+            timers_fired: end.timers_fired,
+            finished_at: end.finished_at,
             ..TimelineReport::default()
         }
     }
@@ -961,21 +907,85 @@ fn false_negatives(report: &ConsistencyReport) -> usize {
         .count()
 }
 
-/// The S-node tables of a running simulation, in engine order.
-fn in_system_tables<D: DelayModel>(net: &SimNetwork<D>) -> Vec<&NeighborTable> {
-    net.engines()
-        .filter(|e| e.status() == Status::InSystem)
-        .map(|e| e.table())
+/// A compiled timeline started on one runtime, as the one pause loop of
+/// [`Scenario::run_compiled`] drives it.
+pub(crate) trait Run {
+    /// Runs every event due at or before `at`, none after, and pauses;
+    /// returns the messages delivered so far.
+    fn pause_at(&mut self, at: Time) -> u64;
+    /// Runs to the runtime's own end (the horizon on the simulator,
+    /// quiescence elsewhere) and reports the whole run.
+    fn run_to_end(&mut self, horizon: Time) -> RunReport;
+    /// The tables of the nodes whose status `keep` accepts, in node order.
+    fn tables(&self, keep: fn(Status) -> bool) -> Vec<&NeighborTable>;
+    /// Leave-protocol messages (`LeaveNoti` + `RvNghForget`) `id` sent;
+    /// none where nobody leaves.
+    fn leave_msgs(&self, _id: &NodeId) -> u64 {
+        0
+    }
+}
+
+fn kept<'a>(
+    engines: impl Iterator<Item = &'a JoinEngine>,
+    keep: fn(Status) -> bool,
+) -> Vec<&'a NeighborTable> {
+    engines
+        .filter(|e| keep(e.status()))
+        .map(JoinEngine::table)
         .collect()
 }
 
-/// What a paused simulator knows at a checkpoint besides its tables.
-#[derive(Debug, Clone, Copy, Default)]
-struct Progress {
-    /// Messages delivered since the run began.
-    delivered: u64,
-    /// Joins started and not yet finished.
-    joining: usize,
+fn leave_msgs(e: &JoinEngine) -> u64 {
+    let s = e.stats();
+    s.sent(MessageKind::LeaveNoti) + s.sent(MessageKind::RvNghForget)
+}
+
+impl<D: DelayModel> Run for SimNetwork<D> {
+    fn pause_at(&mut self, at: Time) -> u64 {
+        self.run_until(at).delivered
+    }
+
+    fn run_to_end(&mut self, horizon: Time) -> RunReport {
+        self.run_until(horizon)
+    }
+
+    fn tables(&self, keep: fn(Status) -> bool) -> Vec<&NeighborTable> {
+        kept(self.engines(), keep)
+    }
+
+    fn leave_msgs(&self, id: &NodeId) -> u64 {
+        leave_msgs(self.engine(id))
+    }
+}
+
+/// The socket run's result, or the panic [`Scenario::run_compiled`]
+/// documents.
+fn socket_run<T>(r: Result<T, hyperring_net::NetError>) -> T {
+    r.unwrap_or_else(|e| panic!("socket run failed: {e}"))
+}
+
+impl Run for UdpRun {
+    fn pause_at(&mut self, at: Time) -> u64 {
+        socket_run(self.run_until(at)).datagrams_received
+    }
+
+    fn run_to_end(&mut self, _horizon: Time) -> RunReport {
+        let stats = socket_run(self.finish());
+        RunReport {
+            delivered: stats.datagrams_received,
+            timers_fired: stats.timers_fired,
+            finished_at: stats.wall.as_micros() as u64,
+            ..RunReport::default()
+        }
+    }
+
+    fn tables(&self, keep: fn(Status) -> bool) -> Vec<&NeighborTable> {
+        kept(self.engines(), keep)
+    }
+
+    fn leave_msgs(&self, id: &NodeId) -> u64 {
+        self.engines().find(|e| e.id() == *id).map_or(0, leave_msgs)
+    }
 }
 
 /// A pure observation the run pauses for.
@@ -1056,8 +1066,17 @@ impl Observer {
         }
     }
 
-    /// Runs one pause over the S-node `tables` of instant `at`.
-    fn observe(&mut self, at: Time, pause: Pause<'_>, tables: &[&NeighborTable], p: Progress) {
+    /// Runs one pause over the S-node `tables` of instant `at`, when
+    /// `delivered` messages have been delivered and `joining` joins have
+    /// started and not finished.
+    fn observe(
+        &mut self,
+        at: Time,
+        pause: Pause<'_>,
+        tables: &[&NeighborTable],
+        delivered: u64,
+        joining: usize,
+    ) {
         match pause {
             Pause::Check(label) => {
                 let report = self.checker.check(tables.iter().copied());
@@ -1090,8 +1109,8 @@ impl Observer {
                     violations: report.violations().len(),
                     false_negatives: false_negatives(&report),
                     consistent,
-                    joining: p.joining,
-                    delivered: p.delivered,
+                    joining,
+                    delivered,
                 });
             }
             Pause::Storm(lookups) => {
@@ -1464,9 +1483,9 @@ mod tests {
 
     #[test]
     fn a_crash_wave_repairs_survivors_over_sockets() {
-        // The wave lands at t = 0 on the wall clock, and the socket runtime
-        // runs on for a grace scaled from the probe interval before it
-        // looks for quiescence.
+        // The wave lands at t = 0 on the run clock, and the socket runtime
+        // runs on for a grace of 750 ms, scaled from the probe interval,
+        // before it looks for quiescence; the checkpoint pauses it midway.
         let r = Scenario::new(space())
             .members(14)
             .seed(5)
@@ -1481,19 +1500,23 @@ mod tests {
                 Timeline::new()
                     .at(0)
                     .crash_count(3)
-                    .at(1_000_000)
-                    .checkpoint("settled")
+                    .at(500_000)
+                    .checkpoint("midway")
                     .done(),
             );
         assert_eq!(r.crashed, 3);
         assert_eq!(r.survivors, 11);
         assert_eq!(r.dead_refs, 0);
         assert!(r.consistent, "{}", r.final_report);
-        assert!(r.finished_at > 0, "the run's wall time is reported");
-        // The checkpoint sees the end state; no wall-clock recovery span
-        // was measured, so none is reported.
-        assert!(r.checkpoints[0].consistent);
-        assert!(r.recovery_us.is_empty());
+        assert!(r.finished_at >= 750_000, "the run outlasts the grace");
+        // The checkpoint sees the 11 survivors at 500 ms, before the run
+        // ends; the crash at 0 opened a disruption, which a consistent
+        // checkpoint closes after 500 ms.
+        let ck = &r.checkpoints[0];
+        assert_eq!((ck.at, ck.live, ck.joining), (500_000, 11, 0));
+        assert!(0 < ck.delivered && ck.delivered < r.delivered);
+        let spans = if ck.consistent { vec![500_000] } else { vec![] };
+        assert_eq!(r.recovery_us, spans);
         // The crashes land at their timeline instant, so crash-to-repair
         // is measured from it.
         assert!(!r.ttr_from_crash_us.is_empty());
@@ -1507,6 +1530,8 @@ mod tests {
             .join(2)
             .at(200_000)
             .join(2)
+            .at(300_000)
+            .checkpoint("between")
             .at(400_000)
             .leave(1)
             .horizon(Time::MAX);
@@ -1516,6 +1541,11 @@ mod tests {
         for r in [&sim, &udp] {
             assert!(r.consistent, "{}", r.final_report);
             assert_eq!((r.joins, r.left, r.survivors), (4, 1, 13));
+            // At 300 ms every node has started and none has left.
+            let ck = &r.checkpoints[0];
+            assert_eq!(ck.live + ck.joining, 14, "{ck:?}");
+            assert!(ck.delivered <= r.delivered);
+            assert_eq!(r.leave_msgs.len(), 1);
         }
         assert!(udp.delivered > 0 && udp.traced > 0);
         assert!(udp.finished_at >= 400_000, "the leave lands at 400 ms");

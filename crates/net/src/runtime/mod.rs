@@ -6,11 +6,12 @@
 //! [`UdpNetwork`] runs a few event-loop threads driving many engines each
 //! over non-blocking loopback UDP sockets, with injected packet loss,
 //! per-engine outbound backpressure, and one schedule of timed inputs
-//! (joins, crashes, leaves) on the wall clock.
+//! (joins, crashes, leaves) on a wall clock that stops while the run is
+//! paused ([`UdpRun`]).
 
 mod udp;
 
-pub use udp::{UdpConfig, UdpNetwork, UdpRunStats};
+pub use udp::{UdpConfig, UdpNetwork, UdpRun, UdpRunStats};
 
 use std::fmt;
 

@@ -50,7 +50,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use hyperring_core::{
@@ -77,7 +77,8 @@ pub struct UdpConfig {
     /// Seed for the deterministic loss injector (each loop thread derives
     /// its own stream from this).
     pub loss_seed: u64,
-    /// Hard deadline for the whole run.
+    /// Hard deadline: how long after its last scheduled input a run may
+    /// go on, on the run clock, before it is declared stuck.
     pub quiesce_timeout: Duration,
     /// The fallback window: how long the network must stay silent before
     /// a run that the exact rule cannot end is declared quiescent, and how
@@ -128,9 +129,10 @@ pub struct UdpRunStats {
     /// Timer deadlines fired.
     pub timers_fired: u64,
     /// Wall-clock duration of the run, thread start-up and teardown
-    /// included. Without a failure detector and without kernel drops it
-    /// ends within a millisecond or two of the last datagram handled;
-    /// otherwise on a whole number of [`UdpConfig::settle`] windows.
+    /// included and pauses left out. Without a failure detector and
+    /// without kernel drops it ends within a millisecond or two of the
+    /// last datagram handled; otherwise on a whole number of
+    /// [`UdpConfig::settle`] windows.
     pub wall: Duration,
 }
 
@@ -333,8 +335,9 @@ impl RuntimeDriver for LoopHandler<'_> {
 /// Construct with the initial members' tables, tune with
 /// [`with_config`](Self::with_config), then call
 /// [`run_schedule`](Self::run_schedule) (or [`run_joins`](Self::run_joins)
-/// for one join wave); the call blocks until quiescence and returns the
-/// live nodes' final tables together with transport statistics.
+/// for one join wave), which blocks until quiescence and returns the live
+/// nodes' final tables together with transport statistics; or
+/// [`start`](Self::start) a [`UdpRun`] that pauses where it is asked to.
 pub struct UdpNetwork {
     space: IdSpace,
     opts: ProtocolOptions,
@@ -368,7 +371,7 @@ impl UdpNetwork {
     }
 
     /// Attaches a [`TraceSink`] shared by every loop thread. Timestamps
-    /// are wall-clock microseconds since the run started. Implies
+    /// are microseconds on the run clock ([`UdpRun`]). Implies
     /// [`ProtocolOptions::trace`].
     pub fn with_trace(mut self, sink: Box<dyn TraceSink + Send>) -> Self {
         self.opts = self.opts.with_trace();
@@ -394,14 +397,30 @@ impl UdpNetwork {
         self.run_schedule(&schedule)
     }
 
-    /// Drives each `(at, node, input)` of `schedule` into `node` once the
-    /// run's wall clock reaches `at` µs (same-instant inputs keep their
-    /// order), then runs to quiescence once every input is driven, but,
-    /// when the schedule crashes a node under a failure detector, not
-    /// before `probe_interval × (suspicion_threshold + 12)` after the last
-    /// crash. A `Crash` also discards what its node had queued. Returns the live (neither
-    /// crashed nor departed) nodes' final tables in roster order: the
-    /// members, then each node a `StartJoin` names, in schedule order.
+    /// [`start`](Self::start)s `schedule` and [`finish`](UdpRun::finish)es
+    /// it. Returns the live (neither crashed nor departed) nodes' final
+    /// tables in roster order: the members, then each node a `StartJoin`
+    /// names, in schedule order.
+    ///
+    /// # Errors
+    ///
+    /// As [`start`](Self::start) and [`UdpRun::run_until`].
+    pub fn run_schedule(
+        self,
+        schedule: &[(u64, NodeId, NodeInput)],
+    ) -> Result<(Vec<NeighborTable>, UdpRunStats), NetError> {
+        let mut run = self.start(schedule)?;
+        let stats = run.finish()?;
+        let live =
+            (run.engines()).filter(|e| !matches!(e.status(), Status::Crashed | Status::Departed));
+        Ok((live.map(|e| e.table().clone()).collect(), stats))
+    }
+
+    /// Validates `schedule` and binds the sockets, before any thread
+    /// spawns; the returned run has not started. Each `(at, node, input)`
+    /// is driven into `node` once the run clock reaches `at` µs
+    /// (same-instant inputs keep their order). A `Crash` also discards
+    /// what its node had queued.
     ///
     /// # Errors
     ///
@@ -409,29 +428,8 @@ impl UdpNetwork {
     /// `StartJoin` names a member or a node already named;
     /// [`NetError::UnknownGateway`] / [`NetError::UnknownDestination`]
     /// when a gateway / an input's node is not on the roster. Then
-    /// [`NetError::Socket`] for bind/IO failures;
-    /// [`NetError::QuiesceTimeout`] if the run exceeds
-    /// [`UdpConfig::quiesce_timeout`] (under heavy injected loss this
-    /// usually means the retry budget or settle window is too small);
-    /// [`NetError::NodePanicked`] as soon as a loop thread panics, as one
-    /// does on an input its engine rejects (a `BeginLeave` for a node not
-    /// in the system).
-    pub fn run_schedule(
-        self,
-        schedule: &[(u64, NodeId, NodeInput)],
-    ) -> Result<(Vec<NeighborTable>, UdpRunStats), NetError> {
-        let (engines, stats) = self.run(schedule)?;
-        let live = |e: &&JoinEngine| !matches!(e.status(), Status::Crashed | Status::Departed);
-        let tables = engines.iter().filter(live).map(|e| e.table().clone());
-        Ok((tables.collect(), stats))
-    }
-
-    /// [`run_schedule`](Self::run_schedule), returning every engine, the
-    /// crashed and departed ones too, in roster order.
-    fn run(
-        self,
-        schedule: &[(u64, NodeId, NodeInput)],
-    ) -> Result<(Vec<JoinEngine>, UdpRunStats), NetError> {
+    /// [`NetError::Socket`] for bind failures.
+    pub fn start(self, schedule: &[(u64, NodeId, NodeInput)]) -> Result<UdpRun, NetError> {
         // Validate the roster and the schedule before any socket is bound.
         // The roster is the members, then the joiners in schedule order;
         // `known` maps each to its roster position.
@@ -457,10 +455,8 @@ impl UdpNetwork {
                 }
             }
         }
-        let n_nodes = roster.len();
-        let n_threads = self.config.loop_threads.clamp(1, n_nodes);
+        let n_threads = self.config.loop_threads.clamp(1, roster.len());
         let fd = self.opts.failure_detector();
-        let fd_configured = fd.is_some();
         // The gauges cannot see a detector's suspicion build up, so a run
         // that crashes a node under one is not ended before the grace has
         // passed after the last crash.
@@ -469,10 +465,12 @@ impl UdpNetwork {
             .filter(|(.., input)| matches!(input, NodeInput::Crash))
             .map(|&(at, ..)| at)
             .max();
-        let quiet_after = match (fd, last_crash) {
-            (Some(fd), Some(at)) => Duration::from_micros(at) + detector_grace(fd),
-            _ => Duration::ZERO,
+        let quiet_from_us = match (fd, last_crash) {
+            (Some(fd), Some(at)) => at.saturating_add(detector_grace(fd).as_micros() as u64),
+            _ => 0,
         };
+        let last_input = schedule.iter().map(|&(at, ..)| at).max().unwrap_or(0);
+        let deadline_us = last_input.saturating_add(self.config.quiesce_timeout.as_micros() as u64);
 
         // Bind one endpoint per loop thread, then build the global route
         // table: node -> owning thread's socket address. Nodes are dealt
@@ -498,8 +496,8 @@ impl UdpNetwork {
             Arc::new((0..n_threads).map(|_| Gauges::default()).collect());
 
         let (space, config) = (self.space, &self.config);
-        let mut states: Vec<LoopState> = (0..n_threads)
-            .map(|t| LoopState {
+        let mut loops: Vec<LoopState> = (endpoints.into_iter().enumerate())
+            .map(|(t, endpoint)| LoopState {
                 drivers: Vec::new(),
                 inputs: VecDeque::new(),
                 joining: 0,
@@ -518,6 +516,9 @@ impl UdpNetwork {
                     queued: 0,
                     activity: 0,
                 },
+                endpoint,
+                sent: 0,
+                refused: 0,
                 trace: self.trace.clone(),
                 shutdown: Arc::clone(&shutdown),
             })
@@ -530,113 +531,37 @@ impl UdpNetwork {
             .map(|t| JoinEngine::new_member(space, opts, t))
             .chain(joiners.map(|&id| JoinEngine::new_joiner(space, opts, id)));
         for (i, engine) in engines.enumerate() {
-            let state = &mut states[i % n_threads];
+            let state = &mut loops[i % n_threads];
             state.joining += u64::from(engine.status().is_joining());
+            // Every failure detector starts with the run (a no-op unless
+            // configured).
+            let start_fd = (0, state.drivers.len(), NodeInput::StartFailureDetector);
+            state.inputs.push_back(start_fd);
             state.drivers.push(EngineDriver::new(engine));
             state.io.outbound.push(VecDeque::new());
         }
         for (at, id, input) in schedule {
             let i = known[id];
-            let inputs = &mut states[i % n_threads].inputs;
+            let inputs = &mut loops[i % n_threads].inputs;
             inputs.push_back((*at, i / n_threads, input.clone()));
         }
-        for (state, g) in states.iter_mut().zip(gauges.iter()) {
+        for (state, g) in loops.iter_mut().zip(gauges.iter()) {
             // A stable sort: same-instant inputs keep their schedule order.
             state.inputs.make_contiguous().sort_by_key(|&(at, ..)| at);
-            g.inputs.store(state.inputs.len() as u64, Ordering::SeqCst);
-            g.joining.store(state.joining, Ordering::SeqCst);
+            state.publish(g);
         }
-
-        let epoch = Instant::now();
-        let mut handles = Vec::with_capacity(n_threads);
-        for (t, (endpoint, state)) in endpoints.into_iter().zip(states).enumerate() {
-            let gauges = Arc::clone(&gauges);
-            handles.push(thread::spawn(move || {
-                state.run(endpoint, &gauges[t], epoch)
-            }));
-        }
-
-        // Supervise: collect every `TICK` and end at the first pair of
-        // collects the exact rule accepts; look for a window of silence
-        // once per settle window, for the runs it never accepts. Under a
-        // failure detector only the window rule can end the run, so the
-        // supervisor sleeps a whole window between looks there, as no
-        // third thread need wake beside the loops. Neither rule ends the
-        // run before `quiet_from`.
-        let deadline = epoch + self.config.quiesce_timeout;
-        let quiet_from = epoch + quiet_after;
-        let window = self.config.settle.max(TICK);
-        let tick = if fd_configured { window } else { TICK };
-        let mut next_look = Instant::now() + window;
-        let mut before: Option<Collect> = None;
-        let mut activity_before = 0;
-        // Breaks with the last collect if the deadline passed.
-        let timed_out = loop {
-            thread::sleep(tick);
-            // A thread that hit a fatal error rang the bell; one that
-            // panicked (say, on a leave before its node is in the system)
-            // finished without it.
-            if shutdown.load(Ordering::SeqCst)
-                || handles.iter().any(thread::JoinHandle::is_finished)
-            {
-                break None;
-            }
-            let now = Collect::read(&gauges);
-            let mut quiescent = before.is_some_and(|b| exactly_quiescent(&b, &now, fd_configured));
-            before = Some(now);
-            if Instant::now() >= next_look {
-                quiescent |= window_quiescent(&now, activity_before, fd_configured);
-                activity_before = now.activity;
-                next_look = Instant::now() + window;
-            }
-            if quiescent && Instant::now() >= quiet_from {
-                break None;
-            }
-            if Instant::now() >= deadline {
-                break Some(now);
-            }
-        };
-        shutdown.store(true, Ordering::SeqCst);
-
-        // Each thread's engines, in slot order.
-        let mut engines = Vec::with_capacity(n_threads);
-        let mut stats = UdpRunStats::default();
-        let mut first_error = None;
-        for h in handles {
-            match h.join() {
-                Ok((thread_engines, thread_stats, err)) => {
-                    stats.absorb(&thread_stats);
-                    if let Some(e) = err {
-                        first_error.get_or_insert(e);
-                    }
-                    engines.push(thread_engines.into_iter());
-                }
-                Err(_) => {
-                    first_error.get_or_insert(NetError::NodePanicked);
-                }
-            }
-        }
-        stats.wall = epoch.elapsed();
-        if let Some(stream) = &self.trace {
-            if let Ok(mut stream) = stream.lock() {
-                stream.flush();
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        if let Some(last) = timed_out {
-            return Err(NetError::QuiesceTimeout {
-                in_flight: last.pending_out as i64,
-                joining: last.joining as i64,
-            });
-        }
-
-        // Roster position i is slot i / n_threads of thread i mod n_threads.
-        let engines = (0..n_nodes)
-            .flat_map(|i| engines[i % n_threads].next())
-            .collect();
-        Ok((engines, stats))
+        Ok(UdpRun {
+            loops,
+            gauges,
+            shutdown,
+            window: self.config.settle.max(TICK),
+            detector: fd.is_some(),
+            quiet_from_us,
+            deadline_us,
+            trace: self.trace,
+            wall: Duration::ZERO,
+            end: None,
+        })
     }
 }
 
@@ -648,11 +573,170 @@ fn detector_grace(fd: FailureDetector) -> Duration {
     Duration::from_micros(fd.probe_interval_us * (u64::from(fd.suspicion_threshold) + 12))
 }
 
+/// A started [`UdpNetwork`] run, which [`run_until`](Self::run_until)
+/// pauses at run-clock instants and [`finish`](Self::finish) runs to its
+/// end: quiescence, but, when the schedule crashes a node under a failure
+/// detector, not before `probe_interval × (suspicion_threshold + 12)`
+/// after the last crash. The run clock counts µs of running
+/// ([`UdpRunStats::wall`]): a resumed run goes on from where its last loop
+/// thread stopped, so no timer wheel sees time go backwards. A pause
+/// flushes and drops nothing: the loop threads hand back their engines,
+/// wheels, queues and endpoints, datagrams in flight wait in the sockets,
+/// and the gauges stay as the threads published them on stopping.
+pub struct UdpRun {
+    /// Each loop thread's state while none runs, in thread order.
+    loops: Vec<LoopState>,
+    gauges: Arc<Vec<Gauges>>,
+    shutdown: Arc<AtomicBool>,
+    /// [`UdpConfig::settle`], at least a `TICK`.
+    window: Duration,
+    detector: bool,
+    /// Run-clock µs before which no quiescence ends the run, and at which
+    /// a run still going is [`NetError::QuiesceTimeout`].
+    quiet_from_us: u64,
+    deadline_us: u64,
+    trace: Option<Arc<Mutex<TraceStream>>>,
+    /// Wall-clock time spent running: the run clock.
+    wall: Duration,
+    /// How the run ended, once it has.
+    end: Option<Result<(), NetError>>,
+}
+
+impl UdpRun {
+    /// Runs until the run clock reaches `t` µs, or until the run ends
+    /// first, and pauses. Every scheduled input due at or before `t` is
+    /// driven, none after it. Returns what the run did so far, summed over
+    /// all loop threads.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::QuiesceTimeout`] if the run goes on for
+    /// [`UdpConfig::quiesce_timeout`] after its last scheduled input
+    /// (under heavy injected loss this usually means the retry budget or
+    /// settle window is too small); [`NetError::NodePanicked`] as soon as
+    /// a loop thread panics, as one does on an input its engine rejects (a
+    /// `BeginLeave` for a node not in the system); [`NetError::Socket`]
+    /// for IO failures. After an error the run holds no engines, and every
+    /// later call returns the same error.
+    pub fn run_until(&mut self, t: u64) -> Result<UdpRunStats, NetError> {
+        if self.end.is_none() {
+            let (from_us, start) = (self.wall.as_micros() as u64, Instant::now());
+            let clock = move || from_us + start.elapsed().as_micros() as u64;
+            let handles: Vec<_> = (self.loops.drain(..).enumerate())
+                .map(|(i, state)| {
+                    let gauges = Arc::clone(&self.gauges);
+                    thread::spawn(move || state.run(&gauges[i], clock, t))
+                })
+                .collect();
+            // `None` at the pause, where the threads stop by themselves.
+            let end = self.supervise(&handles, clock, t);
+            if end.is_some() {
+                self.shutdown.store(true, Ordering::SeqCst);
+            }
+            let mut error = None;
+            for h in handles {
+                match h.join() {
+                    Ok(mut state) => {
+                        error = error.or(state.io.error.take());
+                        self.loops.push(state);
+                    }
+                    Err(_) => {
+                        error.get_or_insert(NetError::NodePanicked);
+                    }
+                }
+            }
+            self.wall += start.elapsed();
+            if let Some(stream) = &self.trace {
+                if let Ok(mut stream) = stream.lock() {
+                    stream.flush();
+                }
+            }
+            self.end = error.map(Err).or(end);
+            if let Some(Err(_)) = self.end {
+                self.loops.clear();
+            }
+        }
+        self.end.clone().unwrap_or(Ok(()))?;
+        let mut stats = UdpRunStats {
+            wall: self.wall,
+            ..UdpRunStats::default()
+        };
+        for state in &self.loops {
+            stats.absorb(&state.io.stats);
+        }
+        Ok(stats)
+    }
+
+    /// Runs to the end: [`run_until`](Self::run_until) for ever.
+    pub fn finish(&mut self) -> Result<UdpRunStats, NetError> {
+        self.run_until(u64::MAX)
+    }
+
+    /// Supervises the running loop threads: collects every `TICK` and
+    /// ends the run at the first pair of collects the exact rule accepts;
+    /// looks for a window of silence once per settle window, for the runs
+    /// it never accepts. Under a failure detector only the window rule can
+    /// end the run, so the supervisor sleeps a whole window between looks
+    /// there, as no third thread need wake beside the loops. Neither rule
+    /// ends the run before `quiet_from_us`. Returns `None` once the run
+    /// clock reaches `t`, where the threads stop by themselves.
+    fn supervise<T>(
+        &self,
+        handles: &[JoinHandle<T>],
+        clock: impl Fn() -> u64,
+        t: u64,
+    ) -> Option<Result<(), NetError>> {
+        let tick = if self.detector { self.window } else { TICK };
+        let mut next_look = Instant::now() + self.window;
+        let mut before: Option<Collect> = None;
+        let mut activity_before = Collect::read(&self.gauges).activity;
+        loop {
+            thread::sleep(tick.min(Duration::from_micros(t.saturating_sub(clock()))));
+            // A thread that hit a fatal error rang the bell; one that
+            // panicked (say, on a leave before its node is in the system)
+            // finished without it, and not at the pause.
+            let finished = handles.iter().any(JoinHandle::is_finished);
+            if clock() >= t {
+                return None;
+            }
+            if self.shutdown.load(Ordering::SeqCst) || finished {
+                return Some(Ok(()));
+            }
+            let now = Collect::read(&self.gauges);
+            let mut quiescent = before.is_some_and(|b| exactly_quiescent(&b, &now, self.detector));
+            before = Some(now);
+            if Instant::now() >= next_look {
+                quiescent |= window_quiescent(&now, activity_before, self.detector);
+                activity_before = now.activity;
+                next_look = Instant::now() + self.window;
+            }
+            if quiescent && clock() >= self.quiet_from_us {
+                return Some(Ok(()));
+            }
+            if clock() >= self.deadline_us {
+                return Some(Err(NetError::QuiesceTimeout {
+                    in_flight: now.pending_out as i64,
+                    joining: now.joining as i64,
+                }));
+            }
+        }
+    }
+
+    /// Every engine, the crashed and departed ones too, in roster order:
+    /// position i is slot i / n_threads of thread i mod n_threads.
+    pub fn engines(&self) -> impl Iterator<Item = &JoinEngine> {
+        let (n_threads, loops) = (self.loops.len(), &self.loops);
+        let n_nodes = loops.iter().map(|state| state.drivers.len()).sum();
+        (0..n_nodes).map(move |i| loops[i % n_threads].drivers[i / n_threads].engine())
+    }
+}
+
 /// Node id -> the socket address of the loop thread that hosts it.
 type Routes = HashMap<NodeId, SocketAddr, IdBuildHasher>;
 
 /// One loop thread's engines, their scheduled inputs, and what driving
-/// any of them touches.
+/// any of them touches: all of it moves into the thread for a stretch of
+/// running and comes back when the thread stops.
 struct LoopState {
     drivers: Vec<EngineDriver>,
     /// `(at, slot, input)`, sorted by time.
@@ -660,6 +744,11 @@ struct LoopState {
     /// See [`Gauges::joining`].
     joining: u64,
     io: LoopIo,
+    endpoint: UdpEndpoint,
+    /// The monotone counts behind [`Gauges::sent`] and
+    /// [`Gauges::refused`].
+    sent: u64,
+    refused: u64,
     trace: Option<Arc<Mutex<TraceStream>>>,
     shutdown: Arc<AtomicBool>,
 }
@@ -720,17 +809,25 @@ impl LoopState {
         }
     }
 
-    /// The event loop one thread runs: scheduled inputs, timers, receives,
-    /// flushes, poll(2). Returns the engines in slot order.
-    fn run(
-        mut self,
-        endpoint: UdpEndpoint,
-        gauges: &Gauges,
-        epoch: Instant,
-    ) -> (Vec<JoinEngine>, UdpRunStats, Option<NetError>) {
-        let clock = || epoch.elapsed().as_micros() as u64;
-        // The monotone counts behind `Gauges::sent` and `Gauges::refused`.
-        let (mut sent, mut refused) = (0u64, 0u64);
+    /// Publishes the gauges, `handled` last (see `exactly_quiescent`).
+    fn publish(&self, gauges: &Gauges) {
+        let io = &self.io;
+        gauges
+            .inputs
+            .store(self.inputs.len() as u64, Ordering::SeqCst);
+        gauges.joining.store(self.joining, Ordering::SeqCst);
+        gauges.armed.store(io.wheel.len() as u64, Ordering::SeqCst);
+        gauges.pending_out.store(io.queued, Ordering::SeqCst);
+        gauges.activity.store(io.activity, Ordering::SeqCst);
+        gauges
+            .handled
+            .store(io.stats.datagrams_received, Ordering::SeqCst);
+    }
+
+    /// The event loop one thread runs until the run clock reaches
+    /// `until` or the supervisor rings shutdown: scheduled inputs,
+    /// timers, receives, flushes, poll(2). Returns the loop's state.
+    fn run(mut self, gauges: &Gauges, clock: impl Fn() -> u64, until: u64) -> LoopState {
         // An engine index for datagram dispatch; the `to` prefix addresses a
         // node, not a socket, since many engines share this endpoint.
         let index: HashMap<NodeId, usize, IdBuildHasher> = (self.drivers.iter().enumerate())
@@ -738,17 +835,23 @@ impl LoopState {
             .collect();
         let mut buf = vec![0u8; 64 * 1024];
 
-        // Arm failure detectors (a no-op unless configured).
-        for s in 0..self.drivers.len() {
-            self.drive(s, NodeInput::StartFailureDetector, clock());
-        }
-
         'main: loop {
-            // 0. Drive the scheduled inputs that are due.
+            // 0. Drive the scheduled inputs that are due, none after
+            // `until`, each at its own instant (so detectors started
+            // together do not probe in step). At `until` the thread stops
+            // with nothing flushed.
             let now = clock();
-            while self.inputs.front().is_some_and(|&(at, ..)| at <= now) {
+            while self
+                .inputs
+                .front()
+                .is_some_and(|&(at, ..)| at <= now.min(until))
+            {
                 let (_, s, input) = self.inputs.pop_front().expect("front checked");
-                self.drive(s, input, now);
+                self.drive(s, input, clock());
+            }
+            if now >= until {
+                self.publish(gauges);
+                break;
             }
 
             // 1. Fire due timers.
@@ -759,7 +862,7 @@ impl LoopState {
 
             // 2. Drain arrivals.
             loop {
-                match endpoint.try_recv(&mut buf) {
+                match self.endpoint.try_recv(&mut buf) {
                     Ok(Some((n, _))) => {
                         self.io.stats.datagrams_received += 1;
                         self.io.stats.bytes_received += n as u64;
@@ -790,8 +893,8 @@ impl LoopState {
             // `exactly_quiescent`); what the socket refuses is counted back.
             let io = &mut self.io;
             if io.queued > 0 {
-                sent += io.queued;
-                gauges.sent.store(sent, Ordering::SeqCst);
+                self.sent += io.queued;
+                gauges.sent.store(self.sent, Ordering::SeqCst);
             }
             let mut blocked = false;
             for queue in &mut io.outbound {
@@ -799,7 +902,7 @@ impl LoopState {
                     if blocked {
                         break;
                     }
-                    match endpoint.try_send(dgram, *addr) {
+                    match self.endpoint.try_send(dgram, *addr) {
                         Ok(true) => {
                             io.stats.datagrams_sent += 1;
                             io.stats.bytes_sent += dgram.len() as u64;
@@ -818,47 +921,37 @@ impl LoopState {
                 }
             }
             if io.queued > 0 {
-                refused += io.queued;
-                gauges.refused.store(refused, Ordering::SeqCst);
+                self.refused += io.queued;
+                gauges.refused.store(self.refused, Ordering::SeqCst);
             }
 
-            // 4. Publish gauges, `handled` last (see `exactly_quiescent`), and
-            // honor shutdown once everything is flushed (or can't be: a
-            // blocked socket during shutdown is abandoned).
-            gauges
-                .inputs
-                .store(self.inputs.len() as u64, Ordering::SeqCst);
-            gauges.joining.store(self.joining, Ordering::SeqCst);
-            gauges.armed.store(io.wheel.len() as u64, Ordering::SeqCst);
-            gauges.pending_out.store(io.queued, Ordering::SeqCst);
-            gauges.activity.store(io.activity, Ordering::SeqCst);
-            gauges
-                .handled
-                .store(io.stats.datagrams_received, Ordering::SeqCst);
-            if self.shutdown.load(Ordering::SeqCst) && (io.queued == 0 || blocked) {
+            // 4. Publish gauges and honor shutdown once everything is
+            // flushed (or can't be: a blocked socket during shutdown is
+            // abandoned).
+            self.publish(gauges);
+            if self.shutdown.load(Ordering::SeqCst) && (self.io.queued == 0 || blocked) {
                 break;
             }
 
-            // 5. Sleep on readiness until the nearest timer deadline or
-            // scheduled input.
+            // 5. Sleep on readiness until the nearest timer deadline,
+            // scheduled input or `until`.
             let now = clock();
-            let next = io.wheel.next_deadline_us().into_iter();
-            let timeout_us = next
-                .chain(self.inputs.front().map(|&(at, ..)| at))
-                .min()
-                .map_or(5_000, |at| at.saturating_sub(now).min(5_000));
+            let next = self.io.wheel.next_deadline_us().into_iter();
+            let next = (next.chain(self.inputs.front().map(|&(at, ..)| at))).fold(until, u64::min);
+            let timeout_us = next.saturating_sub(now).min(5_000);
             if timeout_us > 0 {
-                let events = WAIT_READ | if io.queued > 0 { WAIT_WRITE } else { 0 };
-                if let Err(e) = endpoint.wait(events, Duration::from_micros(timeout_us)) {
-                    io.error.get_or_insert(e.into());
+                let events = WAIT_READ | if self.io.queued > 0 { WAIT_WRITE } else { 0 };
+                if let Err(e) = self
+                    .endpoint
+                    .wait(events, Duration::from_micros(timeout_us))
+                {
+                    self.io.error.get_or_insert(e.into());
                     self.shutdown.store(true, Ordering::SeqCst);
                     break;
                 }
             }
         }
-
-        let engines = self.drivers.into_iter().map(EngineDriver::into_engine);
-        (engines.collect(), self.io.stats, self.io.error)
+        self
     }
 }
 
@@ -1000,22 +1093,22 @@ mod tests {
                 quiesce_timeout: Duration::from_secs(60),
                 ..UdpConfig::default()
             };
-            let (engines, stats) = UdpNetwork::new(space, opts, build_consistent_tables(space, v))
+            let mut run = UdpNetwork::new(space, opts, build_consistent_tables(space, v))
                 .with_config(config)
-                .run(&joins)
-                .expect("wave quiesces");
+                .start(&joins)
+                .expect("valid schedule");
+            let stats = run.finish().expect("wave quiesces");
             injected += stats.drops_injected;
             backpressure += stats.backpressure_drops;
             assert!(
-                engines.iter().all(|e| e.status() == Status::InSystem),
+                run.engines().all(|e| e.status() == Status::InSystem),
                 "seed {seed}: a joiner is not in_system"
             );
-            for e in &engines {
+            for e in run.engines() {
                 let live: Vec<TimerId> = e.live_timers().collect();
                 assert!(live.is_empty(), "seed {seed}: {} holds {live:?}", e.id());
             }
-            let tables: Vec<NeighborTable> = engines.iter().map(|e| e.table().clone()).collect();
-            let report = check_consistency(space, &tables);
+            let report = check_consistency(space, run.engines().map(JoinEngine::table));
             assert!(report.is_consistent(), "seed {seed}: {report}");
             eprintln!("seed {seed}: {:?}", stats.wall);
         }

@@ -10,12 +10,12 @@
 //! and schedule validation before any socket is bound, retransmission and
 //! tracing on real timers, exact quiescence without a failure detector and
 //! the settle-window fallback with one armed, crashes and leaves at their
-//! scheduled wall-clock times, and crash → detect → repair over real
-//! sockets.
+//! scheduled wall-clock times, pauses that stop the run clock, and crash →
+//! detect → repair over real sockets.
 
 use hyperring_core::{
     build_consistent_tables, check_consistency, FailureDetector, NodeInput, ProtocolOptions,
-    RetryPolicy, RingTrace, SharedSink, SimNetworkBuilder, TraceRecord, TraceSink,
+    RetryPolicy, RingTrace, SharedSink, SimNetworkBuilder, Status, TraceRecord, TraceSink,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_net::{NetError, UdpConfig, UdpNetwork};
@@ -112,6 +112,52 @@ fn lossless_wave_reports_clean_stats() {
         "run ended after {:?}, not before the first settle window closed",
         stats.wall
     );
+}
+
+/// A join wave paused at three instants while it runs, with no retry
+/// policy: a datagram a pause lost or dropped would leave its join
+/// waiting for ever. Each pause stops the run clock, so the sleep there
+/// is left out of it.
+#[test]
+fn a_paused_wave_without_retries_ends_with_every_joiner_in_the_system() {
+    let space = IdSpace::new(4, 5).unwrap();
+    let ids = distinct(space, 72, 31);
+    let (v, w) = ids.split_at(24);
+    let joins: Vec<(u64, NodeId, NodeInput)> = (w.iter().zip(v.iter().cycle()))
+        .map(|(&id, &gateway)| (0, id, NodeInput::StartJoin { gateway }))
+        .collect();
+    let config = UdpConfig {
+        quiesce_timeout: Duration::from_secs(20),
+        ..UdpConfig::default()
+    };
+    let mut run = UdpNetwork::new(
+        space,
+        ProtocolOptions::new(),
+        build_consistent_tables(space, v),
+    )
+    .with_config(config)
+    .start(&joins)
+    .expect("valid schedule");
+    for t in [2_000, 6_000, 10_000] {
+        let now = run
+            .run_until(t)
+            .expect("runs to the pause")
+            .wall
+            .as_micros() as u64;
+        // Stopped at `t`, or ended before it with every join done.
+        let joining = run.engines().filter(|e| e.status().is_joining()).count();
+        assert!(now < t + 20_000, "paused at {now} for {t}");
+        assert!(now >= t || joining == 0, "paused at {now} for {t}");
+        if t == 2_000 {
+            assert!(joining > 0, "paused after the wave");
+        }
+        std::thread::sleep(Duration::from_millis(30));
+    }
+    let stats = run.finish().expect("wave quiesces");
+    assert!(run.engines().all(|e| e.status() == Status::InSystem));
+    let report = check_consistency(space, run.engines().map(|e| e.table()));
+    assert!(report.is_consistent(), "{report}");
+    assert_eq!(stats.drops_injected + stats.backpressure_drops, 0);
 }
 
 /// The acceptance workload: a 1000-node join wave over real loopback

@@ -88,9 +88,10 @@ fn usage() -> &'static str {
        scale [n[,n...]] [--batch B] [--sample-pairs K] [--rss-budget-mib M]\n\
              [--check-rss-budget-mib M] [--smoke]\n\
                                        batched bootstrap at large n: throughput, RSS\n\
-       churn waves [--rounds R] [--trials N]\n\
-       churn crash [--n N] [--crash-pct P] [--runtime sim|udp] [--trials N]\n\
+       churn waves [--rounds R] [--trials N] [--runtime sim|udp]\n\
+       churn crash [--n N] [--crash-pct P] [--trials N] [--runtime sim|udp]\n\
        churn poisson [--n N] [--half-lives S1,S2,..] [--seed S] [--smoke] [--audit]\n\
+                     [--runtime sim|udp]\n\
        churn --shrink SEED             minimise a failing trial of the benchmark's churn\n\
      \n\
      A QUICK LOOK:\n\

@@ -52,6 +52,7 @@ fn bad_or_unread_arguments_are_errors_before_any_work() {
         // The flag is `--half-lives`.
         &["churn", "poisson", "--half-life", "40"][..],
         &["churn", "bogus"],
+        &["churn", "poisson", "--runtime", "lockstep"],
         &["fig15b", "--trials", "0"],
         &["theorem4", "abc"],
         &["scale", "--batch", "x"],
