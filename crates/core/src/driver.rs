@@ -1,23 +1,23 @@
-//! The shared runtime driver: one code path from runtime inputs to engine
-//! effects, used identically by every runtime.
+//! The shared runtime driver: one input vocabulary ([`NodeInput`]), one
+//! rule for the inputs a network accepts ([`Roster`]), and one code path
+//! from an input to the engine's effects, used by every runtime.
 //!
-//! No runtime (the zero-copy simulator nodes, the socket runtimes)
-//! carries its own copy of the input-matching + effect-draining glue
-//! around `dispatch_effects`: a runtime wraps each engine in an
-//! [`EngineDriver`], implements [`RuntimeDriver`] (that is,
-//! [`EffectHandler`] plus a clock) for its transport, and feeds
-//! [`NodeInput`]s through [`EngineDriver::drive`]. Since the drive path is
-//! shared, engine behavior is provably identical across simulated and
-//! socket transports — the same inputs in the same order produce the same
-//! effect stream and the same [`DigestTrace`](crate::DigestTrace), which
-//! the lossless-socket parity test pins.
+//! A runtime wraps each engine in an [`EngineDriver`], implements
+//! [`RuntimeDriver`] (that is, [`EffectHandler`] plus a clock) for its
+//! transport, and feeds every input through [`EngineDriver::drive`] into
+//! [`JoinEngine::step`]. Since the drive path is shared, engine behavior is
+//! provably identical across simulated and socket transports — the same
+//! inputs in the same order produce the same effect stream and the same
+//! [`DigestTrace`](crate::DigestTrace), which the lossless-socket parity
+//! test pins.
 
 use std::cell::Cell;
+use std::collections::hash_map::{Entry, HashMap};
+use std::fmt;
 
-use hyperring_id::NodeId;
+use hyperring_id::{IdBuildHasher, NodeId};
 
-use crate::dispatch::{dispatch_effects, EffectHandler};
-use crate::effect::{Effects, Event, TimerId};
+use crate::effect::{Effect, Effects, TimerId};
 use crate::engine::{JoinEngine, Status};
 use crate::messages::Message;
 use crate::trace::TraceStream;
@@ -41,7 +41,8 @@ pub enum NodeInput {
         /// The join gateway.
         gateway: NodeId,
     },
-    /// Begin a graceful leave (extension).
+    /// Begin a graceful leave (extension). Concurrent leaves of adjacent
+    /// nodes (each other's replacement candidates) are not arbitrated.
     BeginLeave,
     /// Arm the failure detector's probe tick (a no-op unless a detector is
     /// configured). Runtimes send this to initial members, which never pass
@@ -51,6 +52,135 @@ pub enum NodeInput {
     /// (crash-churn extension). The runtime stops delivering to the node
     /// afterwards; survivors must detect the silence.
     Crash,
+}
+
+/// The nodes of one network, each at its position in arrival order (the
+/// initial members, then each joiner as its `StartJoin` is admitted), and
+/// the rule every runtime holds a scheduled input to:
+///
+/// - a `StartJoin` names a node that is not on the roster yet;
+/// - its gateway is on the roster and is not that node;
+/// - every other input names a node on the roster, and a `Deliver`'s
+///   sender is on it too.
+#[derive(Debug)]
+pub struct Roster {
+    index: HashMap<NodeId, usize, IdBuildHasher>,
+}
+
+/// An input the [`Roster`] rule rejects.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RosterError {
+    /// A `StartJoin` (or an initial member) names a node already on the
+    /// roster.
+    DuplicateNode(NodeId),
+    /// A `StartJoin`'s gateway is not on the roster.
+    UnknownGateway(NodeId),
+    /// A `StartJoin` names its own node as the gateway.
+    SelfGateway(NodeId),
+    /// An input names a node (or a `Deliver` a sender) not on the roster.
+    UnknownNode(NodeId),
+}
+
+impl fmt::Display for RosterError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RosterError::DuplicateNode(id) => write!(f, "duplicate node identifier {id}"),
+            RosterError::UnknownGateway(id) => write!(f, "unknown gateway {id}"),
+            RosterError::SelfGateway(id) => write!(f, "node {id} cannot join through itself"),
+            RosterError::UnknownNode(id) => write!(f, "input names unknown node {id}"),
+        }
+    }
+}
+
+impl std::error::Error for RosterError {}
+
+impl Roster {
+    /// The roster of the initial `members`, at positions `0..` in order.
+    ///
+    /// # Errors
+    ///
+    /// [`RosterError::DuplicateNode`] when a member is named twice.
+    pub fn new(members: impl IntoIterator<Item = NodeId>) -> Result<Self, RosterError> {
+        let mut roster = Roster {
+            index: HashMap::default(),
+        };
+        for id in members {
+            roster.push(id)?;
+        }
+        Ok(roster)
+    }
+
+    fn push(&mut self, id: NodeId) -> Result<usize, RosterError> {
+        let next = self.index.len();
+        match self.index.entry(id) {
+            Entry::Occupied(_) => Err(RosterError::DuplicateNode(id)),
+            Entry::Vacant(slot) => Ok(*slot.insert(next)),
+        }
+    }
+
+    /// The position of `id`, if it is on the roster.
+    pub(crate) fn position(&self, id: &NodeId) -> Option<usize> {
+        self.index.get(id).copied()
+    }
+
+    /// Holds `input` for `node` to the rule and returns `node`'s position;
+    /// a `StartJoin` puts `node` on the roster, at the next position.
+    ///
+    /// # Errors
+    ///
+    /// The [`RosterError`] naming the broken part of the rule; the roster
+    /// is then unchanged.
+    pub fn admit(&mut self, node: NodeId, input: &NodeInput) -> Result<usize, RosterError> {
+        match input {
+            NodeInput::StartJoin { gateway } if *gateway == node => {
+                Err(RosterError::SelfGateway(node))
+            }
+            NodeInput::StartJoin { gateway } if self.position(gateway).is_none() => {
+                Err(RosterError::UnknownGateway(*gateway))
+            }
+            NodeInput::StartJoin { .. } => self.push(node),
+            NodeInput::Deliver { from, .. } if self.position(from).is_none() => {
+                Err(RosterError::UnknownNode(*from))
+            }
+            _ => self.position(&node).ok_or(RosterError::UnknownNode(node)),
+        }
+    }
+}
+
+/// Runtime-side sink for the non-trace effects.
+pub trait EffectHandler {
+    /// Transmit `msg` to `to`.
+    fn send(&mut self, to: NodeId, msg: Message);
+
+    /// Arm (or re-arm) `id` to fire in roughly `delay_hint` microseconds.
+    fn set_timer(&mut self, id: TimerId, delay_hint: u64);
+
+    /// Cancel `id` if pending.
+    fn cancel_timer(&mut self, id: TimerId);
+}
+
+/// Drains `effects` in order: sends and timer ops go to `handler`, trace
+/// events are stamped with (`now`, `node`, next sequence number) and fed
+/// to `trace` (discarded when `None`).
+fn dispatch_effects<H: EffectHandler + ?Sized>(
+    node: NodeId,
+    now: u64,
+    effects: &mut Effects,
+    handler: &mut H,
+    mut trace: Option<&mut TraceStream>,
+) {
+    for effect in effects.drain() {
+        match effect {
+            Effect::Send { to, msg } => handler.send(to, msg),
+            Effect::SetTimer { id, delay_hint } => handler.set_timer(id, delay_hint),
+            Effect::CancelTimer { id } => handler.cancel_timer(id),
+            Effect::Trace(ev) => {
+                if let Some(stream) = trace.as_deref_mut() {
+                    stream.emit(now, node, ev);
+                }
+            }
+        }
+    }
 }
 
 /// What one [`EngineDriver::drive`] call observed, for the runtime's
@@ -106,9 +236,9 @@ impl EngineDriver {
         &self.engine
     }
 
-    /// Applies one input and drains the resulting effects into `rt` (trace
-    /// effects into `trace`, stamped with `rt.now_us()`). This is the one
-    /// shared dispatch path of every runtime.
+    /// [`JoinEngine::step`]s one input and drains the resulting effects
+    /// into `rt` (trace effects into `trace`, stamped with `rt.now_us()`).
+    /// This is the one shared dispatch path of every runtime.
     pub fn drive<R: RuntimeDriver + ?Sized>(
         &mut self,
         input: NodeInput,
@@ -119,16 +249,7 @@ impl EngineDriver {
         // drives another node from inside `rt`, or a panic below, finds the
         // slot valid; such a nested or unwound drive merely allocates.
         let mut effects = SCRATCH.take();
-        match input {
-            NodeInput::Deliver { from, msg } => self.engine.handle(from, msg, &mut effects),
-            NodeInput::TimerFired(id) => {
-                self.engine.on_event(Event::TimerFired { id }, &mut effects)
-            }
-            NodeInput::StartJoin { gateway } => self.engine.start_join(gateway, &mut effects),
-            NodeInput::BeginLeave => self.engine.begin_leave(&mut effects),
-            NodeInput::StartFailureDetector => self.engine.start_failure_detector(&mut effects),
-            NodeInput::Crash => self.engine.crash(),
-        }
+        self.engine.step(input, &mut effects);
         if !effects.is_empty() {
             let me = self.engine.id();
             dispatch_effects(me, rt.now_us(), &mut effects, rt, trace);
@@ -147,23 +268,27 @@ mod tests {
     use super::*;
     use crate::options::ProtocolOptions;
     use crate::oracle::build_consistent_tables;
+    use crate::trace::{ProtocolEvent, RingTrace, SharedSink, TraceSink};
     use hyperring_id::IdSpace;
 
     #[derive(Default)]
     struct Recorder {
         now: u64,
         sends: Vec<(NodeId, Message)>,
-        timers: Vec<TimerId>,
+        set: Vec<(TimerId, u64)>,
+        canceled: Vec<TimerId>,
     }
 
     impl EffectHandler for Recorder {
         fn send(&mut self, to: NodeId, msg: Message) {
             self.sends.push((to, msg));
         }
-        fn set_timer(&mut self, id: TimerId, _delay_hint: u64) {
-            self.timers.push(id);
+        fn set_timer(&mut self, id: TimerId, delay_hint: u64) {
+            self.set.push((id, delay_hint));
         }
-        fn cancel_timer(&mut self, _id: TimerId) {}
+        fn cancel_timer(&mut self, id: TimerId) {
+            self.canceled.push(id);
+        }
     }
 
     impl RuntimeDriver for Recorder {
@@ -191,6 +316,32 @@ mod tests {
     }
 
     #[test]
+    fn the_roster_rule_admits_joins_in_order_and_rejects_the_rest() {
+        use RosterError::{DuplicateNode, SelfGateway, UnknownGateway, UnknownNode};
+        let space = IdSpace::new(4, 3).unwrap();
+        let [a, b, c, fresh, ghost] =
+            ["001", "310", "222", "111", "333"].map(|s| space.parse_id(s).unwrap());
+        let join = |gateway| NodeInput::StartJoin { gateway };
+        let mut roster = Roster::new([a]).unwrap();
+        assert_eq!(roster.admit(b, &join(a)), Ok(1));
+        assert_eq!(roster.admit(c, &join(b)), Ok(2), "a joiner is a gateway");
+        assert_eq!(roster.admit(b, &NodeInput::Crash), Ok(1));
+        let (from, msg) = (ghost, Message::Ping);
+        let rejected = [
+            (a, join(b), DuplicateNode(a)),
+            (fresh, join(fresh), SelfGateway(fresh)),
+            (fresh, join(ghost), UnknownGateway(ghost)),
+            (ghost, NodeInput::BeginLeave, UnknownNode(ghost)),
+            (a, NodeInput::Deliver { from, msg }, UnknownNode(ghost)),
+        ];
+        for (node, input, err) in rejected {
+            assert_eq!(roster.admit(node, &input), Err(err));
+        }
+        assert_eq!(roster.position(&fresh), None, "nothing refused is added");
+        assert_eq!(Roster::new([a, a]).unwrap_err(), DuplicateNode(a));
+    }
+
+    #[test]
     fn members_never_report_entering_the_system() {
         let space = IdSpace::new(4, 3).unwrap();
         let ids = [
@@ -205,5 +356,65 @@ mod tests {
             let report = node.drive(NodeInput::StartFailureDetector, &mut rt, None);
             assert!(!report.entered_system, "members start in_system");
         }
+    }
+
+    #[test]
+    fn routes_each_effect_kind() {
+        let space = IdSpace::new(4, 3).unwrap();
+        let me = space.parse_id("000").unwrap();
+        let peer = space.parse_id("321").unwrap();
+        let mut fx = Effects::new();
+        fx.push(Effect::Send {
+            to: peer,
+            msg: Message::CpRst { level: 1 },
+        });
+        fx.push(Effect::SetTimer {
+            id: TimerId::CpRst { peer },
+            delay_hint: 500,
+        });
+        fx.push(Effect::Trace(ProtocolEvent::JoinStarted { gateway: peer }));
+        fx.push(Effect::CancelTimer {
+            id: TimerId::CpRst { peer },
+        });
+
+        let sink = SharedSink::new(RingTrace::new(8));
+        let mut stream = TraceStream::new(Box::new(sink.clone()));
+        let mut log = Recorder::default();
+        dispatch_effects(me, 77, &mut fx, &mut log, Some(&mut stream));
+
+        assert!(fx.is_empty());
+        assert_eq!(log.sends.len(), 1);
+        assert_eq!(log.set, vec![(TimerId::CpRst { peer }, 500)]);
+        assert_eq!(log.canceled, vec![TimerId::CpRst { peer }]);
+        let ring = sink.lock();
+        let recs: Vec<_> = ring.records().collect();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].at, 77);
+        assert_eq!(recs[0].node, me);
+    }
+
+    #[test]
+    fn traces_are_dropped_without_a_stream() {
+        let space = IdSpace::new(4, 3).unwrap();
+        let me = space.parse_id("000").unwrap();
+        let mut fx = Effects::new();
+        fx.push(Effect::Trace(ProtocolEvent::JoinStarted { gateway: me }));
+        let mut log = Recorder::default();
+        dispatch_effects(me, 0, &mut fx, &mut log, None);
+        assert!(fx.is_empty());
+        assert!(log.sends.is_empty());
+    }
+
+    #[test]
+    fn null_sink_is_a_valid_stream_target() {
+        let mut null = crate::trace::NullTrace;
+        null.record(&crate::trace::TraceRecord {
+            at: 0,
+            seq: 0,
+            node: IdSpace::new(4, 3).unwrap().parse_id("000").unwrap(),
+            event: ProtocolEvent::JoinStarted {
+                gateway: IdSpace::new(4, 3).unwrap().parse_id("000").unwrap(),
+            },
+        });
     }
 }

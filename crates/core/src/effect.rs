@@ -1,11 +1,14 @@
-//! The typed engine ↔ runtime boundary: [`Effect`]s out, [`Event`]s in.
+//! The typed engine ↔ runtime boundary: [`Effect`]s out,
+//! [`NodeInput`](crate::NodeInput)s in.
 //!
 //! The [`JoinEngine`](crate::JoinEngine) is sans-io: it never touches
 //! clocks, sockets, or files. Everything it wants done is expressed as an
 //! [`Effect`] pushed into an [`Effects`] buffer, and everything that can
-//! happen to it arrives as an [`Event`]. A runtime (the deterministic
-//! simulator, the socket runtimes, tests) drains the buffer through one
-//! shared dispatch path ([`EngineDriver::drive`](crate::EngineDriver::drive)).
+//! happen to it arrives as a `NodeInput` through
+//! [`JoinEngine::step`](crate::JoinEngine::step). A runtime (the
+//! deterministic simulator, the socket runtime, tests) drains the buffer
+//! through one shared dispatch path
+//! ([`EngineDriver::drive`](crate::EngineDriver::drive)).
 
 use hyperring_id::NodeId;
 
@@ -91,14 +94,14 @@ impl TimerId {
     }
 }
 
-/// One side effect requested by the engine while handling an [`Event`].
+/// One side effect requested by the engine while handling an input.
 ///
 /// # Examples
 ///
 /// The first thing a joiner wants is a `CpRstMsg` on the wire:
 ///
 /// ```
-/// use hyperring_core::{Effect, Effects, JoinEngine, Message, ProtocolOptions};
+/// use hyperring_core::{Effect, Effects, JoinEngine, Message, NodeInput, ProtocolOptions};
 /// use hyperring_id::IdSpace;
 ///
 /// let space = IdSpace::new(4, 3)?;
@@ -106,7 +109,7 @@ impl TimerId {
 /// let mut joiner =
 ///     JoinEngine::new_joiner(space, ProtocolOptions::new(), space.parse_id("321")?);
 /// let mut fx = Effects::new();
-/// joiner.start_join(gateway, &mut fx);
+/// joiner.step(NodeInput::StartJoin { gateway }, &mut fx);
 /// let effects: Vec<Effect> = fx.drain().collect();
 /// assert!(matches!(
 ///     effects[0],
@@ -142,24 +145,7 @@ pub enum Effect {
     Trace(ProtocolEvent),
 }
 
-/// One input the engine reacts to.
-#[derive(Debug, Clone)]
-pub enum Event {
-    /// A protocol message arrived from `from`.
-    Deliver {
-        /// The overlay-level sender.
-        from: NodeId,
-        /// The protocol message.
-        msg: Message,
-    },
-    /// A timer previously armed via [`Effect::SetTimer`] expired.
-    TimerFired {
-        /// The expired timer.
-        id: TimerId,
-    },
-}
-
-/// Buffer of [`Effect`]s produced while handling one event.
+/// Buffer of [`Effect`]s produced while handling one input.
 ///
 /// Replaces the old `(NodeId, Message)`-only outbox: runtimes drain the
 /// whole typed stream ([`drain`](Effects::drain)), while tests that only

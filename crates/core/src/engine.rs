@@ -2,7 +2,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hyperring_id::{IdSpace, NodeId};
 
-use crate::effect::{Effect, Effects, Event, TimerId};
+use crate::driver::NodeInput;
+use crate::effect::{Effect, Effects, TimerId};
 use crate::failure::FailureState;
 use crate::messages::{BitVec, Message};
 use crate::options::{PayloadMode, ProtocolOptions};
@@ -51,17 +52,16 @@ impl Status {
 /// A node is either constructed as a *member* (an S-node of the initial
 /// consistent network `V`) or as a *joiner*, which runs through
 /// `copying → waiting → notifying → in_system`. All interaction is via
-/// [`JoinEngine::handle`] (or the event-level entry point
-/// [`JoinEngine::on_event`]) and the [`Effects`] buffer: the engine is
-/// sans-io and only ever *requests* sends, timer operations, and trace
-/// records.
+/// [`JoinEngine::step`], one [`NodeInput`] at a time, and the [`Effects`]
+/// buffer: the engine is sans-io and only ever *requests* sends, timer
+/// operations, and trace records.
 ///
 /// # Examples
 ///
 /// A network of one member plus one joiner, pumped synchronously:
 ///
 /// ```
-/// use hyperring_core::{Effects, JoinEngine, Message, ProtocolOptions, Status};
+/// use hyperring_core::{Effects, JoinEngine, Message, NodeInput, ProtocolOptions, Status};
 /// use hyperring_id::IdSpace;
 ///
 /// let space = IdSpace::new(4, 3)?;
@@ -71,14 +71,14 @@ impl Status {
 /// let mut joiner = JoinEngine::new_joiner(space, ProtocolOptions::new(), b);
 ///
 /// let mut out = Effects::new();
-/// joiner.start_join(a, &mut out);
+/// joiner.step(NodeInput::StartJoin { gateway: a }, &mut out);
 /// // Pump messages to quiescence (two nodes only).
 /// let mut queue: Vec<(hyperring_id::NodeId, hyperring_id::NodeId, Message)> =
 ///     out.drain_sends().map(|(to, m)| (b, to, m)).collect();
 /// while let Some((from, to, msg)) = queue.pop() {
 ///     let node = if to == a { &mut member } else { &mut joiner };
 ///     let mut out = Effects::new();
-///     node.handle(from, msg, &mut out);
+///     node.step(NodeInput::Deliver { from, msg }, &mut out);
 ///     queue.extend(out.drain_sends().map(|(t, m)| (to, t, m)));
 /// }
 /// assert_eq!(joiner.status(), Status::InSystem);
@@ -218,8 +218,8 @@ impl JoinEngine {
         Self::new_member(space, opts, table)
     }
 
-    /// Creates a joiner in status *copying*. Call
-    /// [`start_join`](Self::start_join) to begin.
+    /// Creates a joiner in status *copying*. A
+    /// [`NodeInput::StartJoin`] begins the join.
     ///
     /// # Panics
     ///
@@ -348,13 +348,29 @@ impl JoinEngine {
         join.g0.hash(h);
     }
 
-    /// Begins the join, given a node `g0` of the existing network
-    /// (assumption (ii) of §3.1: every joiner knows some node in `V`).
+    /// Feeds one input to the state machine, queueing into `out` whatever
+    /// it wants done: the engine's one entry point, which every runtime
+    /// reaches through [`EngineDriver::drive`](crate::EngineDriver::drive).
     ///
     /// # Panics
     ///
-    /// Panics if the node is not a fresh joiner or `g0` is the node itself.
-    pub fn start_join(&mut self, g0: NodeId, out: &mut Effects) {
+    /// A `StartJoin` panics unless the node is a fresh joiner and the
+    /// gateway another node; a `BeginLeave` unless the node is *in_system*.
+    pub fn step(&mut self, input: NodeInput, out: &mut Effects) {
+        match input {
+            NodeInput::Deliver { from, msg } => self.handle(from, msg, out),
+            NodeInput::TimerFired(id) => self.on_timer_fired(id, out),
+            NodeInput::StartJoin { gateway } => self.start_join(gateway, out),
+            NodeInput::BeginLeave => self.begin_leave(out),
+            NodeInput::StartFailureDetector => self.start_failure_detector(out),
+            // Silent from now on: every later input is dropped.
+            NodeInput::Crash => self.status = Status::Crashed,
+        }
+    }
+
+    /// Begins the join, given a node `g0` of the existing network
+    /// (assumption (ii) of §3.1: every joiner knows some node in `V`).
+    fn start_join(&mut self, g0: NodeId, out: &mut Effects) {
         assert_eq!(self.status, Status::Copying, "join already started");
         assert!(self.join().copy_target.is_none(), "join already started");
         assert_ne!(g0, self.id(), "cannot join via self");
@@ -366,19 +382,9 @@ impl JoinEngine {
         self.arm(out, TimerId::CpRst { peer: g0 });
     }
 
-    /// Feeds one [`Event`] — a delivered message or an expired timer — to
-    /// the state machine. This is the entry point runtimes use; it is
-    /// exactly [`handle`](Self::handle) plus timer dispatch.
-    pub fn on_event(&mut self, ev: Event, out: &mut Effects) {
-        match ev {
-            Event::Deliver { from, msg } => self.handle(from, msg, out),
-            Event::TimerFired { id } => self.on_timer_fired(id, out),
-        }
-    }
-
     /// Handles a delivered protocol message, queueing any responses into
     /// `out`.
-    pub fn handle(&mut self, from: NodeId, msg: Message, out: &mut Effects) {
+    fn handle(&mut self, from: NodeId, msg: Message, out: &mut Effects) {
         if matches!(self.status, Status::Departed | Status::Crashed) {
             return; // gone; late traffic is dropped
         }
@@ -457,20 +463,11 @@ impl JoinEngine {
     // defers failure recovery to future work)
     // ------------------------------------------------------------------
 
-    /// Crash-fails the node: it transitions to [`Status::Crashed`] and
-    /// from then on silently drops every event. Unlike
-    /// [`begin_leave`](Self::begin_leave) there is no ceremony — nothing
-    /// is sent and no replacement is offered; survivors must notice the
-    /// silence through their failure detectors.
-    pub fn crash(&mut self) {
-        self.status = Status::Crashed;
-    }
-
     /// Arms the periodic probe tick of the failure detector. A no-op
     /// unless a [`FailureDetector`](crate::FailureDetector) is configured
     /// and the node is *in_system* (joiners arm it themselves on
-    /// switching to S-node; runtimes call this once for initial members).
-    pub fn start_failure_detector(&mut self, out: &mut Effects) {
+    /// switching to S-node; runtimes start it once for initial members).
+    fn start_failure_detector(&mut self, out: &mut Effects) {
         let Some(fd) = self.opts.failure_detector else {
             return;
         };
@@ -763,11 +760,7 @@ impl JoinEngine {
     /// Concurrent leaves of *adjacent* nodes (each other's replacement
     /// candidates) are not arbitrated, matching the sequential-churn scope
     /// of the extension.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the node's status is *in_system*.
-    pub fn begin_leave(&mut self, out: &mut Effects) {
+    fn begin_leave(&mut self, out: &mut Effects) {
         assert_eq!(
             self.status,
             Status::InSystem,
@@ -941,8 +934,8 @@ impl JoinEngine {
 
     /// Handles an expired retry timer: retransmits the guarded request if
     /// it is still outstanding and the budget allows, otherwise lets the
-    /// timer die. Reachable only via [`Event::TimerFired`]; a no-op when no
-    /// [`RetryPolicy`](crate::RetryPolicy) is installed.
+    /// timer die. Reachable only via [`NodeInput::TimerFired`]; a no-op
+    /// when no [`RetryPolicy`](crate::RetryPolicy) is installed.
     fn on_timer_fired(&mut self, id: TimerId, out: &mut Effects) {
         // The failure-detector tick rides the same timer channel but is
         // not a retry: dispatch it before the retry-policy gate so the
@@ -1989,7 +1982,7 @@ mod tests {
         let mut exhausted = 0;
         for _ in 0..5 {
             let mut out = Effects::new();
-            e.on_event(Event::TimerFired { id }, &mut out);
+            e.step(NodeInput::TimerFired(id), &mut out);
             for fx in out.drain() {
                 match fx {
                     Effect::Send {

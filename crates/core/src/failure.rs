@@ -3,8 +3,9 @@
 //! The paper assumes crash-free nodes and defers failure recovery to
 //! future work (§7). This module adds the detection half of that layer: a
 //! per-node probe loop driven entirely by the existing
-//! [`Effect::SetTimer`](crate::Effect) / [`Event::TimerFired`](crate::Event)
-//! boundary, so it works unchanged under every runtime. Each tick of the
+//! [`Effect::SetTimer`](crate::Effect) /
+//! [`NodeInput::TimerFired`](crate::NodeInput) boundary, so it works
+//! unchanged under every runtime. Each tick of the
 //! [`TimerId::FdProbe`](crate::TimerId) timer, an *in_system* node pings
 //! the peers it monitors — its primary neighbors plus its reverse
 //! neighbors — and charges every probe that went unanswered since the

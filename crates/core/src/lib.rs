@@ -16,8 +16,8 @@
 //! * network initialization per §6.1 ([`bootstrap`], sequential or in
 //!   concurrent waves, or any join schedule through [`SimNetworkBuilder`]);
 //! * the §6.2 message-size reductions ([`PayloadMode`]);
-//! * a typed **effect/event layer** at the engine ↔ runtime boundary
-//!   ([`Effect`], [`Event`], [`EngineDriver`]) with optional
+//! * a typed **input/effect layer** at the engine ↔ runtime boundary
+//!   ([`NodeInput`], [`Effect`], [`EngineDriver`]) with optional
 //!   timeout-and-retry for lossy transports ([`RetryPolicy`]) and a
 //!   structured trace stream ([`TraceSink`], [`ProtocolEvent`]);
 //! * **crash-failure detection and table repair** ([`FailureDetector`]) —
@@ -64,7 +64,6 @@
 mod adaptive;
 mod consistency;
 mod digest;
-mod dispatch;
 mod driver;
 mod effect;
 mod engine;
@@ -93,16 +92,17 @@ pub use consistency::{
     check_reachability_sampled, digest_and_check_streaming, ConsistencyReport, Violation,
 };
 pub use digest::{tables_digest, tables_digest_iter};
-pub use dispatch::EffectHandler;
-pub use driver::{EngineDriver, NodeInput, RuntimeDriver, StepReport};
-pub use effect::{Effect, Effects, Event, TimerId};
+pub use driver::{
+    EffectHandler, EngineDriver, NodeInput, Roster, RosterError, RuntimeDriver, StepReport,
+};
+pub use effect::{Effect, Effects, TimerId};
 pub use engine::{JoinEngine, Status};
 pub use incremental::IncrementalChecker;
 pub use messages::{packed_id_bytes, BitVec, Message, MessageKind};
 pub use options::{FailureDetector, PayloadMode, ProtocolOptions, RetryPolicy};
 pub use oracle::build_consistent_tables;
 pub use routing::{next_hop, route, RouteOutcome};
-pub use simnet::{bootstrap, Carrier, Directory, SimNetwork, SimNetworkBuilder, SimNode};
+pub use simnet::{bootstrap, Carrier, SimNetwork, SimNetworkBuilder, SimNode};
 pub use stats::MessageStats;
 pub use suffix_compact::CompactSuffixIndex;
 pub use table::{Entry, NeighborTable, NodeState, SnapshotRow, TableSnapshot};

@@ -1,6 +1,9 @@
 //! Glue between the sans-io [`JoinEngine`] and the deterministic
 //! discrete-event simulator: build a network of members and joiners, run
-//! the join protocol to quiescence, inspect the result.
+//! the join protocol to quiescence, inspect the result. Every input after
+//! the build (a join, crash, leave or message) enters through
+//! [`SimNetwork::inject`], held to the same [`Roster`] rule as the socket
+//! runtime's schedule; the builder's joiners go in the same way.
 //!
 //! # Examples
 //!
@@ -27,15 +30,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
-use hyperring_id::{IdBuildHasher, IdSpace, NodeId};
+use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::{Actor, Context, DelayModel, RunReport, Simulator, Time};
 
 use crate::consistency::{check_consistency, ConsistencyReport};
-use crate::dispatch::EffectHandler;
-use crate::driver::{EngineDriver, NodeInput, RuntimeDriver};
+use crate::driver::{EffectHandler, EngineDriver, NodeInput, Roster, RuntimeDriver};
 use crate::effect::TimerId;
 use crate::engine::{JoinEngine, Status};
 use crate::messages::Message;
@@ -47,8 +48,8 @@ use crate::trace::{TraceSink, TraceStream};
 /// A hop on the send path of a [`SimNetwork`]: every protocol message a
 /// node sends is handed to the carrier, and the simulator schedules the
 /// message the carrier returns. Set it once with
-/// [`SimNetworkBuilder::carrier`]; nodes added later by
-/// [`SimNetwork::add_joiner_live`] use it too.
+/// [`SimNetworkBuilder::carrier`]; nodes a later
+/// [`SimNetwork::inject`] adds use it too.
 ///
 /// Only protocol messages cross it. Control inputs (`StartJoin`,
 /// `BeginLeave`, `Crash`, `StartFailureDetector`) do not, and delay, RNG,
@@ -62,68 +63,15 @@ pub trait Carrier: Send + Sync + std::fmt::Debug {
     fn carry(&self, from: NodeId, to: NodeId, msg: Message) -> Message;
 }
 
-/// Append-only `NodeId → dense index` interner shared by the builder and
-/// every actor of one simulation.
-///
-/// Actors address each other with the dense `usize` indices the simulator
-/// uses, so overlay-level `NodeId` destinations are resolved once per
-/// send (replies skip even that: the simulator hands over the sender's
-/// index). The directory supports *growth* — a joiner can be injected into
-/// a live network ([`SimNetwork::add_joiner_live`]) by one map insert,
-/// without touching any actor — which is what keeps §6.1 sequential
-/// bootstrap at O(n) incremental work and O(n) memory. Indices are stable:
-/// entries are only ever appended, never moved or removed.
-///
-/// There is one map, behind one lock that is never contended: the
-/// simulator is sequential, and the lock exists so that a `SimNetwork`
-/// stays `Send`. It hashes with [`IdBuildHasher`]: every send that is not
-/// a reply resolves its destination here.
-#[derive(Debug, Default)]
-pub struct Directory {
-    map: RwLock<HashMap<NodeId, usize, IdBuildHasher>>,
-}
-
-impl Directory {
-    /// Wraps an already-built mapping (the builder's bulk path).
-    fn new(map: HashMap<NodeId, usize, IdBuildHasher>) -> Self {
-        Directory {
-            map: RwLock::new(map),
-        }
-    }
-
-    /// The dense actor index of `id`, if registered.
-    pub fn resolve(&self, id: &NodeId) -> Option<usize> {
-        self.map.read().unwrap().get(id).copied()
-    }
-
-    /// Registers `id → idx`; returns `false` when `id` was already present
-    /// (the mapping is left unchanged in that case).
-    fn insert(&self, id: NodeId, idx: usize) -> bool {
-        let mut map = self.map.write().unwrap();
-        if map.contains_key(&id) {
-            return false;
-        }
-        map.insert(id, idx);
-        true
-    }
-
-    /// Number of registered nodes.
-    pub fn len(&self) -> usize {
-        self.map.read().unwrap().len()
-    }
-
-    /// Whether no nodes are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// What every node of one network shares, behind the one handle each
 /// node holds.
 #[derive(Debug)]
 struct Shared {
-    /// Overlay id → actor index, for every node of the network.
-    dir: Directory,
+    /// Overlay id → dense actor index, for every node of the network: the
+    /// roster position. Actors address each other by index, so a send
+    /// that is not a reply resolves its destination here once. The lock
+    /// keeps a `SimNetwork` `Send`.
+    roster: RwLock<Roster>,
     /// The run-global trace stream of a traced network; locked only while
     /// a node drives an input.
     trace: Option<Arc<Mutex<TraceStream>>>,
@@ -131,8 +79,26 @@ struct Shared {
     carrier: Option<Arc<dyn Carrier>>,
 }
 
+/// Why a lock of [`Shared`] can fail: only a panic while it was held
+/// poisons it (the simulator is sequential and never contends one).
+const POISONED: &str = "a panic poisoned a lock the nodes share";
+
+impl Shared {
+    /// The dense actor index of `id`, if it is a node of the network.
+    fn position(&self, id: &NodeId) -> Option<usize> {
+        self.roster.read().expect(POISONED).position(id)
+    }
+
+    /// Holds `input` for `id` to the roster rule and returns `id`'s actor
+    /// index, or panics with the rule's message.
+    fn admit(&self, id: NodeId, input: &NodeInput) -> usize {
+        let admitted = self.roster.write().expect(POISONED).admit(id, input);
+        admitted.unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
 /// One simulated overlay node: a driven engine plus a handle on what the
-/// network's nodes share (the address directory, trace and carrier).
+/// network's nodes share (the roster, trace and carrier).
 #[derive(Debug)]
 pub struct SimNode {
     node: EngineDriver,
@@ -153,32 +119,26 @@ impl SimNode {
     }
 
     /// Feeds one input through the shared runtime driver, with this
-    /// actor's simulator context as the transport.
+    /// actor's simulator context as the transport. `from_idx` is the
+    /// sender's actor index, which replies to a `Deliver` reuse.
     fn dispatch(
         &mut self,
         ctx: &mut Context<'_, NodeInput, TimerId>,
         from_idx: usize,
-        reply_to: Option<NodeId>,
         input: NodeInput,
     ) {
-        let me = self.node.engine().id();
+        let reply = match &input {
+            NodeInput::Deliver { from, .. } => Some((*from, from_idx)),
+            _ => None,
+        };
         let mut rt = SimHandler {
             ctx,
-            me,
-            reply_to,
-            from_idx,
-            dir: &self.net.dir,
-            carrier: self.net.carrier.as_deref(),
+            me: self.node.engine().id(),
+            reply,
+            net: &self.net,
         };
-        match &self.net.trace {
-            Some(stream) => {
-                let mut stream = stream.lock().unwrap();
-                self.node.drive(input, &mut rt, Some(&mut stream));
-            }
-            None => {
-                self.node.drive(input, &mut rt, None);
-            }
-        }
+        let mut stream = (self.net.trace.as_ref()).map(|s| s.lock().expect(POISONED));
+        self.node.drive(input, &mut rt, stream.as_deref_mut());
     }
 }
 
@@ -190,10 +150,9 @@ impl SimNode {
 struct SimHandler<'a, 'c> {
     ctx: &'a mut Context<'c, NodeInput, TimerId>,
     me: NodeId,
-    reply_to: Option<NodeId>,
-    from_idx: usize,
-    dir: &'a Directory,
-    carrier: Option<&'a dyn Carrier>,
+    /// The sender of the `Deliver` being handled, and its actor index.
+    reply: Option<(NodeId, usize)>,
+    net: &'a Shared,
 }
 
 impl RuntimeDriver for SimHandler<'_, '_> {
@@ -206,15 +165,13 @@ impl EffectHandler for SimHandler<'_, '_> {
     fn send(&mut self, to: NodeId, msg: Message) {
         // Dense reply routing: for a protocol message the simulator already
         // told us the sender's index, so replies (the bulk of join traffic)
-        // skip the directory lookup entirely.
-        let idx = if self.reply_to == Some(to) {
-            self.from_idx
-        } else {
-            self.dir
-                .resolve(&to)
-                .unwrap_or_else(|| panic!("message addressed to unknown node {to}"))
+        // skip the roster lookup entirely.
+        let idx = match self.reply {
+            Some((from, from_idx)) if from == to => from_idx,
+            _ => (self.net.position(&to))
+                .unwrap_or_else(|| panic!("message addressed to unknown node {to}")),
         };
-        let msg = match self.carrier {
+        let msg = match &self.net.carrier {
             Some(carrier) => carrier.carry(self.me, to, msg),
             None => msg,
         };
@@ -241,15 +198,11 @@ impl Actor for SimNode {
         from_idx: usize,
         input: NodeInput,
     ) {
-        let reply_to = match &input {
-            NodeInput::Deliver { from, .. } => Some(*from),
-            _ => None,
-        };
-        self.dispatch(ctx, from_idx, reply_to, input);
+        self.dispatch(ctx, from_idx, input);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, NodeInput, TimerId>, timer: TimerId) {
-        self.dispatch(ctx, usize::MAX, None, NodeInput::TimerFired(timer));
+        self.dispatch(ctx, usize::MAX, NodeInput::TimerFired(timer));
     }
 }
 
@@ -331,7 +284,8 @@ impl SimNetworkBuilder {
     }
 
     /// Adds a node that joins through `gateway`, starting at virtual time
-    /// `at` (the paper starts all joins at time 0).
+    /// `at` (the paper starts all joins at time 0): [`SimNetwork::inject`]
+    /// of its `StartJoin` once the members are built.
     pub fn add_joiner(&mut self, id: NodeId, gateway: NodeId, at: Time) -> &mut Self {
         self.joiners.push((id, gateway, at));
         self
@@ -341,8 +295,9 @@ impl SimNetworkBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if there are no members, if identifiers collide, or if a
-    /// joiner's gateway is not a member or joiner.
+    /// Panics if there are no members, or if a member or joiner breaks
+    /// the [`Roster`] rule (a duplicate identifier, or a gateway that is
+    /// neither a member nor an earlier joiner, or the joiner itself).
     pub fn build<D: DelayModel>(&mut self, delay: D, seed: u64) -> SimNetwork<D> {
         let member_tables = match self.member_tables.take() {
             Some(t) => t,
@@ -357,51 +312,36 @@ impl SimNetworkBuilder {
             opts = opts.with_trace();
         }
 
-        let mut ids: Vec<NodeId> = member_tables.iter().map(|t| t.owner()).collect();
-        ids.extend(self.joiners.iter().map(|(id, _, _)| *id));
-        let mut map = HashMap::with_capacity_and_hasher(ids.len(), IdBuildHasher::default());
-        for (i, id) in ids.iter().enumerate() {
-            assert!(map.insert(*id, i).is_none(), "duplicate node identifier");
-        }
+        let roster = Roster::new(member_tables.iter().map(|t| t.owner()));
         let shared = Arc::new(Shared {
-            dir: Directory::new(map),
+            roster: RwLock::new(roster.unwrap_or_else(|e| panic!("{e}"))),
             trace: self.trace.clone(),
             carrier: self.carrier.clone(),
         });
-        let dir = &shared.dir;
-
-        let mut actors: Vec<SimNode> = member_tables
+        let actors: Vec<SimNode> = member_tables
             .into_iter()
             .map(|t| SimNode::new(JoinEngine::new_member(self.space, opts, t), &shared))
             .collect();
-        for (id, _, _) in &self.joiners {
-            let engine = JoinEngine::new_joiner(self.space, opts, *id);
-            actors.push(SimNode::new(engine, &shared));
-        }
-
+        let members = actors.len();
         let mut sim = Simulator::new(actors, delay, seed);
         if opts.failure_detector().is_some() {
             // Initial members are already in_system, so nothing would ever
             // arm their detectors; kick them off at time 0.
-            let members = ids.len() - self.joiners.len();
             for idx in 0..members {
                 sim.inject_at(0, idx, idx, NodeInput::StartFailureDetector);
             }
         }
-        for (id, gateway, at) in &self.joiners {
-            assert!(dir.resolve(gateway).is_some(), "gateway {gateway} unknown");
-            assert_ne!(id, gateway, "node cannot join via itself");
-            let idx = dir.resolve(id).expect("joiner registered above");
-            sim.inject_at(*at, idx, idx, NodeInput::StartJoin { gateway: *gateway });
-        }
-        SimNetwork {
+        let mut net = SimNetwork {
             space: self.space,
             opts,
             sim,
             shared,
-            ids,
-            joiner_count: self.joiners.len(),
+            members,
+        };
+        for &(id, gateway, at) in &self.joiners {
+            net.inject(at, id, NodeInput::StartJoin { gateway });
         }
+        net
     }
 }
 
@@ -412,8 +352,8 @@ pub struct SimNetwork<D: DelayModel> {
     opts: ProtocolOptions,
     sim: Simulator<SimNode, D>,
     shared: Arc<Shared>,
-    ids: Vec<NodeId>,
-    joiner_count: usize,
+    /// The initial members, actors `0..members`; the joiners follow.
+    members: usize,
 }
 
 impl<D: DelayModel> SimNetwork<D> {
@@ -460,7 +400,7 @@ impl<D: DelayModel> SimNetwork<D> {
     ///
     /// Panics if `id` is unknown.
     pub fn engine(&self, id: &NodeId) -> &JoinEngine {
-        let idx = self.shared.dir.resolve(id).expect("unknown node id");
+        let idx = self.shared.position(id).expect("unknown node id");
         self.sim.actor(idx).engine()
     }
 
@@ -471,8 +411,7 @@ impl<D: DelayModel> SimNetwork<D> {
 
     /// Iterates over the joiners' engines only.
     pub fn joiners(&self) -> impl Iterator<Item = &JoinEngine> {
-        let members = self.ids.len() - self.joiner_count;
-        self.sim.actors().skip(members).map(|a| a.engine())
+        self.sim.actors().skip(self.members).map(|a| a.engine())
     }
 
     /// Whether every node (member and joiner) is an S-node.
@@ -507,106 +446,55 @@ impl<D: DelayModel> SimNetwork<D> {
         self.tables_iter().cloned().collect()
     }
 
-    /// Schedules a graceful leave of `id` at the current virtual time,
-    /// then runs the simulation to quiescence (extension; sequential-churn
-    /// scope — call between waves, not during one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown or the leave fails to complete.
-    pub fn depart(&mut self, id: &NodeId) -> RunReport {
-        let idx = self.shared.dir.resolve(id).expect("unknown node id");
-        let now = self.sim.now();
-        self.sim.inject_at(now, idx, idx, NodeInput::BeginLeave);
-        let report = self.sim.run();
-        assert_eq!(
-            self.engine(id).status(),
-            Status::Departed,
-            "{id} failed to depart"
-        );
-        self.stamp_trace(report)
-    }
-
-    /// Schedules a graceful leave of `id` at absolute virtual time `at`
-    /// *without* running the simulation — unlike [`depart`](Self::depart),
-    /// which is the sequential-churn entry point. Combining overlapping
-    /// `leave_at` calls is exactly the unarbitrated territory
-    /// [`JoinEngine::begin_leave`] documents as out of scope; the
-    /// regression test below pins what happens there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown.
-    pub fn leave_at(&mut self, id: &NodeId, at: Time) {
-        let idx = self.shared.dir.resolve(id).expect("unknown node id");
-        self.sim.inject_at(at, idx, idx, NodeInput::BeginLeave);
-    }
-
-    /// Schedules a crash failure of `id` at absolute virtual time `at`
-    /// (crash-churn extension). The node goes silent at that instant —
-    /// no goodbye, no replacement — and is excluded from
-    /// [`tables`](Self::tables) / [`check_consistency`](Self::check_consistency)
-    /// thereafter. Drive the survivors with [`run_until`](Self::run_until).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown or `at` is in the past.
-    pub fn crash_at(&mut self, id: &NodeId, at: Time) {
-        let idx = self.shared.dir.resolve(id).expect("unknown node id");
-        self.sim.inject_at(at, idx, idx, NodeInput::Crash);
-    }
-
     /// Virtual time (µs).
     pub fn now(&self) -> Time {
         self.sim.now()
     }
 
-    /// Injects a fresh joiner into the *live* network: registers it in
-    /// the shared [`Directory`], appends an actor to the running
-    /// simulator, and schedules its `Start` through `gateway` at the
-    /// current virtual time. Returns the new actor's dense index.
+    /// Schedules `input` into node `id` at virtual time `at`: the one way
+    /// into a built network, whatever the input.
     ///
-    /// Existing actors, queued events, and tables are untouched: a join
-    /// costs one insert into the shared directory map and one actor
-    /// appended, amortized O(1) in time and memory, which is what lets
-    /// [`bootstrap`] grow one network instead of rebuilding it for every
-    /// join.
+    /// A `StartJoin` that names a new node adds it: the node goes on the
+    /// roster and a joiner actor is appended now, and the join starts at
+    /// `at`. Existing actors, queued events and tables are untouched, so
+    /// adding a node costs one roster insert and one actor, amortized O(1)
+    /// in time and memory, which lets [`bootstrap`] grow one network
+    /// instead of rebuilding it for every join. A `Deliver` is scheduled
+    /// as sent by its `from`, so the receiver's replies go back to `from`.
+    /// Every other input is scheduled as the node's own.
     ///
     /// # Panics
     ///
-    /// Panics if `id` duplicates an existing node, equals `gateway`, or
-    /// `gateway` is unknown.
-    pub fn add_joiner_live(&mut self, id: NodeId, gateway: NodeId) -> usize {
-        assert!(
-            self.shared.dir.resolve(&gateway).is_some(),
-            "gateway {gateway} unknown"
-        );
-        assert_ne!(id, gateway, "node cannot join via itself");
-        let idx = self.sim.len();
-        assert!(self.shared.dir.insert(id, idx), "duplicate node identifier");
-        self.ids.push(id);
-        self.joiner_count += 1;
-        let engine = JoinEngine::new_joiner(self.space, self.opts, id);
-        let added = self.sim.add_actor(SimNode::new(engine, &self.shared));
-        debug_assert_eq!(added, idx);
+    /// Panics if `at` is before [`now`](Self::now), or with the rule's
+    /// message if the input breaks the [`Roster`] rule.
+    pub fn inject(&mut self, at: Time, id: NodeId, input: NodeInput) {
         let now = self.sim.now();
-        self.sim
-            .inject_at(now, idx, idx, NodeInput::StartJoin { gateway });
-        idx
+        assert!(at >= now, "input at {at} µs is before now ({now} µs)");
+        let idx = self.shared.admit(id, &input);
+        if let NodeInput::StartJoin { .. } = input {
+            let engine = JoinEngine::new_joiner(self.space, self.opts, id);
+            let added = self.sim.add_actor(SimNode::new(engine, &self.shared));
+            debug_assert_eq!(added, idx);
+        }
+        let from = match &input {
+            NodeInput::Deliver { from, .. } => self.shared.position(from).expect("admitted"),
+            _ => idx,
+        };
+        self.sim.inject_at(at, from, idx, input);
     }
 
     /// Injects a whole wave of joiners, all starting through `gateway` at
-    /// the current virtual time: [`add_joiner_live`](Self::add_joiner_live)
-    /// for each id in order. Returns the first new actor index.
+    /// the current virtual time: an [`inject`](Self::inject) of a
+    /// `StartJoin` for each id in order. Returns the first new actor index.
     ///
     /// # Panics
     ///
-    /// As [`add_joiner_live`](Self::add_joiner_live), for any id of the
-    /// wave (ids before the offending one have been added by then).
+    /// As [`inject`](Self::inject), for any id of the wave (ids before the
+    /// offending one have been added by then).
     pub fn add_joiners_live(&mut self, ids: &[NodeId], gateway: NodeId) -> usize {
-        let base = self.sim.len();
+        let (base, now) = (self.sim.len(), self.sim.now());
         for &id in ids {
-            self.add_joiner_live(id, gateway);
+            self.inject(now, id, NodeInput::StartJoin { gateway });
         }
         base
     }
@@ -769,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn add_joiner_live_after_deliveries() {
+    fn a_joiner_injected_after_deliveries_joins() {
         // Inject a joiner into a network that has already run to
         // quiescence (the incremental-bootstrap path), then another.
         let mut b = SimNetworkBuilder::new(space());
@@ -781,8 +669,8 @@ mod tests {
         assert!(net.all_in_system());
 
         let late = space().parse_id("47051").unwrap();
-        let idx = net.add_joiner_live(late, v[1]);
-        assert_eq!(idx, 6);
+        net.inject(net.now(), late, NodeInput::StartJoin { gateway: v[1] });
+        assert_eq!(net.shared.position(&late), Some(6));
         let second = net.run();
         assert!(second.delivered > first.delivered);
         assert!(second.finished_at >= first.finished_at);
@@ -861,7 +749,7 @@ mod tests {
             }
             let mut net = b.build(ConstantDelay(500), 7);
             for id in &ids[..3] {
-                net.crash_at(id, 50_000);
+                net.inject(50_000, *id, NodeInput::Crash);
             }
             // Several detection cycles past the crash instant.
             net.run_until(3_000_000);
@@ -924,7 +812,7 @@ mod tests {
         // Regression pin for the documented limitation on
         // `JoinEngine::begin_leave`: concurrent leaves of *adjacent*
         // nodes (each other's replacement candidates) are not arbitrated.
-        // Sequential leaves are safe (`depart`), but when two mutual
+        // Sequential leaves are safe, but when two mutual
         // neighbors leave at the same instant each may hand the other out
         // as its replacement, so across seeds some run must end broken —
         // a stalled leaver or survivor tables violating Definition 3.8.
@@ -954,8 +842,8 @@ mod tests {
             };
             let Some((u, v)) = pair else { continue };
             attempted += 1;
-            net.leave_at(&u, 0);
-            net.leave_at(&v, 0);
+            net.inject(0, u, NodeInput::BeginLeave);
+            net.inject(0, v, NodeInput::BeginLeave);
             net.run_limited(60_000_000);
             let stalled = !net.engines().all(|e| {
                 matches!(
@@ -976,14 +864,51 @@ mod tests {
         );
     }
 
+    /// A constant 10 µs delay that records each send's `(from, to)`
+    /// actor indices.
+    #[derive(Debug, Clone, Default)]
+    struct Hops(Arc<Mutex<Vec<(usize, usize)>>>);
+
+    impl DelayModel for Hops {
+        fn delay(&mut self, from: usize, to: usize, _rng: &mut StdRng) -> Time {
+            self.0.lock().unwrap().push((from, to));
+            10
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "duplicate node identifier")]
-    fn add_joiner_live_rejects_duplicates() {
+    fn an_injected_delivery_is_answered_to_its_sender() {
+        // A copy request from member 0 to member 1: the reply goes to 0,
+        // not back to 1.
         let mut b = SimNetworkBuilder::new(space());
         let v = paper_members(&mut b);
+        let hops = Hops::default();
+        let mut net = b.build(hops.clone(), 0);
+        let msg = Message::CpRst { level: 0 };
+        net.inject(5, v[1], NodeInput::Deliver { from: v[0], msg });
+        assert_eq!(net.run().delivered, 2, "the request and its reply");
+        assert_eq!(*hops.0.lock().unwrap(), [(1, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "input names unknown node")]
+    fn an_input_for_an_unknown_node_is_rejected() {
+        let mut b = SimNetworkBuilder::new(space());
+        paper_members(&mut b);
         let mut net = b.build(ConstantDelay(1), 0);
+        net.inject(0, space().parse_id("77777").unwrap(), NodeInput::Crash);
+    }
+
+    #[test]
+    #[should_panic(expected = "is before now")]
+    fn an_input_before_now_is_rejected() {
+        let mut b = SimNetworkBuilder::new(space());
+        let v = paper_members(&mut b);
+        b.add_joiner(space().parse_id("10261").unwrap(), v[0], 0);
+        let mut net = b.build(ConstantDelay(50), 3);
         net.run();
-        net.add_joiner_live(v[2], v[0]);
+        assert!(net.now() > 0);
+        net.inject(0, v[1], NodeInput::BeginLeave);
     }
 
     #[test]
@@ -997,19 +922,19 @@ mod tests {
                 b.add_member(*id);
             }
             let mut net = b.build(UniformDelay::new(100, 200_000), 4);
-            let returned: Vec<usize> = if wave {
-                let base = net.add_joiners_live(w, v[0]);
-                (base..base + w.len()).collect()
+            if wave {
+                assert_eq!(net.add_joiners_live(w, v[0]), v.len());
             } else {
-                w.iter().map(|id| net.add_joiner_live(*id, v[0])).collect()
-            };
+                for id in w {
+                    net.inject(0, *id, NodeInput::StartJoin { gateway: v[0] });
+                }
+            }
             let report = net.run();
             assert!(net.all_in_system());
             let actors: Vec<usize> = w
                 .iter()
-                .map(|id| net.shared.dir.resolve(id).unwrap())
+                .map(|id| net.shared.position(id).unwrap())
                 .collect();
-            assert_eq!(returned, actors);
             (actors, report.delivered, tables_digest(&net.tables()))
         };
         assert_eq!(grow(true), grow(false));

@@ -5,7 +5,9 @@
 //! tables free of false negatives (the reachability-breaking violation
 //! class), with consistency checked over survivors only.
 
-use hyperring_core::{FailureDetector, ProtocolOptions, SimNetworkBuilder, Status, Violation};
+use hyperring_core::{
+    FailureDetector, NodeInput, ProtocolOptions, SimNetworkBuilder, Status, Violation,
+};
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::UniformDelay;
 use proptest::prelude::*;
@@ -47,7 +49,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xd1b5_4a32_d192_ed03);
         let victims = &ids[..crashes];
         for id in victims {
-            net.crash_at(id, rng.gen_range(0..800_000));
+            net.inject(rng.gen_range(0..800_000), *id, NodeInput::Crash);
         }
         // Crash window + suspicion build-up + several repair rounds.
         net.run_until(5_000_000);

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 use hyperring_core::{
-    build_consistent_tables, check_consistency, Effect, Effects, JoinEngine, Message,
+    build_consistent_tables, check_consistency, Effect, Effects, JoinEngine, Message, NodeInput,
     ProtocolOptions, Status,
 };
 use hyperring_id::{IdSpace, NodeId};
@@ -42,7 +42,7 @@ impl Driver {
         let mut out = Effects::new();
         for &(id, gw) in joiners {
             let mut e = JoinEngine::new_joiner(space, opts, id);
-            e.start_join(gw, &mut out);
+            e.step(NodeInput::StartJoin { gateway: gw }, &mut out);
             for (to, msg) in out.drain_sends() {
                 queue.push((id, to, msg));
             }
@@ -67,7 +67,8 @@ impl Driver {
         let (from, to, msg) = self.queue.swap_remove(i);
         let mut out = Effects::new();
         let engine = self.engines.get_mut(&to).expect("known destination");
-        engine.handle(from, msg.clone(), &mut out);
+        let copy = msg.clone();
+        engine.step(NodeInput::Deliver { from, msg: copy }, &mut out);
         let effects: Vec<Effect> = out.drain().collect();
         if to == self.watch {
             self.log.push((from, msg, format!("{effects:?}")));
@@ -123,7 +124,8 @@ proptest! {
         let mut clone = forked;
         for (from, msg, expected) in &driver.log {
             let mut out = Effects::new();
-            clone.handle(*from, msg.clone(), &mut out);
+            let msg = msg.clone();
+            clone.step(NodeInput::Deliver { from: *from, msg }, &mut out);
             let effects: Vec<Effect> = out.drain().collect();
             prop_assert_eq!(&format!("{effects:?}"), expected);
         }
@@ -152,7 +154,7 @@ mod fingerprints {
     use std::hash::Hasher;
 
     use hyperring_core::{
-        build_consistent_tables, Effects, Entry, Event, FailureDetector, JoinEngine, Message,
+        build_consistent_tables, Effects, Entry, FailureDetector, JoinEngine, Message, NodeInput,
         NodeState, ProtocolOptions, RetryPolicy, SimNetworkBuilder, Status, TimerId,
     };
     use hyperring_id::{IdSpace, NodeId};
@@ -235,16 +237,15 @@ mod fingerprints {
         };
         let v = ["0000", "3213", "1113", "2221", "0110"];
         let mut x = member(&v, "0000", ProtocolOptions::new().with_failure_detector(fd));
-        let tick = Event::TimerFired {
-            id: TimerId::FdProbe { owner: id("0000") },
-        };
-        x.start_failure_detector(&mut Effects::new());
+        let tick = TimerId::FdProbe { owner: id("0000") };
+        x.step(NodeInput::StartFailureDetector, &mut Effects::new());
         for _ in 0..3 {
             let mut out = Effects::new();
-            x.on_event(tick.clone(), &mut out);
-            for (to, _) in out.drain_sends().collect::<Vec<_>>() {
-                if to != id(silent) {
-                    x.handle(to, Message::Pong, &mut Effects::new());
+            x.step(NodeInput::TimerFired(tick), &mut out);
+            for (from, _) in out.drain_sends().collect::<Vec<_>>() {
+                if from != id(silent) {
+                    let msg = Message::Pong;
+                    x.step(NodeInput::Deliver { from, msg }, &mut Effects::new());
                 }
             }
         }
@@ -287,14 +288,11 @@ mod fingerprints {
             node: id("3213"),
             state: NodeState::S,
         });
-        x.handle(
-            id("1113"),
-            Message::LeaveNoti { replacement },
-            &mut Effects::new(),
-        );
+        let (from, msg) = (id("1113"), Message::LeaveNoti { replacement });
+        x.step(NodeInput::Deliver { from, msg }, &mut Effects::new());
         let rv = TimerId::RvNgh { peer: id("3213") };
         assert!(x.live_timers().any(|t| t == rv));
-        x.begin_leave(&mut Effects::new());
+        x.step(NodeInput::BeginLeave, &mut Effects::new());
         assert_eq!(x.status(), Status::Leaving);
         assert_eq!(fingerprint(&x), 9_914_350_188_608_270_640);
     }

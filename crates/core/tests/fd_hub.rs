@@ -7,7 +7,7 @@
 //! is exact: one `Ping` per distinct peer per tick, ascending by id.
 
 use hyperring_core::{
-    Effects, Entry, Event, FailureDetector, JoinEngine, Message, NeighborTable, NodeState,
+    Effects, Entry, FailureDetector, JoinEngine, Message, NeighborTable, NodeInput, NodeState,
     ProtocolOptions, TimerId,
 };
 use hyperring_id::{IdSpace, NodeId};
@@ -46,11 +46,11 @@ fn hub_pings_each_distinct_peer_once_per_tick_ascending() {
     let opts = ProtocolOptions::new().with_failure_detector(FailureDetector::default());
     let mut hub = JoinEngine::new_member(space, opts, table);
     let mut out = Effects::new();
-    hub.start_failure_detector(&mut out);
+    hub.step(NodeInput::StartFailureDetector, &mut out);
     out.drain().for_each(drop);
     for tick in 0..5 {
         let id = TimerId::FdProbe { owner: me };
-        hub.on_event(Event::TimerFired { id }, &mut out);
+        hub.step(NodeInput::TimerFired(id), &mut out);
         let pinged: Vec<NodeId> = out
             .drain_sends()
             .map(|(to, msg)| {
@@ -59,8 +59,9 @@ fn hub_pings_each_distinct_peer_once_per_tick_ascending() {
             })
             .collect();
         assert_eq!(pinged, want, "tick {tick}");
-        for peer in &want {
-            hub.handle(*peer, Message::Pong, &mut out);
+        for &from in &want {
+            let msg = Message::Pong;
+            hub.step(NodeInput::Deliver { from, msg }, &mut out);
         }
     }
 }

@@ -24,8 +24,8 @@ use std::sync::{Arc, Mutex};
 use common::Hop;
 
 use hyperring_core::{
-    check_consistency, ConsistencyReport, FailureDetector, ProtocolEvent, ProtocolOptions,
-    RetryPolicy, SimNetwork, SimNetworkBuilder, Status, TraceRecord, TraceSink,
+    check_consistency, ConsistencyReport, FailureDetector, NodeInput, ProtocolEvent,
+    ProtocolOptions, RetryPolicy, SimNetwork, SimNetworkBuilder, Status, TraceRecord, TraceSink,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::{ConstantDelay, UniformDelay};
@@ -70,11 +70,11 @@ fn live_injected_joiner_detects_crashes() {
         b.add_member(*id);
     }
     let mut net = b.build(ConstantDelay(500), 7);
-    net.crash_at(&ids[0], 50_000);
+    net.inject(50_000, ids[0], NodeInput::Crash);
     net.run_until(2_000_000);
 
     // Inject a joiner into the live network after the crash wave settled.
-    net.add_joiner_live(ids[10], ids[1]);
+    net.inject(net.now(), ids[10], NodeInput::StartJoin { gateway: ids[1] });
     net.run_until(5_000_000);
     assert_eq!(net.engine(&ids[10]).status(), Status::InSystem);
 
@@ -87,7 +87,7 @@ fn live_injected_joiner_detects_crashes() {
         .map(|(_, _, e)| e.node)
         .find(|n| *n != ids[10] && *n != ids[0])
         .unwrap();
-    net.crash_at(&victim, 5_500_000);
+    net.inject(5_500_000, victim, NodeInput::Crash);
     net.run_until(12_000_000);
     let still = net
         .engine(&ids[10])
@@ -142,7 +142,7 @@ fn mid_join_crash(seed: u64, crash_at: u64, fallback: bool) -> (Status, u32, u32
     let counter = FallbackCounter::default();
     b.trace(Box::new(counter.clone()));
     let mut net = b.build(UniformDelay::new(1_000, 50_000), seed);
-    net.crash_at(&gateway, crash_at);
+    net.inject(crash_at, gateway, NodeInput::Crash);
     net.run_until(20_000_000);
     let (rerouted, stranded) = *counter.0.lock().unwrap();
     (net.engine(&joiner).status(), rerouted, stranded)
@@ -291,7 +291,7 @@ fn run_schedule(
     }
     let mut net = b.build(UniformDelay::new(1_000, 50_000), sim_seed);
     let (victim, at) = s.crash;
-    net.crash_at(&id(victim), at);
+    net.inject(at, id(victim), NodeInput::Crash);
     net.run_until(30_000_000);
     hop.check();
     let survivors: Vec<_> = net

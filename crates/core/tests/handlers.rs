@@ -4,8 +4,8 @@
 //! prescribes.
 
 use hyperring_core::{
-    build_consistent_tables, Effect, Effects, Entry, Event, FailureDetector, JoinEngine, Message,
-    NeighborTable, NodeState, ProtocolOptions, RetryPolicy, Status, TimerId,
+    build_consistent_tables, Effect, Effects, Entry, FailureDetector, JoinEngine, Message,
+    NeighborTable, NodeInput, NodeState, ProtocolOptions, RetryPolicy, Status, TimerId,
 };
 use hyperring_id::{IdSpace, NodeId};
 
@@ -29,6 +29,22 @@ fn member(ids: &[&str], who: &str) -> JoinEngine {
 
 fn joiner(who: &str) -> JoinEngine {
     JoinEngine::new_joiner(space(), ProtocolOptions::new(), id(who))
+}
+
+/// Shorthands for the two inputs fed most, through `JoinEngine::step`.
+trait Feed {
+    fn deliver(&mut self, from: NodeId, msg: Message, out: &mut Effects);
+    fn join_via(&mut self, gateway: NodeId, out: &mut Effects);
+}
+
+impl Feed for JoinEngine {
+    fn deliver(&mut self, from: NodeId, msg: Message, out: &mut Effects) {
+        self.step(NodeInput::Deliver { from, msg }, out);
+    }
+
+    fn join_via(&mut self, gateway: NodeId, out: &mut Effects) {
+        self.step(NodeInput::StartJoin { gateway }, out);
+    }
 }
 
 fn sent(out: &mut Effects) -> Vec<(NodeId, Message)> {
@@ -57,7 +73,7 @@ fn fig5_copying_walks_levels_and_stops_at_null() {
     let mut g0 = g0;
     let mut x = joiner("2113");
     let mut out = Effects::new();
-    x.start_join(id("0000"), &mut out);
+    x.join_via(id("0000"), &mut out);
     let msgs = sent(&mut out);
     assert_eq!(msgs.len(), 1);
     assert_eq!(msgs[0].0, id("0000"));
@@ -65,7 +81,7 @@ fn fig5_copying_walks_levels_and_stops_at_null() {
 
     // g0 replies with its full table.
     let mut out = Effects::new();
-    g0.handle(id("2113"), Message::CpRst { level: 0 }, &mut out);
+    g0.deliver(id("2113"), Message::CpRst { level: 0 }, &mut out);
     let msgs = sent(&mut out);
     assert_eq!(msgs.len(), 1);
     let (to, reply) = &msgs[0];
@@ -75,7 +91,7 @@ fn fig5_copying_walks_levels_and_stops_at_null() {
     // x copies level 0; next hop = g0's (0, 3)-neighbor (suffix "3"),
     // which the oracle filled with 1113 (smallest of {3213, 1113}).
     let mut out = Effects::new();
-    x.handle(id("0000"), reply.clone(), &mut out);
+    x.deliver(id("0000"), reply.clone(), &mut out);
     assert_eq!(x.status(), Status::Copying);
     let msgs = sent(&mut out);
     // x copied entries -> RvNghNoti to each copied neighbor, plus the next
@@ -99,14 +115,14 @@ fn fig5_copying_enters_waiting_when_no_deeper_node() {
     let mut g0 = member(&["0000"], "0000");
     let mut x = joiner("3213");
     let mut out = Effects::new();
-    x.start_join(id("0000"), &mut out);
+    x.join_via(id("0000"), &mut out);
     let (_, cprst) = sent(&mut out).pop().unwrap();
     let mut out = Effects::new();
-    g0.handle(id("3213"), cprst, &mut out);
+    g0.deliver(id("3213"), cprst, &mut out);
     let (_, cprly) = sent(&mut out).pop().unwrap();
 
     let mut out = Effects::new();
-    x.handle(id("0000"), cprly, &mut out);
+    x.deliver(id("0000"), cprly, &mut out);
     assert_eq!(x.status(), Status::Waiting);
     // Self entries are installed on the transition (Figure 5's last loop).
     for i in 0..4 {
@@ -142,10 +158,10 @@ fn fig5_copying_waits_on_t_node() {
         },
     );
     let mut out = Effects::new();
-    x.start_join(id("0000"), &mut out);
+    x.join_via(id("0000"), &mut out);
     out.drain_sends().count();
     let mut out = Effects::new();
-    x.handle(
+    x.deliver(
         id("0000"),
         Message::CpRly {
             level: 0,
@@ -171,7 +187,7 @@ fn fig6_s_node_with_empty_entry_replies_positive_and_stores() {
     let mut y = member(&["0000", "1110"], "0000");
     let x = id("3213");
     let mut out = Effects::new();
-    y.handle(x, Message::JoinWait, &mut out);
+    y.deliver(x, Message::JoinWait, &mut out);
     // k = |csuf(0000, 3213)| = 0; entry (0, 3) was empty.
     let e = y.table().get(0, 3).unwrap();
     assert_eq!(e.node, x);
@@ -192,7 +208,7 @@ fn fig6_s_node_with_occupied_entry_replies_negative_with_occupant() {
     let mut y = member(&["0000", "1113"], "0000");
     // (0, 3) already holds 1113; joiner 3213 must be redirected there.
     let mut out = Effects::new();
-    y.handle(id("3213"), Message::JoinWait, &mut out);
+    y.deliver(id("3213"), Message::JoinWait, &mut out);
     let msgs = sent(&mut out);
     match &msgs[0].1 {
         Message::JoinWaitRly { positive, next, .. } => {
@@ -212,31 +228,31 @@ fn fig6_t_node_queues_the_request_until_switching() {
     let mut g0 = member(&["0000"], "0000");
     // Drive x into waiting via the usual exchange.
     let mut out = Effects::new();
-    x.start_join(id("0000"), &mut out);
+    x.join_via(id("0000"), &mut out);
     let (_, m) = sent(&mut out).pop().unwrap();
     let mut out = Effects::new();
-    g0.handle(id("3213"), m, &mut out);
+    g0.deliver(id("3213"), m, &mut out);
     let (_, m) = sent(&mut out).pop().unwrap();
     let mut out = Effects::new();
-    x.handle(id("0000"), m, &mut out);
+    x.deliver(id("0000"), m, &mut out);
     out.drain_sends().count();
     assert_eq!(x.status(), Status::Waiting);
 
     // Another joiner asks x to store it: silence.
     let mut out = Effects::new();
-    x.handle(id("1113"), Message::JoinWait, &mut out);
+    x.deliver(id("1113"), Message::JoinWait, &mut out);
     assert!(out.is_empty(), "T-node must delay its JoinWaitRlyMsg");
 
     // Now let x's own join finish: g0 replies positive; x has nobody to
     // notify, switches, and must answer the queued joiner (Figure 13).
     let mut out = Effects::new();
-    g0.handle(id("3213"), Message::JoinWait, &mut out);
+    g0.deliver(id("3213"), Message::JoinWait, &mut out);
     let (_, rly) = sent(&mut out)
         .into_iter()
         .find(|(_, m)| matches!(m, Message::JoinWaitRly { .. }))
         .unwrap();
     let mut out = Effects::new();
-    x.handle(id("0000"), rly, &mut out);
+    x.deliver(id("0000"), rly, &mut out);
     assert_eq!(x.status(), Status::InSystem);
     let msgs = sent(&mut out);
     let queued_reply = msgs
@@ -260,20 +276,20 @@ fn fig7_negative_reply_extends_the_wait_chain() {
     let mut x = joiner("3213");
     let mut g0 = member(&["0000"], "0000");
     let mut out = Effects::new();
-    x.start_join(id("0000"), &mut out);
+    x.join_via(id("0000"), &mut out);
     let (_, m) = sent(&mut out).pop().unwrap();
     let mut out = Effects::new();
-    g0.handle(id("3213"), m, &mut out);
+    g0.deliver(id("3213"), m, &mut out);
     let (_, m) = sent(&mut out).pop().unwrap();
     let mut out = Effects::new();
-    x.handle(id("0000"), m, &mut out);
+    x.deliver(id("0000"), m, &mut out);
     out.drain_sends().count();
 
     // Craft a negative reply pointing at 1113.
     let mut holder = NeighborTable::new(space(), id("0000"));
     holder.set_self_entries(NodeState::S);
     let mut out = Effects::new();
-    x.handle(
+    x.deliver(
         id("0000"),
         Message::JoinWaitRly {
             positive: false,
@@ -309,11 +325,11 @@ fn fig7_positive_reply_sets_noti_level_and_fig8_notifies() {
     );
     drop(g);
     let mut out = Effects::new();
-    x.start_join(id("0000"), &mut out);
+    x.join_via(id("0000"), &mut out);
     out.drain_sends().count();
     // Skip the copy: deliver CpRly with an empty-ish table to reach waiting.
     let mut out = Effects::new();
-    x.handle(
+    x.deliver(
         id("0000"),
         Message::CpRly {
             level: 0,
@@ -325,7 +341,7 @@ fn fig7_positive_reply_sets_noti_level_and_fig8_notifies() {
     assert_eq!(x.status(), Status::Waiting);
 
     let mut out = Effects::new();
-    x.handle(
+    x.deliver(
         id("0000"),
         Message::JoinWaitRly {
             positive: true,
@@ -369,7 +385,7 @@ fn fig9_s_node_sets_flag_when_notifier_stored_someone_else() {
         },
     );
     let mut out = Effects::new();
-    y.handle(
+    y.deliver(
         id("3213"),
         Message::JoinNoti {
             table: xt.snapshot(),
@@ -399,10 +415,10 @@ fn fig10_flag_triggers_spenoti_toward_the_occupant() {
     // reply from 1113 (k = 2 > 0) must trigger SpeNoti(x, 1113) to 2113.
     let mut x = joiner("3213");
     let mut out = Effects::new();
-    x.start_join(id("0000"), &mut out);
+    x.join_via(id("0000"), &mut out);
     out.drain_sends().count();
     let mut out = Effects::new();
-    x.handle(
+    x.deliver(
         id("0000"),
         Message::CpRly {
             level: 0,
@@ -423,7 +439,7 @@ fn fig10_flag_triggers_spenoti_toward_the_occupant() {
         },
     );
     let mut out = Effects::new();
-    x.handle(
+    x.deliver(
         id("0000"),
         Message::JoinWaitRly {
             positive: true,
@@ -440,7 +456,7 @@ fn fig10_flag_triggers_spenoti_toward_the_occupant() {
     let mut yt = NeighborTable::new(space(), id("1113"));
     yt.set_self_entries(NodeState::S);
     let mut out = Effects::new();
-    x.handle(
+    x.deliver(
         id("1113"),
         Message::JoinNotiRly {
             positive: true,
@@ -468,7 +484,7 @@ fn fig10_flag_triggers_spenoti_toward_the_occupant() {
     // 2113's own JoinNotiRly drains Q_r, but Q_sr still holds 1113.
     let mut zt = NeighborTable::new(space(), id("2113"));
     zt.set_self_entries(NodeState::S);
-    x.handle(
+    x.deliver(
         id("2113"),
         Message::JoinNotiRly {
             positive: true,
@@ -483,7 +499,7 @@ fn fig10_flag_triggers_spenoti_toward_the_occupant() {
     // (it appeared in the reply table); answer that too.
     let mut yt2 = NeighborTable::new(space(), id("1113"));
     yt2.set_self_entries(NodeState::S);
-    x.handle(
+    x.deliver(
         id("1113"),
         Message::JoinNotiRly {
             positive: true,
@@ -496,7 +512,7 @@ fn fig10_flag_triggers_spenoti_toward_the_occupant() {
 
     // The SpeNotiRly releases it.
     let mut out = Effects::new();
-    x.handle(
+    x.deliver(
         id("2113"),
         Message::SpeNotiRly {
             subject: id("1113"),
@@ -516,7 +532,7 @@ fn fig11_receiver_stores_subject_or_forwards() {
     // replies to the initiator.
     let mut u = member(&["2113", "0000"], "2113");
     let mut out = Effects::new();
-    u.handle(
+    u.deliver(
         id("0000"), // transport sender is irrelevant
         Message::SpeNoti {
             initiator: id("3213"),
@@ -541,7 +557,7 @@ fn fig11_receiver_stores_subject_or_forwards() {
     let mut u2 = member(&["2113", "0000", "3013"], "2113");
     assert_eq!(u2.table().get(2, 0).unwrap().node, id("3013"));
     let mut out = Effects::new();
-    u2.handle(
+    u2.deliver(
         id("0000"),
         Message::SpeNoti {
             initiator: id("3213"),
@@ -578,9 +594,9 @@ fn fig11_receiver_stores_subject_or_forwards() {
 fn fig14_insysnoti_upgrades_t_to_s() {
     let mut y = member(&["0000"], "0000");
     // Store a T-state neighbor by receiving its JoinWait.
-    y.handle(id("3213"), Message::JoinWait, &mut Effects::new());
+    y.deliver(id("3213"), Message::JoinWait, &mut Effects::new());
     assert_eq!(y.table().get(0, 3).unwrap().state, NodeState::T);
-    y.handle(id("3213"), Message::InSysNoti, &mut Effects::new());
+    y.deliver(id("3213"), Message::InSysNoti, &mut Effects::new());
     assert_eq!(y.table().get(0, 3).unwrap().state, NodeState::S);
 }
 
@@ -590,7 +606,7 @@ fn rvnghnoti_mismatch_gets_corrected() {
     // immediately reply with its actual state S.
     let mut y = member(&["0000"], "0000");
     let mut out = Effects::new();
-    y.handle(
+    y.deliver(
         id("3213"),
         Message::RvNghNoti {
             recorded: NodeState::T,
@@ -605,7 +621,7 @@ fn rvnghnoti_mismatch_gets_corrected() {
     }
     // Consistent recording: silence.
     let mut out = Effects::new();
-    y.handle(
+    y.deliver(
         id("1110"),
         Message::RvNghNoti {
             recorded: NodeState::S,
@@ -636,9 +652,9 @@ fn rvnghnotirly_updates_recorded_state() {
         },
     );
     let mut out = Effects::new();
-    x.start_join(id("0000"), &mut out);
+    x.join_via(id("0000"), &mut out);
     out.drain_sends().count();
-    x.handle(
+    x.deliver(
         id("0000"),
         Message::CpRly {
             level: 0,
@@ -655,7 +671,7 @@ fn rvnghnotirly_updates_recorded_state() {
 
     // 0001's corrective RvNghNotiRly (it is actually an S-node) upgrades
     // the record: csuf(3213, 0001) = 0 targets slot (0, 0001[0]) = (0, 1).
-    x.handle(
+    x.deliver(
         id("0001"),
         Message::RvNghNotiRly {
             actual: NodeState::S,
@@ -694,9 +710,9 @@ fn joiner_storing_0001() -> JoinEngine {
             state: NodeState::S,
         },
     );
-    x.start_join(id("0000"), &mut Effects::new());
+    x.join_via(id("0000"), &mut Effects::new());
     let table = gt.snapshot();
-    x.handle(
+    x.deliver(
         id("0000"),
         Message::CpRly { level: 0, table },
         &mut Effects::new(),
@@ -716,7 +732,7 @@ fn lost_rvnghnoti_is_retransmitted_acknowledged_and_its_timer_cancelled() {
     // The first RvNghNoti to 0001 is lost; only its timer is left.
     assert!(x.live_timers().any(|t| t == rv_ngh("0001")));
     let mut out = Effects::new();
-    x.on_event(Event::TimerFired { id: rv_ngh("0001") }, &mut out);
+    x.step(NodeInput::TimerFired(rv_ngh("0001")), &mut out);
     let fx: Vec<Effect> = out.drain().collect();
     assert!(
         fx.iter()
@@ -741,7 +757,7 @@ fn lost_rvnghnoti_is_retransmitted_acknowledged_and_its_timer_cancelled() {
     // 0001 records the reverse neighbor and acknowledges although the
     // recorded state is right.
     let mut out = Effects::new();
-    y.handle(id("3213"), resent[0].1.clone(), &mut out);
+    y.deliver(id("3213"), resent[0].1.clone(), &mut out);
     assert!(y.table().reverse_neighbors().contains(&id("3213")));
     let (to, ack) = sent(&mut out).pop().expect("an acknowledgement");
     assert_eq!(to, id("3213"));
@@ -753,13 +769,13 @@ fn lost_rvnghnoti_is_retransmitted_acknowledged_and_its_timer_cancelled() {
     ));
     // The acknowledgement cancels the timer; a stale fire sends nothing.
     let mut out = Effects::new();
-    x.handle(id("0001"), ack, &mut out);
+    x.deliver(id("0001"), ack, &mut out);
     assert!(out
         .drain()
         .any(|f| matches!(f, Effect::CancelTimer { id } if id == rv_ngh("0001"))));
     assert!(!x.live_timers().any(|t| t == rv_ngh("0001")));
     let mut out = Effects::new();
-    x.on_event(Event::TimerFired { id: rv_ngh("0001") }, &mut out);
+    x.step(NodeInput::TimerFired(rv_ngh("0001")), &mut out);
     assert!(out.is_empty());
 }
 
@@ -775,13 +791,13 @@ fn duplicate_rvnghnoti_after_a_lost_ack_is_idempotent() {
         recorded: NodeState::S,
     };
     let mut out = Effects::new();
-    y.handle(id("3213"), noti.clone(), &mut out);
+    y.deliver(id("3213"), noti.clone(), &mut out);
     let first = sent(&mut out);
     let reverse = y.table().reverse_neighbors();
     let filled = y.table().filled();
     // The ack is lost, 3213 retransmits.
     let mut out = Effects::new();
-    y.handle(id("3213"), noti, &mut out);
+    y.deliver(id("3213"), noti, &mut out);
     let second = sent(&mut out);
     assert_eq!(y.table().reverse_neighbors(), reverse);
     assert_eq!(y.table().filled(), filled);
@@ -800,7 +816,7 @@ fn lost_insysnoti_is_retransmitted_and_acknowledged_with_a_pong() {
     let mut y = seed_with("0000", retrying());
     let mut x = JoinEngine::new_joiner(space(), retrying(), id("3213"));
     let mut out = Effects::new();
-    x.start_join(id("0000"), &mut out);
+    x.join_via(id("0000"), &mut out);
     let mut queue: Vec<(NodeId, NodeId, Message)> = out
         .drain_sends()
         .map(|(to, m)| (id("3213"), to, m))
@@ -813,7 +829,7 @@ fn lost_insysnoti_is_retransmitted_and_acknowledged_with_a_pong() {
         }
         let node = if to == id("0000") { &mut y } else { &mut x };
         let mut out = Effects::new();
-        node.handle(from, msg, &mut out);
+        node.deliver(from, msg, &mut out);
         queue.extend(out.drain_sends().map(|(t, m)| (to, t, m)));
     }
     assert_eq!(lost, 1);
@@ -823,18 +839,18 @@ fn lost_insysnoti_is_retransmitted_and_acknowledged_with_a_pong() {
     assert_eq!(x.live_timers().collect::<Vec<_>>(), [in_sys]);
 
     let mut out = Effects::new();
-    x.on_event(Event::TimerFired { id: in_sys }, &mut out);
+    x.step(NodeInput::TimerFired(in_sys), &mut out);
     let (to, again) = sent(&mut out).pop().expect("a retransmission");
     assert_eq!(to, id("0000"));
     assert!(matches!(again, Message::InSysNoti));
     let mut out = Effects::new();
-    y.handle(id("3213"), again, &mut out);
+    y.deliver(id("3213"), again, &mut out);
     assert_eq!(y.table().get(0, 3).unwrap().state, NodeState::S);
     let (to, ack) = sent(&mut out).pop().expect("an acknowledgement");
     assert_eq!(to, id("3213"));
     assert!(matches!(ack, Message::Pong));
     let mut out = Effects::new();
-    x.handle(id("0000"), ack, &mut out);
+    x.deliver(id("0000"), ack, &mut out);
     assert!(out
         .drain()
         .any(|f| matches!(f, Effect::CancelTimer { id } if id == in_sys)));
@@ -847,10 +863,10 @@ fn a_ping_counts_as_the_insysnoti_so_every_pong_is_a_sound_ack() {
     // would cancel the prober's InSys timer while the InSysNoti it guards
     // is still lost.
     let mut y = seed_with("0000", retrying());
-    y.handle(id("3213"), Message::JoinWait, &mut Effects::new());
+    y.deliver(id("3213"), Message::JoinWait, &mut Effects::new());
     assert_eq!(y.table().get(0, 3).unwrap().state, NodeState::T);
     let mut out = Effects::new();
-    y.handle(id("3213"), Message::Ping, &mut out);
+    y.deliver(id("3213"), Message::Ping, &mut out);
     assert_eq!(y.table().get(0, 3).unwrap().state, NodeState::S);
     let msgs = sent(&mut out);
     assert_eq!(msgs.len(), 1);
@@ -858,8 +874,8 @@ fn a_ping_counts_as_the_insysnoti_so_every_pong_is_a_sound_ack() {
     // Without a retry policy nothing waits on a Pong: the paper's table
     // stays as it was.
     let mut y = member(&["0000"], "0000");
-    y.handle(id("3213"), Message::JoinWait, &mut Effects::new());
-    y.handle(id("3213"), Message::Ping, &mut Effects::new());
+    y.deliver(id("3213"), Message::JoinWait, &mut Effects::new());
+    y.deliver(id("3213"), Message::Ping, &mut Effects::new());
     assert_eq!(y.table().get(0, 3).unwrap().state, NodeState::T);
 }
 
@@ -869,7 +885,7 @@ fn stale_rvnghnotirly_t_never_downgrades_s() {
     assert_eq!(x.table().get(0, 1).unwrap().state, NodeState::S);
     // A duplicate of an acknowledgement 0001 sent while it was a T-node.
     let mut out = Effects::new();
-    x.handle(
+    x.deliver(
         id("0001"),
         Message::RvNghNotiRly {
             actual: NodeState::T,
@@ -892,7 +908,7 @@ fn fill_rule_installs_the_sender_into_an_empty_slot_only_with_a_detector() {
         ProtocolOptions::new().with_failure_detector(FailureDetector::default()),
     );
     let mut out = Effects::new();
-    y.handle(id("3213"), noti.clone(), &mut out);
+    y.deliver(id("3213"), noti.clone(), &mut out);
     let e = y.table().get(0, 3).expect("the sender was installed");
     assert_eq!(e.node, id("3213"));
     assert_eq!(e.state, NodeState::T);
@@ -906,7 +922,7 @@ fn fill_rule_installs_the_sender_into_an_empty_slot_only_with_a_detector() {
         }
     ));
     // The ordinary round corrects the recorded state.
-    y.handle(
+    y.deliver(
         id("3213"),
         Message::RvNghNotiRly {
             actual: NodeState::S,
@@ -916,7 +932,7 @@ fn fill_rule_installs_the_sender_into_an_empty_slot_only_with_a_detector() {
     assert_eq!(y.table().get(0, 3).unwrap().state, NodeState::S);
     // An occupied slot is left alone.
     let mut out = Effects::new();
-    y.handle(id("1113"), noti.clone(), &mut out);
+    y.deliver(id("1113"), noti.clone(), &mut out);
     assert_eq!(y.table().get(0, 3).unwrap().node, id("3213"));
     assert!(out.is_empty());
     // A T-node does not fill: its join is still constructing the table.
@@ -925,13 +941,13 @@ fn fill_rule_installs_the_sender_into_an_empty_slot_only_with_a_detector() {
         ProtocolOptions::new().with_failure_detector(FailureDetector::default()),
         id("2221"),
     );
-    t.handle(id("3213"), noti.clone(), &mut Effects::new());
+    t.deliver(id("3213"), noti.clone(), &mut Effects::new());
     assert!(t.table().get(0, 3).is_none());
 
     // Detector off: the paper's handler, effect for effect.
     let mut y = member(&["0000"], "0000");
     let mut out = Effects::new();
-    y.handle(id("3213"), noti, &mut out);
+    y.deliver(id("3213"), noti, &mut out);
     assert!(out.is_empty());
     assert!(y.table().get(0, 3).is_none());
     assert!(y.table().reverse_neighbors().contains(&id("3213")));

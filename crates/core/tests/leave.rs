@@ -7,9 +7,9 @@
 mod common;
 
 use common::Hop;
-use hyperring_core::{SimNetworkBuilder, Status};
+use hyperring_core::{NodeInput, SimNetwork, SimNetworkBuilder, Status};
 use hyperring_id::{IdSpace, NodeId};
-use hyperring_sim::UniformDelay;
+use hyperring_sim::{DelayModel, UniformDelay};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,6 +20,18 @@ fn distinct_ids(space: IdSpace, n: usize, seed: u64) -> Vec<NodeId> {
         set.insert(space.random_id(&mut rng));
     }
     set.into_iter().collect()
+}
+
+/// A sequential leave: `id` leaves now and the network runs to
+/// quiescence.
+fn depart<D: DelayModel>(net: &mut SimNetwork<D>, id: NodeId) {
+    net.inject(net.now(), id, NodeInput::BeginLeave);
+    net.run();
+    assert_eq!(
+        net.engine(&id).status(),
+        Status::Departed,
+        "{id} failed to depart"
+    );
 }
 
 fn single_leave(socket: bool) {
@@ -34,7 +46,7 @@ fn single_leave(socket: bool) {
         }
         let mut net = b.build(UniformDelay::new(1_000, 50_000), 5);
         net.run();
-        net.depart(&ids[victim]);
+        depart(&mut net, ids[victim]);
         hop.check();
         assert_eq!(net.engine(&ids[victim]).status(), Status::Departed);
         let c = net.check_consistency();
@@ -73,7 +85,7 @@ fn sequential_leaves(socket: bool) {
         order.swap(i, j);
     }
     for (step, &v) in order.iter().take(ids.len() - 1).enumerate() {
-        net.depart(&ids[v]);
+        depart(&mut net, ids[v]);
         let c = net.check_consistency();
         assert!(c.is_consistent(), "after leave #{step} of {}: {c}", ids[v]);
     }
@@ -110,7 +122,7 @@ fn join_after_leave(socket: bool) {
 
     // Now a member leaves; the network (including the earlier joiner)
     // must stay consistent.
-    net.depart(&members[3]);
+    depart(&mut net, members[3]);
     let c = net.check_consistency();
     assert!(c.is_consistent(), "{c}");
 
@@ -150,7 +162,7 @@ fn leaver_with_no_substitute(socket: bool) {
     b.add_member(a).add_member(b_).add_member(c);
     let mut net = b.build(UniformDelay::new(100, 5_000), 1);
     net.run();
-    net.depart(&b_);
+    depart(&mut net, b_);
     hop.check();
     let report = net.check_consistency();
     assert!(report.is_consistent(), "{report}");
@@ -200,8 +212,8 @@ fn nonadjacent_leaves(socket: bool) {
         }
     }
     assert_eq!(victims.len(), 2, "no non-adjacent pair found");
-    net.depart(&victims[0]);
-    net.depart(&victims[1]);
+    depart(&mut net, victims[0]);
+    depart(&mut net, victims[1]);
     hop.check();
     let c = net.check_consistency();
     assert!(c.is_consistent(), "{c}");

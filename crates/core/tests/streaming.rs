@@ -9,8 +9,8 @@
 use hyperring_core::{
     build_consistent_tables, check_consistency, check_consistency_naive, check_reachability,
     check_reachability_refs, check_reachability_sampled, digest_and_check_streaming, tables_digest,
-    tables_digest_iter, Entry, FailureDetector, IncrementalChecker, NeighborTable, NodeState,
-    ProtocolOptions, SimNetworkBuilder,
+    tables_digest_iter, Entry, FailureDetector, IncrementalChecker, NeighborTable, NodeInput,
+    NodeState, ProtocolOptions, SimNetworkBuilder,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::UniformDelay;
@@ -218,7 +218,7 @@ fn incremental_matches_full_pass_across_crash_repair_wave() {
         let mut net = b.build(UniformDelay::new(500, 5_000), 7);
         let mut rng = StdRng::seed_from_u64(41);
         for id in &ids[..3] {
-            net.crash_at(id, rng.gen_range(0..800_000));
+            net.inject(rng.gen_range(0..800_000), *id, NodeInput::Crash);
         }
 
         let mut checker = IncrementalChecker::new(space).with_full_every(3);

@@ -437,7 +437,7 @@ impl From<At> for Timeline {
 pub struct CompiledTimeline {
     /// The initial consistent network `V`.
     pub members: Vec<NodeId>,
-    /// `(joiner, gateway, at)` — fed to the builder's `add_joiner`.
+    /// `(joiner, gateway, at)` joins.
     pub joins: Vec<(NodeId, NodeId, Time)>,
     /// `(victim, at)` silent crashes, in schedule order.
     pub crashes: Vec<(NodeId, Time)>,
@@ -451,6 +451,20 @@ pub struct CompiledTimeline {
     pub checkpoints: Vec<(Time, String)>,
     /// Virtual end of the run.
     pub horizon: Time,
+}
+
+impl CompiledTimeline {
+    /// The joins, then the crashes, then the leaves, as the
+    /// `(at, node, input)` schedule every runtime takes:
+    /// [`SimNetwork::inject`] on the simulator, [`UdpNetwork::start`] over
+    /// sockets.
+    pub fn inputs(&self) -> Vec<(Time, NodeId, NodeInput)> {
+        let joins = (self.joins.iter())
+            .map(|&(id, gateway, at)| (at, id, NodeInput::StartJoin { gateway }));
+        let crashes = (self.crashes.iter()).map(|&(id, at)| (at, id, NodeInput::Crash));
+        let leaves = (self.leaves.iter()).map(|&(id, at)| (at, id, NodeInput::BeginLeave));
+        joins.chain(crashes).chain(leaves).collect()
+    }
 }
 
 /// Time-to-repair bookkeeping built from the protocol trace: pairs every
@@ -770,46 +784,23 @@ impl Scenario {
             return self.pause_loop(c, run);
         }
         let trace = Trace::new(c);
+        let tables = build_consistent_tables(self.space, &c.members);
         let mut r = match self.runtime {
             Runtime::Sim => {
                 let mut b = SimNetworkBuilder::new(self.space);
-                for id in &c.members {
-                    b.add_member(*id);
-                }
-                for (id, gw, at) in &c.joins {
-                    b.add_joiner(*id, *gw, *at);
-                }
+                b.with_member_tables(tables);
                 b.options(self.opts);
                 b.trace(trace.sink());
                 let (lo, hi) = self.delay_bounds;
                 let mut net = b.build(UniformDelay::new(lo, hi), self.seed);
-                for (id, at) in &c.crashes {
-                    net.crash_at(id, *at);
-                }
-                for (id, at) in &c.leaves {
-                    net.leave_at(id, *at);
+                for (at, id, input) in c.inputs() {
+                    net.inject(at, id, input);
                 }
                 self.pause_loop(c, net)
             }
             Runtime::Udp => {
-                let net = UdpNetwork::new(
-                    self.space,
-                    self.opts,
-                    build_consistent_tables(self.space, &c.members),
-                )
-                .with_trace(trace.sink());
-                let joins = c
-                    .joins
-                    .iter()
-                    .map(|&(id, gateway, at)| (at, id, NodeInput::StartJoin { gateway }));
-                let crashes = c.crashes.iter().map(|&(id, at)| (at, id, NodeInput::Crash));
-                let leaves = c
-                    .leaves
-                    .iter()
-                    .map(|&(id, at)| (at, id, NodeInput::BeginLeave));
-                let schedule: Vec<(Time, NodeId, NodeInput)> =
-                    joins.chain(crashes).chain(leaves).collect();
-                self.pause_loop(c, socket_run(net.start(&schedule)))
+                let net = UdpNetwork::new(self.space, self.opts, tables).with_trace(trace.sink());
+                self.pause_loop(c, socket_run(net.start(&c.inputs())))
             }
         };
         trace.read_into(&mut r);

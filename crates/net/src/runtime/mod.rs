@@ -15,6 +15,7 @@ pub use udp::{UdpConfig, UdpNetwork, UdpRun, UdpRunStats};
 
 use std::fmt;
 
+use hyperring_core::RosterError;
 use hyperring_id::NodeId;
 
 /// Failure of a runtime run. The runtimes report problems instead of
@@ -22,13 +23,11 @@ use hyperring_id::NodeId;
 /// liveness failures after an orderly shutdown.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
-    /// A joiner duplicates an existing node identifier.
-    DuplicateNode(NodeId),
-    /// A joiner's gateway is neither a member nor a joiner.
-    UnknownGateway(NodeId),
-    /// A scheduled input names a node the network doesn't know, or the
-    /// engine addressed a message to one (an engine bug; recorded rather
-    /// than unwinding a worker thread).
+    /// The members or a scheduled input break the
+    /// [`Roster`](hyperring_core::Roster) rule.
+    Roster(RosterError),
+    /// The engine addressed a message to a node the network doesn't know
+    /// (an engine bug; recorded rather than unwinding a worker thread).
     UnknownDestination(NodeId),
     /// The network failed to quiesce within the deadline.
     QuiesceTimeout {
@@ -48,8 +47,7 @@ pub enum NetError {
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetError::DuplicateNode(id) => write!(f, "duplicate node identifier {id}"),
-            NetError::UnknownGateway(id) => write!(f, "unknown gateway {id}"),
+            NetError::Roster(e) => e.fmt(f),
             NetError::UnknownDestination(id) => {
                 write!(f, "message addressed to unknown node {id}")
             }
@@ -64,6 +62,12 @@ impl fmt::Display for NetError {
 }
 
 impl std::error::Error for NetError {}
+
+impl From<RosterError> for NetError {
+    fn from(e: RosterError) -> Self {
+        NetError::Roster(e)
+    }
+}
 
 impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {

@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 
 use hyperring_core::{
     EffectHandler, EngineDriver, FailureDetector, JoinEngine, Message, NeighborTable, NodeInput,
-    ProtocolOptions, RuntimeDriver, Status, TimerId, TraceSink, TraceStream,
+    ProtocolOptions, Roster, RuntimeDriver, Status, TimerId, TraceSink, TraceStream,
 };
 use hyperring_id::{IdBuildHasher, IdSpace, NodeId};
 use std::net::SocketAddr;
@@ -92,8 +92,6 @@ pub struct UdpConfig {
     /// Per-engine outbound queue bound; sends beyond it are dropped and
     /// counted as backpressure.
     pub outbound_capacity: usize,
-    /// Timer-wheel granularity in microseconds.
-    pub tick_us: u64,
 }
 
 impl Default for UdpConfig {
@@ -105,7 +103,6 @@ impl Default for UdpConfig {
             quiesce_timeout: Duration::from_secs(120),
             settle: Duration::from_millis(50),
             outbound_capacity: 1024,
-            tick_us: 100,
         }
     }
 }
@@ -157,6 +154,9 @@ fn is_heartbeat(msg: &Message) -> bool {
 /// How often the supervisor collects the gauges when no failure detector
 /// runs.
 const TICK: Duration = Duration::from_millis(1);
+
+/// Timer-wheel granularity in microseconds.
+const WHEEL_TICK_US: u64 = 100;
 
 /// One loop thread's counters for the supervisor. Only that thread writes
 /// them, and each thread's sit on their own pair of cache lines (the unit
@@ -424,38 +424,24 @@ impl UdpNetwork {
     ///
     /// # Errors
     ///
-    /// Before any socket is bound: [`NetError::DuplicateNode`] when a
-    /// `StartJoin` names a member or a node already named;
-    /// [`NetError::UnknownGateway`] / [`NetError::UnknownDestination`]
-    /// when a gateway / an input's node is not on the roster. Then
-    /// [`NetError::Socket`] for bind failures.
+    /// Before any socket is bound: [`NetError::Roster`] when the members
+    /// or the schedule, read in order, break the
+    /// [`Roster`](hyperring_core::Roster) rule. Then [`NetError::Socket`]
+    /// for bind failures.
     pub fn start(self, schedule: &[(u64, NodeId, NodeInput)]) -> Result<UdpRun, NetError> {
-        // Validate the roster and the schedule before any socket is bound.
-        // The roster is the members, then the joiners in schedule order;
-        // `known` maps each to its roster position.
+        // The roster is the members, then the joiners in schedule order:
+        // `ids` by roster position, `positions` each input's node's.
         let n_members = self.members.len();
-        let joiners = schedule.iter().filter_map(|(_, id, input)| {
-            matches!(input, NodeInput::StartJoin { .. }).then_some(*id)
-        });
-        let member_ids = self.members.iter().map(|t| t.owner());
-        let roster: Vec<NodeId> = member_ids.chain(joiners).collect();
-        let mut known: HashMap<NodeId, usize, IdBuildHasher> = HashMap::default();
-        for (i, &id) in roster.iter().enumerate() {
-            if known.insert(id, i).is_some() {
-                return Err(NetError::DuplicateNode(id));
-            }
-        }
+        let mut ids: Vec<NodeId> = self.members.iter().map(|t| t.owner()).collect();
+        let mut roster = Roster::new(ids.iter().copied())?;
+        let mut positions = Vec::with_capacity(schedule.len());
         for (_, id, input) in schedule {
-            if !known.contains_key(id) {
-                return Err(NetError::UnknownDestination(*id));
-            }
-            if let NodeInput::StartJoin { gateway } = input {
-                if !known.contains_key(gateway) {
-                    return Err(NetError::UnknownGateway(*gateway));
-                }
+            positions.push(roster.admit(*id, input)?);
+            if let NodeInput::StartJoin { .. } = input {
+                ids.push(*id);
             }
         }
-        let n_threads = self.config.loop_threads.clamp(1, roster.len());
+        let n_threads = self.config.loop_threads.clamp(1, ids.len());
         let fd = self.opts.failure_detector();
         // The gauges cannot see a detector's suspicion build up, so a run
         // that crashes a node under one is not ended before the grace has
@@ -483,7 +469,7 @@ impl UdpNetwork {
             addrs.push(ep.local_addr()?);
             endpoints.push(ep);
         }
-        let routes: Routes = roster
+        let routes: Routes = ids
             .iter()
             .enumerate()
             .map(|(i, &id)| (id, addrs[i % n_threads]))
@@ -506,7 +492,7 @@ impl UdpNetwork {
                     routes: Arc::clone(&routes),
                     outbound: Vec::new(),
                     capacity: config.outbound_capacity,
-                    wheel: TimerWheel::new(config.tick_us, 0),
+                    wheel: TimerWheel::new(WHEEL_TICK_US, 0),
                     loss: LossInjector::new(
                         config.loss_seed.wrapping_add(t as u64),
                         config.loss_permille,
@@ -524,7 +510,7 @@ impl UdpNetwork {
             })
             .collect();
         let opts = self.opts;
-        let joiners = roster[n_members..].iter();
+        let joiners = ids[n_members..].iter();
         let engines = self
             .members
             .into_iter()
@@ -540,8 +526,7 @@ impl UdpNetwork {
             state.drivers.push(EngineDriver::new(engine));
             state.io.outbound.push(VecDeque::new());
         }
-        for (at, id, input) in schedule {
-            let i = known[id];
+        for ((at, _, input), &i) in schedule.iter().zip(&positions) {
             let inputs = &mut loops[i % n_threads].inputs;
             inputs.push_back((*at, i / n_threads, input.clone()));
         }
@@ -1091,7 +1076,6 @@ mod tests {
                 outbound_capacity: 4,
                 settle,
                 quiesce_timeout: Duration::from_secs(60),
-                ..UdpConfig::default()
             };
             let mut run = UdpNetwork::new(space, opts, build_consistent_tables(space, v))
                 .with_config(config)

@@ -10,7 +10,7 @@
 use std::sync::{Arc, Mutex};
 
 use hyperring_core::{
-    tables_digest_iter, Carrier, DigestTrace, FailureDetector, Message, MessageKind,
+    tables_digest_iter, Carrier, DigestTrace, FailureDetector, Message, MessageKind, NodeInput,
     ProtocolOptions, RetryPolicy, SharedSink, SimNetwork, SimNetworkBuilder,
 };
 use hyperring_id::{IdSpace, NodeId};
@@ -172,7 +172,7 @@ fn parity_holds_with_a_detector_and_a_crash() {
     let setup = join_wave(space, opts, UniformDelay::new(1_000, 30_000));
     let victim = distinct(space, 64, 42)[5];
     assert_parity(space, &setup, &|net| {
-        net.crash_at(&victim, 400_000);
+        net.inject(400_000, victim, NodeInput::Crash);
         net.run_until(5_000_000);
     });
 }
@@ -215,8 +215,8 @@ fn every_message_kind_crosses_the_socket() {
         b.build(UniformDelay::new(100, 150_000), 10)
     };
     let drive = |net: &mut SimNetwork<UniformDelay>| {
-        net.leave_at(&ids[1], 3_000_000);
-        net.crash_at(&ids[2], 6_000_000);
+        net.inject(3_000_000, ids[1], NodeInput::BeginLeave);
+        net.inject(6_000_000, ids[2], NodeInput::Crash);
         net.run_until(12_000_000);
     };
     let kinds = assert_parity(space, &setup, &drive);

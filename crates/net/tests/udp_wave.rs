@@ -15,7 +15,8 @@
 
 use hyperring_core::{
     build_consistent_tables, check_consistency, FailureDetector, NodeInput, ProtocolOptions,
-    RetryPolicy, RingTrace, SharedSink, SimNetworkBuilder, Status, TraceRecord, TraceSink,
+    RetryPolicy, RingTrace, RosterError, SharedSink, SimNetworkBuilder, Status, TraceRecord,
+    TraceSink,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_net::{NetError, UdpConfig, UdpNetwork};
@@ -198,7 +199,7 @@ fn unknown_gateway_is_an_error() {
     let err = UdpNetwork::new(space, ProtocolOptions::new(), members)
         .run_joins(&[(ids[3], ghost)])
         .unwrap_err();
-    assert_eq!(err, NetError::UnknownGateway(ghost));
+    assert_eq!(err, NetError::Roster(RosterError::UnknownGateway(ghost)));
     assert!(err.to_string().contains("unknown gateway"));
 }
 
@@ -208,13 +209,17 @@ fn duplicate_joiner_is_an_error() {
     let ids = distinct(space, 4, 13);
     let members = build_consistent_tables(space, &ids[..3]);
     let net = || UdpNetwork::new(space, ProtocolOptions::new(), members.clone());
-    // A joiner that is a member, and one that joins twice.
+    // A joiner that is a member, one that joins twice, and one that joins
+    // through itself: each is refused by `start`, before any socket.
     let err = net().run_joins(&[(ids[0], ids[1])]).unwrap_err();
-    assert_eq!(err, NetError::DuplicateNode(ids[0]));
+    assert_eq!(err, NetError::Roster(RosterError::DuplicateNode(ids[0])));
     let err = net()
         .run_joins(&[(ids[3], ids[0]), (ids[3], ids[1])])
         .unwrap_err();
-    assert_eq!(err, NetError::DuplicateNode(ids[3]));
+    assert_eq!(err, NetError::Roster(RosterError::DuplicateNode(ids[3])));
+    let self_join = [(0, ids[3], NodeInput::StartJoin { gateway: ids[3] })];
+    let err = net().start(&self_join).err().unwrap();
+    assert_eq!(err, NetError::Roster(RosterError::SelfGateway(ids[3])));
 }
 
 #[test]
@@ -226,7 +231,7 @@ fn unknown_kill_target_is_an_error() {
     let err = UdpNetwork::new(space, ProtocolOptions::new(), members)
         .run_schedule(&[(0, ghost, NodeInput::Crash)])
         .unwrap_err();
-    assert_eq!(err, NetError::UnknownDestination(ghost));
+    assert_eq!(err, NetError::Roster(RosterError::UnknownNode(ghost)));
 }
 
 #[test]

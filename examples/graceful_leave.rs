@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example graceful_leave`
 
-use hyperring::core::{SimNetworkBuilder, Status};
+use hyperring::core::{NodeInput, SimNetworkBuilder, Status};
 use hyperring::harness::distinct_ids;
 use hyperring::id::IdSpace;
 use hyperring::sim::UniformDelay;
@@ -33,7 +33,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Three members depart gracefully, one after the other.
     for victim in [&ids[3], &ids[17], &ids[42]] {
         let before = net.engine(victim).table().reverse_neighbors().len();
-        net.depart(victim);
+        net.inject(net.now(), *victim, NodeInput::BeginLeave);
+        net.run();
         assert_eq!(net.engine(victim).status(), Status::Departed);
         let c = net.check_consistency();
         assert!(c.is_consistent());

@@ -13,7 +13,8 @@ use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 use hyperring::core::{
-    check_consistency, Effects, JoinEngine, Message, NeighborTable, ProtocolOptions, Status,
+    check_consistency, Effects, JoinEngine, Message, NeighborTable, NodeInput, ProtocolOptions,
+    Status,
 };
 use hyperring::id::{IdSpace, NodeId};
 use hyperring::net::transport::encode_plain;
@@ -72,14 +73,14 @@ struct Explorer {
 
 impl Explorer {
     fn deliver(&mut self, mut state: State, idx: usize) -> State {
-        let f = state.pending.swap_remove(idx);
+        let Flight { from, to, msg } = state.pending.swap_remove(idx);
         let pos = state
             .engines
             .iter()
-            .position(|e| e.id() == f.to)
+            .position(|e| e.id() == to)
             .expect("known receiver");
         let mut out = Effects::new();
-        state.engines[pos].handle(f.from, f.msg, &mut out);
+        state.engines[pos].step(NodeInput::Deliver { from, msg }, &mut out);
         let from = state.engines[pos].id();
         for (to, msg) in out.drain_sends() {
             state.pending.push(Flight { from, to, msg });
@@ -153,7 +154,8 @@ fn check_scenario(
         let id = space.parse_id(s).unwrap();
         let mut e = JoinEngine::new_joiner(space, ProtocolOptions::new(), id);
         let mut out = Effects::new();
-        e.start_join(member_ids[*gw], &mut out);
+        let gateway = member_ids[*gw];
+        e.step(NodeInput::StartJoin { gateway }, &mut out);
         for (to, msg) in out.drain_sends() {
             pending.push(Flight { from: id, to, msg });
         }

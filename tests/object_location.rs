@@ -2,7 +2,7 @@
 //! consistency guarantee (Theorem 1) is exactly what makes every node
 //! resolve the same root for every object (deterministic location, P1).
 
-use hyperring::core::SimNetworkBuilder;
+use hyperring::core::{NodeInput, SimNetworkBuilder};
 use hyperring::harness::distinct_ids;
 use hyperring::id::IdSpace;
 use hyperring::object::{roots_from_everywhere, ObjectStore};
@@ -102,7 +102,8 @@ fn lookups_survive_graceful_leaves() {
     // borrow while the network mutates, then rebind.
     let unbound = store.unbind();
     for v in [ids[6], ids[10], ids[20]] {
-        net.depart(&v);
+        net.inject(net.now(), v, NodeInput::BeginLeave);
+        net.run();
     }
     assert!(net.check_consistency().is_consistent());
     let (store, _moved) = unbound.bind(net.tables_iter());
