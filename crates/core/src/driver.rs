@@ -119,7 +119,7 @@ impl Roster {
     }
 
     /// The position of `id`, if it is on the roster.
-    pub(crate) fn position(&self, id: &NodeId) -> Option<usize> {
+    pub fn position(&self, id: &NodeId) -> Option<usize> {
         self.index.get(id).copied()
     }
 

@@ -273,12 +273,18 @@ impl SimNetworkBuilder {
     }
 
     /// Uses pre-built member tables instead of the oracle (e.g. tables that
-    /// came out of a previous run).
+    /// came out of a previous run). The first [`build`](Self::build) moves
+    /// them into its network, so such a builder builds once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tables` is empty, or the builder has members.
     pub fn with_member_tables(&mut self, tables: Vec<NeighborTable>) -> &mut Self {
         assert!(
             self.members.is_empty(),
             "cannot mix preset tables with add_member"
         );
+        assert!(!tables.is_empty(), "network needs at least one member");
         self.member_tables = Some(tables);
         self
     }
@@ -291,22 +297,29 @@ impl SimNetworkBuilder {
         self
     }
 
-    /// Builds the network.
+    /// Builds the network. A builder of [`add_member`](Self::add_member)s
+    /// builds any number of times; one given
+    /// [`with_member_tables`](Self::with_member_tables) builds once.
     ///
     /// # Panics
     ///
-    /// Panics if there are no members, or if a member or joiner breaks
-    /// the [`Roster`] rule (a duplicate identifier, or a gateway that is
-    /// neither a member nor an earlier joiner, or the joiner itself).
+    /// Panics if there are no members, on a second build from preset
+    /// tables, or if a member or joiner breaks the [`Roster`] rule (a
+    /// duplicate identifier, or a gateway that is neither a member nor an
+    /// earlier joiner, or the joiner itself).
     pub fn build<D: DelayModel>(&mut self, delay: D, seed: u64) -> SimNetwork<D> {
-        let member_tables = match self.member_tables.take() {
-            Some(t) => t,
+        let member_tables = match &mut self.member_tables {
+            // Moved, not cloned: a preset of thousands of tables is not
+            // held twice.
+            Some(tables) => {
+                assert!(
+                    !tables.is_empty(),
+                    "preset member tables are used up by the first build"
+                );
+                std::mem::take(tables)
+            }
             None => build_consistent_tables(self.space, &self.members),
         };
-        assert!(
-            !member_tables.is_empty(),
-            "network needs at least one member"
-        );
         let mut opts = self.opts;
         if self.trace.is_some() {
             opts = opts.with_trace();
@@ -967,6 +980,16 @@ mod tests {
         paper_members(&mut b);
         let ghost = space().parse_id("77777").unwrap();
         b.add_joiner(space().parse_id("10261").unwrap(), ghost, 0);
+        b.build(ConstantDelay(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "preset member tables are used up by the first build")]
+    fn a_builder_of_preset_tables_builds_once() {
+        let ids = ["72430", "10353"].map(|s| space().parse_id(s).unwrap());
+        let mut b = SimNetworkBuilder::new(space());
+        b.with_member_tables(build_consistent_tables(space(), &ids));
+        b.build(ConstantDelay(1), 0);
         b.build(ConstantDelay(1), 0);
     }
 }

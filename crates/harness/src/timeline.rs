@@ -75,8 +75,9 @@
 //! of timed inputs and runs it over real loopback sockets
 //! ([`UdpNetwork::start`]): each lands at its timeline time on the run
 //! clock, a pause stops the clock ([`UdpRun::run_until`]), and the run
-//! ends at quiescence after the last input (after a detector grace when
-//! it crashes a node), whatever the horizon. Its checkpoints, storms,
+//! ends at the horizon, as on the simulator, or earlier at quiescence; a
+//! run with a failure detector never quiesces, so it runs to the horizon.
+//! Its checkpoints, storms,
 //! crash-to-repair times and recovery spans are read on the run clock;
 //! its trace digest is not reproducible. The optimistic baseline
 //! ([`Scenario::optimistic`]) runs joins only, on the simulator, to
@@ -904,8 +905,9 @@ pub(crate) trait Run {
     /// Runs every event due at or before `at`, none after, and pauses;
     /// returns the messages delivered so far.
     fn pause_at(&mut self, at: Time) -> u64;
-    /// Runs to the runtime's own end (the horizon on the simulator,
-    /// quiescence elsewhere) and reports the whole run.
+    /// Runs to the horizon, or to quiescence if that comes first (the
+    /// optimistic baseline, with no timers, always runs to quiescence),
+    /// and reports the whole run.
     fn run_to_end(&mut self, horizon: Time) -> RunReport;
     /// The tables of the nodes whose status `keep` accepts, in node order.
     fn tables(&self, keep: fn(Status) -> bool) -> Vec<&NeighborTable>;
@@ -960,12 +962,13 @@ impl Run for UdpRun {
         socket_run(self.run_until(at)).datagrams_received
     }
 
-    fn run_to_end(&mut self, _horizon: Time) -> RunReport {
-        let stats = socket_run(self.finish());
+    /// The run clock stops a little past the horizon; the report ends at it.
+    fn run_to_end(&mut self, horizon: Time) -> RunReport {
+        let stats = socket_run(self.run_until(horizon));
         RunReport {
             delivered: stats.datagrams_received,
             timers_fired: stats.timers_fired,
-            finished_at: stats.wall.as_micros() as u64,
+            finished_at: (stats.wall.as_micros() as u64).min(horizon),
             ..RunReport::default()
         }
     }
@@ -1472,46 +1475,75 @@ mod tests {
         assert!(udp.delivered > 0 && udp.traced > 0);
     }
 
+    /// 14 members over UDP, probing every 50 ms.
+    fn udp_probing_every_50_ms() -> Scenario {
+        let fd = FailureDetector {
+            probe_interval_us: 50_000,
+            ..fd()
+        };
+        (Scenario::new(space()).members(14).seed(5))
+            .options(ProtocolOptions::new().with_failure_detector(fd))
+            .runtime(Runtime::Udp)
+    }
+
     #[test]
     fn a_crash_wave_repairs_survivors_over_sockets() {
         // The wave lands at t = 0 on the run clock, and the socket runtime
-        // runs on for a grace of 750 ms, scaled from the probe interval,
-        // before it looks for quiescence; the checkpoint pauses it midway.
-        let r = Scenario::new(space())
-            .members(14)
-            .seed(5)
-            .options(
-                ProtocolOptions::new().with_failure_detector(FailureDetector {
-                    probe_interval_us: 50_000,
-                    ..fd()
-                }),
-            )
-            .runtime(Runtime::Udp)
-            .run(
-                Timeline::new()
-                    .at(0)
-                    .crash_count(3)
-                    .at(500_000)
-                    .checkpoint("midway")
-                    .done(),
-            );
+        // runs to the horizon, the checkpoint at 500 ms, as the simulator
+        // does: the failure detector keeps it from quiescing.
+        let r = udp_probing_every_50_ms().run(
+            Timeline::new()
+                .at(0)
+                .crash_count(3)
+                .at(500_000)
+                .checkpoint("midway")
+                .done(),
+        );
         assert_eq!(r.crashed, 3);
         assert_eq!(r.survivors, 11);
         assert_eq!(r.dead_refs, 0);
         assert!(r.consistent, "{}", r.final_report);
-        assert!(r.finished_at >= 750_000, "the run outlasts the grace");
-        // The checkpoint sees the 11 survivors at 500 ms, before the run
-        // ends; the crash at 0 opened a disruption, which a consistent
-        // checkpoint closes after 500 ms.
+        assert_eq!(r.finished_at, 500_000, "the run ends at its horizon");
+        // The checkpoint sees the 11 survivors at 500 ms, where the run
+        // ends with nothing delivered after it; the crash at 0 opened a
+        // disruption, which a consistent checkpoint closes after 500 ms.
         let ck = &r.checkpoints[0];
         assert_eq!((ck.at, ck.live, ck.joining), (500_000, 11, 0));
-        assert!(0 < ck.delivered && ck.delivered < r.delivered);
+        assert!(0 < ck.delivered && ck.delivered == r.delivered);
         let spans = if ck.consistent { vec![500_000] } else { vec![] };
         assert_eq!(r.recovery_us, spans);
         // The crashes land at their timeline instant, so crash-to-repair
         // is measured from it.
         assert!(!r.ttr_from_crash_us.is_empty());
         assert!(r.ttr_from_crash_us.iter().all(|&t| t > 0));
+    }
+
+    #[test]
+    fn a_udp_checkpoint_reads_the_run_at_its_own_instant() {
+        // A crash under a detector probing every 50 ms: the probes go on
+        // until the horizon, so a checkpoint long after the repair has
+        // settled still sees the run move since the one before.
+        let r = udp_probing_every_50_ms().run(
+            Timeline::new()
+                .at(0)
+                .crash_count(3)
+                .at(1_000_000)
+                .checkpoint("settled")
+                .at(1_500_000)
+                .checkpoint("later")
+                .done(),
+        );
+        let [first, second] = &r.checkpoints[..] else {
+            panic!("two checkpoints: {:?}", r.checkpoints);
+        };
+        assert!(
+            second.delivered > first.delivered,
+            "{} then {}",
+            first.delivered,
+            second.delivered
+        );
+        assert_eq!(r.finished_at, 1_500_000);
+        assert!(r.consistent, "{}", r.final_report);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! `hyperring-wire` frames (see the [`transport`] module for the datagram
 //! layout), over two paths:
 //!
-//! | path | transport | threads | clock | pauses | delivery |
-//! |---|---|---|---|---|---|
-//! | [`UdpNetwork`] | loopback UDP | few event loops | wall, stopped at pauses | [`UdpRun::run_until`] | lossy (injected + backpressure) |
-//! | [`LoopbackCarrier`] | loopback UDP | the simulator's | virtual | the simulator's `run_until` | reliable, the simulator's schedule |
+//! | path | transport | threads | clock | pauses | ends | delivery |
+//! |---|---|---|---|---|---|---|
+//! | [`UdpNetwork`] | loopback UDP | few event loops | wall, stopped at pauses | [`UdpRun::run_until`] | at the instant run to, or earlier at quiescence | lossy (injected + backpressure) |
+//! | [`LoopbackCarrier`] | loopback UDP | the simulator's | virtual | the simulator's `run_until` | the simulator's | reliable, the simulator's schedule |
 //!
 //! [`UdpNetwork`] drives every engine through the same
 //! [`EngineDriver`](hyperring_core::EngineDriver) glue as the simulator,

@@ -29,7 +29,11 @@ pub enum NetError {
     /// The engine addressed a message to a node the network doesn't know
     /// (an engine bug; recorded rather than unwinding a worker thread).
     UnknownDestination(NodeId),
-    /// The network failed to quiesce within the deadline.
+    /// The network failed to quiesce within the deadline
+    /// ([`UdpConfig::quiesce_timeout`](crate::UdpConfig::quiesce_timeout)
+    /// after its last scheduled input). A run with a failure detector
+    /// never quiesces, so [`UdpRun::finish`](crate::UdpRun::finish) ends
+    /// every such run with this; run it to an instant instead.
     QuiesceTimeout {
         /// The datagrams queued but not yet written to a socket when the
         /// deadline passed (those the kernel still buffers are invisible

@@ -21,43 +21,33 @@
 //! the socket refused, and of datagrams it read and handled, beside the
 //! depth of its outbound queues, the number of timers armed on its wheel,
 //! of its scheduled inputs not yet driven and of its joiners neither
-//! `in_system` nor crashed. A supervisor
-//! collects them every millisecond. The run ends at the first pair of
-//! consecutive collects that are identical, count every written datagram
-//! as handled, show no queued datagram, no armed timer and no input left,
-//! and find every joiner `in_system` or crashed. Those two collects fix
-//! one instant at which nothing was in flight, unhandled or queued, so
-//! nothing could ever happen again (Mattern's counting method; the
-//! argument is written out at [`exactly_quiescent`]). A lossless wave
-//! therefore ends about a millisecond after its last datagram is handled.
+//! `in_system` nor crashed. A supervisor collects them every millisecond,
+//! and one rule ([`quiescent`]) ends the run: nothing is pending (no
+//! input, no queued datagram, no armed timer, no joiner) and two collects
+//! are identical. When every written datagram has been handled, those are
+//! two consecutive collects, which fix one instant at which nothing was
+//! in flight, unhandled or queued, so nothing could ever happen again
+//! (Mattern's counting method); a lossless wave therefore ends about a
+//! millisecond after its last datagram is handled. When the counts do
+//! not meet, the kernel lost the missing datagrams, no collect can prove
+//! that instant, and the two collects are a settle window apart: such a
+//! run ends on a whole number of windows.
 //!
-//! Two kinds of run never satisfy that rule, and fall back to a timed
-//! silence in the same supervisor loop ([`window_quiescent`]): runs with
-//! a failure detector, whose probe tick re-arms and whose `Ping`/`Pong`
-//! never stop, and runs in which the kernel dropped a datagram, so the
-//! sent and handled counts never meet. Once per settle window the
-//! supervisor looks at a progress count that leaves out failure-detector
-//! heartbeat (probe ticks, `Ping`, `Pong`); the run ends at the first look
-//! at which it has not moved since the look before, every joiner is
-//! `in_system` or crashed, every input is driven, all outbound queues are
-//! flushed and, without a detector, no timer is armed. Such a run lasts a
-//! whole number of settle windows, one to two of them after its last
-//! activity. Both rules want every scheduled input driven; when the
-//! schedule crashes a node under a detector, neither ends the run before
-//! [`detector_grace`] after the last crash either: detection is silence,
-//! which no count shows.
+//! A run with a failure detector never quiesces, since its probe timer
+//! is always armed. Like a simulated one, it ends at the instant it is
+//! run to ([`UdpRun::run_until`]), its horizon.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use hyperring_core::{
-    EffectHandler, EngineDriver, FailureDetector, JoinEngine, Message, NeighborTable, NodeInput,
-    ProtocolOptions, Roster, RuntimeDriver, Status, TimerId, TraceSink, TraceStream,
+    EffectHandler, EngineDriver, JoinEngine, Message, NeighborTable, NodeInput, ProtocolOptions,
+    Roster, RuntimeDriver, Status, TimerId, TraceSink, TraceStream,
 };
-use hyperring_id::{IdBuildHasher, IdSpace, NodeId};
+use hyperring_id::{IdSpace, NodeId};
 use std::net::SocketAddr;
 
 use crate::runtime::NetError;
@@ -80,14 +70,12 @@ pub struct UdpConfig {
     /// Hard deadline: how long after its last scheduled input a run may
     /// go on, on the run clock, before it is declared stuck.
     pub quiesce_timeout: Duration,
-    /// The fallback window: how long the network must stay silent before
-    /// a run that the exact rule cannot end is declared quiescent, and how
-    /// often the supervisor looks for that silence. Only runs with a
-    /// failure detector, or in which the kernel dropped a datagram, end on
-    /// it (on a multiple of this); every other run ends at exact
-    /// quiescence, whatever this is. Must comfortably exceed the retry
-    /// timeout when loss is injected, or the window rule can declare
-    /// victory between a drop and its retransmission.
+    /// How far apart the two identical collects of a run in which the
+    /// kernel dropped a datagram must be: such a run ends on a multiple of
+    /// this, every other run ends at exact quiescence (or, with a failure
+    /// detector, where it is run to), whatever this is. Must comfortably
+    /// exceed the retry timeout when loss is injected, or a window can
+    /// close between a drop and its retransmission.
     pub settle: Duration,
     /// Per-engine outbound queue bound; sends beyond it are dropped and
     /// counted as backpressure.
@@ -126,10 +114,11 @@ pub struct UdpRunStats {
     /// Timer deadlines fired.
     pub timers_fired: u64,
     /// Wall-clock duration of the run, thread start-up and teardown
-    /// included and pauses left out. Without a failure detector and
-    /// without kernel drops it ends within a millisecond or two of the
-    /// last datagram handled; otherwise on a whole number of
-    /// [`UdpConfig::settle`] windows.
+    /// included and pauses left out: the run clock. A run ends within a
+    /// millisecond or two of its last datagram handled; after kernel
+    /// drops, on a whole number of [`UdpConfig::settle`] windows; with a
+    /// failure detector, never by itself, so this is a little past the
+    /// instant it was last run to.
     pub wall: Duration,
 }
 
@@ -145,14 +134,7 @@ impl UdpRunStats {
     }
 }
 
-/// A detector's `Ping`/`Pong` exchange never stops, so it must not count
-/// as progress; the repair traffic it triggers still does.
-fn is_heartbeat(msg: &Message) -> bool {
-    matches!(msg, Message::Ping | Message::Pong)
-}
-
-/// How often the supervisor collects the gauges when no failure detector
-/// runs.
+/// How often the supervisor collects the gauges.
 const TICK: Duration = Duration::from_millis(1);
 
 /// Timer-wheel granularity in microseconds.
@@ -176,10 +158,6 @@ struct Gauges {
     /// dropped by the injector, malformed or misrouted). Stored after the
     /// gauges below.
     handled: AtomicU64,
-    /// Monotone: deliveries, timer fires and sends that are not
-    /// failure-detector heartbeat (see [`is_heartbeat`]), the window
-    /// rule's measure of progress.
-    activity: AtomicU64,
     /// Scheduled inputs not yet driven; it only falls. Stored before the
     /// thread starts, so it never reads 0 while an input waits.
     inputs: AtomicU64,
@@ -198,7 +176,6 @@ struct Collect {
     sent: u64,
     refused: u64,
     handled: u64,
-    activity: u64,
     inputs: u64,
     armed: u64,
     pending_out: u64,
@@ -214,7 +191,6 @@ impl Collect {
             c.sent += g.sent.load(Ordering::SeqCst);
             c.refused += g.refused.load(Ordering::SeqCst);
             c.handled += g.handled.load(Ordering::SeqCst);
-            c.activity += g.activity.load(Ordering::SeqCst);
             c.inputs += g.inputs.load(Ordering::SeqCst);
             c.armed += g.armed.load(Ordering::SeqCst);
             c.pending_out += g.pending_out.load(Ordering::SeqCst);
@@ -224,15 +200,20 @@ impl Collect {
     }
 }
 
-/// The exact rule: whether two consecutive collects, `before` then `now`,
-/// prove the run quiescent. Never under a failure detector, whose
-/// heartbeat does not stop.
+/// The one quiescence rule: whether the collect `now` ends the run.
+/// `tick` is the collect a `TICK` before it; `look` is the previous
+/// look's, given only when `now` is itself a look (once per settle
+/// window). Nothing may be pending: no input, no queued datagram, no
+/// armed timer, no joiner. And `now` must be identical to the collect it
+/// is compared with: `tick` when every written datagram has been handled,
+/// `look` otherwise.
 ///
-/// Why it is sound. The loop threads keep two ordering rules: a flush
-/// raises `sent` by its whole batch before its first `try_send` (and
-/// counts what the socket refused after), and a pass stores `handled`
-/// after the `inputs`, `armed` and `pending_out` its handling produced.
-/// The supervisor reads each thread's `handled` before those three.
+/// Why the first case is sound. The loop threads keep two ordering
+/// rules: a flush raises `sent` by its whole batch before its first
+/// `try_send` (and counts what the socket refused after), and a pass
+/// stores `handled` after the `inputs`, `armed` and `pending_out` its
+/// handling produced. The supervisor reads each thread's `handled` before
+/// those three.
 ///
 /// 1. A monotone counter that reads the same in both collects held that
 ///    value from its first read to its second. All of them therefore held
@@ -250,35 +231,31 @@ impl Collect {
 /// 3. The `inputs`, `armed` and `pending_out` of the first collect were
 ///    stored by a pass no older than the `handled` it read (before a
 ///    thread's first pass they hold its starting state: its whole
-///    schedule, an empty wheel, empty queues), and that
-///    thread read nothing after that pass up to the gap (by 2). At 0, its
-///    schedule, wheel and queues were empty at that store and nothing has
-///    refilled them: a thread acts only on a datagram, a scheduled input,
-///    a due timer or a queued send, and its schedule only shrinks.
+///    schedule, an empty wheel, empty queues; at a resume, the state it
+///    paused in), and that thread read nothing after that pass up to the
+///    gap (by 2). At 0, its schedule, wheel and queues were empty at that
+///    store and nothing has refilled them: a thread acts only on a
+///    datagram, a scheduled input, a due timer or a queued send, and its
+///    schedule only shrinks.
 ///
 /// So from the gap on, no thread has anything to do and nothing will
 /// arrive: the run is over, and with `joining` at 0 every join is done.
-fn exactly_quiescent(before: &Collect, now: &Collect, detector: bool) -> bool {
-    !detector
-        && before == now
-        && now.sent == now.handled + now.refused
+///
+/// When the counts do not meet, the missing datagrams were lost in the
+/// kernel (a loopback socket buffer overflowed) and 2 fails for good: no
+/// pair of collects proves the cut. A settle window in which no counter
+/// moved stands in for the proof ([`UdpConfig::settle`]). A failure
+/// detector's probe timer is always armed, so no run with one is ever
+/// quiescent.
+fn quiescent(tick: &Collect, look: Option<&Collect>, now: &Collect) -> bool {
+    let before = (now.sent == now.handled + now.refused)
+        .then_some(tick)
+        .or(look);
+    before == Some(now)
         && now.inputs == 0
         && now.pending_out == 0
         && now.armed == 0
         && now.joining == 0
-}
-
-/// The window rule, the fallback for runs the exact rule cannot end:
-/// whether the look `now`, one settle window after the look that read
-/// `activity_before`, finds the run quiescent. Every scheduled input must
-/// have been driven. Without a detector the wheel must be empty too; under
-/// one the probe tick re-arms forever, so the armed count is not consulted.
-fn window_quiescent(now: &Collect, activity_before: u64, detector: bool) -> bool {
-    now.joining == 0
-        && now.inputs == 0
-        && now.pending_out == 0
-        && now.activity == activity_before
-        && (detector || now.armed == 0)
 }
 
 /// [`EffectHandler`] adapter for the engine in `slot` of a loop thread:
@@ -294,13 +271,11 @@ struct LoopHandler<'a> {
 impl EffectHandler for LoopHandler<'_> {
     fn send(&mut self, to: NodeId, msg: Message) {
         let io = &mut *self.io;
-        let Some(&addr) = io.routes.get(&to) else {
+        let Some(pos) = io.roster.position(&to) else {
             io.error.get_or_insert(NetError::UnknownDestination(to));
             return;
         };
-        if !is_heartbeat(&msg) {
-            io.activity += 1;
-        }
+        let addr = io.addrs[pos % io.addrs.len()];
         let outbound = &mut io.outbound[self.slot];
         if outbound.len() >= io.capacity {
             // Backpressure: drop rather than block the loop or grow
@@ -429,39 +404,25 @@ impl UdpNetwork {
     /// [`Roster`](hyperring_core::Roster) rule. Then [`NetError::Socket`]
     /// for bind failures.
     pub fn start(self, schedule: &[(u64, NodeId, NodeInput)]) -> Result<UdpRun, NetError> {
-        // The roster is the members, then the joiners in schedule order:
-        // `ids` by roster position, `positions` each input's node's.
-        let n_members = self.members.len();
-        let mut ids: Vec<NodeId> = self.members.iter().map(|t| t.owner()).collect();
-        let mut roster = Roster::new(ids.iter().copied())?;
-        let mut positions = Vec::with_capacity(schedule.len());
+        // The roster is the members, then the joiners in schedule order;
+        // `positions` holds each input's node's.
+        let mut roster = Roster::new(self.members.iter().map(|t| t.owner()))?;
+        let (mut joiners, mut positions) = (Vec::new(), Vec::with_capacity(schedule.len()));
         for (_, id, input) in schedule {
             positions.push(roster.admit(*id, input)?);
             if let NodeInput::StartJoin { .. } = input {
-                ids.push(*id);
+                joiners.push(*id);
             }
         }
-        let n_threads = self.config.loop_threads.clamp(1, ids.len());
-        let fd = self.opts.failure_detector();
-        // The gauges cannot see a detector's suspicion build up, so a run
-        // that crashes a node under one is not ended before the grace has
-        // passed after the last crash.
-        let last_crash = schedule
-            .iter()
-            .filter(|(.., input)| matches!(input, NodeInput::Crash))
-            .map(|&(at, ..)| at)
-            .max();
-        let quiet_from_us = match (fd, last_crash) {
-            (Some(fd), Some(at)) => at.saturating_add(detector_grace(fd).as_micros() as u64),
-            _ => 0,
-        };
+        let n_nodes = self.members.len() + joiners.len();
+        let n_threads = self.config.loop_threads.clamp(1, n_nodes);
         let last_input = schedule.iter().map(|&(at, ..)| at).max().unwrap_or(0);
         let deadline_us = last_input.saturating_add(self.config.quiesce_timeout.as_micros() as u64);
 
-        // Bind one endpoint per loop thread, then build the global route
-        // table: node -> owning thread's socket address. Nodes are dealt
-        // round-robin (roster position i goes to thread i mod n_threads,
-        // slot i / n_threads) so member and joiner load spreads evenly.
+        // Bind one endpoint per loop thread. Nodes are dealt round-robin
+        // (roster position i goes to thread i mod n_threads, slot
+        // i / n_threads) so member and joiner load spreads evenly; the
+        // roster is the one route table.
         let mut endpoints = Vec::with_capacity(n_threads);
         let mut addrs = Vec::with_capacity(n_threads);
         for _ in 0..n_threads {
@@ -469,12 +430,7 @@ impl UdpNetwork {
             addrs.push(ep.local_addr()?);
             endpoints.push(ep);
         }
-        let routes: Routes = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, addrs[i % n_threads]))
-            .collect();
-        let routes = Arc::new(routes);
+        let (roster, addrs) = (Arc::new(roster), Arc::new(addrs));
         // Set by the supervisor (or by a thread hitting a fatal socket
         // error); loop threads drain and exit.
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -489,7 +445,9 @@ impl UdpNetwork {
                 joining: 0,
                 io: LoopIo {
                     space,
-                    routes: Arc::clone(&routes),
+                    roster: Arc::clone(&roster),
+                    addrs: Arc::clone(&addrs),
+                    thread: t,
                     outbound: Vec::new(),
                     capacity: config.outbound_capacity,
                     wheel: TimerWheel::new(WHEEL_TICK_US, 0),
@@ -500,7 +458,6 @@ impl UdpNetwork {
                     stats: UdpRunStats::default(),
                     error: None,
                     queued: 0,
-                    activity: 0,
                 },
                 endpoint,
                 sent: 0,
@@ -510,12 +467,10 @@ impl UdpNetwork {
             })
             .collect();
         let opts = self.opts;
-        let joiners = ids[n_members..].iter();
-        let engines = self
-            .members
-            .into_iter()
+        let joiners = (joiners.into_iter()).map(|id| JoinEngine::new_joiner(space, opts, id));
+        let engines = (self.members.into_iter())
             .map(|t| JoinEngine::new_member(space, opts, t))
-            .chain(joiners.map(|&id| JoinEngine::new_joiner(space, opts, id)));
+            .chain(joiners);
         for (i, engine) in engines.enumerate() {
             let state = &mut loops[i % n_threads];
             state.joining += u64::from(engine.status().is_joining());
@@ -540,8 +495,6 @@ impl UdpNetwork {
             gauges,
             shutdown,
             window: self.config.settle.max(TICK),
-            detector: fd.is_some(),
-            quiet_from_us,
             deadline_us,
             trace: self.trace,
             wall: Duration::ZERO,
@@ -550,19 +503,12 @@ impl UdpNetwork {
     }
 }
 
-/// How long a run that crashes nodes under `fd` goes on after its last
-/// scheduled input before quiescence is looked for: detection needs
-/// `suspicion_threshold` silent probe ticks and repair a few more, and
-/// wall-clock scheduling is best-effort, so the grace is generous.
-fn detector_grace(fd: FailureDetector) -> Duration {
-    Duration::from_micros(fd.probe_interval_us * (u64::from(fd.suspicion_threshold) + 12))
-}
-
 /// A started [`UdpNetwork`] run, which [`run_until`](Self::run_until)
-/// pauses at run-clock instants and [`finish`](Self::finish) runs to its
-/// end: quiescence, but, when the schedule crashes a node under a failure
-/// detector, not before `probe_interval × (suspicion_threshold + 12)`
-/// after the last crash. The run clock counts µs of running
+/// runs to a run-clock instant and pauses there, unless it quiesces
+/// first, and [`finish`](Self::finish) runs to quiescence. A run with a
+/// failure detector never quiesces (its probe timer is always armed): it
+/// ends where it is run to, as a simulated one ends at its horizon. The
+/// run clock counts µs of running
 /// ([`UdpRunStats::wall`]): a resumed run goes on from where its last loop
 /// thread stopped, so no timer wheel sees time go backwards. A pause
 /// flushes and drops nothing: the loop threads hand back their engines,
@@ -575,10 +521,8 @@ pub struct UdpRun {
     shutdown: Arc<AtomicBool>,
     /// [`UdpConfig::settle`], at least a `TICK`.
     window: Duration,
-    detector: bool,
-    /// Run-clock µs before which no quiescence ends the run, and at which
-    /// a run still going is [`NetError::QuiesceTimeout`].
-    quiet_from_us: u64,
+    /// Run-clock µs at which a run still going is
+    /// [`NetError::QuiesceTimeout`].
     deadline_us: u64,
     trace: Option<Arc<Mutex<TraceStream>>>,
     /// Wall-clock time spent running: the run clock.
@@ -588,7 +532,7 @@ pub struct UdpRun {
 }
 
 impl UdpRun {
-    /// Runs until the run clock reaches `t` µs, or until the run ends
+    /// Runs until the run clock reaches `t` µs, or until the run quiesces
     /// first, and pauses. Every scheduled input due at or before `t` is
     /// driven, none after it. Returns what the run did so far, summed over
     /// all loop threads.
@@ -652,31 +596,29 @@ impl UdpRun {
         Ok(stats)
     }
 
-    /// Runs to the end: [`run_until`](Self::run_until) for ever.
+    /// Runs to quiescence: [`run_until`](Self::run_until) for ever. A run
+    /// with a failure detector never quiesces, so this ends it at the
+    /// deadline with [`NetError::QuiesceTimeout`]; run such a run to an
+    /// instant instead, as `SimNetwork::run` says for the simulator.
     pub fn finish(&mut self) -> Result<UdpRunStats, NetError> {
         self.run_until(u64::MAX)
     }
 
-    /// Supervises the running loop threads: collects every `TICK` and
-    /// ends the run at the first pair of collects the exact rule accepts;
-    /// looks for a window of silence once per settle window, for the runs
-    /// it never accepts. Under a failure detector only the window rule can
-    /// end the run, so the supervisor sleeps a whole window between looks
-    /// there, as no third thread need wake beside the loops. Neither rule
-    /// ends the run before `quiet_from_us`. Returns `None` once the run
-    /// clock reaches `t`, where the threads stop by themselves.
+    /// Supervises the running loop threads: collects every `TICK`, and
+    /// once per settle window takes the collect as a look, and ends the run
+    /// at the first collect the [`quiescent`] rule accepts. Returns `None`
+    /// once the run clock reaches `t`, where the threads stop by
+    /// themselves.
     fn supervise<T>(
         &self,
         handles: &[JoinHandle<T>],
         clock: impl Fn() -> u64,
         t: u64,
     ) -> Option<Result<(), NetError>> {
-        let tick = if self.detector { self.window } else { TICK };
-        let mut next_look = Instant::now() + self.window;
-        let mut before: Option<Collect> = None;
-        let mut activity_before = Collect::read(&self.gauges).activity;
+        let mut before = Collect::read(&self.gauges);
+        let (mut looked, mut next_look) = (before, Instant::now() + self.window);
         loop {
-            thread::sleep(tick.min(Duration::from_micros(t.saturating_sub(clock()))));
+            thread::sleep(TICK.min(Duration::from_micros(t.saturating_sub(clock()))));
             // A thread that hit a fatal error rang the bell; one that
             // panicked (say, on a leave before its node is in the system)
             // finished without it, and not at the pause.
@@ -688,15 +630,13 @@ impl UdpRun {
                 return Some(Ok(()));
             }
             let now = Collect::read(&self.gauges);
-            let mut quiescent = before.is_some_and(|b| exactly_quiescent(&b, &now, self.detector));
-            before = Some(now);
-            if Instant::now() >= next_look {
-                quiescent |= window_quiescent(&now, activity_before, self.detector);
-                activity_before = now.activity;
-                next_look = Instant::now() + self.window;
-            }
-            if quiescent && clock() >= self.quiet_from_us {
+            let look = Instant::now() >= next_look;
+            if quiescent(&before, look.then_some(&looked), &now) {
                 return Some(Ok(()));
+            }
+            before = now;
+            if look {
+                (looked, next_look) = (now, Instant::now() + self.window);
             }
             if clock() >= self.deadline_us {
                 return Some(Err(NetError::QuiesceTimeout {
@@ -715,9 +655,6 @@ impl UdpRun {
         (0..n_nodes).map(move |i| loops[i % n_threads].drivers[i / n_threads].engine())
     }
 }
-
-/// Node id -> the socket address of the loop thread that hosts it.
-type Routes = HashMap<NodeId, SocketAddr, IdBuildHasher>;
 
 /// One loop thread's engines, their scheduled inputs, and what driving
 /// any of them touches: all of it moves into the thread for a stretch of
@@ -742,7 +679,12 @@ struct LoopState {
 /// queue at its slot index.
 struct LoopIo {
     space: IdSpace,
-    routes: Arc<Routes>,
+    /// Every node at its roster position: position i is slot
+    /// i / n_threads of the thread whose socket is `addrs[i % n_threads]`.
+    roster: Arc<Roster>,
+    addrs: Arc<Vec<SocketAddr>>,
+    /// This thread's index in `addrs`.
+    thread: usize,
     outbound: Vec<VecDeque<(SocketAddr, Vec<u8>)>>,
     /// [`UdpConfig::outbound_capacity`].
     capacity: usize,
@@ -752,23 +694,14 @@ struct LoopIo {
     error: Option<NetError>,
     /// Datagrams on the outbound queues.
     queued: u64,
-    /// See [`Gauges::activity`].
-    activity: u64,
 }
 
 impl LoopState {
     /// Feeds one input through slot `s`'s driver and keeps the
-    /// supervisor's counters: one join fewer when the node enters the
-    /// system or crashes before it does, one more activity unless the
-    /// input was failure-detector heartbeat. A crashed node's queued
-    /// datagrams die with it.
+    /// supervisor's join count: one fewer when the node enters the system
+    /// or crashes before it does. A crashed node's queued datagrams die
+    /// with it.
     fn drive(&mut self, s: usize, input: NodeInput, now_us: u64) {
-        let progress = match &input {
-            NodeInput::Deliver { msg, .. } => !is_heartbeat(msg),
-            NodeInput::TimerFired(id) => !matches!(id, TimerId::FdProbe { .. }),
-            NodeInput::StartFailureDetector | NodeInput::Crash => false,
-            NodeInput::StartJoin { .. } | NodeInput::BeginLeave => true,
-        };
         let crash = matches!(input, NodeInput::Crash);
         let driver = &mut self.drivers[s];
         let joining = driver.engine().status().is_joining();
@@ -785,16 +718,13 @@ impl LoopState {
         if report.entered_system || (crash && joining) {
             self.joining -= 1;
         }
-        if progress {
-            self.io.activity += 1;
-        }
         if crash {
             self.io.queued -= self.io.outbound[s].len() as u64;
             self.io.outbound[s].clear();
         }
     }
 
-    /// Publishes the gauges, `handled` last (see `exactly_quiescent`).
+    /// Publishes the gauges, `handled` last (see [`quiescent`]).
     fn publish(&self, gauges: &Gauges) {
         let io = &self.io;
         gauges
@@ -803,7 +733,6 @@ impl LoopState {
         gauges.joining.store(self.joining, Ordering::SeqCst);
         gauges.armed.store(io.wheel.len() as u64, Ordering::SeqCst);
         gauges.pending_out.store(io.queued, Ordering::SeqCst);
-        gauges.activity.store(io.activity, Ordering::SeqCst);
         gauges
             .handled
             .store(io.stats.datagrams_received, Ordering::SeqCst);
@@ -813,11 +742,6 @@ impl LoopState {
     /// `until` or the supervisor rings shutdown: scheduled inputs,
     /// timers, receives, flushes, poll(2). Returns the loop's state.
     fn run(mut self, gauges: &Gauges, clock: impl Fn() -> u64, until: u64) -> LoopState {
-        // An engine index for datagram dispatch; the `to` prefix addresses a
-        // node, not a socket, since many engines share this endpoint.
-        let index: HashMap<NodeId, usize, IdBuildHasher> = (self.drivers.iter().enumerate())
-            .map(|(s, driver)| (driver.engine().id(), s))
-            .collect();
         let mut buf = vec![0u8; 64 * 1024];
 
         'main: loop {
@@ -858,10 +782,16 @@ impl LoopState {
                         let Ok((to, from, msg)) = decode_plain(&self.io.space, &buf[..n]) else {
                             continue; // malformed datagrams are dropped, not fatal
                         };
-                        let Some(&s) = index.get(&to) else {
+                        // The `to` prefix addresses a node, not a socket,
+                        // since many engines share this endpoint.
+                        let n_threads = self.io.addrs.len();
+                        let Some(pos) = (self.io.roster.position(&to))
+                            .filter(|pos| pos % n_threads == self.io.thread)
+                        else {
                             continue; // misrouted; not ours
                         };
-                        self.drive(s, NodeInput::Deliver { from, msg }, clock());
+                        let input = NodeInput::Deliver { from, msg };
+                        self.drive(pos / n_threads, input, clock());
                     }
                     Ok(None) => break,
                     Err(e) => {
@@ -875,7 +805,7 @@ impl LoopState {
             // 3. Flush outbound queues until the socket pushes back. The
             // whole batch counts as sent before the first datagram is written,
             // so no datagram can be handled before it is counted (see
-            // `exactly_quiescent`); what the socket refuses is counted back.
+            // `quiescent`); what the socket refuses is counted back.
             let io = &mut self.io;
             if io.queued > 0 {
                 self.sent += io.queued;
@@ -954,7 +884,6 @@ mod tests {
             sent: 12,
             refused: 2,
             handled: 10,
-            activity: 30,
             inputs: 0,
             armed: 0,
             pending_out: 0,
@@ -962,31 +891,41 @@ mod tests {
         }
     }
 
-    /// `done()` with one field changed must not end the run.
+    /// `done()` with one field changed must not end the run, at a tick or
+    /// at a look, though every collect compared with it is identical.
     fn not_quiescent(change: impl Fn(&mut Collect)) -> bool {
         let mut now = done();
         change(&mut now);
-        !exactly_quiescent(&now, &now, false)
+        !quiescent(&now, None, &now) && !quiescent(&now, Some(&now), &now)
+    }
+
+    /// `done()` with one field changed is no exact quiescence: it must
+    /// wait for a look.
+    fn not_exact(change: impl Fn(&mut Collect)) -> bool {
+        let mut now = done();
+        change(&mut now);
+        !quiescent(&now, None, &now)
     }
 
     #[test]
     fn identical_quiet_collects_end_the_run() {
-        assert!(exactly_quiescent(&done(), &done(), false));
+        assert!(quiescent(&done(), None, &done()));
     }
 
     #[test]
     fn collects_that_differ_do_not() {
         let before = Collect {
-            activity: 29,
+            sent: 11,
+            handled: 9,
             ..done()
         };
-        assert!(!exactly_quiescent(&before, &done(), false));
+        assert!(!quiescent(&before, None, &done()));
     }
 
     #[test]
-    fn a_datagram_sent_and_not_handled_keeps_the_run_going() {
-        assert!(not_quiescent(|c| c.handled -= 1));
-        assert!(not_quiescent(|c| c.sent += 1));
+    fn a_datagram_sent_and_not_handled_keeps_the_run_going_between_looks() {
+        assert!(not_exact(|c| c.handled -= 1));
+        assert!(not_exact(|c| c.sent += 1));
     }
 
     #[test]
@@ -994,14 +933,34 @@ mod tests {
         // Two datagrams were raised, refused and still wait in a queue:
         // sent − refused = 10 are written and handled, the queue is not
         // empty.
+        assert!(not_quiescent(|c| c.pending_out = 2));
+        // Counting the refusals as handled datagrams is no exact
+        // quiescence either: those two were never written.
+        assert!(not_exact(|c| c.handled = 12));
+    }
+
+    #[test]
+    fn an_unbalanced_collect_ends_the_run_only_at_a_look_equal_to_the_last() {
+        // The kernel lost one datagram: the counts never meet again.
+        let now = Collect {
+            handled: 9,
+            ..done()
+        };
+        assert!(!quiescent(&now, None, &now), "not between looks");
+        assert!(quiescent(&now, Some(&now), &now), "a silent window");
+        let moved = Collect { handled: 8, ..now };
+        assert!(!quiescent(&now, Some(&moved), &now), "a window that moved");
+        // A balanced collect ends the run on its tick, whatever the look.
+        assert!(quiescent(&done(), Some(&moved), &done()));
+    }
+
+    #[test]
+    fn an_armed_timer_keeps_any_run_going() {
+        assert!(not_quiescent(|c| c.armed = 1));
         assert!(not_quiescent(|c| {
-            c.sent = 12;
-            c.handled = 10;
-            c.pending_out = 2;
+            c.armed = 1;
+            c.handled -= 1;
         }));
-        // Counting the refusals as handled datagrams is no quiescence
-        // either: those two were never written.
-        assert!(not_quiescent(|c| c.handled = 12));
     }
 
     #[test]
@@ -1010,18 +969,8 @@ mod tests {
     }
 
     #[test]
-    fn armed_timers_keep_the_run_going() {
-        assert!(not_quiescent(|c| c.armed = 1));
-    }
-
-    #[test]
     fn inputs_not_yet_driven_keep_the_run_going() {
         assert!(not_quiescent(|c| c.inputs = 1));
-        let now = Collect {
-            inputs: 1,
-            ..done()
-        };
-        assert!(!window_quiescent(&now, now.activity, true));
     }
 
     #[test]
@@ -1029,22 +978,8 @@ mod tests {
         assert!(not_quiescent(|c| c.joining = 1));
     }
 
-    #[test]
-    fn a_failure_detector_is_never_exactly_quiescent() {
-        assert!(!exactly_quiescent(&done(), &done(), true));
-    }
-
-    #[test]
-    fn the_window_rule_wants_a_silent_window() {
-        let now = Collect { armed: 3, ..done() };
-        assert!(window_quiescent(&now, now.activity, true));
-        assert!(!window_quiescent(&now, now.activity, false));
-        assert!(!window_quiescent(&now, now.activity - 1, true));
-        assert!(window_quiescent(&done(), done().activity, false));
-    }
-
     /// Twenty small waves under injected loss and outbound backpressure,
-    /// with a fallback window far longer than any of them: every one must
+    /// with a settle window far longer than any of them: every one must
     /// end with every joiner `in_system`, every table consistent and no
     /// retry timer live, i.e. the exact rule never ended a run early.
     #[test]

@@ -9,9 +9,9 @@
 //! The rest of the file covers what only a wall-clock runtime can: roster
 //! and schedule validation before any socket is bound, retransmission and
 //! tracing on real timers, exact quiescence without a failure detector and
-//! the settle-window fallback with one armed, crashes and leaves at their
-//! scheduled wall-clock times, pauses that stop the run clock, and crash →
-//! detect → repair over real sockets.
+//! the horizon with one armed, crashes and leaves at their scheduled
+//! wall-clock times, pauses that stop the run clock, and crash → detect →
+//! repair over real sockets.
 
 use hyperring_core::{
     build_consistent_tables, check_consistency, FailureDetector, NodeInput, ProtocolOptions,
@@ -106,8 +106,8 @@ fn lossless_wave_reports_clean_stats() {
         "received more bytes than were sent"
     );
     // Nothing was lost and no detector runs, so the run ends at exact
-    // quiescence: the window rule could not end it before its first look,
-    // a whole settle window in.
+    // quiescence: a run whose datagrams the kernel lost could not end
+    // before its first look, a whole settle window in.
     assert!(
         stats.wall < settle,
         "run ended after {:?}, not before the first settle window closed",
@@ -418,55 +418,51 @@ fn detector_net() -> (IdSpace, Vec<NodeId>, Vec<(NodeId, NodeId)>, UdpNetwork) {
 }
 
 #[test]
-fn run_joins_quiesces_with_a_failure_detector_armed() {
-    // The probe interval is below the settle window, so heartbeat that
-    // counted as progress would keep the supervisor waiting until its
+fn a_detector_run_ends_at_its_horizon() {
+    // The probe timer is always armed, so the run never quiesces: it runs
+    // to the instant it is run to, and on past it when resumed, until its
     // deadline.
     let (space, _, joiners, net) = detector_net();
+    let schedule: Vec<(u64, NodeId, NodeInput)> = joiners
+        .iter()
+        .map(|&(id, gateway)| (0, id, NodeInput::StartJoin { gateway }))
+        .collect();
     let config = UdpConfig {
-        quiesce_timeout: Duration::from_secs(5),
+        quiesce_timeout: Duration::from_millis(600),
         ..UdpConfig::default()
     };
-    let settle = config.settle;
-    assert!(settle > Duration::from_millis(20));
-    let (tables, stats) = net
-        .with_config(config)
-        .run_joins(&joiners)
-        .expect("heartbeat is not progress");
-    assert_eq!(tables.len(), 14);
-    assert!(check_consistency(space, &tables).is_consistent());
-    // Heartbeat never stops, so only the window rule can end this run:
-    // one look per settle window, the window the joins ran in, then a
-    // silent one. A wave this small is over in a few milliseconds, so a
-    // supervisor that timed the silence from the last activity would
-    // return well inside the second window.
+    let mut run = net.with_config(config).start(&schedule).unwrap();
+    let stats = run.run_until(300_000).expect("runs to its horizon");
+    assert!(stats.wall >= Duration::from_millis(300), "{:?}", stats.wall);
+    assert!(run.engines().all(|e| e.status() == Status::InSystem));
+    let report = check_consistency(space, run.engines().map(|e| e.table()));
+    assert!(report.is_consistent(), "{report}");
+    let later = run.run_until(400_000).expect("runs on when resumed");
     assert!(
-        stats.wall >= 2 * settle,
-        "run ended after {:?}, before the second settle window closed",
-        stats.wall
+        later.datagrams_received > stats.datagrams_received,
+        "the probes go on"
     );
+    let err = run.finish().unwrap_err();
+    assert!(matches!(err, NetError::QuiesceTimeout { joining: 0, .. }));
 }
 
 #[test]
 fn killed_nodes_are_detected_and_survivor_tables_repaired_over_udp() {
     let (space, ids, joiners, net) = detector_net();
-    // Kill two members 200 ms in, long after a wave this small is done;
-    // the run then goes on for the detector grace (15 probe intervals)
-    // before it looks for quiescence.
+    // Kill two members 200 ms in, long after a wave this small is done,
+    // and run to a horizon 15 probe intervals after the crash.
     let kills = [ids[1], ids[2]];
     let mut schedule: Vec<(u64, NodeId, NodeInput)> = joiners
         .iter()
         .map(|&(id, gateway)| (0, id, NodeInput::StartJoin { gateway }))
         .collect();
     schedule.extend(kills.iter().map(|&id| (200_000, id, NodeInput::Crash)));
-    let (tables, stats) = net
-        .run_schedule(&schedule)
-        .expect("crash schedule quiesces");
-    assert!(
-        stats.wall >= Duration::from_millis(200 + 300),
-        "run ended after {:?}, inside the detector grace",
-        stats.wall
-    );
+    let mut run = net.start(&schedule).expect("valid schedule");
+    run.run_until(500_000).expect("runs to its horizon");
+    let tables: Vec<_> = (run.engines())
+        .filter(|e| e.status() != Status::Crashed)
+        .map(|e| e.table())
+        .collect();
     assert_eq!(tables.len(), 12, "both victims excluded from the result");
     for t in &tables {
         for dead in &kills {
@@ -477,6 +473,6 @@ fn killed_nodes_are_detected_and_survivor_tables_repaired_over_udp() {
             );
         }
     }
-    let report = check_consistency(space, &tables);
+    let report = check_consistency(space, tables);
     assert!(report.is_consistent(), "{report}");
 }

@@ -44,8 +44,9 @@ use crate::args::{list, Args};
 /// Every shape takes `--runtime sim|udp` (default `sim`). On the
 /// simulator every trace digest is byte-stable per seed. Over `udp` each
 /// event lands at its time on a run clock that stops while a checkpoint
-/// looks at the tables, the run ends at quiescence rather than at the
-/// horizon, times are that clock's, and nothing is written.
+/// looks at the tables, the run ends at the horizon as on the simulator
+/// (earlier at quiescence, which a run with a failure detector never
+/// reaches), times are that clock's, and nothing is written.
 pub fn churn(mut args: Args) -> Result<(), String> {
     if let Some(seed) = args.get::<u64>("--shrink")? {
         args.finish()?;
