@@ -466,20 +466,16 @@ pub fn check_consistency_naive(space: IdSpace, tables: &[NeighborTable]) -> Cons
 ///
 /// Quadratic in the number of nodes — intended for tests and small-to-mid
 /// networks; `check_consistency` is the linear-time proxy (the two agree by
-/// Lemma 3.1).
-pub fn check_reachability(tables: &[NeighborTable]) -> Vec<(NodeId, NodeId)> {
-    let refs: Vec<&NeighborTable> = tables.iter().collect();
-    check_reachability_refs(&refs)
-}
-
-/// [`check_reachability`] over borrowed tables (the form the scenario
-/// runner feeds straight from
-/// [`SimNetwork::tables_iter`](crate::SimNetwork::tables_iter)).
-pub fn check_reachability_refs(tables: &[&NeighborTable]) -> Vec<(NodeId, NodeId)> {
-    let by_owner = ByOwner::new(tables);
+/// Lemma 3.1). Takes owned tables (`&tables`) and borrowed ones (e.g.
+/// [`SimNetwork::tables_iter`](crate::SimNetwork::tables_iter)) alike.
+pub fn check_reachability<'a>(
+    tables: impl IntoIterator<Item = &'a NeighborTable>,
+) -> Vec<(NodeId, NodeId)> {
+    let tables: Vec<&NeighborTable> = tables.into_iter().collect();
+    let by_owner = ByOwner::new(&tables);
     let mut failures = Vec::new();
-    for s in tables {
-        for t in tables {
+    for s in &tables {
+        for t in &tables {
             if s.owner() != t.owner() && !by_owner.delivers(s.owner(), t.owner()) {
                 failures.push((s.owner(), t.owner()));
             }

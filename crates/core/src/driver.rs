@@ -10,6 +10,10 @@
 //! inputs in the same order produce the same effect stream and the same
 //! [`DigestTrace`](crate::DigestTrace), which the lossless-socket parity
 //! test pins.
+//!
+//! A drive returns nothing and the driver keeps no state beside the
+//! engine: what a runtime counts (joins still in flight, say) it reads off
+//! the engine's [`Status`](crate::Status) around the drive.
 
 use std::cell::Cell;
 use std::collections::hash_map::{Entry, HashMap};
@@ -18,7 +22,7 @@ use std::fmt;
 use hyperring_id::{IdBuildHasher, NodeId};
 
 use crate::effect::{Effect, Effects, TimerId};
-use crate::engine::{JoinEngine, Status};
+use crate::engine::JoinEngine;
 use crate::messages::Message;
 use crate::trace::TraceStream;
 
@@ -183,15 +187,6 @@ fn dispatch_effects<H: EffectHandler + ?Sized>(
     }
 }
 
-/// What one [`EngineDriver::drive`] call observed, for the runtime's
-/// bookkeeping.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepReport {
-    /// The node crossed into `in_system` during this step (exactly once
-    /// per joiner lifetime) — runtimes use this for quiescence counting.
-    pub entered_system: bool,
-}
-
 /// A runtime hosting engines behind the shared driver.
 ///
 /// Implementations are the runtime's [`EffectHandler`] (the transport and
@@ -211,24 +206,18 @@ thread_local! {
     static SCRATCH: Cell<Effects> = const { Cell::new(Effects::new()) };
 }
 
-/// One protocol engine plus its in-system bookkeeping — the per-node state
-/// every runtime carries, driven exclusively through
-/// [`drive`](Self::drive). The effect buffer a drive fills and drains is
-/// per-thread scratch, not part of the node.
+/// One protocol engine — the per-node state every runtime carries, driven
+/// exclusively through [`drive`](Self::drive). The effect buffer a drive
+/// fills and drains is per-thread scratch, not part of the node.
 #[derive(Debug)]
 pub struct EngineDriver {
     engine: JoinEngine,
-    was_in_system: bool,
 }
 
 impl EngineDriver {
     /// Wraps `engine` (member or joiner).
     pub fn new(engine: JoinEngine) -> Self {
-        let was_in_system = engine.is_in_system();
-        EngineDriver {
-            engine,
-            was_in_system,
-        }
+        EngineDriver { engine }
     }
 
     /// The wrapped engine.
@@ -244,7 +233,7 @@ impl EngineDriver {
         input: NodeInput,
         rt: &mut R,
         trace: Option<&mut TraceStream>,
-    ) -> StepReport {
+    ) {
         // Taking the buffer leaves an empty one behind, so a handler that
         // drives another node from inside `rt`, or a panic below, finds the
         // slot valid; such a nested or unwound drive merely allocates.
@@ -255,17 +244,13 @@ impl EngineDriver {
             dispatch_effects(me, rt.now_us(), &mut effects, rt, trace);
         }
         SCRATCH.set(effects);
-        let entered_system = !self.was_in_system && self.engine.status() == Status::InSystem;
-        if entered_system {
-            self.was_in_system = true;
-        }
-        StepReport { entered_system }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Status;
     use crate::options::ProtocolOptions;
     use crate::oracle::build_consistent_tables;
     use crate::trace::{ProtocolEvent, RingTrace, SharedSink, TraceSink};
@@ -309,8 +294,7 @@ mod tests {
         ));
         assert_eq!(node.engine().status(), Status::Copying);
         let mut rt = Recorder::default();
-        let report = node.drive(NodeInput::StartJoin { gateway: gw }, &mut rt, None);
-        assert!(!report.entered_system);
+        node.drive(NodeInput::StartJoin { gateway: gw }, &mut rt, None);
         assert_eq!(rt.sends.len(), 1, "one CpRstMsg to the gateway");
         assert_eq!(rt.sends[0].0, gw);
     }
@@ -353,8 +337,8 @@ mod tests {
             let mut node =
                 EngineDriver::new(JoinEngine::new_member(space, ProtocolOptions::new(), t));
             let mut rt = Recorder::default();
-            let report = node.drive(NodeInput::StartFailureDetector, &mut rt, None);
-            assert!(!report.entered_system, "members start in_system");
+            node.drive(NodeInput::StartFailureDetector, &mut rt, None);
+            assert_eq!(node.engine().status(), Status::InSystem);
         }
     }
 

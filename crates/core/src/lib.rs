@@ -88,13 +88,11 @@ pub use adaptive::{
 /// import. Two names, one function.
 pub use consistency::check_consistency as check_consistency_streaming;
 pub use consistency::{
-    check_consistency, check_consistency_naive, check_reachability, check_reachability_refs,
-    check_reachability_sampled, digest_and_check_streaming, ConsistencyReport, Violation,
+    check_consistency, check_consistency_naive, check_reachability, check_reachability_sampled,
+    digest_and_check_streaming, ConsistencyReport, Violation,
 };
 pub use digest::{tables_digest, tables_digest_iter};
-pub use driver::{
-    EffectHandler, EngineDriver, NodeInput, Roster, RosterError, RuntimeDriver, StepReport,
-};
+pub use driver::{EffectHandler, EngineDriver, NodeInput, Roster, RosterError, RuntimeDriver};
 pub use effect::{Effect, Effects, TimerId};
 pub use engine::{JoinEngine, Status};
 pub use incremental::IncrementalChecker;

@@ -8,9 +8,9 @@
 
 use hyperring_core::{
     build_consistent_tables, check_consistency, check_consistency_naive, check_reachability,
-    check_reachability_refs, check_reachability_sampled, digest_and_check_streaming, tables_digest,
-    tables_digest_iter, Entry, FailureDetector, IncrementalChecker, NeighborTable, NodeInput,
-    NodeState, ProtocolOptions, SimNetworkBuilder,
+    check_reachability_sampled, digest_and_check_streaming, tables_digest, tables_digest_iter,
+    Entry, FailureDetector, IncrementalChecker, NeighborTable, NodeInput, NodeState,
+    ProtocolOptions, SimNetworkBuilder,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_sim::UniformDelay;
@@ -290,7 +290,7 @@ fn sampled_reachability_finds_a_real_hole() {
     let mut tables = build_consistent_tables(space, &ids);
     tables[0].clear(0, 1); // 012's only route toward 111 starts here
     let refs: Vec<&NeighborTable> = tables.iter().collect();
-    let all = check_reachability_refs(&refs);
+    let all = check_reachability(refs.iter().copied());
     assert!(!all.is_empty());
     // 64 draws over 6 ordered pairs: the failing pair is sampled w.h.p.
     let sampled = check_reachability_sampled(&refs, 64, 5);

@@ -211,7 +211,7 @@ impl CrashChurnConfig {
             .at(0)
             .join(self.joiners)
             .at(self.crash_at)
-            .crash(self.crash_fraction)
+            .crash_count(self.crashes())
             .horizon(self.horizon)
     }
 

@@ -9,7 +9,7 @@ use hyperring_id::IdSpace;
 use hyperring_sim::stats::Distribution;
 use hyperring_sim::UniformDelay;
 
-use crate::topo_delay::SharedTopology;
+use crate::topo_delay::TopologyDelay;
 use crate::workload::{run_trials, JoinWorkload};
 
 /// Which latency substrate to run on.
@@ -153,9 +153,9 @@ pub fn run_fig15b_trials(cfg: &Fig15bConfig, trials: usize) -> Vec<Fig15bResult>
     let total_hosts = cfg.n + cfg.m;
     let topo = match cfg.delay {
         DelayKind::PaperTopology => {
-            Some(SharedTopology::paper_scale(total_hosts, cfg.seed ^ 0xd1ce))
+            Some(TopologyDelay::paper_scale(total_hosts, cfg.seed ^ 0xd1ce))
         }
-        DelayKind::TestTopology => Some(SharedTopology::test_scale(total_hosts, cfg.seed ^ 0xd1ce)),
+        DelayKind::TestTopology => Some(TopologyDelay::test_scale(total_hosts, cfg.seed ^ 0xd1ce)),
         DelayKind::Uniform => None,
     };
 
@@ -170,7 +170,7 @@ pub fn run_fig15b_trials(cfg: &Fig15bConfig, trials: usize) -> Vec<Fig15bResult>
             b.add_joiner(*id, *gw, 0); // all joins start at the same time
         }
         let (report, c) = match &topo {
-            Some(t) => run_with(&mut b, t.delay_model(), seed),
+            Some(t) => run_with(&mut b, t.clone(), seed),
             None => run_with(&mut b, UniformDelay::new(1_000, 100_000), seed),
         };
         Fig15bResult {

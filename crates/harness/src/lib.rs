@@ -38,8 +38,8 @@ pub use lookup::{
 };
 pub use report::Table;
 pub use timeline::{
-    Action, At, CheckpointReport, CompiledTimeline, KeyedStormReport, Runtime, Scenario,
-    StormReport, Timeline, TimelineReport,
+    Action, At, CheckpointReport, CompiledTimeline, KeyedStormReport, Runtime, Scenario, Timeline,
+    TimelineReport,
 };
-pub use topo_delay::{CachedTopologyDelay, SharedTopology, TopologyDelay};
+pub use topo_delay::TopologyDelay;
 pub use workload::{distinct_ids, run_trials, trial_seed, JoinWorkload};

@@ -159,15 +159,20 @@ pub struct LoadStats {
 /// Routing statistics of one keyed lookup storm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LookupStats {
-    /// Lookups routed.
+    /// Lookups routed, lost ones included.
     pub lookups: usize,
+    /// Lookups whose walk ended on a node the store holds no table for
+    /// (crashed, departed or still joining), so no root answered. They
+    /// load the nodes they passed and count nowhere else below.
+    pub lost: usize,
     /// Distinct keys in the schedule.
     pub keys: usize,
-    /// Mean overlay hops per lookup.
+    /// Mean overlay hops per resolved lookup.
     pub mean_hops: f64,
-    /// Longest path observed.
+    /// Longest resolved path observed.
     pub max_hops: usize,
-    /// `hop_histogram[h]` = lookups resolved in exactly `h` hops.
+    /// `hop_histogram[h]` = lookups resolved in exactly `h` hops; it sums
+    /// to `lookups - lost`.
     pub hop_histogram: Vec<u64>,
     /// Latency stretch, when the runner had a latency oracle (topology
     /// runs); `None` under abstract delay models.
@@ -182,7 +187,8 @@ pub struct LookupStats {
 /// `latency(a, b)` must be the **direct** (shortest-path) delay between
 /// nodes; routed delay is summed per hop from the same oracle, so stretch
 /// is exactly `Σ hop delays / direct(source, root)`. Lookups whose source
-/// already is the root (0 hops) carry no stretch sample.
+/// already is the root (0 hops) carry no stretch sample, and neither do
+/// lost ones ([`LookupStats::lost`]).
 ///
 /// With `demand` supplied, every hop is recorded into the
 /// [`DemandProfile`] (the adaptive arm's warmup pass). Routing itself
@@ -190,7 +196,8 @@ pub struct LookupStats {
 ///
 /// # Panics
 ///
-/// Panics if a scheduled source is unknown to `store`.
+/// Panics if a scheduled source is unknown to `store`; never on a walk
+/// that ends on a dangling entry.
 pub fn run_schedule(
     store: &ObjectStore<'_>,
     schedule: &StormSchedule,
@@ -208,6 +215,7 @@ pub fn run_schedule(
     let mut hop_histogram: Vec<u64> = vec![0; d + 1];
     let mut hops_total = 0usize;
     let mut max_hops = 0usize;
+    let mut lost = 0usize;
     let mut stretches: Vec<f64> = Vec::new();
     for &(si, ki) in &schedule.draws {
         let source = schedule.sources[si as usize];
@@ -224,6 +232,10 @@ pub fn run_schedule(
                 dem.record_hop(h.from, h.level, h.digit, source);
             }
         });
+        if !store.contains(&root) {
+            lost += 1;
+            continue;
+        }
         hops_total += hops;
         max_hops = max_hops.max(hops);
         hop_histogram[hops.min(d)] += 1;
@@ -235,6 +247,7 @@ pub fn run_schedule(
         }
     }
     let lookups = schedule.draws.len();
+    let resolved = lookups - lost;
     let stretch = latency.map(|_| {
         // Summed in sorted order, as the recorded results were.
         stretches.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -257,11 +270,12 @@ pub fn run_schedule(
     let mean = total as f64 / schedule.sources.len() as f64;
     LookupStats {
         lookups,
+        lost,
         keys: schedule.keys.len(),
-        mean_hops: if lookups == 0 {
+        mean_hops: if resolved == 0 {
             0.0
         } else {
-            hops_total as f64 / lookups as f64
+            hops_total as f64 / resolved as f64
         },
         max_hops,
         hop_histogram,
@@ -390,7 +404,7 @@ mod tests {
             at(a).abs_diff(at(b))
         };
         let stats = run_schedule(&store, &schedule, Some(&lat), None);
-        assert_eq!((stats.mean_hops, stats.max_hops), (1.724, 3));
+        assert_eq!((stats.mean_hops, stats.max_hops, stats.lost), (1.724, 3, 0));
         assert_eq!(stats.hop_histogram, [43, 857, 709, 391, 0, 0]);
         assert_eq!(
             stats.load,

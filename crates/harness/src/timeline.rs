@@ -1,7 +1,7 @@
 //! The one scenario runner: a seeded, deterministic schedule of joins,
-//! crashes, leaves, lookup storms, and consistency checkpoints, compiled
-//! ahead of the run, driven through a runtime, and summarised in one
-//! [`TimelineReport`].
+//! crashes, leaves, keyed lookup storms, and consistency checkpoints,
+//! compiled ahead of the run, driven through a runtime, and summarised in
+//! one [`TimelineReport`].
 //!
 //! A [`Timeline`] is a builder over virtual time:
 //!
@@ -12,9 +12,9 @@
 //!
 //! let tl = Timeline::new()
 //!     .at(0).join(2)
-//!     .at(400_000).crash(0.25)
+//!     .at(400_000).crash_count(3)
 //!     .at(2_000_000).checkpoint("post-crash")
-//!     .at(4_000_000).lookup_storm(64)
+//!     .at(4_000_000).keyed_storm(64, 16, 0.9)
 //!     .horizon(6_000_000);
 //! let fd = FailureDetector { probe_interval_us: 100_000, ..FailureDetector::default() };
 //! let r = Scenario::new(IdSpace::new(4, 5)?)
@@ -24,6 +24,7 @@
 //!     .delay_bounds(500, 5_000)
 //!     .run(tl);
 //! assert!(r.consistent, "{} violations", r.violations);
+//! assert_eq!(r.keyed_storms[0].stats.lost, 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -53,7 +54,7 @@
 //! keeps the `crashchurn` trace digests of the pre-DSL experiment). All
 //! schedule injections happen before the simulator starts, so the event
 //! stream — and any attached trace digest — depends only on
-//! `(timeline, members, seed)`. Checkpoints and storms pause the
+//! `(timeline, members, seed)`. Checkpoints and keyed storms pause the
 //! simulator with `SimNetwork::run_until`, which composes exactly
 //! (`run_until(a); run_until(b)` ≡ `run_until(b)`), so *observing* a run
 //! more often never changes it.
@@ -62,14 +63,19 @@
 //! with the `RepairInstalled` that refills the slot, yielding per-slot
 //! time-to-repair samples (both from eviction and from the underlying
 //! crash instant); [`IncrementalChecker`] checkpoints yield
-//! consistency-recovery spans. Lookup storms greedily suffix-route seeded
-//! `(source, target)` pairs over the *current* S-node tables without
-//! injecting any simulator event, so they measure reachability without
-//! perturbing the protocol run.
+//! consistency-recovery spans. Reachability is measured by checkpoints
+//! (a false negative is a pair that cannot route, by Lemma 3.1) and, over
+//! all pairs at the end, by [`Scenario::reachability`]. A keyed storm
+//! routes object lookups through an [`ObjectStore`] over the *current*
+//! S-node tables without injecting any simulator event, so it never
+//! perturbs the protocol run; it may run at any instant, and a lookup
+//! whose walk reaches a node with no S-node table there (crashed and not
+//! yet evicted, or still joining) counts as lost
+//! ([`LookupStats::lost`]).
 //!
 //! **Runtimes.** Every runtime runs through one pause loop: it runs to
-//! each checkpoint and storm instant, is observed there, and then runs
-//! to its own end. [`Runtime::Sim`], the default, drives the simulator to
+//! each checkpoint and keyed-storm instant, is observed there, and then
+//! runs to its own end. [`Runtime::Sim`], the default, drives the simulator to
 //! the horizon, and everything above applies. [`Runtime::Udp`] compiles
 //! the joins, crashes and leaves of the same timeline into one schedule
 //! of timed inputs and runs it over real loopback sockets
@@ -77,7 +83,7 @@
 //! clock, a pause stops the clock ([`UdpRun::run_until`]), and the run
 //! ends at the horizon, as on the simulator, or earlier at quiescence; a
 //! run with a failure detector never quiesces, so it runs to the horizon.
-//! Its checkpoints, storms,
+//! Its checkpoints, keyed storms,
 //! crash-to-repair times and recovery spans are read on the run clock;
 //! its trace digest is not reproducible. The optimistic baseline
 //! ([`Scenario::optimistic`]) runs joins only, on the simulator, to
@@ -86,10 +92,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hyperring_core::{
-    build_consistent_tables, check_consistency, check_reachability_refs, ConsistencyReport,
-    DigestTrace, IncrementalChecker, JoinEngine, MessageKind, NeighborTable, NodeInput,
-    ProtocolEvent, ProtocolOptions, SharedSink, SimNetwork, SimNetworkBuilder, Status, TraceRecord,
-    TraceSink, Violation,
+    build_consistent_tables, check_consistency, check_reachability, ConsistencyReport, DigestTrace,
+    IncrementalChecker, JoinEngine, MessageKind, NeighborTable, NodeInput, ProtocolEvent,
+    ProtocolOptions, SharedSink, SimNetwork, SimNetworkBuilder, Status, TraceRecord, TraceSink,
+    Violation,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_net::{UdpNetwork, UdpRun};
@@ -109,13 +115,8 @@ pub enum Action {
         /// Number of joiners started.
         count: usize,
     },
-    /// Crash `⌈initial_members · fraction⌉` nodes silently (no goodbye;
-    /// the failure detector must notice).
-    CrashFrac {
-        /// Fraction of the *initial* member count.
-        fraction: f64,
-    },
-    /// Crash exactly `count` nodes silently.
+    /// Crash exactly `count` nodes silently (no goodbye; the failure
+    /// detector must notice).
     CrashCount {
         /// Number of victims.
         count: usize,
@@ -124,12 +125,6 @@ pub enum Action {
     LeaveCount {
         /// Number of leavers.
         count: usize,
-    },
-    /// Route `lookups` seeded `(source, target)` pairs over the current
-    /// S-node tables and record delivery/hop statistics.
-    LookupStorm {
-        /// Number of lookups routed.
-        lookups: usize,
     },
     /// Route `lookups` keyed (object-identifier) lookups through a
     /// borrowed [`ObjectStore`] over the current S-node tables: sources
@@ -252,7 +247,6 @@ impl Timeline {
             joins: Vec::new(),
             crashes: Vec::new(),
             leaves: Vec::new(),
-            storms: Vec::new(),
             keyed_storms: Vec::new(),
             checkpoints: Vec::new(),
             horizon,
@@ -310,12 +304,6 @@ impl Timeline {
                         pool.push(id);
                     }
                 }
-                Action::CrashFrac { fraction } => {
-                    let k = ((members as f64) * fraction).ceil() as usize;
-                    for v in take_victims(k, &pool, &mut crashed) {
-                        out.crashes.push((v, ev.at));
-                    }
-                }
                 Action::CrashCount { count } => {
                     for v in take_victims(*count, &pool, &mut crashed) {
                         out.crashes.push((v, ev.at));
@@ -326,7 +314,6 @@ impl Timeline {
                         out.leaves.push((v, ev.at));
                     }
                 }
-                Action::LookupStorm { lookups } => out.storms.push((ev.at, *lookups)),
                 Action::KeyedStorm {
                     lookups,
                     keys,
@@ -373,11 +360,6 @@ impl At {
         self.push(Action::Join { count })
     }
 
-    /// Crashes `⌈initial_members · fraction⌉` nodes here (silently).
-    pub fn crash(self, fraction: f64) -> Self {
-        self.push(Action::CrashFrac { fraction })
-    }
-
     /// Crashes exactly `count` nodes here (silently).
     pub fn crash_count(self, count: usize) -> Self {
         self.push(Action::CrashCount { count })
@@ -386,11 +368,6 @@ impl At {
     /// Makes `count` nodes leave gracefully here.
     pub fn leave(self, count: usize) -> Self {
         self.push(Action::LeaveCount { count })
-    }
-
-    /// Routes `lookups` seeded lookups over the current tables here.
-    pub fn lookup_storm(self, lookups: usize) -> Self {
-        self.push(Action::LookupStorm { lookups })
     }
 
     /// Routes `lookups` keyed lookups (Zipf(`exponent`) over `keys`
@@ -444,8 +421,6 @@ pub struct CompiledTimeline {
     pub crashes: Vec<(NodeId, Time)>,
     /// `(leaver, at)` graceful departures, in schedule order.
     pub leaves: Vec<(NodeId, Time)>,
-    /// `(at, lookups)` storms, in schedule order.
-    pub storms: Vec<(Time, usize)>,
     /// `(at, lookups, keys, exponent)` keyed storms, in schedule order.
     pub keyed_storms: Vec<(Time, usize, usize, f64)>,
     /// `(at, label)` checkpoints, in schedule order.
@@ -565,21 +540,6 @@ pub struct CheckpointReport {
     pub delivered: u64,
 }
 
-/// One lookup storm's routing outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StormReport {
-    /// Virtual time the storm ran at.
-    pub at: Time,
-    /// Lookups attempted.
-    pub lookups: usize,
-    /// Lookups that reached their target.
-    pub delivered: usize,
-    /// Total hops over delivered lookups.
-    pub hops_total: usize,
-    /// Longest delivered path.
-    pub hops_max: usize,
-}
-
 /// One keyed storm's routing outcome: full [`LookupStats`] from a
 /// borrowed object store stood on the network's live tables at that
 /// instant.
@@ -619,8 +579,6 @@ pub struct TimelineReport {
     pub unreachable_pairs: Option<usize>,
     /// Checkpoint verdicts, in schedule order.
     pub checkpoints: Vec<CheckpointReport>,
-    /// Storm outcomes, in schedule order.
-    pub storms: Vec<StormReport>,
     /// Keyed-storm outcomes, in schedule order.
     pub keyed_storms: Vec<KeyedStormReport>,
     /// Eviction-to-repair latency samples (µs).
@@ -808,7 +766,7 @@ impl Scenario {
         r
     }
 
-    /// The one pause loop: runs `run` to each checkpoint and storm
+    /// The one pause loop: runs `run` to each checkpoint and keyed-storm
     /// instant in turn and observes its S-node tables there, then runs it
     /// to its end and reports.
     fn pause_loop(&self, c: &CompiledTimeline, mut run: impl Run) -> TimelineReport {
@@ -843,9 +801,8 @@ impl Scenario {
             dead_refs,
             unreachable_pairs: self
                 .reachability
-                .then(|| check_reachability_refs(&tables).len()),
+                .then(|| check_reachability(tables.iter().copied()).len()),
             checkpoints: obs.checkpoints,
-            storms: obs.storms,
             keyed_storms: obs.keyed_storms,
             recovery_us: obs.recovery_us,
             leave_msgs: c.leaves.iter().map(|(id, _)| run.leave_msgs(id)).collect(),
@@ -985,7 +942,6 @@ impl Run for UdpRun {
 /// A pure observation the run pauses for.
 enum Pause<'a> {
     Check(&'a str),
-    Storm(usize),
     Keyed {
         lookups: usize,
         keys: usize,
@@ -993,15 +949,12 @@ enum Pause<'a> {
     },
 }
 
-/// Checkpoints and storms merged into one pause schedule, by time, then
-/// by schedule order within each kind.
+/// Checkpoints and keyed storms merged into one pause schedule, by time,
+/// then by schedule order within each kind.
 fn pauses(c: &CompiledTimeline) -> Vec<(Time, Pause<'_>)> {
     let mut pauses: Vec<(Time, usize, Pause)> = Vec::new();
     for (i, (at, label)) in c.checkpoints.iter().enumerate() {
         pauses.push((*at, i, Pause::Check(label)));
-    }
-    for (i, (at, lookups)) in c.storms.iter().enumerate() {
-        pauses.push((*at, i, Pause::Storm(*lookups)));
     }
     for (i, &(at, lookups, keys, exponent)) in c.keyed_storms.iter().enumerate() {
         pauses.push((
@@ -1032,7 +985,6 @@ struct Observer {
     last_consistent_at: Time,
     recovery_us: Vec<u64>,
     checkpoints: Vec<CheckpointReport>,
-    storms: Vec<StormReport>,
     keyed_storms: Vec<KeyedStormReport>,
 }
 
@@ -1055,7 +1007,6 @@ impl Observer {
             last_consistent_at: 0,
             recovery_us: Vec::new(),
             checkpoints: Vec::new(),
-            storms: Vec::new(),
             keyed_storms: Vec::new(),
         }
     }
@@ -1107,11 +1058,6 @@ impl Observer {
                     delivered,
                 });
             }
-            Pause::Storm(lookups) => {
-                let idx = self.storms.len();
-                let storm = run_storm(self.space, tables, at, lookups, self.seed, idx);
-                self.storms.push(storm);
-            }
             Pause::Keyed {
                 lookups,
                 keys,
@@ -1131,70 +1077,6 @@ impl Observer {
                 self.keyed_storms.push(KeyedStormReport { at, stats });
             }
         }
-    }
-}
-
-/// Routes `lookups` seeded `(source, target)` pairs over the S-node
-/// `tables` by greedy suffix routing. A hop into a node with no S-node
-/// table (crashed, departed, or still joining) or a hole drops the
-/// lookup; paths are capped at `d + 1` hops.
-fn run_storm(
-    space: IdSpace,
-    tables: &[&NeighborTable],
-    at: Time,
-    lookups: usize,
-    seed: u64,
-    storm_idx: usize,
-) -> StormReport {
-    use rand::{Rng, SeedableRng};
-    let tables: BTreeMap<NodeId, &NeighborTable> = tables.iter().map(|t| (t.owner(), *t)).collect();
-    let ids: Vec<NodeId> = tables.keys().copied().collect();
-    let d = space.digit_count();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(
-        seed ^ 0xa076_1d64_78bd_642f_u64.wrapping_mul(storm_idx as u64 + 1),
-    );
-    let mut delivered = 0usize;
-    let mut hops_total = 0usize;
-    let mut hops_max = 0usize;
-    if ids.len() >= 2 {
-        for _ in 0..lookups {
-            let s = ids[rng.gen_range(0..ids.len())];
-            let mut t = ids[rng.gen_range(0..ids.len())];
-            while t == s {
-                t = ids[rng.gen_range(0..ids.len())];
-            }
-            let mut here = s;
-            let mut hops = 0usize;
-            loop {
-                if here == t {
-                    delivered += 1;
-                    hops_total += hops;
-                    hops_max = hops_max.max(hops);
-                    break;
-                }
-                if hops > d {
-                    break; // inconsistent tables produced a detour; drop
-                }
-                let Some(table) = tables.get(&here) else {
-                    break; // routed into a dead or still-joining node
-                };
-                let k = here.csuf_len(&t);
-                match table.get(k, t.digit(k)) {
-                    Some(e) => {
-                        here = e.node;
-                        hops += 1;
-                    }
-                    None => break, // hole: lost lookup
-                }
-            }
-        }
-    }
-    StormReport {
-        at,
-        lookups,
-        delivered,
-        hops_total,
-        hops_max,
     }
 }
 
@@ -1221,13 +1103,13 @@ mod tests {
         let tl = Timeline::new()
             .at(1_000)
             .join(2)
-            .crash(0.25)
+            .crash_count(2)
             .at(500)
             .checkpoint("early")
             .horizon(10_000);
         let c = tl.compile(space(), 8, 3);
         assert_eq!(c.joins.len(), 2);
-        assert_eq!(c.crashes.len(), 2); // ceil(8 * 0.25)
+        assert_eq!(c.crashes.len(), 2);
         assert_eq!(c.checkpoints, vec![(500, "early".to_string())]);
         assert_eq!(c.horizon, 10_000);
         // Stable sort: the checkpoint at t=500 precedes the t=1000 events,
@@ -1326,13 +1208,13 @@ mod tests {
     fn crash_wave_timeline_repairs_and_checkpoints_see_recovery() {
         let tl = Timeline::new()
             .at(100_000)
-            .crash(0.2)
+            .crash_count(4)
             .at(150_000)
             .checkpoint("during")
             .at(4_500_000)
             .checkpoint("after")
             .at(4_600_000)
-            .lookup_storm(32)
+            .keyed_storm(32, 16, 0.9)
             .horizon(5_000_000);
         let r = Scenario::new(space())
             .members(16)
@@ -1351,9 +1233,9 @@ mod tests {
         // evicts it, at an eviction-to-repair time of 0; this wave has one.
         assert!(r.ttr_from_crash_us.iter().all(|&t| t > 0));
         assert!(r.ttr_from_eviction_us.contains(&0));
-        let storm = &r.storms[0];
-        assert_eq!(storm.delivered, storm.lookups, "post-repair lookups lost");
-        assert!(storm.hops_max <= 5);
+        let storm = &r.keyed_storms[0].stats;
+        assert_eq!(storm.lost, 0, "post-repair lookups lost");
+        assert!(storm.max_hops <= 5);
     }
 
     #[test]
@@ -1362,15 +1244,18 @@ mod tests {
             .members(16)
             .seed(9)
             .options(ProtocolOptions::new().with_failure_detector(fd()));
-        let plain = base.run(Timeline::new().at(100_000).crash(0.2).horizon(5_000_000));
+        let plain = base.run(
+            Timeline::new()
+                .at(100_000)
+                .crash_count(4)
+                .horizon(5_000_000),
+        );
         let observed = base.run(
             Timeline::new()
                 .at(100_000)
-                .crash(0.2)
+                .crash_count(4)
                 .at(1_000_000)
                 .checkpoint("a")
-                .at(2_000_000)
-                .lookup_storm(16)
                 .at(2_500_000)
                 .keyed_storm(64, 8, 0.9)
                 .at(3_000_000)
@@ -1389,7 +1274,7 @@ mod tests {
     fn keyed_storms_report_full_lookup_stats() {
         let tl = Timeline::new()
             .at(100_000)
-            .crash(0.2)
+            .crash_count(4)
             .at(4_500_000)
             .keyed_storm(200, 12, 0.8)
             .horizon(5_000_000);
@@ -1402,12 +1287,35 @@ mod tests {
         let s = &r.keyed_storms[0].stats;
         assert_eq!(s.lookups, 200);
         assert_eq!(s.keys, 12);
-        assert_eq!(s.hop_histogram.iter().sum::<u64>(), 200);
+        assert_eq!((s.hop_histogram.iter().sum::<u64>(), s.lost), (200, 0));
         assert!(s.stretch.is_none(), "abstract delay model has no oracle");
         assert!(s.load.imbalance >= 1.0);
         // Post-repair tables are consistent, so every lookup terminates
         // within d hops.
         assert!(s.max_hops <= 5);
+    }
+
+    #[test]
+    fn a_keyed_storm_between_a_crash_and_its_detection_loses_lookups() {
+        // A quarter of the members crash at 100 ms; at 150 ms no probe has
+        // fired yet, so survivors still name the victims, and walks that
+        // step on one end there, lost, instead of aborting the run.
+        let tl = Timeline::new()
+            .at(100_000)
+            .crash_count(8)
+            .at(150_000)
+            .keyed_storm(500, 16, 0.9)
+            .horizon(1_000_000);
+        let r = Scenario::new(space())
+            .members(32)
+            .seed(5)
+            .options(ProtocolOptions::new().with_failure_detector(fd()))
+            .run(tl);
+        let s = &r.keyed_storms[0].stats;
+        assert_eq!(s.lookups, 500);
+        assert!(0 < s.lost && s.lost < 500, "{} lost", s.lost);
+        assert_eq!(s.hop_histogram.iter().sum::<u64>(), 500 - s.lost as u64);
+        assert!(s.load.loaded_nodes > 0);
     }
 
     #[test]

@@ -37,7 +37,6 @@ fn padded_s3() -> CompiledTimeline {
             .collect(),
         crashes: crashes.into_iter().map(|(v, at)| (id(v), at)).collect(),
         leaves: vec![],
-        storms: vec![],
         keyed_storms: vec![],
         checkpoints: vec![],
         horizon: 30_000_000,

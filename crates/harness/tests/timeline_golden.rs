@@ -1,6 +1,6 @@
 //! Golden determinism tests for the timeline scenario runner: a pinned
 //! canonical schedule — joins, a crash wave, a graceful leave, a
-//! checkpoint, and a lookup storm — must reproduce exactly the trace
+//! checkpoint, and a keyed lookup storm — must reproduce exactly the trace
 //! digest and headline counters recorded when the DSL landed. Any drift
 //! means a change to the compiler, the runner, or the protocol altered
 //! scheduled behavior, not just internals.
@@ -13,21 +13,21 @@ use hyperring_core::{FailureDetector, ProtocolOptions, RetryPolicy};
 use hyperring_harness::{Scenario, Timeline};
 use hyperring_id::IdSpace;
 
-/// The canonical schedule: 24 members, 3 joiners at t = 0, a 20% crash
-/// wave at 2 s, one graceful leave at 4 s, a checkpoint at 8 s, a
-/// 32-lookup storm at 10 s, horizon 14 s.
+/// The canonical schedule: 24 members, 3 joiners at t = 0, a crash wave
+/// of 5 at 2 s, one graceful leave at 4 s, a checkpoint at 8 s, a
+/// 32-lookup keyed storm at 10 s, horizon 14 s.
 fn canonical() -> Timeline {
     Timeline::new()
         .at(0)
         .join(3)
         .at(2_000_000)
-        .crash(0.2)
+        .crash_count(5)
         .at(4_000_000)
         .leave(1)
         .at(8_000_000)
         .checkpoint("settled")
         .at(10_000_000)
-        .lookup_storm(32)
+        .keyed_storm(32, 16, 0.9)
         .horizon(14_000_000)
 }
 
@@ -86,11 +86,9 @@ fn canonical_timeline_matches_golden() {
         "settled checkpoint saw {} violations",
         ck.violations
     );
-    let storm = &r.storms[0];
-    assert_eq!(
-        storm.delivered, storm.lookups,
-        "storm lost lookups on the settled network"
-    );
+    let storm = &r.keyed_storms[0].stats;
+    assert_eq!(storm.lost, 0, "storm lost lookups on the settled network");
+    assert!(storm.max_hops <= 6);
 }
 
 /// Checkpoints and storms pause the simulator to inspect state; the
@@ -104,7 +102,7 @@ fn observation_events_do_not_perturb_the_golden_run() {
             .at(0)
             .join(3)
             .at(2_000_000)
-            .crash(0.2)
+            .crash_count(5)
             .at(4_000_000)
             .leave(1)
             .horizon(14_000_000),

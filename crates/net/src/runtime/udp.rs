@@ -698,24 +698,24 @@ struct LoopIo {
 
 impl LoopState {
     /// Feeds one input through slot `s`'s driver and keeps the
-    /// supervisor's join count: one fewer when the node enters the system
-    /// or crashes before it does. A crashed node's queued datagrams die
-    /// with it.
+    /// supervisor's join count: one fewer when the node stops joining,
+    /// by entering the system or by crashing first. A crashed node's
+    /// queued datagrams die with it.
     fn drive(&mut self, s: usize, input: NodeInput, now_us: u64) {
         let crash = matches!(input, NodeInput::Crash);
         let driver = &mut self.drivers[s];
-        let joining = driver.engine().status().is_joining();
+        let was_joining = driver.engine().status().is_joining();
         let mut handler = LoopHandler {
             io: &mut self.io,
             me: driver.engine().id(),
             slot: s,
             now_us,
         };
-        let report = match self.trace.as_ref().map(|t| t.lock()) {
+        match self.trace.as_ref().map(|t| t.lock()) {
             Some(Ok(mut stream)) => driver.drive(input, &mut handler, Some(&mut stream)),
             _ => driver.drive(input, &mut handler, None),
-        };
-        if report.entered_system || (crash && joining) {
+        }
+        if was_joining && !driver.engine().status().is_joining() {
             self.joining -= 1;
         }
         if crash {

@@ -87,12 +87,13 @@ pub struct Hop {
 /// entry. Given consistent tables every start resolves the same node.
 ///
 /// Returns the root and the number of overlay hops (self-hops excluded).
+/// A walk that reaches a node `lookup` has no table for (a stale entry's
+/// crashed, departed or joining node) ends there, at any level.
 ///
 /// # Panics
 ///
-/// Panics if `lookup` cannot resolve a visited node's table, or if a level
-/// has no populated entry at all (impossible: self entries are always
-/// present).
+/// Panics if a level has no populated entry at all (impossible: self
+/// entries are always present).
 pub fn surrogate_root_with<'a, F, V>(
     space: IdSpace,
     start: NodeId,
@@ -108,7 +109,9 @@ where
     let mut at = start;
     let mut hops = 0;
     for level in 0..space.digit_count() {
-        let table = lookup(&at).unwrap_or_else(|| panic!("no table for {at}"));
+        let Some(table) = lookup(&at) else {
+            break;
+        };
         let want = object_id.digit(level);
         let (digit, next) = (0..b)
             .map(|delta| (want + delta) % b)
@@ -220,8 +223,9 @@ type Directory = Vec<(NodeId, Vec<NodeId>)>;
 ///
 /// - an entry naming a node that has no table here (a *dangling* entry:
 ///   the tables of a network after crashes) gets an index past the last
-///   table; it has no rows, so a walk that steps on it and still has a
-///   level to go panics with `no table for …`;
+///   table; it has no rows, so a walk that steps on it ends there, as the
+///   free walk does, and [`contains`](Self::contains) says it is no
+///   live node;
 /// - a node's rows stop after the last level that holds anything but its
 ///   self entry alone: from there up every cyclic fallover lands on the
 ///   node itself and the walk cannot move.
@@ -314,6 +318,12 @@ impl<'a> ObjectStore<'a> {
         self.row_start.len() - 1
     }
 
+    /// Whether `id` is a live node; a walk that ends on any other node
+    /// ended on a dangling entry.
+    pub fn contains(&self, id: &NodeId) -> bool {
+        self.index_of(id).is_some()
+    }
+
     /// Whether the store has no nodes (never true: construction requires
     /// at least one).
     pub fn is_empty(&self) -> bool {
@@ -346,7 +356,7 @@ impl<'a> ObjectStore<'a> {
         let mut hops = 0;
         for level in 0..self.space.digit_count() {
             let Some(&end) = self.row_start.get(at + 1) else {
-                panic!("no table for {}", self.ids[at]);
+                break;
             };
             let row = self.row_start[at] as usize + level;
             if row >= end as usize {
@@ -375,11 +385,13 @@ impl<'a> ObjectStore<'a> {
         (at as u32, hops)
     }
 
-    /// The surrogate root for an object id, resolved from `start`.
+    /// The surrogate root for an object id, resolved from `start`. A walk
+    /// that steps on a dangling entry ends there and returns that node,
+    /// which [`contains`](Self::contains) does not hold.
     ///
     /// # Panics
     ///
-    /// Panics if `start` is not a live node.
+    /// Panics if `start` is not a live node; never on a dangling entry.
     pub fn root_from(&self, start: NodeId, object_id: &NodeId) -> (NodeId, usize) {
         self.root_from_with(start, object_id, |_| {})
     }
@@ -390,7 +402,7 @@ impl<'a> ObjectStore<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `start` is not a live node.
+    /// As [`root_from`](Self::root_from).
     pub fn root_from_with(
         &self,
         start: NodeId,
@@ -406,7 +418,8 @@ impl<'a> ObjectStore<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `home` is not a live node.
+    /// Panics if `home` is not a live node; a walk that ends on a dangling
+    /// entry files the pointer there.
     pub fn publish(&mut self, home: NodeId, name: &str) -> PublishReceipt {
         let object_id = self.object_id(name);
         let (root, hops) = self.walk(self.start(&home), &object_id, |_| {});
@@ -432,7 +445,7 @@ impl<'a> ObjectStore<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `from` is not a live node.
+    /// Panics if `from` is not a live node; never on a dangling entry.
     pub fn lookup(&self, from: NodeId, name: &str) -> Option<LookupHit<'_>> {
         let object_id = self.object_id(name);
         let (root, hops) = self.walk(self.start(&from), &object_id, |_| {});
@@ -516,10 +529,7 @@ fn republish(store: &mut ObjectStore<'_>, old: Vec<(NodeId, Directory)>) -> usiz
     for (old_root, dir) in old {
         for (oid, homes) in dir {
             // Homes that left the network drop their copies.
-            let live_homes: Vec<NodeId> = homes
-                .into_iter()
-                .filter(|h| store.index_of(h).is_some())
-                .collect();
+            let live_homes: Vec<NodeId> = homes.into_iter().filter(|h| store.contains(h)).collect();
             let Some(first) = live_homes.first() else {
                 continue;
             };

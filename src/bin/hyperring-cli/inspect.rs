@@ -94,8 +94,8 @@ pub fn simulate(mut args: Args) -> Result<(), String> {
     );
     if let Some(s) = r.keyed_storms.first().map(|k| &k.stats) {
         println!(
-            "lookup storm       : {} lookups over {} keys, {:.2} mean hops (max {}), load imbalance {:.2}",
-            s.lookups, s.keys, s.mean_hops, s.max_hops, s.load.imbalance
+            "lookup storm       : {} lookups over {} keys, {} lost, {:.2} mean hops (max {}), load imbalance {:.2}",
+            s.lookups, s.keys, s.lost, s.mean_hops, s.max_hops, s.load.imbalance
         );
     }
     if !r.consistent {

@@ -1,7 +1,7 @@
 //! `hyperring-cli` rejects an out-of-range `--n`, a malformed value and
 //! an argument its command does not take with an error and exit code 1
-//! instead of panicking or running the defaults, and still runs an
-//! in-range command. Commands run in a scratch directory, so the
+//! instead of panicking or running the defaults, and still runs
+//! in-range commands. Commands run in a scratch directory, so the
 //! `results/` they write stays out of the source tree.
 
 use std::process::{Command, Output};
@@ -35,15 +35,23 @@ fn out_of_range_n_is_an_error_not_a_panic() {
     }
 }
 
+/// In-range commands exit 0 and print what they ran.
 #[test]
 fn smallest_bootstrap_runs() {
-    let out = cli(&["bootstrap", "--n", "2"]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    for (args, prints) in [
+        (&["bootstrap", "--n", "2"][..], "consistent"),
+        // The CLI's one way into a timeline's keyed storm.
+        (
+            &["simulate", "--n", "32", "--m", "8", "--lookups", "64"],
+            "lookup storm",
+        ),
+    ] {
+        let out = cli(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(prints), "{args:?}: {stdout}");
+    }
 }
 
 #[test]
