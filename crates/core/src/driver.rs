@@ -18,6 +18,7 @@
 use std::cell::Cell;
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::sync::Mutex;
 
 use hyperring_id::{IdBuildHasher, NodeId};
 
@@ -165,21 +166,33 @@ pub trait EffectHandler {
 
 /// Drains `effects` in order: sends and timer ops go to `handler`, trace
 /// events are stamped with (`now`, `node`, next sequence number) and fed
-/// to `trace` (discarded when `None`).
+/// to `trace` (discarded when `None`). The stream is locked at the first
+/// trace event and held to the end of the drain, so one drive's records
+/// stay adjacent; a drive that traces nothing never locks it.
+///
+/// # Panics
+///
+/// Panics if a panic elsewhere poisoned the stream's lock.
 fn dispatch_effects<H: EffectHandler + ?Sized>(
     node: NodeId,
     now: u64,
     effects: &mut Effects,
     handler: &mut H,
-    mut trace: Option<&mut TraceStream>,
+    trace: Option<&Mutex<TraceStream>>,
 ) {
+    let mut stream = None;
     for effect in effects.drain() {
         match effect {
             Effect::Send { to, msg } => handler.send(to, msg),
             Effect::SetTimer { id, delay_hint } => handler.set_timer(id, delay_hint),
             Effect::CancelTimer { id } => handler.cancel_timer(id),
             Effect::Trace(ev) => {
-                if let Some(stream) = trace.as_deref_mut() {
+                if let Some(trace) = trace {
+                    let stream = stream.get_or_insert_with(|| {
+                        trace
+                            .lock()
+                            .expect("a panic poisoned the trace stream's lock")
+                    });
                     stream.emit(now, node, ev);
                 }
             }
@@ -227,12 +240,17 @@ impl EngineDriver {
 
     /// [`JoinEngine::step`]s one input and drains the resulting effects
     /// into `rt` (trace effects into `trace`, stamped with `rt.now_us()`).
-    /// This is the one shared dispatch path of every runtime.
+    /// This is the one shared dispatch path of every runtime. The stream
+    /// is locked only by a drive that traces something.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a panic elsewhere poisoned `trace`'s lock.
     pub fn drive<R: RuntimeDriver + ?Sized>(
         &mut self,
         input: NodeInput,
         rt: &mut R,
-        trace: Option<&mut TraceStream>,
+        trace: Option<&Mutex<TraceStream>>,
     ) {
         // Taking the buffer leaves an empty one behind, so a handler that
         // drives another node from inside `rt`, or a panic below, finds the
@@ -362,9 +380,9 @@ mod tests {
         });
 
         let sink = SharedSink::new(RingTrace::new(8));
-        let mut stream = TraceStream::new(Box::new(sink.clone()));
+        let stream = Mutex::new(TraceStream::new(Box::new(sink.clone())));
         let mut log = Recorder::default();
-        dispatch_effects(me, 77, &mut fx, &mut log, Some(&mut stream));
+        dispatch_effects(me, 77, &mut fx, &mut log, Some(&stream));
 
         assert!(fx.is_empty());
         assert_eq!(log.sends.len(), 1);

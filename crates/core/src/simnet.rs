@@ -33,7 +33,7 @@
 use std::sync::{Arc, Mutex, RwLock};
 
 use hyperring_id::{IdSpace, NodeId};
-use hyperring_sim::{Actor, Context, DelayModel, RunReport, Simulator, Time};
+use hyperring_sim::{Actor, Context, DelayModel, Prefetch, RunReport, Simulator, Time};
 
 use crate::consistency::{check_consistency, ConsistencyReport};
 use crate::driver::{EffectHandler, EngineDriver, NodeInput, Roster, RuntimeDriver};
@@ -73,7 +73,7 @@ struct Shared {
     /// keeps a `SimNetwork` `Send`.
     roster: RwLock<Roster>,
     /// The run-global trace stream of a traced network; locked only while
-    /// a node drives an input.
+    /// a node's drive emits its trace records.
     trace: Option<Arc<Mutex<TraceStream>>>,
     /// The network's [`Carrier`], if one was set.
     carrier: Option<Arc<dyn Carrier>>,
@@ -137,8 +137,7 @@ impl SimNode {
             reply,
             net: &self.net,
         };
-        let mut stream = (self.net.trace.as_ref()).map(|s| s.lock().expect(POISONED));
-        self.node.drive(input, &mut rt, stream.as_deref_mut());
+        self.node.drive(input, &mut rt, self.net.trace.as_deref());
     }
 }
 
@@ -203,6 +202,14 @@ impl Actor for SimNode {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, NodeInput, TimerId>, timer: TimerId) {
         self.dispatch(ctx, usize::MAX, NodeInput::TimerFired(timer));
+    }
+
+    fn prefetch(&self, next: Option<&NodeInput>, lines: &mut Prefetch) {
+        let sender = match next {
+            Some(NodeInput::Deliver { from, .. }) => Some(from),
+            _ => None,
+        };
+        self.node.engine().table().prefetch(sender, lines);
     }
 }
 

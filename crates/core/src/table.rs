@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 
 use hyperring_id::{IdSpace, NodeId, Suffix};
+use hyperring_sim::Prefetch;
 
 /// The paper's per-neighbor state: `T` while the neighbor is still joining,
 /// `S` once it is known to be an S-node (status *in_system*).
@@ -216,6 +217,15 @@ impl IdArena {
                 idx
             }
         }
+    }
+
+    /// The index word a probe for `id` reads first: the one cache line
+    /// an `intern` of a fresh id touches, and the first of a hit's.
+    #[inline]
+    fn home_of(&self, id: &NodeId) -> *const u32 {
+        let mut buf: KeyBuf = [0; 33];
+        let home = Self::home(Self::hash(self.key(id, &mut buf)), self.index.len());
+        self.index.as_ptr().wrapping_add(home)
     }
 
     /// Index of `id` if it was ever interned.
@@ -747,6 +757,20 @@ impl NeighborTable {
     /// Number of non-empty entries.
     pub fn filled(&self) -> usize {
         self.slots.iter().filter(|&&raw| holds_entry(raw)).count()
+    }
+
+    /// Names the lines a delivery from `sender` (`None`: a timer or a
+    /// control input) will touch first: the slot block, the index line
+    /// where interning or looking up the sender starts, and the tail of
+    /// the reverse set, where a fresh sender's membership is appended.
+    pub(crate) fn prefetch(&self, sender: Option<&NodeId>, lines: &mut Prefetch) {
+        lines.line(self.slots.as_ptr());
+        if let Some(id) = sender {
+            lines.line(self.arena.home_of(id));
+        }
+        if let Some(tail) = self.rev.chunks.last().and_then(|c| c.last()) {
+            lines.line(tail);
+        }
     }
 
     /// Adds `node` to the reverse-neighbor set `R_x(level, digit)`.

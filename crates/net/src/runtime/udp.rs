@@ -711,10 +711,7 @@ impl LoopState {
             slot: s,
             now_us,
         };
-        match self.trace.as_ref().map(|t| t.lock()) {
-            Some(Ok(mut stream)) => driver.drive(input, &mut handler, Some(&mut stream)),
-            _ => driver.drive(input, &mut handler, None),
-        }
+        driver.drive(input, &mut handler, self.trace.as_deref());
         if was_joining && !driver.engine().status().is_joining() {
             self.joining -= 1;
         }

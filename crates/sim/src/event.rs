@@ -20,6 +20,12 @@ pub(crate) struct Key {
 }
 
 impl Key {
+    /// The destination actor's index.
+    #[inline]
+    pub fn actor(&self) -> usize {
+        (self.to & !TIMER) as usize
+    }
+
     /// `(at, seq)` as one integer, so that a comparison in a heap sift is
     /// a subtract-with-borrow rather than a branch.
     #[inline]
@@ -209,6 +215,21 @@ impl<M, T> Slab<M, T> {
             _ => unreachable!("only messages are duplicated"),
         };
         self.insert(copy)
+    }
+
+    /// The address of slot `i`, to prefetch.
+    #[inline]
+    pub fn slot_ptr(&self, i: u32) -> *const Slot<M, T> {
+        self.get(i)
+    }
+
+    /// The message in slot `i`, if it holds one.
+    #[inline]
+    pub fn msg(&self, i: u32) -> Option<&M> {
+        match self.get(i) {
+            Slot::Msg(_, msg) => Some(msg),
+            _ => None,
+        }
     }
 
     /// Empties timer slot `i` in place; its queued key now pops as stale.

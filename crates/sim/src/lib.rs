@@ -12,6 +12,13 @@
 //! reordered if their sampled latencies interleave. This makes the simulator
 //! an adversarial scheduler for the protocol rather than a friendly one.
 //!
+//! Before each delivery the simulator prefetches what the next two will
+//! touch: the actor and slab slot of the event after next, and whatever
+//! lines the next event's actor names through [`Actor::prefetch`]. A
+//! prefetch is a hint and changes nothing a run can observe. It is the
+//! crate's one `unsafe` exception: [`Prefetch::line`] calls
+//! `_mm_prefetch` on x86-64 and does nothing elsewhere.
+//!
 //! # Examples
 //!
 //! Actors may also arm per-actor timers ([`Context::set_timer`]) and see
@@ -42,14 +49,16 @@
 //! assert_eq!(sim.now(), 60);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)] // one exception: the prefetch hint in Prefetch::line
 #![warn(missing_docs)]
 
 mod delay;
 mod event;
+mod prefetch;
 mod sim;
 pub mod stats;
 
 pub use delay::{ConstantDelay, DelayModel, Fate, FaultyDelay, UniformDelay};
 pub use event::Time;
+pub use prefetch::Prefetch;
 pub use sim::{Actor, Context, RunReport, Simulator};

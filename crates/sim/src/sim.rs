@@ -6,6 +6,7 @@ use rand::SeedableRng;
 
 use crate::delay::{DelayModel, Fate};
 use crate::event::{Key, Slab, Slot, Time, TIMER};
+use crate::prefetch::Prefetch;
 
 /// A simulated protocol participant.
 ///
@@ -33,6 +34,14 @@ pub trait Actor {
     /// Handles an expired timer previously armed with
     /// [`Context::set_timer`]. The default does nothing.
     fn on_timer(&mut self, _ctx: &mut Context<'_, Self::Msg, Self::Timer>, _timer: Self::Timer) {}
+
+    /// Names the cache lines this actor's next delivery will touch: the
+    /// simulator asks the actor of the event queued next, one delivery
+    /// ahead, with its message (`None` for a timer). Usually that event
+    /// is delivered next. It is not when the delivery in between
+    /// schedules an earlier one, or when it is a canceled timer. A hint
+    /// changes nothing a run can observe. The default names nothing.
+    fn prefetch(&self, _next: Option<&Self::Msg>, _lines: &mut Prefetch) {}
 }
 
 /// One operation an actor issued during a delivery, buffered until the
@@ -377,8 +386,9 @@ where
         let key = self.queue.pop().expect("peeked event vanished");
         debug_assert!(key.at >= self.now, "time went backwards");
         debug_assert!(self.ops.is_empty());
+        self.prefetch_next();
         self.now = key.at;
-        let me = (key.to & !TIMER) as usize;
+        let me = key.actor();
         let payload = self.slab.take(key.slot);
         let mut ctx = Context {
             now: key.at,
@@ -400,6 +410,32 @@ where
         }
         self.apply_ops(me);
         self.slab.trim();
+    }
+
+    /// Names what the next two deliveries will touch while this one runs,
+    /// so that their cache misses overlap its work. The event after next
+    /// is the earlier of heap slots 1 and 2: its actor and its slot are
+    /// named by address. The next event, at the root, had both named one
+    /// delivery ago, so its actor can read its message and name the
+    /// lines behind them ([`Actor::prefetch`]).
+    #[inline]
+    fn prefetch_next(&self) {
+        let mut lines = Prefetch::new();
+        let heap = self.queue.as_slice();
+        // `Key`'s order is reversed: the greater key is the earlier event.
+        let after_next = match heap {
+            [_, a, b, ..] => Some(a.max(b)),
+            [_, a] => Some(a),
+            _ => None,
+        };
+        if let Some(key) = after_next {
+            lines.line(&self.actors[key.actor()]);
+            lines.line(self.slab.slot_ptr(key.slot));
+        }
+        if let Some(next) = heap.first() {
+            let msg = self.slab.msg(next.slot);
+            self.actors[next.actor()].prefetch(msg, &mut lines);
+        }
     }
 
     fn report(&self, truncated: bool) -> RunReport {
@@ -473,6 +509,8 @@ where
 mod tests {
     use super::*;
     use crate::{ConstantDelay, FaultyDelay, UniformDelay};
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     /// Counts deliveries and forwards `hops` times around a ring.
     struct Ring {
@@ -844,6 +882,100 @@ mod tests {
         let r = sim.run_limited(100);
         assert!(r.duplicated > 0);
         assert!(sim.actor(1).received >= 2);
+    }
+
+    /// What [`Hinted`] saw: a hint about its next event (`None`: a
+    /// timer), or a delivery with the messages and timers it scheduled.
+    #[derive(Debug)]
+    enum Seen {
+        Hint(usize, Option<u32>),
+        Delivery(usize, Option<u32>, Vec<u32>, bool),
+    }
+
+    /// Forwards each message to two actors and arms a one-off timer on
+    /// every third, until the run's 400 message ids are used up.
+    struct Hinted {
+        me: usize,
+        n: usize,
+        ids: Rc<Cell<u32>>,
+        log: Rc<RefCell<Vec<Seen>>>,
+    }
+
+    impl Actor for Hinted {
+        type Msg = u32;
+        type Timer = u32;
+        fn on_message(&mut self, ctx: &mut Context<'_, u32, u32>, _f: usize, m: u32) {
+            let mut sent = Vec::new();
+            for hop in 1..3 {
+                let id = self.ids.get();
+                if id < 400 {
+                    self.ids.set(id + 1);
+                    ctx.send((self.me + hop * m as usize) % self.n, id);
+                    sent.push(id);
+                }
+            }
+            let armed = m.is_multiple_of(3);
+            if armed {
+                ctx.set_timer(m, 100);
+            }
+            let seen = Seen::Delivery(self.me, Some(m), sent, armed);
+            self.log.borrow_mut().push(seen);
+        }
+        fn on_timer(&mut self, _ctx: &mut Context<'_, u32, u32>, _t: u32) {
+            let seen = Seen::Delivery(self.me, None, Vec::new(), false);
+            self.log.borrow_mut().push(seen);
+        }
+        fn prefetch(&self, next: Option<&u32>, _lines: &mut Prefetch) {
+            let hint = Seen::Hint(self.me, next.copied());
+            self.log.borrow_mut().push(hint);
+        }
+    }
+
+    #[test]
+    fn each_hint_names_the_next_delivery_unless_an_earlier_event_came_between() {
+        let (n, ids, log) = (5, Rc::new(Cell::new(1)), Rc::new(RefCell::new(Vec::new())));
+        let actors = (0..n).map(|me| Hinted {
+            me,
+            n,
+            ids: Rc::clone(&ids),
+            log: Rc::clone(&log),
+        });
+        let mut sim = Simulator::new(actors.collect(), UniformDelay::new(1, 1_000), 3);
+        sim.inject(0, 0, 0);
+        sim.run();
+        // Pair each delivery with the hint given just before it.
+        let mut hinted = Vec::new();
+        let mut hint = None;
+        for seen in log.borrow_mut().drain(..) {
+            match seen {
+                Seen::Hint(to, msg) => hint = Some((to, msg)),
+                Seen::Delivery(to, msg, sent, armed) => {
+                    hinted.push((hint.take(), (to, msg), sent, armed));
+                }
+            }
+        }
+        let (mut named, mut overtaken) = (0, 0);
+        for pair in hinted.windows(2) {
+            let [(hint, _, sent, armed), (_, next, ..)] = pair else {
+                unreachable!()
+            };
+            if *hint == Some(*next) {
+                named += 1;
+                continue;
+            }
+            // Only an event the delivery in between scheduled can have
+            // overtaken the hinted one.
+            overtaken += 1;
+            match next.1 {
+                Some(m) => assert!(sent.contains(&m), "{next:?} was never hinted"),
+                None => assert!(armed, "timer {next:?} was never hinted"),
+            }
+        }
+        assert_eq!(hinted.len(), 400 + 134, "every message and timer delivered");
+        assert!(
+            named > 10 * overtaken && overtaken > 0,
+            "{named} vs {overtaken}"
+        );
     }
 
     #[test]

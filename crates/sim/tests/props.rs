@@ -7,8 +7,8 @@ use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
 
 use hyperring_sim::{
-    Actor, ConstantDelay, Context, DelayModel, Fate, FaultyDelay, RunReport, Simulator, Time,
-    UniformDelay,
+    Actor, ConstantDelay, Context, DelayModel, Fate, FaultyDelay, Prefetch, RunReport, Simulator,
+    Time, UniformDelay,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -191,11 +191,16 @@ impl Script {
     }
 }
 
-/// A scripted actor on the real simulator; `log` and `population` are
-/// shared by all actors of one run.
+/// One prefetch hint: `(me, message)`, `None` for a timer.
+type Hint = (usize, Option<u64>);
+
+/// A scripted actor on the real simulator; `log`, `hints` and
+/// `population` are shared by all actors of one run.
 struct Scripted {
     script: Script,
     log: Rc<RefCell<Vec<Delivery>>>,
+    /// Every prefetch hint it was given.
+    hints: Rc<RefCell<Vec<Hint>>>,
     population: Rc<Cell<usize>>,
 }
 
@@ -223,6 +228,11 @@ impl Actor for Scripted {
     fn on_timer(&mut self, ctx: &mut Context<'_, u64, u8>, t: u8) {
         let me = ctx.me();
         self.react(ctx, me, Seen::Timer(t));
+    }
+    fn prefetch(&self, next: Option<&u64>, _lines: &mut Prefetch) {
+        self.hints
+            .borrow_mut()
+            .push((self.script.me, next.copied()));
     }
 }
 
@@ -401,7 +411,9 @@ proptest! {
     /// timers too), injections and actors added mid-run — paused by
     /// `run_limited(k)`, `run_until(t)` and `run()` under drop 0.2 and dup 0.2:
     /// the same deliveries in the same order, the same report and the
-    /// same queue length as the reference at every pause.
+    /// same queue length as the reference at every pause. The actors take
+    /// prefetch hints, which change nothing, and each message hinted at
+    /// is delivered to the actor it was hinted to.
     #[test]
     fn slab_queue_matches_the_boxed_reference(
         n in 1usize..6,
@@ -410,10 +422,12 @@ proptest! {
         steps in proptest::collection::vec((0u8..6, 0u64..2_000, 0u64..1_000), 1..24),
     ) {
         let log = Rc::new(RefCell::new(Vec::new()));
+        let hints = Rc::new(RefCell::new(Vec::new()));
         let population = Rc::new(Cell::new(n));
         let scripted = |me: usize| Scripted {
             script: Script::new(script, me),
             log: Rc::clone(&log),
+            hints: Rc::clone(&hints),
             population: Rc::clone(&population),
         };
         let mut sim = Simulator::new((0..n).map(scripted).collect(), lossy(), seed);
@@ -454,5 +468,17 @@ proptest! {
             prop_assert_eq!(sim.pending(), reference.queue.len());
         }
         prop_assert!(sim.pending() == 0 && !sim.step());
+        let mut delivered: Vec<(usize, u64)> = (log.borrow().iter())
+            .filter_map(|&(_, to, _, what)| match what {
+                Seen::Msg(m) => Some((to, m)),
+                Seen::Timer(_) => None,
+            })
+            .collect();
+        delivered.sort_unstable();
+        for &(to, m) in hints.borrow().iter() {
+            if let Some(m) = m {
+                prop_assert!(delivered.binary_search(&(to, m)).is_ok(), "hinted {m} to {to}");
+            }
+        }
     }
 }
