@@ -14,10 +14,12 @@
 //!
 //! [`UdpNetwork`] drives every engine through the same
 //! [`EngineDriver`](hyperring_core::EngineDriver) glue as the simulator,
-//! with timers on a hierarchical [`TimerWheel`], so a
+//! with timers on a [`TimerWheel`], so a
 //! [`RetryPolicy`](hyperring_core::RetryPolicy) works against the wall
-//! clock too. [`LoopbackCarrier`] is the simulator's send path over a
-//! socket: a carried run reads the simulator's own digests — the proof
+//! clock too. The wheel is the simulator's timer design, a heap of
+//! deadlines beside an index of live armings, so both runtimes keep
+//! timers one way. [`LoopbackCarrier`] is the simulator's send path over
+//! a socket: a carried run reads the simulator's own digests — the proof
 //! that the codec and socket plumbing are transparent.
 //!
 //! # Examples

@@ -14,6 +14,14 @@
 //! the injector, by backpressure, or (under extreme load) by the kernel —
 //! so runs with loss must configure a retry policy.
 //!
+//! A thread's timers share one [`TimerWheel`], which despite its name is
+//! the simulator's design: a heap of deadlines, a canceled or re-armed
+//! timer's entry left stale until it reaches the head. Every request
+//! arms a retry timer and its reply cancels it, so arming and canceling
+//! are the hot operations and firing is rare: a lossless wave fires no
+//! timer, a lossy one about one per lost datagram. The poll(2) timeout
+//! is the heap's head, never later than the earliest live deadline.
+//!
 //! # When a run ends
 //!
 //! Each loop thread publishes counters in its own cache-line-aligned

@@ -1,73 +1,70 @@
-//! A hierarchical timer wheel shared by every engine on a runtime thread.
-//!
-//! The socket runtime hosts many engines per OS thread, so their timers
-//! live in one wheel keyed by `(engine, timer)`. The wheel is the
-//! classic hashed-and-hierarchical design: [`LEVELS`] levels of [`SLOTS`]
-//! slots each, level `l` spanning `SLOTS^(l+1)` ticks, deadlines cascading
-//! down a level as their window approaches, and an overflow list for
-//! deadlines beyond the top level's horizon. A per-level occupancy bitmask
-//! lets [`advance`](TimerWheel::advance) jump straight between non-empty
-//! slots, so sparse wheels cost nothing to fast-forward across long idle
-//! stretches.
-//!
-//! Cancellation and re-arming are O(1): the wheel never removes slot
-//! entries eagerly, it stamps every arming with a generation and lets
-//! stale entries die when their slot drains. The simulator does the same
-//! without the stamp: its armed map names the payload slot of the live
-//! arming, canceling or re-arming empties the old slot in place, and the
-//! old key dies when it reaches the head of the queue. Timer semantics
-//! therefore match across runtimes (re-arming supersedes, canceling a
-//! non-armed timer is a no-op).
+//! The timer queue shared by every engine on a runtime thread, keyed by
+//! `(engine, timer)`. It is the simulator's design: a binary heap of
+//! deadlines beside an index naming each key's live arming. Canceling
+//! drops the key from the index, re-arming stamps a new generation, and a
+//! superseded entry is dropped when it reaches the head. A heap is enough:
+//! a retry policy's timers are armed by requests and canceled by replies,
+//! few fire (a lossless join wave fires none), and the heap is cleared
+//! whenever nothing is armed.
 //!
 //! Time is an absolute microsecond clock supplied by the caller (wall or
-//! virtual); the wheel only requires that `advance` never run backwards.
+//! virtual) that never runs backwards. A deadline is due once the clock
+//! reaches the tick it falls in.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;
 
 use hyperring_id::IdBuildHasher;
 
-/// Slots per level (64 keeps slot indexing a 6-bit shift and the
-/// occupancy mask one machine word).
-pub const SLOTS: usize = 64;
-/// Hierarchy depth: with a 100 µs tick the top level spans ~28 minutes.
-pub const LEVELS: usize = 4;
-
-/// A hierarchical timer wheel over keys `K`, with microsecond deadlines.
+/// A timer queue over keys `K`, with microsecond deadlines.
 #[derive(Debug)]
 pub struct TimerWheel<K> {
     tick_us: u64,
-    /// The tick the wheel's cursor sits on (its notion of "now").
-    tick: u64,
-    /// `levels[l][s]` holds `(key, generation, deadline_us)` entries.
-    levels: Vec<Vec<Vec<(K, u64, u64)>>>,
-    /// Bit `s` of `masks[l]` set iff `levels[l][s]` is non-empty.
-    masks: [u64; LEVELS],
-    overflow: Vec<(K, u64, u64)>,
-    /// key -> (generation, deadline_us). Under a retry policy every
-    /// request arms a key and every reply cancels one, so the index runs
-    /// on the fixed [`IdBuildHasher`]: its keys are ones the owner
-    /// inserted, never ones an outside party picks.
-    armed: HashMap<K, (u64, u64), IdBuildHasher>,
+    /// Every arming not yet popped, live or stale.
+    heap: BinaryHeap<Entry<K>>,
+    /// key -> generation of its live arming (the owner's keys: a fixed hasher).
+    armed: HashMap<K, u64, IdBuildHasher>,
     generation: u64,
 }
 
+/// `(deadline_us, generation, key)`, ordered by `(deadline_us, generation)`
+/// reversed: the max-heap pops the earliest deadline, then arming, first.
+#[derive(Debug)]
+struct Entry<K>(u64, u64, K);
+
+impl<K> Ord for Entry<K> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.0, other.1).cmp(&(self.0, self.1))
+    }
+}
+
+impl<K> PartialOrd for Entry<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K> PartialEq for Entry<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<K> Eq for Entry<K> {}
+
 impl<K: Clone + Eq + Hash> TimerWheel<K> {
-    /// A wheel with the given tick granularity, starting at `now_us`.
+    /// A queue with the given tick granularity. The start time is unused
+    /// (there is no cursor); the benchmark's timer probe still passes it.
     ///
     /// # Panics
     ///
     /// Panics if `tick_us` is zero.
-    pub fn new(tick_us: u64, now_us: u64) -> Self {
+    pub fn new(tick_us: u64, _now_us: u64) -> Self {
         assert!(tick_us > 0, "tick granularity must be positive");
         TimerWheel {
             tick_us,
-            tick: now_us / tick_us,
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            masks: [0; LEVELS],
-            overflow: Vec::new(),
+            heap: BinaryHeap::new(),
             armed: HashMap::default(),
             generation: 0,
         }
@@ -84,163 +81,42 @@ impl<K: Clone + Eq + Hash> TimerWheel<K> {
     }
 
     /// Arms (or re-arms, superseding) `key` to fire at `deadline_us`.
-    /// Deadlines at or before the wheel's cursor fire on the next
-    /// [`advance`](Self::advance).
     pub fn arm(&mut self, key: K, deadline_us: u64) {
         self.generation += 1;
-        let generation = self.generation;
-        self.armed.insert(key.clone(), (generation, deadline_us));
-        self.place(key, generation, deadline_us);
+        self.armed.insert(key.clone(), self.generation);
+        self.heap.push(Entry(deadline_us, self.generation, key));
     }
 
-    /// Cancels `key` if armed (a no-op otherwise). The slot entry, if any,
-    /// goes stale and is discarded when its slot drains.
+    /// Cancels `key` if armed (a no-op otherwise); its entry goes stale.
     pub fn cancel(&mut self, key: &K) {
         self.armed.remove(key);
     }
 
-    fn place(&mut self, key: K, generation: u64, deadline_us: u64) {
-        let deadline_tick = deadline_us / self.tick_us;
-        let delta = deadline_tick.saturating_sub(self.tick);
-        for level in 0..LEVELS {
-            let span = (SLOTS as u64).pow(level as u32 + 1);
-            if delta < span {
-                let shift = 6 * level as u32;
-                let slot = ((deadline_tick >> shift) as usize) & (SLOTS - 1);
-                self.levels[level][slot].push((key, generation, deadline_us));
-                self.masks[level] |= 1 << slot;
-                return;
-            }
-        }
-        self.overflow.push((key, generation, deadline_us));
-    }
-
-    #[inline]
-    fn live(&self, key: &K, generation: u64) -> bool {
-        self.armed.get(key).map(|&(g, _)| g) == Some(generation)
-    }
-
     /// The earliest moment the caller must wake, in microseconds, or
     /// `None` when nothing is armed. The bound is conservative: never
-    /// later than the earliest live deadline, but possibly earlier (a
-    /// stale slot or a cascade boundary) — wake,
-    /// [`advance`](Self::advance), and re-query.
+    /// later than the earliest live deadline, but earlier when the head
+    /// is stale — wake, [`advance`](Self::advance), and re-query.
     pub fn next_deadline_us(&self) -> Option<u64> {
-        if self.armed.is_empty() {
-            return None;
-        }
-        let cursor = (self.tick as usize) & (SLOTS - 1);
-        let ahead = self.masks[0].rotate_right(cursor as u32);
-        if ahead != 0 {
-            let off = ahead.trailing_zeros() as u64;
-            let t = self.tick + off;
-            let slot = &self.levels[0][(t as usize) & (SLOTS - 1)];
-            let best = slot
-                .iter()
-                .filter(|(k, g, d)| *d / self.tick_us == t && self.live(k, *g))
-                .map(|&(_, _, d)| d)
-                .min();
-            return Some(best.unwrap_or(t * self.tick_us));
-        }
-        // Everything live sits in a higher level or the overflow list;
-        // wake at the next cascade boundary so re-placement can run. (The
-        // bound misses nothing earlier: a live deadline below the boundary
-        // is by construction placed in level 0.)
-        Some((self.tick + (SLOTS - cursor) as u64) * self.tick_us)
+        let head = self.heap.peek().map(|e| e.0);
+        head.filter(|_| !self.armed.is_empty())
     }
 
-    /// Advances the wheel to `now_us` and returns every timer that fired,
-    /// earliest-deadline first (ties in arming order). Fired timers are
-    /// disarmed; the owner re-arms explicitly to retry.
+    /// Advances to `now_us` and returns every timer due, earliest deadline
+    /// first (ties in arming order), disarmed: the owner re-arms to retry.
     pub fn advance(&mut self, now_us: u64) -> Vec<K> {
-        let target = now_us / self.tick_us;
         if self.armed.is_empty() {
-            // Nothing can fire; drop stale entries wholesale and jump.
-            if self.tick < target {
-                for level in 0..LEVELS {
-                    if self.masks[level] != 0 {
-                        for slot in &mut self.levels[level] {
-                            slot.clear();
-                        }
-                        self.masks[level] = 0;
-                    }
-                }
-                self.overflow.clear();
-                self.tick = target;
-            }
-            return Vec::new();
+            self.heap.clear(); // every entry is stale
         }
-        let mut due: Vec<(u64, u64, K)> = Vec::new();
-        loop {
-            // Drain the level-0 slot under the cursor.
-            let idx = (self.tick as usize) & (SLOTS - 1);
-            if self.masks[0] >> idx & 1 == 1 {
-                let mut slot = std::mem::take(&mut self.levels[0][idx]);
-                slot.retain(|&(ref key, generation, deadline)| {
-                    if deadline / self.tick_us > self.tick {
-                        return true; // later wrap of this slot
-                    }
-                    if self.armed.get(key).map(|&(g, _)| g) == Some(generation) {
-                        self.armed.remove(key);
-                        due.push((deadline, generation, key.clone()));
-                    }
-                    false
-                });
-                if slot.is_empty() {
-                    self.masks[0] &= !(1 << idx);
-                }
-                self.levels[0][idx] = slot;
-            }
-            if self.tick >= target {
-                break;
-            }
-            // Jump: the nearest of (next occupied level-0 slot, next
-            // cascade boundary, the target itself).
-            let cursor = (self.tick as usize) & (SLOTS - 1);
-            let to_boundary = (SLOTS - cursor) as u64;
-            let ahead = self.masks[0].rotate_right(cursor as u32) & !1;
-            let to_entry = if ahead == 0 {
-                u64::MAX
-            } else {
-                u64::from(ahead.trailing_zeros())
-            };
-            let jump = to_boundary.min(to_entry).min(target - self.tick).max(1);
-            self.tick += jump;
-            if (self.tick as usize) & (SLOTS - 1) == 0 {
-                self.cascade();
+        let (tick, target) = (self.tick_us, now_us / self.tick_us);
+        let mut due = Vec::new();
+        while self.heap.peek().is_some_and(|e| e.0 / tick <= target) {
+            let Entry(_, generation, key) = self.heap.pop().expect("head checked");
+            if self.armed.get(&key) == Some(&generation) {
+                self.armed.remove(&key);
+                due.push(key);
             }
         }
-        due.sort_by_key(|d| (d.0, d.1));
-        due.into_iter().map(|(_, _, k)| k).collect()
-    }
-
-    /// Re-places the higher-level slots whose window the cursor just
-    /// entered (called only with the cursor on a level-0 boundary).
-    fn cascade(&mut self) {
-        for level in 1..LEVELS {
-            let shift = 6 * level as u32;
-            if self.tick & ((1u64 << shift) - 1) != 0 {
-                break;
-            }
-            let idx = ((self.tick >> shift) as usize) & (SLOTS - 1);
-            if self.masks[level] >> idx & 1 == 1 {
-                let entries = std::mem::take(&mut self.levels[level][idx]);
-                self.masks[level] &= !(1 << idx);
-                for (key, generation, deadline) in entries {
-                    if self.live(&key, generation) {
-                        self.place(key, generation, deadline);
-                    }
-                }
-            }
-        }
-        if self.tick & ((1u64 << (6 * LEVELS as u32)) - 1) == 0 {
-            let overflow = std::mem::take(&mut self.overflow);
-            for (key, generation, deadline) in overflow {
-                if self.live(&key, generation) {
-                    self.place(key, generation, deadline);
-                }
-            }
-        }
+        due
     }
 }
 
@@ -263,6 +139,23 @@ mod tests {
         assert_eq!(w.next_deadline_us(), None);
     }
 
+    /// A deadline is due once the clock reaches its tick; the deadlines
+    /// due together fire earliest first, equal ones in arming order.
+    #[test]
+    fn one_tick_fires_together_in_deadline_then_arming_order() {
+        let mut w: TimerWheel<u32> = TimerWheel::new(100, 0);
+        w.arm(3, 1_000);
+        w.arm(1, 1_000);
+        w.arm(2, 1_000);
+        w.arm(3, 1_000); // re-arming moves 3 behind 1 and 2
+        w.arm(5, 1_099);
+        w.arm(4, 1_050);
+        w.arm(6, 1_100);
+        assert_eq!(w.advance(999), Vec::<u32>::new());
+        assert_eq!(w.advance(1_000), vec![1, 2, 3, 4, 5]);
+        assert_eq!(w.advance(1_100), vec![6]);
+    }
+
     #[test]
     fn cancel_and_rearm_supersede() {
         let mut w: TimerWheel<&'static str> = TimerWheel::new(50, 0);
@@ -276,8 +169,9 @@ mod tests {
         w.cancel(&"b"); // canceling after fire is a no-op
     }
 
+    /// Deadlines from 100 to 20 million ticks out fire in their own tick.
     #[test]
-    fn long_deadlines_cascade_down() {
+    fn long_deadlines_fire_on_time() {
         let mut w: TimerWheel<u32> = TimerWheel::new(100, 0);
         // Level 1 (beyond 64 ticks), level 2, level 3, and overflow.
         w.arm(1, 100 * 100);
@@ -309,6 +203,39 @@ mod tests {
         }
         assert_eq!(fired, vec![7]);
         assert!((100_000..110_000).contains(&now), "no large overshoot");
+    }
+
+    /// Stale entries do not outlive their deadlines: once the clock
+    /// passes every deadline ever armed, the heap holds nothing. With
+    /// nothing armed, an `advance` drops them all, however far out.
+    #[test]
+    fn stale_entries_are_gone_past_their_deadlines() {
+        let mut w: TimerWheel<u32> = TimerWheel::new(100, 0);
+        for round in 0..10u64 {
+            for k in 0..1_000u32 {
+                w.arm(k, 10_000 + round * 1_000 + u64::from(k));
+                if k % 3 == 0 {
+                    w.cancel(&k);
+                }
+            }
+        }
+        w.arm(5_000, 50_000); // stays armed, so advance pops one by one
+        assert_eq!(w.heap.len(), 10_001);
+        assert_eq!(w.len(), 667);
+        let fired = w.advance(30_000);
+        assert_eq!(fired.len(), 666);
+        assert_eq!(w.heap.len(), 1, "only the live arming is left");
+        assert_eq!(w.advance(60_000), vec![5_000]);
+        assert!(w.is_empty());
+        assert_eq!(w.heap.len(), 0);
+        assert_eq!(w.next_deadline_us(), None);
+        w.arm(1, 3_600_000_000);
+        w.arm(1, 7_200_000_000);
+        w.cancel(&1);
+        assert_eq!(w.heap.len(), 2);
+        assert_eq!(w.next_deadline_us(), None, "stale entries wake no one");
+        assert_eq!(w.advance(60_100), Vec::<u32>::new());
+        assert_eq!(w.heap.len(), 0);
     }
 
     /// Randomized differential test against a sorted-map reference model.
@@ -355,6 +282,14 @@ mod tests {
                     expected.sort_unstable();
                     assert_eq!(fired, expected, "divergence at now={now}");
                 }
+            }
+            // The loop's poll(2) timeout: never past a live deadline.
+            match (w.next_deadline_us(), reference.values().min()) {
+                (None, None) => {}
+                (Some(wake), Some(&earliest)) => {
+                    assert!(wake <= earliest, "woke at {wake} after {earliest}")
+                }
+                (wake, earliest) => panic!("wake {wake:?} with earliest {earliest:?}"),
             }
         }
     }

@@ -19,7 +19,7 @@
 //! crate's one `unsafe` exception: [`Prefetch::line`] calls
 //! `_mm_prefetch` on x86-64 and does nothing elsewhere.
 //!
-//! # Examples
+//! # Timers and faults
 //!
 //! Actors may also arm per-actor timers ([`Context::set_timer`]) and see
 //! them expire via [`Actor::on_timer`], and a [`FaultyDelay`] wrapper can
