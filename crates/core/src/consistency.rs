@@ -674,4 +674,34 @@ mod tests {
         assert_eq!(fast.violations(), naive.violations());
         assert!(!fast.is_consistent());
     }
+
+    /// Three consistent tables plus a second copy of the first: two
+    /// tables claim one owner, so no membership can judge them.
+    fn duplicated_owner() -> (IdSpace, Vec<NeighborTable>) {
+        let space = IdSpace::new(4, 3).unwrap();
+        let mut tables = build_consistent_tables(space, &ids(space, &["012", "230", "111"]));
+        tables.push(tables[0].clone());
+        (space, tables)
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate table owners")]
+    fn check_consistency_rejects_duplicate_owners() {
+        let (space, tables) = duplicated_owner();
+        check_consistency(space, &tables);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate table owners")]
+    fn digest_and_check_streaming_rejects_duplicate_owners() {
+        let (space, tables) = duplicated_owner();
+        digest_and_check_streaming(space, &tables);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate table owners")]
+    fn check_consistency_naive_rejects_duplicate_owners() {
+        let (space, tables) = duplicated_owner();
+        check_consistency_naive(space, &tables);
+    }
 }

@@ -112,3 +112,73 @@ fn observation_events_do_not_perturb_the_golden_run() {
     assert_eq!(with_obs.timers_fired, without_obs.timers_fired);
     assert_eq!(with_obs.finished_at, without_obs.finished_at);
 }
+
+/// Every checkpoint of one Poisson-churn trial, both arms, as
+/// `(at, live, violations, false_negatives, consistent, joining)`. The
+/// checkpoints are the one place a timeline runs the Definition-3.8
+/// checker mid-run; a change to how they check must not move a verdict.
+#[test]
+fn poisson_churn_checkpoints_match_golden() {
+    use hyperring_harness::experiments::{run_poisson_churn, PoissonChurnConfig};
+    type Row = (u64, usize, usize, usize, bool, usize);
+    let cfg = PoissonChurnConfig::default();
+    assert_eq!(cfg.members, 64);
+    let rows = |repair: bool| -> Vec<Row> {
+        run_poisson_churn(&cfg, 1, repair)
+            .checkpoints
+            .iter()
+            .map(|c| {
+                (
+                    c.at,
+                    c.live,
+                    c.violations,
+                    c.false_negatives,
+                    c.consistent,
+                    c.joining,
+                )
+            })
+            .collect()
+    };
+    let (repair, control) = (rows(true), rows(false));
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        println!("repair: {repair:?}");
+        println!("control: {control:?}");
+        return;
+    }
+    let golden_repair: [Row; 15] = [
+        (2_000_000, 64, 0, 0, true, 0),
+        (4_000_000, 62, 4, 0, false, 1),
+        (6_000_000, 63, 14, 0, false, 1),
+        (8_000_000, 60, 23, 1, false, 4),
+        (10_000_000, 61, 13, 1, false, 1),
+        (12_000_000, 59, 9, 0, false, 1),
+        (14_000_000, 62, 9, 0, false, 2),
+        (16_000_000, 64, 1, 0, false, 0),
+        (18_000_000, 64, 0, 0, true, 0),
+        (20_000_000, 64, 0, 0, true, 0),
+        (22_000_000, 64, 0, 0, true, 0),
+        (24_000_000, 64, 0, 0, true, 0),
+        (26_000_000, 64, 0, 0, true, 0),
+        (28_000_000, 64, 0, 0, true, 0),
+        (30_000_000, 64, 0, 0, true, 0),
+    ];
+    let golden_control: [Row; 15] = [
+        (2_000_000, 64, 0, 0, true, 0),
+        (4_000_000, 62, 63, 60, false, 1),
+        (6_000_000, 63, 64, 50, false, 1),
+        (8_000_000, 59, 97, 52, false, 5),
+        (10_000_000, 61, 58, 54, false, 1),
+        (12_000_000, 58, 66, 41, false, 2),
+        (14_000_000, 62, 85, 68, false, 2),
+        (16_000_000, 64, 43, 43, false, 0),
+        (18_000_000, 64, 43, 43, false, 0),
+        (20_000_000, 64, 43, 43, false, 0),
+        (22_000_000, 64, 43, 43, false, 0),
+        (24_000_000, 64, 43, 43, false, 0),
+        (26_000_000, 64, 43, 43, false, 0),
+        (28_000_000, 64, 43, 43, false, 0),
+        (30_000_000, 64, 43, 43, false, 0),
+    ];
+    assert_eq!(repair, golden_repair, "repair arm's checkpoints drifted");
+    assert_eq!(control, golden_control, "control arm's checkpoints drifted");
+}
