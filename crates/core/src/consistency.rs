@@ -18,8 +18,7 @@
 //!   range descent: `O(n · d · b · log n)` after the index build, with no
 //!   table cloned and `≈ (d + 12) · n` bytes of check-phase memory.
 //!   [`digest_and_check_streaming`] folds the canonical table digest out of
-//!   the same walk, and [`IncrementalChecker`](crate::IncrementalChecker)
-//!   re-runs it over the dirty tables only.
+//!   the same walk.
 //! * [`check_consistency_naive`] — the specification transcribed
 //!   literally, scanning all of `V` per entry (`O(n² · d · b)`): the
 //!   reference implementation the checker is tested and benchmarked
@@ -200,9 +199,9 @@ impl fmt::Display for ConsistencyReport {
     }
 }
 
-/// Checks one node's table against a **sealed** [`CompactSuffixIndex`] by
-/// range descent, without constructing a single `Suffix` or `NodeId`
-/// witness on the happy path.
+/// Checks one node's table against a [`CompactSuffixIndex`] by range
+/// descent, without constructing a single `Suffix` or `NodeId` witness on
+/// the happy path.
 ///
 /// Invariant driving the walk: in suffix order, the carriers of the
 /// owner's length-`i` suffix `x[i-1..0]` form one contiguous range, and
@@ -288,7 +287,7 @@ pub(crate) fn check_table(
     violations
 }
 
-/// Collects the borrowed tables and interns their owners in a sealed
+/// Collects the borrowed tables and interns their owners in a
 /// [`CompactSuffixIndex`] — the membership every entry is judged against.
 ///
 /// # Panics
@@ -300,12 +299,7 @@ fn index_owners<'a>(
 ) -> (Vec<&'a NeighborTable>, CompactSuffixIndex) {
     let refs: Vec<&NeighborTable> = tables.into_iter().collect();
     assert!(!refs.is_empty(), "no tables to check");
-    let mut index = CompactSuffixIndex::new(space);
-    for t in &refs {
-        index.insert(t.owner());
-    }
-    assert_eq!(index.len(), refs.len(), "duplicate table owners");
-    index.seal();
+    let index = CompactSuffixIndex::build(space, refs.iter().map(|t| t.owner()));
     (refs, index)
 }
 
@@ -317,11 +311,11 @@ fn index_owners<'a>(
 /// `Vec` or slice, or
 /// [`SimNetwork::tables_iter`](crate::SimNetwork::tables_iter) over the
 /// engines' arena-backed tables — and walks each table in place against a
-/// [`CompactSuffixIndex`] of the owners, one table after another. Nothing
-/// is cloned: the check-phase overhead is the index (`≈ (d + 12) · n`
-/// bytes) plus one reference per node. Violations come back in table
-/// order, and the reported witness for a missing entry is always the
-/// smallest carrier of the desired suffix.
+/// suffix index of the owners, built by one sort, one table after
+/// another. Nothing is cloned: the check-phase overhead is the index
+/// (`≈ (d + 12) · n` bytes) plus one reference per node. Violations come
+/// back in table order, and the reported witness for a missing entry is
+/// always the smallest carrier of the desired suffix.
 ///
 /// # Examples
 ///

@@ -102,7 +102,6 @@ pub use oracle::build_consistent_tables;
 pub use routing::{next_hop, route, RouteOutcome};
 pub use simnet::{bootstrap, Carrier, SimNetwork, SimNetworkBuilder, SimNode};
 pub use stats::MessageStats;
-pub use suffix_compact::CompactSuffixIndex;
 pub use table::{Entry, NeighborTable, NodeState, SnapshotRow, TableSnapshot};
 pub use trace::{
     DigestTrace, JsonlTrace, NullTrace, ProtocolEvent, RingTrace, SharedSink, TraceRecord,

@@ -1,7 +1,6 @@
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 
 use hyperring_id::{IdSpace, NodeId, Suffix};
@@ -253,19 +252,6 @@ impl IdArena {
     }
 }
 
-/// Process-wide entry-version clock. Every table mutation draws a fresh
-/// value, so two `NeighborTable`s share a version **iff** one is an
-/// unmutated clone of the other — which guarantees identical entries. The
-/// incremental checker leans on exactly that implication to skip clean
-/// tables; version values themselves are not deterministic across runs
-/// and must never feed a digest.
-static VERSION_CLOCK: AtomicU64 = AtomicU64::new(1);
-
-/// A fresh, process-unique version stamp.
-fn next_version() -> u64 {
-    VERSION_CLOCK.fetch_add(1, AtomicOrdering::Relaxed)
-}
-
 /// Empty-slot marker (also has [`S_BIT`] set, so it can never collide with
 /// a real encoded entry).
 const EMPTY: u32 = u32::MAX;
@@ -487,18 +473,13 @@ pub struct NeighborTable {
     /// index (insertion order, not id order), then by slot. `reverse_of`
     /// and `reverse_runs` gather and sort by id on read.
     rev: WordSet,
-    /// Entry-version stamp from [`VERSION_CLOCK`]: refreshed on every
-    /// entry mutation, copied verbatim by `clone`. Reverse-neighbor edits
-    /// do not touch it — they are invisible to Definition 3.8.
-    version: u64,
     /// Membership epoch of the [peer view](Self::peer_indices): a plain
     /// per-table counter, stepped whenever the set of nodes the table
     /// references can have changed — a `set` to another node, a `clear`
     /// of a filled slot, an `add_reverse` that inserted, a
     /// `remove_reverse` that removed. Equal epochs of one table imply
-    /// equal peer views; state flips leave it alone. Deterministic, unlike
-    /// `version`, and not an atomic: `add_reverse` is most of a join
-    /// wave's inputs.
+    /// equal peer views; state flips leave it alone. Not an atomic:
+    /// `add_reverse` is most of a join wave's inputs.
     peer_epoch: u64,
     /// Memoized full-table snapshot; rebuilt lazily after any entry
     /// mutation so repeated big-message sends between mutations share one
@@ -524,7 +505,6 @@ impl NeighborTable {
             arena,
             slots: vec![EMPTY; slots].into_boxed_slice(),
             rev: WordSet::default(),
-            version: next_version(),
             peer_epoch: 0,
             snap: OnceLock::new(),
         }
@@ -546,11 +526,9 @@ impl NeighborTable {
         })
     }
 
-    /// Drops the memoized snapshot and refreshes the version stamp after
-    /// an entry mutation.
+    /// Drops the memoized snapshot after an entry mutation.
     #[inline]
     fn invalidate_snapshot(&mut self) {
-        self.version = next_version();
         self.snap.take();
     }
 
@@ -668,7 +646,7 @@ impl NeighborTable {
 
     /// Rewrites the bookkeeping of the vacated `(level, digit)` slot, or
     /// with `None` gives the slot up to empty. Neither changes an entry,
-    /// so the snapshot, the version and the peer view stay as they are.
+    /// so the snapshot and the peer view stay as they are.
     pub(crate) fn set_vacancy(&mut self, level: usize, digit: u8, v: Option<Vacancy>) {
         let s = self.slot(level, digit);
         debug_assert!(Vacancy::of(self.slots[s]).is_some(), "slot not vacated");
@@ -678,7 +656,7 @@ impl NeighborTable {
     /// Updates the recorded state of the `(level, digit)` entry if it
     /// currently stores `node`. Returns whether the state changed: asking
     /// for the state the slot already records costs one slot read, looks
-    /// no identifier up and leaves the snapshot and the version alone.
+    /// no identifier up and leaves the snapshot alone.
     pub fn set_state_if(
         &mut self,
         level: usize,
@@ -718,23 +696,10 @@ impl NeighborTable {
         }
     }
 
-    /// The table's entry-version stamp: refreshed (to a process-unique
-    /// value) by every entry mutation — `set`, `clear`, and a state change
-    /// through `set_state_if` — and copied verbatim by `clone`. Equal
-    /// versions therefore imply identical entries, which is what the
-    /// incremental consistency checker uses to skip unchanged tables.
-    /// Reverse-neighbor edits do not refresh it (Definition 3.8 never
-    /// reads reverse sets). Not deterministic across runs.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// Whether any entry of this table stores `node`. One interner lookup
     /// (a hash probe over the ids this table ever referenced) prunes the
-    /// common miss; a hit costs a `d · b` word scan. The incremental
-    /// checker uses this to find the storers of a joined/departed node
-    /// without resolving any `NodeId`s.
+    /// common miss; a hit costs a `d · b` word scan, resolving no
+    /// `NodeId`.
     pub fn stores(&self, node: &NodeId) -> bool {
         match self.arena.lookup(node) {
             None => false,
@@ -1776,31 +1741,19 @@ mod tests {
     }
 
     #[test]
-    fn version_changes_on_entry_mutation_only() {
+    fn noop_set_state_if_keeps_the_memoized_snapshot() {
         let mut t = NeighborTable::new(space(), id("21233"));
-        let v0 = t.version();
-        let c = t.clone();
-        assert_eq!(c.version(), v0, "clone shares the version");
         t.set_self_entries(NodeState::S);
-        let v1 = t.version();
-        assert_ne!(v1, v0);
-        assert_eq!(c.version(), v0, "clone unaffected by the original");
-        // Reverse edits are invisible to Definition 3.8: no refresh.
-        t.add_reverse(1, 3, id("31033"));
-        assert_eq!(t.version(), v1);
-        t.clear(0, 3);
-        assert_ne!(t.version(), v1);
-        let v2 = t.version();
-        // A no-op set_state_if does not refresh; a real change does.
+        let snap = t.snapshot();
+        // The slot does not store this node: nothing changes.
         assert!(!t.set_state_if(1, 3, &id("21033"), NodeState::T));
-        assert_eq!(t.version(), v2);
+        assert_eq!(t.snapshot().row_bytes().as_ptr(), snap.row_bytes().as_ptr());
+        // A real change drops the memo.
         assert!(t.set_state_if(1, 3, &id("21233"), NodeState::T));
-        assert_ne!(t.version(), v2);
-        // Asking for the state the entry already has is not a change:
-        // the memoized snapshot survives too.
-        let (v3, snap) = (t.version(), t.snapshot());
+        assert_ne!(t.snapshot().row_bytes(), snap.row_bytes());
+        // Asking for the state the entry already has is not a change.
+        let snap = t.snapshot();
         assert!(!t.set_state_if(1, 3, &id("21233"), NodeState::T));
-        assert_eq!(t.version(), v3);
         assert_eq!(t.snapshot().row_bytes().as_ptr(), snap.row_bytes().as_ptr());
     }
 

@@ -7,11 +7,11 @@
 //!
 //! "The same" is strict: owners in input order, every entry, every
 //! reverse set, the peer view with its epoch, the digest, and the table's
-//! whole internal state (`Debug`, less the process-wide version stamp),
-//! which includes the order each table interned its ids in. (That last
-//! holds for reverse sets of up to 512 words, one chunk, which is every
-//! set at these sizes; a builder cuts a larger one into full chunks where
-//! one-by-one inserts would have split it elsewhere.)
+//! whole internal state (`Debug`), which includes the order each table
+//! interned its ids in. (That last holds for reverse sets of up to 512
+//! words, one chunk, which is every set at these sizes; a builder cuts a
+//! larger one into full chunks where one-by-one inserts would have split
+//! it elsewhere.)
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -194,15 +194,6 @@ fn ids(space: IdSpace, n: usize, rng: &mut StdRng) -> Vec<NodeId> {
     out
 }
 
-/// The table's `Debug` rendering without its version stamp, which is
-/// unique per process and per mutation.
-fn state(t: &NeighborTable) -> String {
-    let s = format!("{t:?}");
-    let at = s.find("version: ").unwrap();
-    let end = at + s[at..].find(',').unwrap();
-    format!("{}{}", &s[..at], &s[end..])
-}
-
 fn assert_same(what: &str, got: &[NeighborTable], want: &[NeighborTable]) {
     assert_eq!(got.len(), want.len(), "{what}");
     for (g, w) in got.iter().zip(want) {
@@ -219,7 +210,11 @@ fn assert_same(what: &str, got: &[NeighborTable], want: &[NeighborTable]) {
             }
         }
         assert_eq!(g.peer_view(), w.peer_view(), "{what}: peer view of {owner}");
-        assert_eq!(state(g), state(w), "{what}: state of {owner}");
+        assert_eq!(
+            format!("{g:?}"),
+            format!("{w:?}"),
+            "{what}: state of {owner}"
+        );
     }
     assert_eq!(tables_digest(got), tables_digest(want), "{what}: digest");
 }

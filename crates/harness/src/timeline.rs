@@ -62,16 +62,16 @@
 //! **Measurement.** A [`ChurnLog`] trace sink pairs every `EntryEvicted`
 //! with the `RepairInstalled` that refills the slot, yielding per-slot
 //! time-to-repair samples (both from eviction and from the underlying
-//! crash instant); [`IncrementalChecker`] checkpoints yield
-//! consistency-recovery spans. Reachability is measured by checkpoints
-//! (a false negative is a pair that cannot route, by Lemma 3.1) and, over
-//! all pairs at the end, by [`Scenario::reachability`]. A keyed storm
-//! routes object lookups through an [`ObjectStore`] over the *current*
-//! S-node tables without injecting any simulator event, so it never
-//! perturbs the protocol run; it may run at any instant, and a lookup
-//! whose walk reaches a node with no S-node table there (crashed and not
-//! yet evicted, or still joining) counts as lost
-//! ([`LookupStats::lost`]).
+//! crash instant); checkpoints, each a [`check_consistency`] of the
+//! S-node tables, yield consistency-recovery spans. Reachability is
+//! measured by checkpoints (a false negative is a pair that cannot route,
+//! by Lemma 3.1) and, over all pairs at the end, by
+//! [`Scenario::reachability`]. A keyed storm routes object lookups
+//! through an [`ObjectStore`] over the *current* S-node tables without
+//! injecting any simulator event, so it never perturbs the protocol run;
+//! it may run at any instant, and a lookup whose walk reaches a node with
+//! no S-node table there (crashed and not yet evicted, or still joining)
+//! counts as lost ([`LookupStats::lost`]).
 //!
 //! **Runtimes.** Every runtime runs through one pause loop: it runs to
 //! each checkpoint and keyed-storm instant, is observed there, and then
@@ -93,9 +93,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hyperring_core::{
     build_consistent_tables, check_consistency, check_reachability, ConsistencyReport, DigestTrace,
-    IncrementalChecker, JoinEngine, MessageKind, NeighborTable, NodeInput, ProtocolEvent,
-    ProtocolOptions, SharedSink, SimNetwork, SimNetworkBuilder, Status, TraceRecord, TraceSink,
-    Violation,
+    JoinEngine, MessageKind, NeighborTable, NodeInput, ProtocolEvent, ProtocolOptions, SharedSink,
+    SimNetwork, SimNetworkBuilder, Status, TraceRecord, TraceSink, Violation,
 };
 use hyperring_id::{IdSpace, NodeId};
 use hyperring_net::{UdpNetwork, UdpRun};
@@ -137,8 +136,8 @@ pub enum Action {
         /// Zipf exponent of key popularity (0 = uniform).
         exponent: f64,
     },
-    /// Pause and run the incremental Definition-3.8 checker over the
-    /// current S-node tables.
+    /// Pause and run the Definition-3.8 checker over the current S-node
+    /// tables.
     Checkpoint {
         /// Label reported back in the matching [`CheckpointReport`].
         label: String,
@@ -380,7 +379,7 @@ impl At {
         })
     }
 
-    /// Runs the incremental consistency checker here.
+    /// Runs the Definition-3.8 checker here, over the S-node tables.
     pub fn checkpoint(self, label: &str) -> Self {
         self.push(Action::Checkpoint {
             label: label.to_string(),
@@ -978,7 +977,6 @@ fn pauses(c: &CompiledTimeline) -> Vec<(Time, Pause<'_>)> {
 struct Observer {
     space: IdSpace,
     seed: u64,
-    checker: IncrementalChecker,
     disruptions: Vec<Time>,
     disruption_idx: usize,
     open_spell: Option<Time>,
@@ -1000,7 +998,6 @@ impl Observer {
         Observer {
             space: s.space,
             seed: s.seed,
-            checker: IncrementalChecker::new(s.space),
             disruptions,
             disruption_idx: 0,
             open_spell: None,
@@ -1024,12 +1021,7 @@ impl Observer {
     ) {
         match pause {
             Pause::Check(label) => {
-                let report = self.checker.check(tables.iter().copied());
-                debug_assert_eq!(
-                    report,
-                    check_consistency(self.space, tables.iter().copied()),
-                    "the incremental checker disagrees with a full check at t={at}"
-                );
+                let report = check_consistency(self.space, tables.iter().copied());
                 let consistent = report.is_consistent();
                 // Advance the disruption cursor to this checkpoint.
                 while let Some(&t) = self.disruptions.get(self.disruption_idx) {
