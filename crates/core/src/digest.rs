@@ -172,17 +172,17 @@ mod tests {
 
     #[test]
     fn digest_is_fnv_of_the_documented_rendering() {
-        // Base 32 and 12 levels: letter digits, two-figure digit and
+        // Base 16 and 12 levels: letter digits, two-figure digit and
         // level numbers.
-        let space = IdSpace::new(32, 12).unwrap();
-        let a = space.parse_id("0123456789av").unwrap();
-        let b = space.parse_id("vvvvvvvvvvvv").unwrap();
-        let c = space.parse_id("00000000000v").unwrap();
+        let space = IdSpace::new(16, 12).unwrap();
+        let a = space.parse_id("0123456789af").unwrap();
+        let b = space.parse_id("ffffffffffff").unwrap();
+        let c = space.parse_id("00000000000f").unwrap();
         let mut ta = NeighborTable::new(space, a);
         ta.set_self_entries(NodeState::S);
         ta.set(
             1,
-            31,
+            15,
             Entry {
                 node: b,
                 state: NodeState::T,
@@ -192,10 +192,10 @@ mod tests {
         ta.add_reverse(1, 10, c);
         let mut tb = NeighborTable::new(space, b);
         tb.set_self_entries(NodeState::T);
-        tb.add_reverse(11, 31, b);
+        tb.add_reverse(11, 15, b);
         let tables = [ta, tb];
         let text = rendered(&tables);
-        assert!(text.contains("E11.0.0123456789av.S") && text.contains("R11.31.vvvvvvvvvvvv"));
+        assert!(text.contains("E11.0.0123456789af.S") && text.contains("R11.15.ffffffffffff"));
         let mut h = Fnv::new();
         h.eat(text.as_bytes());
         assert_eq!(tables_digest(&tables), h.finish());

@@ -298,7 +298,7 @@ mod tests {
     /// detector and the reference side by side.
     fn run_against_reference(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (base, d) = [(4u16, 3usize), (16, 8), (32, 3)][rng.gen_range(0..3usize)];
+        let (base, d) = [(4u16, 3usize), (16, 8), (10, 3)][rng.gen_range(0..3usize)];
         let space = IdSpace::new(base, d).unwrap();
         let threshold = rng.gen_range(1..4);
         let owner = space.random_id(&mut rng);

@@ -426,11 +426,9 @@ mod tests {
 
     #[test]
     fn packed_id_bytes_equals_the_float_formula() {
-        for b in 2u16..=36 {
+        for b in 2u16..=16 {
             for d in 1..=hyperring_id::MAX_DIGITS {
-                let Ok(space) = IdSpace::new(b, d) else {
-                    continue;
-                };
+                let space = IdSpace::new(b, d).unwrap();
                 let bits = (b as f64).log2().ceil() as usize;
                 assert_eq!(
                     packed_id_bytes(&space),

@@ -35,12 +35,11 @@ pub struct Entry {
 /// instead of a 33-byte `NodeId`.
 ///
 /// The arena stores each id's own packed bytes ([`NodeId::as_bytes`]:
-/// nibbles when the base fits four bits, least-significant digit first),
-/// so interning and resolving an id are copies. In a base over 16, where
-/// ids that pack nibbles and ids that take a byte a digit mix, a leading
-/// byte records which. Digits ascend in significance along the bytes, so
-/// [`cmp_ids`](Self::cmp_ids) compares from the last byte back — the same
-/// order as `NodeId::Ord` for the equal-length ids of one space.
+/// `⌈d/2⌉` bytes of nibbles, least-significant digit first), so interning
+/// and resolving an id are copies. Digits ascend in significance along
+/// the bytes, so [`cmp_ids`](Self::cmp_ids) compares from the last byte
+/// back — the same order as `NodeId::Ord` for the equal-length ids of one
+/// space.
 ///
 /// Dedup goes through an open-addressing hash index over the stored bytes
 /// (linear probing, power-of-two capacity, at most 7/8 full: four bytes a
@@ -54,83 +53,57 @@ pub struct Entry {
 /// a table — is identical from run to run.
 #[derive(Debug, Clone)]
 struct IdArena {
-    /// Stored ids, `stride` bytes each.
+    /// Stored ids, [`stride`](Self::stride) bytes each.
     bytes: Vec<u8>,
     /// Hash index: [`EMPTY`] or `tag << 24 | arena index`, probed linearly
     /// from the key's home.
     index: Vec<u32>,
-    stride: usize,
     digits: usize,
-    /// Base over 16: every key leads with a byte saying whether the id is
-    /// wide.
-    mixed: bool,
 }
 
 /// Initial hash-index capacity (a power of two). A table that has just
 /// been created holds its owner only.
 const INDEX_MIN: usize = 8;
 
-/// Room for the longest key: a width byte and 32 packed bytes.
-type KeyBuf = [u8; 33];
-
 impl IdArena {
     fn new(space: IdSpace) -> Self {
-        let digits = space.digit_count();
-        let mixed = space.base() > 16;
         IdArena {
             bytes: Vec::new(),
             index: vec![EMPTY; INDEX_MIN],
-            stride: if mixed {
-                1 + digits
-            } else {
-                digits.div_ceil(2)
-            },
-            digits,
-            mixed,
+            digits: space.digit_count(),
         }
     }
 
-    /// The stored form of `id`: its packed bytes, behind a width byte and
-    /// zero-padded to `stride` in a base over 16 (written into `buf`).
+    /// Bytes of one stored id: `⌈d/2⌉`.
     #[inline]
-    fn key<'a>(&self, id: &'a NodeId, buf: &'a mut KeyBuf) -> &'a [u8] {
+    fn stride(&self) -> usize {
+        self.digits.div_ceil(2)
+    }
+
+    /// The stored form of `id`: its packed bytes.
+    #[inline]
+    fn key<'a>(&self, id: &'a NodeId) -> &'a [u8] {
         debug_assert_eq!(id.digit_count(), self.digits, "id from a foreign space");
-        let packed = id.as_bytes();
-        if !self.mixed {
-            return packed;
-        }
-        buf[0] = u8::from(id.is_wide());
-        buf[1..1 + packed.len()].copy_from_slice(packed);
-        &buf[..self.stride]
+        id.as_bytes()
     }
 
     #[inline]
     fn packed(&self, idx: u32) -> &[u8] {
-        let start = idx as usize * self.stride;
-        &self.bytes[start..start + self.stride]
+        let stride = self.stride();
+        let start = idx as usize * stride;
+        &self.bytes[start..start + stride]
     }
 
     /// Number of interned ids.
     #[inline]
     fn len(&self) -> usize {
-        self.bytes.len() / self.stride
+        self.bytes.len() / self.stride()
     }
 
     #[inline]
     fn resolve(&self, idx: u32) -> NodeId {
-        let b = self.packed(idx);
-        let id = if self.mixed {
-            let wide = b[0] != 0;
-            let used = if wide {
-                self.digits
-            } else {
-                self.digits.div_ceil(2)
-            };
-            NodeId::from_bytes(self.digits, wide, &b[1..1 + used])
-        } else {
-            NodeId::from_bytes(self.digits, false, b)
-        };
-        id.expect("interned bytes are an id's packing")
+        NodeId::from_bytes(self.digits, self.packed(idx))
+            .expect("interned bytes are an id's packing")
     }
 
     /// FNV-1a over the stored bytes, then one more multiply to spread the
@@ -172,7 +145,7 @@ impl IdArena {
                 return Err(pos);
             }
             // Stored bytes only behind a matching tag, compared in an
-            // explicit loop: `stride` is 4 bytes in the common shape, far
+            // explicit loop: an id is 4 bytes in the common shape, far
             // below where a `memcmp` call pays for itself.
             let idx = w & ARENA_IDX;
             if w & TAG_MASK == tag && self.packed(idx).iter().zip(key).all(|(a, b)| a == b) {
@@ -199,8 +172,7 @@ impl IdArena {
 
     /// Interns `id`, returning its stable dense index.
     fn intern(&mut self, id: &NodeId) -> u32 {
-        let mut buf: KeyBuf = [0; 33];
-        let key = self.key(id, &mut buf);
+        let key = self.key(id);
         let h = Self::hash(key);
         match self.probe(key, h) {
             Ok(idx) => idx,
@@ -222,27 +194,21 @@ impl IdArena {
     /// an `intern` of a fresh id touches, and the first of a hit's.
     #[inline]
     fn home_of(&self, id: &NodeId) -> *const u32 {
-        let mut buf: KeyBuf = [0; 33];
-        let home = Self::home(Self::hash(self.key(id, &mut buf)), self.index.len());
+        let home = Self::home(Self::hash(self.key(id)), self.index.len());
         self.index.as_ptr().wrapping_add(home)
     }
 
     /// Index of `id` if it was ever interned.
     fn lookup(&self, id: &NodeId) -> Option<u32> {
-        let mut buf: KeyBuf = [0; 33];
-        let key = self.key(id, &mut buf);
+        let key = self.key(id);
         self.probe(key, Self::hash(key)).ok()
     }
 
     /// Numeric order of two interned ids: their bytes from the
-    /// most-significant end, or their digits when one packs nibbles and
-    /// the other bytes.
+    /// most-significant end.
     #[inline]
     fn cmp_ids(&self, a: u32, b: u32) -> Ordering {
         let (pa, pb) = (self.packed(a), self.packed(b));
-        if self.mixed && pa[0] != pb[0] {
-            return self.resolve(a).cmp(&self.resolve(b));
-        }
         for (x, y) in pa.iter().zip(pb).rev() {
             if x != y {
                 return x.cmp(y);
@@ -972,8 +938,7 @@ impl NeighborTable {
     }
 
     /// Snapshot of the non-empty slots of `range` that `keep` admits, in
-    /// the wire's row layout: each id's bytes are copied out of the arena
-    /// (in a base over 16 an id is resolved and spread to a byte a digit).
+    /// the wire's row layout: each id's bytes are copied out of the arena.
     /// The rows are counted first and reserved exactly, since a table
     /// keeps its last full snapshot memoized.
     fn snapshot_where(
@@ -982,24 +947,17 @@ impl NeighborTable {
         keep: impl Fn(usize) -> bool,
     ) -> TableSnapshot {
         let b = self.space.base() as usize;
-        let spread = self.arena.mixed;
         let wanted = |s: &usize| holds_entry(self.slots[*s]) && keep(*s);
-        let row = row_len(self.space.digit_count(), spread);
+        let row = row_len(self.space.digit_count());
         let mut bytes = Vec::with_capacity(range.clone().filter(wanted).count() * row);
         for s in range.filter(wanted) {
             let raw = self.slots[s];
-            let idx = raw & IDX_MASK;
             bytes.extend_from_slice(&[(s / b) as u8, (s % b) as u8]);
-            if spread {
-                put_row_id(&self.arena.resolve(idx), spread, &mut bytes);
-            } else {
-                bytes.extend_from_slice(self.arena.packed(idx));
-            }
+            bytes.extend_from_slice(self.arena.packed(raw & IDX_MASK));
             bytes.push(u8::from(raw & S_BIT != 0));
         }
         TableSnapshot(Arc::new(Photo {
             owner: self.owner,
-            spread,
             bytes,
         }))
     }
@@ -1074,10 +1032,9 @@ pub struct SnapshotRow {
 ///
 /// The rows are kept the way the wire codec sends them, back to back:
 /// `[level][digit][packed id][state]`, the id least-significant digit
-/// first — two digits a byte when the base fits four bits, a byte a digit
-/// above — and the state `0` for `T`, `1` for `S`. That is 3 + ⌈d/2⌉
-/// bytes a row when `b ≤ 16` (7 at b=16, d=8, where a [`SnapshotRow`] is
-/// 36) and 3 + d above. A table builds a snapshot by copying each id's
+/// first, two digits a byte, and the state `0` for `T`, `1` for `S`. That
+/// is 3 + ⌈d/2⌉ bytes a row (7 at b=16, d=8, where a [`SnapshotRow`] is
+/// 36). A table builds a snapshot by copying each id's
 /// bytes out of its arena, the codec sends one with a single copy, and
 /// [`rows`](Self::rows) decodes a row only when the iterator reaches it.
 ///
@@ -1094,8 +1051,6 @@ pub struct TableSnapshot(Arc<Photo>);
 #[derive(Debug)]
 struct Photo {
     owner: NodeId,
-    /// Ids take a byte a digit (a base over 16), not a nibble.
-    spread: bool,
     /// The rows, [`row_len`] bytes each.
     bytes: Vec<u8>,
 }
@@ -1103,18 +1058,8 @@ struct Photo {
 /// Bytes of one snapshot row of `digits`-digit ids: level, digit, the id,
 /// state.
 #[inline]
-fn row_len(digits: usize, spread: bool) -> usize {
-    3 + if spread { digits } else { digits.div_ceil(2) }
-}
-
-/// Appends `id` as a snapshot row holds it: its own bytes, or a byte a
-/// digit when ids are `spread` and this one packs nibbles.
-fn put_row_id(id: &NodeId, spread: bool, out: &mut Vec<u8>) {
-    if spread && !id.is_wide() {
-        out.extend_from_slice(&id.digits_lsd());
-    } else {
-        out.extend_from_slice(id.as_bytes());
-    }
+fn row_len(digits: usize) -> usize {
+    3 + digits.div_ceil(2)
 }
 
 /// One row of a [`TableSnapshot`] where it lies. The join handlers scan
@@ -1125,7 +1070,6 @@ fn put_row_id(id: &NodeId, spread: bool, out: &mut Vec<u8>) {
 pub(crate) struct PackedRow<'a> {
     bytes: &'a [u8],
     digits: usize,
-    spread: bool,
 }
 
 impl PackedRow<'_> {
@@ -1160,23 +1104,13 @@ impl PackedRow<'_> {
     /// Digit `i` of the node, for `i` below the digit count.
     #[inline]
     pub(crate) fn node_digit(&self, i: usize) -> u8 {
-        let id = self.id();
-        if self.spread {
-            id[i]
-        } else {
-            (id[i / 2] >> (4 * (i & 1))) & 0x0f
-        }
+        (self.id()[i / 2] >> (4 * (i & 1))) & 0x0f
     }
 
-    /// `|csuf(node, x)|` for an `x` of the snapshot's space: where two
-    /// nibble packings first differ, else digit by digit.
+    /// `|csuf(node, x)|` for an `x` of the snapshot's space: where the two
+    /// packings first differ.
     #[inline]
     pub(crate) fn csuf_len(&self, x: &NodeId) -> usize {
-        if self.spread || x.is_wide() {
-            return (0..self.digits)
-                .take_while(|&i| self.node_digit(i) == x.digit(i))
-                .count();
-        }
         let (id, xs) = (self.id(), x.as_bytes());
         match (0..id.len()).find(|&i| id[i] != xs[i]) {
             None => self.digits,
@@ -1188,12 +1122,7 @@ impl PackedRow<'_> {
 
     /// The node, built from the row's bytes.
     pub(crate) fn node(&self) -> NodeId {
-        if self.spread {
-            NodeId::from_digits_lsd(self.id())
-        } else {
-            NodeId::from_bytes(self.digits, false, self.id())
-                .expect("a snapshot row holds an id's packing")
-        }
+        NodeId::from_bytes(self.digits, self.id()).expect("a snapshot row holds an id's packing")
     }
 
     /// The entry, built from the row's bytes.
@@ -1208,15 +1137,10 @@ impl PackedRow<'_> {
     /// below `b`, an id of `space` in its one packing, a state byte of 0
     /// or 1.
     fn is_valid(&self, space: &IdSpace) -> bool {
-        let node = if self.spread {
-            space.id_from_digits(self.id()).ok()
-        } else {
-            NodeId::from_bytes(self.digits, false, self.id()).filter(|n| space.contains(n))
-        };
         self.level() < space.digit_count()
             && u16::from(self.digit()) < space.base()
             && self.bytes[self.bytes.len() - 1] <= 1
-            && node.is_some()
+            && NodeId::from_bytes(self.digits, self.id()).is_some_and(|n| space.contains(&n))
     }
 }
 
@@ -1230,19 +1154,14 @@ impl TableSnapshot {
         owner: NodeId,
         rows: impl IntoIterator<Item = SnapshotRow>,
     ) -> Self {
-        let spread = space.base() > 16;
         let mut bytes = Vec::new();
         for r in rows {
             debug_assert!(space.contains(&r.entry.node), "row id from a foreign space");
             bytes.extend_from_slice(&[r.level, r.digit]);
-            put_row_id(&r.entry.node, spread, &mut bytes);
+            bytes.extend_from_slice(r.entry.node.as_bytes());
             bytes.push(u8::from(r.entry.state == NodeState::S));
         }
-        TableSnapshot(Arc::new(Photo {
-            owner,
-            spread,
-            bytes,
-        }))
+        TableSnapshot(Arc::new(Photo { owner, bytes }))
     }
 
     /// Rebuilds a snapshot of `owner`'s table in `space` from rows in the
@@ -1252,22 +1171,16 @@ impl TableSnapshot {
     /// digit below `b`, an id of `space` in its one packing and a state
     /// byte of 0 or 1.
     pub fn from_row_bytes(space: IdSpace, owner: NodeId, rows: &[u8]) -> Option<Self> {
-        let (digits, spread) = (space.digit_count(), space.base() > 16);
-        let len = row_len(digits, spread);
+        let digits = space.digit_count();
+        let len = row_len(digits);
         let valid = space.contains(&owner)
             && rows.len().is_multiple_of(len)
-            && rows.chunks_exact(len).all(|bytes| {
-                PackedRow {
-                    bytes,
-                    digits,
-                    spread,
-                }
-                .is_valid(&space)
-            });
+            && rows
+                .chunks_exact(len)
+                .all(|bytes| PackedRow { bytes, digits }.is_valid(&space));
         valid.then(|| {
             TableSnapshot(Arc::new(Photo {
                 owner,
-                spread,
                 bytes: rows.to_vec(),
             }))
         })
@@ -1298,15 +1211,11 @@ impl TableSnapshot {
 
     /// The rows where they lie.
     pub(crate) fn packed_rows(&self) -> impl ExactSizeIterator<Item = PackedRow<'_>> + '_ {
-        let (digits, spread) = (self.0.owner.digit_count(), self.0.spread);
+        let digits = self.0.owner.digit_count();
         self.0
             .bytes
-            .chunks_exact(row_len(digits, spread))
-            .map(move |bytes| PackedRow {
-                bytes,
-                digits,
-                spread,
-            })
+            .chunks_exact(row_len(digits))
+            .map(move |bytes| PackedRow { bytes, digits })
     }
 
     /// Looks up entry `(level, digit)` in the snapshot.
@@ -1639,8 +1548,8 @@ mod tests {
     fn interning_dedups_repeated_ids() {
         let me = id("21233");
         let mut t = NeighborTable::new(space(), me);
-        // b=4, d=5 → nibble packed, stride = 3 bytes; the owner is interned
-        // at construction.
+        // b=4, d=5 → 3 bytes an id; the owner is interned at
+        // construction.
         assert_eq!(t.arena.bytes.len(), 3);
         t.set_self_entries(NodeState::S);
         // Five self entries, one interned id.
@@ -1658,37 +1567,11 @@ mod tests {
     }
 
     #[test]
-    fn byte_packed_base_over_16_roundtrips() {
-        let wide = IdSpace::new(32, 3).unwrap();
-        let me = wide.parse_id("v0a").unwrap();
-        let mut t = NeighborTable::new(wide, me);
-        t.set_self_entries(NodeState::S);
-        for i in 0..3 {
-            assert_eq!(t.get(i, me.digit(i)).unwrap().node, me);
-        }
-        // Entry (1, 5): desired suffix 5 ∘ "a".
-        let y = wide.parse_id("75a").unwrap();
-        t.set(
-            1,
-            5,
-            Entry {
-                node: y,
-                state: NodeState::T,
-            },
-        );
-        assert_eq!(t.get(1, 5).unwrap().node, y);
-        t.add_reverse(1, 5, y);
-        let z = wide.parse_id("05a").unwrap();
-        t.add_reverse(1, 5, z);
-        assert_eq!(t.reverse_of(1, 5).collect::<Vec<_>>(), vec![z, y]);
-    }
-
-    #[test]
     fn packed_rows_read_like_the_ids_they_hold() {
-        // Nibble packings at odd and even d, and a byte a digit with narrow
-        // and wide ids mixed. Each id also comes with copies that differ in
-        // one digit, so every common-suffix length occurs.
-        for (b, d) in [(4u16, 5usize), (16, 8), (16, 7), (32, 3), (20, 5)] {
+        // Odd and even d, power-of-two bases and others. Each id also comes
+        // with copies that differ in one digit, so every common-suffix
+        // length occurs.
+        for (b, d) in [(4u16, 5usize), (16, 8), (16, 7), (10, 3), (12, 5)] {
             let space = IdSpace::new(b, d).unwrap();
             let mut ids = vec![
                 space.id_from_digits(&vec![1; d]).unwrap(),

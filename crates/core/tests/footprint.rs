@@ -251,15 +251,14 @@ fn oracle_build_heap_is_pinned() {
 /// Every actor holds its engine inline, so a field added here is paid by
 /// every node of every workload. State that only some nodes use at some
 /// times (the join variables, the extensions) goes behind a pointer
-/// instead. 560 and 568 B today (912 and 944 B with both inline); the
-/// budgets are 8 B above that.
+/// instead. 544 and 552 B today; the budgets are 8 B above that.
 #[test]
 fn engine_and_sim_node_fit_their_inline_budgets() {
     use std::mem::size_of;
     let engine = size_of::<JoinEngine>();
-    assert!(engine <= 568, "JoinEngine is {engine} B inline");
+    assert!(engine <= 552, "JoinEngine is {engine} B inline");
     let node = size_of::<SimNode>();
-    assert!(node <= 576, "SimNode is {node} B inline");
+    assert!(node <= 560, "SimNode is {node} B inline");
 }
 
 /// A slot's four states — empty, vacated, `T`, `S` — share one 4-byte
@@ -268,7 +267,7 @@ fn engine_and_sim_node_fit_their_inline_budgets() {
 /// owns the heap, of one without.
 #[test]
 fn vacated_slots_cost_no_memory() {
-    assert_eq!(std::mem::size_of::<NeighborTable>(), 184);
+    assert_eq!(std::mem::size_of::<NeighborTable>(), 168);
     let owner = space().parse_id("0012abcd").unwrap();
     let mut t = NeighborTable::new(space(), owner);
     t.set_self_entries(NodeState::S);

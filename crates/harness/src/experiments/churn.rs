@@ -290,13 +290,6 @@ impl Default for PoissonChurnConfig {
 }
 
 impl PoissonChurnConfig {
-    /// Expected departures over the churn window
-    /// (`members · ln2 · churn_until / half_life_us`).
-    pub fn expected_departures(&self) -> f64 {
-        (self.members as f64) * std::f64::consts::LN_2 * (self.churn_until as f64)
-            / (self.half_life_us as f64)
-    }
-
     /// The runner of one arm for trial `seed`: the hardened repair path
     /// (`repair`) or the eviction-only control, with the detector and
     /// retry options below.

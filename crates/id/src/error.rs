@@ -5,10 +5,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum IdError {
-    /// The base `b` is outside the supported range `2..=36`.
+    /// The base `b` is outside the supported range `2..=16`.
     InvalidBase(u16),
-    /// The digit count `d` is outside the supported range `1..=MAX_DIGITS`,
-    /// or `1..=MAX_WIDE_DIGITS` in a base over 16.
+    /// The digit count `d` is outside the supported range `1..=MAX_DIGITS`.
     InvalidDigitCount(usize),
     /// A parsed string had the wrong number of digits for the space.
     WrongLength {
@@ -41,14 +40,9 @@ pub enum IdError {
 impl fmt::Display for IdError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            IdError::InvalidBase(b) => write!(f, "base {b} is not in 2..=36"),
+            IdError::InvalidBase(b) => write!(f, "base {b} is not in 2..=16"),
             IdError::InvalidDigitCount(d) => {
-                write!(
-                    f,
-                    "digit count {d} is not in 1..={}, or 1..={} in a base over 16",
-                    crate::MAX_DIGITS,
-                    crate::MAX_WIDE_DIGITS
-                )
+                write!(f, "digit count {d} is not in 1..={}", crate::MAX_DIGITS)
             }
             IdError::WrongLength { expected, found } => {
                 write!(f, "expected {expected} digits, found {found}")

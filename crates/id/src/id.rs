@@ -11,15 +11,8 @@ use crate::Suffix;
 /// evaluated in the paper — fits comfortably.
 pub const MAX_DIGITS: usize = 64;
 
-/// Maximum number of digits an identifier with a digit above 15 may have:
-/// such digits take a byte each, and an identifier holds 32 bytes.
-pub const MAX_WIDE_DIGITS: usize = 32;
-
 /// Bytes of packed digit storage in a [`NodeId`].
 const BYTES: usize = 32;
-
-/// Bit of [`NodeId::meta`] set when digits take a byte each.
-const WIDE: u8 = 0x80;
 
 /// A fixed-length node (or object) identifier of `d` digits in base `b`.
 ///
@@ -30,11 +23,9 @@ const WIDE: u8 = 0x80;
 ///
 /// An identifier is 33 bytes: a digit count and 32 bytes of digits in the
 /// layout the wire codec sends — least-significant digit first, two digits
-/// a byte (low nibble first) when every digit is below 16, one byte a
-/// digit otherwise. Unused bytes are zero, so equality, hashing, the
-/// common-suffix length and numeric order all work on the bytes as they
-/// are. An identifier with a digit above 15 has at most
-/// [`MAX_WIDE_DIGITS`] digits.
+/// a byte, low nibble first. Every digit is below 16 (a base is at most
+/// 16). Unused bytes are zero, so equality, hashing, the common-suffix
+/// length and numeric order all work on the bytes as they are.
 ///
 /// # Examples
 ///
@@ -50,8 +41,8 @@ const WIDE: u8 = 0x80;
 /// ```
 #[derive(Clone, Copy)]
 pub struct NodeId {
-    /// Digit count `d`, plus [`WIDE`] when digits take a byte each.
-    meta: u8,
+    /// Digit count `d`.
+    len: u8,
     /// The digits, packed as the type's documentation says; zero past the
     /// used bytes, which `eq`, `cmp` and `csuf_len` rely on.
     bytes: [u8; BYTES],
@@ -66,8 +57,8 @@ impl NodeId {
     ///
     /// # Panics
     ///
-    /// Panics if `digits` is empty or longer than [`MAX_DIGITS`], or longer
-    /// than [`MAX_WIDE_DIGITS`] with a digit above 15.
+    /// Panics if `digits` is empty or longer than [`MAX_DIGITS`], or if a
+    /// digit is above 15.
     pub fn from_digits_lsd(digits: &[u8]) -> Self {
         let d = digits.len();
         assert!(
@@ -75,28 +66,17 @@ impl NodeId {
             "digit count {d} out of range 1..={MAX_DIGITS}"
         );
         let mut bytes = [0u8; BYTES];
-        if digits.iter().all(|&x| x < 16) {
-            for (i, &x) in digits.iter().enumerate() {
-                bytes[i / 2] |= x << (4 * (i & 1));
-            }
-            NodeId {
-                meta: d as u8,
-                bytes,
-            }
-        } else {
-            assert!(
-                d <= MAX_WIDE_DIGITS,
-                "digit count {d} out of range 1..={MAX_WIDE_DIGITS} for digits above 15"
-            );
-            bytes[..d].copy_from_slice(digits);
-            NodeId {
-                meta: d as u8 | WIDE,
-                bytes,
-            }
+        for (i, &x) in digits.iter().enumerate() {
+            assert!(x < 16, "digit {x} above 15");
+            bytes[i / 2] |= x << (4 * (i & 1));
+        }
+        NodeId {
+            len: d as u8,
+            bytes,
         }
     }
 
-    /// An identifier of `d` digits, each below 16, from the nibbles
+    /// An identifier of `d` digits from the nibbles
     /// [`from_digits_lsd`](Self::from_digits_lsd) would pack them into:
     /// `bytes` zero past the last digit.
     pub(crate) fn from_nibbles(d: usize, bytes: [u8; BYTES]) -> Self {
@@ -104,34 +84,28 @@ impl NodeId {
         debug_assert!(d.is_multiple_of(2) || bytes[d / 2] >> 4 == 0);
         debug_assert!(bytes[d.div_ceil(2)..].iter().all(|&x| x == 0));
         NodeId {
-            meta: d as u8,
+            len: d as u8,
             bytes,
         }
     }
 
     /// Rebuilds an identifier from its packed bytes
-    /// ([`as_bytes`](Self::as_bytes)) and shape. Returns `None` unless
-    /// `bytes` is exactly the packing of some `digit_count`-digit
-    /// identifier of that width: the right length, a zero padding nibble,
-    /// and — when `wide` — a digit above 15.
-    pub fn from_bytes(digit_count: usize, wide: bool, bytes: &[u8]) -> Option<Self> {
+    /// ([`as_bytes`](Self::as_bytes)) and digit count. Returns `None`
+    /// unless `bytes` is exactly the packing of some `digit_count`-digit
+    /// identifier: `⌈d/2⌉` bytes with a zero padding nibble.
+    pub fn from_bytes(digit_count: usize, bytes: &[u8]) -> Option<Self> {
         let d = digit_count;
-        let used = if wide { d } else { d.div_ceil(2) };
+        let used = d.div_ceil(2);
         if d == 0 || used > BYTES || bytes.len() != used {
             return None;
         }
-        let canonical = if wide {
-            bytes.iter().any(|&x| x >= 16)
-        } else {
-            d.is_multiple_of(2) || bytes[used - 1] >> 4 == 0
-        };
-        if !canonical {
+        if d % 2 == 1 && bytes[used - 1] >> 4 != 0 {
             return None;
         }
         let mut out = [0u8; BYTES];
         out[..used].copy_from_slice(bytes);
         Some(NodeId {
-            meta: d as u8 | if wide { WIDE } else { 0 },
+            len: d as u8,
             bytes: out,
         })
     }
@@ -139,23 +113,14 @@ impl NodeId {
     /// Number of digits `d` in this identifier.
     #[inline]
     pub fn digit_count(&self) -> usize {
-        (self.meta & !WIDE) as usize
+        self.len as usize
     }
 
-    /// Whether digits take a byte each (some digit is above 15) rather
-    /// than a nibble.
-    #[inline]
-    pub fn is_wide(&self) -> bool {
-        self.meta & WIDE != 0
-    }
-
-    /// The packed digits: `⌈d/2⌉` bytes of nibbles, or `d` bytes when the
-    /// identifier [is wide](Self::is_wide). For a base-≤16 space this is
-    /// the identifier's wire encoding.
+    /// The packed digits: `⌈d/2⌉` bytes of nibbles, the identifier's wire
+    /// encoding.
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
-        let d = self.digit_count();
-        &self.bytes[..if self.is_wide() { d } else { d.div_ceil(2) }]
+        &self.bytes[..self.digit_count().div_ceil(2)]
     }
 
     /// Word `i` of the packed digits, little-endian: a higher word, and a
@@ -186,11 +151,7 @@ impl NodeId {
     /// count.
     #[inline]
     fn nth(&self, i: usize) -> u8 {
-        if self.is_wide() {
-            self.bytes[i]
-        } else {
-            (self.bytes[i / 2] >> (4 * (i & 1))) & 0x0f
-        }
+        (self.bytes[i / 2] >> (4 * (i & 1))) & 0x0f
     }
 
     /// The rightmost `n` digits unpacked one a byte, the rest of the
@@ -221,16 +182,11 @@ impl NodeId {
     #[inline]
     pub fn csuf_len(&self, other: &NodeId) -> usize {
         let n = usize::min(self.digit_count(), other.digit_count());
-        if self.is_wide() != other.is_wide() {
-            // Only in a base over 16, where narrow and wide ids mix.
-            return (0..n).take_while(|&i| self.nth(i) == other.nth(i)).count();
-        }
-        let shift = if self.is_wide() { 3 } else { 2 };
         for w in 0..BYTES / 8 {
             let x = self.word(w) ^ other.word(w);
             if x != 0 {
                 let bit = 64 * w + x.trailing_zeros() as usize;
-                return usize::min(n, bit >> shift);
+                return usize::min(n, bit / 4);
             }
         }
         n
@@ -263,7 +219,7 @@ impl NodeId {
     }
 
     /// Writes the identifier as `Display` prints it — most-significant
-    /// digit first, digits as `0-9a-z` — into `buf`, and returns the
+    /// digit first, digits as `0-9a-f` — into `buf`, and returns the
     /// written prefix. For callers that hash or compare the rendering and
     /// cannot afford a `String` per identifier.
     pub fn write_ascii<'a>(&self, buf: &'a mut [u8; MAX_DIGITS]) -> &'a str {
@@ -271,8 +227,7 @@ impl NodeId {
         for (j, out) in buf[..n].iter_mut().enumerate() {
             *out = match self.nth(n - 1 - j) {
                 d @ 0..=9 => b'0' + d,
-                d @ 10..=35 => b'a' + (d - 10),
-                _ => b'?',
+                d => b'a' + (d - 10),
             };
         }
         std::str::from_utf8(&buf[..n]).expect("ASCII digits")
@@ -293,28 +248,28 @@ impl NodeId {
 }
 
 impl PartialEq for NodeId {
-    /// Compares shape and all 32 bytes — the padding is zero on both
-    /// sides — which the compiler inlines as two wide compares.
+    /// Compares the digit count and all 32 bytes — the padding is zero on
+    /// both sides — which the compiler inlines as two wide compares.
     #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.meta == other.meta && self.bytes == other.bytes
+        self.len == other.len && self.bytes == other.bytes
     }
 }
 
 impl Eq for NodeId {}
 
 impl Hash for NodeId {
-    /// Hashes the shape and the used bytes: equal identifiers have both
-    /// equal.
+    /// Hashes the digit count and the used bytes: equal identifiers have
+    /// both equal.
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u8(self.meta);
+        state.write_u8(self.len);
         state.write(self.as_bytes());
     }
 }
 
 /// A fixed hasher for maps keyed by [`NodeId`]: a multiply-xor fold of what
-/// an identifier hashes (its shape byte, then [`NodeId::as_bytes`]) a
+/// an identifier hashes (its digit count, then [`NodeId::as_bytes`]) a
 /// 64-bit word at a time, where `RandomState` runs SipHash-1-3. It has no
 /// seed, so a map whose keys an outside party picks could be made to
 /// collide. Use it for maps whose keys the program inserted; a lookup of
@@ -383,25 +338,17 @@ impl Ord for NodeId {
     fn cmp(&self, other: &Self) -> Ordering {
         let n = self.digit_count();
         n.cmp(&other.digit_count()).then_with(|| {
-            if self.is_wide() == other.is_wide() {
-                (0..BYTES / 8)
-                    .rev()
-                    .map(|w| self.word(w).cmp(&other.word(w)))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(Ordering::Equal)
-            } else {
-                (0..n)
-                    .rev()
-                    .map(|i| self.nth(i).cmp(&other.nth(i)))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(Ordering::Equal)
-            }
+            (0..BYTES / 8)
+                .rev()
+                .map(|w| self.word(w).cmp(&other.word(w)))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
         })
     }
 }
 
 impl fmt::Display for NodeId {
-    /// Prints digits most-significant first, e.g. `21233`, using `0-9a-z`.
+    /// Prints digits most-significant first, e.g. `21233`, using `0-9a-f`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.write_ascii(&mut [0u8; MAX_DIGITS]))
     }
@@ -478,18 +425,12 @@ mod tests {
     }
 
     #[test]
-    fn csuf_crosses_words_and_widths() {
+    fn csuf_crosses_words() {
         // 40 nibbles span three words; the ids differ only in digit 37.
         let mut xs = [5u8; 40];
         let a = NodeId::from_digits_lsd(&xs);
         xs[37] = 6;
         assert_eq!(a.csuf_len(&NodeId::from_digits_lsd(&xs)), 37);
-        // A narrow id against a wide one: 0 1 against 0 17.
-        let narrow = NodeId::from_digits_lsd(&[0, 1]);
-        let wide = NodeId::from_digits_lsd(&[0, 17]);
-        assert!(!narrow.is_wide() && wide.is_wide());
-        assert_eq!(narrow.csuf_len(&wide), 1);
-        assert!(narrow < wide);
     }
 
     #[test]
@@ -510,7 +451,6 @@ mod tests {
         let hex = id(&[15, 0, 10]);
         assert_eq!(hex.to_string(), "f0a");
         assert_eq!(hex.write_ascii(&mut [0u8; MAX_DIGITS]), "f0a");
-        assert_eq!(id(&[35, 36, 0]).to_string(), "z?0");
     }
 
     #[test]
@@ -537,28 +477,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "for digits above 15")]
-    fn wide_id_past_32_digits_panics() {
-        let mut xs = [0u8; 33];
-        xs[0] = 16;
-        let _ = NodeId::from_digits_lsd(&xs);
+    #[should_panic(expected = "digit 16 above 15")]
+    fn digit_above_15_panics() {
+        let _ = NodeId::from_digits_lsd(&[0, 16, 0]);
     }
 
     #[test]
     fn bytes_round_trip_and_reject_other_packings() {
-        for xs in [&[3u8, 3, 2, 1, 2][..], &[1; 64], &[16, 0, 35], &[0, 1]] {
+        for xs in [&[3u8, 3, 2, 1, 2][..], &[1; 64], &[15, 0, 9], &[0, 1]] {
             let x = NodeId::from_digits_lsd(xs);
-            assert_eq!(
-                NodeId::from_bytes(xs.len(), x.is_wide(), x.as_bytes()),
-                Some(x)
-            );
+            assert_eq!(NodeId::from_bytes(xs.len(), x.as_bytes()), Some(x));
         }
-        // Non-zero padding nibble, wrong length, a "wide" id whose digits
-        // all fit a nibble.
-        assert_eq!(NodeId::from_bytes(3, false, &[0x21, 0x13]), None);
-        assert_eq!(NodeId::from_bytes(3, false, &[0x21]), None);
-        assert_eq!(NodeId::from_bytes(2, true, &[1, 2]), None);
-        assert_eq!(NodeId::from_bytes(0, false, &[]), None);
+        // Non-zero padding nibble, wrong length, no digits, too many.
+        assert_eq!(NodeId::from_bytes(3, &[0x21, 0x13]), None);
+        assert_eq!(NodeId::from_bytes(3, &[0x21]), None);
+        assert_eq!(NodeId::from_bytes(0, &[]), None);
+        assert_eq!(NodeId::from_bytes(66, &[0; 33]), None);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! This crate implements the identifier machinery of the PRR-style hypercube
 //! routing scheme used by Liu & Lam's join protocol (ICDCS 2003): fixed-length
-//! identifiers of `d` digits in base `b`, *suffix* arithmetic (digits are
-//! counted from the right, the 0th digit being the rightmost), longest common
-//! suffix computation, and deterministic or hash-based identifier generation.
+//! identifiers of `d` digits in base `b` (`2 ≤ b ≤ 16`, so a digit packs in
+//! a nibble), *suffix* arithmetic (digits are counted from the right, the
+//! 0th digit being the rightmost), longest common suffix computation, and
+//! deterministic or hash-based identifier generation.
 //!
 //! # Examples
 //!
@@ -31,7 +32,7 @@ mod space;
 mod suffix;
 
 pub use error::IdError;
-pub use id::{Digits, IdBuildHasher, IdHasher, NodeId, MAX_DIGITS, MAX_WIDE_DIGITS};
+pub use id::{Digits, IdBuildHasher, IdHasher, NodeId, MAX_DIGITS};
 pub use sha1::{sha1, Sha1};
 pub use space::IdSpace;
 pub use suffix::Suffix;

@@ -2,16 +2,16 @@ use std::collections::HashSet;
 
 use rand::Rng;
 
-use crate::{IdBuildHasher, IdError, NodeId, Suffix, MAX_DIGITS, MAX_WIDE_DIGITS};
+use crate::{IdBuildHasher, IdError, NodeId, Suffix, MAX_DIGITS};
 
 /// Configuration of an identifier space: digits of base `b`, `d` digits per
 /// identifier.
 ///
 /// The paper's evaluation uses `b = 16` with `d = 8` (32-bit identifiers) and
 /// `d = 40` (160-bit identifiers); its running examples use `b = 4, d = 5`
-/// (Figure 1) and `b = 8, d = 5` (Figure 2). Bases up to 36 are supported so
-/// identifiers remain printable with `0-9a-z`; a base over 16 allows at most
-/// [`MAX_WIDE_DIGITS`] digits, any other [`MAX_DIGITS`].
+/// (Figure 1) and `b = 8, d = 5` (Figure 2). Bases run from 2 to 16, so a
+/// digit fits a nibble of a [`NodeId`] and prints as one of `0-9a-f`; an
+/// identifier has at most [`MAX_DIGITS`] digits.
 ///
 /// # Examples
 ///
@@ -37,20 +37,13 @@ impl IdSpace {
     ///
     /// # Errors
     ///
-    /// Returns [`IdError::InvalidBase`] unless `2 <= base <= 36`, and
-    /// [`IdError::InvalidDigitCount`] unless `1 <= digits <= MAX_DIGITS`,
-    /// or `1 <= digits <= MAX_WIDE_DIGITS` when `base > 16`: a digit above
-    /// 15 takes a byte of a [`NodeId`]'s 32.
+    /// Returns [`IdError::InvalidBase`] unless `2 <= base <= 16`, and
+    /// [`IdError::InvalidDigitCount`] unless `1 <= digits <= MAX_DIGITS`.
     pub fn new(base: u16, digits: usize) -> Result<Self, IdError> {
-        if !(2..=36).contains(&base) {
+        if !(2..=16).contains(&base) {
             return Err(IdError::InvalidBase(base));
         }
-        let max = if base > 16 {
-            MAX_WIDE_DIGITS
-        } else {
-            MAX_DIGITS
-        };
-        if digits == 0 || digits > max {
+        if digits == 0 || digits > MAX_DIGITS {
             return Err(IdError::InvalidDigitCount(digits));
         }
         Ok(IdSpace {
@@ -83,9 +76,9 @@ impl IdSpace {
     /// Validates that `id` belongs to this space (digit count and digit
     /// values).
     pub fn contains(&self, id: &NodeId) -> bool {
-        // A narrow id's digits are all below 16.
+        // Every id's digits are below 16.
         id.digit_count() == self.digit_count()
-            && ((self.base >= 16 && !id.is_wide())
+            && (self.base == 16
                 || (0..self.digit_count()).all(|i| (id.digit(i) as u16) < self.base))
     }
 
@@ -116,7 +109,7 @@ impl IdSpace {
     /// Parses an identifier written most-significant digit first, e.g.
     /// `"21233"` for `b = 4, d = 5`.
     ///
-    /// Digits `10..=35` are written `a..=z` (case-insensitive).
+    /// Digits `10..=15` are written `a..=f` (case-insensitive).
     ///
     /// # Errors
     ///
@@ -267,20 +260,13 @@ impl IdSpace {
             let next = crate::sha1(&stream[at - 20..at]);
             stream[at..at + 20].copy_from_slice(&next);
         }
-        // A power-of-two base up to 16 goes straight to its packed nibbles;
-        // the layout of any other base depends on the digits' values.
-        if base.is_power_of_two() && base <= 16 {
+        // A power-of-two base goes straight to its packed nibbles.
+        if base.is_power_of_two() {
             return nibbles(bits, d, &stream);
         }
         let digits = &mut [0u8; MAX_DIGITS][..d];
-        if base.is_power_of_two() {
-            for (i, x) in digits.iter_mut().enumerate() {
-                *x = bits_at(&stream, i * bits, bits);
-            }
-        } else {
-            for (x, y) in digits.iter_mut().zip(stream) {
-                *x = y % base as u8;
-            }
+        for (x, y) in digits.iter_mut().zip(stream) {
+            *x = y % base as u8;
         }
         NodeId::from_digits_lsd(digits)
     }
@@ -319,28 +305,22 @@ mod tests {
     fn new_validates_parameters() {
         assert!(IdSpace::new(16, 8).is_ok());
         assert_eq!(IdSpace::new(1, 8), Err(IdError::InvalidBase(1)));
-        assert_eq!(IdSpace::new(37, 8), Err(IdError::InvalidBase(37)));
+        assert!(IdSpace::new(16, MAX_DIGITS).is_ok());
+        for b in [17, 32, 36, 256] {
+            assert_eq!(IdSpace::new(b, 8), Err(IdError::InvalidBase(b)));
+        }
+        assert_eq!(
+            IdSpace::new(17, 8).unwrap_err().to_string(),
+            "base 17 is not in 2..=16"
+        );
         assert_eq!(IdSpace::new(16, 0), Err(IdError::InvalidDigitCount(0)));
         assert_eq!(
             IdSpace::new(16, MAX_DIGITS + 1),
             Err(IdError::InvalidDigitCount(MAX_DIGITS + 1))
         );
-    }
-
-    #[test]
-    fn bases_over_16_stop_at_32_digits() {
-        assert!(IdSpace::new(16, MAX_DIGITS).is_ok());
-        assert!(IdSpace::new(17, MAX_WIDE_DIGITS).is_ok());
-        assert!(IdSpace::new(36, MAX_WIDE_DIGITS).is_ok());
-        for b in 17..=36 {
-            assert_eq!(
-                IdSpace::new(b, MAX_WIDE_DIGITS + 1),
-                Err(IdError::InvalidDigitCount(MAX_WIDE_DIGITS + 1))
-            );
-        }
         assert_eq!(
-            IdError::InvalidDigitCount(33).to_string(),
-            "digit count 33 is not in 1..=64, or 1..=32 in a base over 16"
+            IdError::InvalidDigitCount(65).to_string(),
+            "digit count 65 is not in 1..=64"
         );
     }
 
@@ -356,6 +336,9 @@ mod tests {
         assert_eq!(y.to_string(), "00f3a9b2");
         assert_eq!(y.digit(0), 0x2);
         assert_eq!(y.digit(7), 0x0);
+        // A digit above the base is not in the space.
+        let tens = IdSpace::new(10, 3).unwrap();
+        assert!(!tens.contains(&IdSpace::new(16, 3).unwrap().parse_id("0a0").unwrap()));
     }
 
     #[test]
@@ -445,10 +428,8 @@ mod tests {
     fn hash_ids_are_pinned() {
         // Known answers: the power-of-two bit stream at 4, 3, 2 and 1 bits
         // a digit, with an odd digit count at (16, 7) and a second block at
-        // (16, 64); the mod-b path; 5-bit digits at (32, 12), where
-        // "obj-3292" is the one narrow id; exactly the 20 hash bytes at
-        // (32, 32), and a second block at (36, 32).
-        let pinned: [((u16, usize), [&str; 5]); 10] = [
+        // (16, 64); the mod-b path at (10, 12).
+        let pinned: [((u16, usize), [&str; 5]); 7] = [
             (
                 (16, 8),
                 ["ee3a93ad", "d4a1e5af", "ce7de3c7", "2eb328a7", "501de532"],
@@ -498,36 +479,6 @@ mod tests {
                     "395858155945",
                 ],
             ),
-            (
-                (32, 12),
-                [
-                    "g5dduir7qs8r",
-                    "b87gjfjk1f9v",
-                    "quo515rfdvgf",
-                    "4fcf9mon31af",
-                    "7cdb5d12dfd4",
-                ],
-            ),
-            (
-                (32, 32),
-                [
-                    "9o1gtn2io0oapnvnlicqg5dduir7qs8r",
-                    "2dp50b6elasq8flul7kcb87gjfjk1f9v",
-                    "l11rft95flh212b4k88bquo515rfdvgf",
-                    "dhi5glf5qpqsa16isrg84fcf9mon31af",
-                    "4slmq7ho5tihko5qln467cdb5d12dfd4",
-                ],
-            ),
-            (
-                (36, 32),
-                [
-                    "q4dw408qc6ra970v0oo5nbded3zmmjl2",
-                    "bo7csnno2kf3id265d5xmtt82slr5qmy",
-                    "03e4210ooxv1ho1e6vyhgykhlpahkzqg",
-                    "7vbvmo1fpg6x9m2j7mzum1gvwuflanme",
-                    "t8ojoag9uhmlofr7gln05tti7gjl5tmz",
-                ],
-            ),
         ];
         let names = ["", "node-0", "skylark.mp3", "obj-42", "obj-3292"];
         for ((b, d), ids) in pinned {
@@ -538,8 +489,6 @@ mod tests {
                 assert_eq!(x, space.parse_id(id).unwrap(), "b={b} d={d} {name:?}");
             }
         }
-        let narrow = IdSpace::new(32, 12).unwrap().id_from_hash(b"obj-3292");
-        assert!(!narrow.is_wide());
     }
 
     /// `id_from_hash` written digit by digit: the hash's byte stream,
@@ -567,15 +516,12 @@ mod tests {
 
     #[test]
     fn hash_ids_match_the_digit_stream_model() {
-        for b in 2..=36u16 {
+        for b in 2..=16u16 {
             for d in [1, 2, 7, 8, 20, 31, 32, 40, 41, 64] {
-                let Ok(space) = IdSpace::new(b, d) else {
-                    continue;
-                };
+                let space = IdSpace::new(b, d).unwrap();
                 for name in ["", "node-0", "skylark.mp3", "obj-42", "obj-3292"] {
                     let x = space.id_from_hash(name.as_bytes());
                     assert_eq!(x, digit_stream_model(space, name.as_bytes()), "b={b} d={d}");
-                    assert_eq!(x.is_wide(), x.digits_lsd().iter().any(|&y| y > 15));
                 }
             }
         }

@@ -176,7 +176,7 @@ impl fmt::Display for Suffix {
             let d = self.digits[i];
             let ch = match d {
                 0..=9 => (b'0' + d) as char,
-                10..=35 => (b'a' + (d - 10)) as char,
+                10..=15 => (b'a' + (d - 10)) as char,
                 _ => '?',
             };
             write!(f, "{ch}")?;

@@ -1,19 +1,17 @@
 //! The packed `NodeId` against a byte-per-digit reference.
 //!
-//! `NodeId` keeps its digits as the wire sends them — nibbles when every
-//! digit is below 16, a byte a digit otherwise — and answers equality,
-//! order, hashing and the common-suffix length from those bytes directly.
-//! `Model` below is the plain layout it replaced: a vector of digits,
-//! rightmost first, with every operation spelled out digit by digit. Each
-//! case draws a space (b in 2..=36; d up to 64 when b ≤ 16 and up to 32
-//! above) and a handful of ids sharing suffixes of random lengths; in
-//! bases over 16 some ids have every digit below 16 and some do not.
+//! `NodeId` keeps its digits as the wire sends them — two nibbles a
+//! byte — and answers equality, order, hashing and the common-suffix
+//! length from those bytes directly. `Model` below is the plain layout it
+//! replaced: a vector of digits, rightmost first, with every operation
+//! spelled out digit by digit. Each case draws a space (b in 2..=16, d up
+//! to 64) and a handful of ids sharing suffixes of random lengths.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use hyperring_id::{IdSpace, NodeId, Suffix, MAX_DIGITS, MAX_WIDE_DIGITS};
+use hyperring_id::{IdSpace, NodeId, Suffix, MAX_DIGITS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,8 +42,7 @@ impl Model {
             .rev()
             .map(|&d| match d {
                 0..=9 => (b'0' + d) as char,
-                10..=35 => (b'a' + d - 10) as char,
-                _ => '?',
+                _ => (b'a' + d - 10) as char,
             })
             .collect()
     }
@@ -65,18 +62,15 @@ fn hash_of(id: &NodeId) -> u64 {
 
 /// A space and a few ids in it, drawn from `seed`: each id copies the
 /// rightmost digits of an earlier one for a random length, so common
-/// suffixes of every length occur. In a base over 16, half the ids keep
-/// every digit below 16.
+/// suffixes of every length occur.
 fn case(seed: u64) -> (IdSpace, Vec<Model>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let b: u16 = rng.gen_range(2..=36);
-    let max = if b > 16 { MAX_WIDE_DIGITS } else { MAX_DIGITS };
-    let d = rng.gen_range(1..=max);
+    let b: u16 = rng.gen_range(2..=16);
+    let d = rng.gen_range(1..=MAX_DIGITS);
     let space = IdSpace::new(b, d).expect("valid space");
     let mut ids: Vec<Model> = Vec::new();
     for _ in 0..6 {
-        let top = if b > 16 && rng.gen_bool(0.5) { 16 } else { b };
-        let mut digits: Vec<u8> = (0..d).map(|_| rng.gen_range(0..top) as u8).collect();
+        let mut digits: Vec<u8> = (0..d).map(|_| rng.gen_range(0..b) as u8).collect();
         if let Some(prev) = ids.last().filter(|_| rng.gen_bool(0.7)) {
             let k = rng.gen_range(0..=d);
             digits[..k].copy_from_slice(&prev.0[..k]);
@@ -91,7 +85,6 @@ fn case(seed: u64) -> (IdSpace, Vec<Model>) {
 fn check_one(space: IdSpace, m: &Model, x: &NodeId) {
     let d = space.digit_count();
     assert_eq!(x.digit_count(), d);
-    assert_eq!(x.is_wide(), m.0.iter().any(|&v| v >= 16));
     assert_eq!(*x.digits_lsd(), m.0[..]);
     for (i, &v) in m.0.iter().enumerate() {
         assert_eq!(x.digit(i), v);
@@ -102,7 +95,7 @@ fn check_one(space: IdSpace, m: &Model, x: &NodeId) {
     assert_eq!(x.to_value(space.base()), m.to_value(space.base()));
     assert!(space.contains(x));
     assert_eq!(
-        NodeId::from_bytes(d, x.is_wide(), x.as_bytes()),
+        NodeId::from_bytes(d, x.as_bytes()),
         Some(*x),
         "bytes round-trip"
     );
@@ -155,8 +148,8 @@ fn ids_of_different_lengths() {
     let pairs: [(&[u8], &[u8]); 4] = [
         (&[1, 2, 3], &[1, 2, 3, 0]),
         (&[9; 64], &[9; 63]),
-        (&[20, 1], &[20, 1, 0]),
-        (&[1, 20], &[1]),
+        (&[15, 1], &[15, 1, 0]),
+        (&[1, 15], &[1]),
     ];
     for (a, b) in pairs {
         let (ma, mb) = (Model(a.to_vec()), Model(b.to_vec()));
@@ -170,7 +163,7 @@ fn ids_of_different_lengths() {
 /// codec wrote for these ids before `NodeId` adopted its layout.
 #[test]
 fn packed_bytes_are_the_recorded_wire_bytes() {
-    let cases: [(u16, usize, &str, &[u8]); 6] = [
+    let cases: [(u16, usize, &str, &[u8]); 4] = [
         (16, 8, "00f3a9b2", &[0xb2, 0xa9, 0xf3, 0x00]),
         (4, 5, "21233", &[0x33, 0x12, 0x02]),
         (2, 10, "1011001110", &[0x10, 0x11, 0x00, 0x11, 0x10]),
@@ -183,16 +176,9 @@ fn packed_bytes_are_the_recorded_wire_bytes() {
                 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,
             ],
         ),
-        (32, 3, "v0q", &[0x1a, 0x00, 0x1f]),
-        (36, 4, "z09a", &[0x0a, 0x09, 0x00, 0x23]),
     ];
     for (b, d, s, wire) in cases {
         let id = IdSpace::new(b, d).unwrap().parse_id(s).unwrap();
         assert_eq!(id.as_bytes(), wire, "{s}");
     }
-    // A base-32 id whose digits all fit a nibble packs nibbles; the codec
-    // spreads it to the byte-per-digit 0a 05 07 of its space.
-    let narrow = IdSpace::new(32, 3).unwrap().parse_id("75a").unwrap();
-    assert!(!narrow.is_wide());
-    assert_eq!(narrow.as_bytes(), [0x5a, 0x07]);
 }

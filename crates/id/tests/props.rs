@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 /// Strategy producing a space plus digit vectors valid in it.
 fn space_and_digits() -> impl Strategy<Value = (IdSpace, Vec<u8>, Vec<u8>)> {
-    (2u16..=36, 1usize..=24).prop_flat_map(|(b, d)| {
+    (2u16..=16, 1usize..=24).prop_flat_map(|(b, d)| {
         let space = IdSpace::new(b, d).unwrap();
         let digit = 0u8..(b as u8);
         (
@@ -36,7 +36,7 @@ proptest! {
     }
 
     #[test]
-    fn csuf_triangle_property((space, xs, ys) in space_and_digits(), zs in proptest::collection::vec(0u8..36, 1..=24)) {
+    fn csuf_triangle_property((space, xs, ys) in space_and_digits(), zs in proptest::collection::vec(0u8..16, 1..=24)) {
         // |csuf(x,z)| >= min(|csuf(x,y)|, |csuf(y,z)|): suffix matching is an
         // ultrametric-like relation.
         let zs: Vec<u8> = zs
@@ -62,7 +62,7 @@ proptest! {
     }
 
     #[test]
-    fn suffix_extend_left_then_parent((space, xs, _) in space_and_digits(), j in 0u8..36) {
+    fn suffix_extend_left_then_parent((space, xs, _) in space_and_digits(), j in 0u8..16) {
         let j = j % space.base() as u8;
         let x = space.id_from_digits(&xs).unwrap();
         for k in 0..space.digit_count() {

@@ -131,24 +131,9 @@ where
     (at, hops)
 }
 
-/// Resolves the surrogate root of `object_id` from `start` without
-/// materializing the path. See [`surrogate_root_with`].
-pub fn surrogate_root<'a, F>(
-    space: IdSpace,
-    start: NodeId,
-    object_id: &NodeId,
-    lookup: F,
-) -> (NodeId, usize)
-where
-    F: FnMut(&NodeId) -> Option<&'a NeighborTable>,
-{
-    surrogate_root_with(space, start, object_id, lookup, |_| {})
-}
-
 /// Resolves the surrogate root of `object_id` from `start` and returns the
 /// overlay path taken (deduplicated self-hops, `start` included). Allocates
-/// the path vector; the storm-grade variants are [`surrogate_root`] and
-/// [`surrogate_root_with`].
+/// the path vector; the storm-grade variant is [`surrogate_root_with`].
 ///
 /// # Panics
 ///

@@ -235,16 +235,6 @@ where
         &self.actors[i]
     }
 
-    /// Exclusive access to an actor's state (for test instrumentation; the
-    /// protocol itself only runs through deliveries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn actor_mut(&mut self, i: usize) -> &mut A {
-        &mut self.actors[i]
-    }
-
     /// Iterates over all actors in index order.
     pub fn actors(&self) -> impl Iterator<Item = &A> {
         self.actors.iter()

@@ -68,23 +68,10 @@ impl Graph {
         self.edges += 1;
     }
 
-    /// Whether an edge between `a` and `b` exists.
-    pub fn has_edge(&self, a: u32, b: u32) -> bool {
-        self.adj
-            .get(a as usize)
-            .is_some_and(|v| v.iter().any(|(x, _)| *x == b))
-    }
-
     /// Neighbors of `v` with edge weights.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[(u32, u32)] {
         &self.adj[v as usize]
-    }
-
-    /// Degree of `v`.
-    #[inline]
-    pub fn degree(&self, v: u32) -> usize {
-        self.adj[v as usize].len()
     }
 
     /// Whether the graph is connected (vacuously true for `n <= 1`).

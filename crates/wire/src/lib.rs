@@ -17,14 +17,11 @@
 //! four bytes. One UDP datagram carries exactly one frame; trailing bytes
 //! are a decode error.
 //!
-//! Identifiers are packed least-significant digit first: one nibble per
-//! digit when the base fits four bits (`b <= 16`), one byte per digit
-//! otherwise. With an odd digit count under nibble packing the final high
-//! nibble must be zero — non-zero padding is rejected, so every message
-//! has exactly one encoding. This is also how a [`NodeId`] holds its
-//! digits in memory, so in a `b <= 16` space encoding and decoding an id
-//! copy its bytes. (In a larger base an id whose digits all sit below 16
-//! packs nibbles in memory and is spread to one byte a digit here.)
+//! Identifiers are packed least-significant digit first, one nibble per
+//! digit (every base is at most 16). With an odd digit count the final
+//! high nibble must be zero — non-zero padding is rejected, so every
+//! message has exactly one encoding. This is also how a [`NodeId`] holds
+//! its digits in memory, so encoding and decoding an id copy its bytes.
 //!
 //! A table body is its owner, a `u16` row count and the rows, each
 //! `[level][digit][packed id][state]`. That is how a [`TableSnapshot`]
@@ -102,14 +99,9 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Packed bytes of one identifier in `space`.
+/// Packed bytes of one identifier in `space`: `⌈d/2⌉`.
 pub fn packed_id_len(space: &IdSpace) -> usize {
-    let d = space.digit_count();
-    if space.base() <= 16 {
-        d.div_ceil(2)
-    } else {
-        d
-    }
+    space.digit_count().div_ceil(2)
 }
 
 /// Upper bound on the payload (post-prefix) bytes of any frame in `space`.
@@ -183,13 +175,8 @@ fn put_id(space: &IdSpace, id: &NodeId, out: &mut Vec<u8>) {
         space.digit_count(),
         "id from a foreign space"
     );
-    if space.base() <= 16 || id.is_wide() {
-        // The id's own bytes are its encoding.
-        out.extend_from_slice(id.as_bytes());
-    } else {
-        // A base over 16 sends one byte a digit; this id packs nibbles.
-        out.extend_from_slice(&id.digits_lsd());
-    }
+    // The id's own bytes are its encoding.
+    out.extend_from_slice(id.as_bytes());
 }
 
 fn put_state(state: NodeState, out: &mut Vec<u8>) {
@@ -376,15 +363,12 @@ impl<'a> Reader<'a> {
     fn id(&mut self, space: &IdSpace) -> Result<NodeId, WireError> {
         let d = space.digit_count();
         let packed = self.take(packed_id_len(space))?;
-        let id = if space.base() <= 16 {
-            if d % 2 == 1 && packed[d / 2] >> 4 != 0 {
-                return Err(WireError::Malformed("nonzero id padding nibble"));
-            }
-            NodeId::from_bytes(d, false, packed).filter(|id| space.contains(id))
-        } else {
-            space.id_from_digits(packed).ok()
-        };
-        id.ok_or(WireError::Malformed("id digit exceeds base"))
+        if d % 2 == 1 && packed[d / 2] >> 4 != 0 {
+            return Err(WireError::Malformed("nonzero id padding nibble"));
+        }
+        NodeId::from_bytes(d, packed)
+            .filter(|id| space.contains(id))
+            .ok_or(WireError::Malformed("id digit exceeds base"))
     }
 
     fn level(&mut self, space: &IdSpace) -> Result<u8, WireError> {
@@ -683,21 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn byte_per_digit_spaces_round_trip() {
-        let sp = IdSpace::new(32, 3).unwrap();
-        let me = sp.parse_id("v0q").unwrap();
-        let peer = sp.parse_id("7h2").unwrap();
-        roundtrip(
-            &sp,
-            me,
-            &Message::SpeNoti {
-                initiator: peer,
-                subject: me,
-            },
-        );
-    }
-
-    #[test]
     fn frames_stay_under_the_space_maximum() {
         let sp = space();
         let mut buf = Vec::new();
@@ -787,7 +756,7 @@ mod tests {
         // The options type is pulled in so the codec crate's bound is
         // checked against the same geometry the runtimes configure.
         let _ = ProtocolOptions::new();
-        for (b, d) in [(2u16, 10usize), (4, 5), (16, 8), (16, 40), (36, 4)] {
+        for (b, d) in [(2u16, 10usize), (4, 5), (10, 4), (16, 8), (16, 40)] {
             let sp = IdSpace::new(b, d).unwrap();
             assert!(max_frame_len(&sp) < 1 << 20, "({b},{d}) frame bound sane");
             assert!(packed_id_len(&sp) <= 64);
@@ -795,8 +764,7 @@ mod tests {
     }
 
     /// Frames are byte-identical to those of the byte-per-digit `NodeId`
-    /// (literals recorded from it), including a base-32 id whose digits
-    /// all fit a nibble, which the codec spreads to a byte a digit.
+    /// (literals recorded from it).
     #[test]
     fn frames_match_recorded_bytes() {
         let sp = IdSpace::new(16, 8).unwrap();
@@ -817,25 +785,14 @@ mod tests {
                 0x7c, 3, 12
             ]
         );
-        let sp = IdSpace::new(32, 3).unwrap();
-        let narrow = sp.parse_id("75a").unwrap();
-        let wide = sp.parse_id("v0q").unwrap();
-        let msg = Message::SpeNoti {
-            initiator: wide,
-            subject: narrow,
-        };
-        let mut buf = Vec::new();
-        encode_frame(&sp, narrow, &msg, &mut buf);
-        assert_eq!(buf, [11, 0, 0, 0, 1, 7, 10, 5, 7, 26, 0, 31, 10, 5, 7]);
         let (from, _) = decode_datagram(&sp, &buf).unwrap();
-        assert_eq!(from, narrow);
+        assert_eq!(from, me);
         let mut id_bytes = Vec::new();
-        encode_id(&sp, &wide, &mut id_bytes);
-        assert_eq!(decode_id(&sp, &id_bytes), Ok((wide, 3)));
-        // Table-bearing frames, recorded from the encoder that held rows
+        encode_id(&sp, &peer, &mut id_bytes);
+        assert_eq!(decode_id(&sp, &id_bytes), Ok((peer, 4)));
+        // A table-bearing frame, recorded from the encoder that held rows
         // as decoded `SnapshotRow`s: b=16 with an odd digit count (a zero
-        // padding nibble in every id), and b=32 with a wide owner and a
-        // narrow row, which the body spreads to a byte a digit.
+        // padding nibble in every id).
         let sp = IdSpace::new(16, 7).unwrap();
         let owner = sp.parse_id("0f3a9b2").unwrap();
         let (p1, p2) = (
@@ -879,45 +836,6 @@ mod tests {
         );
         let Ok((_, Message::JoinWaitRly { table: got, .. })) = decode_datagram(&sp, &buf) else {
             panic!("a JoinWaitRly frame");
-        };
-        assert!(got.rows().eq(table.rows()));
-        let sp = IdSpace::new(32, 3).unwrap();
-        let owner = sp.parse_id("v0q").unwrap();
-        let (narrow, wide) = (sp.parse_id("75a").unwrap(), sp.parse_id("h2q").unwrap());
-        let mut t = NeighborTable::new(sp, owner);
-        t.set_self_entries(NodeState::T);
-        t.set(
-            0,
-            10,
-            Entry {
-                node: narrow,
-                state: NodeState::S,
-            },
-        );
-        t.set(
-            1,
-            2,
-            Entry {
-                node: wide,
-                state: NodeState::T,
-            },
-        );
-        let table = t.snapshot();
-        let msg = Message::CpRly {
-            level: 1,
-            table: table.clone(),
-        };
-        let mut buf = Vec::new();
-        encode_frame(&sp, narrow, &msg, &mut buf);
-        assert_eq!(
-            buf,
-            [
-                41, 0, 0, 0, 1, 1, 10, 5, 7, 1, 26, 0, 31, 5, 0, 0, 10, 10, 5, 7, 1, 0, 26, 26, 0,
-                31, 0, 1, 0, 26, 0, 31, 0, 1, 2, 26, 2, 17, 0, 2, 31, 26, 0, 31, 0
-            ]
-        );
-        let Ok((_, Message::CpRly { table: got, .. })) = decode_datagram(&sp, &buf) else {
-            panic!("a CpRly frame");
         };
         assert!(got.rows().eq(table.rows()));
     }

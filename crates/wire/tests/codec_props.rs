@@ -11,10 +11,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A mix of nibble-packed (base <= 16) and byte-per-digit spaces, odd and
-/// even digit counts.
+/// Power-of-two and other bases, odd and even digit counts.
 fn spaces() -> Vec<IdSpace> {
-    [(2u16, 10usize), (4, 5), (8, 4), (16, 8), (17, 3), (36, 4)]
+    [(2u16, 10usize), (4, 5), (8, 4), (16, 8), (10, 3), (16, 5)]
         .iter()
         .map(|&(b, d)| IdSpace::new(b, d).unwrap())
         .collect()

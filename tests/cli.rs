@@ -66,6 +66,10 @@ fn bad_or_unread_arguments_are_errors_before_any_work() {
         &["scale", "--batch", "x"],
         // Figure 15(a) is analytic: it takes no trials.
         &["fig15a", "--trials", "2"],
+        // Bases run from 2 to 16.
+        &["simulate", "--b", "32"],
+        &["route", "--b", "17"],
+        &["bootstrap", "--b", "36"],
     ] {
         let out = cli(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -73,5 +77,9 @@ fn bad_or_unread_arguments_are_errors_before_any_work() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(stderr.contains("error:"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} did work");
+        if args[1] == "--b" {
+            let want = format!("error: base {} is not in 2..=16", args[2]);
+            assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        }
     }
 }

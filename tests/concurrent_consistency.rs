@@ -56,7 +56,7 @@ fn matrix_of_spaces_and_sizes() {
         (8, 5, 40, 20),
         (16, 8, 60, 30),
         (16, 40, 20, 12),
-        (32, 4, 40, 20),
+        (12, 4, 40, 20),
         (3, 7, 25, 25),
     ] {
         run_case(b, d, n, m, 1);
