@@ -137,15 +137,6 @@ pub fn ascii_chart(points: &[(f64, f64)], width: usize, height: usize) -> String
     out
 }
 
-/// Writes the table as CSV, printing a confirmation or a warning — the
-/// convenience wrapper used by the experiment commands.
-pub fn write_csv_or_warn(table: &Table, path: &Path) {
-    match table.write_csv(path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
 fn csv_line(cells: &[String]) -> String {
     cells
         .iter()

@@ -1,11 +1,13 @@
 //! The timer queue shared by every engine on a runtime thread, keyed by
-//! `(engine, timer)`. It is the simulator's design: a binary heap of
-//! deadlines beside an index naming each key's live arming. Canceling
-//! drops the key from the index, re-arming stamps a new generation, and a
-//! superseded entry is dropped when it reaches the head. A heap is enough:
-//! a retry policy's timers are armed by requests and canceled by replies,
-//! few fire (a lossless join wave fires none), and the heap is cleared
-//! whenever nothing is armed.
+//! `(engine, timer)`. It is the heap half of the simulator's queue: a
+//! binary heap of deadlines beside an index naming each key's live
+//! arming. Canceling drops the key from the index, re-arming stamps a new
+//! generation, and a superseded entry is dropped when it reaches the
+//! head. A heap is enough, and the simulator's FIFO run beside it would
+//! save nothing: the run makes pops cheaper, but a retry policy's timers
+//! are armed by requests and canceled by replies, few fire (a lossless
+//! join wave, `udp_wave`, fires none), and the heap is cleared whenever
+//! nothing is armed.
 //!
 //! Time is an absolute microsecond clock supplied by the caller (wall or
 //! virtual) that never runs backwards. A deadline is due once the clock

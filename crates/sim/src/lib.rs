@@ -12,6 +12,13 @@
 //! reordered if their sampled latencies interleave. This makes the simulator
 //! an adversarial scheduler for the protocol rather than a friendly one.
 //!
+//! Events wait in one queue of two lanes: a key scheduled no earlier than
+//! the last key of a FIFO run joins the run, any other a binary heap, and
+//! the earlier head pops. Under a constant delay every event is scheduled
+//! in time order, so the heap stays empty and a pop costs a `pop_front`;
+//! under a random delay most keys go to the heap. Either way the order of
+//! delivery is the same: lowest `(time, seq)` first.
+//!
 //! Before each delivery the simulator prefetches what the next two will
 //! touch: the actor and slab slot of the event after next, and whatever
 //! lines the next event's actor names through [`Actor::prefetch`]. A

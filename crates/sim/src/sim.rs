@@ -1,4 +1,4 @@
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::Hash;
 
 use rand::rngs::StdRng;
@@ -128,23 +128,91 @@ pub struct RunReport {
     pub traced: u64,
 }
 
+/// The simulator's event queue, in two lanes. A key scheduled no earlier
+/// than the last key of `run` is appended to it; any other goes to
+/// `heap`. `seq` rises with every push, so `run` is a FIFO sorted by
+/// `(at, seq)`, and the earliest key is the earlier of the two heads.
+///
+/// A heap key is always earlier than the run's last key, which pops
+/// after it: so the heap is empty whenever the run is.
+#[derive(Debug, Default)]
+struct Queue {
+    run: VecDeque<Key>,
+    heap: BinaryHeap<Key>,
+}
+
+// `Key`'s order is reversed: of two keys, the greater is the earlier
+// event, and so is `Some` key beside `None`.
+impl Queue {
+    #[inline]
+    fn push(&mut self, key: Key) {
+        match self.run.back() {
+            Some(back) if key.at < back.at => self.heap.push(key),
+            _ => self.run.push_back(key),
+        }
+    }
+
+    /// The earliest key, ranked by `(at, seq)`: the lanes' heads can
+    /// share a time.
+    #[inline]
+    fn peek(&self) -> Option<&Key> {
+        self.run.front().max(self.heap.peek())
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Key> {
+        if self.run.front() > self.heap.peek() {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
+        }
+    }
+
+    /// The earliest key and the one after it, read from the heads: the
+    /// run's first two, the heap's root and the earlier of heap slots 1
+    /// and 2.
+    #[inline]
+    fn next_two(&self) -> (Option<&Key>, Option<&Key>) {
+        let heap = self.heap.as_slice();
+        let (run0, heap0) = (self.run.front(), heap.first());
+        if run0 > heap0 {
+            return (run0, self.run.get(1).max(heap0));
+        }
+        let heap1 = match heap {
+            [_, a, b, ..] => Some(a.max(b)),
+            [_, a] => Some(a),
+            _ => None,
+        };
+        (heap0, run0.max(heap1))
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.run.len() + self.heap.len()
+    }
+}
+
 /// Deterministic discrete-event simulator over a set of actors.
 ///
-/// One queue: a binary heap of 24-byte keys popped lowest `(time, seq)`
-/// first, where `seq` counts every event ever scheduled, so ties at equal
-/// times break by scheduling order. Given the same actors, delay model and
-/// seed, two runs deliver the same events in the same order.
+/// One queue of 24-byte keys popped lowest `(time, seq)` first, where
+/// `seq` counts every event ever scheduled, so ties at equal times break
+/// by scheduling order. Given the same actors, delay model and seed, two
+/// runs deliver the same events in the same order. The queue has two
+/// lanes: a key scheduled no earlier than the last key of a FIFO run
+/// joins the run, any other a binary heap, and a pop takes the earlier
+/// head. Under a constant delay every key is scheduled in time order, so
+/// the heap stays empty and a pop is a `pop_front`.
 ///
 /// A key names the slot of a paged slab where its payload waits: a
 /// message is written there once, when the actor sends it, and read once,
-/// when it is delivered; the heap never moves it, and a steady run
-/// allocates nothing per event. When the queue drains, the heap, the slab
-/// and the timer index are dropped.
+/// when it is delivered; the queue never moves it, and a steady run
+/// allocates nothing per event. When the queue drains, both lanes, the
+/// slab and the timer index are dropped.
 ///
 /// See the [crate docs](crate) for an example.
 pub struct Simulator<A: Actor, D> {
     actors: Vec<A>,
-    queue: BinaryHeap<Key>,
+    queue: Queue,
     slab: Slab<A::Msg, A::Timer>,
     /// Armed timers: `(actor, timer) → slot` of the live arming. Canceling
     /// or re-arming marks the old slot [`Slot::Canceled`], and its key is
@@ -188,7 +256,7 @@ where
         assert!(actors.len() <= TIMER as usize, "too many actors");
         Simulator {
             actors,
-            queue: BinaryHeap::new(),
+            queue: Queue::default(),
             slab: Slab::new(),
             armed: HashMap::new(),
             delay,
@@ -351,7 +419,7 @@ where
             self.queue.pop();
             self.slab.take(key.slot);
         }
-        self.queue = BinaryHeap::new();
+        self.queue = Queue::default();
         self.slab = Slab::new();
         self.armed = HashMap::new();
         self.ops = Vec::new();
@@ -404,25 +472,18 @@ where
 
     /// Names what the next two deliveries will touch while this one runs,
     /// so that their cache misses overlap its work. The event after next
-    /// is the earlier of heap slots 1 and 2: its actor and its slot are
-    /// named by address. The next event, at the root, had both named one
-    /// delivery ago, so its actor can read its message and name the
-    /// lines behind them ([`Actor::prefetch`]).
+    /// has its actor and its slot named by address. The next event had
+    /// both named one delivery ago, so its actor can read its message and
+    /// name the lines behind them ([`Actor::prefetch`]).
     #[inline]
     fn prefetch_next(&self) {
         let mut lines = Prefetch::new();
-        let heap = self.queue.as_slice();
-        // `Key`'s order is reversed: the greater key is the earlier event.
-        let after_next = match heap {
-            [_, a, b, ..] => Some(a.max(b)),
-            [_, a] => Some(a),
-            _ => None,
-        };
+        let (next, after_next) = self.queue.next_two();
         if let Some(key) = after_next {
             lines.line(&self.actors[key.actor()]);
             lines.line(self.slab.slot_ptr(key.slot));
         }
-        if let Some(next) = heap.first() {
+        if let Some(next) = next {
             let msg = self.slab.msg(next.slot);
             self.actors[next.actor()].prefetch(msg, &mut lines);
         }
@@ -498,7 +559,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConstantDelay, FaultyDelay, UniformDelay};
+    use crate::{ConstantDelay, DelayModel, FaultyDelay, UniformDelay};
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
@@ -621,19 +682,41 @@ mod tests {
         assert_ne!(run(99).1, run(100).1);
     }
 
-    #[test]
-    fn inject_at_orders_by_time_then_seq() {
-        struct Recorder {
-            log: Vec<(Time, u32)>,
-        }
-        impl Actor for Recorder {
-            type Msg = u32;
-            type Timer = ();
-            fn on_message(&mut self, ctx: &mut Context<'_, u32>, _f: usize, m: u32) {
-                self.log.push((ctx.now(), m));
+    /// Logs `(now, message)`; a message `m` with `m % 10 == 7` arms
+    /// timer 0 ten µs out, one with `m % 10 == 8` cancels it, and a
+    /// fired timer logs as message `u32::MAX`.
+    struct Recorder {
+        log: Vec<(Time, u32)>,
+    }
+
+    impl Actor for Recorder {
+        type Msg = u32;
+        type Timer = ();
+        fn on_message(&mut self, ctx: &mut Context<'_, u32>, _f: usize, m: u32) {
+            self.log.push((ctx.now(), m));
+            match m % 10 {
+                7 => ctx.set_timer((), 10),
+                8 => ctx.cancel_timer(()),
+                _ => {}
             }
         }
-        let mut sim = Simulator::new(vec![Recorder { log: vec![] }], ConstantDelay(0), 0);
+        fn on_timer(&mut self, ctx: &mut Context<'_, u32>, _t: ()) {
+            self.log.push((ctx.now(), u32::MAX));
+        }
+    }
+
+    fn recorder() -> Simulator<Recorder, ConstantDelay> {
+        Simulator::new(vec![Recorder { log: vec![] }], ConstantDelay(0), 0)
+    }
+
+    /// `(run, heap)` lengths.
+    fn lanes<A: Actor, D>(sim: &Simulator<A, D>) -> (usize, usize) {
+        (sim.queue.run.len(), sim.queue.heap.len())
+    }
+
+    #[test]
+    fn inject_at_orders_by_time_then_seq() {
+        let mut sim = recorder();
         sim.inject_at(50, 0, 0, 1);
         sim.inject_at(10, 0, 0, 2);
         sim.inject_at(50, 0, 0, 3);
@@ -667,6 +750,88 @@ mod tests {
         sim.run();
         let order = vec![(1, 3), (3, 1), (3, 4), (3, 5), (5, 0), (5, 2)];
         assert_eq!(sim.actor(0).0, order);
+    }
+
+    #[test]
+    fn lane_heads_at_one_time_pop_by_seq_and_a_drained_run_leaves_an_empty_heap() {
+        let mut sim = recorder();
+        sim.inject_at(5, 0, 0, 1); // the run
+        sim.inject_at(10, 0, 0, 2); // the run
+        sim.inject_at(5, 0, 0, 3); // before the run's tail: the heap
+        sim.inject_at(10, 0, 0, 4); // the run
+        assert_eq!(lanes(&sim), (3, 1));
+        // At t = 5 the heads tie: the run's, scheduled first, goes first.
+        sim.run_until(5);
+        assert_eq!(sim.actor(0).log, [(5, 1), (5, 3)]);
+        // A heap key is earlier than the run's tail, which pops after it:
+        // so the heap has drained before the run does, and a refilled run
+        // never ties with an older heap key.
+        sim.inject_at(10, 0, 0, 5);
+        sim.inject_at(7, 0, 0, 6);
+        assert_eq!(lanes(&sim), (3, 1));
+        while lanes(&sim).0 > 0 {
+            sim.step();
+        }
+        assert_eq!(lanes(&sim), (0, 0));
+        sim.inject_at(10, 0, 0, 9); // at the time of the last delivery
+        sim.run();
+        let log = [(5, 1), (5, 3), (7, 6), (10, 2), (10, 4), (10, 5), (10, 9)];
+        assert_eq!(sim.actor(0).log, log);
+    }
+
+    #[test]
+    fn inject_at_now_after_a_run_until_peek_goes_ahead_of_the_run() {
+        let mut sim = recorder();
+        for (at, m) in [(10, 1), (20, 2), (30, 3)] {
+            sim.inject_at(at, 0, 0, m);
+        }
+        // Delivers t = 10, then peeks t = 20 at the run's head and stops.
+        let r = sim.run_until(15);
+        assert!(r.truncated);
+        assert_eq!((sim.now(), lanes(&sim)), (10, (2, 0)));
+        sim.inject_at(sim.now(), 0, 0, 4);
+        sim.inject_at(25, 0, 0, 5);
+        assert_eq!(lanes(&sim), (2, 2));
+        sim.run();
+        let log = [(10, 1), (10, 4), (20, 2), (25, 5), (30, 3)];
+        assert_eq!(sim.actor(0).log, log);
+    }
+
+    #[test]
+    fn a_stale_timer_at_the_runs_head_is_discarded() {
+        let mut sim = recorder();
+        sim.inject_at(0, 0, 0, 7);
+        assert!(sim.step()); // arms the timer for t = 10: the run
+        sim.inject_at(20, 0, 0, 2); // the run, behind the timer
+        sim.inject_at(3, 0, 0, 8); // the heap: cancels the timer at t = 3
+        assert_eq!(lanes(&sim), (2, 1));
+        assert!(sim.queue.run[0].to & TIMER != 0);
+        assert!(sim.step());
+        assert_eq!((sim.now(), lanes(&sim)), (3, (2, 0)));
+        // One step discards the canceled timer and delivers t = 20.
+        assert!(sim.step());
+        assert_eq!((sim.now(), sim.delivered(), lanes(&sim)), (20, 3, (0, 0)));
+        let r = sim.run();
+        assert_eq!(r.timers_fired, 0);
+        assert_eq!(sim.actor(0).log, [(0, 7), (3, 8), (20, 2)]);
+    }
+
+    #[test]
+    fn a_constant_delay_run_never_touches_the_heap() {
+        let mut sim = Simulator::new(ring(8), ConstantDelay(7), 1);
+        for i in 0..8 {
+            sim.inject(i, i, 50 + i as u32);
+        }
+        let mut longest = 0;
+        loop {
+            let (run, heap) = lanes(&sim);
+            assert_eq!(heap, 0, "a key left the run at t = {}", sim.now());
+            longest = longest.max(run);
+            if !sim.step() {
+                break;
+            }
+        }
+        assert_eq!((longest, sim.delivered()), (8, 8 * 51 + 28));
     }
 
     #[test]
@@ -921,8 +1086,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn each_hint_names_the_next_delivery_unless_an_earlier_event_came_between() {
+    /// Runs [`Hinted`] actors to the end under `delay`. Before each step
+    /// it checks that the queue reads the two earliest keys off its lanes'
+    /// heads, and counts where they wait: `lanes[2 * a + b]`, where `a` is
+    /// 1 when the earlier is in the run and `b` likewise for the later.
+    /// Returns the hints that named the delivery after them, the ones an
+    /// event scheduled in between overtook, and the lane counts.
+    fn hinted_run<D: DelayModel>(delay: D) -> (usize, usize, [usize; 4]) {
         let (n, ids, log) = (5, Rc::new(Cell::new(1)), Rc::new(RefCell::new(Vec::new())));
         let actors = (0..n).map(|me| Hinted {
             me,
@@ -930,9 +1100,25 @@ mod tests {
             ids: Rc::clone(&ids),
             log: Rc::clone(&log),
         });
-        let mut sim = Simulator::new(actors.collect(), UniformDelay::new(1, 1_000), 3);
+        let mut sim = Simulator::new(actors.collect(), delay, 3);
         sim.inject(0, 0, 0);
-        sim.run();
+        let mut lanes = [0; 4];
+        loop {
+            let queue = &sim.queue;
+            let mut keys: Vec<Key> = queue.run.iter().chain(queue.heap.iter()).copied().collect();
+            keys.sort_unstable_by_key(|k| (k.at, k.seq));
+            let seqs = |key: Option<&Key>| key.map(|k| k.seq);
+            let (next, after_next) = queue.next_two();
+            assert_eq!(seqs(next), seqs(keys.first()));
+            assert_eq!(seqs(after_next), seqs(keys.get(1)));
+            if let [a, b, ..] = keys[..] {
+                let in_run = |key: Key| usize::from(queue.run.iter().any(|k| k.seq == key.seq));
+                lanes[2 * in_run(a) + in_run(b)] += 1;
+            }
+            if !sim.step() {
+                break;
+            }
+        }
         // Pair each delivery with the hint given just before it.
         let mut hinted = Vec::new();
         let mut hint = None;
@@ -962,9 +1148,24 @@ mod tests {
             }
         }
         assert_eq!(hinted.len(), 400 + 134, "every message and timer delivered");
+        (named, overtaken, lanes)
+    }
+
+    #[test]
+    fn each_hint_names_the_next_delivery_unless_an_earlier_event_came_between() {
+        let (named, overtaken, spread) = hinted_run(UniformDelay::new(1, 1_000));
         assert!(
             named > 10 * overtaken && overtaken > 0,
             "{named} vs {overtaken}"
+        );
+        // Under a constant delay the messages keep to the run until a
+        // timer, armed further out, sends the ones behind it to the heap.
+        let (named, overtaken, steady) = hinted_run(ConstantDelay(10));
+        assert!(named > 10 * overtaken, "{named} vs {overtaken}");
+        // Both earliest in the heap, in the run, and one in each.
+        assert!(
+            spread.iter().chain(&steady).all(|&count| count > 0),
+            "{spread:?} {steady:?}"
         );
     }
 

@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hyperring_sim::{Actor, Context, Simulator, UniformDelay};
+use hyperring_sim::{Actor, ConstantDelay, Context, Simulator, UniformDelay};
 
 thread_local! {
     /// Bytes live, and bytes ever allocated, on this thread.
@@ -114,6 +114,38 @@ fn a_steady_queue_allocates_nothing_and_a_drained_one_holds_nothing() {
         steady.timers_fired, warm.timers_fired,
         "a timer fired mid-run"
     );
+    assert_eq!(spent, 0, "{spent} B allocated over 100k deliveries");
+
+    let end = sim.run();
+    assert!(!end.truncated);
+    assert_eq!(end.delivered, 1_000 * 151);
+    assert_eq!(end.timers_fired, ACTORS as u64);
+    assert_eq!(sim.pending(), 0);
+    assert_eq!(live() - before, 0, "bytes still held by a drained queue");
+}
+
+/// The same traffic at one latency, which is the timer's too: every key
+/// is scheduled no earlier than the last, so all of them, stale timers
+/// included, go through the queue's FIFO run and none through its heap.
+#[test]
+fn a_steady_run_of_time_ordered_keys_allocates_nothing_either() {
+    let relays = (0..ACTORS).map(|_| Relay).collect();
+    let mut sim = Simulator::new(relays, ConstantDelay(2_000), 3);
+    let before = live();
+    for i in 0..1_000 {
+        let msg = [150, 2 * (i % 16) as u64 + 1, 0, 0, 0, 0, 0, 0];
+        sim.inject_at(i as u64 / 10, i % ACTORS, (i * 7) % ACTORS, msg);
+    }
+    let warm = sim.run_limited(30_000);
+    assert!(warm.truncated);
+    let pending = sim.pending();
+    assert!(pending > 1_000, "{pending} events queued");
+
+    let start = allocated();
+    let steady = sim.run_limited(100_000);
+    let spent = allocated() - start;
+    assert_eq!(steady.delivered, warm.delivered + 100_000);
+    assert_eq!(steady.timers_fired, 0, "a timer fired mid-run");
     assert_eq!(spent, 0, "{spent} B allocated over 100k deliveries");
 
     let end = sim.run();

@@ -400,8 +400,34 @@ impl<D: DelayModel> Reference<D> {
     }
 }
 
-fn lossy() -> FaultyDelay<UniformDelay> {
-    FaultyDelay::new(UniformDelay::new(1, 300), 0.2, 0.2)
+/// A schedule's latencies: one constant, uniform over 1–300 µs, or
+/// constant between actors of equal parity and uniform across.
+#[derive(Debug, Clone, Copy)]
+enum Latency {
+    Constant(ConstantDelay),
+    Uniform(UniformDelay),
+    Mixed(ConstantDelay, UniformDelay),
+}
+
+impl DelayModel for Latency {
+    fn delay(&mut self, from: usize, to: usize, rng: &mut StdRng) -> Time {
+        match self {
+            Latency::Constant(c) => c.delay(from, to, rng),
+            Latency::Mixed(c, _) if (from ^ to) & 1 == 0 => c.delay(from, to, rng),
+            Latency::Uniform(u) | Latency::Mixed(_, u) => u.delay(from, to, rng),
+        }
+    }
+}
+
+/// Latency kind `kind % 3`, with drop 0.2 and dup 0.2.
+fn lossy(kind: u8) -> FaultyDelay<Latency> {
+    let (constant, uniform) = (ConstantDelay(150), UniformDelay::new(1, 300));
+    let latency = match kind % 3 {
+        0 => Latency::Constant(constant),
+        1 => Latency::Uniform(uniform),
+        _ => Latency::Mixed(constant, uniform),
+    };
+    FaultyDelay::new(latency, 0.2, 0.2)
 }
 
 proptest! {
@@ -409,16 +435,19 @@ proptest! {
 
     /// Random actor scripts — sends, arms, re-arms, cancels (of unarmed
     /// timers too), injections and actors added mid-run — paused by
-    /// `run_limited(k)`, `run_until(t)` and `run()` under drop 0.2 and dup 0.2:
-    /// the same deliveries in the same order, the same report and the
-    /// same queue length as the reference at every pause. The actors take
-    /// prefetch hints, which change nothing, and each message hinted at
-    /// is delivered to the actor it was hinted to.
+    /// `run_limited(k)`, `run_until(t)` and `run()` under drop 0.2 and dup 0.2,
+    /// over constant, uniform and mixed latencies (so over a queue that
+    /// keeps its keys in the run, the heap, or both): the same deliveries
+    /// in the same order, the same report and the same queue length as
+    /// the reference at every pause. The actors take prefetch hints,
+    /// which change nothing, and each message hinted at is delivered to
+    /// the actor it was hinted to.
     #[test]
     fn slab_queue_matches_the_boxed_reference(
         n in 1usize..6,
         seed in 0u64..10_000,
         script in 0u64..10_000,
+        latency in 0u8..3,
         steps in proptest::collection::vec((0u8..6, 0u64..2_000, 0u64..1_000), 1..24),
     ) {
         let log = Rc::new(RefCell::new(Vec::new()));
@@ -430,10 +459,10 @@ proptest! {
             hints: Rc::clone(&hints),
             population: Rc::clone(&population),
         };
-        let mut sim = Simulator::new((0..n).map(scripted).collect(), lossy(), seed);
+        let mut sim = Simulator::new((0..n).map(scripted).collect(), lossy(latency), seed);
         let mut reference = Reference::new(
             (0..n).map(|me| Script::new(script, me)).collect(),
-            lossy(),
+            lossy(latency),
             seed,
         );
         let mut steps = steps;

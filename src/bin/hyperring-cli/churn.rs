@@ -1,13 +1,11 @@
 //! Churn, every shape of it, through the one timeline runner.
 
-use std::path::Path;
-
 use hyperring::harness::experiments::{
     poisson_timeline, wave_stats, CrashChurnConfig, PoissonChurnConfig, WaveChurnConfig,
 };
 use hyperring::harness::metrics::percentile;
 use hyperring::harness::workload::fan_out;
-use hyperring::harness::{report, run_trials, shrink, Runtime, Table, TimelineReport};
+use hyperring::harness::{run_trials, shrink, Runtime, Table, TimelineReport};
 
 use crate::args::{list, Args};
 
@@ -52,7 +50,7 @@ pub fn churn(mut args: Args) -> Result<(), String> {
         args.finish()?;
         let (scenario, compiled) = shrink::churn_trial(seed);
         match shrink::shrink(&scenario, &compiled) {
-            Some((c, r)) => println!("{}", shrink::row(seed, &c, &r)),
+            Some((c, r)) => out!("{}", shrink::row(seed, &c, &r)),
             None => eprintln!("trial {seed} ends consistent: nothing to shrink"),
         }
         return Ok(());
@@ -118,8 +116,8 @@ fn waves(mut args: Args, runtime: Runtime) -> Result<(), String> {
             },
         ]);
     }
-    println!("\nChurn: joins (paper protocol) + graceful leaves (extension)");
-    println!("{}", t.render());
+    out!("\nChurn: joins (paper protocol) + graceful leaves (extension)");
+    out!("{}", t.render());
     if trials > 1 {
         let mut per_trial = Table::new(["trial", "waves", "always consistent", "messages"]);
         for (k, r) in runs.iter().enumerate() {
@@ -130,11 +128,11 @@ fn waves(mut args: Args, runtime: Runtime) -> Result<(), String> {
                 r.delivered.to_string(),
             ]);
         }
-        println!("Per-trial summary ({} trials):", runs.len());
-        println!("{}", per_trial.render());
+        out!("Per-trial summary ({} trials):", runs.len());
+        out!("{}", per_trial.render());
     }
     if runtime == Runtime::Sim {
-        report::write_csv_or_warn(&t, Path::new("results/churn.csv"));
+        crate::write_csv(&t, "results/churn.csv");
     }
     Ok(())
 }
@@ -222,14 +220,14 @@ fn crash(mut args: Args, runtime: Runtime) -> Result<(), String> {
             crash_json(off)
         ));
     }
-    println!(
+    out!(
         "\ncrash churn: {} of {members} members crash at t=0.5s \
          (b=4, d=6; probe {} ms, threshold {})",
         cfg.crashes(),
         cfg.fd.probe_interval_us / 1_000,
         cfg.fd.suspicion_threshold
     );
-    println!("{}", t.render());
+    out!("{}", t.render());
     if !failed.is_empty() {
         return Err(format!(
             "the repair arm did not recover: {}",
@@ -239,14 +237,14 @@ fn crash(mut args: Args, runtime: Runtime) -> Result<(), String> {
     if runtime != Runtime::Sim {
         return Ok(()); // the recorded results are the simulator's
     }
-    report::write_csv_or_warn(&t, Path::new("results/crashchurn.csv"));
+    crate::write_csv(&t, "results/crashchurn.csv");
     let json = format!("[\n  {}\n]\n", json_rows.join(",\n  "));
     if let Err(e) = std::fs::create_dir_all("results")
         .and_then(|()| std::fs::write("results/crashchurn.json", &json))
     {
         eprintln!("warning: could not write results/crashchurn.json: {e}");
     } else {
-        println!("wrote results/crashchurn.json");
+        out!("wrote results/crashchurn.json");
     }
     Ok(())
 }
@@ -367,18 +365,18 @@ fn poisson(mut args: Args, runtime: Runtime) -> Result<(), String> {
             ]);
         }
     }
-    println!(
+    out!(
         "\nPoisson churn: {members} members, arrivals = departures = n·ln2/t½ \
          (b=4, d=6; probe 200 ms, threshold 3; churn window {}s, horizon {}s)",
         churn_until / 1_000_000,
         horizon / 1_000_000
     );
-    println!("{}", t.render());
+    out!("{}", t.render());
     if !smoke && runtime == Runtime::Sim {
-        report::write_csv_or_warn(&t, Path::new("results/timeline.csv"));
+        crate::write_csv(&t, "results/timeline.csv");
     }
     if audit {
-        println!("audit: repair arm recovered at every settled checkpoint the control missed");
+        out!("audit: repair arm recovered at every settled checkpoint the control missed");
     }
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! Experiments beyond the paper's evaluation: lossy networks, routing
 //! stretch, lookup storms and large-n scaling.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use hyperring::harness::experiments::{
     run_faults, run_lookup_storm, run_scale, run_stretch, FaultsConfig, LookupStormConfig,
@@ -9,7 +9,7 @@ use hyperring::harness::experiments::{
 };
 use hyperring::harness::lookup::LookupStats;
 use hyperring::harness::workload::fan_out;
-use hyperring::harness::{report, run_trials, Table};
+use hyperring::harness::{run_trials, Table};
 
 use crate::args::{list, Args};
 
@@ -66,19 +66,19 @@ pub fn faultsim(mut args: Args) -> Result<(), String> {
             format!("{:.3}", r.finished_at as f64 / 1e6),
         ]);
     }
-    println!(
+    out!(
         "\nfault injection: 16 members + {joiners} concurrent joiners, \
          drop {drop_pct}%, duplicate {dup_pct}% (b=4, d=6)"
     );
-    println!("{}", t.render());
+    out!("{}", t.render());
     if let Some(path) = &trace {
-        println!(
+        out!(
             "trial 0 trace: {} ({} events)",
             path.display(),
             results[0].traced
         );
     }
-    report::write_csv_or_warn(&t, Path::new("results/faultsim.csv"));
+    crate::write_csv(&t, "results/faultsim.csv");
     Ok(())
 }
 
@@ -114,17 +114,17 @@ pub fn stretch(mut args: Args) -> Result<(), String> {
             ]);
         }
         if trials > 1 {
-            println!("\nRouting stretch, {n} nodes, 2000 sampled routes (b=16, d=8), trial {k}");
+            out!("\nRouting stretch, {n} nodes, 2000 sampled routes (b=16, d=8), trial {k}");
         } else {
-            println!("\nRouting stretch, {n} nodes, 2000 sampled routes (b=16, d=8)");
+            out!("\nRouting stretch, {n} nodes, 2000 sampled routes (b=16, d=8)");
         }
-        println!(
+        out!(
             "(entry replacements at deepest optimization: {})",
             r.replacements
         );
-        println!("{}", t.render());
+        out!("{}", t.render());
         if k == 0 {
-            report::write_csv_or_warn(&t, Path::new("results/stretch.csv"));
+            crate::write_csv(&t, "results/stretch.csv");
         }
     }
     Ok(())
@@ -252,14 +252,12 @@ pub fn lookup(mut args: Args) -> Result<(), String> {
             r.adaptive.promoted,
         );
     }
-    println!(
-        "\nLookup storms, identical schedules per n (zipf α={zipf}, {keys} keys, seed {seed})"
-    );
-    println!("{}", t.render());
+    out!("\nLookup storms, identical schedules per n (zipf α={zipf}, {keys} keys, seed {seed})");
+    out!("{}", t.render());
     for r in &results {
         let b = r.baseline.zipf.stretch.unwrap().mean;
         let a = r.adaptive.zipf.stretch.unwrap().mean;
-        println!(
+        out!(
             "n={:>5}  zipf mean stretch {:.4} -> {:.4}  ({:+.1}%)  promotions {}",
             r.n,
             b,
@@ -269,7 +267,7 @@ pub fn lookup(mut args: Args) -> Result<(), String> {
         );
     }
     if !smoke {
-        report::write_csv_or_warn(&t, Path::new("results/lookup.csv"));
+        crate::write_csv(&t, "results/lookup.csv");
     }
 
     if do_audit {
@@ -372,10 +370,10 @@ pub fn scale(mut args: Args) -> Result<(), String> {
         ]);
     }
 
-    println!("\nscaling: batched concurrent bootstrap (b=16, d=8)");
-    println!("{}", t.render());
+    out!("\nscaling: batched concurrent bootstrap (b=16, d=8)");
+    out!("{}", t.render());
     if !smoke {
-        report::write_csv_or_warn(&t, Path::new("results/scale.csv"));
+        crate::write_csv(&t, "results/scale.csv");
     }
     Ok(())
 }

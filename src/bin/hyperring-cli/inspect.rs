@@ -16,36 +16,38 @@ use crate::args::Args;
 /// `analyze [--b 16] [--d 8] [--n 3096] [--m 1000]`: the closed-form cost
 /// model (Theorems 3–5, occupancy).
 pub fn analyze(mut args: Args) -> Result<(), String> {
-    let b: u32 = args.value("--b", 16)?;
-    let d: u32 = args.value("--d", 8)?;
+    let b: u16 = args.value("--b", 16)?;
+    let d: usize = args.value("--d", 8)?;
+    let space = IdSpace::new(b, d).map_err(|e| e.to_string())?;
     // Theorem 4 adds a joiner to the n members: one id must stay free.
-    let free = u128::from(b).checked_pow(d).map(|c| c.saturating_sub(1));
+    let free = space.capacity().map(|c| c.saturating_sub(1));
     let n = args.nodes(3096, free)? as u64;
     let m: u64 = args.value("--m", 1000)?;
     args.finish()?;
-    println!(
+    let (b, d) = (u32::from(b), d as u32);
+    out!(
         "identifier space: base {b}, {d} digits ({} ids)",
         (b as f64).powi(d as i32)
     );
-    println!("network size n = {n}, concurrent joiners m = {m}");
-    println!();
-    println!(
+    out!("network size n = {n}, concurrent joiners m = {m}");
+    out!("");
+    out!(
         "Theorem 3:  CpRstMsg + JoinWaitMsg per join <= {}",
         theorem3_bound(d as usize)
     );
-    println!(
+    out!(
         "Theorem 4:  E[JoinNotiMsg], single join  = {:.3}",
         expected_join_noti(b, d, n)
     );
-    println!(
+    out!(
         "Theorem 5:  E[JoinNotiMsg] upper bound   = {:.3}",
         upper_bound_join_noti(b, d, n, m)
     );
-    println!(
+    out!(
         "expected notification level              = {:.3}",
         expected_noti_level(b, d, n)
     );
-    println!(
+    out!(
         "expected filled table entries            = {:.1} of {}",
         expected_filled_entries(b, d, n),
         b * d
@@ -80,20 +82,20 @@ pub fn simulate(mut args: Args) -> Result<(), String> {
         .delay_bounds(1_000, 80_000)
         .reachability()
         .run(tl);
-    println!("survivors          : {}", r.survivors);
-    println!("virtual time       : {:.3} s", r.finished_at as f64 / 1e6);
-    println!("consistency        : {}", r.final_report);
-    println!(
+    out!("survivors          : {}", r.survivors);
+    out!("virtual time       : {:.3} s", r.finished_at as f64 / 1e6);
+    out!("consistency        : {}", r.final_report);
+    out!(
         "reachability       : {}/{} pairs unreachable",
         r.unreachable_pairs.unwrap_or(0),
         r.survivors * r.survivors.saturating_sub(1)
     );
-    println!(
+    out!(
         "Theorem 5 bound    : {:.3} JoinNotiMsg per join",
         upper_bound_join_noti(b as u32, d as u32, n as u64, m as u64)
     );
     if let Some(s) = r.keyed_storms.first().map(|k| &k.stats) {
-        println!(
+        out!(
             "lookup storm       : {} lookups over {} keys, {} lost, {:.2} mean hops (max {}), load imbalance {:.2}",
             s.lookups, s.keys, s.lost, s.mean_hops, s.max_hops, s.load.imbalance
         );
@@ -124,7 +126,7 @@ pub fn route(mut args: Args) -> Result<(), String> {
         match hyperring::core::route(s, t, |id| by_id.get(id).copied()) {
             RouteOutcome::Delivered { path } => {
                 let pretty: Vec<String> = path.iter().map(|p| p.to_string()).collect();
-                println!("{}", pretty.join(" -> "));
+                out!("{}", pretty.join(" -> "));
             }
             dropped => return Err(format!("route failed: {dropped:?}")),
         }

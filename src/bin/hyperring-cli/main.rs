@@ -14,7 +14,9 @@
 //! argument the command does not take prints `error: …` and exits 1
 //! before any work starts. The checks an experiment makes on its own
 //! results (the theorems, `--audit`, the RSS budgets) panic, so a failed
-//! check exits non-zero too. Experiments write their tables as CSV under
+//! check exits non-zero too. Every line for stdout goes through `out!`,
+//! so a reader that stops early (`| head`) ends the command quietly, with
+//! status 0. Experiments write their tables as CSV under
 //! `results/` in the working directory; `--smoke` runs write nothing.
 //!
 //! `--trials N` runs `N` independent trials fanned across cores, with
@@ -25,7 +27,19 @@
 //! per line) of one representative run; simulator traces are
 //! byte-identical per seed.
 
+use std::io::{ErrorKind, Write};
+use std::path::Path;
 use std::process::ExitCode;
+
+use hyperring::harness::Table;
+
+/// `println!` onto the CLI's stdout, through [`print_line`]: a closed
+/// stdout (`hyperring-cli analyze | head -3`) ends the process quietly.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::print_line(format_args!($($arg)*))
+    };
+}
 
 mod args;
 mod churn;
@@ -104,6 +118,29 @@ fn usage() -> &'static str {
        help       print this text\n"
 }
 
+/// Writes one line to stdout. When the reader has gone (`BrokenPipe`)
+/// nobody is left to read the rest, so the process exits with status 0
+/// there and then; any other write error panics, as `println!` does.
+fn print_line(line: std::fmt::Arguments<'_>) {
+    let mut stdout = std::io::stdout().lock();
+    let written = stdout
+        .write_fmt(line)
+        .and_then(|()| stdout.write_all(b"\n"));
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
+/// Writes `table` as CSV to `path` and says so, or warns that it could not.
+fn write_csv(table: &Table, path: &str) {
+    match table.write_csv(Path::new(path)) {
+        Ok(()) => out!("wrote {path}"),
+        Err(e) => eprintln!("could not write {path}: {e}"),
+    }
+}
+
 fn main() -> ExitCode {
     let mut words = std::env::args().skip(1);
     let Some(cmd) = words.next() else {
@@ -113,7 +150,7 @@ fn main() -> ExitCode {
     let result = match COMMANDS.iter().find(|(name, _)| *name == cmd) {
         Some((_, run)) => run(Args::new(words.collect())),
         None if matches!(cmd.as_str(), "help" | "--help" | "-h") => {
-            println!("{}", usage());
+            out!("{}", usage());
             Ok(())
         }
         None => Err(format!("unknown command {cmd:?}\n\n{}", usage())),

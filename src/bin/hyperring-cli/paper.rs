@@ -2,7 +2,7 @@
 //! occupancy, footnote 8, the §6.2 message sizes, §6.1 initialization and
 //! the §1 comparison against optimistic joins.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use hyperring::core::PayloadMode;
 use hyperring::harness::experiments::{
@@ -39,12 +39,12 @@ pub fn fig15a(mut args: Args) -> Result<(), String> {
             format!("{:.3}", p.m1000_d8),
         ]);
     }
-    println!("Figure 15(a): upper bound of E(J) vs number of nodes n");
-    println!("{}", t.render());
-    println!("m=1000, b=16, d=40 curve:");
+    out!("Figure 15(a): upper bound of E(J) vs number of nodes n");
+    out!("{}", t.render());
+    out!("m=1000, b=16, d=40 curve:");
     let curve: Vec<(f64, f64)> = series.iter().map(|p| (p.n as f64, p.m1000_d40)).collect();
-    println!("{}", report::ascii_chart(&curve, 60, 10));
-    report::write_csv_or_warn(&t, Path::new("results/fig15a.csv"));
+    out!("{}", report::ascii_chart(&curve, 60, 10));
+    crate::write_csv(&t, "results/fig15a.csv");
     Ok(())
 }
 
@@ -147,17 +147,17 @@ pub fn fig15b(mut args: Args) -> Result<(), String> {
         cdf_curves.push((label, r.cdf()));
     }
 
-    println!("\nFigure 15(b) / §5.2: JoinNotiMsg sent by a joining node");
-    println!("{}", summary.render());
-    println!("CDF series (one row per distinct J value):");
-    println!("{}", cdf_table.render());
+    out!("\nFigure 15(b) / §5.2: JoinNotiMsg sent by a joining node");
+    out!("{}", summary.render());
+    out!("CDF series (one row per distinct J value):");
+    out!("{}", cdf_table.render());
     for (label, cdf) in &cdf_curves {
-        println!("CDF, {label}:");
+        out!("CDF, {label}:");
         let pts: Vec<(f64, f64)> = cdf.iter().map(|&(x, f)| (x as f64, f)).collect();
-        println!("{}", report::ascii_chart(&pts, 60, 10));
+        out!("{}", report::ascii_chart(&pts, 60, 10));
     }
-    report::write_csv_or_warn(&summary, Path::new("results/fig15b_summary.csv"));
-    report::write_csv_or_warn(&cdf_table, Path::new("results/fig15b_cdf.csv"));
+    crate::write_csv(&summary, "results/fig15b_summary.csv");
+    crate::write_csv(&cdf_table, "results/fig15b_cdf.csv");
     Ok(())
 }
 
@@ -202,9 +202,9 @@ pub fn theorem3(mut args: Args) -> Result<(), String> {
             ok.to_string(),
         ]);
     }
-    println!("Theorem 3: CpRstMsg + JoinWaitMsg per join is at most d + 1");
-    println!("{}", t.render());
-    report::write_csv_or_warn(&t, Path::new("results/theorem3.csv"));
+    out!("Theorem 3: CpRstMsg + JoinWaitMsg per join is at most d + 1");
+    out!("{}", t.render());
+    crate::write_csv(&t, "results/theorem3.csv");
     Ok(())
 }
 
@@ -235,9 +235,9 @@ pub fn theorem4(mut args: Args) -> Result<(), String> {
             format!("{:.1}%", 100.0 * (measured - p.analytic) / p.analytic),
         ]);
     }
-    println!("Theorem 4: expected JoinNotiMsg of a single join (b=16, d=8)");
-    println!("{}", t.render());
-    report::write_csv_or_warn(&t, Path::new("results/theorem4.csv"));
+    out!("Theorem 4: expected JoinNotiMsg of a single join (b=16, d=8)");
+    out!("{}", t.render());
+    crate::write_csv(&t, "results/theorem4.csv");
     Ok(())
 }
 
@@ -264,9 +264,9 @@ pub fn occupancy(mut args: Args) -> Result<(), String> {
             ]);
         }
     }
-    println!("\nNeighbor-table occupancy (drives RvNghNotiMsg volume)");
-    println!("{}", t.render());
-    report::write_csv_or_warn(&t, Path::new("results/occupancy.csv"));
+    out!("\nNeighbor-table occupancy (drives RvNghNotiMsg volume)");
+    out!("{}", t.render());
+    crate::write_csv(&t, "results/occupancy.csv");
     Ok(())
 }
 
@@ -322,9 +322,9 @@ pub fn footnote8(mut args: Args) -> Result<(), String> {
             format!("{:.4}", spe as f64 / joins as f64),
         ]);
     }
-    println!("\nFootnote 8: SpeNotiMsg frequency (repair path) per join");
-    println!("{}", t.render());
-    report::write_csv_or_warn(&t, Path::new("results/footnote8.csv"));
+    out!("\nFootnote 8: SpeNotiMsg frequency (repair path) per join");
+    out!("{}", t.render());
+    crate::write_csv(&t, "results/footnote8.csv");
     Ok(())
 }
 
@@ -387,9 +387,9 @@ pub fn ablation_msgsize(mut args: Args) -> Result<(), String> {
             ]);
         }
     }
-    println!("\n§6.2 message-size reduction ablation");
-    println!("{}", t.render());
-    report::write_csv_or_warn(&t, Path::new("results/ablation_msgsize.csv"));
+    out!("\n§6.2 message-size reduction ablation");
+    out!("{}", t.render());
+    crate::write_csv(&t, "results/ablation_msgsize.csv");
     Ok(())
 }
 
@@ -447,9 +447,9 @@ pub fn bootstrap(mut args: Args) -> Result<(), String> {
             ]);
         }
     }
-    println!("\n§6.1 network initialization from a single node (b={b}, d={d})");
-    println!("{}", t.render());
-    report::write_csv_or_warn(&t, Path::new("results/bootstrap.csv"));
+    out!("\n§6.1 network initialization from a single node (b={b}, d={d})");
+    out!("{}", t.render());
+    crate::write_csv(&t, "results/bootstrap.csv");
     Ok(())
 }
 
@@ -514,9 +514,9 @@ pub fn baseline_consistency(mut args: Args) -> Result<(), String> {
             pv.to_string(),
         ]);
     }
-    println!("\nOptimistic (Pastry-style) join vs the paper's protocol");
-    println!("(b=4, d=6, n={n} members; all joins start at t=0)");
-    println!("{}", t.render());
-    report::write_csv_or_warn(&t, Path::new("results/baseline_consistency.csv"));
+    out!("\nOptimistic (Pastry-style) join vs the paper's protocol");
+    out!("(b=4, d=6, n={n} members; all joins start at t=0)");
+    out!("{}", t.render());
+    crate::write_csv(&t, "results/baseline_consistency.csv");
     Ok(())
 }

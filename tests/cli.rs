@@ -4,7 +4,7 @@
 //! in-range commands. Commands run in a scratch directory, so the
 //! `results/` they write stays out of the source tree.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hyperring-cli"))
@@ -70,6 +70,7 @@ fn bad_or_unread_arguments_are_errors_before_any_work() {
         &["simulate", "--b", "32"],
         &["route", "--b", "17"],
         &["bootstrap", "--b", "36"],
+        &["analyze", "--b", "32"],
     ] {
         let out = cli(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -81,5 +82,25 @@ fn bad_or_unread_arguments_are_errors_before_any_work() {
             let want = format!("error: base {} is not in 2..=16", args[2]);
             assert!(stderr.contains(&want), "{args:?}: {stderr}");
         }
+    }
+}
+
+/// A reader that stops reading (`hyperring-cli analyze | head -1`) ends
+/// the command quietly: exit 0, no panic on stderr.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    for args in [&["analyze"][..], &["help"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hyperring-cli"))
+            .args(args)
+            .current_dir(env!("CARGO_TARGET_TMPDIR"))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run hyperring-cli");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for hyperring-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
