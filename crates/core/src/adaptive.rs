@@ -41,6 +41,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use hyperring_id::{IdSpace, NodeId};
 
+use crate::digest::Fnv;
 use crate::table::{Entry, NeighborTable, NodeState};
 
 /// Builds a consistent table for every node in `ids` where each slot holds
@@ -123,16 +124,13 @@ where
         // FNV-1a over the slot coordinates seeds a splitmix-style stream
         // of candidate indices; stable across platforms and releases so
         // goldens can pin the resulting tables.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
-        let mix = |v: u64, h: &mut u64| {
-            *h ^= v;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        let mut fnv = Fnv::seeded(seed);
         for &d in x.digits_lsd().iter() {
-            mix(d as u64 + 1, &mut h);
+            fnv.mix(d as u64 + 1);
         }
-        mix(i as u64 + 1, &mut h);
-        mix(j as u64 + 1, &mut h);
+        fnv.mix(i as u64 + 1);
+        fnv.mix(j as u64 + 1);
+        let mut h = fnv.finish();
         // Ties on latency go to the smaller index, which is the smaller id.
         let mut best: Option<(u64, usize)> = None;
         for _ in 0..sample {

@@ -12,25 +12,43 @@ use hyperring_id::{NodeId, MAX_DIGITS};
 
 use crate::table::{Entry, NeighborTable, NodeState};
 
-/// Incremental FNV-1a over canonical table renderings. Spelled out here
-/// (instead of `DefaultHasher`) so the digest is stable across Rust
-/// releases; two runs produced identical tables iff their digests match.
-#[derive(Debug, Clone)]
+/// Incremental FNV-1a, the crate's one stable digest: canonical table
+/// renderings, trace streams ([`DigestTrace`](crate::DigestTrace)), retry
+/// jitter salts and the sampled proximity builder's seeds. Spelled out
+/// here (instead of `DefaultHasher`) so every digest is stable across
+/// Rust releases and platforms; two runs produced identical tables iff
+/// their digests match.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Fnv(u64);
 
 impl Fnv {
     /// The FNV-1a offset basis.
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Starts at the FNV-1a offset basis.
     pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(Self::OFFSET)
+    }
+
+    /// Starts at the offset basis XOR `seed`, a keyed variant.
+    pub(crate) fn seeded(seed: u64) -> Self {
+        Fnv(Self::OFFSET ^ seed)
+    }
+
+    /// Folds one whole word: XOR it in, then multiply by the FNV prime.
+    /// For a byte this is the FNV-1a step.
+    #[inline]
+    pub(crate) fn mix(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x0000_0100_0000_01b3);
     }
 
     /// Folds bytes into the running digest. Eating a string piece by piece
     /// equals eating it whole, which is what lets the canonical rendering
     /// be fed from stack buffers instead of `format!`.
-    fn eat(&mut self, bytes: &[u8]) {
+    #[inline]
+    pub(crate) fn eat(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.mix(u64::from(b));
         }
     }
 

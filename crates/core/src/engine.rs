@@ -2,6 +2,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hyperring_id::{IdSpace, NodeId};
 
+use crate::digest::Fnv;
 use crate::driver::NodeInput;
 use crate::effect::{Effect, Effects, TimerId};
 use crate::failure::FailureState;
@@ -132,8 +133,8 @@ struct JoinState {
     /// Copying cursor: the node we await a `CpRlyMsg` from.
     copy_target: Option<NodeId>,
     /// The gateway `start_join` was called with — the fallback contact of
-    /// last resort when [`RetryPolicy::join_fallback`](crate::RetryPolicy)
-    /// restarts a join whose peer died.
+    /// last resort when the join fallback (a [`RetryPolicy`](crate::RetryPolicy)
+    /// under a failure detector) restarts a join whose peer died.
     g0: Option<NodeId>,
 }
 
@@ -554,12 +555,7 @@ impl JoinEngine {
     /// pacing makes due this tick, and gives up on slots that exhausted
     /// their budget.
     fn drive_repairs(&mut self, out: &mut Effects) {
-        let (cap, backoff) = self
-            .opts
-            .failure_detector
-            .map(|fd| (fd.max_repairs_in_flight, fd.repair_backoff))
-            .unwrap_or((0, false));
-        let due = repair::due(&mut self.table, cap, backoff);
+        let due = repair::due(&mut self.table);
         for (level, digit) in due.exhausted {
             self.trace(out, ProtocolEvent::RepairFailed { level, digit });
         }
@@ -978,7 +974,7 @@ impl JoinEngine {
         if attempt >= rp.max_retries {
             self.forget_timer(id);
             self.trace(out, ProtocolEvent::RetriesExhausted { timer: id });
-            if rp.join_fallback {
+            if self.opts.failure_detector.is_some() {
                 self.join_exhausted_fallback(id, attempt, out);
             }
             return;
@@ -1023,8 +1019,13 @@ impl JoinEngine {
             TimerId::FdProbe { .. } => unreachable!("dispatched before the retry gate"),
         }
         self.ext_mut().retries.insert(id, attempt + 1);
-        // A silent peer will not answer a faster drumbeat: back off.
-        let delay_hint = rp.retry_delay(self.timer_salt(id), attempt + 1);
+        // Under the crash model a silent peer will not answer a faster
+        // drumbeat: back off. Under loss alone keep the fixed spacing.
+        let delay_hint = if self.opts.failure_detector.is_some() {
+            rp.retry_delay(self.timer_salt(id), attempt + 1)
+        } else {
+            rp.timeout_us.max(1)
+        };
         out.push(Effect::SetTimer { id, delay_hint });
         self.trace(
             out,
@@ -1040,29 +1041,23 @@ impl JoinEngine {
     /// platforms, and compiler versions (unlike [`std::hash`]'s default
     /// hasher), so jittered schedules can be pinned by goldens.
     fn timer_salt(&self, id: TimerId) -> u64 {
-        const PRIME: u64 = 0x0100_0000_01b3;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in self.id().digits_lsd().iter() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-        for b in id.kind_name().bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-        for &b in id.peer().digits_lsd().iter() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-        h
+        let mut h = Fnv::new();
+        h.eat(&self.id().digits_lsd());
+        h.eat(id.kind_name().as_bytes());
+        h.eat(&id.peer().digits_lsd());
+        h.finish()
     }
 
-    /// Retries on a join-critical request ran out with
-    /// [`RetryPolicy::join_fallback`](crate::RetryPolicy) on: the silent
-    /// peer is as good as dead for this join. Without a fallback the
-    /// joiner strands forever — it never reaches *in_system*, so the
-    /// failure detector never arms and nothing ever re-drives it. Condemn
-    /// the peer and either restart the copy through an alternate contact
-    /// (the peer was load-bearing: our copy target or awaited storer) or
-    /// drop it from the notification wait sets so the switch to S-node
-    /// can still happen (it was only owed an acknowledgement).
+    /// Retries on a join-critical request ran out under a failure
+    /// detector (the crash model of a [`RetryPolicy`](crate::RetryPolicy)):
+    /// the silent peer is as good as dead for this join. Without a
+    /// fallback the joiner strands forever — it never reaches
+    /// *in_system*, so the failure detector never arms and nothing ever
+    /// re-drives it. Condemn the peer and either restart the copy through
+    /// an alternate contact (the peer was load-bearing: our copy target or
+    /// awaited storer) or drop it from the notification wait sets so the
+    /// switch to S-node can still happen (it was only owed an
+    /// acknowledgement).
     ///
     /// `still_wanted` was already checked by the caller, so the timer's
     /// subject really is outstanding.
@@ -1208,7 +1203,7 @@ impl JoinEngine {
         let i = self.join().copy_level;
         let me = self.id();
         // Copy level i of g's table into level i of our own. Entries
-        // naming the joiner itself are possible after a join_fallback
+        // naming the joiner itself are possible after a join-fallback
         // restart (the aborted first attempt already planted us in other
         // tables); they are skipped, not copied.
         for row in table.packed_rows().filter(|r| r.level() == i) {
@@ -1221,7 +1216,7 @@ impl JoinEngine {
             }
         }
         // g = N_p(i, x[i]); s = its recorded state. A condemned g (only
-        // possible after a join_fallback restart) is treated as absent, so
+        // possible after a join-fallback restart) is treated as absent, so
         // a fallback join cannot be routed back onto a node it already
         // found dead — and so is an entry naming the joiner itself, which
         // would otherwise make the restarted join wait on *us*.
@@ -1959,6 +1954,52 @@ mod tests {
             f,
             Effect::SetTimer { id: TimerId::CpRst { peer }, delay_hint: 777 } if *peer == a
         )));
+    }
+
+    /// The fault model sets the retry spacing: under loss alone every
+    /// retransmission re-arms at `timeout_us`; under a detector the second
+    /// retransmission is armed at 2 × `timeout_us` ± 10 % and the third at
+    /// 4 × ± 10 %.
+    #[test]
+    fn a_detector_backs_off_retransmissions_and_loss_alone_does_not() {
+        let space = IdSpace::new(4, 3).unwrap();
+        let a = space.parse_id("000").unwrap();
+        let b = space.parse_id("321").unwrap();
+        let retry = crate::options::RetryPolicy {
+            timeout_us: 100_000,
+            max_retries: 4,
+            ..Default::default()
+        };
+        let rearms = |opts: ProtocolOptions| -> Vec<u64> {
+            let mut e = JoinEngine::new_joiner(space, opts, b);
+            let mut out = Effects::new();
+            e.start_join(a, &mut out);
+            out.drain().for_each(drop);
+            let id = TimerId::CpRst { peer: a };
+            let mut delays = Vec::new();
+            for _ in 0..3 {
+                e.step(NodeInput::TimerFired(id), &mut out);
+                for fx in out.drain() {
+                    if let Effect::SetTimer { id: t, delay_hint } = fx {
+                        assert_eq!(t, id);
+                        delays.push(delay_hint);
+                    }
+                }
+            }
+            delays
+        };
+        let loss = rearms(ProtocolOptions::new().with_retry(retry));
+        assert_eq!(loss, [100_000, 100_000, 100_000]);
+        let detector = crate::options::FailureDetector::default();
+        let crash = rearms(
+            ProtocolOptions::new()
+                .with_retry(retry)
+                .with_failure_detector(detector),
+        );
+        assert_eq!(crash.len(), 3);
+        assert!((180_000..=220_000).contains(&crash[0]), "{crash:?}");
+        assert!((360_000..=440_000).contains(&crash[1]), "{crash:?}");
+        assert!((720_000..=880_000).contains(&crash[2]), "{crash:?}");
     }
 
     #[test]

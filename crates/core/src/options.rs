@@ -26,9 +26,30 @@ pub enum PayloadMode {
 /// arrives. The paper answers a `RvNghNotiMsg` only on a state mismatch
 /// and an `InSysNotiMsg` never; under a policy the receiver always
 /// acknowledges them (`RvNghNotiRlyMsg`, `PongMsg`).
+///
+/// How the retransmissions are spaced, and what exhaustion means, depends
+/// on the fault model, and a configured [`FailureDetector`] is what says
+/// which one runs:
+///
+/// * **Loss only** (no detector): silence means a lost datagram, so every
+///   retransmission waits the same [`timeout_us`](RetryPolicy::timeout_us)
+///   and an exhausted request is simply given up; no peer is condemned.
+/// * **Crashes** (a detector): silence may mean a dead peer. Every
+///   retransmission after the first doubles the wait, up to 16 s, shifted
+///   by a deterministic ±10 % jitter derived from `(node, timer, attempt)`
+///   so every rerun of a seed jitters identically; and when a
+///   *join-critical* request (`CpRstMsg`, `JoinWaitMsg`, `JoinNotiMsg`,
+///   `SpeNotiMsg`) exhausts its retries, the joiner treats the silent peer
+///   as dead and falls back instead of stranding: it restarts the copy
+///   through an alternate contact, or drops the dead peer from its
+///   notification wait set so the switch to S-node can still happen.
+///
+/// A lossless run whose replies beat the first timeout is bit-identical
+/// under either model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Microseconds to wait for a reply before retransmitting.
+    /// Microseconds to wait for a reply before the first retransmission
+    /// (and, without a detector, before every later one).
     pub timeout_us: u64,
     /// Maximum retransmissions of a request.
     pub max_retries: u32,
@@ -37,25 +58,6 @@ pub struct RetryPolicy {
     // Goes with the thaw (ROADMAP item 7(d)).
     #[doc(hidden)]
     pub noti_repeats: u32,
-    /// Per-retransmission growth of the timeout, in percent: 100 (the
-    /// default) keeps the classic fixed spacing, 200 doubles the wait
-    /// after every unanswered retransmission, up to 16 s. A lossless run
-    /// whose replies beat the first timeout is bit-identical whatever this
-    /// is set to.
-    pub backoff_pct: u32,
-    /// Deterministic jitter amplitude in percent of the backed-off
-    /// delay: each retransmission's wait is shifted by up to ±this
-    /// fraction, derived purely from `(node, timer, attempt)` so every
-    /// rerun of a seed jitters identically. 0 (the default) disables it.
-    pub jitter_pct: u32,
-    /// Sustained-churn hardening: when a *join-critical* request
-    /// (`CpRstMsg`, `JoinWaitMsg`, `JoinNotiMsg`, `SpeNotiMsg`) exhausts
-    /// its retries, treat the silent peer as dead and fall back instead
-    /// of stranding the joiner forever — restart the copy through an
-    /// alternate contact, or drop the dead peer from the notification
-    /// wait set so the switch to S-node can still happen. Off by
-    /// default (the paper's model has no crashes mid-join).
-    pub join_fallback: bool,
 }
 
 /// Upper bound on a backed-off timeout, in microseconds.
@@ -67,45 +69,37 @@ impl Default for RetryPolicy {
             timeout_us: 1_000_000,
             max_retries: 16,
             noti_repeats: 4,
-            backoff_pct: 100,
-            jitter_pct: 0,
-            join_fallback: false,
         }
     }
 }
 
 impl RetryPolicy {
-    /// The delay before retransmission `attempt` of a request fires
-    /// (`attempt` 0 is the initial arm). With the default
-    /// `backoff_pct = 100` this is always [`timeout_us`](Self::timeout_us);
-    /// otherwise the delay grows `backoff_pct`% per attempt, saturating
-    /// at 16 s, and is then shifted
-    /// by a deterministic jitter of up to ±[`jitter_pct`](Self::jitter_pct)%
-    /// derived from `salt` (a pure function of the node and timer, so
-    /// reruns of a seed are bit-identical).
-    pub fn retry_delay(&self, salt: u64, attempt: u32) -> u64 {
+    /// The crash model's delay before retransmission `attempt` of a
+    /// request fires (`attempt` 0 is the initial arm): the timeout
+    /// doubles per attempt, saturating at 16 s, and for `attempt > 0` is
+    /// then shifted by a deterministic jitter of up to ±10 % derived from
+    /// `salt` (a pure function of the node and timer, so reruns of a seed
+    /// are bit-identical). Under loss alone every wait is
+    /// [`timeout_us`](Self::timeout_us).
+    pub(crate) fn retry_delay(&self, salt: u64, attempt: u32) -> u64 {
         let mut d = self.timeout_us;
-        if self.backoff_pct > 100 {
-            for _ in 0..attempt {
-                d = d.saturating_mul(u64::from(self.backoff_pct)) / 100;
-                if d >= MAX_TIMEOUT_US {
-                    d = MAX_TIMEOUT_US;
-                    break;
-                }
+        for _ in 0..attempt {
+            d = d.saturating_mul(2);
+            if d >= MAX_TIMEOUT_US {
+                d = MAX_TIMEOUT_US;
+                break;
             }
         }
-        if self.jitter_pct > 0 && attempt > 0 {
-            let amp = d.saturating_mul(u64::from(self.jitter_pct)) / 100;
-            if amp > 0 {
-                // SplitMix64 over (salt, attempt): cheap, stateless, and
-                // identical on every rerun.
-                let mut z = salt ^ (u64::from(attempt)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^= z >> 31;
-                let span = 2 * amp + 1;
-                d = d - amp + z % span;
-            }
+        let amp = d / 10;
+        if attempt > 0 && amp > 0 {
+            // SplitMix64 over (salt, attempt): cheap, stateless, and
+            // identical on every rerun.
+            let mut z = salt ^ (u64::from(attempt)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            let span = 2 * amp + 1;
+            d = d - amp + z % span;
         }
         d.max(1)
     }
@@ -121,7 +115,14 @@ impl RetryPolicy {
 /// evicted, and (when [`repair`](FailureDetector::repair) is on) a
 /// `RepairQryMsg` is suffix-routed toward each vacated `(level, digit)`
 /// slot to find a surviving replacement, which is installed through the
-/// same `T`→`S` state discipline the join protocol uses.
+/// same `T`→`S` state discipline the join protocol uses. Repair queries
+/// are paced: at most four slots are queried per probe tick, and a slot
+/// that stays vacant waits `2^attempts` ticks (capped at 32) before its
+/// next query (see `repair.rs`).
+///
+/// A detector is also the one switch for the crash model of a
+/// [`RetryPolicy`]: with one configured, retransmissions back off with
+/// jitter and an exhausted join-critical request runs the join fallback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailureDetector {
     /// Microseconds between liveness probes of each monitored neighbor.
@@ -132,18 +133,6 @@ pub struct FailureDetector {
     /// with repair off the detector only evicts (the control arm of the
     /// `crashchurn` experiment).
     pub repair: bool,
-    /// Upper bound on vacated slots queried per probe tick. 0 (the
-    /// default) keeps the legacy behavior of re-querying every pending
-    /// slot on every tick; a bound spreads a mass-eviction's repair
-    /// fan-out over successive ticks so a node under sustained churn
-    /// does not flood the network with redundant `RepairQryMsg`s.
-    pub max_repairs_in_flight: u32,
-    /// When set, a pending slot that stayed vacant after a query waits
-    /// `2^attempts` probe ticks before being re-queried (capped at 32
-    /// ticks) instead of being re-queried every tick. Off by default;
-    /// turning it on changes message schedules, so goldens pin the
-    /// default.
-    pub repair_backoff: bool,
 }
 
 impl Default for FailureDetector {
@@ -152,8 +141,6 @@ impl Default for FailureDetector {
             probe_interval_us: 2_000_000,
             suspicion_threshold: 3,
             repair: true,
-            max_repairs_in_flight: 0,
-            repair_backoff: false,
         }
     }
 }

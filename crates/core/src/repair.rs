@@ -37,7 +37,8 @@
 //! survivor carries the suffix, and a documented limitation when the only
 //! carriers were never stored by any surviving sharer and store none of
 //! the nodes a query reaches (a branch whose stored representatives all
-//! crashed cannot be re-discovered locally).
+//! crashed cannot be re-discovered locally). The walk is paced, so a
+//! node that loses many neighbors at once does not flood the network.
 
 use std::collections::BTreeSet;
 
@@ -49,6 +50,10 @@ use crate::table::NeighborTable;
 /// up and declares the slot unrepairable.
 pub(crate) const MAX_REPAIR_ATTEMPTS: u32 = 8;
 
+/// Vacated slots queried in one detector tick, at most; the rest stay
+/// vacated, uncharged, for a later tick.
+pub(crate) const MAX_QUERIES_PER_TICK: u32 = 4;
+
 /// The slots one detector tick re-drives.
 #[derive(Debug, Default)]
 pub(crate) struct DueSlots {
@@ -58,17 +63,12 @@ pub(crate) struct DueSlots {
     pub(crate) exhausted: Vec<(usize, u8)>,
 }
 
-/// Splits the vacated slots of `table` for one detector tick: slots out
-/// of budget become empty and move to `exhausted`, and the rest that are
-/// due are charged one attempt and returned for re-querying.
-///
-/// Pacing (both off by default, keeping the legacy every-tick schedule):
-/// `max_in_flight > 0` caps the queries issued this tick — surplus slots
-/// simply stay vacated for a later tick, uncharged; `backoff` makes a
-/// queried slot wait `2^attempts` ticks (capped at 32) before its next
-/// re-query instead of being re-driven every tick. Slots are walked in
-/// slot order, so the schedule is deterministic either way.
-pub(crate) fn due(table: &mut NeighborTable, max_in_flight: u32, backoff: bool) -> DueSlots {
+/// Splits the vacated slots of `table` for one detector tick, in slot
+/// order: slots out of budget become empty and move to `exhausted`; of
+/// the rest, up to [`MAX_QUERIES_PER_TICK`] whose wait is over are
+/// charged one attempt, set to wait `2^attempts` ticks (capped at 32)
+/// and returned for querying.
+pub(crate) fn due(table: &mut NeighborTable) -> DueSlots {
     let mut out = DueSlots::default();
     let mut issued = 0u32;
     for (level, digit, mut v) in table.vacancies() {
@@ -78,12 +78,9 @@ pub(crate) fn due(table: &mut NeighborTable, max_in_flight: u32, backoff: bool) 
             continue;
         }
         v.wait = v.wait.saturating_sub(1);
-        let waiting = backoff && v.wait > 0;
-        if !waiting && (max_in_flight == 0 || issued < max_in_flight) {
+        if v.wait == 0 && issued < MAX_QUERIES_PER_TICK {
             v.attempts += 1;
-            if backoff {
-                v.wait = 1 << v.attempts.min(5);
-            }
+            v.wait = 1 << v.attempts.min(5);
             issued += 1;
             out.query.push((level, digit));
         }
@@ -153,50 +150,54 @@ mod tests {
         table
     }
 
-    #[test]
-    fn due_charges_attempts_and_exhausts() {
-        let mut table = vacated(&[(1, 2)]);
-        for _ in 0..MAX_REPAIR_ATTEMPTS {
-            let due = due(&mut table, 0, false);
-            assert_eq!(due.query, vec![(1, 2)]);
-            assert!(due.exhausted.is_empty());
+    /// The ticks (counted from 1) on which `due` queries or exhausts the
+    /// one slot `(1, 2)`.
+    fn schedule(table: &mut NeighborTable, ticks: u64) -> (Vec<u64>, Vec<u64>) {
+        let (mut queried, mut exhausted) = (Vec::new(), Vec::new());
+        for tick in 1..=ticks {
+            let due = due(table);
+            if due.query.contains(&(1, 2)) {
+                queried.push(tick);
+            }
+            if due.exhausted.contains(&(1, 2)) {
+                exhausted.push(tick);
+            }
         }
-        let due = due(&mut table, 0, false);
-        assert!(due.query.is_empty());
-        assert_eq!(due.exhausted, vec![(1, 2)]);
+        (queried, exhausted)
+    }
+
+    #[test]
+    fn due_waits_exponentially_between_queries_then_exhausts() {
+        let mut table = vacated(&[(1, 2)]);
+        let (queried, exhausted) = schedule(&mut table, 200);
+        // Queried on tick 1, then after 2, 4, 8, 16 ticks (2^attempts),
+        // then every 32; exhausted the tick after the eighth query.
+        assert_eq!(queried, vec![1, 3, 7, 15, 31, 63, 95, 127]);
+        assert_eq!(queried.len() as u32, MAX_REPAIR_ATTEMPTS);
+        assert_eq!(exhausted, vec![128]);
         // Out of attempts, the slot is empty again, not vacated.
         assert!(!table.is_vacated(1, 2));
         assert!(!table.is_filled(1, 2));
     }
 
     #[test]
-    fn in_flight_cap_spreads_queries_over_ticks() {
-        let mut table = vacated(&[(0, 1), (0, 2), (0, 3)]);
-        // Cap 2: first tick queries the two lowest slots, the third stays
-        // vacated without being charged an attempt.
-        let first = due(&mut table, 2, false);
-        assert_eq!(first.query, vec![(0, 1), (0, 2)]);
-        assert!(table.is_vacated(0, 3));
-        // Deferred slots are still driven to exhaustion eventually.
+    fn a_tick_queries_at_most_four_slots_and_defers_the_rest() {
+        let slots = [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)];
+        let mut table = vacated(&slots);
+        let first = due(&mut table);
+        assert_eq!(first.query, slots[..4].to_vec());
+        assert_eq!(MAX_QUERIES_PER_TICK, 4);
+        // The deferred slots stay vacated and are not charged: they go
+        // out on the next tick, while the first four wait out theirs.
+        assert!(table.is_vacated(1, 2) && table.is_vacated(1, 3));
+        assert_eq!(due(&mut table).query, slots[4..].to_vec());
+        // Every slot is still driven to exhaustion eventually.
         let mut exhausted = Vec::new();
-        for _ in 0..(3 * (MAX_REPAIR_ATTEMPTS + 1)) {
-            exhausted.extend(due(&mut table, 2, false).exhausted);
+        for _ in 0..400 {
+            exhausted.extend(due(&mut table).exhausted);
         }
         exhausted.sort_unstable();
-        assert_eq!(exhausted, vec![(0, 1), (0, 2), (0, 3)]);
-    }
-
-    #[test]
-    fn backoff_waits_exponentially_between_queries() {
-        let mut table = vacated(&[(1, 2)]);
-        let mut query_ticks = Vec::new();
-        for tick in 1..=40u64 {
-            if !due(&mut table, 0, true).query.is_empty() {
-                query_ticks.push(tick);
-            }
-        }
-        // Queried on tick 1, then after 2, 4, 8, 16 ticks (2^attempts).
-        assert_eq!(query_ticks, vec![1, 3, 7, 15, 31]);
+        assert_eq!(exhausted, slots.to_vec());
     }
 
     #[test]
@@ -211,7 +212,7 @@ mod tests {
                 state: NodeState::T,
             },
         );
-        let due = due(&mut table, 0, false);
+        let due = due(&mut table);
         assert!(due.query.is_empty() && due.exhausted.is_empty());
         assert!(!table.is_vacated(1, 2));
     }

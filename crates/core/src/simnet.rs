@@ -758,7 +758,6 @@ mod tests {
             let ids = distinct_ids(sp, 14, 11);
             let fd = FailureDetector {
                 probe_interval_us: 100_000,
-                suspicion_threshold: 3,
                 repair,
                 ..FailureDetector::default()
             };
@@ -811,8 +810,6 @@ mod tests {
         b.options(
             ProtocolOptions::new().with_failure_detector(FailureDetector {
                 probe_interval_us: 100_000,
-                suspicion_threshold: 3,
-                repair: true,
                 ..FailureDetector::default()
             }),
         );

@@ -16,6 +16,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use hyperring_id::NodeId;
 
+use crate::digest::Fnv;
 use crate::effect::TimerId;
 use crate::engine::Status;
 use crate::table::NodeState;
@@ -112,9 +113,9 @@ pub enum ProtocolEvent {
         /// Digit of the unrepairable slot.
         digit: u8,
     },
-    /// A join-critical peer stopped answering and
-    /// [`RetryPolicy::join_fallback`](crate::RetryPolicy) restarted the
-    /// join through an alternate contact.
+    /// A join-critical peer stopped answering and the join fallback (a
+    /// [`RetryPolicy`](crate::RetryPolicy) under a failure detector)
+    /// restarted the join through an alternate contact.
     JoinRerouted {
         /// The peer given up on.
         dead: NodeId,
@@ -403,15 +404,12 @@ impl<W: Write> TraceSink for JsonlTrace<W> {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
 /// Order-sensitive FNV-1a digest over the JSONL rendering of the stream —
 /// two runs with equal digests (and counts) emitted byte-identical traces
 /// in the same order. Used by the golden determinism tests.
 #[derive(Debug, Clone, Copy)]
 pub struct DigestTrace {
-    hash: u64,
+    hash: Fnv,
     count: u64,
 }
 
@@ -419,14 +417,14 @@ impl DigestTrace {
     /// Creates an empty digest.
     pub fn new() -> Self {
         DigestTrace {
-            hash: FNV_OFFSET,
+            hash: Fnv::new(),
             count: 0,
         }
     }
 
     /// The digest over everything recorded so far.
     pub fn digest(&self) -> u64 {
-        self.hash
+        self.hash.finish()
     }
 
     /// Number of records digested.
@@ -443,12 +441,8 @@ impl Default for DigestTrace {
 
 impl TraceSink for DigestTrace {
     fn record(&mut self, rec: &TraceRecord) {
-        for b in rec.to_jsonl().as_bytes() {
-            self.hash ^= u64::from(*b);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-        self.hash ^= u64::from(b'\n');
-        self.hash = self.hash.wrapping_mul(FNV_PRIME);
+        self.hash.eat(rec.to_jsonl().as_bytes());
+        self.hash.eat(b"\n");
         self.count += 1;
     }
 }

@@ -36,8 +36,6 @@ proptest! {
         let ids = distinct(space, members, seed.rotate_left(23) | 1);
         let fd = FailureDetector {
             probe_interval_us: 100_000,
-            suspicion_threshold: 3,
-            repair: true,
             ..FailureDetector::default()
         };
         let mut b = SimNetworkBuilder::new(space);

@@ -261,7 +261,7 @@ mod fingerprints {
         let x = with_silent_peer("2221");
         assert!(x.table().get(0, 1).is_none(), "2221 was evicted");
         assert!(x.table().is_vacated(0, 1));
-        assert_eq!(fingerprint(&x), 5_578_391_477_689_880_406);
+        assert_eq!(fingerprint(&x), 9_852_847_048_061_600_432);
     }
 
     /// 1113 stops answering. It is condemned and its one slot (0, 3) is

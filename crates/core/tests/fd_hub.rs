@@ -65,3 +65,62 @@ fn hub_pings_each_distinct_peer_once_per_tick_ascending() {
         }
     }
 }
+
+/// A detector paces repair: when six neighbors go silent together and
+/// their six slots are vacated in one tick, that tick queries the first
+/// four slots (in slot order) and the next tick the other two, under
+/// `FailureDetector::default()`.
+#[test]
+fn a_tick_that_vacates_six_slots_queries_four() {
+    let space = IdSpace::new(4, 4).unwrap();
+    let id = |s: &str| space.parse_id(s).unwrap();
+    let me = id("0000");
+    // (0, 1) (0, 2) (0, 3) (1, 1) (1, 2) (1, 3), none storing 0000, so
+    // no slot refills from the reverse set; 0100 at (2, 1) answers and
+    // receives the queries.
+    let silent = ["0001", "0002", "0003", "0010", "0020", "0030"];
+    let live = id("0100");
+    let mut table = NeighborTable::new(space, me);
+    table.set_self_entries(NodeState::S);
+    for node in silent.iter().map(|s| id(s)).chain([live]) {
+        let k = me.csuf_len(&node);
+        let state = NodeState::S;
+        table.set(k, node.digit(k), Entry { node, state });
+    }
+    let opts = ProtocolOptions::new().with_failure_detector(FailureDetector::default());
+    let mut x = JoinEngine::new_member(space, opts, table);
+    let mut out = Effects::new();
+    x.step(NodeInput::StartFailureDetector, &mut out);
+    out.drain().for_each(drop);
+    let tick = TimerId::FdProbe { owner: me };
+    let mut queried_per_tick = Vec::new();
+    let mut vacated_at_first_query = None;
+    for _ in 0..8 {
+        x.step(NodeInput::TimerFired(tick), &mut out);
+        let mut slots = Vec::new();
+        for (to, msg) in out.drain_sends() {
+            if let Message::RepairQry { level, digit, .. } = msg {
+                assert_eq!(to, live);
+                if !slots.contains(&(level, digit)) {
+                    slots.push((level, digit));
+                }
+            }
+        }
+        if !slots.is_empty() && vacated_at_first_query.is_none() {
+            let vacated = (0..2)
+                .flat_map(|level| (1..4).map(move |digit| (level, digit)))
+                .filter(|&(level, digit)| x.table().is_vacated(level, digit))
+                .count();
+            vacated_at_first_query = Some(vacated);
+        }
+        queried_per_tick.push(slots);
+        let msg = Message::Pong;
+        x.step(NodeInput::Deliver { from: live, msg }, &mut out);
+        out.drain().for_each(drop);
+    }
+    assert_eq!(vacated_at_first_query, Some(6), "six slots vacate at once");
+    queried_per_tick.retain(|s| !s.is_empty());
+    let queried = queried_per_tick;
+    assert_eq!(queried[0], [(0, 1), (0, 2), (0, 3), (1, 1)]);
+    assert_eq!(queried[1], [(1, 2), (1, 3)]);
+}

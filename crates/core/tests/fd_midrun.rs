@@ -60,8 +60,6 @@ fn live_injected_joiner_detects_crashes() {
     let ids = distinct(space, 12, 11);
     let fd = FailureDetector {
         probe_interval_us: 100_000,
-        suspicion_threshold: 3,
-        repair: true,
         ..FailureDetector::default()
     };
     let mut b = SimNetworkBuilder::new(space);
@@ -105,36 +103,31 @@ fn live_injected_joiner_detects_crashes() {
 /// the joiner's suffix digit, so it stays load-bearing for the whole
 /// handshake (copy source *and* wait target) — a crash after the first
 /// copy round leaves the joiner holding live contacts but depending on a
-/// dead peer. Returns the joiner's final status and the (rerouted,
-/// stranded) trace counts.
-fn mid_join_crash(seed: u64, crash_at: u64, fallback: bool) -> (Status, u32, u32) {
+/// dead peer. Every node runs a retry policy; with `detector` they also
+/// run a failure detector, and with it the join fallback. Returns the
+/// joiner's final status and the (rerouted, stranded) trace counts.
+fn mid_join_crash(seed: u64, crash_at: u64, detector: bool) -> (Status, u32, u32) {
     let space = IdSpace::new(4, 6).unwrap();
     let ids = distinct(space, 13, 77);
     let (members, joiner) = (&ids[..12], ids[12]);
     // members[1] = 031220 is the only member with digit(0) == 0, the
     // joiner's (113100) suffix digit — see the doc comment above.
     let gateway = members[1];
-    let fd = FailureDetector {
-        probe_interval_us: 100_000,
-        suspicion_threshold: 3,
-        repair: true,
-        ..FailureDetector::default()
-    };
     // A short retry budget so exhaustion (and with it the fallback)
     // happens well inside the horizon.
-    let retry = RetryPolicy {
+    let mut opts = ProtocolOptions::new().with_retry(RetryPolicy {
         timeout_us: 300_000,
         max_retries: 2,
-        backoff_pct: 200,
-        join_fallback: fallback,
         ..RetryPolicy::default()
-    };
+    });
+    if detector {
+        opts = opts.with_failure_detector(FailureDetector {
+            probe_interval_us: 100_000,
+            ..FailureDetector::default()
+        });
+    }
     let mut b = SimNetworkBuilder::new(space);
-    b.options(
-        ProtocolOptions::new()
-            .with_failure_detector(fd)
-            .with_retry(retry),
-    );
+    b.options(opts);
     for id in members {
         b.add_member(*id);
     }
@@ -148,29 +141,34 @@ fn mid_join_crash(seed: u64, crash_at: u64, fallback: bool) -> (Status, u32, u32
     (net.engine(&joiner).status(), rerouted, stranded)
 }
 
-/// The regression this file exists for: without the fallback, a joiner
-/// whose gateway crashes mid-handshake is stuck in a pre-`in_system`
-/// status forever (no detector ever arms for it); with
-/// [`RetryPolicy::join_fallback`] it reroutes through a contact learned
-/// before the crash and completes the join.
+/// The regression this file exists for: under loss alone (a retry
+/// policy, no detector) a joiner whose gateway crashes mid-handshake is
+/// stuck in a pre-`in_system` status forever, since exhaustion there
+/// means a lost datagram, not a dead peer; with a failure detector the
+/// join fallback reroutes it through a contact learned before the crash
+/// and it completes the join.
 #[test]
 fn gateway_crash_mid_join_reroutes_with_fallback() {
     // Seeds where the crash verifiably lands while the gateway is still
-    // load-bearing: the fallback-off arm strands (pinned below), so the
-    // fallback-on arm completing is not vacuous.
+    // load-bearing: the no-detector arm strands (pinned below), so the
+    // detector arm completing is not vacuous.
     const CRASH_AT: u64 = 60_000;
     let mut rescued = 0;
     for seed in 0..12u64 {
-        let (off_status, _, _) = mid_join_crash(seed, CRASH_AT, false);
+        let (off_status, off_rerouted, _) = mid_join_crash(seed, CRASH_AT, false);
+        assert_eq!(
+            off_rerouted, 0,
+            "seed {seed}: a run without a detector fell back"
+        );
         let (on_status, rerouted, stranded) = mid_join_crash(seed, CRASH_AT, true);
         if on_status == Status::InSystem {
             if off_status != Status::InSystem {
-                // The interesting case: fallback-off strands, fallback-on
-                // recovers — and says how in the trace.
+                // The interesting case: loss-only strands, the crash
+                // model recovers — and says how in the trace.
                 rescued += 1;
                 assert!(
                     rerouted > 0,
-                    "seed {seed}: fallback-on run recovered without tracing a reroute"
+                    "seed {seed}: detector run recovered without tracing a reroute"
                 );
             }
         } else {
@@ -180,7 +178,7 @@ fn gateway_crash_mid_join_reroutes_with_fallback() {
             // say so. Anything else is a silent strand — the regression.
             assert!(
                 stranded > 0,
-                "seed {seed}: joiner stuck in {on_status:?} with fallback on \
+                "seed {seed}: joiner stuck in {on_status:?} with a detector \
                  and no JoinStranded trace"
             );
         }
@@ -263,17 +261,11 @@ fn run_schedule(
     let hop = Hop::new(space, socket);
     let fd = FailureDetector {
         probe_interval_us: 200_000,
-        suspicion_threshold: 3,
-        repair: true,
-        max_repairs_in_flight: 4,
-        repair_backoff: true,
+        ..FailureDetector::default()
     };
     let retry = RetryPolicy {
         timeout_us: 300_000,
         max_retries: 2,
-        backoff_pct: 200,
-        jitter_pct: 10,
-        join_fallback: true,
         ..RetryPolicy::default()
     };
     let mut b = SimNetworkBuilder::new(space);

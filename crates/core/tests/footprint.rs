@@ -251,14 +251,15 @@ fn oracle_build_heap_is_pinned() {
 /// Every actor holds its engine inline, so a field added here is paid by
 /// every node of every workload. State that only some nodes use at some
 /// times (the join variables, the extensions) goes behind a pointer
-/// instead. 544 and 552 B today; the budgets are 8 B above that.
+/// instead. Both sizes are pinned as measured, so a change either way
+/// shows here.
 #[test]
 fn engine_and_sim_node_fit_their_inline_budgets() {
     use std::mem::size_of;
     let engine = size_of::<JoinEngine>();
-    assert!(engine <= 552, "JoinEngine is {engine} B inline");
+    assert_eq!(engine, 528, "JoinEngine is {engine} B inline");
     let node = size_of::<SimNode>();
-    assert!(node <= 560, "SimNode is {node} B inline");
+    assert_eq!(node, 536, "SimNode is {node} B inline");
 }
 
 /// A slot's four states — empty, vacated, `T`, `S` — share one 4-byte

@@ -196,7 +196,6 @@ fn checks_across_crash_repair_wave_converge_only_with_repair() {
         let ids = distinct(space, 14, 11);
         let fd = FailureDetector {
             probe_interval_us: 100_000,
-            suspicion_threshold: 3,
             repair,
             ..FailureDetector::default()
         };

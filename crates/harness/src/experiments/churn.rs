@@ -20,11 +20,12 @@
 //!   checkpoints say whether repair *converges* once disruptions stop.
 //!
 //! The crash shapes run two arms on the identical compiled schedule:
-//! repair on (for Poisson, the hardened path: exponential backoff with
-//! deterministic jitter on reply-awaiting retries, bounded repair queries
-//! in flight, exponential re-query pacing, and gateway fallback for joins
-//! whose contact crashed) and the eviction-only control, which pins down
-//! what repair (and not mere eviction) buys. On the simulator every
+//! repair on and the eviction-only control, which pins down what repair
+//! (and not mere eviction) buys. Both configure a failure detector, and
+//! with it the crash model: repair queries paced per probe tick, and (for
+//! Poisson, which also sets a retry policy) exponential backoff with
+//! deterministic jitter on reply-awaiting retries and gateway fallback
+//! for joins whose contact crashed. On the simulator every
 //! metric, the trace digest included, is bit-for-bit reproducible per
 //! seed. Time-to-repair and recovery samples come back as raw vectors;
 //! take percentiles with [`crate::metrics::percentile`].
@@ -188,8 +189,6 @@ impl Default for CrashChurnConfig {
             crash_at: 500_000,
             fd: FailureDetector {
                 probe_interval_us: 200_000,
-                suspicion_threshold: 3,
-                repair: true,
                 ..FailureDetector::default()
             },
             horizon: 30_000_000,
@@ -264,8 +263,8 @@ pub struct PoissonChurnConfig {
     pub horizon: Time,
     /// Spacing of consistency checkpoints (µs).
     pub checkpoint_every: Time,
-    /// Probe interval and suspicion threshold; `repair` and the pacing
-    /// fields are overridden per arm by [`run_poisson_churn`].
+    /// Probe interval and suspicion threshold; `repair` is overridden
+    /// per arm by [`run_poisson_churn`].
     pub fd: FailureDetector,
 }
 
@@ -281,8 +280,6 @@ impl Default for PoissonChurnConfig {
             checkpoint_every: 2_000_000,
             fd: FailureDetector {
                 probe_interval_us: 200_000,
-                suspicion_threshold: 3,
-                repair: true,
                 ..FailureDetector::default()
             },
         }
@@ -290,28 +287,20 @@ impl Default for PoissonChurnConfig {
 }
 
 impl PoissonChurnConfig {
-    /// The runner of one arm for trial `seed`: the hardened repair path
-    /// (`repair`) or the eviction-only control, with the detector and
-    /// retry options below.
+    /// The runner of one arm for trial `seed`: repair on (`repair`) or
+    /// the eviction-only control. The detector makes either arm run the
+    /// crash model: paced repair queries, backed-off and jittered
+    /// retransmissions, and the join fallback (see
+    /// [`RetryPolicy`](hyperring_core::RetryPolicy)).
     pub fn scenario(&self, seed: u64, repair: bool) -> Scenario {
         let space = IdSpace::new(self.base, self.digits).expect("valid space");
-        let fd = FailureDetector {
-            repair,
-            max_repairs_in_flight: 4,
-            repair_backoff: true,
-            ..self.fd
-        };
         // Churn-sized retry budget: short enough that a join whose contact
         // crashed falls back within a couple of virtual seconds (timeout
         // 300 ms ≫ the 100 ms worst-case round trip; exhaustion after
-        // 0.3 + 0.6 + 1.2 s of doubling), with jitter de-synchronizing the
-        // retry bursts a crash wave would otherwise align.
+        // 0.3 + 0.6 + 1.2 s of doubling).
         let retry = RetryPolicy {
             timeout_us: 300_000,
             max_retries: 2,
-            backoff_pct: 200,
-            jitter_pct: 10,
-            join_fallback: true,
             ..RetryPolicy::default()
         };
         Scenario::new(space)
@@ -319,7 +308,7 @@ impl PoissonChurnConfig {
             .seed(seed)
             .options(
                 ProtocolOptions::new()
-                    .with_failure_detector(fd)
+                    .with_failure_detector(FailureDetector { repair, ..self.fd })
                     .with_retry(retry),
             )
     }
@@ -454,8 +443,6 @@ mod tests {
             crash_at: 100_000,
             fd: FailureDetector {
                 probe_interval_us: 100_000,
-                suspicion_threshold: 3,
-                repair: true,
                 ..FailureDetector::default()
             },
             horizon: 5_000_000,
@@ -516,8 +503,6 @@ mod tests {
             checkpoint_every: 2_000_000,
             fd: FailureDetector {
                 probe_interval_us: 100_000,
-                suspicion_threshold: 3,
-                repair: true,
                 ..FailureDetector::default()
             },
             ..PoissonChurnConfig::default()

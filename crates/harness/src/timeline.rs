@@ -1084,8 +1084,6 @@ mod tests {
     fn fd() -> FailureDetector {
         FailureDetector {
             probe_interval_us: 100_000,
-            suspicion_threshold: 3,
-            repair: true,
             ..FailureDetector::default()
         }
     }

@@ -39,17 +39,11 @@ fn scenario() -> Scenario {
             ProtocolOptions::new()
                 .with_failure_detector(FailureDetector {
                     probe_interval_us: 100_000,
-                    suspicion_threshold: 3,
-                    repair: true,
-                    max_repairs_in_flight: 4,
-                    repair_backoff: true,
+                    ..FailureDetector::default()
                 })
                 .with_retry(RetryPolicy {
                     timeout_us: 300_000,
                     max_retries: 2,
-                    backoff_pct: 200,
-                    jitter_pct: 10,
-                    join_fallback: true,
                     ..RetryPolicy::default()
                 }),
         )

@@ -2,33 +2,27 @@
 //! timelines — population size, join count, crash wave size and instant
 //! all drawn by proptest — must always settle to survivor-restricted
 //! Definition-3.8 consistency once the schedule quiesces and the
-//! hardened repair path has run its course; and retry backoff must be
-//! inert on lossless runs (it only reshapes timers that never fire).
+//! hardened repair path has run its course; and the crash model's retry
+//! backoff must be inert on lossless runs (it only reshapes the waits
+//! after a first retransmission, which a prompt reply cancels).
 
 use hyperring_core::{FailureDetector, ProtocolOptions, RetryPolicy};
 use hyperring_harness::{Scenario, Timeline};
 use hyperring_id::IdSpace;
 use proptest::prelude::*;
 
-/// The hardened repair/fallback options the Poisson-churn experiment
-/// runs with: detector + repair on, bounded in-flight repair queries,
-/// exponential re-query pacing, a churn-sized retry budget, and the
-/// join gateway fallback.
+/// The crash model the Poisson-churn experiment runs: a detector with
+/// repair on (which paces repair queries, backs retries off and turns
+/// the join fallback on) and a churn-sized retry budget.
 fn hardened() -> ProtocolOptions {
     ProtocolOptions::new()
         .with_failure_detector(FailureDetector {
             probe_interval_us: 100_000,
-            suspicion_threshold: 3,
-            repair: true,
-            max_repairs_in_flight: 4,
-            repair_backoff: true,
+            ..FailureDetector::default()
         })
         .with_retry(RetryPolicy {
             timeout_us: 300_000,
             max_retries: 2,
-            backoff_pct: 200,
-            jitter_pct: 10,
-            join_fallback: true,
             ..RetryPolicy::default()
         })
 }
@@ -74,10 +68,14 @@ proptest! {
         );
     }
 
-    /// Retry backoff and jitter only reshape the reply-awaiting timers,
-    /// and on a lossless run no reply-awaiting timer ever fires — so a
-    /// join-only timeline must produce a bit-identical protocol trace
-    /// with backoff cranked all the way up or left at the default.
+    /// Under the crash model (a detector) retransmissions back off and
+    /// jitter, but only the waits after the first one: a request is first
+    /// guarded for exactly `timeout_us`. Joins one at a time, 2 s apart,
+    /// have no reply deferred by a `T`-node, so every round trip is two
+    /// delays in [40 ms, 50 ms]: under a 101 ms timeout no retry timer
+    /// fires, and the lossless run is bit-identical to the same run with a
+    /// ten-times longer timeout. A first wait jittered by ±10 % would
+    /// expire before many of those replies.
     #[test]
     fn backoff_is_inert_without_loss(
         seed in 0u64..100_000,
@@ -85,26 +83,32 @@ proptest! {
         joins in 1usize..5,
     ) {
         let space = IdSpace::new(4, 6).unwrap();
-        let run = |retry: RetryPolicy| {
-            let tl = Timeline::new().at(0).join(joins).horizon(10_000_000);
+        let run = |timeout_us: u64| {
+            let mut tl = Timeline::new();
+            for k in 0..joins as u64 {
+                tl = tl.at(k * 2_000_000).join(1).done();
+            }
+            let opts = ProtocolOptions::new()
+                .with_failure_detector(FailureDetector::default())
+                .with_retry(RetryPolicy {
+                    timeout_us,
+                    ..RetryPolicy::default()
+                });
             Scenario::new(space)
                 .members(members)
                 .seed(seed)
-                .options(ProtocolOptions::new().with_retry(retry))
-                .run(tl)
+                .delay_bounds(40_000, 50_000)
+                .options(opts)
+                .run(tl.horizon(10_000_000))
         };
-        let plain = run(RetryPolicy::default());
-        let backed = run(RetryPolicy {
-            backoff_pct: 300,
-            jitter_pct: 25,
-            ..RetryPolicy::default()
-        });
-        prop_assert_eq!(plain.survivors, members + joins);
+        let tight = run(101_000);
+        let loose = run(1_010_000);
+        prop_assert_eq!(tight.survivors, members + joins);
+        prop_assert_eq!(tight.timers_fired, loose.timers_fired);
         prop_assert_eq!(
-            plain.trace_digest, backed.trace_digest,
-            "backoff perturbed a lossless run (seed {})", seed
+            tight.trace_digest, loose.trace_digest,
+            "a retry timer fired on a lossless run (seed {})", seed
         );
-        prop_assert_eq!(plain.delivered, backed.delivered);
-        prop_assert_eq!(plain.finished_at, backed.finished_at);
+        prop_assert_eq!(tight.delivered, loose.delivered);
     }
 }

@@ -70,11 +70,9 @@ pub struct UdpConfig {
     /// Event-loop threads; engines are partitioned round-robin across
     /// them. Clamped to at least 1 and at most the node count.
     pub loop_threads: usize,
-    /// Receive-side injected loss, in permille (0..=1000).
+    /// Receive-side injected loss, in permille (0..=1000). The injector
+    /// is deterministic, each loop thread with a fixed seed of its own.
     pub loss_permille: u32,
-    /// Seed for the deterministic loss injector (each loop thread derives
-    /// its own stream from this).
-    pub loss_seed: u64,
     /// Hard deadline: how long after its last scheduled input a run may
     /// go on, on the run clock, before it is declared stuck.
     pub quiesce_timeout: Duration,
@@ -85,9 +83,6 @@ pub struct UdpConfig {
     /// exceed the retry timeout when loss is injected, or a window can
     /// close between a drop and its retransmission.
     pub settle: Duration,
-    /// Per-engine outbound queue bound; sends beyond it are dropped and
-    /// counted as backpressure.
-    pub outbound_capacity: usize,
 }
 
 impl Default for UdpConfig {
@@ -95,13 +90,18 @@ impl Default for UdpConfig {
         UdpConfig {
             loop_threads: 2,
             loss_permille: 0,
-            loss_seed: 0x1d_2003,
             quiesce_timeout: Duration::from_secs(120),
             settle: Duration::from_millis(50),
-            outbound_capacity: 1024,
         }
     }
 }
+
+/// Seed of the deterministic loss injector.
+const LOSS_SEED: u64 = 0x1d_2003;
+
+/// Per-engine outbound queue bound; sends beyond it are dropped and
+/// counted as backpressure.
+const OUTBOUND_CAPACITY: usize = 1024;
 
 /// What a [`UdpNetwork`] run did, summed over all loop threads.
 #[derive(Debug, Default, Clone, Copy)]
@@ -457,12 +457,9 @@ impl UdpNetwork {
                     addrs: Arc::clone(&addrs),
                     thread: t,
                     outbound: Vec::new(),
-                    capacity: config.outbound_capacity,
+                    capacity: OUTBOUND_CAPACITY,
                     wheel: TimerWheel::new(WHEEL_TICK_US, 0),
-                    loss: LossInjector::new(
-                        config.loss_seed.wrapping_add(t as u64),
-                        config.loss_permille,
-                    ),
+                    loss: LossInjector::new(LOSS_SEED.wrapping_add(t as u64), config.loss_permille),
                     stats: UdpRunStats::default(),
                     error: None,
                     queued: 0,
@@ -694,7 +691,8 @@ struct LoopIo {
     /// This thread's index in `addrs`.
     thread: usize,
     outbound: Vec<VecDeque<(SocketAddr, Vec<u8>)>>,
-    /// [`UdpConfig::outbound_capacity`].
+    /// Bound of each outbound queue: [`OUTBOUND_CAPACITY`] (a test makes
+    /// it small to exercise backpressure).
     capacity: usize,
     wheel: TimerWheel<(usize, TimerId)>,
     loss: LossInjector,
@@ -983,14 +981,14 @@ mod tests {
         assert!(not_quiescent(|c| c.joining = 1));
     }
 
-    /// Twenty small waves under injected loss and outbound backpressure,
-    /// with a settle window far longer than any of them: every one must
-    /// end with every joiner `in_system`, every table consistent and no
-    /// retry timer live, i.e. the exact rule never ended a run early.
+    /// Twenty small waves under injected loss, with a settle window far
+    /// longer than any of them: every one must end with every joiner
+    /// `in_system`, every table consistent and no retry timer live, i.e.
+    /// the exact rule never ended a run early.
     #[test]
     fn exact_quiescence_never_ends_a_lossy_wave_early() {
         let space = IdSpace::new(4, 5).unwrap();
-        let (mut injected, mut backpressure) = (0, 0);
+        let mut injected = 0;
         for seed in 0..20u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut ids = std::collections::BTreeSet::new();
@@ -1012,8 +1010,6 @@ mod tests {
             let config = UdpConfig {
                 loop_threads: 2,
                 loss_permille: 30,
-                loss_seed: seed,
-                outbound_capacity: 4,
                 settle,
                 quiesce_timeout: Duration::from_secs(60),
             };
@@ -1023,7 +1019,6 @@ mod tests {
                 .expect("valid schedule");
             let stats = run.finish().expect("wave quiesces");
             injected += stats.drops_injected;
-            backpressure += stats.backpressure_drops;
             assert!(
                 run.engines().all(|e| e.status() == Status::InSystem),
                 "seed {seed}: a joiner is not in_system"
@@ -1037,6 +1032,40 @@ mod tests {
             eprintln!("seed {seed}: {:?}", stats.wall);
         }
         assert!(injected > 0, "loss was never exercised");
-        assert!(backpressure > 0, "backpressure was never exercised");
+    }
+
+    /// A send to a full outbound queue is dropped and counted as
+    /// backpressure; the retry policy then treats it as loss, and the
+    /// queue depth the supervisor reads counts only what was queued.
+    #[test]
+    fn a_full_outbound_queue_drops_and_counts_backpressure() {
+        let space = IdSpace::new(4, 5).unwrap();
+        let ids = space.distinct_ids(2, &mut StdRng::seed_from_u64(3));
+        let mut io = LoopIo {
+            space,
+            roster: Arc::new(Roster::new(ids.iter().copied()).unwrap()),
+            addrs: Arc::new(vec!["127.0.0.1:9".parse().unwrap()]),
+            thread: 0,
+            outbound: vec![VecDeque::new(); 2],
+            capacity: 2,
+            wheel: TimerWheel::new(WHEEL_TICK_US, 0),
+            loss: LossInjector::new(LOSS_SEED, 0),
+            stats: UdpRunStats::default(),
+            error: None,
+            queued: 0,
+        };
+        let mut handler = LoopHandler {
+            io: &mut io,
+            me: ids[0],
+            slot: 0,
+            now_us: 0,
+        };
+        for _ in 0..3 {
+            handler.send(ids[1], Message::Ping);
+        }
+        assert_eq!(io.outbound[0].len(), 2);
+        assert_eq!(io.queued, 2);
+        assert_eq!(io.stats.backpressure_drops, 1);
+        assert!(io.error.is_none());
     }
 }

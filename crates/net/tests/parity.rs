@@ -159,8 +159,6 @@ fn parity_holds_under_uniform_delay() {
 fn detector() -> FailureDetector {
     FailureDetector {
         probe_interval_us: 100_000,
-        suspicion_threshold: 3,
-        repair: true,
         ..FailureDetector::default()
     }
 }

@@ -409,8 +409,6 @@ fn detector_net() -> (IdSpace, Vec<NodeId>, Vec<(NodeId, NodeId)>, UdpNetwork) {
     let joiners = ids[10..].iter().map(|&id| (id, ids[0])).collect();
     let opts = ProtocolOptions::new().with_failure_detector(FailureDetector {
         probe_interval_us: 20_000,
-        suspicion_threshold: 3,
-        repair: true,
         ..FailureDetector::default()
     });
     let net = UdpNetwork::new(space, opts, build_consistent_tables(space, &ids[..10]));
