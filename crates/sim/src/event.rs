@@ -4,10 +4,10 @@ pub type Time = u64;
 /// Bit of [`Key::to`] that marks a timer key (actor indices stay below it).
 pub(crate) const TIMER: u32 = 1 << 31;
 
-/// What the simulator's queue orders and moves, in its FIFO run or its
-/// heap: 24 bytes, `Copy`. The payload waits in a [`Slab`] slot, so a
-/// sift or a `pop_front` never touches it. Ordering (and equality)
-/// consider only `(at, seq)`.
+/// What the simulator's queue orders and moves, in its FIFO run, its
+/// calendar or its heap: 24 bytes, `Copy`. The payload waits in a
+/// [`Slab`] slot, so a sift, a sort or a copy never touches it. Ordering
+/// (and equality) consider only `(at, seq)`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Key {
     pub at: Time,

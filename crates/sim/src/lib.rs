@@ -12,12 +12,17 @@
 //! reordered if their sampled latencies interleave. This makes the simulator
 //! an adversarial scheduler for the protocol rather than a friendly one.
 //!
-//! Events wait in one queue of two lanes: a key scheduled no earlier than
-//! the last key of a FIFO run joins the run, any other a binary heap, and
-//! the earlier head pops. Under a constant delay every event is scheduled
-//! in time order, so the heap stays empty and a pop costs a `pop_front`;
-//! under a random delay most keys go to the heap. Either way the order of
-//! delivery is the same: lowest `(time, seq)` first.
+//! Events wait in one queue with three places to wait. An event due
+//! within the current millisecond joins a FIFO run when it is scheduled
+//! no earlier than the run's last event, and a binary heap otherwise. An
+//! event due in the next 131 ms waits, unsorted, in a calendar of 1 ms
+//! buckets, and each bucket is sorted onto the run when its millisecond
+//! comes. An event due later waits in the heap. The earlier of the run's
+//! head and the heap's pops. So under the millisecond delays of a network
+//! almost every event goes through the calendar and the run, not the
+//! heap, and under a constant delay every event is scheduled in time
+//! order and the heap stays empty. Either way the order of delivery is
+//! the same: lowest `(time, seq)` first.
 //!
 //! Before each delivery the simulator prefetches what the next two will
 //! touch: the actor and slab slot of the event after next, and whatever

@@ -1,4 +1,4 @@
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;
 
 use rand::rngs::StdRng;
@@ -128,17 +128,51 @@ pub struct RunReport {
     pub traced: u64,
 }
 
-/// The simulator's event queue, in two lanes. A key scheduled no earlier
-/// than the last key of `run` is appended to it; any other goes to
-/// `heap`. `seq` rises with every push, so `run` is a FIFO sorted by
-/// `(at, seq)`, and the earliest key is the earlier of the two heads.
+/// A key's epoch is `at >> EPOCH_BITS`: calendar buckets are 1 024 µs wide.
+const EPOCH_BITS: u32 = 10;
+
+/// Buckets in the calendar's ring, one per epoch after the current one:
+/// a window of about 131 ms.
+const BUCKETS: usize = 128;
+
+/// Keys per chunk of a calendar bucket.
+const CHUNK: usize = 16;
+
+/// Chunks per page of the calendar's pool.
+const PAGE: usize = 32;
+
+/// No chunk: the end of a bucket's chain or of the spare list.
+const NIL: u32 = u32::MAX;
+
+/// The simulator's event queue: a FIFO run and a binary heap for the
+/// current epoch, a calendar of the next 127, and the same heap again for
+/// keys past the calendar's window.
 ///
-/// A heap key is always earlier than the run's last key, which pops
-/// after it: so the heap is empty whenever the run is.
+/// - A key of the current epoch or an earlier one is appended to `run`
+///   when it is scheduled no earlier than the run's last key, and goes to
+///   `heap` otherwise. `seq` rises with every push, so the run is sorted
+///   by `(at, seq)`.
+/// - A key of one of the next 127 epochs goes, unsorted, to that epoch's
+///   bucket of the [`Calendar`].
+/// - A key further out goes to `heap` too. One heap serves both: a pop
+///   takes the earlier of the two lanes' heads whatever they hold.
+///
+/// Every key of the calendar is later than every key of the current epoch
+/// or an earlier one. So when the lanes hold such a key, the earliest key
+/// is at one of their heads. When they hold none, the queue
+/// [`advance`](Self::advance)s to the epoch of its next key: a far key's
+/// in the heap, or the first non-empty bucket's, which is then sorted
+/// into the run. The current epoch is thus never ahead of the next key,
+/// and a key scheduled from a delivery finds the calendar ready for it.
 #[derive(Debug, Default)]
 struct Queue {
-    run: VecDeque<Key>,
+    /// Keys sorted by `(at, seq)`; those before `head` have popped.
+    run: Vec<Key>,
+    head: usize,
     heap: BinaryHeap<Key>,
+    calendar: Calendar,
+    /// The current epoch.
+    epoch: u64,
 }
 
 // `Key`'s order is reversed: of two keys, the greater is the earlier
@@ -146,49 +180,388 @@ struct Queue {
 impl Queue {
     #[inline]
     fn push(&mut self, key: Key) {
-        match self.run.back() {
-            Some(back) if key.at < back.at => self.heap.push(key),
-            _ => self.run.push_back(key),
+        let epoch = key.at >> EPOCH_BITS;
+        if epoch <= self.epoch {
+            match self.run.last() {
+                Some(back) if key.at < back.at => self.heap.push(key),
+                _ => self.push_run(key),
+            }
+        } else if epoch - self.epoch < BUCKETS as u64 {
+            self.calendar.push(epoch, key);
+        } else {
+            self.heap.push(key);
+        }
+    }
+
+    /// Appends `key` to the run. A run that is full moves its unpopped
+    /// keys to the front instead of growing, when they fill at most half
+    /// of it.
+    #[inline]
+    fn push_run(&mut self, key: Key) {
+        if self.run.len() == self.run.capacity() && 2 * self.head >= self.run.len() {
+            self.run.drain(..self.head);
+            self.head = 0;
+        }
+        self.run.push(key);
+    }
+
+    /// Whether `key` is of the current epoch or an earlier one, and so
+    /// earlier than every key of the calendar.
+    #[inline]
+    fn is_current(&self, key: &Key) -> bool {
+        key.at >> EPOCH_BITS <= self.epoch
+    }
+
+    /// Makes sure the earliest key is at a lane's head: when the lanes
+    /// hold no key of the current epoch or an earlier one, moves to the
+    /// epoch of the next key. That is a far key's in the heap, when it
+    /// comes before the calendar's first non-empty bucket; otherwise it is
+    /// that bucket's, and the bucket is sorted into the (empty) run.
+    #[inline]
+    fn advance(&mut self) {
+        if self.calendar.len == 0
+            || self.head < self.run.len()
+            || self.heap.peek().is_some_and(|key| self.is_current(key))
+        {
+            return;
+        }
+        let next = self.calendar.next_after(self.epoch);
+        match self.heap.peek() {
+            Some(far) if far.at >> EPOCH_BITS < next => self.epoch = far.at >> EPOCH_BITS,
+            _ => {
+                self.epoch = next;
+                self.calendar.drain_into(next, &mut self.run);
+            }
         }
     }
 
     /// The earliest key, ranked by `(at, seq)`: the lanes' heads can
     /// share a time.
     #[inline]
-    fn peek(&self) -> Option<&Key> {
-        self.run.front().max(self.heap.peek())
+    fn peek(&mut self) -> Option<&Key> {
+        self.advance();
+        self.run.get(self.head).max(self.heap.peek())
     }
 
     #[inline]
     fn pop(&mut self) -> Option<Key> {
-        if self.run.front() > self.heap.peek() {
-            self.run.pop_front()
+        self.advance();
+        let key = if self.run.get(self.head) > self.heap.peek() {
+            self.head += 1;
+            self.run[self.head - 1]
         } else {
-            self.heap.pop()
+            self.heap.pop()?
+        };
+        if self.head == self.run.len() {
+            self.run.clear();
+            self.head = 0;
         }
+        if self.calendar.len == 0 {
+            // Nothing waits in the calendar: its window starts from now.
+            self.epoch = self.epoch.max(key.at >> EPOCH_BITS);
+        }
+        Some(key)
     }
 
     /// The earliest key and the one after it, read from the heads: the
     /// run's first two, the heap's root and the earlier of heap slots 1
-    /// and 2.
+    /// and 2. When the later of those two is not of the current epoch, the
+    /// calendar's earliest key may come before it: that is the earliest of
+    /// its first non-empty bucket, found by a scan.
     #[inline]
-    fn next_two(&self) -> (Option<&Key>, Option<&Key>) {
-        let heap = self.heap.as_slice();
-        let (run0, heap0) = (self.run.front(), heap.first());
-        if run0 > heap0 {
-            return (run0, self.run.get(1).max(heap0));
-        }
-        let heap1 = match heap {
-            [_, a, b, ..] => Some(a.max(b)),
-            [_, a] => Some(a),
-            _ => None,
+    fn next_two(&mut self) -> (Option<&Key>, Option<&Key>) {
+        self.advance();
+        let (run, heap) = (&self.run[self.head..], self.heap.as_slice());
+        let (run0, heap0) = (run.first(), heap.first());
+        let (next, after_next) = if run0 > heap0 {
+            (run0, run.get(1).max(heap0))
+        } else {
+            let heap1 = match heap {
+                [_, a, b, ..] => Some(a.max(b)),
+                [_, a] => Some(a),
+                _ => None,
+            };
+            (heap0, run0.max(heap1))
         };
-        (heap0, run0.max(heap1))
+        match after_next {
+            Some(key) if self.is_current(key) => (next, after_next),
+            _ => (next, after_next.max(self.calendar.first_after(self.epoch))),
+        }
     }
 
     #[inline]
     fn len(&self) -> usize {
-        self.run.len() + self.heap.len()
+        self.run.len() - self.head + self.calendar.len + self.heap.len()
+    }
+
+    /// Every queued key and the lane it waits in: the run's first, in
+    /// order, then the calendar's and the heap's, in no particular order.
+    #[cfg(test)]
+    fn keys(&self) -> impl Iterator<Item = (Lane, Key)> + '_ {
+        let run = self.run[self.head..].iter().map(|&k| (Lane::Run, k));
+        let calendar = self.calendar.keys().map(|k| (Lane::Calendar, k));
+        let heap = self.heap.iter().map(|&k| (Lane::Heap, k));
+        run.chain(calendar).chain(heap)
+    }
+}
+
+/// Where a queued key waits.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lane {
+    Run,
+    Heap,
+    Calendar,
+}
+
+/// The next [`BUCKETS`] epochs' keys, one bucket per epoch, each in the
+/// order it was pushed, which is `seq` order.
+///
+/// A bucket is a chain of chunks of [`CHUNK`] keys from one [`Pool`] that
+/// every bucket shares, so the calendar holds about as many keys as are
+/// pending in it, not as many as each bucket ever held. A bucket is sorted
+/// through scratch lists that grow to twice what they need: like the
+/// pool, they stop growing in a steady run, which allocates nothing.
+#[derive(Debug)]
+struct Calendar {
+    buckets: [Bucket; BUCKETS],
+    /// Bit `i` is set when bucket `i` holds a key.
+    occupied: u128,
+    pool: Pool,
+    /// Keys held.
+    len: usize,
+    /// Scratch of [`drain_into`](Self::drain_into): a bucket's sort tags
+    /// and its chain of chunks.
+    tags: Vec<u64>,
+    chain: Vec<u32>,
+}
+
+/// A bucket's first and last chunk (meaningless while it is empty), and
+/// its number of keys.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    first: u32,
+    last: u32,
+    len: u32,
+}
+
+impl Default for Calendar {
+    fn default() -> Self {
+        Calendar {
+            buckets: [Bucket {
+                first: NIL,
+                last: NIL,
+                len: 0,
+            }; BUCKETS],
+            occupied: 0,
+            pool: Pool::default(),
+            len: 0,
+            tags: Vec::new(),
+            chain: Vec::new(),
+        }
+    }
+}
+
+impl Calendar {
+    /// Appends `key`, of `epoch`, to its bucket.
+    #[inline]
+    fn push(&mut self, epoch: u64, key: Key) {
+        let i = epoch as usize % BUCKETS;
+        let Bucket {
+            mut first,
+            mut last,
+            len,
+        } = self.buckets[i];
+        if (len as usize).is_multiple_of(CHUNK) {
+            let chunk = self.pool.take();
+            if len == 0 {
+                first = chunk;
+                self.occupied |= 1 << i;
+            } else {
+                self.pool[last].next = chunk;
+            }
+            last = chunk;
+        }
+        self.pool[last].keys[len as usize % CHUNK] = key;
+        self.buckets[i] = Bucket {
+            first,
+            last,
+            len: len + 1,
+        };
+        self.len += 1;
+    }
+
+    /// The first epoch after `epoch` whose bucket holds a key. The
+    /// calendar must hold one.
+    #[inline]
+    fn next_after(&self, epoch: u64) -> u64 {
+        debug_assert!(self.occupied != 0);
+        let from = (epoch + 1) % BUCKETS as u64;
+        epoch + 1 + u64::from(self.occupied.rotate_right(from as u32).trailing_zeros())
+    }
+
+    /// The earliest key of the first non-empty bucket after `epoch`, if
+    /// there is one: the calendar's earliest key.
+    fn first_after(&self, epoch: u64) -> Option<&Key> {
+        if self.len == 0 {
+            return None;
+        }
+        let bucket = self.buckets[self.next_after(epoch) as usize % BUCKETS];
+        let keys = self.pool.chain(bucket.first, bucket.len as usize);
+        let keys = keys.flat_map(|(_, keys)| keys);
+        keys.fold(None, |earliest, key| earliest.max(Some(key)))
+    }
+
+    /// Empties `epoch`'s bucket onto the end of `run`, sorted by `(at,
+    /// seq)`, and gives its chunks back to the pool.
+    ///
+    /// Its keys share an epoch and come in `seq` order, so tagging each
+    /// with its time within the epoch and its place in the bucket, and
+    /// sorting the tags, sorts the keys: 8-byte tags move faster than
+    /// 24-byte keys.
+    fn drain_into(&mut self, epoch: u64, run: &mut Vec<Key>) {
+        const WITHIN: u64 = (1 << EPOCH_BITS) - 1;
+        let i = epoch as usize % BUCKETS;
+        let Bucket { first, last, len } = self.buckets[i];
+        let len = len as usize;
+        reserve_twice(&mut self.tags, len);
+        reserve_twice(&mut self.chain, len.div_ceil(CHUNK));
+        for (chunk, keys) in self.pool.chain(first, len) {
+            let start = self.chain.len() * CHUNK;
+            let tag = |(j, k): (usize, &Key)| (k.at & WITHIN) << 32 | (start + j) as u64;
+            self.tags.extend(keys.iter().enumerate().map(tag));
+            self.chain.push(chunk);
+        }
+        self.tags.sort_unstable();
+        reserve_twice(run, len);
+        run.extend(self.tags.drain(..).map(|tag| {
+            let place = tag as u32 as usize;
+            self.pool[self.chain[place / CHUNK]].keys[place % CHUNK]
+        }));
+        self.chain.clear();
+        self.pool.give_back(first, last);
+        self.buckets[i].len = 0;
+        self.occupied &= !(1 << i);
+        self.len -= len;
+    }
+
+    /// Every key held, bucket by bucket.
+    #[cfg(test)]
+    fn keys(&self) -> impl Iterator<Item = Key> + '_ {
+        let buckets = self.buckets.iter();
+        let chunks = buckets.flat_map(|b| self.pool.chain(b.first, b.len as usize));
+        chunks.flat_map(|(_, keys)| keys.iter().copied())
+    }
+}
+
+/// [`CHUNK`] keys of one bucket, in push order.
+#[derive(Debug)]
+struct Chunk {
+    keys: [Key; CHUNK],
+    /// The next chunk of its bucket's chain, or of the spare list.
+    next: u32,
+}
+
+/// The calendar's chunks, in pages of [`PAGE`] that are never moved or
+/// freed until the queue drains: chunk `c` is `pages[c / PAGE][c % PAGE]`.
+/// Free chunks form a spare list. When it runs out, the pool grows by
+/// half its pages, so it stops growing in a steady run.
+#[derive(Debug)]
+struct Pool {
+    pages: Vec<Box<[Chunk]>>,
+    /// First chunk of the spare list.
+    spare: u32,
+}
+
+impl Default for Pool {
+    fn default() -> Self {
+        Pool {
+            pages: Vec::new(),
+            spare: NIL,
+        }
+    }
+}
+
+impl std::ops::Index<u32> for Pool {
+    type Output = Chunk;
+
+    #[inline]
+    fn index(&self, chunk: u32) -> &Chunk {
+        &self.pages[chunk as usize / PAGE][chunk as usize % PAGE]
+    }
+}
+
+impl std::ops::IndexMut<u32> for Pool {
+    #[inline]
+    fn index_mut(&mut self, chunk: u32) -> &mut Chunk {
+        &mut self.pages[chunk as usize / PAGE][chunk as usize % PAGE]
+    }
+}
+
+impl Pool {
+    /// A spare chunk, taken off the list.
+    #[inline]
+    fn take(&mut self) -> u32 {
+        if self.spare == NIL {
+            self.grow();
+        }
+        let chunk = self.spare;
+        self.spare = self[chunk].next;
+        chunk
+    }
+
+    /// The chunks of a chain of `len` keys from `first`, and their keys.
+    fn chain(&self, first: u32, len: usize) -> impl Iterator<Item = (u32, &[Key])> {
+        let (mut chunk, mut left) = (first, len);
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
+            }
+            let Chunk { keys, next } = &self[chunk];
+            let keys = &keys[..CHUNK.min(left)];
+            let this = chunk;
+            (chunk, left) = (*next, left - keys.len());
+            Some((this, keys))
+        })
+    }
+
+    /// Puts a chain of chunks, from `first` to `last`, on the spare list.
+    #[inline]
+    fn give_back(&mut self, first: u32, last: u32) {
+        self[last].next = self.spare;
+        self.spare = first;
+    }
+
+    /// Adds half as many pages as the pool has (one, at first), all of
+    /// them spare. The spare list is empty.
+    #[cold]
+    fn grow(&mut self) {
+        const EMPTY: Key = Key {
+            at: 0,
+            seq: 0,
+            to: 0,
+            slot: 0,
+        };
+        let from = self.pages.len() * PAGE;
+        let to = from + (self.pages.len() / 2).max(1) * PAGE;
+        assert!(to < NIL as usize, "more than 2^32 calendar chunks");
+        for page in (from..to).step_by(PAGE) {
+            let chunks = (page + 1..=page + PAGE).map(|next| Chunk {
+                keys: [EMPTY; CHUNK],
+                next: if next == to { NIL } else { next as u32 },
+            });
+            self.pages.push(chunks.collect());
+        }
+        self.spare = from as u32;
+    }
+}
+
+/// Makes room in `v` for `extra` more items. When it has to grow, it
+/// grows to twice what it needs, so that a steady run, whose needs wander
+/// a little above their last peak, stops growing it.
+fn reserve_twice<T>(v: &mut Vec<T>, extra: usize) {
+    if v.capacity() - v.len() < extra {
+        v.reserve_exact(2 * (v.len() + extra) - v.len());
     }
 }
 
@@ -197,16 +570,19 @@ impl Queue {
 /// One queue of 24-byte keys popped lowest `(time, seq)` first, where
 /// `seq` counts every event ever scheduled, so ties at equal times break
 /// by scheduling order. Given the same actors, delay model and seed, two
-/// runs deliver the same events in the same order. The queue has two
-/// lanes: a key scheduled no earlier than the last key of a FIFO run
-/// joins the run, any other a binary heap, and a pop takes the earlier
-/// head. Under a constant delay every key is scheduled in time order, so
-/// the heap stays empty and a pop is a `pop_front`.
+/// runs deliver the same events in the same order. A key due within the
+/// current millisecond joins a FIFO run when it is scheduled no earlier
+/// than the run's last key, and a binary heap otherwise; a key due in the
+/// next 131 ms waits unsorted in a calendar of 1 ms buckets, each sorted
+/// onto the run when its millisecond comes; a key due later waits in the
+/// heap. A pop takes the earlier of the run's head and the heap's, so
+/// most keys never pass through the heap. Under a constant delay every
+/// key is scheduled in time order, so the heap stays empty.
 ///
 /// A key names the slot of a paged slab where its payload waits: a
 /// message is written there once, when the actor sends it, and read once,
 /// when it is delivered; the queue never moves it, and a steady run
-/// allocates nothing per event. When the queue drains, both lanes, the
+/// allocates nothing per event. When the queue drains, its lanes, the
 /// slab and the timer index are dropped.
 ///
 /// See the [crate docs](crate) for an example.
@@ -476,7 +852,7 @@ where
     /// both named one delivery ago, so its actor can read its message and
     /// name the lines behind them ([`Actor::prefetch`]).
     #[inline]
-    fn prefetch_next(&self) {
+    fn prefetch_next(&mut self) {
         let mut lines = Prefetch::new();
         let (next, after_next) = self.queue.next_two();
         if let Some(key) = after_next {
@@ -709,9 +1085,17 @@ mod tests {
         Simulator::new(vec![Recorder { log: vec![] }], ConstantDelay(0), 0)
     }
 
-    /// `(run, heap)` lengths.
+    /// `(run, heap)` lengths. The calendar must be empty.
     fn lanes<A: Actor, D>(sim: &Simulator<A, D>) -> (usize, usize) {
-        (sim.queue.run.len(), sim.queue.heap.len())
+        let mut lens = (0, 0);
+        for (lane, _) in sim.queue.keys() {
+            match lane {
+                Lane::Run => lens.0 += 1,
+                Lane::Heap => lens.1 += 1,
+                Lane::Calendar => panic!("a key in the calendar at t = {}", sim.now),
+            }
+        }
+        lens
     }
 
     #[test]
@@ -805,7 +1189,8 @@ mod tests {
         sim.inject_at(20, 0, 0, 2); // the run, behind the timer
         sim.inject_at(3, 0, 0, 8); // the heap: cancels the timer at t = 3
         assert_eq!(lanes(&sim), (2, 1));
-        assert!(sim.queue.run[0].to & TIMER != 0);
+        let run_head = sim.queue.keys().next();
+        assert!(matches!(run_head, Some((Lane::Run, k)) if k.to & TIMER != 0));
         assert!(sim.step());
         assert_eq!((sim.now(), lanes(&sim)), (3, (2, 0)));
         // One step discards the canceled timer and delivers t = 20.
@@ -1087,12 +1472,13 @@ mod tests {
     }
 
     /// Runs [`Hinted`] actors to the end under `delay`. Before each step
-    /// it checks that the queue reads the two earliest keys off its lanes'
-    /// heads, and counts where they wait: `lanes[2 * a + b]`, where `a` is
-    /// 1 when the earlier is in the run and `b` likewise for the later.
-    /// Returns the hints that named the delivery after them, the ones an
-    /// event scheduled in between overtook, and the lane counts.
-    fn hinted_run<D: DelayModel>(delay: D) -> (usize, usize, [usize; 4]) {
+    /// it checks that the queue names the two earliest keys, and counts
+    /// where they wait before the queue looks: `lanes[3 * a + b]`, where
+    /// `a` is the earlier's [`Lane`] (0 run, 1 heap, 2 calendar) and `b`
+    /// the later's. Returns the hints that named the delivery after them,
+    /// the ones an event scheduled in between overtook, and the lane
+    /// counts.
+    fn hinted_run<D: DelayModel>(delay: D) -> (usize, usize, [usize; 9]) {
         let (n, ids, log) = (5, Rc::new(Cell::new(1)), Rc::new(RefCell::new(Vec::new())));
         let actors = (0..n).map(|me| Hinted {
             me,
@@ -1102,18 +1488,16 @@ mod tests {
         });
         let mut sim = Simulator::new(actors.collect(), delay, 3);
         sim.inject(0, 0, 0);
-        let mut lanes = [0; 4];
+        let mut lanes = [0; 9];
         loop {
-            let queue = &sim.queue;
-            let mut keys: Vec<Key> = queue.run.iter().chain(queue.heap.iter()).copied().collect();
-            keys.sort_unstable_by_key(|k| (k.at, k.seq));
+            let mut keys: Vec<(Lane, Key)> = sim.queue.keys().collect();
+            keys.sort_unstable_by_key(|(_, k)| (k.at, k.seq));
             let seqs = |key: Option<&Key>| key.map(|k| k.seq);
-            let (next, after_next) = queue.next_two();
-            assert_eq!(seqs(next), seqs(keys.first()));
-            assert_eq!(seqs(after_next), seqs(keys.get(1)));
-            if let [a, b, ..] = keys[..] {
-                let in_run = |key: Key| usize::from(queue.run.iter().any(|k| k.seq == key.seq));
-                lanes[2 * in_run(a) + in_run(b)] += 1;
+            let (next, after_next) = sim.queue.next_two();
+            assert_eq!(seqs(next), keys.first().map(|(_, k)| k.seq));
+            assert_eq!(seqs(after_next), keys.get(1).map(|(_, k)| k.seq));
+            if let [(a, _), (b, _), ..] = keys[..] {
+                lanes[3 * a as usize + b as usize] += 1;
             }
             if !sim.step() {
                 break;
@@ -1163,10 +1547,108 @@ mod tests {
         let (named, overtaken, steady) = hinted_run(ConstantDelay(10));
         assert!(named > 10 * overtaken, "{named} vs {overtaken}");
         // Both earliest in the heap, in the run, and one in each.
+        let (run_run, run_heap, heap_run, heap_heap) = (0, 1, 3, 4);
         assert!(
-            spread.iter().chain(&steady).all(|&count| count > 0),
+            [run_run, run_heap, heap_run, heap_heap]
+                .iter()
+                .all(|&i| spread[i] > 0 && steady[i] > 0),
             "{spread:?} {steady:?}"
         );
+        // Over the calendar and past its window. A timer, armed 100 µs
+        // out, overtakes the hinted message more often.
+        let (named, overtaken, wide) = hinted_run(UniformDelay::new(1, 300_000));
+        assert!(named > 3 * overtaken, "{named} vs {overtaken}");
+        // The two earliest straddle the run and a bucket, two buckets, and
+        // a bucket and a far key in the heap.
+        let (run_bucket, bucket_bucket, bucket_far) = (2, 8, 7);
+        assert!(
+            [run_bucket, bucket_bucket, bucket_far]
+                .iter()
+                .all(|&i| wide[i] > 0),
+            "{wide:?}"
+        );
+    }
+
+    #[test]
+    fn next_two_reads_across_the_run_the_calendar_and_far_keys() {
+        use Lane::{Calendar, Heap, Run};
+        /// Where the first three keys wait, and the times `next_two`
+        /// names, which must be the first two.
+        fn look(queue: &mut Queue) -> (Vec<Lane>, [Option<Time>; 2]) {
+            let mut keys: Vec<(Lane, Key)> = queue.keys().collect();
+            keys.sort_unstable_by_key(|(_, k)| (k.at, k.seq));
+            let lanes = keys.iter().take(3).map(|&(lane, _)| lane).collect();
+            let (next, after_next) = queue.next_two();
+            let named = [next.map(|k| k.at), after_next.map(|k| k.at)];
+            assert_eq!(named, [0, 1].map(|i| keys.get(i).map(|(_, k)| k.at)));
+            (lanes, named)
+        }
+        let mut seq = 0;
+        let mut push = |queue: &mut Queue, at: Time| {
+            let (to, slot) = (0, 0);
+            queue.push(Key { at, seq, to, slot });
+            seq += 1;
+        };
+        let pop = |queue: &mut Queue| queue.pop().map(|k| k.at);
+
+        let mut queue = Queue::default();
+        for at in [100, 200, 3_500, 5_500, 7_000] {
+            push(&mut queue, at);
+        }
+        let both_in_the_run = (vec![Run, Run, Calendar], [Some(100), Some(200)]);
+        assert_eq!(look(&mut queue), both_in_the_run);
+        // Run and bucket: the run's last key, then bucket 3's.
+        assert_eq!(pop(&mut queue), Some(100));
+        let run_bucket = (vec![Run, Calendar, Calendar], [Some(200), Some(3_500)]);
+        assert_eq!(look(&mut queue), run_bucket);
+        // Bucket and bucket: bucket 3 is sorted into the run, and bucket
+        // 5 is scanned.
+        assert_eq!(pop(&mut queue), Some(200));
+        let bucket_bucket = (
+            vec![Calendar, Calendar, Calendar],
+            [Some(3_500), Some(5_500)],
+        );
+        assert_eq!(look(&mut queue), bucket_bucket);
+        assert_eq!(queue.epoch, 3);
+        // Bucket and far key: past the window, a key waits in the heap.
+        push(&mut queue, 300_000);
+        assert_eq!(pop(&mut queue), Some(3_500));
+        assert_eq!(pop(&mut queue), Some(5_500));
+        let bucket_far = (vec![Calendar, Heap], [Some(7_000), Some(300_000)]);
+        assert_eq!(look(&mut queue), bucket_far);
+        // With the calendar empty, a pop makes its key's epoch current, so
+        // a key 3 ms on goes to the calendar, not to the lanes.
+        assert_eq!(pop(&mut queue), Some(7_000));
+        assert_eq!(queue.epoch, 6);
+        push(&mut queue, 10_000);
+        let bucket_far = (vec![Calendar, Heap], [Some(10_000), Some(300_000)]);
+        assert_eq!(look(&mut queue), bucket_far);
+        assert_eq!(pop(&mut queue), Some(10_000));
+        assert_eq!(pop(&mut queue), Some(300_000));
+        assert_eq!(queue.epoch, 300_000 >> EPOCH_BITS);
+        push(&mut queue, 305_000);
+        assert_eq!(look(&mut queue), (vec![Calendar], [Some(305_000), None]));
+        assert_eq!((pop(&mut queue), pop(&mut queue)), (Some(305_000), None));
+
+        // A far key that comes before the calendar's first bucket: its
+        // epoch becomes current and the bucket waits.
+        let mut queue = Queue::default();
+        push(&mut queue, 200_000); // epoch 195: past the window from 0
+        push(&mut queue, 100_000); // epoch 97: bucket
+        assert_eq!(pop(&mut queue), Some(100_000));
+        push(&mut queue, 230_000); // epoch 224: bucket, from 97
+        let far_bucket = (vec![Heap, Calendar], [Some(200_000), Some(230_000)]);
+        assert_eq!(look(&mut queue), far_bucket);
+        assert_eq!(queue.epoch, 200_000 >> EPOCH_BITS);
+        assert_eq!(
+            queue.keys().filter(|(lane, _)| *lane == Calendar).count(),
+            1
+        );
+        assert_eq!(
+            (pop(&mut queue), pop(&mut queue)),
+            (Some(200_000), Some(230_000))
+        );
+        assert_eq!((queue.len(), pop(&mut queue)), (0, None));
     }
 
     #[test]

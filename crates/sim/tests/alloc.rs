@@ -70,17 +70,20 @@ static ALLOC: Counting = Counting;
 const ACTORS: usize = 64;
 
 /// Forwards a message `[hops left, stride, ..]` to the actor `stride`
-/// places on, and re-arms its one timer on every delivery (the old arming
-/// goes stale in the queue, as a retry timer's does when its reply
-/// arrives). The 64 bytes of payload stand for a protocol message.
-struct Relay;
+/// places on, and re-arms its one timer, `timer` µs out, on every delivery
+/// (the old arming goes stale in the queue, as a retry timer's does when
+/// its reply arrives). The 64 bytes of payload stand for a protocol
+/// message.
+struct Relay {
+    timer: u64,
+}
 
 impl Actor for Relay {
     type Msg = [u64; 8];
     type Timer = ();
 
     fn on_message(&mut self, ctx: &mut Context<'_, [u64; 8], ()>, _from: usize, msg: [u64; 8]) {
-        ctx.set_timer((), 2_000);
+        ctx.set_timer((), self.timer);
         if msg[0] > 0 {
             let to = (ctx.me() + msg[1] as usize) % ACTORS;
             ctx.send(to, [msg[0] - 1, msg[1], 0, 0, 0, 0, 0, 0]);
@@ -90,7 +93,7 @@ impl Actor for Relay {
 
 #[test]
 fn a_steady_queue_allocates_nothing_and_a_drained_one_holds_nothing() {
-    let relays = (0..ACTORS).map(|_| Relay).collect();
+    let relays = (0..ACTORS).map(|_| Relay { timer: 2_000 }).collect();
     let mut sim = Simulator::new(relays, UniformDelay::new(50, 150), 3);
     let before = live();
 
@@ -125,11 +128,13 @@ fn a_steady_queue_allocates_nothing_and_a_drained_one_holds_nothing() {
 }
 
 /// The same traffic at one latency, which is the timer's too: every key
-/// is scheduled no earlier than the last, so all of them, stale timers
-/// included, go through the queue's FIFO run and none through its heap.
+/// is scheduled no earlier than the last, so none goes through the
+/// queue's heap. The keys of the current millisecond join its FIFO run
+/// straight away, and the later ones wait in its calendar until their
+/// bucket is sorted onto the run.
 #[test]
 fn a_steady_run_of_time_ordered_keys_allocates_nothing_either() {
-    let relays = (0..ACTORS).map(|_| Relay).collect();
+    let relays = (0..ACTORS).map(|_| Relay { timer: 2_000 }).collect();
     let mut sim = Simulator::new(relays, ConstantDelay(2_000), 3);
     let before = live();
     for i in 0..1_000 {
@@ -152,6 +157,50 @@ fn a_steady_run_of_time_ordered_keys_allocates_nothing_either() {
     assert!(!end.truncated);
     assert_eq!(end.delivered, 1_000 * 151);
     assert_eq!(end.timers_fired, ACTORS as u64);
+    assert_eq!(sim.pending(), 0);
+    assert_eq!(live() - before, 0, "bytes still held by a drained queue");
+}
+
+/// The same traffic spread over 1–100 ms, so over the current epoch and
+/// most of the calendar's buckets, and a timer re-armed 140 ms out, past
+/// the calendar's 131 ms window: the buckets' chunks come and go from one
+/// spare list, the run is refilled by sorting a bucket onto it, and the
+/// stale timer keys wait in the heap, all without allocating.
+///
+/// About 20 deliveries a millisecond keep some 2 800 stale timer keys in
+/// the heap and at most 3 900 payloads in the slab, inside a capacity
+/// step of each. A store that grows at a new high-water mark allocates
+/// when the mark is crossed, whichever queue it serves: at 150 ms the
+/// payloads wander across 4 096, and the slab adds its seventeenth page
+/// of 256 mid-run; at 200 ms the heap's keys do, and it doubles.
+#[test]
+fn a_steady_run_over_the_whole_calendar_allocates_nothing_either() {
+    let relays = (0..ACTORS).map(|_| Relay { timer: 140_000 }).collect();
+    let mut sim = Simulator::new(relays, UniformDelay::new(1_000, 100_000), 3);
+    let before = live();
+    for i in 0..1_000 {
+        let msg = [150, 2 * (i % 16) as u64 + 1, 0, 0, 0, 0, 0, 0];
+        sim.inject_at(i as u64 * 100, i % ACTORS, (i * 7) % ACTORS, msg);
+    }
+    let warm = sim.run_limited(30_000);
+    assert!(warm.truncated);
+    let pending = sim.pending();
+    assert!(pending > 1_000, "{pending} events queued");
+
+    let start = allocated();
+    let steady = sim.run_limited(100_000);
+    let spent = allocated() - start;
+    assert_eq!(steady.delivered, warm.delivered + 100_000);
+    assert_eq!(steady.timers_fired, 0, "a timer fired mid-run");
+    assert_eq!(spent, 0, "{spent} B allocated over 100k deliveries");
+
+    let end = sim.run();
+    assert!(!end.truncated);
+    assert_eq!(end.delivered, 1_000 * 151);
+    // Every actor's last arming fires; as the traffic thins out at the
+    // end, some actors idle past 140 ms between deliveries, and an
+    // earlier arming fires too.
+    assert!(end.timers_fired >= ACTORS as u64, "{}", end.timers_fired);
     assert_eq!(sim.pending(), 0);
     assert_eq!(live() - before, 0, "bytes still held by a drained queue");
 }

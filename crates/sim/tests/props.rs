@@ -400,8 +400,10 @@ impl<D: DelayModel> Reference<D> {
     }
 }
 
-/// A schedule's latencies: one constant, uniform over 1–300 µs, or
-/// constant between actors of equal parity and uniform across.
+/// A schedule's latencies: one constant, uniform over 1–300 µs, constant
+/// between actors of equal parity and uniform across, or uniform over
+/// 1 µs–300 ms, which is wider than the queue's calendar: its keys land in
+/// the current epoch, in the calendar's buckets and past its window.
 #[derive(Debug, Clone, Copy)]
 enum Latency {
     Constant(ConstantDelay),
@@ -419,13 +421,14 @@ impl DelayModel for Latency {
     }
 }
 
-/// Latency kind `kind % 3`, with drop 0.2 and dup 0.2.
+/// Latency kind `kind % 4`, with drop 0.2 and dup 0.2.
 fn lossy(kind: u8) -> FaultyDelay<Latency> {
     let (constant, uniform) = (ConstantDelay(150), UniformDelay::new(1, 300));
-    let latency = match kind % 3 {
+    let latency = match kind % 4 {
         0 => Latency::Constant(constant),
         1 => Latency::Uniform(uniform),
-        _ => Latency::Mixed(constant, uniform),
+        2 => Latency::Mixed(constant, uniform),
+        _ => Latency::Uniform(UniformDelay::new(1, 300_000)),
     };
     FaultyDelay::new(latency, 0.2, 0.2)
 }
@@ -436,19 +439,22 @@ proptest! {
     /// Random actor scripts — sends, arms, re-arms, cancels (of unarmed
     /// timers too), injections and actors added mid-run — paused by
     /// `run_limited(k)`, `run_until(t)` and `run()` under drop 0.2 and dup 0.2,
-    /// over constant, uniform and mixed latencies (so over a queue that
-    /// keeps its keys in the run, the heap, or both): the same deliveries
-    /// in the same order, the same report and the same queue length as
-    /// the reference at every pause. The actors take prefetch hints,
-    /// which change nothing, and each message hinted at is delivered to
-    /// the actor it was hinted to.
+    /// over constant, uniform, mixed and wide latencies (so over a queue
+    /// that keeps its keys in the run, the heap, the calendar, or all
+    /// three): the same deliveries in the same order, the same report and
+    /// the same queue length as the reference at every pause. Injections
+    /// and horizons reach up to 2 ms, 512 ms or 131 s ahead, and every
+    /// schedule ends with a message a minute out and a horizon past it, a
+    /// jump over a stretch far longer than the calendar's window. The
+    /// actors take prefetch hints, which change nothing, and each message
+    /// hinted at is delivered to the actor it was hinted to.
     #[test]
     fn slab_queue_matches_the_boxed_reference(
         n in 1usize..6,
         seed in 0u64..10_000,
         script in 0u64..10_000,
-        latency in 0u8..3,
-        steps in proptest::collection::vec((0u8..6, 0u64..2_000, 0u64..1_000), 1..24),
+        latency in 0u8..4,
+        steps in proptest::collection::vec((0u8..6, 0u64..2_000, 0u64..1_000, 0u32..3), 1..24),
     ) {
         let log = Rc::new(RefCell::new(Vec::new()));
         let hints = Rc::new(RefCell::new(Vec::new()));
@@ -466,10 +472,12 @@ proptest! {
             seed,
         );
         let mut steps = steps;
-        steps.push((5, 0, 0)); // drain at the end
-        for (kind, a, m) in steps {
+        // A message about a minute out, a horizon past it, and a drain.
+        steps.extend([(1, 1_000, 0, 2), (3, 2_000, 0, 2), (5, 0, 0, 0)]);
+        for (kind, a, m, scale) in steps {
             let len = sim.len();
             let (from, to) = (a as usize % len, (a >> 4) as usize % len);
+            let ahead = a << (8 * scale);
             let report = match kind {
                 0 => {
                     sim.inject(from, to, m);
@@ -477,7 +485,7 @@ proptest! {
                     continue;
                 }
                 1 => {
-                    let at = sim.now() + a;
+                    let at = sim.now() + ahead;
                     sim.inject_at(at, from, to, m);
                     reference.push(at, from, to, Payload::Msg(m));
                     continue;
@@ -488,7 +496,10 @@ proptest! {
                     population.set(me + 1);
                     continue;
                 }
-                3 => (sim.run_until(sim.now() + a), reference.run_until(reference.now + a)),
+                3 => (
+                    sim.run_until(sim.now() + ahead),
+                    reference.run_until(reference.now + ahead),
+                ),
                 4 => (sim.run_limited(a % 64), reference.run_limited(a % 64)),
                 _ => (sim.run(), reference.run_limited(u64::MAX)),
             };
